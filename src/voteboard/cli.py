@@ -1,8 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 input problems (bad flags, unreadable or malformed
-files), 2 a requested operation is incompatible with the data (unknown rule,
-mode restrictions, missing scores), 3 unexpected internal failure.
+Exit codes: 0 success, 1 input problems (flags that do not parse, unreadable
+or malformed files), 2 a requested operation is incompatible with the data
+(unknown rule, mode restrictions, missing scores, parameters out of range),
+3 unexpected internal failure.
 """
 
 from __future__ import annotations
@@ -14,13 +15,13 @@ from typing import Sequence
 
 from . import io as vio
 from .cw import build_dominance_matrix, find_cw_weights
-from .errors import ParseError, VoteboardError
+from .errors import InvalidParameter, ParseError, VoteboardError
 from .experiments import ExperimentConfig, iia_experiment, robustness_experiment
 from .majority import build_majority_graph, condorcet_winner
 from .metrics import agreement_rate, kendall_tau, spearman_rho
 from .model import Leaderboard, RuleOutcome
 from .modes import BASIC, MODES
-from .registry import aggregate, get_rule, rule_ids
+from .registry import aggregate, rule_ids
 
 DEFAULT_GAMMA = 0.95
 SEED_ENV = "VNR_SEED"
@@ -121,10 +122,6 @@ def _load(args: argparse.Namespace) -> Leaderboard:
 
 
 def _run(lb: Leaderboard, rule_id: str, mode: str, gamma: float) -> RuleOutcome:
-    try:
-        get_rule(rule_id)
-    except ValueError as exc:
-        raise VoteboardError(str(exc)) from exc
     params = {"gamma": gamma} if rule_id == "optimality_gap" else {}
     return aggregate(lb, rule_id, mode=mode, **params)
 
@@ -207,7 +204,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     out_b = _run(lb, rule_b, args.mode, args.gamma)
     k = min(args.top_k, len(lb.systems))
     if k < 1:
-        raise VoteboardError("--top-k must be at least 1")
+        raise InvalidParameter("--top-k must be at least 1")
     stats = {
         "kendall_tau": kendall_tau(out_a, out_b),
         "spearman_rho": spearman_rho(out_a, out_b),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InfeasibleBounds
+from .errors import InfeasibleBounds, InvalidParameter
 from .linprog import INFEASIBLE, OPTIMAL, solve_lp
 from .model import MINIMIZE, Leaderboard, as_fraction
 
@@ -103,13 +103,13 @@ def find_cw_weights(
     t = len(matrix.tasks)
     eps = as_fraction(margin)
     if eps < 0:
-        raise ValueError("margin must be non-negative")
+        raise InvalidParameter("margin must be non-negative")
     lower = tuple(v if v is not None else Fraction(0)
                   for v in _bound_tuple(lower_bounds, t, Fraction(0)))
     upper = _bound_tuple(upper_bounds, t, None)
     for lo, up in zip(lower, upper):
         if lo < 0:
-            raise ValueError("lower bounds must be non-negative")
+            raise InvalidParameter("lower bounds must be non-negative")
         if up is not None and up < lo:
             raise InfeasibleBounds("upper bound below lower bound")
     low_sum = sum(lower, Fraction(0))

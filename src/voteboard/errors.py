@@ -55,3 +55,11 @@ class TooManyOmissions(VoteboardError):
 
 class InfeasibleBounds(VoteboardError):
     """Weight bounds are contradictory before any dominance constraint."""
+
+
+class UnknownRule(VoteboardError, ValueError):
+    """A rule id or mode is not registered."""
+
+
+class InvalidParameter(VoteboardError, ValueError):
+    """A parameter lies outside the range its operation accepts."""

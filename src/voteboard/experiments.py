@@ -14,7 +14,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
-from .errors import RuleUnsupportedForMode, TooFewSystems, TooManyOmissions
+from .errors import (
+    InvalidParameter,
+    RuleUnsupportedForMode,
+    TooFewSystems,
+    TooManyOmissions,
+)
 from .metrics import end_set, rho_from_rank_vectors
 from .model import Leaderboard, RuleOutcome
 from .modes import BASIC, run_rule
@@ -39,11 +44,11 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+            raise InvalidParameter("trials must be at least 1")
         if self.omit_count < 0:
-            raise ValueError("omit_count must be non-negative")
+            raise InvalidParameter("omit_count must be non-negative")
         if self.top_k < 1:
-            raise ValueError("top_k must be at least 1")
+            raise InvalidParameter("top_k must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -140,7 +145,7 @@ def robustness_experiment(
     """
     cfg = cfg or ExperimentConfig(trials=100)
     if cfg.top_k > len(lb.systems):
-        raise ValueError("top_k cannot exceed the number of systems")
+        raise InvalidParameter("top_k cannot exceed the number of systems")
     rule_objs = {}
     for rid in rules:
         rule_obj = get_rule(rid)

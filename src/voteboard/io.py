@@ -22,11 +22,13 @@ import json
 import math
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from .errors import ParseError
 from .model import Leaderboard, RuleOutcome, as_fraction
-from .experiments import ExperimentReport
+
+if TYPE_CHECKING:
+    from .experiments import ExperimentReport
 
 DIRECTION_TAG = "#direction"
 WEIGHT_TAG = "#weight"

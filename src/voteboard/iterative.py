@@ -4,21 +4,30 @@ Elimination rules drop every survivor at the losing score simultaneously,
 re-rank the rest, and repeat. If a round would eliminate everyone, the
 survivors stop as one tie group instead. The final ranking reads the
 elimination order backwards, best group first.
+
+threshold, coombs, baldwin, nanson and black read the profile's RankTable
+once per call. threshold and coombs take the survivors' place masses;
+baldwin, nanson and black take Borda scores from the pairwise counts, where
+dropping a system deletes its column. Both kernels sum integers in
+LCM-scaled weight units, and scores become Fractions only when a round or
+the outcome is packaged.
+
+Tuples are built from lists, for the reason the model module gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
-from .majority import condorcet_winner, majority_graph_from_profile
+from .majority import condorcet_winner, majority_graph_from_table
 from .model import (
     Leaderboard,
     RankProfile,
+    RankTable,
     RuleOutcome,
     group_by_score,
-    position_counts,
 )
 from .modes import BASIC, Rule, RuleParts, run_rule
 from .scoring import ScoringVector, score_with_vector
@@ -39,46 +48,52 @@ class EliminationTrace:
     rounds: tuple[EliminationRound, ...]
 
 
-def _total_weight(profile: RankProfile, weights: Mapping[str, Fraction]) -> Fraction:
-    return sum((weights.get(t, Fraction(1)) for t in profile.tasks), Fraction(0))
-
-
 # -- threshold -------------------------------------------------------------
 
 
 def _threshold_winner(
-    profile: RankProfile, weights: Mapping[str, Fraction]
-) -> tuple[frozenset[str], list[dict[str, Any]]]:
-    """Tied set left after the top-k tie-break cascade on this profile."""
-    systems = profile.systems
-    n = len(systems)
-    if n == 1:
-        return frozenset(systems), []
+    table: RankTable, candidates: list[int]
+) -> tuple[list[int], list[dict[str, Any]]]:
+    """Tied set left after the top-k tie-break cascade among the candidates.
+
+    With k candidates, stage z scores each one by its mass on the top k - z
+    places: its total mass minus its mass on the last z places.
+    """
+    k = len(candidates)
+    if k == 1:
+        return candidates, []
+    names = table.systems
+    masses = table.masses(candidates)
+    scores = {a: sum(masses[a]) for a in candidates}
+    pool = candidates
     stages: list[dict[str, Any]] = []
-    tied: frozenset[str] | None = None
-    for zeros in range(1, n):
-        vector = ScoringVector.top_k(n, n - zeros)
-        scores = score_with_vector(profile, vector, weights)
-        pool = systems if tied is None else tied
-        best = max(scores[m] for m in pool)
-        tied = frozenset(m for m in pool if scores[m] == best)
-        stages.append({"zeros": zeros, "scores": scores, "tied": tuple(sorted(tied))})
-        if len(tied) == 1:
+    for zeros in range(1, k):
+        for a in candidates:
+            scores[a] -= masses[a][k - zeros]
+        best = max(scores[a] for a in pool)
+        pool = [a for a in pool if scores[a] == best]
+        stages.append({
+            "zeros": zeros,
+            "scores": {names[a]: Fraction(scores[a], table.mass_unit) for a in candidates},
+            "tied": tuple(sorted(names[a] for a in pool)),
+        })
+        if len(pool) == 1:
             break
-    assert tied is not None
-    return tied, stages
+    return pool, stages
 
 
 def _threshold_run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RuleParts:
-    remaining = list(profile.systems)
+    table = RankTable.of(profile, weights)
+    names = table.systems
+    remaining = list(range(len(names)))
     groups: list[frozenset[str]] = []
     repetitions: list[dict[str, Any]] = []
     while remaining:
-        sub = profile.restrict(remaining)
-        winners, stages = _threshold_winner(sub, weights)
-        groups.append(winners)
-        repetitions.append({"candidates": tuple(remaining), "stages": stages})
-        remaining = [m for m in remaining if m not in winners]
+        winners, stages = _threshold_winner(table, remaining)
+        groups.append(frozenset(names[a] for a in winners))
+        candidates = tuple([names[a] for a in remaining])
+        repetitions.append({"candidates": candidates, "stages": stages})
+        remaining = [a for a in remaining if a not in winners]
     first = repetitions[0]["stages"]
     diagnostics = {
         "repetitions": repetitions,
@@ -103,22 +118,68 @@ def _finish(
     return RuleParts(ranking=ranking, diagnostics=diagnostics)
 
 
-def _baldwin_run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RuleParts:
-    survivors = list(profile.systems)
-    tiers: list[frozenset[str]] = []
-    rounds: list[EliminationRound] = []
-    while len(survivors) > 1:
-        sub = profile.restrict(survivors)
-        vector = ScoringVector.borda(len(survivors))
-        scores = score_with_vector(sub, vector, weights)
-        low = min(scores.values())
-        gone = frozenset(m for m in survivors if scores[m] == low)
-        if len(gone) == len(survivors):
-            break
-        rounds.append(EliminationRound(tuple(survivors), vector.entries, scores, gone))
-        tiers.append(gone)
-        survivors = [m for m in survivors if m not in gone]
-    return _finish(survivors, tiers, rounds)
+def _net_wins(counts: tuple[tuple[int, ...], ...]) -> dict[int, int]:
+    """Each system's pairwise wins minus losses, in scaled weight: row minus column sum."""
+    return {a: sum(row) - sum(col) for a, (row, col) in enumerate(zip(counts, zip(*counts)))}
+
+
+def _drop(net: dict[int, int], counts: tuple[tuple[int, ...], ...], gone: list[int]) -> None:
+    """Delete the columns of the eliminated systems from the net wins."""
+    for a in gone:
+        del net[a]
+    for a in net:
+        net[a] -= sum(counts[a][b] - counts[b][a] for b in gone)
+
+
+def _doubled_borda(net: dict[int, int], total: int) -> dict[int, int]:
+    """2 * scale * Borda score of each survivor of a complete profile.
+
+    A rival b adds the weight of the tasks ranking a above it plus half the
+    weight of those tying, so 2 * scale * Borda(a) is the sum over rivals of
+    total + counts[a][b] - counts[b][a].
+    """
+    rivals = len(net) - 1
+    return {a: rivals * total + x for a, x in net.items()}
+
+
+def _borda_elimination(losers: Callable[[dict[int, int]], list[int]]):
+    """A rule that drops losers(scores) from the survivors until it names nobody."""
+
+    def run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RuleParts:
+        table = RankTable.of(profile, weights)
+        names = table.systems
+        counts = table.pairwise()
+        net = _net_wins(counts)
+        tiers: list[frozenset[str]] = []
+        rounds: list[EliminationRound] = []
+        while True:
+            scores = _doubled_borda(net, table.total)
+            gone = losers(scores)
+            if not gone:
+                break
+            tiers.append(frozenset(names[a] for a in gone))
+            rounds.append(EliminationRound(
+                tuple([names[a] for a in scores]),
+                ScoringVector.borda(len(scores)).entries,
+                {names[a]: Fraction(x, 2 * table.scale) for a, x in scores.items()},
+                tiers[-1],
+            ))
+            _drop(net, counts, gone)
+        return _finish([names[a] for a in net], tiers, rounds)
+
+    return run
+
+
+def _baldwin_losers(scores: dict[int, int]) -> list[int]:
+    low = min(scores.values())
+    gone = [a for a, x in scores.items() if x == low]
+    return gone if len(gone) < len(scores) else []
+
+
+def _nanson_losers(scores: dict[int, int]) -> list[int]:
+    # below the mean score: k * score < sum of scores
+    total = sum(scores.values())
+    return [a for a, x in scores.items() if len(scores) * x < total]
 
 
 def _hare_run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RuleParts:
@@ -140,63 +201,49 @@ def _hare_run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RulePart
 
 
 def _coombs_run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RuleParts:
-    survivors = list(profile.systems)
+    table = RankTable.of(profile, weights)
+    names = table.systems
+    unit = table.mass_unit
+    total = table.total * (unit // table.scale)
+    survivors = list(range(len(names)))
     tiers: list[frozenset[str]] = []
     rounds: list[EliminationRound] = []
-    total = _total_weight(profile, weights)
     while len(survivors) > 1:
-        sub = profile.restrict(survivors)
         k = len(survivors)
-        plur = score_with_vector(sub, ScoringVector.plurality(k), weights)
-        best = max(plur.values())
+        masses = table.masses(survivors)
+        best = max(masses[a][0] for a in survivors)
         if 2 * best > total:
             # strict first-place majority short-circuits the eliminations;
             # at most one system can clear half the weight
-            winner = next(m for m in survivors if plur[m] == best)
-            rest = frozenset(m for m in survivors if m != winner)
-            ranking = (frozenset({winner}), rest, *reversed(tiers))
+            winner = next(a for a in survivors if masses[a][0] == best)
+            rest = frozenset(names[a] for a in survivors if a != winner)
+            ranking = (frozenset({names[winner]}), rest, *reversed(tiers))
             diagnostics = {
                 "trace": EliminationTrace(tuple(rounds)),
-                "majority_winner": winner,
-                "majority_share": plur[winner] / total,
+                "majority_winner": names[winner],
+                "majority_share": Fraction(best, total),
             }
             return RuleParts(ranking=ranking, diagnostics=diagnostics)
-        last = {m: position_counts(sub, m, weights)[k - 1] for m in survivors}
-        worst = max(last.values())
-        gone = frozenset(m for m in survivors if last[m] == worst)
-        if len(gone) == len(survivors):
+        worst = max(masses[a][k - 1] for a in survivors)
+        gone = frozenset(names[a] for a in survivors if masses[a][k - 1] == worst)
+        if len(gone) == k:
             break
-        vector = tuple(Fraction(1 if p == k - 1 else 0) for p in range(k))
-        rounds.append(EliminationRound(tuple(survivors), vector, last, gone))
+        vector = tuple([Fraction(1 if p == k - 1 else 0) for p in range(k)])
+        last = {names[a]: Fraction(masses[a][k - 1], unit) for a in survivors}
+        rounds.append(EliminationRound(tuple(last), vector, last, gone))
         tiers.append(gone)
-        survivors = [m for m in survivors if m not in gone]
-    return _finish(survivors, tiers, rounds)
-
-
-def _nanson_run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RuleParts:
-    survivors = list(profile.systems)
-    tiers: list[frozenset[str]] = []
-    rounds: list[EliminationRound] = []
-    while True:
-        sub = profile.restrict(survivors)
-        vector = ScoringVector.borda(len(survivors))
-        scores = score_with_vector(sub, vector, weights)
-        mean = sum(scores.values(), Fraction(0)) / len(survivors)
-        gone = frozenset(m for m in survivors if scores[m] < mean)
-        if not gone:
-            break
-        rounds.append(EliminationRound(tuple(survivors), vector.entries, scores, gone))
-        tiers.append(gone)
-        survivors = [m for m in survivors if m not in gone]
-    return _finish(survivors, tiers, rounds)
+        survivors = [a for a in survivors if names[a] not in gone]
+    return _finish([names[a] for a in survivors], tiers, rounds)
 
 
 def _black_run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RuleParts:
-    graph = majority_graph_from_profile(profile, weights)
+    table = RankTable.of(profile, weights)
+    graph = majority_graph_from_table(table)
     winner = condorcet_winner(graph)
-    n = len(profile.systems)
-    scores = score_with_vector(profile, ScoringVector.borda(n), weights)
-    borda_groups = group_by_score(scores)
+    names = table.systems
+    doubled = _doubled_borda(_net_wins(graph.counts), table.total)
+    borda_groups = group_by_score({names[a]: x for a, x in doubled.items()})
+    scores = {names[a]: Fraction(x, 2 * table.scale) for a, x in doubled.items()}
     if winner is None:
         return RuleParts(
             ranking=borda_groups,
@@ -217,10 +264,10 @@ RULES: dict[str, Rule] = {
     rule.rule_id: rule
     for rule in (
         Rule("threshold", profile_run=_threshold_run),
-        Rule("baldwin", profile_run=_baldwin_run),
+        Rule("baldwin", profile_run=_borda_elimination(_baldwin_losers)),
         Rule("hare", profile_run=_hare_run),
         Rule("coombs", profile_run=_coombs_run),
-        Rule("nanson", profile_run=_nanson_run),
+        Rule("nanson", profile_run=_borda_elimination(_nanson_losers)),
         Rule("black", profile_run=_black_run),
     )
 }

@@ -4,20 +4,26 @@ For systems a and b, each task contributes its weight with sign +1 when it
 ranks a strictly above b, -1 when strictly below, and 0 on a tie or when
 either score is missing. a dominates b when the signed sum is positive, so
 missing cells shrink the evidence for a pair instead of being imputed.
+
+The relation is held as one integer matrix of pairwise counts in
+LCM-scaled weight units (RankTable.pairwise). Margins and supports become
+Fractions only when read, and each system's dominated and dominator sets are
+computed once per graph from the integer rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .model import (
     Leaderboard,
     RankProfile,
+    RankTable,
     RuleOutcome,
-    as_fraction,
     build_profile,
     group_by_score,
 )
@@ -31,40 +37,69 @@ _WEAKLY_STABLE_LIMIT = 18
 
 @dataclass(frozen=True)
 class MajorityGraph:
-    """Signed pairwise margins plus the supporting task weight per edge.
+    """Pairwise counts of a profile, read as a majority relation.
 
-    margins[(a, b)] is the weighted signed comparison count; an edge a -> b
-    exists when it is positive. supports[(a, b)] is the weight of tasks
-    ranking a strictly above b if that edge exists, else 0.
+    counts[i][j] is the weight of the tasks ranking systems[i] strictly above
+    systems[j], in units of 1/scale. margins[(a, b)] is the weighted signed
+    comparison count; an edge a -> b exists when it is positive.
+    supports[(a, b)] is the weight of tasks ranking a strictly above b if
+    that edge exists, else 0. Every value is returned as an exact Fraction.
     """
 
     systems: tuple[str, ...]
-    margins: Mapping[tuple[str, str], Fraction]
-    supports: Mapping[tuple[str, str], Fraction]
+    counts: tuple[tuple[int, ...], ...]
+    scale: int
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {m: i for i, m in enumerate(self.systems)}
+
+    @cached_property
+    def _counter_sets(self) -> tuple[dict[str, frozenset[str]], dict[str, frozenset[str]]]:
+        names = self.systems
+        lower: dict[str, frozenset[str]] = {}
+        upper: dict[str, frozenset[str]] = {}
+        for a, row, col in zip(names, self.counts, zip(*self.counts)):
+            lower[a] = frozenset(b for b, x, y in zip(names, row, col) if x > y)
+            upper[a] = frozenset(b for b, x, y in zip(names, row, col) if y > x)
+        return lower, upper
+
+    @cached_property
+    def margins(self) -> dict[tuple[str, str], Fraction]:
+        return {pair: self.margin(*pair) for pair in _ordered_pairs(self.systems)}
+
+    @cached_property
+    def supports(self) -> dict[tuple[str, str], Fraction]:
+        return {pair: self.support(*pair) for pair in _ordered_pairs(self.systems)}
 
     def margin(self, a: str, b: str) -> Fraction:
-        return self.margins.get((a, b), Fraction(0))
+        i, j = self._index[a], self._index[b]
+        return Fraction(self.counts[i][j] - self.counts[j][i], self.scale)
 
     def support(self, a: str, b: str) -> Fraction:
-        return self.supports.get((a, b), Fraction(0))
+        i, j = self._index[a], self._index[b]
+        above, below = self.counts[i][j], self.counts[j][i]
+        return Fraction(above if above > below else 0, self.scale)
 
     def beats(self, a: str, b: str) -> bool:
-        return self.margin(a, b) > 0
+        i, j = self._index[a], self._index[b]
+        return self.counts[i][j] > self.counts[j][i]
 
     def dominated(self, m: str) -> frozenset[str]:
         """L(m): systems that m beats."""
-        return frozenset(x for x in self.systems if x != m and self.beats(m, x))
+        return self._counter_sets[0][m]
 
     def dominators(self, m: str) -> frozenset[str]:
         """U(m): systems that beat m."""
-        return frozenset(x for x in self.systems if x != m and self.beats(x, m))
+        return self._counter_sets[1][m]
 
     def edges(self) -> tuple[tuple[str, str], ...]:
+        names = self.systems
         return tuple(
             (a, b)
-            for a in self.systems
-            for b in self.systems
-            if a != b and self.beats(a, b)
+            for a, row, col in zip(names, self.counts, zip(*self.counts))
+            for b, x, y in zip(names, row, col)
+            if x > y
         )
 
     def adjacency(self) -> dict[str, dict[str, Fraction]]:
@@ -73,6 +108,12 @@ class MajorityGraph:
         for a, b in self.edges():
             out[a][b] = self.margin(a, b)
         return out
+
+
+def _ordered_pairs(systems: tuple[str, ...]):
+    for a, b in combinations(systems, 2):
+        yield a, b
+        yield b, a
 
 
 @dataclass(frozen=True)
@@ -84,33 +125,15 @@ class CounterSets:
     dominators: frozenset[str]
 
 
+def majority_graph_from_table(table: RankTable) -> MajorityGraph:
+    return MajorityGraph(table.systems, table.pairwise(), table.scale)
+
+
 def majority_graph_from_profile(
     profile: RankProfile,
     weights: Mapping[str, int | float | Fraction | str] | None = None,
 ) -> MajorityGraph:
-    tasks = profile.tasks
-    wts = {t: as_fraction(1 if weights is None else weights.get(t, 1)) for t in tasks}
-    margins: dict[tuple[str, str], Fraction] = {}
-    supports: dict[tuple[str, str], Fraction] = {}
-    zero = Fraction(0)
-    for a, b in combinations(profile.systems, 2):
-        above = zero
-        below = zero
-        for t in tasks:
-            entries = profile.positions[t]
-            pa = entries.get(a)
-            pb = entries.get(b)
-            if pa is None or pb is None:
-                continue
-            if pa < pb:
-                above += wts[t]
-            elif pb < pa:
-                below += wts[t]
-        margins[(a, b)] = above - below
-        margins[(b, a)] = below - above
-        supports[(a, b)] = above if above > below else zero
-        supports[(b, a)] = below if below > above else zero
-    return MajorityGraph(profile.systems, margins, supports)
+    return majority_graph_from_table(RankTable.of(profile, weights))
 
 
 def build_majority_graph(lb: Leaderboard) -> MajorityGraph:
@@ -124,8 +147,9 @@ def counter_sets(graph: MajorityGraph, system: str) -> CounterSets:
 
 def condorcet_winner(graph: MajorityGraph) -> str | None:
     """The system beating every other one strictly, if any."""
+    rivals = len(graph.systems) - 1
     for m in graph.systems:
-        if all(graph.beats(m, x) for x in graph.systems if x != m):
+        if len(graph.dominated(m)) == rivals:
             return m
     return None
 
@@ -161,13 +185,12 @@ def copeland(graph: MajorityGraph, variant: str = "I") -> RuleOutcome:
 
 def minimax_scores(graph: MajorityGraph) -> dict[str, Fraction]:
     """0 for undefeated systems, else minus the strongest defeat's support."""
+    counts = graph.counts
     scores: dict[str, Fraction] = {}
-    for m in graph.systems:
-        foes = graph.dominators(m)
-        if not foes:
-            scores[m] = Fraction(0)
-        else:
-            scores[m] = -max(graph.support(b, m) for b in foes)
+    for i, m in enumerate(graph.systems):
+        # rival j defeats m when counts[j][i] > counts[i][j], with support counts[j][i]
+        defeats = [row[i] for row, lost in zip(counts, counts[i]) if row[i] > lost]
+        scores[m] = Fraction(-max(defeats, default=0), graph.scale)
     return scores
 
 
@@ -181,15 +204,13 @@ def minimax(graph: MajorityGraph) -> RuleOutcome:
     )
 
 
-def _closure(seeds: Iterable[str], expand: Callable[[str], Iterable[str]]) -> frozenset[str]:
-    seen = set(seeds)
-    todo = list(seen)
+def _closure(seed: str, expand: Mapping[str, frozenset[str]]) -> frozenset[str]:
+    seen = {seed}
+    todo = [seed]
     while todo:
-        x = todo.pop()
-        for y in expand(x):
-            if y not in seen:
-                seen.add(y)
-                todo.append(y)
+        fresh = expand[todo.pop()] - seen
+        seen |= fresh
+        todo.extend(fresh)
     return frozenset(seen)
 
 
@@ -199,12 +220,11 @@ def minimal_dominant_set(graph: MajorityGraph) -> frozenset[str]:
     Dominant sets are totally ordered by inclusion, so the minimal one is
     the smallest closure of a single system under "fails to beat".
     """
-    def needs(x: str) -> list[str]:
-        return [y for y in graph.systems if y != x and not graph.beats(x, y)]
-
+    everyone = frozenset(graph.systems)
+    needs = {x: everyone - graph.dominated(x) - {x} for x in graph.systems}
     best: frozenset[str] | None = None
     for m in graph.systems:
-        c = _closure([m], needs)
+        c = _closure(m, needs)
         if best is None or len(c) < len(best):
             best = c
     assert best is not None
@@ -213,8 +233,8 @@ def minimal_dominant_set(graph: MajorityGraph) -> frozenset[str]:
 
 def minimal_undominated_set(graph: MajorityGraph) -> frozenset[str]:
     """Union of all inclusion-minimal sets no outsider beats into."""
-    closures = {m: _closure([m], graph.dominators) for m in graph.systems}
-    distinct = set(closures.values())
+    upper = {m: graph.dominators(m) for m in graph.systems}
+    distinct = {_closure(m, upper) for m in graph.systems}
     minimal = [c for c in distinct if not any(o < c for o in distinct)]
     out: set[str] = set()
     for c in minimal:
@@ -242,7 +262,7 @@ def uncovered_set(graph: MajorityGraph, variant: str = "I") -> frozenset[str]:
     if variant == "I":
         return _undominated_under(graph, lambda b, a: lower[b] > lower[a])
     return _undominated_under(
-        graph, lambda b, a: graph.beats(b, a) and upper[b] <= upper[a]
+        graph, lambda b, a: a in lower[b] and upper[b] <= upper[a]
     )
 
 
@@ -267,10 +287,8 @@ def fishburn_set(graph: MajorityGraph) -> frozenset[str]:
 
 def _is_weakly_stable(graph: MajorityGraph, candidate: frozenset[str]) -> bool:
     for x in candidate:
-        for y in graph.dominators(x):
-            if y in candidate:
-                continue
-            if not any(graph.beats(z, y) for z in candidate):
+        for y in graph.dominators(x) - candidate:
+            if not graph.dominators(y) & candidate:
                 return False
     return True
 
@@ -304,12 +322,8 @@ def minimal_weakly_stable_set(graph: MajorityGraph) -> frozenset[str]:
 # -- registry wiring ------------------------------------------------------
 
 
-def _graph_of(profile: RankProfile, weights: Mapping[str, Fraction]) -> MajorityGraph:
-    return majority_graph_from_profile(profile, weights)
-
-
 def _condorcet_run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RuleParts:
-    graph = _graph_of(profile, weights)
+    graph = majority_graph_from_profile(profile, weights)
     winner = condorcet_winner(graph)
     if winner is None:
         return RuleParts(
@@ -326,7 +340,7 @@ def _condorcet_run(profile: RankProfile, weights: Mapping[str, Fraction]) -> Rul
 
 def _copeland_run(variant: str):
     def run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RuleParts:
-        outcome = copeland(_graph_of(profile, weights), variant)
+        outcome = copeland(majority_graph_from_profile(profile, weights), variant)
         return RuleParts(
             ranking=outcome.ranking,
             scores=outcome.scores,
@@ -337,13 +351,13 @@ def _copeland_run(variant: str):
 
 
 def _minimax_run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RuleParts:
-    outcome = minimax(_graph_of(profile, weights))
+    outcome = minimax(majority_graph_from_profile(profile, weights))
     return RuleParts(ranking=outcome.ranking, scores=outcome.scores)
 
 
 def _set_rule_run(chooser: Callable[[MajorityGraph], frozenset[str]]):
     def run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RuleParts:
-        graph = _graph_of(profile, weights)
+        graph = majority_graph_from_profile(profile, weights)
         winners = chooser(graph)
         return RuleParts(
             ranking=(winners,),

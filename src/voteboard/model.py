@@ -5,6 +5,18 @@ metadata (direction, weight, optional group). Rules never read raw scores
 directly; they consume a RankProfile, the per-task fractional ranking derived
 from the scores. Tied systems share the mean of the integer places they span,
 so position mass is conserved within every task.
+
+Rules that read pairwise counts or place masses use a RankTable, the
+profile's integer form: tie groups as system indices and task weights scaled
+to integers by the LCM of their denominators. Its kernels sum integers; the
+rules convert to Fraction once, when they package the outcome.
+
+Tuples built on every rule call come from lists, not generators. tuple() of
+an iterator without a length resizes its result, and the resized tuple is
+later freed onto the interpreter's free list for its final size, so those
+lists grow call after call until a full garbage collection empties them.
+Code that allocates little triggers few full collections: on 20-system
+boards the growth raised peak memory by a tenth.
 """
 
 from __future__ import annotations
@@ -12,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from typing import Any, Iterable, Mapping, Sequence
@@ -20,8 +33,6 @@ from .errors import EmptySubset, MissingScore, UnknownSystem
 
 MAXIMIZE = "max"
 MINIMIZE = "min"
-
-Numeric = "int | float | Fraction | str"
 
 
 def as_fraction(value: int | float | Fraction | str) -> Fraction:
@@ -202,10 +213,10 @@ class Leaderboard:
         wanted = set(keep)
         for m in wanted:
             self._sys_index(m)
-        systems = tuple(m for m in self.systems if m in wanted)
+        systems = tuple([m for m in self.systems if m in wanted])
         if not systems:
             raise ValueError("cannot drop every system")
-        rows = tuple(self.scores[self.systems.index(m)] for m in systems)
+        rows = tuple([self.scores[self.systems.index(m)] for m in systems])
         return Leaderboard(systems, self.tasks, rows, self.directions, self.weights, self.groups)
 
     def restrict_tasks(self, keep: Iterable[str]) -> "Leaderboard":
@@ -234,14 +245,14 @@ class Leaderboard:
         i, j = self._sys_index(system), self._task_index(task)
         rows = [list(row) for row in self.scores]
         rows[i][j] = None if value is None else float(value)
-        return Leaderboard(self.systems, self.tasks, tuple(tuple(r) for r in rows),
+        return Leaderboard(self.systems, self.tasks, tuple([tuple(r) for r in rows]),
                            self.directions, self.weights, self.groups)
 
     def without_cells(self, cells: Iterable[tuple[str, str]]) -> "Leaderboard":
         rows = [list(row) for row in self.scores]
         for system, task in cells:
             rows[self._sys_index(system)][self._task_index(task)] = None
-        return Leaderboard(self.systems, self.tasks, tuple(tuple(r) for r in rows),
+        return Leaderboard(self.systems, self.tasks, tuple([tuple(r) for r in rows]),
                            self.directions, self.weights, self.groups)
 
 
@@ -280,7 +291,7 @@ class RankProfile:
         by_pos: dict[Fraction, list[str]] = {}
         for system, pos in entries.items():
             by_pos.setdefault(pos, []).append(system)
-        return tuple(tuple(sorted(by_pos[p])) for p in sorted(by_pos))
+        return tuple([tuple(sorted(by_pos[p])) for p in sorted(by_pos)])
 
     def is_complete(self) -> bool:
         n = len(self.systems)
@@ -289,7 +300,7 @@ class RankProfile:
     def restrict(self, keep: Sequence[str]) -> "RankProfile":
         """Drop systems and re-rank the rest, preserving order and ties."""
         wanted = set(keep)
-        systems = tuple(m for m in self.systems if m in wanted)
+        systems = tuple([m for m in self.systems if m in wanted])
         positions = {}
         for task in self.tasks:
             surviving = [
@@ -345,6 +356,112 @@ def build_profile(
     return RankProfile(lb.systems, tasks, positions)
 
 
+@dataclass(frozen=True)
+class RankTable:
+    """Integer form of a RankProfile, built once per rule call.
+
+    orders[t] holds task t's tie groups, best first, each a tuple of indices
+    into systems; a system missing from the task is in none of them.
+    weights[t] is the task weight times scale, the LCM of the weight
+    denominators, so the kernels below sum integers. Callers turn their
+    results into Fractions once, where the outcome is packaged.
+    """
+
+    systems: tuple[str, ...]
+    orders: tuple[tuple[tuple[int, ...], ...], ...]
+    weights: tuple[int, ...]
+    scale: int
+
+    @classmethod
+    def of(
+        cls,
+        profile: RankProfile,
+        weights: Mapping[str, int | float | Fraction | str] | None = None,
+    ) -> "RankTable":
+        index = {m: i for i, m in enumerate(profile.systems)}
+        exact = [as_fraction(1 if weights is None else weights.get(t, 1)) for t in profile.tasks]
+        scale = math.lcm(*{w.denominator for w in exact})
+        orders = []
+        for task in profile.tasks:
+            entries = profile.positions[task]
+            # put positions on a common denominator so that grouping and
+            # sorting compare integers, not Fractions
+            den = math.lcm(*{pos.denominator for pos in entries.values()})
+            by_key: dict[int, list[int]] = {}
+            for system, pos in entries.items():
+                key = pos.numerator * (den // pos.denominator)
+                by_key.setdefault(key, []).append(index[system])
+            orders.append(tuple([tuple(by_key[key]) for key in sorted(by_key)]))
+        scaled = tuple([w.numerator * (scale // w.denominator) for w in exact])
+        return cls(profile.systems, tuple(orders), scaled, scale)
+
+    @property
+    def total(self) -> int:
+        """Scaled weight of all tasks."""
+        return sum(self.weights)
+
+    @cached_property
+    def mass_unit(self) -> int:
+        """Denominator of masses(): scale times the LCM of 1..largest tie group.
+
+        A surviving tie group is never larger than its group in orders, so
+        every share w / g of a mass is a whole number of units.
+        """
+        largest = max((len(g) for groups in self.orders for g in groups), default=1)
+        return self.scale * math.lcm(*range(1, largest + 1))
+
+    def pairwise(self) -> tuple[tuple[int, ...], ...]:
+        """counts[a][b]: scaled weight of the tasks ranking a strictly above b.
+
+        Ties and missing cells count for neither side.
+        """
+        n = len(self.systems)
+        counts = [[0] * n for _ in range(n)]
+        for groups, w in zip(self.orders, self.weights):
+            below = [b for group in groups for b in group]
+            start = 0
+            for group in groups:
+                start += len(group)
+                rest = below[start:]
+                for a in group:
+                    row = counts[a]
+                    for b in rest:
+                        row[b] += w
+        return tuple([tuple(row) for row in counts])
+
+    def masses(self, survivors: Sequence[int]) -> dict[int, list[int]]:
+        """Weighted mass each survivor holds at each place, in mass_unit units.
+
+        The tasks are re-ranked on the survivors alone: a surviving tie group
+        of size g spanning places p..p+g-1 gives each member w/g at each of
+        those places. rows[a][p - 1] is survivor a's mass at place p.
+        """
+        alive = set(survivors)
+        rows = {a: [0] * len(survivors) for a in survivors}
+        per_weight = self.mass_unit // self.scale
+        for groups, w in zip(self.orders, self.weights):
+            w *= per_weight
+            place = 0
+            for group in groups:
+                if len(group) == 1:
+                    # untied, the common case: skip the set and range work
+                    if group[0] in alive:
+                        rows[group[0]][place] += w
+                        place += 1
+                    continue
+                live = alive.intersection(group)
+                if not live:
+                    continue
+                g = len(live)
+                share = w // g
+                for a in live:
+                    row = rows[a]
+                    for p in range(place, place + g):
+                        row[p] += share
+                place += g
+        return rows
+
+
 def position_counts(
     profile: RankProfile,
     system: str,
@@ -358,20 +475,9 @@ def position_counts(
     """
     if system not in profile.systems:
         raise UnknownSystem(f"unknown system: {system!r}")
-    n = len(profile.systems)
-    counts = [Fraction(0)] * n
-    for task in profile.tasks:
-        entries = profile.positions[task]
-        pos = entries.get(system)
-        if pos is None:
-            continue
-        w = as_fraction(1 if weights is None else weights.get(task, 1))
-        g = sum(1 for p in entries.values() if p == pos)
-        start = int(pos - Fraction(g - 1, 2))
-        share = w / g
-        for place in range(start, start + g):
-            counts[place - 1] += share
-    return tuple(counts)
+    table = RankTable.of(profile, weights)
+    row = table.masses(range(len(profile.systems)))[profile.systems.index(system)]
+    return tuple(Fraction(x, table.mass_unit) for x in row)
 
 
 def group_by_score(
@@ -381,9 +487,7 @@ def group_by_score(
 ) -> tuple[frozenset[str], ...]:
     """Partition systems into tie groups ordered best-first by exact score."""
     distinct = sorted(set(scores.values()), reverse=not ascending)
-    return tuple(
-        frozenset(m for m, s in scores.items() if s == v) for v in distinct
-    )
+    return tuple([frozenset(m for m, s in scores.items() if s == v) for v in distinct])
 
 
 def fractional_ranks_of(groups: Sequence[frozenset[str] | Sequence[str]]) -> dict[str, Fraction]:

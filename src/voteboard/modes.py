@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Mapping
 
-from .errors import MissingGroups, RuleUnsupportedForMode
+from .errors import MissingGroups, RuleUnsupportedForMode, UnknownRule
 from .model import (
     Leaderboard,
     RankProfile,
@@ -95,7 +95,7 @@ def group_weighting(lb: Leaderboard) -> GroupWeighting:
 def run_rule(lb: Leaderboard, rule: Rule, mode: str = BASIC, **params: Any) -> RuleOutcome:
     """Apply a rule under a mode and package the outcome."""
     if mode not in MODES:
-        raise ValueError(f"unknown mode: {mode!r}")
+        raise UnknownRule(f"unknown mode: {mode!r}")
     if mode == TWO_STEP:
         return _run_two_step(lb, rule, **params)
     if mode == BASIC:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Any
 
 from . import iterative, majority, metrics, scoring
+from .errors import UnknownRule
 from .model import Leaderboard, RuleOutcome
 from .modes import BASIC, MODES, Rule, run_rule
 
@@ -24,7 +25,7 @@ def get_rule(rule_id: str) -> Rule:
     try:
         return RULES[rule_id]
     except KeyError:
-        raise ValueError(f"unknown rule: {rule_id!r}") from None
+        raise UnknownRule(f"unknown rule: {rule_id!r}") from None
 
 
 def aggregate(
@@ -32,5 +33,5 @@ def aggregate(
 ) -> RuleOutcome:
     """Apply a registered rule to a leaderboard under the chosen mode."""
     if mode not in MODES:
-        raise ValueError(f"unknown mode: {mode!r}")
+        raise UnknownRule(f"unknown mode: {mode!r}")
     return run_rule(lb, get_rule(rule), mode, **params)

@@ -12,14 +12,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import MissingScore, VectorLengthMismatch
+from .errors import InvalidParameter, MissingScore, UnknownRule, VectorLengthMismatch
 from .model import Leaderboard, RankProfile, RuleOutcome, as_fraction, group_by_score
 from .modes import BASIC, Rule, RuleParts, run_rule
 
 
 @dataclass(frozen=True)
 class ScoringVector:
-    """Non-increasing score-per-place vector."""
+    """Non-increasing score-per-place vector.
+
+    The constructors build entries from lists, for the reason the model
+    module gives.
+    """
 
     entries: tuple[Fraction, ...]
 
@@ -57,19 +61,19 @@ class ScoringVector:
         if n < 1:
             raise ValueError("need at least one place")
         k = min(k, n)
-        return cls(tuple(Fraction(1 if p < k else 0) for p in range(n)))
+        return cls(tuple([Fraction(1 if p < k else 0) for p in range(n)]))
 
     @classmethod
     def borda(cls, n: int) -> "ScoringVector":
         if n < 1:
             raise ValueError("need at least one place")
-        return cls(tuple(Fraction(n - 1 - p) for p in range(n)))
+        return cls(tuple([Fraction(n - 1 - p) for p in range(n)]))
 
     @classmethod
     def dowdall(cls, n: int) -> "ScoringVector":
         if n < 1:
             raise ValueError("need at least one place")
-        return cls(tuple(Fraction(1, p + 1) for p in range(n)))
+        return cls(tuple([Fraction(1, p + 1) for p in range(n)]))
 
     @classmethod
     def custom(cls, values: Sequence[int | float | Fraction | str]) -> "ScoringVector":
@@ -131,8 +135,10 @@ def _custom_run(
     profile: RankProfile,
     weights: Mapping[str, Fraction],
     *,
-    vector: ScoringVector | Sequence[int | float | Fraction | str],
+    vector: ScoringVector | Sequence[int | float | Fraction | str] | None = None,
 ) -> RuleParts:
+    if vector is None:
+        raise InvalidParameter("custom scoring needs a vector")
     if not isinstance(vector, ScoringVector):
         vector = ScoringVector.custom(vector)
     return _parts_for_vector(profile, weights, vector)
@@ -160,11 +166,9 @@ def apply_scoring_rule(
 ) -> RuleOutcome:
     """Run a named scoring rule (or 'custom' with an explicit vector)."""
     if rule not in RULES:
-        raise ValueError(f"unknown scoring rule: {rule!r}")
+        raise UnknownRule(f"unknown scoring rule: {rule!r}")
     if rule == "custom":
-        if vector is None:
-            raise ValueError("custom scoring needs a vector")
         return run_rule(lb, RULES[rule], mode, vector=vector)
     if vector is not None:
-        raise ValueError("only the custom rule accepts a vector")
+        raise InvalidParameter("only the custom rule accepts a vector")
     return run_rule(lb, RULES[rule], mode)

@@ -1,0 +1,544 @@
+"""The Fraction implementations the integer kernels replaced, kept as a reference.
+
+These are the pairwise loop with the majority-graph rules built on it, the
+threshold cascade, the baldwin, nanson, coombs and black rounds, and
+position_counts, as they stood before the rules moved to RankTable. They
+re-rank and re-score the profile with Fractions at every step, so they are
+slow; tests compare the library against them on boards larger than the
+oracle's.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations
+from typing import Any, Callable, Iterable, Mapping
+
+from voteboard.errors import UnknownSystem
+from voteboard.iterative import EliminationRound, EliminationTrace
+from voteboard.model import RankProfile, RuleOutcome, as_fraction, group_by_score
+from voteboard.modes import BASIC, Rule, RuleParts
+from voteboard.scoring import ScoringVector, score_with_vector
+
+COPELAND_VARIANTS = ("I", "II", "III")
+_WEAKLY_STABLE_LIMIT = 18
+
+
+@dataclass(frozen=True)
+class MajorityGraph:
+    """Signed pairwise margins plus the supporting task weight per edge.
+
+    margins[(a, b)] is the weighted signed comparison count; an edge a -> b
+    exists when it is positive. supports[(a, b)] is the weight of tasks
+    ranking a strictly above b if that edge exists, else 0.
+    """
+
+    systems: tuple[str, ...]
+    margins: Mapping[tuple[str, str], Fraction]
+    supports: Mapping[tuple[str, str], Fraction]
+
+    def margin(self, a: str, b: str) -> Fraction:
+        return self.margins.get((a, b), Fraction(0))
+
+    def support(self, a: str, b: str) -> Fraction:
+        return self.supports.get((a, b), Fraction(0))
+
+    def beats(self, a: str, b: str) -> bool:
+        return self.margin(a, b) > 0
+
+    def dominated(self, m: str) -> frozenset[str]:
+        """L(m): systems that m beats."""
+        return frozenset(x for x in self.systems if x != m and self.beats(m, x))
+
+    def dominators(self, m: str) -> frozenset[str]:
+        """U(m): systems that beat m."""
+        return frozenset(x for x in self.systems if x != m and self.beats(x, m))
+
+    def edges(self) -> tuple[tuple[str, str], ...]:
+        return tuple(
+            (a, b)
+            for a in self.systems
+            for b in self.systems
+            if a != b and self.beats(a, b)
+        )
+
+    def adjacency(self) -> dict[str, dict[str, Fraction]]:
+        """Outgoing edges with margins, for graph export."""
+        out: dict[str, dict[str, Fraction]] = {a: {} for a in self.systems}
+        for a, b in self.edges():
+            out[a][b] = self.margin(a, b)
+        return out
+
+
+def majority_graph_from_profile(
+    profile: RankProfile,
+    weights: Mapping[str, int | float | Fraction | str] | None = None,
+) -> MajorityGraph:
+    tasks = profile.tasks
+    wts = {t: as_fraction(1 if weights is None else weights.get(t, 1)) for t in tasks}
+    margins: dict[tuple[str, str], Fraction] = {}
+    supports: dict[tuple[str, str], Fraction] = {}
+    zero = Fraction(0)
+    for a, b in combinations(profile.systems, 2):
+        above = zero
+        below = zero
+        for t in tasks:
+            entries = profile.positions[t]
+            pa = entries.get(a)
+            pb = entries.get(b)
+            if pa is None or pb is None:
+                continue
+            if pa < pb:
+                above += wts[t]
+            elif pb < pa:
+                below += wts[t]
+        margins[(a, b)] = above - below
+        margins[(b, a)] = below - above
+        supports[(a, b)] = above if above > below else zero
+        supports[(b, a)] = below if below > above else zero
+    return MajorityGraph(profile.systems, margins, supports)
+
+
+def condorcet_winner(graph: MajorityGraph) -> str | None:
+    """The system beating every other one strictly, if any."""
+    for m in graph.systems:
+        if all(graph.beats(m, x) for x in graph.systems if x != m):
+            return m
+    return None
+
+
+def copeland_scores(graph: MajorityGraph, variant: str = "I") -> dict[str, Fraction]:
+    if variant not in COPELAND_VARIANTS:
+        raise ValueError(f"variant must be one of {COPELAND_VARIANTS}")
+    scores: dict[str, Fraction] = {}
+    for m in graph.systems:
+        wins = len(graph.dominated(m))
+        losses = len(graph.dominators(m))
+        if variant == "I":
+            scores[m] = Fraction(wins - losses)
+        elif variant == "II":
+            scores[m] = Fraction(wins)
+        else:
+            scores[m] = Fraction(losses)
+    return scores
+
+
+def copeland(graph: MajorityGraph, variant: str = "I") -> RuleOutcome:
+    scores = copeland_scores(graph, variant)
+    ascending = variant == "III"
+    rule_id = {"I": "copeland", "II": "copeland2", "III": "copeland3"}[variant]
+    return RuleOutcome(
+        rule_id=rule_id,
+        mode=BASIC,
+        ranking=group_by_score(scores, ascending=ascending),
+        scores=scores,
+        diagnostics={"score_order": "ascending" if ascending else "descending"},
+    )
+
+
+def minimax_scores(graph: MajorityGraph) -> dict[str, Fraction]:
+    """0 for undefeated systems, else minus the strongest defeat's support."""
+    scores: dict[str, Fraction] = {}
+    for m in graph.systems:
+        foes = graph.dominators(m)
+        if not foes:
+            scores[m] = Fraction(0)
+        else:
+            scores[m] = -max(graph.support(b, m) for b in foes)
+    return scores
+
+
+def minimax(graph: MajorityGraph) -> RuleOutcome:
+    scores = minimax_scores(graph)
+    return RuleOutcome(
+        rule_id="minimax",
+        mode=BASIC,
+        ranking=group_by_score(scores),
+        scores=scores,
+    )
+
+
+def _closure(seeds: Iterable[str], expand: Callable[[str], Iterable[str]]) -> frozenset[str]:
+    seen = set(seeds)
+    todo = list(seen)
+    while todo:
+        x = todo.pop()
+        for y in expand(x):
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return frozenset(seen)
+
+
+def minimal_dominant_set(graph: MajorityGraph) -> frozenset[str]:
+    """Smallest set whose members all beat every outside system.
+
+    Dominant sets are totally ordered by inclusion, so the minimal one is
+    the smallest closure of a single system under "fails to beat".
+    """
+    def needs(x: str) -> list[str]:
+        return [y for y in graph.systems if y != x and not graph.beats(x, y)]
+
+    best: frozenset[str] | None = None
+    for m in graph.systems:
+        c = _closure([m], needs)
+        if best is None or len(c) < len(best):
+            best = c
+    assert best is not None
+    return best
+
+
+def minimal_undominated_set(graph: MajorityGraph) -> frozenset[str]:
+    """Union of all inclusion-minimal sets no outsider beats into."""
+    closures = {m: _closure([m], graph.dominators) for m in graph.systems}
+    distinct = set(closures.values())
+    minimal = [c for c in distinct if not any(o < c for o in distinct)]
+    out: set[str] = set()
+    for c in minimal:
+        out |= c
+    return frozenset(out)
+
+
+def _undominated_under(
+    graph: MajorityGraph, wins_over: Callable[[str, str], bool]
+) -> frozenset[str]:
+    return frozenset(
+        a
+        for a in graph.systems
+        if not any(b != a and wins_over(b, a) for b in graph.systems)
+    )
+
+
+def uncovered_set(graph: MajorityGraph, variant: str = "I") -> frozenset[str]:
+    """Systems not covered: variant I compares the sets they beat, variant II
+    additionally requires a majority edge and compares the sets beating them."""
+    if variant not in ("I", "II"):
+        raise ValueError("variant must be 'I' or 'II'")
+    lower = {m: graph.dominated(m) for m in graph.systems}
+    upper = {m: graph.dominators(m) for m in graph.systems}
+    if variant == "I":
+        return _undominated_under(graph, lambda b, a: lower[b] > lower[a])
+    return _undominated_under(
+        graph, lambda b, a: graph.beats(b, a) and upper[b] <= upper[a]
+    )
+
+
+def richelson_set(graph: MajorityGraph) -> frozenset[str]:
+    lower = {m: graph.dominated(m) for m in graph.systems}
+    upper = {m: graph.dominators(m) for m in graph.systems}
+
+    def wins(b: str, a: str) -> bool:
+        return (
+            lower[b] >= lower[a]
+            and upper[b] <= upper[a]
+            and (lower[b] > lower[a] or upper[b] < upper[a])
+        )
+
+    return _undominated_under(graph, wins)
+
+
+def fishburn_set(graph: MajorityGraph) -> frozenset[str]:
+    upper = {m: graph.dominators(m) for m in graph.systems}
+    return _undominated_under(graph, lambda b, a: upper[b] < upper[a])
+
+
+def _is_weakly_stable(graph: MajorityGraph, candidate: frozenset[str]) -> bool:
+    for x in candidate:
+        for y in graph.dominators(x):
+            if y in candidate:
+                continue
+            if not any(graph.beats(z, y) for z in candidate):
+                return False
+    return True
+
+
+def minimal_weakly_stable_set(graph: MajorityGraph) -> frozenset[str]:
+    """Union of all inclusion-minimal weakly stable sets.
+
+    A set is weakly stable when every outside threat to a member is itself
+    beaten from inside. Every minimal weakly stable set lives inside the
+    minimal dominant set, which keeps the subset search small.
+    """
+    pool = sorted(minimal_dominant_set(graph))
+    if len(pool) > _WEAKLY_STABLE_LIMIT:
+        raise RuntimeError(
+            f"dominant component of size {len(pool)} is too large for exhaustive search"
+        )
+    found: list[frozenset[str]] = []
+    for size in range(1, len(pool) + 1):
+        for combo in combinations(pool, size):
+            candidate = frozenset(combo)
+            if any(smaller <= candidate for smaller in found):
+                continue
+            if _is_weakly_stable(graph, candidate):
+                found.append(candidate)
+    union: set[str] = set()
+    for q in found:
+        union |= q
+    return frozenset(union)
+
+
+def _graph_of(profile: RankProfile, weights: Mapping[str, Fraction]) -> MajorityGraph:
+    return majority_graph_from_profile(profile, weights)
+
+
+def _condorcet_run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RuleParts:
+    graph = _graph_of(profile, weights)
+    winner = condorcet_winner(graph)
+    if winner is None:
+        return RuleParts(
+            ranking=(),
+            unranked=frozenset(profile.systems),
+            diagnostics={"condorcet_winner": None},
+        )
+    return RuleParts(
+        ranking=(frozenset({winner}),),
+        unranked=frozenset(m for m in profile.systems if m != winner),
+        diagnostics={"condorcet_winner": winner},
+    )
+
+
+def _copeland_run(variant: str):
+    def run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RuleParts:
+        outcome = copeland(_graph_of(profile, weights), variant)
+        return RuleParts(
+            ranking=outcome.ranking,
+            scores=outcome.scores,
+            diagnostics=dict(outcome.diagnostics),
+        )
+
+    return run
+
+
+def _minimax_run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RuleParts:
+    outcome = minimax(_graph_of(profile, weights))
+    return RuleParts(ranking=outcome.ranking, scores=outcome.scores)
+
+
+def _set_rule_run(chooser: Callable[[MajorityGraph], frozenset[str]]):
+    def run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RuleParts:
+        graph = _graph_of(profile, weights)
+        winners = chooser(graph)
+        return RuleParts(
+            ranking=(winners,),
+            unranked=frozenset(m for m in profile.systems if m not in winners),
+        )
+
+    return run
+
+
+def position_counts(
+    profile: RankProfile,
+    system: str,
+    weights: Mapping[str, int | float | Fraction | str] | None = None,
+) -> tuple[Fraction, ...]:
+    """Weighted mass the system places at each integer rank 1..n.
+
+    A tie group of size g spanning places p..p+g-1 contributes w/g of the
+    task's weight w at each spanned place, so the total mass equals the
+    weight of the tasks that rank the system.
+    """
+    if system not in profile.systems:
+        raise UnknownSystem(f"unknown system: {system!r}")
+    n = len(profile.systems)
+    counts = [Fraction(0)] * n
+    for task in profile.tasks:
+        entries = profile.positions[task]
+        pos = entries.get(system)
+        if pos is None:
+            continue
+        w = as_fraction(1 if weights is None else weights.get(task, 1))
+        g = sum(1 for p in entries.values() if p == pos)
+        start = int(pos - Fraction(g - 1, 2))
+        share = w / g
+        for place in range(start, start + g):
+            counts[place - 1] += share
+    return tuple(counts)
+
+
+def _total_weight(profile: RankProfile, weights: Mapping[str, Fraction]) -> Fraction:
+    return sum((weights.get(t, Fraction(1)) for t in profile.tasks), Fraction(0))
+
+
+# -- threshold -------------------------------------------------------------
+
+
+def _threshold_winner(
+    profile: RankProfile, weights: Mapping[str, Fraction]
+) -> tuple[frozenset[str], list[dict[str, Any]]]:
+    """Tied set left after the top-k tie-break cascade on this profile."""
+    systems = profile.systems
+    n = len(systems)
+    if n == 1:
+        return frozenset(systems), []
+    stages: list[dict[str, Any]] = []
+    tied: frozenset[str] | None = None
+    for zeros in range(1, n):
+        vector = ScoringVector.top_k(n, n - zeros)
+        scores = score_with_vector(profile, vector, weights)
+        pool = systems if tied is None else tied
+        best = max(scores[m] for m in pool)
+        tied = frozenset(m for m in pool if scores[m] == best)
+        stages.append({"zeros": zeros, "scores": scores, "tied": tuple(sorted(tied))})
+        if len(tied) == 1:
+            break
+    assert tied is not None
+    return tied, stages
+
+
+def _threshold_run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RuleParts:
+    remaining = list(profile.systems)
+    groups: list[frozenset[str]] = []
+    repetitions: list[dict[str, Any]] = []
+    while remaining:
+        sub = profile.restrict(remaining)
+        winners, stages = _threshold_winner(sub, weights)
+        groups.append(winners)
+        repetitions.append({"candidates": tuple(remaining), "stages": stages})
+        remaining = [m for m in remaining if m not in winners]
+    first = repetitions[0]["stages"]
+    diagnostics = {
+        "repetitions": repetitions,
+        "first_round_scores": dict(first[0]["scores"]) if first else None,
+    }
+    return RuleParts(ranking=tuple(groups), diagnostics=diagnostics)
+
+
+# -- elimination rules ------------------------------------------------------
+
+
+def _finish(
+    survivors: list[str],
+    tiers: list[frozenset[str]],
+    rounds: list[EliminationRound],
+    extra: Mapping[str, Any] | None = None,
+) -> RuleParts:
+    ranking = (frozenset(survivors), *reversed(tiers))
+    diagnostics: dict[str, Any] = {"trace": EliminationTrace(tuple(rounds))}
+    if extra:
+        diagnostics.update(extra)
+    return RuleParts(ranking=ranking, diagnostics=diagnostics)
+
+
+def _baldwin_run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RuleParts:
+    survivors = list(profile.systems)
+    tiers: list[frozenset[str]] = []
+    rounds: list[EliminationRound] = []
+    while len(survivors) > 1:
+        sub = profile.restrict(survivors)
+        vector = ScoringVector.borda(len(survivors))
+        scores = score_with_vector(sub, vector, weights)
+        low = min(scores.values())
+        gone = frozenset(m for m in survivors if scores[m] == low)
+        if len(gone) == len(survivors):
+            break
+        rounds.append(EliminationRound(tuple(survivors), vector.entries, scores, gone))
+        tiers.append(gone)
+        survivors = [m for m in survivors if m not in gone]
+    return _finish(survivors, tiers, rounds)
+
+
+def _coombs_run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RuleParts:
+    survivors = list(profile.systems)
+    tiers: list[frozenset[str]] = []
+    rounds: list[EliminationRound] = []
+    total = _total_weight(profile, weights)
+    while len(survivors) > 1:
+        sub = profile.restrict(survivors)
+        k = len(survivors)
+        plur = score_with_vector(sub, ScoringVector.plurality(k), weights)
+        best = max(plur.values())
+        if 2 * best > total:
+            # strict first-place majority short-circuits the eliminations;
+            # at most one system can clear half the weight
+            winner = next(m for m in survivors if plur[m] == best)
+            rest = frozenset(m for m in survivors if m != winner)
+            ranking = (frozenset({winner}), rest, *reversed(tiers))
+            diagnostics = {
+                "trace": EliminationTrace(tuple(rounds)),
+                "majority_winner": winner,
+                "majority_share": plur[winner] / total,
+            }
+            return RuleParts(ranking=ranking, diagnostics=diagnostics)
+        last = {m: position_counts(sub, m, weights)[k - 1] for m in survivors}
+        worst = max(last.values())
+        gone = frozenset(m for m in survivors if last[m] == worst)
+        if len(gone) == len(survivors):
+            break
+        vector = tuple(Fraction(1 if p == k - 1 else 0) for p in range(k))
+        rounds.append(EliminationRound(tuple(survivors), vector, last, gone))
+        tiers.append(gone)
+        survivors = [m for m in survivors if m not in gone]
+    return _finish(survivors, tiers, rounds)
+
+
+def _nanson_run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RuleParts:
+    survivors = list(profile.systems)
+    tiers: list[frozenset[str]] = []
+    rounds: list[EliminationRound] = []
+    while True:
+        sub = profile.restrict(survivors)
+        vector = ScoringVector.borda(len(survivors))
+        scores = score_with_vector(sub, vector, weights)
+        mean = sum(scores.values(), Fraction(0)) / len(survivors)
+        gone = frozenset(m for m in survivors if scores[m] < mean)
+        if not gone:
+            break
+        rounds.append(EliminationRound(tuple(survivors), vector.entries, scores, gone))
+        tiers.append(gone)
+        survivors = [m for m in survivors if m not in gone]
+    return _finish(survivors, tiers, rounds)
+
+
+def _black_run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RuleParts:
+    graph = majority_graph_from_profile(profile, weights)
+    winner = condorcet_winner(graph)
+    n = len(profile.systems)
+    scores = score_with_vector(profile, ScoringVector.borda(n), weights)
+    borda_groups = group_by_score(scores)
+    if winner is None:
+        return RuleParts(
+            ranking=borda_groups,
+            scores=scores,
+            diagnostics={"path": "borda", "condorcet_winner": None},
+        )
+    trimmed = tuple(
+        g for g in (group - {winner} for group in borda_groups) if g
+    )
+    return RuleParts(
+        ranking=(frozenset({winner}), *trimmed),
+        scores=scores,
+        diagnostics={"path": "condorcet", "condorcet_winner": winner},
+    )
+
+
+RULES: dict[str, Rule] = {
+    rule.rule_id: rule
+    for rule in (
+        Rule("condorcet", profile_run=_condorcet_run, handles_missing=True, elector=False),
+        Rule("copeland", profile_run=_copeland_run("I"), handles_missing=True),
+        Rule("copeland2", profile_run=_copeland_run("II"), handles_missing=True),
+        Rule("copeland3", profile_run=_copeland_run("III"), handles_missing=True),
+        Rule("minimax", profile_run=_minimax_run, handles_missing=True),
+        Rule("minimal_dominant", profile_run=_set_rule_run(minimal_dominant_set),
+             handles_missing=True, elector=False),
+        Rule("minimal_undominated", profile_run=_set_rule_run(minimal_undominated_set),
+             handles_missing=True, elector=False),
+        Rule("uncovered", profile_run=_set_rule_run(lambda g: uncovered_set(g, "I")),
+             handles_missing=True, elector=False),
+        Rule("uncovered2", profile_run=_set_rule_run(lambda g: uncovered_set(g, "II")),
+             handles_missing=True, elector=False),
+        Rule("richelson", profile_run=_set_rule_run(richelson_set),
+             handles_missing=True, elector=False),
+        Rule("fishburn", profile_run=_set_rule_run(fishburn_set),
+             handles_missing=True, elector=False),
+        Rule("weakly_stable", profile_run=_set_rule_run(minimal_weakly_stable_set),
+             handles_missing=True, elector=False),
+        Rule("threshold", profile_run=_threshold_run),
+        Rule("baldwin", profile_run=_baldwin_run),
+        Rule("coombs", profile_run=_coombs_run),
+        Rule("nanson", profile_run=_nanson_run),
+        Rule("black", profile_run=_black_run),
+    )
+}

@@ -223,3 +223,66 @@ def test_cli_robustness(full_csv, capsys):
     payload = json.loads(out)
     assert payload["kind"] == "robustness"
     assert set(payload["series"]) == {"minimax", "mean"}
+
+
+# one row per failure class: (id, files the request reads, argv after the
+# file flags are filled in, documented exit code)
+FAILURE_FILES = {
+    "holed": BASIC_CSV,
+    "full": "system,t1,t2,t3\nalpha,91.2,88.0,70.0\nbeta,90.1,92.5,71.0\n"
+            "gamma,89.9,91.0,69.5\n",
+    "pair": "system,t1,t2\nalpha,1,2\nbeta,2,1\n",
+    "ragged": "system,t1,t2\nalpha,1\n",
+    "zero": "system,t1\nalpha,0\nbeta,1\n",
+    "groups": json.dumps({"t1": "g", "t2": "g", "t3": "h"}),
+}
+FAILURES = [
+    ("malformed csv", ["rank", "-i", "{ragged}", "--rule", "borda"], 1),
+    ("bad flag value", ["rank", "-i", "{full}", "--rule", "borda", "--gamma", "x"], 1),
+    ("unknown rule", ["winner", "-i", "{full}", "--rule", "nosuch"], 2),
+    ("set rule in two_step",
+     ["rank", "-i", "{full}", "--groups", "{groups}", "--rule", "uncovered",
+      "--mode", "two_step"], 2),
+    ("score rule on a hole", ["rank", "-i", "{holed}", "--rule", "mean"], 2),
+    ("custom without a vector", ["rank", "-i", "{full}", "--rule", "custom"], 2),
+    ("gmean on a zero score", ["rank", "-i", "{zero}", "--rule", "gmean"], 2),
+    ("optimality gap out of range", ["rank", "-i", "{full}", "--rule", "optimality_gap"], 2),
+    ("compare top-k 0",
+     ["compare", "-i", "{full}", "--rules", "borda", "mean", "--top-k", "0"], 2),
+    ("cw unknown system", ["cw-weights", "-i", "{full}", "--system", "nosuch"], 2),
+    ("cw negative margin",
+     ["cw-weights", "-i", "{full}", "--system", "alpha", "--margin", "-1"], 2),
+    ("cw negative lower bound",
+     ["cw-weights", "-i", "{full}", "--system", "alpha", "--lower", "-0.5"], 2),
+    ("cw contradictory bounds",
+     ["cw-weights", "-i", "{full}", "--system", "alpha", "--lower", "0.5"], 2),
+    ("iia trials 0",
+     ["experiment", "iia", "-i", "{full}", "--rule", "borda", "--trials", "0"], 2),
+    ("iia on two systems", ["experiment", "iia", "-i", "{pair}", "--rule", "borda"], 2),
+    ("robustness top-k 0",
+     ["experiment", "robustness", "-i", "{full}", "--rules", "minimax", "--top-k", "0"], 2),
+    ("robustness negative omit",
+     ["experiment", "robustness", "-i", "{full}", "--rules", "minimax", "--omit", "-1"], 2),
+    ("robustness omits too many",
+     ["experiment", "robustness", "-i", "{full}", "--rules", "minimax", "--omit", "99"], 2),
+    ("robustness rule without missing support",
+     ["experiment", "robustness", "-i", "{full}", "--rules", "borda"], 2),
+]
+
+
+@pytest.mark.parametrize("argv,expected", [
+    pytest.param(argv, code, id=name) for name, argv, code in FAILURES
+])
+def test_cli_failure_classes_exit_with_documented_code(tmp_path, capsys, argv, expected):
+    paths = {}
+    for name, text in FAILURE_FILES.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
+    args = [a.format(**paths) for a in argv]
+    try:
+        code = main(args)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == expected, err
+    assert "internal error" not in err

@@ -1,0 +1,119 @@
+"""The integer kernels against the Fraction code they replaced.
+
+tests/reference.py keeps the Fraction implementations as they were. Every
+rewired rule must produce an equal RuleOutcome, diagnostics included, on a
+seeded ladder of boards from 5 to 60 systems with ties, min directions,
+weights 1, 1/2 and 1/3, and missing cells for the rules that accept them.
+The larger boards run in fewer modes, and the largest gets its missing cells
+only in the graph check, because the reference is slow there.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+import voteboard as vb
+from voteboard.modes import BASIC, TWO_STEP, WEIGHTED, run_rule
+
+import reference
+
+PAIRWISE = tuple(rid for rid, rule in reference.RULES.items() if rule.handles_missing)
+ITERATIVE = tuple(rid for rid, rule in reference.RULES.items() if not rule.handles_missing)
+ALL_MODES = (BASIC, WEIGHTED, TWO_STEP)
+
+# (systems, tasks, seeds, modes, whether the pairwise rules also run with holes)
+LADDER = (
+    (5, 3, range(6), ALL_MODES, True),
+    (8, 5, range(2), ALL_MODES, True),
+    (14, 6, range(2), ALL_MODES, True),
+    (20, 6, range(1), ALL_MODES, True),
+    (35, 5, range(1), (BASIC,), True),
+    (60, 4, range(1), (BASIC,), False),
+)
+
+
+def ladder_board(n, t, seed, *, holes=False):
+    """Seeded n x t board: few score levels so ties are common, two groups."""
+    rng = random.Random(f"kernel-ladder:{n}:{t}:{seed}")
+    systems = [f"s{i:02d}" for i in range(n)]
+    tasks = [f"t{j}" for j in range(t)]
+    levels = max(3, n // 3)
+    scores = {m: {tk: rng.randint(0, levels) for tk in tasks} for m in systems}
+    directions = {tk: rng.choice(["max", "min"]) for tk in tasks}
+    weights = {tk: rng.choice([F(1), F(1, 2), F(1, 3)]) for tk in tasks}
+    groups = {"g0": tasks[: t // 2 + 1], "g1": tasks[t // 2 + 1:]}
+    lb = vb.Leaderboard.from_scores(
+        scores, tasks=tasks, directions=directions, weights=weights, groups=groups
+    )
+    if holes:
+        lb = lb.without_cells(rng.sample(lb.present_cells(), n * t // 5))
+    return lb
+
+
+def ladder():
+    for n, t, seeds, modes, holes in LADDER:
+        for seed in seeds:
+            yield pytest.param(n, t, seed, modes, holes, id=f"{n}x{t}-{seed}")
+
+
+def outcome_or_refusal(run):
+    # weakly_stable refuses large dominant sets; both sides must refuse alike
+    try:
+        return run()
+    except RuntimeError as exc:
+        return ("refused", str(exc))
+
+
+def assert_same_outcomes(lb, rule_ids, modes):
+    for rid in rule_ids:
+        ref_rule = reference.RULES[rid]
+        for mode in modes:
+            if mode == TWO_STEP and not ref_rule.elector:
+                continue
+            new = outcome_or_refusal(lambda: vb.aggregate(lb, rid, mode))
+            old = outcome_or_refusal(lambda: run_rule(lb, ref_rule, mode))
+            assert new == old, (rid, mode)
+
+
+@pytest.mark.parametrize("n,t,seed,modes,holes", ladder())
+def test_rules_match_reference(n, t, seed, modes, holes):
+    assert_same_outcomes(ladder_board(n, t, seed), PAIRWISE + ITERATIVE, modes)
+    if holes:
+        assert_same_outcomes(ladder_board(n, t, seed, holes=True), PAIRWISE, modes)
+
+
+@pytest.mark.parametrize("n,t,seed", [
+    pytest.param(n, t, seed, id=f"{n}x{t}-{seed}")
+    for n, t, seeds, _, _ in LADDER
+    for seed in seeds
+])
+def test_graph_and_position_counts_match_reference(n, t, seed):
+    for lb in (ladder_board(n, t, seed), ladder_board(n, t, seed, holes=True)):
+        profile = vb.build_profile(lb, missing_ok=True)
+        weights = vb.base_weights(lb)
+        old = reference.majority_graph_from_profile(profile, weights)
+        new = vb.build_majority_graph(lb)
+        assert new.margins == old.margins
+        assert new.supports == old.supports
+        assert new.edges() == old.edges()
+        assert new.adjacency() == old.adjacency()
+        for m in lb.systems:
+            assert vb.counter_sets(new, m) == vb.CounterSets(
+                m, old.dominated(m), old.dominators(m)
+            )
+            assert vb.position_counts(profile, m, weights) == reference.position_counts(
+                profile, m, weights
+            )
+
+
+def test_ladder_reaches_every_branch():
+    """The ladder exercises both Black paths and Coombs' majority stop."""
+    paths, coombs_majority = set(), False
+    for n, t, seeds, _, _ in LADDER[:2]:
+        for seed in seeds:
+            lb = ladder_board(n, t, seed)
+            paths.add(vb.aggregate(lb, "black").diagnostics["path"])
+            coombs_majority |= "majority_winner" in vb.aggregate(lb, "coombs").diagnostics
+    assert paths == {"borda", "condorcet"}
+    assert coombs_majority
