@@ -63,3 +63,7 @@ class UnknownRule(VoteboardError, ValueError):
 
 class InvalidParameter(VoteboardError, ValueError):
     """A parameter lies outside the range its operation accepts."""
+
+
+class SearchTooLarge(VoteboardError, RuntimeError):
+    """An exhaustive search was refused because its input is too large."""

@@ -5,12 +5,11 @@ re-rank the rest, and repeat. If a round would eliminate everyone, the
 survivors stop as one tie group instead. The final ranking reads the
 elimination order backwards, best group first.
 
-threshold, coombs, baldwin, nanson and black read the profile's RankTable
-once per call. threshold and coombs take the survivors' place masses;
-baldwin, nanson and black take Borda scores from the pairwise counts, where
-dropping a system deletes its column. Both kernels sum integers in
-LCM-scaled weight units, and scores become Fractions only when a round or
-the outcome is packaged.
+Every rule here reads the profile's RankTable once per call. threshold,
+hare and coombs take the survivors' place masses; baldwin, nanson and black
+take Borda scores from the pairwise counts, where dropping a system deletes
+its column. Both kernels sum integers in LCM-scaled weight units, and
+scores become Fractions only when a round or the outcome is packaged.
 
 Tuples are built from lists, for the reason the model module gives.
 """
@@ -30,7 +29,7 @@ from .model import (
     group_by_score,
 )
 from .modes import BASIC, Rule, RuleParts, run_rule
-from .scoring import ScoringVector, score_with_vector
+from .scoring import ScoringVector
 
 
 @dataclass(frozen=True)
@@ -112,9 +111,7 @@ def _finish(
     extra: Mapping[str, Any] | None = None,
 ) -> RuleParts:
     ranking = (frozenset(survivors), *reversed(tiers))
-    diagnostics: dict[str, Any] = {"trace": EliminationTrace(tuple(rounds))}
-    if extra:
-        diagnostics.update(extra)
+    diagnostics = {"trace": EliminationTrace(tuple(rounds)), **(extra or {})}
     return RuleParts(ranking=ranking, diagnostics=diagnostics)
 
 
@@ -182,58 +179,48 @@ def _nanson_losers(scores: dict[int, int]) -> list[int]:
     return [a for a, x in scores.items() if len(scores) * x < total]
 
 
-def _hare_run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RuleParts:
-    survivors = list(profile.systems)
-    tiers: list[frozenset[str]] = []
-    rounds: list[EliminationRound] = []
-    while len(survivors) > 1:
-        sub = profile.restrict(survivors)
-        vector = ScoringVector.plurality(len(survivors))
-        scores = score_with_vector(sub, vector, weights)
-        low = min(scores.values())
-        gone = frozenset(m for m in survivors if scores[m] == low)
-        if len(gone) == len(survivors):
-            break
-        rounds.append(EliminationRound(tuple(survivors), vector.entries, scores, gone))
-        tiers.append(gone)
-        survivors = [m for m in survivors if m not in gone]
-    return _finish(survivors, tiers, rounds)
+def _mass_elimination(from_last: bool):
+    """A rule that drops survivors by their place mass until one would drop all.
 
+    hare (from_last False) drops the survivors with the least first-place
+    mass. coombs (from_last True) drops those with the most last-place mass,
+    and stops as soon as one survivor holds a strict first-place majority.
+    """
 
-def _coombs_run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RuleParts:
-    table = RankTable.of(profile, weights)
-    names = table.systems
-    unit = table.mass_unit
-    total = table.total * (unit // table.scale)
-    survivors = list(range(len(names)))
-    tiers: list[frozenset[str]] = []
-    rounds: list[EliminationRound] = []
-    while len(survivors) > 1:
-        k = len(survivors)
-        masses = table.masses(survivors)
-        best = max(masses[a][0] for a in survivors)
-        if 2 * best > total:
-            # strict first-place majority short-circuits the eliminations;
-            # at most one system can clear half the weight
-            winner = next(a for a in survivors if masses[a][0] == best)
-            rest = frozenset(names[a] for a in survivors if a != winner)
-            ranking = (frozenset({names[winner]}), rest, *reversed(tiers))
-            diagnostics = {
-                "trace": EliminationTrace(tuple(rounds)),
-                "majority_winner": names[winner],
-                "majority_share": Fraction(best, total),
-            }
-            return RuleParts(ranking=ranking, diagnostics=diagnostics)
-        worst = max(masses[a][k - 1] for a in survivors)
-        gone = frozenset(names[a] for a in survivors if masses[a][k - 1] == worst)
-        if len(gone) == k:
-            break
-        vector = tuple([Fraction(1 if p == k - 1 else 0) for p in range(k)])
-        last = {names[a]: Fraction(masses[a][k - 1], unit) for a in survivors}
-        rounds.append(EliminationRound(tuple(last), vector, last, gone))
-        tiers.append(gone)
-        survivors = [a for a in survivors if names[a] not in gone]
-    return _finish([names[a] for a in survivors], tiers, rounds)
+    def run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RuleParts:
+        table = RankTable.of(profile, weights)
+        names = table.systems
+        unit = table.mass_unit
+        total = table.total * (unit // table.scale)
+        survivors = list(range(len(names)))
+        tiers: list[frozenset[str]] = []
+        rounds: list[EliminationRound] = []
+        while len(survivors) > 1:
+            k = len(survivors)
+            masses = table.masses(survivors)
+            if from_last:
+                best = max(survivors, key=lambda a: masses[a][0])
+                if 2 * masses[best][0] > total:
+                    # at most one system can clear half the weight
+                    rest = frozenset(names[a] for a in survivors if a != best)
+                    return _finish([names[best]], [*tiers, rest], rounds, {
+                        "majority_winner": names[best],
+                        "majority_share": Fraction(masses[best][0], total),
+                    })
+            place = k - 1 if from_last else 0
+            column = {a: masses[a][place] for a in survivors}
+            edge = max(column.values()) if from_last else min(column.values())
+            gone = frozenset(names[a] for a in survivors if column[a] == edge)
+            if len(gone) == k:
+                break
+            vector = tuple([Fraction(1 if p == place else 0) for p in range(k)])
+            scores = {names[a]: Fraction(x, unit) for a, x in column.items()}
+            rounds.append(EliminationRound(tuple(scores), vector, scores, gone))
+            tiers.append(gone)
+            survivors = [a for a in survivors if names[a] not in gone]
+        return _finish([names[a] for a in survivors], tiers, rounds)
+
+    return run
 
 
 def _black_run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RuleParts:
@@ -265,8 +252,8 @@ RULES: dict[str, Rule] = {
     for rule in (
         Rule("threshold", profile_run=_threshold_run),
         Rule("baldwin", profile_run=_borda_elimination(_baldwin_losers)),
-        Rule("hare", profile_run=_hare_run),
-        Rule("coombs", profile_run=_coombs_run),
+        Rule("hare", profile_run=_mass_elimination(from_last=False)),
+        Rule("coombs", profile_run=_mass_elimination(from_last=True)),
         Rule("nanson", profile_run=_borda_elimination(_nanson_losers)),
         Rule("black", profile_run=_black_run),
     )

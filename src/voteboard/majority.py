@@ -19,6 +19,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Callable, Mapping
 
+from .errors import SearchTooLarge
 from .model import (
     Leaderboard,
     RankProfile,
@@ -302,7 +303,7 @@ def minimal_weakly_stable_set(graph: MajorityGraph) -> frozenset[str]:
     """
     pool = sorted(minimal_dominant_set(graph))
     if len(pool) > _WEAKLY_STABLE_LIMIT:
-        raise RuntimeError(
+        raise SearchTooLarge(
             f"dominant component of size {len(pool)} is too large for exhaustive search"
         )
     found: list[frozenset[str]] = []

@@ -2,14 +2,15 @@
 
 A Leaderboard is a systems-by-tasks matrix of optional scores plus per-task
 metadata (direction, weight, optional group). Rules never read raw scores
-directly; they consume a RankProfile, the per-task fractional ranking derived
-from the scores. Tied systems share the mean of the integer places they span,
-so position mass is conserved within every task.
+directly; they consume a RankProfile, the per-task tie orders built straight
+from one sort of each task's scores: tie groups of system indices, best
+first. Fractional positions (tied systems share the mean of the integer
+places they span) are a view derived from the orders.
 
-Rules that read pairwise counts or place masses use a RankTable, the
-profile's integer form: tie groups as system indices and task weights scaled
-to integers by the LCM of their denominators. Its kernels sum integers; the
-rules convert to Fraction once, when they package the outcome.
+Rules read the orders through a RankTable, which adds the task weights
+scaled to integers by the LCM of their denominators. Its pairwise and
+place-mass kernels sum integers; the rules convert to Fraction once, when
+they package the outcome.
 
 Tuples built on every rule call come from lists, not generators. tuple() of
 an iterator without a length resizes its result, and the resized tuple is
@@ -26,7 +27,8 @@ from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import itemgetter
 from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import EmptySubset, MissingScore, UnknownSystem
@@ -74,9 +76,9 @@ class Leaderboard:
     """Immutable score matrix with task directions, weights, and groups.
 
     scores[i][j] is the score of systems[i] on tasks[j]; None means missing.
-    A minimize-direction task is negated when rankings are built, the stored
-    value stays as given. groups, when present, is an ordered mapping of
-    group name to its tasks; a task belongs to at most one group.
+    A minimize-direction task ranks low scores first; the stored value stays
+    as given. groups, when present, is an ordered mapping of group name to
+    its tasks; a task belongs to at most one group.
     """
 
     systems: tuple[str, ...]
@@ -256,59 +258,56 @@ class Leaderboard:
                            self.directions, self.weights, self.groups)
 
 
-def _fractional_positions(ordered_groups: Sequence[Sequence[str]]) -> dict[str, Fraction]:
-    # mean of the integer places a tie group spans: place + (g - 1) / 2
-    positions: dict[str, Fraction] = {}
-    place = 1
-    for group in ordered_groups:
-        g = len(group)
-        pos = Fraction(2 * place + g - 1, 2)
-        for member in group:
-            positions[member] = pos
-        place += g
-    return positions
-
-
 @dataclass(frozen=True)
 class RankProfile:
-    """Per-task fractional rankings: positions[task][system] -> place.
+    """Per-task rankings as integer tie orders.
 
-    Best place is 1. A system missing from a task simply has no entry for
-    it (missing-tolerant profiles); a complete task covers every system and
-    its positions sum to n(n+1)/2.
+    orders[t] holds task t's tie groups, best first, each a tuple of indices
+    into systems. A system missing from a task (missing-tolerant profiles)
+    is in none of its groups. positions, position(), tie_groups() and
+    restrict() are views derived from the orders.
     """
 
     systems: tuple[str, ...]
     tasks: tuple[str, ...]
-    positions: Mapping[str, Mapping[str, Fraction]]
+    orders: tuple[tuple[tuple[int, ...], ...], ...]
+
+    @cached_property
+    def positions(self) -> dict[str, dict[str, Fraction]]:
+        """positions[task][system] -> fractional place, best place 1.
+
+        Tied systems share the mean of the places they span, so a complete
+        task's positions sum to n(n+1)/2.
+        """
+        names = self.systems
+        return {
+            task: fractional_ranks_of([[names[i] for i in group] for group in groups])
+            for task, groups in zip(self.tasks, self.orders)
+        }
 
     def position(self, task: str, system: str) -> Fraction | None:
         return self.positions[task].get(system)
 
     def tie_groups(self, task: str) -> tuple[tuple[str, ...], ...]:
         """Ordered tie groups for one task, best first, members sorted."""
-        entries = self.positions[task]
-        by_pos: dict[Fraction, list[str]] = {}
-        for system, pos in entries.items():
-            by_pos.setdefault(pos, []).append(system)
-        return tuple([tuple(sorted(by_pos[p])) for p in sorted(by_pos)])
+        names = self.systems
+        groups = self.orders[self.tasks.index(task)]
+        return tuple([tuple(sorted([names[i] for i in group])) for group in groups])
 
     def is_complete(self) -> bool:
         n = len(self.systems)
-        return all(len(self.positions[t]) == n for t in self.tasks)
+        return all(sum(map(len, groups)) == n for groups in self.orders)
 
     def restrict(self, keep: Sequence[str]) -> "RankProfile":
         """Drop systems and re-rank the rest, preserving order and ties."""
         wanted = set(keep)
-        systems = tuple([m for m in self.systems if m in wanted])
-        positions = {}
-        for task in self.tasks:
-            surviving = [
-                [m for m in group if m in wanted]
-                for group in self.tie_groups(task)
-            ]
-            positions[task] = _fractional_positions([g for g in surviving if g])
-        return RankProfile(systems, self.tasks, positions)
+        kept = [i for i, m in enumerate(self.systems) if m in wanted]
+        index = {i: k for k, i in enumerate(kept)}
+        orders = []
+        for groups in self.orders:
+            groups = [tuple([index[i] for i in group if i in index]) for group in groups]
+            orders.append(tuple([group for group in groups if group]))
+        return RankProfile(tuple([self.systems[i] for i in kept]), self.tasks, tuple(orders))
 
 
 def build_profile(
@@ -319,10 +318,9 @@ def build_profile(
 ) -> RankProfile:
     """Rank every task of the subset (default: all tasks) by adjusted score.
 
-    Minimize-direction tasks are negated first. Equal scores tie and share
-    the mean of the places they span. A missing cell raises MissingScore
-    unless missing_ok is set, in which case the system is simply unranked
-    on that task.
+    Minimize-direction tasks rank low scores first. Equal scores form one
+    tie group. A missing cell raises MissingScore unless missing_ok is set,
+    in which case the system is simply unranked on that task.
     """
     if task_subset is None:
         tasks = lb.tasks
@@ -332,39 +330,33 @@ def build_profile(
             raise EmptySubset("task subset is empty")
         for t in tasks:
             lb._task_index(t)
-    positions: dict[str, dict[str, Fraction]] = {}
+    orders = []
     for task in tasks:
         j = lb._task_index(task)
-        sign = -1.0 if lb.directions[j] == MINIMIZE else 1.0
-        scored: list[tuple[float, str]] = []
-        for i, system in enumerate(lb.systems):
-            cell = lb.scores[i][j]
+        scored: list[tuple[float, int]] = []
+        for i, row in enumerate(lb.scores):
+            cell = row[j]
             if cell is None:
                 if not missing_ok:
-                    raise MissingScore(f"system {system!r} has no score on task {task!r}")
+                    raise MissingScore(f"system {lb.systems[i]!r} has no score on task {task!r}")
                 continue
-            scored.append((sign * cell, system))
-        scored.sort(key=lambda pair: (-pair[0], pair[1]))
-        groups: list[list[str]] = []
-        last: float | None = None
-        for value, system in scored:
-            if last is None or value != last:
-                groups.append([])
-                last = value
-            groups[-1].append(system)
-        positions[task] = _fractional_positions(groups)
-    return RankProfile(lb.systems, tasks, positions)
+            scored.append((cell, i))
+        # a stable sort: tied systems keep index order
+        scored.sort(key=itemgetter(0), reverse=lb.directions[j] != MINIMIZE)
+        orders.append(tuple([
+            tuple([i for _, i in group]) for _, group in groupby(scored, itemgetter(0))
+        ]))
+    return RankProfile(lb.systems, tasks, tuple(orders))
 
 
 @dataclass(frozen=True)
 class RankTable:
-    """Integer form of a RankProfile, built once per rule call.
+    """A RankProfile's orders with integer task weights, built once per rule call.
 
-    orders[t] holds task t's tie groups, best first, each a tuple of indices
-    into systems; a system missing from the task is in none of them.
-    weights[t] is the task weight times scale, the LCM of the weight
-    denominators, so the kernels below sum integers. Callers turn their
-    results into Fractions once, where the outcome is packaged.
+    orders are the profile's. weights[t] is the task weight times scale, the
+    LCM of the weight denominators, so the kernels below sum integers.
+    Callers turn their results into Fractions once, where the outcome is
+    packaged.
     """
 
     systems: tuple[str, ...]
@@ -378,22 +370,10 @@ class RankTable:
         profile: RankProfile,
         weights: Mapping[str, int | float | Fraction | str] | None = None,
     ) -> "RankTable":
-        index = {m: i for i, m in enumerate(profile.systems)}
         exact = [as_fraction(1 if weights is None else weights.get(t, 1)) for t in profile.tasks]
         scale = math.lcm(*{w.denominator for w in exact})
-        orders = []
-        for task in profile.tasks:
-            entries = profile.positions[task]
-            # put positions on a common denominator so that grouping and
-            # sorting compare integers, not Fractions
-            den = math.lcm(*{pos.denominator for pos in entries.values()})
-            by_key: dict[int, list[int]] = {}
-            for system, pos in entries.items():
-                key = pos.numerator * (den // pos.denominator)
-                by_key.setdefault(key, []).append(index[system])
-            orders.append(tuple([tuple(by_key[key]) for key in sorted(by_key)]))
         scaled = tuple([w.numerator * (scale // w.denominator) for w in exact])
-        return cls(profile.systems, tuple(orders), scaled, scale)
+        return cls(profile.systems, profile.orders, scaled, scale)
 
     @property
     def total(self) -> int:
@@ -486,12 +466,18 @@ def group_by_score(
     ascending: bool = False,
 ) -> tuple[frozenset[str], ...]:
     """Partition systems into tie groups ordered best-first by exact score."""
-    distinct = sorted(set(scores.values()), reverse=not ascending)
-    return tuple([frozenset(m for m, s in scores.items() if s == v) for v in distinct])
+    ordered = sorted(scores.items(), key=itemgetter(1), reverse=not ascending)
+    return tuple([
+        frozenset([m for m, _ in group]) for _, group in groupby(ordered, itemgetter(1))
+    ])
 
 
 def fractional_ranks_of(groups: Sequence[frozenset[str] | Sequence[str]]) -> dict[str, Fraction]:
-    """Fractional rank of each system given ordered tie groups."""
+    """Fractional rank of each system given ordered tie groups.
+
+    A tie group shares the mean of the integer places it spans:
+    place + (g - 1) / 2.
+    """
     ranks: dict[str, Fraction] = {}
     place = 1
     for group in groups:

@@ -3,9 +3,9 @@
 basic applies a rule once with the raw task weights. weighted scales each
 task's weight by 1 / |its group| so every group contributes equally in total.
 two_step runs the rule inside each group to get an interim ranking, then
-treats each group as a single voter whose ballot is that ranking and applies
-the rule once more. Both grouped modes require a grouping that covers every
-task.
+treats each group as a single voter whose ballot is that ranking, a tie
+order over the systems, and applies the rule once more. Both grouped modes
+require a grouping that covers every task.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .model import (
     RankProfile,
     RuleOutcome,
     build_profile,
-    fractional_ranks_of,
 )
 
 BASIC = "basic"
@@ -128,8 +127,9 @@ def _run_two_step(lb: Leaderboard, rule: Rule, **params: Any) -> RuleOutcome:
         )
     groups = _covering_groups(lb)
     weights = base_weights(lb)
+    index = {m: i for i, m in enumerate(lb.systems)}
     electors: dict[str, list[list[str]]] = {}
-    positions: dict[str, dict[str, Fraction]] = {}
+    orders = []
     for name, members in groups:
         profile = build_profile(lb, members, missing_ok=rule.handles_missing)
         parts = rule.profile_run(profile, {t: weights[t] for t in members}, **params)
@@ -138,11 +138,13 @@ def _run_two_step(lb: Leaderboard, rule: Rule, **params: Any) -> RuleOutcome:
                 f"rule {rule.rule_id!r} left systems unranked inside group {name!r}"
             )
         electors[name] = [sorted(group) for group in parts.ranking]
-        positions[name] = fractional_ranks_of(parts.ranking)
+        orders.append(tuple([
+            tuple(sorted([index[m] for m in group])) for group in parts.ranking
+        ]))
     synthetic = RankProfile(
         systems=lb.systems,
-        tasks=tuple(name for name, _ in groups),
-        positions=positions,
+        tasks=tuple([name for name, _ in groups]),
+        orders=tuple(orders),
     )
     unit = {name: Fraction(1) for name, _ in groups}
     parts = rule.profile_run(synthetic, unit, **params)

@@ -4,22 +4,29 @@ A scoring vector c assigns c[p] points for finishing in place p. A system's
 total is the weighted sum over tasks; a tie group of size g spanning places
 p..p+g-1 earns each member the mean of those entries, which is the same as
 splitting the group's position mass evenly.
+
+Totals are summed in integers from the profile's tie orders: the vector
+entries are scaled by the LCM L of their denominators and the task weights
+by the RankTable's mass unit, and each tie group adds the sum of the scaled
+entries over the places it spans. A total becomes a Fraction once, over
+mass_unit * L.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InvalidParameter, MissingScore, UnknownRule, VectorLengthMismatch
-from .model import Leaderboard, RankProfile, RuleOutcome, as_fraction, group_by_score
+from .model import Leaderboard, RankProfile, RankTable, RuleOutcome, as_fraction, group_by_score
 from .modes import BASIC, Rule, RuleParts, run_rule
 
 
 @dataclass(frozen=True)
 class ScoringVector:
-    """Non-increasing score-per-place vector.
+    """Non-increasing score-per-place vector with at least one entry.
 
     The constructors build entries from lists, for the reason the model
     module gives.
@@ -29,10 +36,10 @@ class ScoringVector:
 
     def __post_init__(self) -> None:
         if not self.entries:
-            raise ValueError("a scoring vector cannot be empty")
+            raise InvalidParameter("a scoring vector cannot be empty")
         for a, b in zip(self.entries, self.entries[1:]):
             if b > a:
-                raise ValueError("scoring vector entries must be non-increasing")
+                raise InvalidParameter("scoring vector entries must be non-increasing")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -48,40 +55,67 @@ class ScoringVector:
     @classmethod
     def antiplurality(cls, n: int) -> "ScoringVector":
         # everything but last place scores a point
-        return cls._top_k(n, n - 1) if n > 1 else cls((Fraction(0),))
+        return cls._top_k(n, n - 1) if n != 1 else cls((Fraction(0),))
 
     @classmethod
     def top_k(cls, n: int, k: int) -> "ScoringVector":
         if not 1 <= k <= n:
-            raise ValueError("k must be between 1 and n")
+            raise InvalidParameter("k must be between 1 and n")
         return cls._top_k(n, k)
 
     @classmethod
     def _top_k(cls, n: int, k: int) -> "ScoringVector":
-        if n < 1:
-            raise ValueError("need at least one place")
         k = min(k, n)
         return cls(tuple([Fraction(1 if p < k else 0) for p in range(n)]))
 
     @classmethod
     def borda(cls, n: int) -> "ScoringVector":
-        if n < 1:
-            raise ValueError("need at least one place")
         return cls(tuple([Fraction(n - 1 - p) for p in range(n)]))
 
     @classmethod
     def dowdall(cls, n: int) -> "ScoringVector":
-        if n < 1:
-            raise ValueError("need at least one place")
         return cls(tuple([Fraction(1, p + 1) for p in range(n)]))
 
     @classmethod
     def custom(cls, values: Sequence[int | float | Fraction | str]) -> "ScoringVector":
-        entries = tuple(as_fraction(v) for v in values)
-        vec = cls(entries)
-        if len(set(entries)) == 1:
-            raise ValueError("a custom scoring vector must not be constant")
+        vec = cls(tuple([as_fraction(v) for v in values]))
+        if len(set(vec.entries)) == 1:
+            raise InvalidParameter("a custom scoring vector must not be constant")
         return vec
+
+
+def _integer_totals(
+    profile: RankProfile,
+    vector: ScoringVector,
+    weights: Mapping[str, int | float | Fraction | str] | None,
+) -> tuple[dict[str, int], int]:
+    """Per-system totals as integers, and the denominator they share.
+
+    A tie group of size g adds w / g times the scaled entries it spans, a
+    whole number since mass_unit / scale is divisible by every group size.
+    """
+    n = len(profile.systems)
+    if len(vector) != n:
+        raise VectorLengthMismatch(f"vector has {len(vector)} entries for {n} systems")
+    for task, groups in zip(profile.tasks, profile.orders):
+        if sum(map(len, groups)) != n:
+            raise MissingScore(f"task {task!r} does not rank every system")
+    table = RankTable.of(profile, weights)
+    lcm = math.lcm(*{e.denominator for e in vector.entries})
+    prefix = [0]
+    for e in vector.entries:
+        prefix.append(prefix[-1] + e.numerator * (lcm // e.denominator))
+    per_weight = table.mass_unit // table.scale
+    totals = [0] * n
+    for groups, w in zip(table.orders, table.weights):
+        w *= per_weight
+        place = 0
+        for group in groups:
+            share = (prefix[place + len(group)] - prefix[place]) * (w // len(group))
+            for a in group:
+                totals[a] += share
+            place += len(group)
+    return dict(zip(profile.systems, totals)), table.mass_unit * lcm
 
 
 def score_with_vector(
@@ -90,25 +124,8 @@ def score_with_vector(
     weights: Mapping[str, int | float | Fraction | str] | None = None,
 ) -> dict[str, Fraction]:
     """Exact per-system totals for one vector over a complete profile."""
-    n = len(profile.systems)
-    if len(vector) != n:
-        raise VectorLengthMismatch(
-            f"vector has {len(vector)} entries for {n} systems"
-        )
-    entries = vector.entries
-    totals = {m: Fraction(0) for m in profile.systems}
-    for task in profile.tasks:
-        if len(profile.positions[task]) != n:
-            raise MissingScore(f"task {task!r} does not rank every system")
-        w = as_fraction(1 if weights is None else weights.get(task, 1))
-        place = 0
-        for group in profile.tie_groups(task):
-            g = len(group)
-            share = sum(entries[place:place + g], Fraction(0)) / g * w
-            for member in group:
-                totals[member] += share
-            place += g
-    return totals
+    totals, unit = _integer_totals(profile, vector, weights)
+    return {m: Fraction(x, unit) for m, x in totals.items()}
 
 
 def _parts_for_vector(
@@ -116,10 +133,10 @@ def _parts_for_vector(
     weights: Mapping[str, Fraction],
     vector: ScoringVector,
 ) -> RuleParts:
-    scores = score_with_vector(profile, vector, weights)
+    totals, unit = _integer_totals(profile, vector, weights)
     return RuleParts(
-        ranking=group_by_score(scores),
-        scores=scores,
+        ranking=group_by_score(totals),
+        scores={m: Fraction(x, unit) for m, x in totals.items()},
         diagnostics={"vector": vector.entries},
     )
 

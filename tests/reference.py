@@ -1,11 +1,14 @@
 """The Fraction implementations the integer kernels replaced, kept as a reference.
 
-These are the pairwise loop with the majority-graph rules built on it, the
-threshold cascade, the baldwin, nanson, coombs and black rounds, and
-position_counts, as they stood before the rules moved to RankTable. They
-re-rank and re-score the profile with Fractions at every step, so they are
-slow; tests compare the library against them on boards larger than the
-oracle's.
+These are the rank profile with Fraction positions and its build_profile,
+the aggregation modes that run rules on it, the pairwise loop with the
+majority-graph rules built on it, the positional scoring loop, the
+threshold cascade, the baldwin, nanson, hare, coombs and black rounds, and
+position_counts, as they stood before the rules moved to integer tie orders
+and RankTable. They re-rank and re-score the profile with Fractions at every
+step, so they are slow; tests compare the library against them on boards
+larger than the oracle's. Only data types and unchanged helpers come from
+the library.
 """
 
 from __future__ import annotations
@@ -13,16 +16,217 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from voteboard.errors import UnknownSystem
+from voteboard.errors import (
+    EmptySubset,
+    InvalidParameter,
+    MissingScore,
+    RuleUnsupportedForMode,
+    UnknownRule,
+    UnknownSystem,
+    VectorLengthMismatch,
+)
 from voteboard.iterative import EliminationRound, EliminationTrace
-from voteboard.model import RankProfile, RuleOutcome, as_fraction, group_by_score
-from voteboard.modes import BASIC, Rule, RuleParts
-from voteboard.scoring import ScoringVector, score_with_vector
+from voteboard.model import MINIMIZE, Leaderboard, RuleOutcome, as_fraction
+from voteboard.modes import (
+    BASIC,
+    MODES,
+    TWO_STEP,
+    Rule,
+    RuleParts,
+    _covering_groups,
+    base_weights,
+    group_weighting,
+)
+from voteboard.scoring import ScoringVector
 
 COPELAND_VARIANTS = ("I", "II", "III")
 _WEAKLY_STABLE_LIMIT = 18
+
+
+# -- profiles ---------------------------------------------------------------
+
+
+def _fractional_positions(ordered_groups: Sequence[Sequence[str]]) -> dict[str, Fraction]:
+    # mean of the integer places a tie group spans: place + (g - 1) / 2
+    positions: dict[str, Fraction] = {}
+    place = 1
+    for group in ordered_groups:
+        g = len(group)
+        pos = Fraction(2 * place + g - 1, 2)
+        for member in group:
+            positions[member] = pos
+        place += g
+    return positions
+
+
+@dataclass(frozen=True)
+class RankProfile:
+    """Per-task fractional rankings: positions[task][system] -> place.
+
+    Best place is 1. A system missing from a task simply has no entry for
+    it (missing-tolerant profiles); a complete task covers every system and
+    its positions sum to n(n+1)/2.
+    """
+
+    systems: tuple[str, ...]
+    tasks: tuple[str, ...]
+    positions: Mapping[str, Mapping[str, Fraction]]
+
+    def position(self, task: str, system: str) -> Fraction | None:
+        return self.positions[task].get(system)
+
+    def tie_groups(self, task: str) -> tuple[tuple[str, ...], ...]:
+        """Ordered tie groups for one task, best first, members sorted."""
+        entries = self.positions[task]
+        by_pos: dict[Fraction, list[str]] = {}
+        for system, pos in entries.items():
+            by_pos.setdefault(pos, []).append(system)
+        return tuple([tuple(sorted(by_pos[p])) for p in sorted(by_pos)])
+
+    def is_complete(self) -> bool:
+        n = len(self.systems)
+        return all(len(self.positions[t]) == n for t in self.tasks)
+
+    def restrict(self, keep: Sequence[str]) -> "RankProfile":
+        """Drop systems and re-rank the rest, preserving order and ties."""
+        wanted = set(keep)
+        systems = tuple([m for m in self.systems if m in wanted])
+        positions = {}
+        for task in self.tasks:
+            surviving = [
+                [m for m in group if m in wanted]
+                for group in self.tie_groups(task)
+            ]
+            positions[task] = _fractional_positions([g for g in surviving if g])
+        return RankProfile(systems, self.tasks, positions)
+
+
+def build_profile(
+    lb: Leaderboard,
+    task_subset: Sequence[str] | None = None,
+    *,
+    missing_ok: bool = False,
+) -> RankProfile:
+    """Rank every task of the subset (default: all tasks) by adjusted score.
+
+    Minimize-direction tasks are negated first. Equal scores tie and share
+    the mean of the places they span. A missing cell raises MissingScore
+    unless missing_ok is set, in which case the system is simply unranked
+    on that task.
+    """
+    if task_subset is None:
+        tasks = lb.tasks
+    else:
+        tasks = tuple(task_subset)
+        if not tasks:
+            raise EmptySubset("task subset is empty")
+        for t in tasks:
+            lb._task_index(t)
+    positions: dict[str, dict[str, Fraction]] = {}
+    for task in tasks:
+        j = lb._task_index(task)
+        sign = -1.0 if lb.directions[j] == MINIMIZE else 1.0
+        scored: list[tuple[float, str]] = []
+        for i, system in enumerate(lb.systems):
+            cell = lb.scores[i][j]
+            if cell is None:
+                if not missing_ok:
+                    raise MissingScore(f"system {system!r} has no score on task {task!r}")
+                continue
+            scored.append((sign * cell, system))
+        scored.sort(key=lambda pair: (-pair[0], pair[1]))
+        groups: list[list[str]] = []
+        last: float | None = None
+        for value, system in scored:
+            if last is None or value != last:
+                groups.append([])
+                last = value
+            groups[-1].append(system)
+        positions[task] = _fractional_positions(groups)
+    return RankProfile(lb.systems, tasks, positions)
+
+
+def group_by_score(
+    scores: Mapping[str, Fraction | float | int],
+    *,
+    ascending: bool = False,
+) -> tuple[frozenset[str], ...]:
+    """Partition systems into tie groups ordered best-first by exact score."""
+    distinct = sorted(set(scores.values()), reverse=not ascending)
+    return tuple([frozenset(m for m, s in scores.items() if s == v) for v in distinct])
+
+
+# -- modes ------------------------------------------------------------------
+
+
+def run_rule(lb: Leaderboard, rule: Rule, mode: str = BASIC, **params: Any) -> RuleOutcome:
+    """Apply a rule under a mode and package the outcome."""
+    if mode not in MODES:
+        raise UnknownRule(f"unknown mode: {mode!r}")
+    if mode == TWO_STEP:
+        return _run_two_step(lb, rule, **params)
+    if mode == BASIC:
+        weights: Mapping[str, Fraction] = base_weights(lb)
+    else:
+        weights = group_weighting(lb).effective
+    if rule.score_run is not None:
+        parts = rule.score_run(lb, weights, **params)
+    else:
+        profile = build_profile(lb, missing_ok=rule.handles_missing)
+        parts = rule.profile_run(profile, weights, **params)
+    return RuleOutcome(
+        rule_id=rule.rule_id,
+        mode=mode,
+        ranking=parts.ranking,
+        scores=parts.scores,
+        unranked=parts.unranked,
+        diagnostics=parts.diagnostics,
+    )
+
+
+
+
+def _run_two_step(lb: Leaderboard, rule: Rule, **params: Any) -> RuleOutcome:
+    if rule.score_run is not None:
+        raise RuleUnsupportedForMode(
+            f"rule {rule.rule_id!r} aggregates raw scores and has no second-step ballot form"
+        )
+    if not rule.elector:
+        raise RuleUnsupportedForMode(
+            f"rule {rule.rule_id!r} does not produce a total ranking usable as a ballot"
+        )
+    groups = _covering_groups(lb)
+    weights = base_weights(lb)
+    electors: dict[str, list[list[str]]] = {}
+    positions: dict[str, dict[str, Fraction]] = {}
+    for name, members in groups:
+        profile = build_profile(lb, members, missing_ok=rule.handles_missing)
+        parts = rule.profile_run(profile, {t: weights[t] for t in members}, **params)
+        if parts.unranked:
+            raise RuleUnsupportedForMode(
+                f"rule {rule.rule_id!r} left systems unranked inside group {name!r}"
+            )
+        electors[name] = [sorted(group) for group in parts.ranking]
+        positions[name] = _fractional_positions(parts.ranking)
+    synthetic = RankProfile(
+        systems=lb.systems,
+        tasks=tuple(name for name, _ in groups),
+        positions=positions,
+    )
+    unit = {name: Fraction(1) for name, _ in groups}
+    parts = rule.profile_run(synthetic, unit, **params)
+    diagnostics = dict(parts.diagnostics)
+    diagnostics["electors"] = electors
+    return RuleOutcome(
+        rule_id=rule.rule_id,
+        mode=TWO_STEP,
+        ranking=parts.ranking,
+        scores=parts.scores,
+        unranked=parts.unranked,
+        diagnostics=diagnostics,
+    )
 
 
 @dataclass(frozen=True)
@@ -361,6 +565,71 @@ def _total_weight(profile: RankProfile, weights: Mapping[str, Fraction]) -> Frac
     return sum((weights.get(t, Fraction(1)) for t in profile.tasks), Fraction(0))
 
 
+# -- positional rules -------------------------------------------------------
+
+
+def score_with_vector(
+    profile: RankProfile,
+    vector: ScoringVector,
+    weights: Mapping[str, int | float | Fraction | str] | None = None,
+) -> dict[str, Fraction]:
+    """Exact per-system totals for one vector over a complete profile."""
+    n = len(profile.systems)
+    if len(vector) != n:
+        raise VectorLengthMismatch(
+            f"vector has {len(vector)} entries for {n} systems"
+        )
+    entries = vector.entries
+    totals = {m: Fraction(0) for m in profile.systems}
+    for task in profile.tasks:
+        if len(profile.positions[task]) != n:
+            raise MissingScore(f"task {task!r} does not rank every system")
+        w = as_fraction(1 if weights is None else weights.get(task, 1))
+        place = 0
+        for group in profile.tie_groups(task):
+            g = len(group)
+            share = sum(entries[place:place + g], Fraction(0)) / g * w
+            for member in group:
+                totals[member] += share
+            place += g
+    return totals
+
+
+
+
+def _parts_for_vector(
+    profile: RankProfile,
+    weights: Mapping[str, Fraction],
+    vector: ScoringVector,
+) -> RuleParts:
+    scores = score_with_vector(profile, vector, weights)
+    return RuleParts(
+        ranking=group_by_score(scores),
+        scores=scores,
+        diagnostics={"vector": vector.entries},
+    )
+
+
+def _named(rule_id: str, factory) -> Rule:
+    def run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RuleParts:
+        return _parts_for_vector(profile, weights, factory(len(profile.systems)))
+
+    return Rule(rule_id, profile_run=run)
+
+
+def _custom_run(
+    profile: RankProfile,
+    weights: Mapping[str, Fraction],
+    *,
+    vector: ScoringVector | Sequence[int | float | Fraction | str] | None = None,
+) -> RuleParts:
+    if vector is None:
+        raise InvalidParameter("custom scoring needs a vector")
+    if not isinstance(vector, ScoringVector):
+        vector = ScoringVector.custom(vector)
+    return _parts_for_vector(profile, weights, vector)
+
+
 # -- threshold -------------------------------------------------------------
 
 
@@ -428,6 +697,24 @@ def _baldwin_run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RuleP
     while len(survivors) > 1:
         sub = profile.restrict(survivors)
         vector = ScoringVector.borda(len(survivors))
+        scores = score_with_vector(sub, vector, weights)
+        low = min(scores.values())
+        gone = frozenset(m for m in survivors if scores[m] == low)
+        if len(gone) == len(survivors):
+            break
+        rounds.append(EliminationRound(tuple(survivors), vector.entries, scores, gone))
+        tiers.append(gone)
+        survivors = [m for m in survivors if m not in gone]
+    return _finish(survivors, tiers, rounds)
+
+
+def _hare_run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RuleParts:
+    survivors = list(profile.systems)
+    tiers: list[frozenset[str]] = []
+    rounds: list[EliminationRound] = []
+    while len(survivors) > 1:
+        sub = profile.restrict(survivors)
+        vector = ScoringVector.plurality(len(survivors))
         scores = score_with_vector(sub, vector, weights)
         low = min(scores.values())
         gone = frozenset(m for m in survivors if scores[m] == low)
@@ -535,8 +822,15 @@ RULES: dict[str, Rule] = {
              handles_missing=True, elector=False),
         Rule("weakly_stable", profile_run=_set_rule_run(minimal_weakly_stable_set),
              handles_missing=True, elector=False),
+        _named("plurality", ScoringVector.plurality),
+        _named("two_approval", ScoringVector.two_approval),
+        _named("antiplurality", ScoringVector.antiplurality),
+        _named("borda", ScoringVector.borda),
+        _named("dowdall", ScoringVector.dowdall),
+        Rule("custom", profile_run=_custom_run),
         Rule("threshold", profile_run=_threshold_run),
         Rule("baldwin", profile_run=_baldwin_run),
+        Rule("hare", profile_run=_hare_run),
         Rule("coombs", profile_run=_coombs_run),
         Rule("nanson", profile_run=_nanson_run),
         Rule("black", profile_run=_black_run),

@@ -225,6 +225,17 @@ def test_cli_robustness(full_csv, capsys):
     assert set(payload["series"]) == {"minimax", "mean"}
 
 
+def cyclic_csv(n):
+    """n systems scoring (i - j) mod n on task j: a regular majority tournament.
+
+    Every system beats the n // 2 systems after it, so the minimal dominant
+    set holds all n systems.
+    """
+    header = ",".join(["system", *[f"t{j}" for j in range(n)]])
+    rows = [",".join([f"s{i}", *[str((i - j) % n) for j in range(n)]]) for i in range(n)]
+    return "\n".join([header, *rows]) + "\n"
+
+
 # one row per failure class: (id, files the request reads, argv after the
 # file flags are filled in, documented exit code)
 FAILURE_FILES = {
@@ -235,6 +246,7 @@ FAILURE_FILES = {
     "ragged": "system,t1,t2\nalpha,1\n",
     "zero": "system,t1\nalpha,0\nbeta,1\n",
     "groups": json.dumps({"t1": "g", "t2": "g", "t3": "h"}),
+    "cycle19": cyclic_csv(19),
 }
 FAILURES = [
     ("malformed csv", ["rank", "-i", "{ragged}", "--rule", "borda"], 1),
@@ -267,6 +279,8 @@ FAILURES = [
      ["experiment", "robustness", "-i", "{full}", "--rules", "minimax", "--omit", "99"], 2),
     ("robustness rule without missing support",
      ["experiment", "robustness", "-i", "{full}", "--rules", "borda"], 2),
+    ("weakly_stable over a dominant set too large to search",
+     ["rank", "-i", "{cycle19}", "--rule", "weakly_stable"], 2),
 ]
 
 

@@ -1,11 +1,13 @@
 """The integer kernels against the Fraction code they replaced.
 
-tests/reference.py keeps the Fraction implementations as they were. Every
-rewired rule must produce an equal RuleOutcome, diagnostics included, on a
-seeded ladder of boards from 5 to 60 systems with ties, min directions,
-weights 1, 1/2 and 1/3, and missing cells for the rules that accept them.
-The larger boards run in fewer modes, and the largest gets its missing cells
-only in the graph check, because the reference is slow there.
+tests/reference.py keeps the Fraction implementations as they were, from
+the profile build and the modes up. Every rewired rule must produce an
+equal RuleOutcome, diagnostics included, on a seeded ladder of boards from
+5 to 60 systems with ties, min directions, weights 1, 1/2 and 1/3, and
+missing cells for the rules that accept them. The larger boards run in
+fewer modes, and the largest gets its missing cells only in the graph
+check, because the reference is slow there. On the 60-system board,
+dowdall's vector is scaled by the LCM of 1..60, a 25-digit integer.
 """
 
 import random
@@ -14,12 +16,15 @@ from fractions import Fraction as F
 import pytest
 
 import voteboard as vb
-from voteboard.modes import BASIC, TWO_STEP, WEIGHTED, run_rule
+from voteboard.modes import BASIC, TWO_STEP, WEIGHTED
 
 import reference
 
 PAIRWISE = tuple(rid for rid, rule in reference.RULES.items() if rule.handles_missing)
-ITERATIVE = tuple(rid for rid, rule in reference.RULES.items() if not rule.handles_missing)
+# the rules that need complete profiles; custom also needs a vector
+COMPLETE = tuple(
+    rid for rid, rule in reference.RULES.items() if not rule.handles_missing and rid != "custom"
+)
 ALL_MODES = (BASIC, WEIGHTED, TWO_STEP)
 
 # (systems, tasks, seeds, modes, whether the pairwise rules also run with holes)
@@ -65,22 +70,51 @@ def outcome_or_refusal(run):
         return ("refused", str(exc))
 
 
-def assert_same_outcomes(lb, rule_ids, modes):
+def assert_same_outcomes(lb, rule_ids, modes, **params):
     for rid in rule_ids:
         ref_rule = reference.RULES[rid]
         for mode in modes:
             if mode == TWO_STEP and not ref_rule.elector:
                 continue
-            new = outcome_or_refusal(lambda: vb.aggregate(lb, rid, mode))
-            old = outcome_or_refusal(lambda: run_rule(lb, ref_rule, mode))
+            new = outcome_or_refusal(lambda: vb.aggregate(lb, rid, mode, **params))
+            old = outcome_or_refusal(lambda: reference.run_rule(lb, ref_rule, mode, **params))
             assert new == old, (rid, mode)
 
 
 @pytest.mark.parametrize("n,t,seed,modes,holes", ladder())
 def test_rules_match_reference(n, t, seed, modes, holes):
-    assert_same_outcomes(ladder_board(n, t, seed), PAIRWISE + ITERATIVE, modes)
+    assert_same_outcomes(ladder_board(n, t, seed), PAIRWISE + COMPLETE, modes)
     if holes:
         assert_same_outcomes(ladder_board(n, t, seed, holes=True), PAIRWISE, modes)
+
+
+@pytest.mark.parametrize("n,t,seed,modes,holes", ladder())
+def test_custom_vectors_match_reference(n, t, seed, modes, holes):
+    lb = ladder_board(n, t, seed)
+    exact = [F(5, 2)] * (n // 3) + [F(2, 3)] * (n - n // 3 - 1) + [F(0)]
+    from_floats = [1 / (p + 1.5) - 0.1 for p in range(n)]
+    for vector in (exact, from_floats):
+        assert_same_outcomes(lb, ("custom",), modes, vector=vector)
+
+
+@pytest.mark.parametrize("n,t,seed", [
+    pytest.param(n, t, seed, id=f"{n}x{t}-{seed}")
+    for n, t, seeds, _, _ in LADDER
+    for seed in seeds
+])
+def test_profile_views_match_reference(n, t, seed):
+    rng = random.Random(f"restrict:{n}:{t}:{seed}")
+    for lb in (ladder_board(n, t, seed), ladder_board(n, t, seed, holes=True)):
+        new = vb.build_profile(lb, missing_ok=True)
+        old = reference.build_profile(lb, missing_ok=True)
+        keep = rng.sample(lb.systems, rng.randint(1, n))
+        for new_view, old_view in ((new, old), (new.restrict(keep), old.restrict(keep))):
+            assert new_view.systems == old_view.systems
+            assert new_view.tasks == old_view.tasks
+            assert new_view.positions == old_view.positions
+            assert new_view.is_complete() == old_view.is_complete()
+            for task in lb.tasks:
+                assert new_view.tie_groups(task) == old_view.tie_groups(task)
 
 
 @pytest.mark.parametrize("n,t,seed", [
@@ -91,8 +125,9 @@ def test_rules_match_reference(n, t, seed, modes, holes):
 def test_graph_and_position_counts_match_reference(n, t, seed):
     for lb in (ladder_board(n, t, seed), ladder_board(n, t, seed, holes=True)):
         profile = vb.build_profile(lb, missing_ok=True)
+        ref_profile = reference.build_profile(lb, missing_ok=True)
         weights = vb.base_weights(lb)
-        old = reference.majority_graph_from_profile(profile, weights)
+        old = reference.majority_graph_from_profile(ref_profile, weights)
         new = vb.build_majority_graph(lb)
         assert new.margins == old.margins
         assert new.supports == old.supports
@@ -103,7 +138,7 @@ def test_graph_and_position_counts_match_reference(n, t, seed):
                 m, old.dominated(m), old.dominators(m)
             )
             assert vb.position_counts(profile, m, weights) == reference.position_counts(
-                profile, m, weights
+                ref_profile, m, weights
             )
 
 

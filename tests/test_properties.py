@@ -1,0 +1,104 @@
+"""Invariance properties of the positional rules and hare on small boards.
+
+These rules read rank positions only, so their outcome must not change when
+one task's scores are rescaled by a strictly monotone map or when the tasks
+are reordered, and must follow the systems when they are relabeled.
+"""
+
+import math
+from fractions import Fraction as F
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import voteboard as vb
+
+RULES = ("plurality", "two_approval", "antiplurality", "borda", "dowdall", "custom", "hare")
+SETTINGS = settings(max_examples=30, deadline=None, database=None)
+MONOTONE = (
+    lambda x: 3 * x - 7,
+    lambda x: x ** 3,
+    lambda x: math.exp(x) / 10,
+)
+
+
+@st.composite
+def boards(draw):
+    """2-6 systems, 1-4 tasks, scores 0-4 so that ties are common."""
+    n = draw(st.integers(2, 6))
+    t = draw(st.integers(1, 4))
+    cell = st.integers(0, 4).map(float)
+    scores = draw(st.lists(st.lists(cell, min_size=t, max_size=t), min_size=n, max_size=n))
+    directions = draw(st.lists(st.sampled_from(["max", "min"]), min_size=t, max_size=t))
+    weights = draw(st.lists(st.sampled_from([F(1), F(1, 2), F(1, 3)]), min_size=t, max_size=t))
+    return vb.Leaderboard(
+        systems=tuple([f"s{i}" for i in range(n)]),
+        tasks=tuple([f"t{j}" for j in range(t)]),
+        scores=tuple([tuple(row) for row in scores]),
+        directions=tuple(directions),
+        weights=tuple(weights),
+    )
+
+
+def outcome(lb, rule):
+    if rule != "custom":
+        return vb.aggregate(lb, rule)
+    n = len(lb.systems)
+    return vb.aggregate(lb, rule, vector=[F((n - p) ** 2, 3) for p in range(n)])
+
+
+def relabeled(out, label):
+    """Ranking, scores and eliminations of an outcome under new system names."""
+    trace = out.diagnostics.get("trace")
+    return (
+        tuple([frozenset([label[m] for m in group]) for group in out.ranking]),
+        None if out.scores is None else {label[m]: s for m, s in out.scores.items()},
+        None if trace is None else [
+            ({label[m]: s for m, s in r.scores.items()}, frozenset([label[m] for m in r.eliminated]))
+            for r in trace.rounds
+        ],
+    )
+
+
+@SETTINGS
+@given(lb=boards(), data=st.data())
+def test_monotone_rescaling_of_one_column(lb, data):
+    j = data.draw(st.integers(0, len(lb.tasks) - 1))
+    f = data.draw(st.sampled_from(MONOTONE))
+    rows = tuple([row[:j] + (f(row[j]),) + row[j + 1:] for row in lb.scores])
+    rescaled = vb.Leaderboard(lb.systems, lb.tasks, rows, lb.directions, lb.weights)
+    for rule in RULES:
+        assert outcome(rescaled, rule) == outcome(lb, rule), rule
+
+
+@SETTINGS
+@given(lb=boards(), data=st.data())
+def test_relabeling_the_systems(lb, data):
+    order = data.draw(st.permutations(range(len(lb.systems))))
+    # new names sort in a different order than the old ones
+    label = {m: f"x{len(lb.systems) - i}" for i, m in enumerate(lb.systems)}
+    moved = vb.Leaderboard(
+        tuple([label[lb.systems[i]] for i in order]),
+        lb.tasks,
+        tuple([lb.scores[i] for i in order]),
+        lb.directions,
+        lb.weights,
+    )
+    identity = {m: m for m in moved.systems}
+    for rule in RULES:
+        assert relabeled(outcome(moved, rule), identity) == relabeled(outcome(lb, rule), label), rule
+
+
+@SETTINGS
+@given(lb=boards(), data=st.data())
+def test_reordering_the_tasks(lb, data):
+    order = data.draw(st.permutations(range(len(lb.tasks))))
+    shuffled = vb.Leaderboard(
+        lb.systems,
+        tuple([lb.tasks[j] for j in order]),
+        tuple([tuple([row[j] for j in order]) for row in lb.scores]),
+        tuple([lb.directions[j] for j in order]),
+        tuple([lb.weights[j] for j in order]),
+    )
+    for rule in RULES:
+        assert outcome(shuffled, rule) == outcome(lb, rule), rule

@@ -5,6 +5,7 @@ import pytest
 
 import voteboard as vb
 from voteboard import (
+    InvalidParameter,
     MissingScore,
     ScoringVector,
     VectorLengthMismatch,
@@ -26,11 +27,17 @@ def test_named_vectors():
     assert ScoringVector.top_k(5, 3).entries == (F(1),) * 3 + (F(0),) * 2
 
 
-def test_vector_validation():
-    with pytest.raises(ValueError):
+def test_vector_validation(toy):
+    with pytest.raises(InvalidParameter):
         ScoringVector.custom([1, 2, 3])
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameter):
         ScoringVector.custom([2, 2, 2])
+    for vector in ([1, 1, 1, 1], [0, 1, 2, 3]):
+        with pytest.raises(InvalidParameter):
+            vb.aggregate(toy, "custom", vector=vector)
+    for places in (0, -3):
+        with pytest.raises(InvalidParameter):
+            ScoringVector.antiplurality(places)
     # degenerate named vectors are fine, e.g. single-system boards
     assert ScoringVector.antiplurality(1).entries == (F(0),)
     assert ScoringVector.two_approval(2).entries == (F(1), F(1))
