@@ -17,11 +17,10 @@ from . import io as vio
 from .cw import build_dominance_matrix, find_cw_weights
 from .errors import InvalidParameter, ParseError, VoteboardError
 from .experiments import ExperimentConfig, iia_experiment, robustness_experiment
-from .majority import build_majority_graph, condorcet_winner
 from .metrics import agreement_rate, kendall_tau, spearman_rho
 from .model import Leaderboard, RuleOutcome
 from .modes import BASIC, MODES
-from .registry import aggregate, rule_ids
+from .registry import aggregate, get_rule, rule_ids
 
 DEFAULT_GAMMA = 0.95
 SEED_ENV = "VNR_SEED"
@@ -121,9 +120,13 @@ def _load(args: argparse.Namespace) -> Leaderboard:
     )
 
 
+def _gamma_param(rule_id: str, gamma: float) -> dict[str, float]:
+    """--gamma as a keyword for the rules that take one."""
+    return {"gamma": gamma} if "gamma" in get_rule(rule_id).params else {}
+
+
 def _run(lb: Leaderboard, rule_id: str, mode: str, gamma: float) -> RuleOutcome:
-    params = {"gamma": gamma} if rule_id == "optimality_gap" else {}
-    return aggregate(lb, rule_id, mode=mode, **params)
+    return aggregate(lb, rule_id, mode=mode, **_gamma_param(rule_id, gamma))
 
 
 def _seed(args: argparse.Namespace) -> int:
@@ -225,8 +228,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     seed = _seed(args)
     if args.experiment == "iia":
         cfg = ExperimentConfig(seed=seed, trials=args.trials)
-        params = {"gamma": args.gamma} if args.rule == "optimality_gap" else {}
-        report = iia_experiment(lb, args.rule, cfg, **params)
+        report = iia_experiment(lb, args.rule, cfg, **_gamma_param(args.rule, args.gamma))
     else:
         cfg = ExperimentConfig(
             seed=seed,

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import InfeasibleBounds, InvalidParameter
 from .linprog import INFEASIBLE, OPTIMAL, solve_lp
-from .model import MINIMIZE, Leaderboard, as_fraction
+from .model import Leaderboard, as_fraction, build_profile
 
 PROSPECTIVE = "prospective"
 NON_PROSPECTIVE = "non_prospective"
@@ -50,24 +50,27 @@ class FeasibilityResult:
 
 
 def build_dominance_matrix(lb: Leaderboard, system: str) -> DominanceMatrix:
+    """The system's row against each rival, read from the tie orders.
+
+    A task's sign compares the two systems' tie groups: the earlier group
+    wins, the same group ties, and a system the task does not rank ties.
+    """
     i = lb._sys_index(system)
-    rivals = tuple(m for m in lb.systems if m != system)
-    rows = []
-    for rival in rivals:
-        r = lb._sys_index(rival)
-        row = []
-        for j in range(len(lb.tasks)):
-            mine = lb.scores[i][j]
-            theirs = lb.scores[r][j]
-            if mine is None or theirs is None or mine == theirs:
-                row.append(0)
-                continue
-            better = mine > theirs
-            if lb.directions[j] == MINIMIZE:
-                better = not better
-            row.append(1 if better else -1)
-        rows.append(tuple(row))
-    return DominanceMatrix(system, rivals, lb.tasks, tuple(rows))
+    n = len(lb.systems)
+    columns = []
+    for groups in build_profile(lb, missing_ok=True).orders:
+        place: list[int | None] = [None] * n
+        for p, group in enumerate(groups):
+            for a in group:
+                place[a] = p
+        mine = place[i]
+        columns.append([
+            0 if mine is None or theirs is None else (theirs > mine) - (theirs < mine)
+            for theirs in place
+        ])
+    rows = tuple([tuple([column[r] for column in columns]) for r in range(n) if r != i])
+    rivals = tuple([m for m in lb.systems if m != system])
+    return DominanceMatrix(system, rivals, lb.tasks, rows)
 
 
 def _bound_tuple(

@@ -161,7 +161,7 @@ def robustness_experiment(
         )
 
     def params_for(rid: str) -> dict[str, Any]:
-        return {"gamma": gamma} if rid == "optimality_gap" else {}
+        return {"gamma": gamma} if "gamma" in rule_objs[rid].params else {}
 
     ref_ranks: dict[str, dict[str, Fraction]] = {}
     ref_sets: dict[str, tuple[str, ...]] = {}

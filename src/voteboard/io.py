@@ -266,16 +266,6 @@ def render_outcome_table(outcome: RuleOutcome, baseline: RuleOutcome | None = No
     return _table(headers, rows)
 
 
-def render_graph(adjacency: Mapping[str, Mapping[str, Fraction]]) -> str:
-    lines = ["majority edges (winner -> loser, margin):"]
-    for a in sorted(adjacency):
-        for b in sorted(adjacency[a]):
-            lines.append(f"  {a} -> {b} [{_fmt_score(adjacency[a][b])}]")
-    if len(lines) == 1:
-        lines.append("  (none)")
-    return "\n".join(lines)
-
-
 def render_report_table(report: ExperimentReport) -> str:
     headers = ["rule", "mean", "sd", "trials"]
     rows = [

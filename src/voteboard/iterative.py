@@ -21,14 +21,8 @@ from fractions import Fraction
 from typing import Any, Callable, Mapping
 
 from .majority import condorcet_winner, majority_graph_from_table
-from .model import (
-    Leaderboard,
-    RankProfile,
-    RankTable,
-    RuleOutcome,
-    group_by_score,
-)
-from .modes import BASIC, Rule, RuleParts, run_rule
+from .model import RankProfile, RankTable, group_by_score
+from .modes import Rule, RuleParts
 from .scoring import ScoringVector
 
 
@@ -258,19 +252,3 @@ RULES: dict[str, Rule] = {
         Rule("black", profile_run=_black_run),
     )
 }
-
-
-def _wrapper(rule_id: str):
-    def apply(lb: Leaderboard, mode: str = BASIC) -> RuleOutcome:
-        return run_rule(lb, RULES[rule_id], mode)
-
-    apply.__name__ = f"{rule_id}_rule"
-    return apply
-
-
-threshold_rule = _wrapper("threshold")
-baldwin_rule = _wrapper("baldwin")
-hare_rule = _wrapper("hare")
-coombs_rule = _wrapper("coombs")
-nanson_rule = _wrapper("nanson")
-black_rule = _wrapper("black")

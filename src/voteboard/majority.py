@@ -6,8 +6,8 @@ either score is missing. a dominates b when the signed sum is positive, so
 missing cells shrink the evidence for a pair instead of being imputed.
 
 The relation is held as one integer matrix of pairwise counts in
-LCM-scaled weight units (RankTable.pairwise). Margins and supports become
-Fractions only when read, and each system's dominated and dominator sets are
+LCM-scaled weight units (RankTable.pairwise). A margin or support becomes a
+Fraction only when read, and each system's dominated and dominator sets are
 computed once per graph from the integer rows.
 """
 
@@ -20,15 +20,8 @@ from itertools import combinations
 from typing import Callable, Mapping
 
 from .errors import SearchTooLarge
-from .model import (
-    Leaderboard,
-    RankProfile,
-    RankTable,
-    RuleOutcome,
-    build_profile,
-    group_by_score,
-)
-from .modes import BASIC, Rule, RuleParts, base_weights
+from .model import Leaderboard, RankProfile, RankTable, build_profile, group_by_score
+from .modes import Rule, RuleParts, base_weights
 
 COPELAND_VARIANTS = ("I", "II", "III")
 
@@ -41,10 +34,10 @@ class MajorityGraph:
     """Pairwise counts of a profile, read as a majority relation.
 
     counts[i][j] is the weight of the tasks ranking systems[i] strictly above
-    systems[j], in units of 1/scale. margins[(a, b)] is the weighted signed
+    systems[j], in units of 1/scale. margin(a, b) is the weighted signed
     comparison count; an edge a -> b exists when it is positive.
-    supports[(a, b)] is the weight of tasks ranking a strictly above b if
-    that edge exists, else 0. Every value is returned as an exact Fraction.
+    support(a, b) is the weight of tasks ranking a strictly above b if that
+    edge exists, else 0. Both are returned as exact Fractions.
     """
 
     systems: tuple[str, ...]
@@ -56,7 +49,7 @@ class MajorityGraph:
         return {m: i for i, m in enumerate(self.systems)}
 
     @cached_property
-    def _counter_sets(self) -> tuple[dict[str, frozenset[str]], dict[str, frozenset[str]]]:
+    def _lower_upper(self) -> tuple[dict[str, frozenset[str]], dict[str, frozenset[str]]]:
         names = self.systems
         lower: dict[str, frozenset[str]] = {}
         upper: dict[str, frozenset[str]] = {}
@@ -64,14 +57,6 @@ class MajorityGraph:
             lower[a] = frozenset(b for b, x, y in zip(names, row, col) if x > y)
             upper[a] = frozenset(b for b, x, y in zip(names, row, col) if y > x)
         return lower, upper
-
-    @cached_property
-    def margins(self) -> dict[tuple[str, str], Fraction]:
-        return {pair: self.margin(*pair) for pair in _ordered_pairs(self.systems)}
-
-    @cached_property
-    def supports(self) -> dict[tuple[str, str], Fraction]:
-        return {pair: self.support(*pair) for pair in _ordered_pairs(self.systems)}
 
     def margin(self, a: str, b: str) -> Fraction:
         i, j = self._index[a], self._index[b]
@@ -88,11 +73,11 @@ class MajorityGraph:
 
     def dominated(self, m: str) -> frozenset[str]:
         """L(m): systems that m beats."""
-        return self._counter_sets[0][m]
+        return self._lower_upper[0][m]
 
     def dominators(self, m: str) -> frozenset[str]:
         """U(m): systems that beat m."""
-        return self._counter_sets[1][m]
+        return self._lower_upper[1][m]
 
     def edges(self) -> tuple[tuple[str, str], ...]:
         names = self.systems
@@ -102,28 +87,6 @@ class MajorityGraph:
             for b, x, y in zip(names, row, col)
             if x > y
         )
-
-    def adjacency(self) -> dict[str, dict[str, Fraction]]:
-        """Outgoing edges with margins, for graph export."""
-        out: dict[str, dict[str, Fraction]] = {a: {} for a in self.systems}
-        for a, b in self.edges():
-            out[a][b] = self.margin(a, b)
-        return out
-
-
-def _ordered_pairs(systems: tuple[str, ...]):
-    for a, b in combinations(systems, 2):
-        yield a, b
-        yield b, a
-
-
-@dataclass(frozen=True)
-class CounterSets:
-    """The two counter sets of one system in a majority graph."""
-
-    system: str
-    dominated: frozenset[str]
-    dominators: frozenset[str]
 
 
 def majority_graph_from_table(table: RankTable) -> MajorityGraph:
@@ -140,10 +103,6 @@ def majority_graph_from_profile(
 def build_majority_graph(lb: Leaderboard) -> MajorityGraph:
     """Majority graph of a leaderboard, tolerating missing cells."""
     return majority_graph_from_profile(build_profile(lb, missing_ok=True), base_weights(lb))
-
-
-def counter_sets(graph: MajorityGraph, system: str) -> CounterSets:
-    return CounterSets(system, graph.dominated(system), graph.dominators(system))
 
 
 def condorcet_winner(graph: MajorityGraph) -> str | None:
@@ -171,19 +130,6 @@ def copeland_scores(graph: MajorityGraph, variant: str = "I") -> dict[str, Fract
     return scores
 
 
-def copeland(graph: MajorityGraph, variant: str = "I") -> RuleOutcome:
-    scores = copeland_scores(graph, variant)
-    ascending = variant == "III"
-    rule_id = {"I": "copeland", "II": "copeland2", "III": "copeland3"}[variant]
-    return RuleOutcome(
-        rule_id=rule_id,
-        mode=BASIC,
-        ranking=group_by_score(scores, ascending=ascending),
-        scores=scores,
-        diagnostics={"score_order": "ascending" if ascending else "descending"},
-    )
-
-
 def minimax_scores(graph: MajorityGraph) -> dict[str, Fraction]:
     """0 for undefeated systems, else minus the strongest defeat's support."""
     counts = graph.counts
@@ -193,16 +139,6 @@ def minimax_scores(graph: MajorityGraph) -> dict[str, Fraction]:
         defeats = [row[i] for row, lost in zip(counts, counts[i]) if row[i] > lost]
         scores[m] = Fraction(-max(defeats, default=0), graph.scale)
     return scores
-
-
-def minimax(graph: MajorityGraph) -> RuleOutcome:
-    scores = minimax_scores(graph)
-    return RuleOutcome(
-        rule_id="minimax",
-        mode=BASIC,
-        ranking=group_by_score(scores),
-        scores=scores,
-    )
 
 
 def _closure(seed: str, expand: Mapping[str, frozenset[str]]) -> frozenset[str]:
@@ -340,20 +276,23 @@ def _condorcet_run(profile: RankProfile, weights: Mapping[str, Fraction]) -> Rul
 
 
 def _copeland_run(variant: str):
+    # copeland3 counts losses, so fewer is better
+    ascending = variant == "III"
+
     def run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RuleParts:
-        outcome = copeland(majority_graph_from_profile(profile, weights), variant)
+        scores = copeland_scores(majority_graph_from_profile(profile, weights), variant)
         return RuleParts(
-            ranking=outcome.ranking,
-            scores=outcome.scores,
-            diagnostics=dict(outcome.diagnostics),
+            ranking=group_by_score(scores, ascending=ascending),
+            scores=scores,
+            diagnostics={"score_order": "ascending" if ascending else "descending"},
         )
 
     return run
 
 
 def _minimax_run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RuleParts:
-    outcome = minimax(majority_graph_from_profile(profile, weights))
-    return RuleParts(ranking=outcome.ranking, scores=outcome.scores)
+    scores = minimax_scores(majority_graph_from_profile(profile, weights))
+    return RuleParts(ranking=group_by_score(scores), scores=scores)
 
 
 def _set_rule_run(chooser: Callable[[MajorityGraph], frozenset[str]]):

@@ -22,7 +22,7 @@ from .errors import (
     ScoreOutOfRange,
 )
 from .model import Leaderboard, RuleOutcome, as_fraction, group_by_score
-from .modes import BASIC, Rule, RuleParts, run_rule
+from .modes import Rule, RuleParts
 
 TOP = "top"
 LEAST = "least"
@@ -81,6 +81,7 @@ def _gmean_run(lb: Leaderboard, weights: Mapping[str, Fraction]) -> RuleParts:
 def _og_run(
     lb: Leaderboard,
     weights: Mapping[str, Fraction],
+    *,
     gamma: int | float | Fraction | str = 0.95,
 ) -> RuleParts:
     _complete_columns(lb)
@@ -109,21 +110,6 @@ RULES: dict[str, Rule] = {
     "gmean": Rule("gmean", score_run=_gmean_run, elector=False),
     "optimality_gap": Rule("optimality_gap", score_run=_og_run, elector=False),
 }
-
-
-def mean_agg(lb: Leaderboard) -> RuleOutcome:
-    """Task-weighted arithmetic mean, exact."""
-    return run_rule(lb, RULES["mean"], BASIC)
-
-
-def gmean_agg(lb: Leaderboard) -> RuleOutcome:
-    """Task-weighted geometric mean; scores must be positive."""
-    return run_rule(lb, RULES["gmean"], BASIC)
-
-
-def optimality_gap(lb: Leaderboard, gamma: int | float | Fraction | str = 0.95) -> RuleOutcome:
-    """Mean shortfall below the target gamma; smaller is better."""
-    return run_rule(lb, RULES["optimality_gap"], BASIC, gamma=gamma)
 
 
 # -- comparison measures ----------------------------------------------------

@@ -10,11 +10,13 @@ require a grouping that covers every task.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Callable, Mapping
 
-from .errors import MissingGroups, RuleUnsupportedForMode, UnknownRule
+from .errors import InvalidParameter, MissingGroups, RuleUnsupportedForMode, UnknownRule
 from .model import (
     Leaderboard,
     RankProfile,
@@ -45,7 +47,8 @@ class Rule:
     profile_run consumes (profile, weights, **params); score_run consumes
     (leaderboard, weights, **params) for aggregators that need raw scores.
     elector marks rules whose full output is a total preorder, the only kind
-    that can vote in the second step of two_step.
+    that can vote in the second step of two_step. The keyword-only
+    parameters of the runner are the only params the rule accepts.
     """
 
     rule_id: str
@@ -58,13 +61,14 @@ class Rule:
         if (self.profile_run is None) == (self.score_run is None):
             raise ValueError("a rule needs exactly one of profile_run/score_run")
 
-
-@dataclass(frozen=True)
-class GroupWeighting:
-    """Per-task scale factors (1 / |group|) and the resulting weights."""
-
-    factors: Mapping[str, Fraction]
-    effective: Mapping[str, Fraction]
+    @cached_property
+    def params(self) -> frozenset[str]:
+        """Names of the keyword parameters the rule accepts."""
+        run = self.profile_run or self.score_run
+        return frozenset([
+            name for name, p in inspect.signature(run).parameters.items()
+            if p.kind is p.KEYWORD_ONLY
+        ])
 
 
 def base_weights(lb: Leaderboard) -> dict[str, Fraction]:
@@ -81,26 +85,24 @@ def _covering_groups(lb: Leaderboard) -> tuple[tuple[str, tuple[str, ...]], ...]
     return lb.groups
 
 
-def group_weighting(lb: Leaderboard) -> GroupWeighting:
-    """Scale each task weight by one over its group size."""
-    groups = _covering_groups(lb)
-    size = {t: len(members) for _, members in groups for t in members}
-    factors = {t: Fraction(1, size[t]) for t in lb.tasks}
-    weights = base_weights(lb)
-    effective = {t: weights[t] * factors[t] for t in lb.tasks}
-    return GroupWeighting(factors=factors, effective=effective)
+def group_weights(lb: Leaderboard) -> dict[str, Fraction]:
+    """Each task weight scaled by one over its group size."""
+    size = {t: len(members) for _, members in _covering_groups(lb) for t in members}
+    return {t: w * Fraction(1, size[t]) for t, w in base_weights(lb).items()}
 
 
 def run_rule(lb: Leaderboard, rule: Rule, mode: str = BASIC, **params: Any) -> RuleOutcome:
     """Apply a rule under a mode and package the outcome."""
     if mode not in MODES:
         raise UnknownRule(f"unknown mode: {mode!r}")
+    stray = params.keys() - rule.params
+    if stray:
+        raise InvalidParameter(
+            f"rule {rule.rule_id!r} takes no parameter {', '.join(sorted(stray))}"
+        )
     if mode == TWO_STEP:
         return _run_two_step(lb, rule, **params)
-    if mode == BASIC:
-        weights: Mapping[str, Fraction] = base_weights(lb)
-    else:
-        weights = group_weighting(lb).effective
+    weights = base_weights(lb) if mode == BASIC else group_weights(lb)
     if rule.score_run is not None:
         parts = rule.score_run(lb, weights, **params)
     else:

@@ -7,7 +7,7 @@ from typing import Any
 from . import iterative, majority, metrics, scoring
 from .errors import UnknownRule
 from .model import Leaderboard, RuleOutcome
-from .modes import BASIC, MODES, Rule, run_rule
+from .modes import BASIC, Rule, run_rule
 
 RULES: dict[str, Rule] = {
     **scoring.RULES,
@@ -31,7 +31,9 @@ def get_rule(rule_id: str) -> Rule:
 def aggregate(
     lb: Leaderboard, rule: str, mode: str = BASIC, **params: Any
 ) -> RuleOutcome:
-    """Apply a registered rule to a leaderboard under the chosen mode."""
-    if mode not in MODES:
-        raise UnknownRule(f"unknown mode: {mode!r}")
+    """Apply a registered rule to a leaderboard under the chosen mode.
+
+    params are the rule's keyword parameters: vector for custom, gamma for
+    optimality_gap. Any other keyword raises InvalidParameter.
+    """
     return run_rule(lb, get_rule(rule), mode, **params)

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import InvalidParameter, MissingScore, UnknownRule, VectorLengthMismatch
-from .model import Leaderboard, RankProfile, RankTable, RuleOutcome, as_fraction, group_by_score
-from .modes import BASIC, Rule, RuleParts, run_rule
+from .errors import InvalidParameter, MissingScore, VectorLengthMismatch
+from .model import RankProfile, RankTable, as_fraction, group_by_score
+from .modes import Rule, RuleParts
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,11 @@ class ScoringVector:
 
     @classmethod
     def custom(cls, values: Sequence[int | float | Fraction | str]) -> "ScoringVector":
-        vec = cls(tuple([as_fraction(v) for v in values]))
+        try:
+            entries = tuple([as_fraction(v) for v in values])
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InvalidParameter(f"bad scoring vector: {exc}") from None
+        vec = cls(entries)
         if len(set(vec.entries)) == 1:
             raise InvalidParameter("a custom scoring vector must not be constant")
         return vec
@@ -172,20 +176,3 @@ RULES: dict[str, Rule] = {
         Rule("custom", profile_run=_custom_run),
     )
 }
-
-
-def apply_scoring_rule(
-    lb: Leaderboard,
-    rule: str,
-    mode: str = BASIC,
-    *,
-    vector: ScoringVector | Sequence[int | float | Fraction | str] | None = None,
-) -> RuleOutcome:
-    """Run a named scoring rule (or 'custom' with an explicit vector)."""
-    if rule not in RULES:
-        raise UnknownRule(f"unknown scoring rule: {rule!r}")
-    if rule == "custom":
-        return run_rule(lb, RULES[rule], mode, vector=vector)
-    if vector is not None:
-        raise InvalidParameter("only the custom rule accepts a vector")
-    return run_rule(lb, RULES[rule], mode)

@@ -3,11 +3,12 @@
 These are the rank profile with Fraction positions and its build_profile,
 the aggregation modes that run rules on it, the pairwise loop with the
 majority-graph rules built on it, the positional scoring loop, the
-threshold cascade, the baldwin, nanson, hare, coombs and black rounds, and
-position_counts, as they stood before the rules moved to integer tie orders
-and RankTable. They re-rank and re-score the profile with Fractions at every
-step, so they are slow; tests compare the library against them on boards
-larger than the oracle's. Only data types and unchanged helpers come from
+threshold cascade, the baldwin, nanson, hare, coombs and black rounds,
+position_counts, and the cw dominance matrix compared from raw scores, as
+they stood before the rules moved to integer tie orders and RankTable. They
+re-rank and re-score the profile with Fractions at every step, so they are
+slow; tests compare the library against them on boards larger than the
+oracle's. Only data types and unchanged helpers come from
 the library.
 """
 
@@ -18,6 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
+from voteboard.cw import DominanceMatrix
 from voteboard.errors import (
     EmptySubset,
     InvalidParameter,
@@ -37,7 +39,7 @@ from voteboard.modes import (
     RuleParts,
     _covering_groups,
     base_weights,
-    group_weighting,
+    group_weights,
 )
 from voteboard.scoring import ScoringVector
 
@@ -170,7 +172,7 @@ def run_rule(lb: Leaderboard, rule: Rule, mode: str = BASIC, **params: Any) -> R
     if mode == BASIC:
         weights: Mapping[str, Fraction] = base_weights(lb)
     else:
-        weights = group_weighting(lb).effective
+        weights = group_weights(lb)
     if rule.score_run is not None:
         parts = rule.score_run(lb, weights, **params)
     else:
@@ -266,13 +268,6 @@ class MajorityGraph:
             for b in self.systems
             if a != b and self.beats(a, b)
         )
-
-    def adjacency(self) -> dict[str, dict[str, Fraction]]:
-        """Outgoing edges with margins, for graph export."""
-        out: dict[str, dict[str, Fraction]] = {a: {} for a in self.systems}
-        for a, b in self.edges():
-            out[a][b] = self.margin(a, b)
-        return out
 
 
 def majority_graph_from_profile(
@@ -836,3 +831,27 @@ RULES: dict[str, Rule] = {
         Rule("black", profile_run=_black_run),
     )
 }
+
+
+# -- cw dominance matrix ----------------------------------------------------
+
+
+def build_dominance_matrix(lb: Leaderboard, system: str) -> DominanceMatrix:
+    i = lb._sys_index(system)
+    rivals = tuple(m for m in lb.systems if m != system)
+    rows = []
+    for rival in rivals:
+        r = lb._sys_index(rival)
+        row = []
+        for j in range(len(lb.tasks)):
+            mine = lb.scores[i][j]
+            theirs = lb.scores[r][j]
+            if mine is None or theirs is None or mine == theirs:
+                row.append(0)
+                continue
+            better = mine > theirs
+            if lb.directions[j] == MINIMIZE:
+                better = not better
+            row.append(1 if better else -1)
+        rows.append(tuple(row))
+    return DominanceMatrix(system, rivals, lb.tasks, tuple(rows))

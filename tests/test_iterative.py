@@ -4,14 +4,6 @@ from fractions import Fraction as F
 import pytest
 
 import voteboard as vb
-from voteboard import (
-    baldwin_rule,
-    black_rule,
-    coombs_rule,
-    hare_rule,
-    nanson_rule,
-    threshold_rule,
-)
 
 import oracle
 from conftest import board_from_orders, random_board
@@ -23,7 +15,7 @@ def eliminated_order(outcome):
 
 
 def test_toy_threshold(toy):
-    out = threshold_rule(toy)
+    out = vb.aggregate(toy, "threshold")
     assert out.winners == {"C"}
     first = out.diagnostics["first_round_scores"]
     assert first == {"A": F(2), "B": F(4), "C": F(5), "D": F(4)}
@@ -35,7 +27,7 @@ def test_toy_threshold(toy):
 
 
 def test_toy_baldwin(toy):
-    out = baldwin_rule(toy)
+    out = vb.aggregate(toy, "baldwin")
     assert out.winners == {"B"}
     assert eliminated_order(out) == [{"A"}, {"D"}, {"C"}]
     assert out.ranking == tuple(
@@ -44,14 +36,14 @@ def test_toy_baldwin(toy):
 
 
 def test_toy_hare(toy):
-    out = hare_rule(toy)
+    out = vb.aggregate(toy, "hare")
     # round one: A holds 2 first places, everyone else 1, so B, C, D all drop
     assert out.winners == {"A"}
     assert eliminated_order(out) == [{"B", "C", "D"}]
 
 
 def test_toy_coombs(toy):
-    out = coombs_rule(toy)
+    out = vb.aggregate(toy, "coombs")
     assert out.winners == {"B"}
     # no strict majority in any round; A leaves first (3 last places),
     # then C and D tie on last-place mass and leave together
@@ -67,21 +59,21 @@ def test_coombs_majority_short_circuit():
             "t3": ["B", "A", "C"],
         }
     )
-    out = coombs_rule(lb)
+    out = vb.aggregate(lb, "coombs")
     assert out.winners == {"A"}
     assert out.diagnostics["majority_winner"] == "A"
     assert out.diagnostics["majority_share"] == F(2, 3)
 
 
 def test_toy_nanson(toy):
-    out = nanson_rule(toy)
+    out = vb.aggregate(toy, "nanson")
     # mean borda is 7.5: A (6) and D (7) go, then C, leaving B
     assert out.winners == {"B"}
     assert eliminated_order(out) == [{"A", "D"}, {"C"}]
 
 
 def test_toy_black_uses_condorcet_winner(toy):
-    out = black_rule(toy)
+    out = vb.aggregate(toy, "black")
     assert out.winners == {"B"}
     assert out.diagnostics["path"] == "condorcet"
     # remaining places follow borda among the rest
@@ -98,7 +90,7 @@ def test_black_falls_back_to_borda_on_cycle():
             "t3": ["C", "A", "B"],
         }
     )
-    out = black_rule(lb)
+    out = vb.aggregate(lb, "black")
     assert out.diagnostics["path"] == "borda"
     assert out.diagnostics["condorcet_winner"] is None
     assert out.winners == {"A", "B", "C"}
@@ -108,8 +100,8 @@ def test_all_tied_board_stops_cleanly():
     lb = vb.Leaderboard.from_scores(
         {"a": {"t": 1.0}, "b": {"t": 1.0}, "c": {"t": 1.0}}, tasks=["t"]
     )
-    for rule in (baldwin_rule, hare_rule, coombs_rule, nanson_rule, threshold_rule):
-        out = rule(lb)
+    for rule in ("baldwin", "hare", "coombs", "nanson", "threshold"):
+        out = vb.aggregate(lb, rule)
         assert out.winners == {"a", "b", "c"}, rule
 
 
@@ -124,24 +116,24 @@ def test_two_system_rules_agree_with_majority():
             expect = {lb.systems[1]}
         else:
             expect = set(lb.systems)
-        for rule in (baldwin_rule, coombs_rule, nanson_rule, black_rule):
-            assert rule(lb).winners == expect
+        for rule in ("baldwin", "coombs", "nanson", "black"):
+            assert vb.aggregate(lb, rule).winners == expect
 
 
 def test_iterative_rules_match_oracle():
     rng = random.Random(78)
     for _ in range(60):
         lb = random_board(rng, allow_weights=True)
-        assert threshold_rule(lb).winners == oracle.threshold_winners(lb)
-        assert baldwin_rule(lb).winners == oracle.baldwin_winners(lb)
-        assert hare_rule(lb).winners == oracle.hare_winners(lb)
-        assert coombs_rule(lb).winners == oracle.coombs_winners(lb)
-        assert nanson_rule(lb).winners == oracle.nanson_winners(lb)
-        assert black_rule(lb).winners == oracle.black_winners(lb)
+        assert vb.aggregate(lb, "threshold").winners == oracle.threshold_winners(lb)
+        assert vb.aggregate(lb, "baldwin").winners == oracle.baldwin_winners(lb)
+        assert vb.aggregate(lb, "hare").winners == oracle.hare_winners(lb)
+        assert vb.aggregate(lb, "coombs").winners == oracle.coombs_winners(lb)
+        assert vb.aggregate(lb, "nanson").winners == oracle.nanson_winners(lb)
+        assert vb.aggregate(lb, "black").winners == oracle.black_winners(lb)
 
 
 def test_ranking_is_reverse_elimination(toy):
-    out = baldwin_rule(toy)
+    out = vb.aggregate(toy, "baldwin")
     tiers = eliminated_order(out)
     # last eliminated sits right behind the survivors
     assert list(out.ranking[1:]) == [frozenset(t) for t in reversed(tiers)]

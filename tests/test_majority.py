@@ -7,7 +7,6 @@ import voteboard as vb
 from voteboard import (
     build_majority_graph,
     condorcet_winner,
-    counter_sets,
     minimal_dominant_set,
     minimal_undominated_set,
     minimal_weakly_stable_set,
@@ -57,9 +56,8 @@ def test_missing_cell_recounts_margin(toy):
 
 def test_counter_sets(toy):
     g = build_majority_graph(toy)
-    cs = counter_sets(g, "C")
-    assert cs.dominated == {"A", "D"}
-    assert cs.dominators == {"B"}
+    assert g.dominated("C") == {"A", "D"}
+    assert g.dominators("C") == {"B"}
 
 
 def test_toy_condorcet_and_copeland(toy):

@@ -13,10 +13,7 @@ from voteboard import (
     agreement_rate,
     discriminative_power,
     end_set,
-    gmean_agg,
     kendall_tau,
-    mean_agg,
-    optimality_gap,
     spearman_rho,
 )
 
@@ -34,7 +31,7 @@ def outcome_from_order(order, rule_id="x"):
 
 
 def test_mean_is_exact(toy):
-    out = mean_agg(toy)
+    out = vb.aggregate(toy, "mean")
     assert out.scores["B"] == F(14, 5)
     assert out.winners == {"B"}
 
@@ -44,11 +41,11 @@ def test_gmean_rejects_nonpositive():
         {"a": {"t": 0.0}, "b": {"t": 1.0}}, tasks=["t"]
     )
     with pytest.raises(NonPositiveScore):
-        gmean_agg(lb)
+        vb.aggregate(lb, "gmean")
 
 
 def test_gmean_matches_log_mean(toy):
-    out = gmean_agg(toy)
+    out = vb.aggregate(toy, "gmean")
     for m in toy.systems:
         logs = [math.log(toy.score(m, t)) for t in toy.tasks]
         assert out.scores[m] == pytest.approx(math.exp(sum(logs) / len(logs)))
@@ -58,7 +55,7 @@ def test_optimality_gap_worked_example():
     lb = vb.Leaderboard.from_scores(
         {"x": {"a": 1.0, "b": 0.90, "c": 0.80}}, tasks=["a", "b", "c"]
     )
-    out = optimality_gap(lb)
+    out = vb.aggregate(lb, "optimality_gap")
     assert out.scores["x"] == F(1, 15)  # (0 + 0.05 + 0.15) / 3
     assert float(out.scores["x"]) == pytest.approx(0.0667, abs=5e-5)
 
@@ -67,17 +64,17 @@ def test_optimality_gap_orders_ascending():
     lb = vb.Leaderboard.from_scores(
         {"good": {"t": 0.99}, "bad": {"t": 0.2}}, tasks=["t"]
     )
-    out = optimality_gap(lb)
+    out = vb.aggregate(lb, "optimality_gap")
     assert out.winners == {"good"}
     assert out.diagnostics["score_order"] == "ascending"
 
 
 def test_optimality_gap_range_check(toy):
     with pytest.raises(ScoreOutOfRange):
-        optimality_gap(toy)
+        vb.aggregate(toy, "optimality_gap")
     lb = vb.Leaderboard.from_scores({"a": {"t": -0.1}}, tasks=["t"])
     with pytest.raises(ScoreOutOfRange):
-        optimality_gap(lb)
+        vb.aggregate(lb, "optimality_gap")
 
 
 def test_scores_above_gamma_incur_no_gap():
@@ -85,7 +82,7 @@ def test_scores_above_gamma_incur_no_gap():
         {"a": {"t1": 0.99, "t2": 0.97}, "b": {"t1": 0.95, "t2": 0.96}},
         tasks=["t1", "t2"],
     )
-    out = optimality_gap(lb, gamma=0.95)
+    out = vb.aggregate(lb, "optimality_gap", gamma=0.95)
     assert out.scores["a"] == F(0)
     assert out.scores["b"] == F(0)
 
@@ -237,5 +234,5 @@ def test_baselines_match_oracle():
     rng = random.Random(47)
     for _ in range(40):
         lb = random_board(rng, allow_weights=True)
-        assert mean_agg(lb).winners == oracle.mean_winners(lb)
-        assert gmean_agg(lb).winners == oracle.gmean_winners(lb)
+        assert vb.aggregate(lb, "mean").winners == oracle.mean_winners(lb)
+        assert vb.aggregate(lb, "gmean").winners == oracle.gmean_winners(lb)

@@ -1,10 +1,13 @@
-"""Invariance properties of the positional rules and hare on small boards.
+"""Invariance properties of the rank rules on small boards.
 
-These rules read rank positions only, so their outcome must not change when
-one task's scores are rescaled by a strictly monotone map or when the tasks
-are reordered, and must follow the systems when they are relabeled.
+The positional, iterative, pairwise and set rules read rank positions only,
+so their outcome must not change when one task's scores are rescaled by a
+strictly monotone map or when the tasks are reordered, and must follow the
+systems when they are relabeled. Every outcome also survives a JSON round
+trip with its rule, mode, ranking and unranked set.
 """
 
+import json
 import math
 from fractions import Fraction as F
 
@@ -12,8 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import voteboard as vb
+from voteboard.io import outcome_from_dict, outcome_to_dict, to_json
 
-RULES = ("plurality", "two_approval", "antiplurality", "borda", "dowdall", "custom", "hare")
+POSITIONAL = ("plurality", "two_approval", "antiplurality", "borda", "dowdall", "custom")
+ITERATIVE = ("threshold", "baldwin", "hare", "coombs", "nanson", "black")
+PAIRWISE = ("condorcet", "copeland", "copeland2", "copeland3", "minimax")
+SET_RULES = ("minimal_dominant", "minimal_undominated", "uncovered", "uncovered2",
+             "richelson", "fishburn", "weakly_stable")
+RULES = POSITIONAL + ITERATIVE + PAIRWISE + SET_RULES
 SETTINGS = settings(max_examples=30, deadline=None, database=None)
 MONOTONE = (
     lambda x: 3 * x - 7,
@@ -48,10 +57,11 @@ def outcome(lb, rule):
 
 
 def relabeled(out, label):
-    """Ranking, scores and eliminations of an outcome under new system names."""
+    """Ranking, unranked set, scores and eliminations under new system names."""
     trace = out.diagnostics.get("trace")
     return (
         tuple([frozenset([label[m] for m in group]) for group in out.ranking]),
+        frozenset([label[m] for m in out.unranked]),
         None if out.scores is None else {label[m]: s for m, s in out.scores.items()},
         None if trace is None else [
             ({label[m]: s for m, s in r.scores.items()}, frozenset([label[m] for m in r.eliminated]))
@@ -102,3 +112,14 @@ def test_reordering_the_tasks(lb, data):
     )
     for rule in RULES:
         assert outcome(shuffled, rule) == outcome(lb, rule), rule
+
+
+@SETTINGS
+@given(lb=boards())
+def test_json_round_trip(lb):
+    for rule in RULES + ("mean",):
+        out = outcome(lb, rule)
+        back = outcome_from_dict(json.loads(to_json(outcome_to_dict(out))))
+        assert (back.rule_id, back.mode, back.ranking, back.unranked) == (
+            out.rule_id, out.mode, out.ranking, out.unranked
+        ), rule

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -9,7 +10,6 @@ from voteboard import (
     MissingScore,
     ScoringVector,
     VectorLengthMismatch,
-    apply_scoring_rule,
     build_profile,
     score_with_vector,
 )
@@ -45,14 +45,46 @@ def test_vector_validation(toy):
     assert v.entries[0] == F(12)
 
 
+BOARD_3 = vb.Leaderboard.from_scores(
+    {"a": {"t": 0.9}, "b": {"t": 0.5}, "c": {"t": 0.1}}, tasks=["t"]
+)
+
+
+@pytest.mark.parametrize("rule,params", [
+    pytest.param("custom", {"vector": ["abc", 1, 0]}, id="custom, not a number"),
+    pytest.param("custom", {"vector": [math.nan, 1, 0]}, id="custom, nan"),
+    pytest.param("custom", {"vector": [math.inf, 1, 0]}, id="custom, inf"),
+    pytest.param("custom", {"vector": [True, 0, 0]}, id="custom, boolean"),
+    pytest.param("custom", {"vector": ["1/0", 1, 0]}, id="custom, zero denominator"),
+    pytest.param("custom", {"vector": 3}, id="custom, not a sequence"),
+    pytest.param("custom", {"vector": [2, 1, 0], "gamma": 0.9}, id="custom with gamma"),
+    pytest.param("borda", {"vector": [2, 1, 0]}, id="borda with a vector"),
+    pytest.param("copeland", {"gamma": 0.9}, id="copeland with gamma"),
+    pytest.param("threshold", {"k": 1}, id="threshold with k"),
+    pytest.param("mean", {"gamma": 0.9}, id="mean with gamma"),
+    pytest.param("optimality_gap", {"vector": [2, 1, 0]}, id="optimality_gap with a vector"),
+])
+def test_bad_rule_parameters_are_invalid(rule, params):
+    with pytest.raises(InvalidParameter):
+        vb.aggregate(BOARD_3, rule, **params)
+
+
+def test_rule_parameters_come_from_the_runners():
+    accepting = {rid: vb.get_rule(rid).params for rid in vb.rule_ids()}
+    assert {rid: p for rid, p in accepting.items() if p} == {
+        "custom": {"vector"},
+        "optimality_gap": {"gamma"},
+    }
+
+
 def test_toy_plurality_scores(toy):
-    out = apply_scoring_rule(toy, "plurality")
+    out = vb.aggregate(toy, "plurality")
     assert out.scores == {"A": F(2), "B": F(1), "C": F(1), "D": F(1)}
     assert out.winners == {"A"}
 
 
 def test_toy_borda_scores(toy):
-    out = apply_scoring_rule(toy, "borda")
+    out = vb.aggregate(toy, "borda")
     assert out.scores == {"A": F(6), "B": F(9), "C": F(8), "D": F(7)}
     assert out.ranking == tuple(
         frozenset(g) for g in ({"B"}, {"C"}, {"D"}, {"A"})
@@ -60,7 +92,7 @@ def test_toy_borda_scores(toy):
 
 
 def test_toy_dowdall_tie(toy):
-    out = apply_scoring_rule(toy, "dowdall")
+    out = vb.aggregate(toy, "dowdall")
     assert out.scores["A"] == F(11, 4)
     assert out.scores["B"] == F(11, 4)
     assert out.scores["C"] == F(5, 2)
@@ -69,28 +101,28 @@ def test_toy_dowdall_tie(toy):
 
 
 def test_toy_two_approval_and_antiplurality(toy):
-    out = apply_scoring_rule(toy, "two_approval")
+    out = vb.aggregate(toy, "two_approval")
     assert out.scores == {"A": F(2), "B": F(4), "C": F(2), "D": F(2)}
-    out = apply_scoring_rule(toy, "antiplurality")
+    out = vb.aggregate(toy, "antiplurality")
     assert out.scores == {"A": F(2), "B": F(4), "C": F(5), "D": F(4)}
     assert out.winners == {"C"}
 
 
 def test_custom_vector_rule(toy):
-    out = apply_scoring_rule(toy, "custom", vector=[3, 1, 1, 0])
+    out = vb.aggregate(toy, "custom", vector=[3, 1, 1, 0])
     # A first twice and last otherwise: 3+3+0+0+0; C: 1+1+1+3+1
     assert out.scores["A"] == F(6)
     assert out.scores["C"] == F(7)
     assert out.winners == {"C"}
-    with pytest.raises(ValueError):
-        apply_scoring_rule(toy, "custom")
+    with pytest.raises(InvalidParameter):
+        vb.aggregate(toy, "custom")
 
 
 def test_tied_task_splits_vector_mass():
     lb = vb.Leaderboard.from_scores(
         {"a": {"t": 2.0}, "b": {"t": 2.0}, "c": {"t": 1.0}}, tasks=["t"]
     )
-    out = apply_scoring_rule(lb, "borda")
+    out = vb.aggregate(lb, "borda")
     assert out.scores == {"a": F(3, 2), "b": F(3, 2), "c": F(0)}
 
 
@@ -103,7 +135,7 @@ def test_vector_length_mismatch(toy):
 def test_missing_score_rejected(toy):
     holed = toy.with_score("C", "t2", None)
     with pytest.raises(MissingScore):
-        apply_scoring_rule(holed, "borda")
+        vb.aggregate(holed, "borda")
 
 
 def test_score_mass_is_conserved():
@@ -112,7 +144,7 @@ def test_score_mass_is_conserved():
     for _ in range(40):
         lb = random_board(rng, allow_weights=True, allow_min_direction=True)
         n = len(lb.systems)
-        out = apply_scoring_rule(lb, "borda")
+        out = vb.aggregate(lb, "borda")
         expected = lb.total_weight * F(n * (n - 1), 2)
         assert sum(out.scores.values(), F(0)) == expected
 
@@ -122,9 +154,9 @@ def test_unanimity_strict_for_borda_and_dowdall():
     checked = 0
     for _ in range(80):
         lb = random_board(rng)
-        borda = apply_scoring_rule(lb, "borda").scores
-        dowdall = apply_scoring_rule(lb, "dowdall").scores
-        plur = apply_scoring_rule(lb, "plurality").scores
+        borda = vb.aggregate(lb, "borda").scores
+        dowdall = vb.aggregate(lb, "dowdall").scores
+        plur = vb.aggregate(lb, "plurality").scores
         for a in lb.systems:
             for b in lb.systems:
                 if a == b:
@@ -138,9 +170,9 @@ def test_unanimity_strict_for_borda_and_dowdall():
 
 
 def test_argmax_invariant_under_affine_vector_change(toy):
-    base = apply_scoring_rule(toy, "borda")
+    base = vb.aggregate(toy, "borda")
     # 2*borda + 1 entrywise
-    shifted = apply_scoring_rule(toy, "custom", vector=[7, 5, 3, 1])
+    shifted = vb.aggregate(toy, "custom", vector=[7, 5, 3, 1])
     assert shifted.ranking == base.ranking
 
 
@@ -157,6 +189,6 @@ def test_matches_oracle_on_random_boards():
             ("two_approval", oracle.two_approval_entries(n)),
         ]
         for rule, entries in pairs:
-            got = apply_scoring_rule(lb, rule).scores
+            got = vb.aggregate(lb, rule).scores
             want = oracle.vector_scores(lb, entries)
             assert got == want, (rule, lb.scores)
