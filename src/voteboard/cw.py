@@ -73,6 +73,17 @@ def build_dominance_matrix(lb: Leaderboard, system: str) -> DominanceMatrix:
     return DominanceMatrix(system, rivals, lb.tasks, rows)
 
 
+def _per_task(values: Sequence, size: int, what: str, *, blanks: bool = False) -> tuple:
+    # an entry as_fraction rejects, a non-iterable or a wrong length is a bad parameter
+    try:
+        out = tuple([None if blanks and v is None else as_fraction(v) for v in values])
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InvalidParameter(f"bad {what}: {exc}") from None
+    if len(out) != size:
+        raise InvalidParameter(f"{what} length must match the task count")
+    return out
+
+
 def _bound_tuple(
     values: Sequence[int | float | Fraction | str] | int | float | Fraction | str | None,
     size: int,
@@ -81,11 +92,8 @@ def _bound_tuple(
     if values is None:
         return (default,) * size
     if isinstance(values, (int, float, Fraction, str)):
-        return (as_fraction(values),) * size
-    out = tuple(None if v is None else as_fraction(v) for v in values)
-    if len(out) != size:
-        raise ValueError("bound length must match the task count")
-    return out
+        values = [values] * size
+    return _per_task(values, size, "bound", blanks=True)
 
 
 def find_cw_weights(
@@ -104,7 +112,7 @@ def find_cw_weights(
     answer.
     """
     t = len(matrix.tasks)
-    eps = as_fraction(margin)
+    (eps,) = _per_task([margin], 1, "margin")
     if eps < 0:
         raise InvalidParameter("margin must be non-negative")
     lower = tuple(v if v is not None else Fraction(0)
@@ -136,9 +144,7 @@ def find_cw_weights(
     if objective is None:
         cost: list[Fraction] = [Fraction(0)] * t
     else:
-        cost = [as_fraction(v) for v in objective]
-        if len(cost) != t:
-            raise ValueError("objective length must match the task count")
+        cost = list(_per_task(objective, t, "objective"))
 
     status, v = solve_lp(cost, constraints, t)
     if status == INFEASIBLE:

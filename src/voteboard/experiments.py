@@ -85,7 +85,10 @@ def iia_experiment(
     Each trial shuffles the systems, starts from the first two, and adds the
     rest one at a time. After every addition the rule is re-run and its
     ranking restricted to the previously present systems; the trial counts
-    additions that change any pairwise relation among them.
+    additions that change any pairwise relation among them. Two weak orders
+    agree on every pair exactly when their restricted tie groups form the
+    same sequence, so that is what is compared. A rule that leaves a present
+    system unranked raises RuleUnsupportedForMode.
     """
     cfg = cfg or ExperimentConfig()
     if len(lb.systems) < 3:
@@ -102,12 +105,24 @@ def iia_experiment(
         for newcomer in order[2:]:
             now = present + [newcomer]
             out = run_rule(lb.restrict_systems(now), rule_obj, BASIC, **rule_params)
-            if out.pair_relations(present) != prev.pair_relations(present):
+            kept = frozenset(present)
+            if _tie_order(out, kept) != _tie_order(prev, kept):
                 changed += 1
             present = now
             prev = out
         counts.append(float(changed))
     return _report("iia", cfg, {rule: counts})
+
+
+def _tie_order(outcome: RuleOutcome, systems: frozenset[str]) -> list[frozenset[str]]:
+    """The outcome's tie groups restricted to systems, empty groups dropped."""
+    groups = [kept for kept in (group & systems for group in outcome.ranking) if kept]
+    if sum(map(len, groups)) != len(systems):
+        raise RuleUnsupportedForMode(
+            f"rule {outcome.rule_id!r} leaves systems unranked, so it has no "
+            "pairwise relations to probe"
+        )
+    return groups
 
 
 def _impute_medians(

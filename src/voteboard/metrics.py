@@ -2,10 +2,17 @@
 
 The aggregators (weighted arithmetic mean, geometric mean, optimality gap)
 order systems by their raw scores and exist mostly as references to compare
-the voting rules against. The comparison measures operate on pairs of
-finished outcomes and are tie-aware throughout: ranks are fractional, and
-correlation values are computed from exact rationals so that identities
-like rho(r, r) = 1 hold bit-for-bit.
+the voting rules against. They read the cells as integers over one common
+denominator (model.exact_cells) and the task weights scaled to integers by
+the LCM of theirs, sum integers (or multiply integer powers, for the
+geometric mean's order), group on the integers, and give each system one
+Fraction when the scores are packaged.
+
+The comparison measures operate on pairs of finished outcomes and are
+tie-aware throughout: ranks are fractional, and correlation values are
+computed exactly, Spearman rho from integer sums over the rank vectors
+scaled by the LCM of their denominators, so that identities like
+rho(r, r) = 1 hold bit-for-bit.
 """
 
 from __future__ import annotations
@@ -13,65 +20,56 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Mapping, Sequence
 
 from .errors import (
+    InvalidParameter,
     MismatchedSystems,
-    MissingScore,
     NonPositiveScore,
     ScoreOutOfRange,
 )
-from .model import Leaderboard, RuleOutcome, as_fraction, group_by_score
+from .model import (
+    Leaderboard,
+    RuleOutcome,
+    as_fraction,
+    exact_cells,
+    group_by_score,
+    integer_weights,
+)
 from .modes import Rule, RuleParts
 
 TOP = "top"
 LEAST = "least"
 
 
-def _complete_columns(lb: Leaderboard) -> None:
-    for i, system in enumerate(lb.systems):
-        for j, task in enumerate(lb.tasks):
-            if lb.scores[i][j] is None:
-                raise MissingScore(f"system {system!r} has no score on task {task!r}")
-
-
-def _weight_total(weights: Mapping[str, Fraction], tasks: Sequence[str]) -> Fraction:
-    return sum((as_fraction(weights.get(t, 1)) for t in tasks), Fraction(0))
-
-
 def _mean_run(lb: Leaderboard, weights: Mapping[str, Fraction]) -> RuleParts:
-    _complete_columns(lb)
-    total = _weight_total(weights, lb.tasks)
-    scores: dict[str, Fraction] = {}
-    for i, system in enumerate(lb.systems):
-        acc = Fraction(0)
-        for j, task in enumerate(lb.tasks):
-            acc += as_fraction(weights.get(task, 1)) * as_fraction(lb.scores[i][j])
-        scores[system] = acc / total
-    return RuleParts(ranking=group_by_score(scores), scores=scores)
+    cells, den = exact_cells(lb)
+    wts, _ = integer_weights(lb.tasks, weights)
+    sums = {system: sum(map(mul, wts, row)) for system, row in zip(lb.systems, cells)}
+    total = den * sum(wts)
+    scores = {system: Fraction(s, total) for system, s in sums.items()}
+    return RuleParts(ranking=group_by_score(sums), scores=scores)
 
 
 def _gmean_run(lb: Leaderboard, weights: Mapping[str, Fraction]) -> RuleParts:
-    _complete_columns(lb)
-    wts = [as_fraction(weights.get(t, 1)) for t in lb.tasks]
-    # clear denominators so the ordering can use exact integer exponents:
-    # ranking by prod(score^n_j) equals ranking by the geometric mean
-    scale = math.lcm(*(w.denominator for w in wts))
-    exps = [int(w * scale) for w in wts]
+    cells, _ = exact_cells(lb)
+    # integer exponents: ranking by prod(cell^n_j) equals ranking by the
+    # geometric mean, and the common denominator^sum(n_j) divides out
+    exps, _ = integer_weights(lb.tasks, weights)
     n_total = sum(exps)
-    products: dict[str, Fraction] = {}
+    products: dict[str, int] = {}
     display: dict[str, float] = {}
-    for i, system in enumerate(lb.systems):
-        prod = Fraction(1)
+    for system, raw, row in zip(lb.systems, lb.scores, cells):
+        prod = 1
         terms = []
-        for j, task in enumerate(lb.tasks):
-            cell = lb.scores[i][j]
+        for task, cell, num, n in zip(lb.tasks, raw, row, exps):
             if cell <= 0:
                 raise NonPositiveScore(
                     f"geometric mean needs positive scores; {system!r} on {task!r} is {cell}"
                 )
-            prod *= as_fraction(cell) ** exps[j]
-            terms.append(exps[j] * math.log(cell))
+            prod *= num ** n
+            terms.append(n * math.log(cell))
         products[system] = prod
         # fsum is correctly rounded, so the report does not depend on task order
         display[system] = math.exp(math.fsum(terms) / n_total)
@@ -84,22 +82,26 @@ def _og_run(
     *,
     gamma: int | float | Fraction | str = 0.95,
 ) -> RuleParts:
-    _complete_columns(lb)
+    cells, den = exact_cells(lb)
     g = as_fraction(gamma)
-    total = _weight_total(weights, lb.tasks)
-    scores: dict[str, Fraction] = {}
-    for i, system in enumerate(lb.systems):
-        acc = Fraction(0)
-        for j, task in enumerate(lb.tasks):
-            cell = as_fraction(lb.scores[i][j])
-            if cell < 0 or cell > 1:
+    wts, _ = integer_weights(lb.tasks, weights)
+    # over den * g.denominator, gamma is g.numerator * den and a cell c * g.denominator
+    top = g.numerator * den
+    sums: dict[str, int] = {}
+    for system, row in zip(lb.systems, cells):
+        acc = 0
+        for task, num, w in zip(lb.tasks, row, wts):
+            if num < 0 or num > den:
                 raise ScoreOutOfRange(
-                    f"optimality gap expects scores in [0, 1]; {system!r} on {task!r} is {float(cell)}"
+                    "optimality gap expects scores in [0, 1]; "
+                    f"{system!r} on {task!r} is {float(Fraction(num, den))}"
                 )
-            acc += as_fraction(weights.get(task, 1)) * max(Fraction(0), g - cell)
-        scores[system] = acc / total
+            acc += w * max(0, top - num * g.denominator)
+        sums[system] = acc
+    total = den * g.denominator * sum(wts)
+    scores = {system: Fraction(s, total) for system, s in sums.items()}
     return RuleParts(
-        ranking=group_by_score(scores, ascending=True),
+        ranking=group_by_score(sums, ascending=True),
         scores=scores,
         diagnostics={"gamma": g, "score_order": "ascending"},
     )
@@ -133,12 +135,12 @@ def _paired_ranks(r1: RuleOutcome, r2: RuleOutcome) -> tuple[list[Fraction], lis
 def end_set(outcome: RuleOutcome, k: int, end: str = TOP) -> frozenset[str]:
     """The k best (or worst) systems, grown to whole tie groups."""
     if end not in (TOP, LEAST):
-        raise ValueError("end must be 'top' or 'least'")
+        raise InvalidParameter("end must be 'top' or 'least'")
     if not outcome.is_total():
         raise MismatchedSystems("outcome must rank every system")
     n = len(outcome.ranked_systems)
     if not 1 <= k <= n:
-        raise ValueError(f"k must be between 1 and {n}")
+        raise InvalidParameter(f"k must be between 1 and {n}")
     groups = outcome.ranking if end == TOP else tuple(reversed(outcome.ranking))
     chosen: set[str] = set()
     for group in groups:
@@ -160,7 +162,7 @@ def agreement_rate(r1: RuleOutcome, r2: RuleOutcome, k: int, end: str = TOP) -> 
     return len(s1 & s2) / max(len(s1), len(s2))
 
 
-def _signed_root(num: Fraction, den: Fraction) -> float:
+def _signed_root(num: int | Fraction, den: int | Fraction) -> float:
     # sign(num) * sqrt(num^2 / den), exact when the ratio is 0 or 1
     if num == 0:
         return 0.0
@@ -205,15 +207,15 @@ def rho_from_rank_vectors(x: Sequence[Fraction], y: Sequence[Fraction]) -> float
         raise ValueError("rank vectors differ in length")
     if list(x) == list(y):
         return 1.0
-    n = len(x)
-    sx = sum(x, Fraction(0))
-    sy = sum(y, Fraction(0))
-    sxx = sum((v * v for v in x), Fraction(0))
-    syy = sum((v * v for v in y), Fraction(0))
-    sxy = sum((a * b for a, b in zip(x, y)), Fraction(0))
-    num = n * sxy - sx * sy
-    den_x = n * sxx - sx * sx
-    den_y = n * syy - sy * sy
+    # scaling both vectors by one factor scales num^2 and den_x * den_y alike
+    scale = math.lcm(*{v.denominator for v in x}, *{v.denominator for v in y})
+    xs = [v.numerator * (scale // v.denominator) for v in x]
+    ys = [v.numerator * (scale // v.denominator) for v in y]
+    n = len(xs)
+    sx, sy = sum(xs), sum(ys)
+    num = n * sum(map(mul, xs, ys)) - sx * sy
+    den_x = n * sum(map(mul, xs, xs)) - sx * sx
+    den_y = n * sum(map(mul, ys, ys)) - sy * sy
     if den_x == 0 or den_y == 0:
         return 0.0
     return _signed_root(num, den_x * den_y)

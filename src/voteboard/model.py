@@ -63,6 +63,37 @@ def as_fraction(value: int | float | Fraction | str) -> Fraction:
     raise TypeError(f"unsupported numeric type: {type(value).__name__}")
 
 
+def exact_cells(lb: Leaderboard) -> tuple[list[list[int]], int]:
+    """Every cell as an integer over one common denominator: (rows, denominator).
+
+    rows[i][j] / denominator is exactly as_fraction(lb.scores[i][j]): a float
+    cell keeps its shortest decimal repr, an int or Fraction cell its own
+    value. A missing cell raises MissingScore.
+    """
+    ratios = []
+    for system, row in zip(lb.systems, lb.scores):
+        out = []
+        for task, cell in zip(lb.tasks, row):
+            if cell is None:
+                raise MissingScore(f"system {system!r} has no score on task {task!r}")
+            # as_fraction's own conversion for floats, without the Fraction
+            exact = Decimal(repr(cell)) if isinstance(cell, float) else as_fraction(cell)
+            out.append(exact.as_integer_ratio())
+        ratios.append(out)
+    den = math.lcm(*{d for out in ratios for _, d in out})
+    return [[n * (den // d) for n, d in out] for out in ratios], den
+
+
+def integer_weights(
+    tasks: Sequence[str],
+    weights: Mapping[str, int | float | Fraction | str] | None = None,
+) -> tuple[tuple[int, ...], int]:
+    """Task weights (default 1) times the LCM of their denominators, and that LCM."""
+    exact = [as_fraction(1 if weights is None else weights.get(t, 1)) for t in tasks]
+    scale = math.lcm(*{w.denominator for w in exact})
+    return tuple([w.numerator * (scale // w.denominator) for w in exact]), scale
+
+
 def _check_unique(names: Sequence[str], kind: str) -> None:
     seen = set()
     for name in names:
@@ -370,9 +401,7 @@ class RankTable:
         profile: RankProfile,
         weights: Mapping[str, int | float | Fraction | str] | None = None,
     ) -> "RankTable":
-        exact = [as_fraction(1 if weights is None else weights.get(t, 1)) for t in profile.tasks]
-        scale = math.lcm(*{w.denominator for w in exact})
-        scaled = tuple([w.numerator * (scale // w.denominator) for w in exact])
+        scaled, scale = integer_weights(profile.tasks, weights)
         return cls(profile.systems, profile.orders, scaled, scale)
 
     @property

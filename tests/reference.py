@@ -10,10 +10,17 @@ re-rank and re-score the profile with Fractions at every step, so they are
 slow; tests compare the library against them on boards larger than the
 oracle's. Only data types and unchanged helpers come from
 the library.
+
+The score baselines (mean, gmean, optimality_gap) summing Fractions cell by
+cell, the Fraction Spearman rho, and the spoiler loop that compares
+pair_relations of the present systems follow, as they stood before those
+moved to integers over one common denominator. The spoiler loop runs the
+library's rules: only its check is the reference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -24,12 +31,17 @@ from voteboard.errors import (
     EmptySubset,
     InvalidParameter,
     MissingScore,
+    NonPositiveScore,
     RuleUnsupportedForMode,
+    ScoreOutOfRange,
+    TooFewSystems,
     UnknownRule,
     UnknownSystem,
     VectorLengthMismatch,
 )
+from voteboard.experiments import ExperimentConfig, ExperimentReport, _report, trial_rng
 from voteboard.iterative import EliminationRound, EliminationTrace
+from voteboard.metrics import _signed_root
 from voteboard.model import MINIMIZE, Leaderboard, RuleOutcome, as_fraction
 from voteboard.modes import (
     BASIC,
@@ -41,6 +53,8 @@ from voteboard.modes import (
     base_weights,
     group_weights,
 )
+from voteboard.modes import run_rule as run_library_rule
+from voteboard.registry import get_rule
 from voteboard.scoring import ScoringVector
 
 COPELAND_VARIANTS = ("I", "II", "III")
@@ -855,3 +869,149 @@ def build_dominance_matrix(lb: Leaderboard, system: str) -> DominanceMatrix:
             row.append(1 if better else -1)
         rows.append(tuple(row))
     return DominanceMatrix(system, rivals, lb.tasks, tuple(rows))
+
+
+# -- score baselines ----------------------------------------------------------
+
+
+def _complete_columns(lb: Leaderboard) -> None:
+    for i, system in enumerate(lb.systems):
+        for j, task in enumerate(lb.tasks):
+            if lb.scores[i][j] is None:
+                raise MissingScore(f"system {system!r} has no score on task {task!r}")
+
+
+def _weight_total(weights: Mapping[str, Fraction], tasks: Sequence[str]) -> Fraction:
+    return sum((as_fraction(weights.get(t, 1)) for t in tasks), Fraction(0))
+
+
+def _mean_run(lb: Leaderboard, weights: Mapping[str, Fraction]) -> RuleParts:
+    _complete_columns(lb)
+    total = _weight_total(weights, lb.tasks)
+    scores: dict[str, Fraction] = {}
+    for i, system in enumerate(lb.systems):
+        acc = Fraction(0)
+        for j, task in enumerate(lb.tasks):
+            acc += as_fraction(weights.get(task, 1)) * as_fraction(lb.scores[i][j])
+        scores[system] = acc / total
+    return RuleParts(ranking=group_by_score(scores), scores=scores)
+
+
+def _gmean_run(lb: Leaderboard, weights: Mapping[str, Fraction]) -> RuleParts:
+    _complete_columns(lb)
+    wts = [as_fraction(weights.get(t, 1)) for t in lb.tasks]
+    # clear denominators so the ordering can use exact integer exponents:
+    # ranking by prod(score^n_j) equals ranking by the geometric mean
+    scale = math.lcm(*(w.denominator for w in wts))
+    exps = [int(w * scale) for w in wts]
+    n_total = sum(exps)
+    products: dict[str, Fraction] = {}
+    display: dict[str, float] = {}
+    for i, system in enumerate(lb.systems):
+        prod = Fraction(1)
+        terms = []
+        for j, task in enumerate(lb.tasks):
+            cell = lb.scores[i][j]
+            if cell <= 0:
+                raise NonPositiveScore(
+                    f"geometric mean needs positive scores; {system!r} on {task!r} is {cell}"
+                )
+            prod *= as_fraction(cell) ** exps[j]
+            terms.append(exps[j] * math.log(cell))
+        products[system] = prod
+        # fsum is correctly rounded, so the report does not depend on task order
+        display[system] = math.exp(math.fsum(terms) / n_total)
+    return RuleParts(ranking=group_by_score(products), scores=display)
+
+
+def _og_run(
+    lb: Leaderboard,
+    weights: Mapping[str, Fraction],
+    *,
+    gamma: int | float | Fraction | str = 0.95,
+) -> RuleParts:
+    _complete_columns(lb)
+    g = as_fraction(gamma)
+    total = _weight_total(weights, lb.tasks)
+    scores: dict[str, Fraction] = {}
+    for i, system in enumerate(lb.systems):
+        acc = Fraction(0)
+        for j, task in enumerate(lb.tasks):
+            cell = as_fraction(lb.scores[i][j])
+            if cell < 0 or cell > 1:
+                raise ScoreOutOfRange(
+                    f"optimality gap expects scores in [0, 1]; {system!r} on {task!r} is {float(cell)}"
+                )
+            acc += as_fraction(weights.get(task, 1)) * max(Fraction(0), g - cell)
+        scores[system] = acc / total
+    return RuleParts(
+        ranking=group_by_score(scores, ascending=True),
+        scores=scores,
+        diagnostics={"gamma": g, "score_order": "ascending"},
+    )
+
+
+SCORE_RULES: dict[str, Rule] = {
+    "mean": Rule("mean", score_run=_mean_run, elector=False),
+    "gmean": Rule("gmean", score_run=_gmean_run, elector=False),
+    "optimality_gap": Rule("optimality_gap", score_run=_og_run, elector=False),
+}
+
+
+# -- comparison measures and experiments --------------------------------------
+
+
+def rho_from_rank_vectors(x: Sequence[Fraction], y: Sequence[Fraction]) -> float:
+    if len(x) != len(y):
+        raise ValueError("rank vectors differ in length")
+    if list(x) == list(y):
+        return 1.0
+    n = len(x)
+    sx = sum(x, Fraction(0))
+    sy = sum(y, Fraction(0))
+    sxx = sum((v * v for v in x), Fraction(0))
+    syy = sum((v * v for v in y), Fraction(0))
+    sxy = sum((a * b for a, b in zip(x, y)), Fraction(0))
+    num = n * sxy - sx * sy
+    den_x = n * sxx - sx * sx
+    den_y = n * syy - sy * sy
+    if den_x == 0 or den_y == 0:
+        return 0.0
+    return _signed_root(num, den_x * den_y)
+
+
+
+def iia_experiment(
+    lb: Leaderboard,
+    rule: str,
+    cfg: ExperimentConfig | None = None,
+    **rule_params: Any,
+) -> ExperimentReport:
+    """How often adding one more system reshuffles the systems already there.
+
+    Each trial shuffles the systems, starts from the first two, and adds the
+    rest one at a time. After every addition the rule is re-run and its
+    ranking restricted to the previously present systems; the trial counts
+    additions that change any pairwise relation among them.
+    """
+    cfg = cfg or ExperimentConfig()
+    if len(lb.systems) < 3:
+        raise TooFewSystems("spoiler probing needs at least three systems")
+    rule_obj = get_rule(rule)
+    counts: list[float] = []
+    for trial in range(cfg.trials):
+        rng = trial_rng(cfg.seed, trial)
+        order = list(lb.systems)
+        rng.shuffle(order)
+        present = order[:2]
+        prev = run_library_rule(lb.restrict_systems(present), rule_obj, BASIC, **rule_params)
+        changed = 0
+        for newcomer in order[2:]:
+            now = present + [newcomer]
+            out = run_library_rule(lb.restrict_systems(now), rule_obj, BASIC, **rule_params)
+            if out.pair_relations(present) != prev.pair_relations(present):
+                changed += 1
+            present = now
+            prev = out
+        counts.append(float(changed))
+    return _report("iia", cfg, {rule: counts})

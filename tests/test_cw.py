@@ -6,6 +6,7 @@ import pytest
 import voteboard as vb
 from voteboard import (
     InfeasibleBounds,
+    InvalidParameter,
     build_dominance_matrix,
     find_cw_weights,
     is_prospective,
@@ -125,3 +126,38 @@ def test_status_matches_vertex_oracle():
             if res.witness is not None:
                 verify_witness(mat, res.witness)
     assert disagreements == 0
+
+
+@pytest.fixture
+def small_matrix():
+    lb = vb.Leaderboard.from_scores(
+        {"a": {"x": 1.0, "y": 2.0, "z": 3.0}, "b": {"x": 2.0, "y": 1.0, "z": 3.0}}
+    )
+    return build_dominance_matrix(lb, "a")
+
+
+def test_lower_bounds_of_the_wrong_length_are_invalid(small_matrix):
+    with pytest.raises(InvalidParameter, match="length"):
+        find_cw_weights(small_matrix, lower_bounds=[0, 0])
+
+
+def test_upper_bounds_of_the_wrong_length_are_invalid(small_matrix):
+    with pytest.raises(InvalidParameter, match="length"):
+        find_cw_weights(small_matrix, upper_bounds=[1, 1, 1, 1])
+
+
+def test_objective_of_the_wrong_length_is_invalid(small_matrix):
+    with pytest.raises(InvalidParameter, match="length"):
+        find_cw_weights(small_matrix, objective=[1, 0])
+
+
+@pytest.mark.parametrize("bad", [
+    {"upper_bounds": ["abc", 1, 1]},
+    {"lower_bounds": [0, float("nan"), 0]},
+    {"upper_bounds": float("inf")},
+    {"objective": [1, None, 0]},
+    {"margin": "1/0"},
+])
+def test_entries_as_fraction_rejects_are_invalid(small_matrix, bad):
+    with pytest.raises(InvalidParameter):
+        find_cw_weights(small_matrix, **bad)

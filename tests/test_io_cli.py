@@ -268,9 +268,15 @@ FAILURES = [
      ["cw-weights", "-i", "{full}", "--system", "alpha", "--lower", "-0.5"], 2),
     ("cw contradictory bounds",
      ["cw-weights", "-i", "{full}", "--system", "alpha", "--lower", "0.5"], 2),
+    ("cw non-finite margin",
+     ["cw-weights", "-i", "{full}", "--system", "alpha", "--margin", "nan"], 2),
+    ("cw non-finite upper bound",
+     ["cw-weights", "-i", "{full}", "--system", "alpha", "--upper", "inf"], 2),
     ("iia trials 0",
      ["experiment", "iia", "-i", "{full}", "--rule", "borda", "--trials", "0"], 2),
     ("iia on two systems", ["experiment", "iia", "-i", "{pair}", "--rule", "borda"], 2),
+    ("iia on a set rule",
+     ["experiment", "iia", "-i", "{full}", "--rule", "minimal_dominant"], 2),
     ("robustness top-k 0",
      ["experiment", "robustness", "-i", "{full}", "--rules", "minimax", "--top-k", "0"], 2),
     ("robustness negative omit",

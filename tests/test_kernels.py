@@ -9,6 +9,13 @@ accept them. The larger boards run in fewer modes, and the largest gets
 its missing cells only in the graph check, because the reference is slow
 there. On the 60-system board, dowdall's vector is scaled by the LCM of
 1..60, a 25-digit integer.
+
+The score baselines, which sum integers over one common denominator, are
+held to the same standard on the same ladder with its levels mapped to
+many-decimal and extreme cells, and on boards built directly with int and
+Fraction cells; a refusal must match the reference's type and message.
+Spearman rho must return the same float, and the spoiler experiment the
+same report as the loop that compared pair_relations.
 """
 
 import random
@@ -17,6 +24,7 @@ from fractions import Fraction as F
 import pytest
 
 import voteboard as vb
+from voteboard.errors import RuleUnsupportedForMode, VoteboardError
 from voteboard.modes import BASIC, TWO_STEP, WEIGHTED
 
 import reference
@@ -165,3 +173,129 @@ def test_ladder_reaches_every_branch():
             coombs_majority |= "majority_winner" in vb.aggregate(lb, "coombs").diagnostics
     assert paths == {"borda", "condorcet"}
     assert coombs_majority
+
+
+# -- score baselines, rho and the spoiler check --------------------------------
+
+# level k of a ladder board becomes CELLS[kind][k % len]: equal levels stay tied
+CELLS = {
+    "decimals": [0.1234567890123457 * (k + 1) / 7 for k in range(7)] + [0.98765432109876],
+    "extreme": [1e300, 1e-300, 5e-324, 2.5, 1e-300, 7e299],
+    "unit": [1.0, 1e-300, 5e-324, 0.0, 0.333333333333333, 0.95, 0.9500000000000001],
+}
+# the cells each baseline accepts; og needs [0, 1], gmean positive scores
+KINDS = {
+    "mean": ("decimals", "extreme", "unit"),
+    "gmean": ("decimals", "extreme"),
+    "optimality_gap": ("decimals", "unit"),
+}
+GAMMAS = ({}, {"gamma": F(2, 3)}, {"gamma": "0.9500000000000001"}, {"gamma": 1e-300})
+
+
+def mapped(lb, values):
+    rows = tuple([
+        tuple([None if c is None else values[int(c) % len(values)] for c in row])
+        for row in lb.scores
+    ])
+    return vb.Leaderboard(lb.systems, lb.tasks, rows, lb.directions, lb.weights, lb.groups)
+
+
+def outcome_or_error(run):
+    try:
+        return run()
+    except VoteboardError as exc:
+        return (type(exc), str(exc))
+
+
+def assert_same_baseline(lb, rid, **params):
+    for mode in (BASIC, WEIGHTED):
+        new = outcome_or_error(lambda: vb.aggregate(lb, rid, mode, **params))
+        old = outcome_or_error(
+            lambda: reference.run_rule(lb, reference.SCORE_RULES[rid], mode, **params)
+        )
+        assert new == old, (rid, mode, params)
+        if not isinstance(new, tuple):
+            assert list(new.scores.items()) == list(old.scores.items())
+
+
+@pytest.mark.parametrize("n,t,seed", [
+    pytest.param(n, t, seed, id=f"{n}x{t}-{seed}")
+    for n, t, seeds, _, _ in LADDER
+    for seed in seeds
+])
+def test_score_baselines_match_reference(n, t, seed):
+    lb = ladder_board(n, t, seed)
+    for rid, kinds in KINDS.items():
+        for kind in kinds:
+            board = mapped(lb, CELLS[kind])
+            for params in GAMMAS if rid == "optimality_gap" else ({},):
+                assert_same_baseline(board, rid, **params)
+    # refusals: zero and out-of-range cells, holes
+    raw, holed = lb, mapped(ladder_board(n, t, seed, holes=True), CELLS["decimals"])
+    for rid in KINDS:
+        assert_same_baseline(raw, rid)
+        assert_same_baseline(holed, rid)
+
+
+def direct_board(n, t, seed, cell):
+    """A Leaderboard built directly, its cells from cell(level): int or Fraction."""
+    lb = ladder_board(n, t, seed)
+    rows = tuple([tuple([cell(int(c)) for c in row]) for row in lb.scores])
+    return vb.Leaderboard(lb.systems, lb.tasks, rows, lb.directions, lb.weights, lb.groups)
+
+
+@pytest.mark.parametrize("n,t,seed", [(5, 3, 0), (14, 6, 1), (35, 5, 0)])
+def test_score_baselines_on_int_and_fraction_cells(n, t, seed):
+    ints = direct_board(n, t, seed, lambda k: 3 * k + 1)
+    fractions = direct_board(n, t, seed, lambda k: F(k + 1, 3 * k + 7))
+    unit_ints = direct_board(n, t, seed, lambda k: k % 2)
+    for rid in ("mean", "gmean"):
+        assert_same_baseline(ints, rid)
+        assert_same_baseline(fractions, rid)
+    for params in GAMMAS:
+        assert_same_baseline(fractions, "optimality_gap", **params)
+        assert_same_baseline(unit_ints, "optimality_gap", **params)
+    exact = vb.aggregate(fractions, "mean")
+    assert all(isinstance(v, F) for v in exact.scores.values())
+
+
+@pytest.mark.parametrize("n", [5, 8, 14, 20, 35, 60])
+def test_rho_matches_reference(n):
+    rng = random.Random(f"rho:{n}")
+    for _ in range(20):
+        vectors = []
+        for _ in range(2):
+            order, groups = rng.sample(range(n), n), []
+            while order:
+                cut = rng.randint(1, min(4, len(order)))
+                groups.append(order[:cut])
+                order = order[cut:]
+            ranks = vb.fractional_ranks_of(groups)
+            vectors.append([ranks[i] for i in range(n)])
+        x, y = vectors
+        for a, b in ((x, y), (x, x), (x, [F(1)] * n), ([v * F(2, 3) for v in x], y)):
+            assert vb.rho_from_rank_vectors(a, b) == reference.rho_from_rank_vectors(a, b)
+    ints = list(range(n))
+    assert vb.rho_from_rank_vectors(ints, ints[::-1]) == reference.rho_from_rank_vectors(
+        ints, ints[::-1]
+    ) == -1.0
+
+
+# one rule of each family: positional, elimination, pairwise, set, baseline
+IIA_RULES = ("borda", "hare", "copeland", "uncovered", "mean")
+
+
+@pytest.mark.parametrize("n,t,seed", [(5, 3, 0), (8, 5, 1), (20, 6, 0)])
+def test_iia_matches_reference_loop(n, t, seed):
+    lb = ladder_board(n, t, seed)
+    cfg = vb.ExperimentConfig(seed=seed, trials=4)
+    for rule in IIA_RULES:
+        try:
+            old = reference.iia_experiment(lb, rule, cfg)
+        except ValueError as exc:
+            # the old check raised a bare ValueError for an unranked system
+            with pytest.raises(RuleUnsupportedForMode):
+                vb.iia_experiment(lb, rule, cfg)
+            assert "unranked" in str(exc)
+            continue
+        assert vb.iia_experiment(lb, rule, cfg) == old, rule

@@ -7,6 +7,7 @@ import scipy.stats
 
 import voteboard as vb
 from voteboard import (
+    InvalidParameter,
     MismatchedSystems,
     NonPositiveScore,
     ScoreOutOfRange,
@@ -112,6 +113,19 @@ def test_agreement_rate_least_end():
     r2 = outcome_from_order(["b", "a", "d", "c"])
     assert agreement_rate(r1, r2, 2, end="least") == 1.0
     assert end_set(r1, 1, end="least") == {"d"}
+
+
+def test_end_set_k_out_of_range_is_invalid():
+    r = outcome_from_order(["a", "b", "c"])
+    for k in (0, 4):
+        with pytest.raises(InvalidParameter, match="k must be between 1 and 3"):
+            end_set(r, k)
+
+
+def test_end_set_unknown_end_is_invalid():
+    r = outcome_from_order(["a", "b", "c"])
+    with pytest.raises(InvalidParameter, match="end must be"):
+        end_set(r, 1, end="middle")
 
 
 def test_agreement_rate_symmetry_and_mismatch():

@@ -5,6 +5,11 @@ so their outcome must not change when one task's scores are rescaled by a
 strictly monotone map or when the tasks are reordered, and must follow the
 systems when they are relabeled. Every outcome also survives a JSON round
 trip with its rule, mode, ranking and unranked set.
+
+The score baselines never reshuffle the systems already present when one
+more is added, so their spoiler count is exactly zero on any complete
+board, and Spearman rho ignores a common positive rescaling of both rank
+vectors.
 """
 
 import json
@@ -123,3 +128,48 @@ def test_json_round_trip(lb):
         assert (back.rule_id, back.mode, back.ranking, back.unranked) == (
             out.rule_id, out.mode, out.ranking, out.unranked
         ), rule
+
+
+@st.composite
+def unit_boards(draw):
+    """3-7 systems, 1-4 tasks, positive cells in (0, 1]: tied, round or arbitrary."""
+    n = draw(st.integers(3, 7))
+    t = draw(st.integers(1, 4))
+    cell = st.one_of(
+        st.sampled_from([0.25, 0.5, 1.0]),
+        st.floats(min_value=5e-324, max_value=1.0),
+    )
+    scores = draw(st.lists(st.lists(cell, min_size=t, max_size=t), min_size=n, max_size=n))
+    weights = draw(st.lists(st.sampled_from([F(1), F(1, 2), F(1, 3)]), min_size=t, max_size=t))
+    return vb.Leaderboard(
+        systems=tuple([f"s{i}" for i in range(n)]),
+        tasks=tuple([f"t{j}" for j in range(t)]),
+        scores=tuple([tuple(row) for row in scores]),
+        directions=("max",) * t,
+        weights=tuple(weights),
+    )
+
+
+@SETTINGS
+@given(lb=unit_boards(), seed=st.integers(0, 2**16))
+def test_iia_of_score_baselines_is_zero(lb, seed):
+    cfg = vb.ExperimentConfig(seed=seed, trials=3)
+    for rule in ("mean", "gmean", "optimality_gap"):
+        assert vb.iia_experiment(lb, rule, cfg).series[rule] == (0.0,) * 3, rule
+
+
+@SETTINGS
+@given(
+    pairs=st.lists(
+        st.tuples(st.fractions(-50, 50, max_denominator=12), st.fractions(-50, 50, max_denominator=12)),
+        min_size=2,
+        max_size=12,
+    ),
+    q=st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=1000),
+)
+def test_rho_ignores_a_common_positive_scale(pairs, q):
+    x = [a for a, _ in pairs]
+    y = [b for _, b in pairs]
+    assert vb.rho_from_rank_vectors([v * q for v in x], [v * q for v in y]) == (
+        vb.rho_from_rank_vectors(x, y)
+    )
