@@ -68,11 +68,13 @@ def build_parser() -> argparse.ArgumentParser:
     winner.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
     _add_format_flag(winner)
 
-    cw = sub.add_parser("cw-weights", help="find task weights making a system win all duels")
+    cw = sub.add_parser("cw-weights",
+                        help="find task weights under which no rival beats a system")
     _add_input_flags(cw)
     cw.add_argument("--system", required=True, help="candidate system name")
     cw.add_argument("--margin", type=float, default=0.0,
-                    help="required per-duel advantage (default 0)")
+                    help="required weighted advantage in every duel; the default 0 "
+                         "allows ties, a positive margin asks for a strict win")
     cw.add_argument("--lower", type=float, default=0.0, help="lower bound for every weight")
     cw.add_argument("--upper", type=float, default=None, help="upper bound for every weight")
     _add_format_flag(cw)

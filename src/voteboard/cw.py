@@ -1,18 +1,21 @@
 """Weight feasibility: can any task weighting make a system the majority champion?
 
 For a fixed system m, each rival contributes one constraint row: the signed
-per-task comparison pattern of m against that rival. m can be made a
-Condorcet winner exactly when some weight vector w (non-negative, summing to
-one, optionally box-bounded) gives every row a positive weighted sum, i.e.
-G w >= margin elementwise for the requested margin. Feasibility is decided
-by an exact simplex and the witness is re-verified arithmetically before it
-is returned.
+per-task comparison pattern of m against that rival. m is prospective when
+some weight vector w (non-negative, summing to one, optionally box-bounded)
+satisfies G w >= margin elementwise. At the default margin 0 that makes m a
+weak Condorcet winner: every row's weighted sum is non-negative, so no
+rival beats m under w, though some may tie it. A positive margin asks for a
+strict win, by at least that weighted margin, against every rival.
+Feasibility is decided by an exact simplex and the witness is re-verified
+arithmetically before it is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import InfeasibleBounds, InvalidParameter
@@ -129,16 +132,17 @@ def find_cw_weights(
     if all(u is not None for u in upper) and sum(upper, Fraction(0)) < 1:
         raise InfeasibleBounds("upper bounds cannot reach a total of 1")
 
-    # substitute v = w - lower, v >= 0
-    constraints = [((Fraction(1),) * t, "==", Fraction(1) - low_sum)]
+    # substitute v = w - lower, v >= 0; a row's shift is an integer over lower's denominator
+    constraints = [((1,) * t, "==", 1 - low_sum)]
+    low_den = lcm(*[lo.denominator for lo in lower])
+    low_nums = [lo.numerator * (low_den // lo.denominator) for lo in lower]
     for row in matrix.rows:
-        coeffs = tuple(Fraction(v) for v in row)
-        shift = sum((c * lo for c, lo in zip(coeffs, lower)), Fraction(0))
-        constraints.append((coeffs, ">=", eps - shift))
+        shift = Fraction(sum([c * n for c, n in zip(row, low_nums)]), low_den)
+        constraints.append((row, ">=", eps - shift))
     for j, up in enumerate(upper):
         if up is None:
             continue
-        unit = tuple(Fraction(1 if k == j else 0) for k in range(t))
+        unit = tuple([1 if k == j else 0 for k in range(t)])
         constraints.append((unit, "<=", up - lower[j]))
 
     if objective is None:
@@ -153,12 +157,7 @@ def find_cw_weights(
         raise RuntimeError(f"unexpected solver status: {status}")
 
     witness = tuple(value + lo for value, lo in zip(v, lower))
-    _verify(matrix, witness, lower, upper, eps)
-    active = tuple(
-        i
-        for i, row in enumerate(matrix.rows)
-        if sum((Fraction(c) * w for c, w in zip(row, witness)), Fraction(0)) == eps
-    )
+    active = _verify(matrix, witness, lower, upper, eps)
     return FeasibilityResult(PROSPECTIVE, witness, active)
 
 
@@ -168,16 +167,24 @@ def _verify(
     lower: tuple[Fraction, ...],
     upper: tuple[Fraction | None, ...],
     eps: Fraction,
-) -> None:
-    if sum(witness, Fraction(0)) != 1:
+) -> tuple[int, ...]:
+    """Check the witness exactly; return the rows it meets with equality.
+
+    The rows hold only -1, 0 and +1, so with the witness written as integers
+    over its common denominator each row sum is an integer sum.
+    """
+    den = lcm(*[w.denominator for w in witness])
+    nums = [w.numerator * (den // w.denominator) for w in witness]
+    if sum(nums) != den:
         raise RuntimeError("witness does not sum to 1")
     for w, lo, up in zip(witness, lower, upper):
         if w < lo or (up is not None and w > up):
             raise RuntimeError("witness violates a bound")
-    for row in matrix.rows:
-        total = sum((Fraction(c) * w for c, w in zip(row, witness)), Fraction(0))
-        if total < eps:
-            raise RuntimeError("witness violates a dominance row")
+    floor = eps * den
+    totals = [sum([c * n for c, n in zip(row, nums)]) for row in matrix.rows]
+    if any(total < floor for total in totals):
+        raise RuntimeError("witness violates a dominance row")
+    return tuple([i for i, total in enumerate(totals) if total == floor])
 
 
 def is_prospective(
@@ -186,6 +193,9 @@ def is_prospective(
     *,
     margin: int | float | Fraction | str = 0,
 ) -> bool:
-    """Whether some task weighting makes the system a Condorcet winner."""
+    """Whether some task weighting makes the system a weak Condorcet winner.
+
+    A positive margin asks for a strict win by at least that much instead.
+    """
     result = find_cw_weights(build_dominance_matrix(lb, system), margin=margin)
     return result.prospective

@@ -16,6 +16,10 @@ cell, the Fraction Spearman rho, and the spoiler loop that compares
 pair_relations of the present systems follow, as they stood before those
 moved to integers over one common denominator. The spoiler loop runs the
 library's rules: only its check is the reference.
+
+Last comes the two-phase simplex that pivoted a dense tableau of Fractions,
+as it stood before linprog moved to fraction-free integer pivots; the
+status strings come from the library.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from voteboard.errors import (
 )
 from voteboard.experiments import ExperimentConfig, ExperimentReport, _report, trial_rng
 from voteboard.iterative import EliminationRound, EliminationTrace
+from voteboard.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, Constraint
 from voteboard.metrics import _signed_root
 from voteboard.model import MINIMIZE, Leaderboard, RuleOutcome, as_fraction
 from voteboard.modes import (
@@ -1015,3 +1020,127 @@ def iia_experiment(
             prev = out
         counts.append(float(changed))
     return _report("iia", cfg, {rule: counts})
+
+
+# -- exact simplex --------------------------------------------------------------
+
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _pivot(rows: list[list[Fraction]], z: list[Fraction] | None,
+           basis: list[int], r: int, col: int) -> None:
+    inv = _ONE / rows[r][col]
+    rows[r] = row = [v * inv for v in rows[r]]
+    for i, other in enumerate(rows):
+        if i != r and other[col] != 0:
+            f = other[col]
+            rows[i] = [u - f * v for u, v in zip(other, row)]
+    if z is not None and z[col] != 0:
+        f = z[col]
+        for j, v in enumerate(row):
+            z[j] -= f * v
+    basis[r] = col
+
+
+def _iterate(rows: list[list[Fraction]], z: list[Fraction],
+             basis: list[int], width: int) -> str:
+    while True:
+        col = next((j for j in range(width) if z[j] < 0), None)
+        if col is None:
+            return OPTIMAL
+        pivot_row = None
+        best_ratio: Fraction | None = None
+        for i, row in enumerate(rows):
+            a = row[col]
+            if a > 0:
+                ratio = row[width] / a
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[pivot_row])
+                ):
+                    pivot_row, best_ratio = i, ratio
+        if pivot_row is None:
+            return UNBOUNDED
+        _pivot(rows, z, basis, pivot_row, col)
+
+
+def solve_lp(
+    objective: Sequence[Fraction],
+    constraints: Sequence[Constraint],
+    num_vars: int,
+) -> tuple[str, list[Fraction] | None]:
+    """Minimize objective . x over the constraints with x >= 0."""
+    if len(objective) != num_vars:
+        raise ValueError("objective length must match num_vars")
+    slack_count = sum(1 for _, rel, _ in constraints if rel != "==")
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    slack_at = 0
+    for coeffs, rel, b in constraints:
+        if len(coeffs) != num_vars:
+            raise ValueError("constraint length must match num_vars")
+        row = [Fraction(v) for v in coeffs] + [_ZERO] * slack_count
+        if rel == "<=":
+            row[num_vars + slack_at] = _ONE
+            slack_at += 1
+        elif rel == ">=":
+            row[num_vars + slack_at] = -_ONE
+            slack_at += 1
+        elif rel != "==":
+            raise ValueError(f"unknown relation: {rel!r}")
+        rows.append(row)
+        rhs.append(Fraction(b))
+
+    m = len(rows)
+    for i in range(m):
+        if rhs[i] < 0:
+            rows[i] = [-v for v in rows[i]]
+            rhs[i] = -rhs[i]
+
+    # one artificial per row keeps the setup uniform; phase 1 removes them
+    n_real = num_vars + slack_count
+    total = n_real + m
+    for i, row in enumerate(rows):
+        row.extend(_ONE if k == i else _ZERO for k in range(m))
+        row.append(rhs[i])
+    basis = [n_real + i for i in range(m)]
+
+    z = [_ONE if j >= n_real else _ZERO for j in range(total)] + [_ZERO]
+    for row in rows:
+        for j, v in enumerate(row):
+            z[j] -= v
+    _iterate(rows, z, basis, total)
+    if -z[total] > 0:
+        return INFEASIBLE, None
+
+    # drive leftover artificials out of the basis; drop redundant rows
+    i = 0
+    while i < len(rows):
+        if basis[i] >= n_real:
+            col = next((j for j in range(n_real) if rows[i][j] != 0), None)
+            if col is None:
+                del rows[i]
+                del basis[i]
+                continue
+            _pivot(rows, None, basis, i, col)
+        i += 1
+    rows = [row[:n_real] + [row[total]] for row in rows]
+
+    z = [Fraction(v) for v in objective] + [_ZERO] * slack_count + [_ZERO]
+    for i, row in enumerate(rows):
+        b = basis[i]
+        cost = Fraction(objective[b]) if b < num_vars else _ZERO
+        if cost != 0:
+            for j, v in enumerate(row):
+                z[j] -= cost * v
+    status = _iterate(rows, z, basis, n_real)
+    if status == UNBOUNDED:
+        return UNBOUNDED, None
+    x = [_ZERO] * num_vars
+    for i, b in enumerate(basis):
+        if b < num_vars:
+            x[b] = rows[i][n_real]
+    return OPTIMAL, x

@@ -60,6 +60,17 @@ def test_positive_margin(toy):
         find_cw_weights(mat, margin=-1)
 
 
+def test_margin_zero_asks_only_for_a_weak_win():
+    # two identical systems: no rival beats a, but a beats no rival either
+    lb = vb.Leaderboard.from_scores(
+        {"a": {"t1": 1.0, "t2": 1.0}, "b": {"t1": 1.0, "t2": 1.0}}, tasks=["t1", "t2"]
+    )
+    mat = build_dominance_matrix(lb, "a")
+    weak = find_cw_weights(mat)
+    assert (weak.status, weak.witness) == ("prospective", (F(1), F(0)))
+    assert find_cw_weights(mat, margin=F(1, 100)).status == "non_prospective"
+
+
 def test_strictly_dominated_never_prospective():
     lb = vb.Leaderboard.from_scores(
         {"a": {"t1": 1.0, "t2": 1.0}, "b": {"t1": 2.0, "t2": 2.0}},

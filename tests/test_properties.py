@@ -10,6 +10,11 @@ The score baselines never reshuffle the systems already present when one
 more is added, so their spoiler count is exactly zero on any complete
 board, and Spearman rho ignores a common positive rescaling of both rank
 vectors.
+
+Whether task weights can make a system a weak Condorcet winner does not
+depend on the order or the repetition of its rival rows, nor on the order
+of the tasks when their bounds move with them, and every witness returned
+holds exactly.
 """
 
 import json
@@ -172,4 +177,48 @@ def test_rho_ignores_a_common_positive_scale(pairs, q):
     y = [b for _, b in pairs]
     assert vb.rho_from_rank_vectors([v * q for v in x], [v * q for v in y]) == (
         vb.rho_from_rank_vectors(x, y)
+    )
+
+
+@st.composite
+def cw_problems(draw):
+    """1-6 rival rows over 1-4 tasks, per-task bounds and a margin."""
+    t = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(*[st.sampled_from((-1, 0, 1))] * t), min_size=1, max_size=6))
+    lower = draw(st.lists(st.sampled_from([None, 0, F(1, 10), F(1, 4)]), min_size=t, max_size=t))
+    upper = draw(st.lists(st.sampled_from([None, F(1, 4), F(1, 2), 1]), min_size=t, max_size=t))
+    margin = draw(st.sampled_from([0, F(1, 100), F(1, 7)]))
+    return rows, lower, upper, margin
+
+
+def cw_status(rows, lower, upper, margin):
+    """find_cw_weights' status, after checking its witness against the rows."""
+    matrix = vb.DominanceMatrix(
+        "m", tuple([f"r{i}" for i in range(len(rows))]), tuple([f"t{j}" for j in range(len(lower))]),
+        tuple(rows),
+    )
+    try:
+        res = vb.find_cw_weights(matrix, lower_bounds=lower, upper_bounds=upper, margin=margin)
+    except vb.InfeasibleBounds:
+        return "contradictory bounds"
+    if res.witness is not None:
+        w = res.witness
+        assert sum(w) == 1
+        for v, lo, up in zip(w, lower, upper):
+            assert v >= (lo or 0) and (up is None or v <= up)
+        totals = [sum(c * v for c, v in zip(row, w)) for row in rows]
+        assert all(total >= margin for total in totals)
+        assert res.active_constraints == tuple(i for i, total in enumerate(totals) if total == margin)
+    return res.status
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(problem=cw_problems(), data=st.data())
+def test_cw_status_ignores_rival_and_task_order(problem, data):
+    rows, lower, upper, margin = problem
+    rivals = data.draw(st.permutations(rows)) + [data.draw(st.sampled_from(rows))]
+    order = data.draw(st.permutations(range(len(lower))))
+    moved = [tuple([row[j] for j in order]) for row in rivals]
+    assert cw_status(moved, [lower[j] for j in order], [upper[j] for j in order], margin) == (
+        cw_status(rows, lower, upper, margin)
     )
