@@ -9,6 +9,7 @@ or malformed files), 2 a requested operation is incompatible with the data
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Sequence
@@ -48,7 +49,9 @@ def _add_format_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parse_args leaves it unchanged."""
     parser = _Parser(prog="voteboard", description="Rank systems on a leaderboard.")
     sub = parser.add_subparsers(dest="command", required=True)
 

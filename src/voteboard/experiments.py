@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
@@ -128,18 +128,21 @@ def _tie_order(outcome: RuleOutcome, systems: frozenset[str]) -> list[frozenset[
 def _impute_medians(
     corrupted: Leaderboard, deleted: Sequence[tuple[str, str]]
 ) -> Leaderboard:
-    by_task: dict[str, list[str]] = {}
+    """The corrupted board with each deleted cell set to its task's median.
+
+    Each median is taken once over the cells the corrupted board still holds
+    and written into one copy of the rows, so the trial builds one board.
+    """
+    rows = [list(row) for row in corrupted.scores]
+    medians: dict[int, float] = {}
     for system, task in deleted:
-        by_task.setdefault(task, []).append(system)
-    board = corrupted
-    for task, systems in by_task.items():
         j = corrupted.tasks.index(task)
-        remaining = [row[j] for row in corrupted.scores if row[j] is not None]
-        # a column emptied entirely becomes constant, hence uninformative
-        value = statistics.median(remaining) if remaining else 0.0
-        for system in systems:
-            board = board.with_score(system, task, value)
-    return board
+        if j not in medians:
+            remaining = [row[j] for row in corrupted.scores if row[j] is not None]
+            # a column emptied entirely becomes constant, hence uninformative
+            medians[j] = float(statistics.median(remaining)) if remaining else 0.0
+        rows[corrupted.systems.index(system)][j] = medians[j]
+    return replace(corrupted, scores=tuple([tuple(row) for row in rows]))
 
 
 def robustness_experiment(

@@ -128,7 +128,7 @@ def load_leaderboard(
         for task, value in mapping.items():
             try:
                 weights[task] = as_fraction(value)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"{weights_path}: bad weight for {task!r}") from exc
 
     try:

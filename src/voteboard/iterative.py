@@ -5,7 +5,7 @@ re-rank the rest, and repeat. If a round would eliminate everyone, the
 survivors stop as one tie group instead. The final ranking reads the
 elimination order backwards, best group first.
 
-Every rule here reads the profile's RankTable once per call. threshold,
+Every rule here reads the RankTable that run_rule builds. threshold,
 hare and coombs take the survivors' place masses; baldwin, nanson and black
 take Borda scores from the pairwise counts, where dropping a system deletes
 its column. Both kernels sum integers in LCM-scaled weight units, and
@@ -21,8 +21,8 @@ from fractions import Fraction
 from typing import Any, Callable, Mapping
 
 from .majority import condorcet_winner, majority_graph_from_table
-from .model import RankProfile, RankTable, group_by_score
-from .modes import Rule, RuleParts
+from .model import RankTable, RuleOutcome, group_by_score
+from .modes import Rule
 from .scoring import ScoringVector
 
 
@@ -75,8 +75,7 @@ def _threshold_winner(
     return pool, stages
 
 
-def _threshold_run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RuleParts:
-    table = RankTable.of(profile, weights)
+def _threshold_run(table: RankTable) -> RuleOutcome:
     names = table.systems
     remaining = list(range(len(names)))
     groups: list[frozenset[str]] = []
@@ -92,7 +91,7 @@ def _threshold_run(profile: RankProfile, weights: Mapping[str, Fraction]) -> Rul
         "repetitions": repetitions,
         "first_round_scores": dict(first[0]["scores"]) if first else None,
     }
-    return RuleParts(ranking=tuple(groups), diagnostics=diagnostics)
+    return RuleOutcome(ranking=tuple(groups), diagnostics=diagnostics)
 
 
 # -- elimination rules ------------------------------------------------------
@@ -103,10 +102,10 @@ def _finish(
     tiers: list[frozenset[str]],
     rounds: list[EliminationRound],
     extra: Mapping[str, Any] | None = None,
-) -> RuleParts:
+) -> RuleOutcome:
     ranking = (frozenset(survivors), *reversed(tiers))
     diagnostics = {"trace": EliminationTrace(tuple(rounds)), **(extra or {})}
-    return RuleParts(ranking=ranking, diagnostics=diagnostics)
+    return RuleOutcome(ranking=ranking, diagnostics=diagnostics)
 
 
 def _net_wins(counts: tuple[tuple[int, ...], ...]) -> dict[int, int]:
@@ -136,8 +135,7 @@ def _doubled_borda(net: dict[int, int], total: int) -> dict[int, int]:
 def _borda_elimination(losers: Callable[[dict[int, int]], list[int]]):
     """A rule that drops losers(scores) from the survivors until it names nobody."""
 
-    def run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RuleParts:
-        table = RankTable.of(profile, weights)
+    def run(table: RankTable) -> RuleOutcome:
         names = table.systems
         counts = table.pairwise()
         net = _net_wins(counts)
@@ -181,8 +179,7 @@ def _mass_elimination(from_last: bool):
     and stops as soon as one survivor holds a strict first-place majority.
     """
 
-    def run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RuleParts:
-        table = RankTable.of(profile, weights)
+    def run(table: RankTable) -> RuleOutcome:
         names = table.systems
         unit = table.mass_unit
         total = table.total * (unit // table.scale)
@@ -217,8 +214,7 @@ def _mass_elimination(from_last: bool):
     return run
 
 
-def _black_run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RuleParts:
-    table = RankTable.of(profile, weights)
+def _black_run(table: RankTable) -> RuleOutcome:
     graph = majority_graph_from_table(table)
     winner = condorcet_winner(graph)
     names = table.systems
@@ -226,7 +222,7 @@ def _black_run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RulePar
     borda_groups = group_by_score({names[a]: x for a, x in doubled.items()})
     scores = {names[a]: Fraction(x, 2 * table.scale) for a, x in doubled.items()}
     if winner is None:
-        return RuleParts(
+        return RuleOutcome(
             ranking=borda_groups,
             scores=scores,
             diagnostics={"path": "borda", "condorcet_winner": None},
@@ -234,7 +230,7 @@ def _black_run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RulePar
     trimmed = tuple(
         g for g in (group - {winner} for group in borda_groups) if g
     )
-    return RuleParts(
+    return RuleOutcome(
         ranking=(frozenset({winner}), *trimmed),
         scores=scores,
         diagnostics={"path": "condorcet", "condorcet_winner": winner},

@@ -20,8 +20,8 @@ from itertools import combinations
 from typing import Callable, Mapping
 
 from .errors import SearchTooLarge
-from .model import Leaderboard, RankProfile, RankTable, build_profile, group_by_score
-from .modes import Rule, RuleParts, base_weights
+from .model import Leaderboard, RankTable, RuleOutcome, build_profile, group_by_score
+from .modes import Rule, base_weights
 
 COPELAND_VARIANTS = ("I", "II", "III")
 
@@ -93,16 +93,10 @@ def majority_graph_from_table(table: RankTable) -> MajorityGraph:
     return MajorityGraph(table.systems, table.pairwise(), table.scale)
 
 
-def majority_graph_from_profile(
-    profile: RankProfile,
-    weights: Mapping[str, int | float | Fraction | str] | None = None,
-) -> MajorityGraph:
-    return majority_graph_from_table(RankTable.of(profile, weights))
-
-
 def build_majority_graph(lb: Leaderboard) -> MajorityGraph:
     """Majority graph of a leaderboard, tolerating missing cells."""
-    return majority_graph_from_profile(build_profile(lb, missing_ok=True), base_weights(lb))
+    table = RankTable.of(build_profile(lb, missing_ok=True), base_weights(lb))
+    return majority_graph_from_table(table)
 
 
 def condorcet_winner(graph: MajorityGraph) -> str | None:
@@ -259,18 +253,16 @@ def minimal_weakly_stable_set(graph: MajorityGraph) -> frozenset[str]:
 # -- registry wiring ------------------------------------------------------
 
 
-def _condorcet_run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RuleParts:
-    graph = majority_graph_from_profile(profile, weights)
-    winner = condorcet_winner(graph)
+def _condorcet_run(table: RankTable) -> RuleOutcome:
+    winner = condorcet_winner(majority_graph_from_table(table))
     if winner is None:
-        return RuleParts(
-            ranking=(),
-            unranked=frozenset(profile.systems),
+        return RuleOutcome(
+            unranked=frozenset(table.systems),
             diagnostics={"condorcet_winner": None},
         )
-    return RuleParts(
+    return RuleOutcome(
         ranking=(frozenset({winner}),),
-        unranked=frozenset(m for m in profile.systems if m != winner),
+        unranked=frozenset(m for m in table.systems if m != winner),
         diagnostics={"condorcet_winner": winner},
     )
 
@@ -279,9 +271,9 @@ def _copeland_run(variant: str):
     # copeland3 counts losses, so fewer is better
     ascending = variant == "III"
 
-    def run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RuleParts:
-        scores = copeland_scores(majority_graph_from_profile(profile, weights), variant)
-        return RuleParts(
+    def run(table: RankTable) -> RuleOutcome:
+        scores = copeland_scores(majority_graph_from_table(table), variant)
+        return RuleOutcome(
             ranking=group_by_score(scores, ascending=ascending),
             scores=scores,
             diagnostics={"score_order": "ascending" if ascending else "descending"},
@@ -290,18 +282,17 @@ def _copeland_run(variant: str):
     return run
 
 
-def _minimax_run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RuleParts:
-    scores = minimax_scores(majority_graph_from_profile(profile, weights))
-    return RuleParts(ranking=group_by_score(scores), scores=scores)
+def _minimax_run(table: RankTable) -> RuleOutcome:
+    scores = minimax_scores(majority_graph_from_table(table))
+    return RuleOutcome(ranking=group_by_score(scores), scores=scores)
 
 
 def _set_rule_run(chooser: Callable[[MajorityGraph], frozenset[str]]):
-    def run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RuleParts:
-        graph = majority_graph_from_profile(profile, weights)
-        winners = chooser(graph)
-        return RuleParts(
+    def run(table: RankTable) -> RuleOutcome:
+        winners = chooser(majority_graph_from_table(table))
+        return RuleOutcome(
             ranking=(winners,),
-            unranked=frozenset(m for m in profile.systems if m not in winners),
+            unranked=frozenset(m for m in table.systems if m not in winners),
         )
 
     return run

@@ -37,22 +37,22 @@ from .model import (
     group_by_score,
     integer_weights,
 )
-from .modes import Rule, RuleParts
+from .modes import Rule
 
 TOP = "top"
 LEAST = "least"
 
 
-def _mean_run(lb: Leaderboard, weights: Mapping[str, Fraction]) -> RuleParts:
+def _mean_run(lb: Leaderboard, weights: Mapping[str, Fraction]) -> RuleOutcome:
     cells, den = exact_cells(lb)
     wts, _ = integer_weights(lb.tasks, weights)
     sums = {system: sum(map(mul, wts, row)) for system, row in zip(lb.systems, cells)}
     total = den * sum(wts)
     scores = {system: Fraction(s, total) for system, s in sums.items()}
-    return RuleParts(ranking=group_by_score(sums), scores=scores)
+    return RuleOutcome(ranking=group_by_score(sums), scores=scores)
 
 
-def _gmean_run(lb: Leaderboard, weights: Mapping[str, Fraction]) -> RuleParts:
+def _gmean_run(lb: Leaderboard, weights: Mapping[str, Fraction]) -> RuleOutcome:
     cells, _ = exact_cells(lb)
     # integer exponents: ranking by prod(cell^n_j) equals ranking by the
     # geometric mean, and the common denominator^sum(n_j) divides out
@@ -73,7 +73,7 @@ def _gmean_run(lb: Leaderboard, weights: Mapping[str, Fraction]) -> RuleParts:
         products[system] = prod
         # fsum is correctly rounded, so the report does not depend on task order
         display[system] = math.exp(math.fsum(terms) / n_total)
-    return RuleParts(ranking=group_by_score(products), scores=display)
+    return RuleOutcome(ranking=group_by_score(products), scores=display)
 
 
 def _og_run(
@@ -81,9 +81,12 @@ def _og_run(
     weights: Mapping[str, Fraction],
     *,
     gamma: int | float | Fraction | str = 0.95,
-) -> RuleParts:
+) -> RuleOutcome:
     cells, den = exact_cells(lb)
-    g = as_fraction(gamma)
+    try:
+        g = as_fraction(gamma)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InvalidParameter(f"bad gamma: {exc}") from None
     wts, _ = integer_weights(lb.tasks, weights)
     # over den * g.denominator, gamma is g.numerator * den and a cell c * g.denominator
     top = g.numerator * den
@@ -100,7 +103,7 @@ def _og_run(
         sums[system] = acc
     total = den * g.denominator * sum(wts)
     scores = {system: Fraction(s, total) for system, s in sums.items()}
-    return RuleParts(
+    return RuleOutcome(
         ranking=group_by_score(sums, ascending=True),
         scores=scores,
         diagnostics={"gamma": g, "score_order": "ascending"},

@@ -384,13 +384,14 @@ def build_profile(
 class RankTable:
     """A RankProfile's orders with integer task weights, built once per rule call.
 
-    orders are the profile's. weights[t] is the task weight times scale, the
-    LCM of the weight denominators, so the kernels below sum integers.
-    Callers turn their results into Fractions once, where the outcome is
-    packaged.
+    systems, tasks and orders are the profile's. weights[t] is the task
+    weight times scale, the LCM of the weight denominators, so the kernels
+    below sum integers. Callers turn their results into Fractions once,
+    where the outcome is packaged.
     """
 
     systems: tuple[str, ...]
+    tasks: tuple[str, ...]
     orders: tuple[tuple[tuple[int, ...], ...], ...]
     weights: tuple[int, ...]
     scale: int
@@ -402,7 +403,7 @@ class RankTable:
         weights: Mapping[str, int | float | Fraction | str] | None = None,
     ) -> "RankTable":
         scaled, scale = integer_weights(profile.tasks, weights)
-        return cls(profile.systems, profile.orders, scaled, scale)
+        return cls(profile.systems, profile.tasks, profile.orders, scaled, scale)
 
     @property
     def total(self) -> int:
@@ -525,12 +526,13 @@ class RuleOutcome:
     ranking holds disjoint nonempty tie groups, best first. Rules that only
     produce a winning set put it in ranking[0] and list everything else in
     unranked. scores, when present, maps each ranked system to the value the
-    rule ordered by (exact rationals where the rule allows it).
+    rule ordered by (exact rationals where the rule allows it). A rule's
+    runner leaves rule_id and mode empty; run_rule stamps them.
     """
 
-    rule_id: str
-    mode: str
-    ranking: tuple[frozenset[str], ...]
+    rule_id: str = ""
+    mode: str = ""
+    ranking: tuple[frozenset[str], ...] = ()
     scores: Mapping[str, Fraction] | None = None
     unranked: frozenset[str] = frozenset()
     diagnostics: Mapping[str, Any] = field(default_factory=dict)

@@ -6,23 +6,24 @@ two_step runs the rule inside each group to get an interim ranking, then
 treats each group as a single voter whose ballot is that ranking, a tie
 order over the systems, and applies the rule once more. Both grouped modes
 require a grouping that covers every task.
+
+The runner contract: a profile rule is called as profile_run(table,
+**params) on the RankTable run_rule builds once from the board's profile and
+the mode's weights; a score rule as score_run(lb, weights, **params). Both
+return a RuleOutcome with rule_id and mode left empty, and run_rule stamps
+them once.
 """
 
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 from .errors import InvalidParameter, MissingGroups, RuleUnsupportedForMode, UnknownRule
-from .model import (
-    Leaderboard,
-    RankProfile,
-    RuleOutcome,
-    build_profile,
-)
+from .model import Leaderboard, RankTable, RuleOutcome, build_profile
 
 BASIC = "basic"
 WEIGHTED = "weighted"
@@ -31,29 +32,20 @@ MODES = (BASIC, WEIGHTED, TWO_STEP)
 
 
 @dataclass(frozen=True)
-class RuleParts:
-    """What a rule engine returns before mode/outcome packaging."""
-
-    ranking: tuple[frozenset[str], ...]
-    scores: Mapping[str, Fraction] | None = None
-    unranked: frozenset[str] = frozenset()
-    diagnostics: Mapping[str, Any] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class Rule:
     """A registered rule.
 
-    profile_run consumes (profile, weights, **params); score_run consumes
-    (leaderboard, weights, **params) for aggregators that need raw scores.
+    profile_run(table, **params) -> RuleOutcome reads the RankTable of the
+    board's profile and the mode's weights; score_run(lb, weights, **params)
+    -> RuleOutcome reads the raw scores, for aggregators that need them.
     elector marks rules whose full output is a total preorder, the only kind
     that can vote in the second step of two_step. The keyword-only
     parameters of the runner are the only params the rule accepts.
     """
 
     rule_id: str
-    profile_run: Callable[..., RuleParts] | None = None
-    score_run: Callable[..., RuleParts] | None = None
+    profile_run: Callable[..., RuleOutcome] | None = None
+    score_run: Callable[..., RuleOutcome] | None = None
     handles_missing: bool = False
     elector: bool = True
 
@@ -92,7 +84,7 @@ def group_weights(lb: Leaderboard) -> dict[str, Fraction]:
 
 
 def run_rule(lb: Leaderboard, rule: Rule, mode: str = BASIC, **params: Any) -> RuleOutcome:
-    """Apply a rule under a mode and package the outcome."""
+    """Apply a rule under a mode and stamp the outcome with the rule and mode."""
     if mode not in MODES:
         raise UnknownRule(f"unknown mode: {mode!r}")
     stray = params.keys() - rule.params
@@ -101,24 +93,22 @@ def run_rule(lb: Leaderboard, rule: Rule, mode: str = BASIC, **params: Any) -> R
             f"rule {rule.rule_id!r} takes no parameter {', '.join(sorted(stray))}"
         )
     if mode == TWO_STEP:
-        return _run_two_step(lb, rule, **params)
+        outcome, electors = _run_two_step(lb, rule, **params)
+        return replace(outcome, rule_id=rule.rule_id, mode=mode,
+                       diagnostics={**outcome.diagnostics, "electors": electors})
     weights = base_weights(lb) if mode == BASIC else group_weights(lb)
     if rule.score_run is not None:
-        parts = rule.score_run(lb, weights, **params)
+        outcome = rule.score_run(lb, weights, **params)
     else:
-        profile = build_profile(lb, missing_ok=rule.handles_missing)
-        parts = rule.profile_run(profile, weights, **params)
-    return RuleOutcome(
-        rule_id=rule.rule_id,
-        mode=mode,
-        ranking=parts.ranking,
-        scores=parts.scores,
-        unranked=parts.unranked,
-        diagnostics=parts.diagnostics,
-    )
+        table = RankTable.of(build_profile(lb, missing_ok=rule.handles_missing), weights)
+        outcome = rule.profile_run(table, **params)
+    return replace(outcome, rule_id=rule.rule_id, mode=mode)
 
 
-def _run_two_step(lb: Leaderboard, rule: Rule, **params: Any) -> RuleOutcome:
+def _run_two_step(
+    lb: Leaderboard, rule: Rule, **params: Any
+) -> tuple[RuleOutcome, dict[str, list[list[str]]]]:
+    """The second-step outcome, and each group's ranking as its elector ballot."""
     if rule.score_run is not None:
         raise RuleUnsupportedForMode(
             f"rule {rule.rule_id!r} aggregates raw scores and has no second-step ballot form"
@@ -134,29 +124,21 @@ def _run_two_step(lb: Leaderboard, rule: Rule, **params: Any) -> RuleOutcome:
     orders = []
     for name, members in groups:
         profile = build_profile(lb, members, missing_ok=rule.handles_missing)
-        parts = rule.profile_run(profile, {t: weights[t] for t in members}, **params)
-        if parts.unranked:
+        outcome = rule.profile_run(RankTable.of(profile, weights), **params)
+        if outcome.unranked:
             raise RuleUnsupportedForMode(
                 f"rule {rule.rule_id!r} left systems unranked inside group {name!r}"
             )
-        electors[name] = [sorted(group) for group in parts.ranking]
+        electors[name] = [sorted(group) for group in outcome.ranking]
         orders.append(tuple([
-            tuple(sorted([index[m] for m in group])) for group in parts.ranking
+            tuple(sorted([index[m] for m in group])) for group in outcome.ranking
         ]))
-    synthetic = RankProfile(
+    # every group votes with unit weight
+    table = RankTable(
         systems=lb.systems,
         tasks=tuple([name for name, _ in groups]),
         orders=tuple(orders),
+        weights=(1,) * len(groups),
+        scale=1,
     )
-    unit = {name: Fraction(1) for name, _ in groups}
-    parts = rule.profile_run(synthetic, unit, **params)
-    diagnostics = dict(parts.diagnostics)
-    diagnostics["electors"] = electors
-    return RuleOutcome(
-        rule_id=rule.rule_id,
-        mode=TWO_STEP,
-        ranking=parts.ranking,
-        scores=parts.scores,
-        unranked=parts.unranked,
-        diagnostics=diagnostics,
-    )
+    return rule.profile_run(table, **params), electors

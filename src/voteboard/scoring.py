@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InvalidParameter, MissingScore, VectorLengthMismatch
-from .model import RankProfile, RankTable, as_fraction, group_by_score
-from .modes import Rule, RuleParts
+from .model import RankProfile, RankTable, RuleOutcome, as_fraction, group_by_score
+from .modes import Rule
 
 
 @dataclass(frozen=True)
@@ -88,23 +88,18 @@ class ScoringVector:
         return vec
 
 
-def _integer_totals(
-    profile: RankProfile,
-    vector: ScoringVector,
-    weights: Mapping[str, int | float | Fraction | str] | None,
-) -> tuple[dict[str, int], int]:
+def _integer_totals(table: RankTable, vector: ScoringVector) -> tuple[dict[str, int], int]:
     """Per-system totals as integers, and the denominator they share.
 
     A tie group of size g adds w / g times the scaled entries it spans, a
     whole number since mass_unit / scale is divisible by every group size.
     """
-    n = len(profile.systems)
+    n = len(table.systems)
     if len(vector) != n:
         raise VectorLengthMismatch(f"vector has {len(vector)} entries for {n} systems")
-    for task, groups in zip(profile.tasks, profile.orders):
+    for task, groups in zip(table.tasks, table.orders):
         if sum(map(len, groups)) != n:
             raise MissingScore(f"task {task!r} does not rank every system")
-    table = RankTable.of(profile, weights)
     lcm = math.lcm(*{e.denominator for e in vector.entries})
     prefix = [0]
     for e in vector.entries:
@@ -119,7 +114,7 @@ def _integer_totals(
             for a in group:
                 totals[a] += share
             place += len(group)
-    return dict(zip(profile.systems, totals)), table.mass_unit * lcm
+    return dict(zip(table.systems, totals)), table.mass_unit * lcm
 
 
 def score_with_vector(
@@ -128,17 +123,13 @@ def score_with_vector(
     weights: Mapping[str, int | float | Fraction | str] | None = None,
 ) -> dict[str, Fraction]:
     """Exact per-system totals for one vector over a complete profile."""
-    totals, unit = _integer_totals(profile, vector, weights)
+    totals, unit = _integer_totals(RankTable.of(profile, weights), vector)
     return {m: Fraction(x, unit) for m, x in totals.items()}
 
 
-def _parts_for_vector(
-    profile: RankProfile,
-    weights: Mapping[str, Fraction],
-    vector: ScoringVector,
-) -> RuleParts:
-    totals, unit = _integer_totals(profile, vector, weights)
-    return RuleParts(
+def _outcome_for_vector(table: RankTable, vector: ScoringVector) -> RuleOutcome:
+    totals, unit = _integer_totals(table, vector)
+    return RuleOutcome(
         ranking=group_by_score(totals),
         scores={m: Fraction(x, unit) for m, x in totals.items()},
         diagnostics={"vector": vector.entries},
@@ -146,23 +137,22 @@ def _parts_for_vector(
 
 
 def _named(rule_id: str, factory) -> Rule:
-    def run(profile: RankProfile, weights: Mapping[str, Fraction]) -> RuleParts:
-        return _parts_for_vector(profile, weights, factory(len(profile.systems)))
+    def run(table: RankTable) -> RuleOutcome:
+        return _outcome_for_vector(table, factory(len(table.systems)))
 
     return Rule(rule_id, profile_run=run)
 
 
 def _custom_run(
-    profile: RankProfile,
-    weights: Mapping[str, Fraction],
+    table: RankTable,
     *,
     vector: ScoringVector | Sequence[int | float | Fraction | str] | None = None,
-) -> RuleParts:
+) -> RuleOutcome:
     if vector is None:
         raise InvalidParameter("custom scoring needs a vector")
     if not isinstance(vector, ScoringVector):
         vector = ScoringVector.custom(vector)
-    return _parts_for_vector(profile, weights, vector)
+    return _outcome_for_vector(table, vector)
 
 
 RULES: dict[str, Rule] = {

@@ -9,13 +9,16 @@ they stood before the rules moved to integer tie orders and RankTable. They
 re-rank and re-score the profile with Fractions at every step, so they are
 slow; tests compare the library against them on boards larger than the
 oracle's. Only data types and unchanged helpers come from
-the library.
+the library. Its rule runners take (profile, weights) and return the
+RuleParts defined here, which its own run_rule packages into a RuleOutcome.
 
 The score baselines (mean, gmean, optimality_gap) summing Fractions cell by
 cell, the Fraction Spearman rho, and the spoiler loop that compares
 pair_relations of the present systems follow, as they stood before those
 moved to integers over one common denominator. The spoiler loop runs the
-library's rules: only its check is the reference.
+library's rules: only its check is the reference. After it comes the
+robustness experiment's median imputation, which rebuilt the board once per
+deleted cell.
 
 Last comes the two-phase simplex that pivoted a dense tableau of Fractions,
 as it stood before linprog moved to fraction-free integer pivots; the
@@ -25,7 +28,8 @@ status strings come from the library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import statistics
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -53,7 +57,6 @@ from voteboard.modes import (
     MODES,
     TWO_STEP,
     Rule,
-    RuleParts,
     _covering_groups,
     base_weights,
     group_weights,
@@ -180,6 +183,16 @@ def group_by_score(
 
 
 # -- modes ------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RuleParts:
+    """What a rule engine returns before mode/outcome packaging."""
+
+    ranking: tuple[frozenset[str], ...]
+    scores: Mapping[str, Fraction] | None = None
+    unranked: frozenset[str] = frozenset()
+    diagnostics: Mapping[str, Any] = field(default_factory=dict)
 
 
 def run_rule(lb: Leaderboard, rule: Rule, mode: str = BASIC, **params: Any) -> RuleOutcome:
@@ -1020,6 +1033,21 @@ def iia_experiment(
             prev = out
         counts.append(float(changed))
     return _report("iia", cfg, {rule: counts})
+
+
+def impute_medians(corrupted: Leaderboard, deleted: Sequence[tuple[str, str]]) -> Leaderboard:
+    """robustness_experiment's imputation, rebuilding the board once per deleted cell."""
+    by_task: dict[str, list[str]] = {}
+    for system, task in deleted:
+        by_task.setdefault(task, []).append(system)
+    board = corrupted
+    for task, systems in by_task.items():
+        j = corrupted.tasks.index(task)
+        remaining = [row[j] for row in corrupted.scores if row[j] is not None]
+        value = statistics.median(remaining) if remaining else 0.0
+        for system in systems:
+            board = board.with_score(system, task, value)
+    return board
 
 
 # -- exact simplex --------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 import voteboard as vb
 from voteboard import ParseError
-from voteboard.cli import main
+from voteboard.cli import build_parser, main
 from voteboard.io import (
     load_leaderboard,
     outcome_from_dict,
@@ -123,6 +123,18 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_parser_is_built_once_and_survives_a_usage_error(full_csv, capsys):
+    assert build_parser() is build_parser()
+    request = ["rank", "--input", str(full_csv), "--rule", "copeland", "--format", "json"]
+    code, before, _ = run_cli(request, capsys)
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["rank", "--input", str(full_csv), "--rule", "borda", "--gamma", "x"])
+    assert exc.value.code == 1
+    capsys.readouterr()
+    assert run_cli(request, capsys) == (0, before, "")
 
 
 def test_cli_rank_table(full_csv, capsys):
@@ -246,6 +258,7 @@ FAILURE_FILES = {
     "ragged": "system,t1,t2\nalpha,1\n",
     "zero": "system,t1\nalpha,0\nbeta,1\n",
     "groups": json.dumps({"t1": "g", "t2": "g", "t3": "h"}),
+    "zero_weight": json.dumps({"t1": "1/0"}),
     "cycle19": cyclic_csv(19),
 }
 FAILURES = [
@@ -259,6 +272,12 @@ FAILURES = [
     ("custom without a vector", ["rank", "-i", "{full}", "--rule", "custom"], 2),
     ("gmean on a zero score", ["rank", "-i", "{zero}", "--rule", "gmean"], 2),
     ("optimality gap out of range", ["rank", "-i", "{full}", "--rule", "optimality_gap"], 2),
+    ("optimality gap with gamma nan",
+     ["rank", "-i", "{full}", "--rule", "optimality_gap", "--gamma", "nan"], 2),
+    ("iia optimality gap with gamma inf",
+     ["experiment", "iia", "-i", "{full}", "--rule", "optimality_gap", "--gamma", "inf"], 2),
+    ("sidecar weight with a zero denominator",
+     ["rank", "-i", "{full}", "--weights", "{zero_weight}", "--rule", "borda"], 1),
     ("compare top-k 0",
      ["compare", "-i", "{full}", "--rules", "borda", "mean", "--top-k", "0"], 2),
     ("cw unknown system", ["cw-weights", "-i", "{full}", "--system", "nosuch"], 2),

@@ -15,7 +15,9 @@ held to the same standard on the same ladder with its levels mapped to
 many-decimal and extreme cells, and on boards built directly with int and
 Fraction cells; a refusal must match the reference's type and message.
 Spearman rho must return the same float, and the spoiler experiment the
-same report as the loop that compared pair_relations.
+same report as the loop that compared pair_relations. The robustness
+experiment's median imputation must build the same board as the loop that
+rebuilt it once per deleted cell, on the ladder boards with holes.
 """
 
 import random
@@ -25,6 +27,7 @@ import pytest
 
 import voteboard as vb
 from voteboard.errors import RuleUnsupportedForMode, VoteboardError
+from voteboard.experiments import _impute_medians as impute_medians
 from voteboard.modes import BASIC, TWO_STEP, WEIGHTED
 
 import reference
@@ -299,3 +302,25 @@ def test_iia_matches_reference_loop(n, t, seed):
             assert "unranked" in str(exc)
             continue
         assert vb.iia_experiment(lb, rule, cfg) == old, rule
+
+
+@pytest.mark.parametrize("n,t,seed", [
+    pytest.param(n, t, seed, id=f"{n}x{t}-{seed}")
+    for n, t, seeds, _, _ in LADDER
+    for seed in seeds
+])
+def test_median_imputation_matches_reference_loop(n, t, seed):
+    rng = random.Random(f"impute:{n}:{t}:{seed}")
+    holed = ladder_board(n, t, seed, holes=True)
+    ints = direct_board(n, t, seed, lambda k: 3 * k + 1)
+    for lb in (holed, ints.without_cells(set(ints.present_cells()) - set(holed.present_cells()))):
+        for omit in range(1, 6):
+            deleted = rng.sample(lb.present_cells(), omit)
+            corrupted = lb.without_cells(deleted)
+            # repr tells a float median from an int one
+            new = repr(impute_medians(corrupted, deleted))
+            assert new == repr(reference.impute_medians(corrupted, deleted)), omit
+    # a task that loses every cell is filled with 0.0
+    column = [(m, "t0") for m in holed.systems if holed.score(m, "t0") is not None]
+    emptied = holed.without_cells(column)
+    assert impute_medians(emptied, column) == reference.impute_medians(emptied, column)

@@ -1,8 +1,10 @@
-"""The README's command-line transcripts are what the CLI prints.
+"""The README's Quick start and command-line transcripts are what the code gives.
 
-The test reads the README's demo.csv block and every `$ voteboard ...`
-transcript after it, runs each command through cli.main on that file and
-compares its standard output with the transcript exactly.
+The Quick start block runs as written, and each expression with a trailing
+comment must have that comment as its repr. The test also reads the
+README's demo.csv block and every `$ voteboard ...` transcript after it,
+runs each command through cli.main on that file and compares its standard
+output with the transcript exactly.
 """
 
 import re
@@ -33,6 +35,7 @@ def transcripts(block):
 
 BLOCKS = code_blocks(README.read_text())
 DEMO_CSV = next(block for block in BLOCKS if block.startswith("system,"))
+QUICK_START = next(block for block in BLOCKS if block.startswith("import voteboard"))
 TRANSCRIPTS = [t for block in BLOCKS if block.startswith("$ voteboard") for t in transcripts(block)]
 
 
@@ -46,3 +49,16 @@ def test_readme_transcript(argv, expected, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_readme_quick_start():
+    namespace = {}
+    exec(QUICK_START, namespace)
+    checks = [
+        (code.strip(), comment.strip())
+        for code, _, comment in (line.partition("# ") for line in QUICK_START.splitlines())
+        if comment
+    ]
+    assert [expr for expr, _ in checks] == ["out.ranking", "out.winners", 'out.scores["apex"]']
+    for expr, shown in checks:
+        assert repr(eval(expr, namespace)) == shown, expr

@@ -63,6 +63,11 @@ BOARD_3 = vb.Leaderboard.from_scores(
     pytest.param("threshold", {"k": 1}, id="threshold with k"),
     pytest.param("mean", {"gamma": 0.9}, id="mean with gamma"),
     pytest.param("optimality_gap", {"vector": [2, 1, 0]}, id="optimality_gap with a vector"),
+    pytest.param("optimality_gap", {"gamma": "abc"}, id="gamma, not a number"),
+    pytest.param("optimality_gap", {"gamma": math.nan}, id="gamma, nan"),
+    pytest.param("optimality_gap", {"gamma": math.inf}, id="gamma, inf"),
+    pytest.param("optimality_gap", {"gamma": True}, id="gamma, boolean"),
+    pytest.param("optimality_gap", {"gamma": "1/0"}, id="gamma, zero denominator"),
 ])
 def test_bad_rule_parameters_are_invalid(rule, params):
     with pytest.raises(InvalidParameter):
