@@ -243,7 +243,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         )
         report = robustness_experiment(lb, list(args.rules), cfg, gamma=args.gamma)
     if args.format == "json":
-        sys.stdout.write(vio.to_json(vio.report_to_dict(report)))
+        sys.stdout.write(vio.to_json(report))
     else:
         print(f"{report.kind} experiment, seed={report.seed}, trials={report.trials}")
         print(vio.render_report_table(report))

@@ -61,6 +61,8 @@ def load_leaderboard(
             rows = [row for row in csv.reader(handle) if row and any(c.strip() for c in row)]
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except csv.Error as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     if not rows:
         raise ParseError(f"{path}: file is empty")
     header = [c.strip() for c in rows[0]]
@@ -156,10 +158,19 @@ def _load_json_mapping(path: str | Path) -> Mapping[str, Any]:
     return data
 
 
+def _as_float(value: Fraction | float) -> float:
+    # a score beyond the float range, as under a task weight of 1e400, rounds
+    # to an infinity, where float() would raise
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def jsonify(value: Any) -> Any:
     """Recursively convert package values into JSON-serializable ones."""
     if isinstance(value, Fraction):
-        return float(value)
+        return _as_float(value)
     if isinstance(value, (frozenset, set)):
         return sorted(value)
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
@@ -226,7 +237,7 @@ def to_json(payload: Any) -> str:
 def _fmt_score(value: Any) -> str:
     if value is None:
         return ""
-    return f"{float(value):.6g}"
+    return f"{_as_float(value):.6g}"
 
 
 def _arrow(delta: int) -> str:
@@ -273,18 +284,6 @@ def render_report_table(report: ExperimentReport) -> str:
         for name in report.series
     ]
     return _table(headers, rows)
-
-
-def report_to_dict(report: ExperimentReport) -> dict[str, Any]:
-    return {
-        "kind": report.kind,
-        "seed": report.seed,
-        "trials": report.trials,
-        "series": jsonify(dict(report.series)),
-        "mean": jsonify(dict(report.mean)),
-        "sd": jsonify(dict(report.sd)),
-        "params": jsonify(dict(report.params)),
-    }
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> str:

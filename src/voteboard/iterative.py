@@ -9,19 +9,20 @@ Every rule here reads the RankTable that run_rule builds. threshold,
 hare and coombs take the survivors' place masses; baldwin, nanson and black
 take Borda scores from the pairwise counts, where dropping a system deletes
 its column. Both kernels sum integers in LCM-scaled weight units, and
-scores become Fractions only when a round or the outcome is packaged.
+scores become Fractions only when a round or the outcome is packaged; black
+packages its Borda scores with model.ranked_by.
 
 Tuples are built from lists, for the reason the model module gives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Callable, Mapping
 
 from .majority import condorcet_winner, majority_graph_from_table
-from .model import RankTable, RuleOutcome, group_by_score
+from .model import RankTable, RuleOutcome, ranked_by
 from .modes import Rule
 from .scoring import ScoringVector
 
@@ -219,20 +220,17 @@ def _black_run(table: RankTable) -> RuleOutcome:
     winner = condorcet_winner(graph)
     names = table.systems
     doubled = _doubled_borda(_net_wins(graph.counts), table.total)
-    borda_groups = group_by_score({names[a]: x for a, x in doubled.items()})
-    scores = {names[a]: Fraction(x, 2 * table.scale) for a, x in doubled.items()}
-    if winner is None:
-        return RuleOutcome(
-            ranking=borda_groups,
-            scores=scores,
-            diagnostics={"path": "borda", "condorcet_winner": None},
-        )
-    trimmed = tuple(
-        g for g in (group - {winner} for group in borda_groups) if g
+    borda = ranked_by(
+        {names[a]: x for a, x in doubled.items()},
+        2 * table.scale,
+        diagnostics={"path": "borda", "condorcet_winner": None},
     )
-    return RuleOutcome(
+    if winner is None:
+        return borda
+    trimmed = [g for g in (group - {winner} for group in borda.ranking) if g]
+    return replace(
+        borda,
         ranking=(frozenset({winner}), *trimmed),
-        scores=scores,
         diagnostics={"path": "condorcet", "condorcet_winner": winner},
     )
 

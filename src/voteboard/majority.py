@@ -8,7 +8,9 @@ missing cells shrink the evidence for a pair instead of being imputed.
 The relation is held as one integer matrix of pairwise counts in
 LCM-scaled weight units (RankTable.pairwise). A margin or support becomes a
 Fraction only when read, and each system's dominated and dominator sets are
-computed once per graph from the integer rows.
+computed once per graph from the integer rows. The copeland rules and
+minimax hand integer scores to model.ranked_by; condorcet and the set rules
+hand their winners to model.chosen.
 """
 
 from __future__ import annotations
@@ -20,10 +22,8 @@ from itertools import combinations
 from typing import Callable, Mapping
 
 from .errors import SearchTooLarge
-from .model import Leaderboard, RankTable, RuleOutcome, build_profile, group_by_score
+from .model import Leaderboard, RankTable, RuleOutcome, build_profile, chosen, ranked_by
 from .modes import Rule, base_weights
-
-COPELAND_VARIANTS = ("I", "II", "III")
 
 # exhaustive weakly-stable search is exponential in the dominant component
 _WEAKLY_STABLE_LIMIT = 18
@@ -108,33 +108,6 @@ def condorcet_winner(graph: MajorityGraph) -> str | None:
     return None
 
 
-def copeland_scores(graph: MajorityGraph, variant: str = "I") -> dict[str, Fraction]:
-    if variant not in COPELAND_VARIANTS:
-        raise ValueError(f"variant must be one of {COPELAND_VARIANTS}")
-    scores: dict[str, Fraction] = {}
-    for m in graph.systems:
-        wins = len(graph.dominated(m))
-        losses = len(graph.dominators(m))
-        if variant == "I":
-            scores[m] = Fraction(wins - losses)
-        elif variant == "II":
-            scores[m] = Fraction(wins)
-        else:
-            scores[m] = Fraction(losses)
-    return scores
-
-
-def minimax_scores(graph: MajorityGraph) -> dict[str, Fraction]:
-    """0 for undefeated systems, else minus the strongest defeat's support."""
-    counts = graph.counts
-    scores: dict[str, Fraction] = {}
-    for i, m in enumerate(graph.systems):
-        # rival j defeats m when counts[j][i] > counts[i][j], with support counts[j][i]
-        defeats = [row[i] for row, lost in zip(counts, counts[i]) if row[i] > lost]
-        scores[m] = Fraction(-max(defeats, default=0), graph.scale)
-    return scores
-
-
 def _closure(seed: str, expand: Mapping[str, frozenset[str]]) -> frozenset[str]:
     seen = {seed}
     todo = [seed]
@@ -148,18 +121,17 @@ def _closure(seed: str, expand: Mapping[str, frozenset[str]]) -> frozenset[str]:
 def minimal_dominant_set(graph: MajorityGraph) -> frozenset[str]:
     """Smallest set whose members all beat every outside system.
 
-    Dominant sets are totally ordered by inclusion, so the minimal one is
-    the smallest closure of a single system under "fails to beat".
+    A member of a dominant set D beats all n - |D| outsiders, and an
+    outsider beats at most n - |D| - 1 systems, none of them in D. So every
+    dominant set is a prefix of the systems in order of wins, and the
+    minimal one is the shortest prefix whose members beat everyone after it.
     """
-    everyone = frozenset(graph.systems)
-    needs = {x: everyone - graph.dominated(x) - {x} for x in graph.systems}
-    best: frozenset[str] | None = None
-    for m in graph.systems:
-        c = _closure(m, needs)
-        if best is None or len(c) < len(best):
-            best = c
-    assert best is not None
-    return best
+    order = sorted(graph.systems, key=lambda m: len(graph.dominated(m)), reverse=True)
+    for k in range(1, len(order)):
+        rest = frozenset(order[k:])
+        if all(rest <= graph.dominated(m) for m in order[:k]):
+            return frozenset(order[:k])
+    return frozenset(order)
 
 
 def minimal_undominated_set(graph: MajorityGraph) -> frozenset[str]:
@@ -255,45 +227,37 @@ def minimal_weakly_stable_set(graph: MajorityGraph) -> frozenset[str]:
 
 def _condorcet_run(table: RankTable) -> RuleOutcome:
     winner = condorcet_winner(majority_graph_from_table(table))
-    if winner is None:
-        return RuleOutcome(
-            unranked=frozenset(table.systems),
-            diagnostics={"condorcet_winner": None},
-        )
-    return RuleOutcome(
-        ranking=(frozenset({winner}),),
-        unranked=frozenset(m for m in table.systems if m != winner),
-        diagnostics={"condorcet_winner": winner},
-    )
+    winners = frozenset() if winner is None else frozenset({winner})
+    return chosen(table.systems, winners, diagnostics={"condorcet_winner": winner})
 
 
-def _copeland_run(variant: str):
-    # copeland3 counts losses, so fewer is better
-    ascending = variant == "III"
+def _copeland_run(score: Callable[[int, int], int], *, ascending: bool = False):
+    """A rule ranking by score(wins, losses), each the count of rivals."""
 
     def run(table: RankTable) -> RuleOutcome:
-        scores = copeland_scores(majority_graph_from_table(table), variant)
-        return RuleOutcome(
-            ranking=group_by_score(scores, ascending=ascending),
-            scores=scores,
-            diagnostics={"score_order": "ascending" if ascending else "descending"},
-        )
+        graph = majority_graph_from_table(table)
+        scores = {
+            m: score(len(graph.dominated(m)), len(graph.dominators(m))) for m in table.systems
+        }
+        order = "ascending" if ascending else "descending"
+        return ranked_by(scores, 1, ascending=ascending, diagnostics={"score_order": order})
 
     return run
 
 
 def _minimax_run(table: RankTable) -> RuleOutcome:
-    scores = minimax_scores(majority_graph_from_table(table))
-    return RuleOutcome(ranking=group_by_score(scores), scores=scores)
+    """0 for undefeated systems, else minus the strongest defeat's support."""
+    counts = table.pairwise()
+    scores = {}
+    for m, row, col in zip(table.systems, counts, zip(*counts)):
+        # a rival defeats m when its count over m (col) beats m's over it (row)
+        scores[m] = -max([x for x, lost in zip(col, row) if x > lost], default=0)
+    return ranked_by(scores, table.scale)
 
 
 def _set_rule_run(chooser: Callable[[MajorityGraph], frozenset[str]]):
     def run(table: RankTable) -> RuleOutcome:
-        winners = chooser(majority_graph_from_table(table))
-        return RuleOutcome(
-            ranking=(winners,),
-            unranked=frozenset(m for m in table.systems if m not in winners),
-        )
+        return chosen(table.systems, chooser(majority_graph_from_table(table)))
 
     return run
 
@@ -302,9 +266,13 @@ RULES: dict[str, Rule] = {
     rule.rule_id: rule
     for rule in (
         Rule("condorcet", profile_run=_condorcet_run, handles_missing=True, elector=False),
-        Rule("copeland", profile_run=_copeland_run("I"), handles_missing=True),
-        Rule("copeland2", profile_run=_copeland_run("II"), handles_missing=True),
-        Rule("copeland3", profile_run=_copeland_run("III"), handles_missing=True),
+        Rule("copeland", profile_run=_copeland_run(lambda wins, losses: wins - losses),
+             handles_missing=True),
+        Rule("copeland2", profile_run=_copeland_run(lambda wins, losses: wins),
+             handles_missing=True),
+        # copeland3 counts losses, so fewer is better
+        Rule("copeland3", profile_run=_copeland_run(lambda wins, losses: losses, ascending=True),
+             handles_missing=True),
         Rule("minimax", profile_run=_minimax_run, handles_missing=True),
         Rule("minimal_dominant", profile_run=_set_rule_run(minimal_dominant_set),
              handles_missing=True, elector=False),

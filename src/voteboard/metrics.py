@@ -5,8 +5,9 @@ order systems by their raw scores and exist mostly as references to compare
 the voting rules against. They read the cells as integers over one common
 denominator (model.exact_cells) and the task weights scaled to integers by
 the LCM of theirs, sum integers (or multiply integer powers, for the
-geometric mean's order), group on the integers, and give each system one
-Fraction when the scores are packaged.
+geometric mean's order) and hand the integers to model.ranked_by, which
+groups on them and gives each system one Fraction. The geometric mean keeps
+its own packaging, because the scores it reports are floats.
 
 The comparison measures operate on pairs of finished outcomes and are
 tie-aware throughout: ranks are fractional, and correlation values are
@@ -36,6 +37,7 @@ from .model import (
     exact_cells,
     group_by_score,
     integer_weights,
+    ranked_by,
 )
 from .modes import Rule
 
@@ -47,9 +49,7 @@ def _mean_run(lb: Leaderboard, weights: Mapping[str, Fraction]) -> RuleOutcome:
     cells, den = exact_cells(lb)
     wts, _ = integer_weights(lb.tasks, weights)
     sums = {system: sum(map(mul, wts, row)) for system, row in zip(lb.systems, cells)}
-    total = den * sum(wts)
-    scores = {system: Fraction(s, total) for system, s in sums.items()}
-    return RuleOutcome(ranking=group_by_score(sums), scores=scores)
+    return ranked_by(sums, den * sum(wts))
 
 
 def _gmean_run(lb: Leaderboard, weights: Mapping[str, Fraction]) -> RuleOutcome:
@@ -87,6 +87,8 @@ def _og_run(
         g = as_fraction(gamma)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InvalidParameter(f"bad gamma: {exc}") from None
+    if g <= 0:
+        raise InvalidParameter(f"gamma must be positive, got {gamma!r}")
     wts, _ = integer_weights(lb.tasks, weights)
     # over den * g.denominator, gamma is g.numerator * den and a cell c * g.denominator
     top = g.numerator * den
@@ -101,11 +103,10 @@ def _og_run(
                 )
             acc += w * max(0, top - num * g.denominator)
         sums[system] = acc
-    total = den * g.denominator * sum(wts)
-    scores = {system: Fraction(s, total) for system, s in sums.items()}
-    return RuleOutcome(
-        ranking=group_by_score(sums, ascending=True),
-        scores=scores,
+    return ranked_by(
+        sums,
+        den * g.denominator * sum(wts),
+        ascending=True,
         diagnostics={"gamma": g, "score_order": "ascending"},
     )
 

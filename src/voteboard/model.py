@@ -9,8 +9,10 @@ places they span) are a view derived from the orders.
 
 Rules read the orders through a RankTable, which adds the task weights
 scaled to integers by the LCM of their denominators. Its pairwise and
-place-mass kernels sum integers; the rules convert to Fraction once, when
-they package the outcome.
+place-mass kernels sum integers. A rule that ranks by a score hands its
+integer scores and their unit to ranked_by, which groups on the integers
+and builds each Fraction once; a set-valued rule hands its winners to
+chosen.
 
 Tuples built on every rule call come from lists, not generators. tuple() of
 an iterator without a length resizes its result, and the resized tuple is
@@ -36,13 +38,19 @@ from .errors import EmptySubset, MissingScore, UnknownSystem
 MAXIMIZE = "max"
 MINIMIZE = "min"
 
+# as_fraction refuses a decimal string whose magnitude is beyond 10**±this:
+# its exact ratio holds 10**|exponent|, which hangs on "1e100000000", while
+# every float lies between about 1e-324 and 1e308
+DECIMAL_EXPONENT_LIMIT = 1000
+
 
 def as_fraction(value: int | float | Fraction | str) -> Fraction:
     """Exact rational from a numeric input.
 
     Floats convert through their shortest decimal repr, so 0.1 becomes 1/10
     rather than the binary expansion. Strings accept decimal ("0.25") and
-    ratio ("1/4") forms.
+    ratio ("1/4") forms. A non-finite value, or a nonzero decimal string
+    whose magnitude is beyond 10**±DECIMAL_EXPONENT_LIMIT, raises ValueError.
     """
     if isinstance(value, Fraction):
         return value
@@ -57,9 +65,14 @@ def as_fraction(value: int | float | Fraction | str) -> Fraction:
     if isinstance(value, str):
         text = value.strip()
         try:
-            return Fraction(Decimal(text))
+            exact = Decimal(text)
         except InvalidOperation:
             return Fraction(text)
+        if not exact.is_finite():
+            raise ValueError(f"non-finite value: {value!r}")
+        if exact and abs(exact.adjusted()) > DECIMAL_EXPONENT_LIMIT:
+            raise ValueError(f"decimal exponent beyond ±{DECIMAL_EXPONENT_LIMIT}: {value!r}")
+        return Fraction(exact)
     raise TypeError(f"unsupported numeric type: {type(value).__name__}")
 
 
@@ -223,13 +236,6 @@ class Leaderboard:
     @property
     def group_map(self) -> dict[str, tuple[str, ...]]:
         return dict(self.groups) if self.groups else {}
-
-    def task_group(self, task: str) -> str | None:
-        if self.groups:
-            for name, members in self.groups:
-                if task in members:
-                    return name
-        return None
 
     def present_cells(self) -> tuple[tuple[str, str], ...]:
         """All (system, task) pairs that carry a score."""
@@ -593,3 +599,36 @@ class RuleOutcome:
             ra, rb = ranks[a], ranks[b]
             rel[(a, b)] = (ra > rb) - (ra < rb)
         return rel
+
+
+def ranked_by(
+    scores: Mapping[str, int],
+    unit: int,
+    *,
+    ascending: bool = False,
+    diagnostics: Mapping[str, Any] | None = None,
+) -> RuleOutcome:
+    """Outcome of a rule that orders systems by integer scores over one unit.
+
+    The tie groups come from the integers; each system's score becomes
+    Fraction(score, unit) once, here. unit must be positive.
+    """
+    return RuleOutcome(
+        ranking=group_by_score(scores, ascending=ascending),
+        scores={m: Fraction(x, unit) for m, x in scores.items()},
+        diagnostics={} if diagnostics is None else diagnostics,
+    )
+
+
+def chosen(
+    systems: Iterable[str],
+    winners: frozenset[str],
+    *,
+    diagnostics: Mapping[str, Any] | None = None,
+) -> RuleOutcome:
+    """Outcome of a set-valued rule: the winners tie, everyone else is unranked."""
+    return RuleOutcome(
+        ranking=(winners,) if winners else (),
+        unranked=frozenset([m for m in systems if m not in winners]),
+        diagnostics={} if diagnostics is None else diagnostics,
+    )

@@ -8,8 +8,8 @@ splitting the group's position mass evenly.
 Totals are summed in integers from the profile's tie orders: the vector
 entries are scaled by the LCM L of their denominators and the task weights
 by the RankTable's mass unit, and each tie group adds the sum of the scaled
-entries over the places it spans. A total becomes a Fraction once, over
-mass_unit * L.
+entries over the places it spans. The totals and their unit, mass_unit * L,
+go to model.ranked_by, which makes each total a Fraction once.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InvalidParameter, MissingScore, VectorLengthMismatch
-from .model import RankProfile, RankTable, RuleOutcome, as_fraction, group_by_score
+from .model import RankProfile, RankTable, RuleOutcome, as_fraction, ranked_by
 from .modes import Rule
 
 
@@ -127,18 +127,10 @@ def score_with_vector(
     return {m: Fraction(x, unit) for m, x in totals.items()}
 
 
-def _outcome_for_vector(table: RankTable, vector: ScoringVector) -> RuleOutcome:
-    totals, unit = _integer_totals(table, vector)
-    return RuleOutcome(
-        ranking=group_by_score(totals),
-        scores={m: Fraction(x, unit) for m, x in totals.items()},
-        diagnostics={"vector": vector.entries},
-    )
-
-
 def _named(rule_id: str, factory) -> Rule:
     def run(table: RankTable) -> RuleOutcome:
-        return _outcome_for_vector(table, factory(len(table.systems)))
+        vector = factory(len(table.systems))
+        return ranked_by(*_integer_totals(table, vector), diagnostics={"vector": vector.entries})
 
     return Rule(rule_id, profile_run=run)
 
@@ -152,7 +144,7 @@ def _custom_run(
         raise InvalidParameter("custom scoring needs a vector")
     if not isinstance(vector, ScoringVector):
         vector = ScoringVector.custom(vector)
-    return _outcome_for_vector(table, vector)
+    return ranked_by(*_integer_totals(table, vector), diagnostics={"vector": vector.entries})
 
 
 RULES: dict[str, Rule] = {

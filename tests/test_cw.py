@@ -168,6 +168,7 @@ def test_objective_of_the_wrong_length_is_invalid(small_matrix):
     {"upper_bounds": float("inf")},
     {"objective": [1, None, 0]},
     {"margin": "1/0"},
+    {"margin": "inf"},
 ])
 def test_entries_as_fraction_rejects_are_invalid(small_matrix, bad):
     with pytest.raises(InvalidParameter):

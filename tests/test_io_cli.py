@@ -1,6 +1,12 @@
+import csv
+import io
 import json
+import math
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import voteboard as vb
 from voteboard import ParseError
@@ -259,6 +265,10 @@ FAILURE_FILES = {
     "zero": "system,t1\nalpha,0\nbeta,1\n",
     "groups": json.dumps({"t1": "g", "t2": "g", "t3": "h"}),
     "zero_weight": json.dumps({"t1": "1/0"}),
+    "inf_weight": json.dumps({"t1": "inf"}),
+    "inf_weight_row": "system,t1,t2\n#weight,inf,1\nalpha,1,2\nbeta,2,1\n",
+    "huge_weight_row": "system,t1,t2\n#weight,1e10000000,1\nalpha,1,2\nbeta,2,1\n",
+    "long_field": "system,t1\nalpha," + "1" * 131073 + "\nbeta,2\n",
     "cycle19": cyclic_csv(19),
 }
 FAILURES = [
@@ -278,6 +288,15 @@ FAILURES = [
      ["experiment", "iia", "-i", "{full}", "--rule", "optimality_gap", "--gamma", "inf"], 2),
     ("sidecar weight with a zero denominator",
      ["rank", "-i", "{full}", "--weights", "{zero_weight}", "--rule", "borda"], 1),
+    ("sidecar weight inf",
+     ["rank", "-i", "{full}", "--weights", "{inf_weight}", "--rule", "borda"], 1),
+    ("weight row cell inf", ["rank", "-i", "{inf_weight_row}", "--rule", "borda"], 1),
+    ("weight row cell with a huge exponent",
+     ["rank", "-i", "{huge_weight_row}", "--rule", "borda"], 1),
+    ("csv field over the csv module's size limit",
+     ["rank", "-i", "{long_field}", "--rule", "borda"], 1),
+    ("optimality gap with gamma 0",
+     ["rank", "-i", "{full}", "--normalize", "--rule", "optimality_gap", "--gamma", "0"], 2),
     ("compare top-k 0",
      ["compare", "-i", "{full}", "--rules", "borda", "mean", "--top-k", "0"], 2),
     ("cw unknown system", ["cw-weights", "-i", "{full}", "--system", "nosuch"], 2),
@@ -325,3 +344,48 @@ def test_cli_failure_classes_exit_with_documented_code(tmp_path, capsys, argv, e
     err = capsys.readouterr().err
     assert code == expected, err
     assert "internal error" not in err
+
+
+def test_scores_beyond_the_float_range_render_as_infinity(tmp_path, capsys):
+    path = tmp_path / "heavy.csv"
+    path.write_text("system,t1,t2\n#weight,1e400,1\nalpha,1,2\nbeta,2,1\n")
+    code, out, _ = run_cli(["rank", "-i", str(path), "--rule", "borda"], capsys)
+    assert code == 0
+    assert out.splitlines()[2].split() == ["1", "beta", "inf"]
+    code, out, _ = run_cli(["rank", "-i", str(path), "--rule", "borda", "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["ranking"][0] == {"rank": 1, "systems": ["beta"], "score": math.inf}
+
+
+WEIGHT_STRINGS = st.one_of(
+    st.builds(
+        "{}{}{}".format,
+        st.from_regex(r"\A[+-]?[0-9]{1,6}(\.[0-9]{0,6})?\Z"),
+        st.sampled_from(["e", "E"]),
+        st.integers(-2000, 2000) | st.integers(-10**9, 10**9),
+    ),
+    st.sampled_from(["inf", "-inf", "+Inf", "Infinity", "-infinity", "INF",
+                     "nan", "-NaN", "snan", "sNaN", " inf "]),
+    st.builds("{}/{}".format, st.integers(-10**6, 10**6), st.integers(0, 10**6)),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(weight=WEIGHT_STRINGS)
+def test_no_weight_string_is_an_internal_error(tmp_path_factory, weight):
+    """In a #weight cell or a sidecar file, a weight parses, or exits 1, promptly."""
+    root = tmp_path_factory.mktemp("weight")
+    rows = io.StringIO()
+    csv.writer(rows).writerows([
+        ["system", "t1", "t2"], ["#weight", weight, "1"], ["alpha", "1", "2"], ["beta", "2", "1"],
+    ])
+    (root / "row.csv").write_text(rows.getvalue(), encoding="utf-8")
+    (root / "plain.csv").write_text("system,t1,t2\nalpha,1,2\nbeta,2,1\n")
+    (root / "weights.json").write_text(json.dumps({"t1": weight}))
+    for argv in (["-i", str(root / "row.csv")],
+                 ["-i", str(root / "plain.csv"), "--weights", str(root / "weights.json")]):
+        start = time.perf_counter()
+        code = main(["rank", *argv, "--rule", "borda"])
+        assert time.perf_counter() - start < 2.0, weight
+        assert code in (0, 1), weight

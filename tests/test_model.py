@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -25,6 +26,24 @@ def test_as_fraction_uses_decimal_text_for_floats():
     assert as_fraction("1/4") == F(1, 4)
     assert as_fraction("0.5") == F(1, 2)
     assert as_fraction(F(3, 7)) == F(3, 7)
+
+
+@pytest.mark.parametrize("text", [
+    "inf", "-Infinity", "nan", "sNaN", "1e1001", "-1e1001", "1e-1001", "1e100000000",
+    "1e-999999999",
+])
+def test_as_fraction_refuses_non_finite_and_out_of_range_decimals(text):
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        as_fraction(text)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_as_fraction_keeps_decimals_inside_the_exponent_limit():
+    assert as_fraction("9.5e1000") == F(95 * 10**999)
+    assert as_fraction("1e-1000") == F(1, 10**1000)
+    assert as_fraction("0e100000000") == 0
+    assert as_fraction("0.000123") == F(123, 10**6)
 
 
 def test_as_fraction_rejects_bool():

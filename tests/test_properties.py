@@ -11,6 +11,10 @@ more is added, so their spoiler count is exactly zero on any complete
 board, and Spearman rho ignores a common positive rescaling of both rank
 vectors.
 
+The minimal dominant set, found from the order of wins, equals the
+smallest closure under "fails to beat" on boards with ties, holes and
+zero weights.
+
 Whether task weights can make a system a weak Condorcet winner does not
 depend on the order or the repetition of its rival rows, nor on the order
 of the tasks when their bounds move with them, and every witness returned
@@ -26,6 +30,9 @@ from hypothesis import strategies as st
 
 import voteboard as vb
 from voteboard.io import outcome_from_dict, outcome_to_dict, to_json
+from voteboard.majority import minimal_dominant_set
+
+import reference
 
 POSITIONAL = ("plurality", "two_approval", "antiplurality", "borda", "dowdall", "custom")
 ITERATIVE = ("threshold", "baldwin", "hare", "coombs", "nanson", "black")
@@ -178,6 +185,32 @@ def test_rho_ignores_a_common_positive_scale(pairs, q):
     assert vb.rho_from_rank_vectors([v * q for v in x], [v * q for v in y]) == (
         vb.rho_from_rank_vectors(x, y)
     )
+
+
+@st.composite
+def holed_boards(draw):
+    """2-12 systems, 1-5 tasks, scores 0-3 or missing, weights 0, 1/2 or 1."""
+    n = draw(st.integers(2, 12))
+    t = draw(st.integers(1, 5))
+    cell = st.one_of(st.none(), st.integers(0, 3).map(float))
+    scores = draw(st.lists(st.lists(cell, min_size=t, max_size=t), min_size=n, max_size=n))
+    weights = draw(st.lists(st.sampled_from([F(0), F(1, 2), F(1)]), min_size=t, max_size=t)
+                   .filter(any))
+    return vb.Leaderboard(
+        systems=tuple([f"s{i}" for i in range(n)]),
+        tasks=tuple([f"t{j}" for j in range(t)]),
+        scores=tuple([tuple(row) for row in scores]),
+        directions=("max",) * t,
+        weights=tuple(weights),
+    )
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(lb=holed_boards())
+def test_minimal_dominant_set_matches_the_closure_search(lb):
+    profile = reference.build_profile(lb, missing_ok=True)
+    graph = reference.majority_graph_from_profile(profile, vb.base_weights(lb))
+    assert minimal_dominant_set(vb.build_majority_graph(lb)) == reference.minimal_dominant_set(graph)
 
 
 @st.composite

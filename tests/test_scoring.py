@@ -68,6 +68,10 @@ BOARD_3 = vb.Leaderboard.from_scores(
     pytest.param("optimality_gap", {"gamma": math.inf}, id="gamma, inf"),
     pytest.param("optimality_gap", {"gamma": True}, id="gamma, boolean"),
     pytest.param("optimality_gap", {"gamma": "1/0"}, id="gamma, zero denominator"),
+    pytest.param("optimality_gap", {"gamma": "inf"}, id="gamma, the string inf"),
+    pytest.param("optimality_gap", {"gamma": 0}, id="gamma 0"),
+    pytest.param("optimality_gap", {"gamma": -1}, id="gamma -1"),
+    pytest.param("custom", {"vector": ["inf", 1, 0]}, id="custom, the string inf"),
 ])
 def test_bad_rule_parameters_are_invalid(rule, params):
     with pytest.raises(InvalidParameter):
