@@ -4,15 +4,23 @@ Both experiments derive one independent RNG substream per trial from the
 master seed, so results do not depend on trial order and re-runs are
 bit-identical. Substreams come from string-seeded stdlib generators, which
 are stable across platforms and hash seeds.
+
+Each op builds one RankTable from the full board, and every rule call reads
+a table derived from it: iia restricts it to the present systems and
+robustness unranks the deleted cells. The derived tables take their
+pairwise counts from the full table's, so the counts are built once per op.
+The score baselines read boards derived, without rechecks, from one copy of
+the board that carries its exact cell ratios. Nothing outlives the op.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .errors import (
     InvalidParameter,
@@ -21,8 +29,8 @@ from .errors import (
     TooManyOmissions,
 )
 from .metrics import end_set, rho_from_rank_vectors
-from .model import Leaderboard, RuleOutcome
-from .modes import BASIC, run_rule
+from .model import Leaderboard, RankTable, RuleOutcome, build_profile, missing_score
+from .modes import BASIC, Rule, base_weights, call_rule, check_params
 from .registry import get_rule
 
 # score aggregators repaired by per-task median imputation instead of
@@ -94,17 +102,19 @@ def iia_experiment(
     if len(lb.systems) < 3:
         raise TooFewSystems("spoiler probing needs at least three systems")
     rule_obj = get_rule(rule)
+    check_params(rule_obj, rule_params)
+    run = _on_systems(lb, rule_obj, rule_params)
     counts: list[float] = []
     for trial in range(cfg.trials):
         rng = trial_rng(cfg.seed, trial)
         order = list(lb.systems)
         rng.shuffle(order)
         present = order[:2]
-        prev = run_rule(lb.restrict_systems(present), rule_obj, BASIC, **rule_params)
+        prev = run(present)
         changed = 0
         for newcomer in order[2:]:
             now = present + [newcomer]
-            out = run_rule(lb.restrict_systems(now), rule_obj, BASIC, **rule_params)
+            out = run(now)
             kept = frozenset(present)
             if _tie_order(out, kept) != _tie_order(prev, kept):
                 changed += 1
@@ -112,6 +122,42 @@ def iia_experiment(
             prev = out
         counts.append(float(changed))
     return _report("iia", cfg, {rule: counts})
+
+
+def _on_systems(
+    lb: Leaderboard, rule: Rule, params: Mapping[str, Any]
+) -> Callable[[Sequence[str]], RuleOutcome]:
+    """The rule's outcome on the board restricted to some systems, as a function of them.
+
+    A profile rule reads the full board's table restricted to them. One
+    without missing-score support refuses a present system with a hole as
+    build_profile does on the restricted board: the first such task, then
+    system, in board order. A score rule reads the restricted board.
+    """
+    weights = base_weights(lb)
+    if rule.score_run is not None:
+        board = lb._with_ratios()
+        return lambda present: call_rule(
+            rule, BASIC, board.restrict_systems(present), weights, **params
+        )
+    table = RankTable.of(build_profile(lb, missing_ok=True), weights)
+    index = {m: i for i, m in enumerate(lb.systems)}
+    holes = []
+    if not rule.handles_missing:
+        for j, task in enumerate(lb.tasks):
+            gone = frozenset([i for i, row in enumerate(lb.scores) if row[j] is None])
+            if gone:
+                holes.append((task, gone))
+
+    def run(present: Sequence[str]) -> RuleOutcome:
+        kept = sorted([index[m] for m in present])
+        for task, gone in holes:
+            hit = [i for i in kept if i in gone]
+            if hit:
+                raise missing_score(lb.systems[hit[0]], task)
+        return call_rule(rule, BASIC, table.restrict(kept), weights, **params)
+
+    return run
 
 
 def _tie_order(outcome: RuleOutcome, systems: frozenset[str]) -> list[frozenset[str]]:
@@ -133,16 +179,19 @@ def _impute_medians(
     Each median is taken once over the cells the corrupted board still holds
     and written into one copy of the rows, so the trial builds one board.
     """
-    rows = [list(row) for row in corrupted.scores]
     medians: dict[int, float] = {}
+    cells: dict[tuple[int, int], float] = {}
     for system, task in deleted:
         j = corrupted.tasks.index(task)
         if j not in medians:
             remaining = [row[j] for row in corrupted.scores if row[j] is not None]
             # a column emptied entirely becomes constant, hence uninformative
             medians[j] = float(statistics.median(remaining)) if remaining else 0.0
-        rows[corrupted.systems.index(system)][j] = medians[j]
-    return replace(corrupted, scores=tuple([tuple(row) for row in rows]))
+            if not math.isfinite(medians[j]):
+                # the mean of two cells near the float limit overflows
+                raise ValueError("scores must be finite or None")
+        cells[(corrupted.systems.index(system), j)] = medians[j]
+    return corrupted._with_cells(cells)
 
 
 def robustness_experiment(
@@ -155,11 +204,12 @@ def robustness_experiment(
     """Rank stability of the intact top-k under random score deletion.
 
     Per trial, omit_count present cells are deleted (the same cells for
-    every rule). Majority-based rules rerun natively on the holes; the mean
-    and optimality-gap baselines get each deleted cell imputed with its
-    task's median over the remaining systems. The trial result per rule is
-    the Spearman correlation between the reference ranks of the intact
-    top-k systems and their ranks after deletion.
+    every rule). Majority-based rules rerun natively on the holes, on the
+    full board's table with the deleted cells unranked; the mean and
+    optimality-gap baselines get each deleted cell imputed with its task's
+    median over the remaining systems. The trial result per rule is the
+    Spearman correlation between the reference ranks of the intact top-k
+    systems and their ranks after deletion.
     """
     cfg = cfg or ExperimentConfig(trials=100)
     if cfg.top_k > len(lb.systems):
@@ -177,14 +227,24 @@ def robustness_experiment(
         raise TooManyOmissions(
             f"cannot delete {cfg.omit_count} of {len(present)} present cells"
         )
+    weights = base_weights(lb)
+    table = board = None
+    if any(rid not in IMPUTABLE for rid in rules):
+        # the rules that tolerate missing scores are profile rules
+        table = RankTable.of(build_profile(lb, missing_ok=True), weights)
+    if any(rid in IMPUTABLE for rid in rules):
+        board = lb._with_ratios()
+    sys_index = {m: i for i, m in enumerate(lb.systems)}
+    task_index = {t: j for j, t in enumerate(lb.tasks)}
 
-    def params_for(rid: str) -> dict[str, Any]:
-        return {"gamma": gamma} if "gamma" in rule_objs[rid].params else {}
+    def run(rid: str, data: RankTable | Leaderboard) -> RuleOutcome:
+        params = {"gamma": gamma} if "gamma" in rule_objs[rid].params else {}
+        return call_rule(rule_objs[rid], BASIC, data, weights, **params)
 
     ref_ranks: dict[str, dict[str, Fraction]] = {}
     ref_sets: dict[str, tuple[str, ...]] = {}
     for rid in rules:
-        out = run_rule(lb, rule_objs[rid], BASIC, **params_for(rid))
+        out = run(rid, board if rid in IMPUTABLE else table)
         ref_ranks[rid] = out.fractional_ranks()
         ref_sets[rid] = tuple(sorted(end_set(out, cfg.top_k)))
 
@@ -192,16 +252,17 @@ def robustness_experiment(
     for trial in range(cfg.trials):
         rng = trial_rng(cfg.seed, trial)
         deleted = rng.sample(present, cfg.omit_count)
-        corrupted = lb.without_cells(deleted)
+        trimmed = None if table is None else table.without(
+            [(sys_index[m], task_index[t]) for m, t in deleted]
+        )
         imputed: Leaderboard | None = None
         for rid in rules:
             if rid in IMPUTABLE:
                 if imputed is None:
-                    imputed = _impute_medians(corrupted, deleted)
-                board = imputed
+                    imputed = _impute_medians(board.without_cells(deleted), deleted)
+                out = run(rid, imputed)
             else:
-                board = corrupted
-            out = run_rule(board, rule_objs[rid], BASIC, **params_for(rid))
+                out = run(rid, trimmed)
             ranks = out.fractional_ranks()
             chosen = ref_sets[rid]
             rho = rho_from_rank_vectors(

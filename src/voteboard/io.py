@@ -61,7 +61,7 @@ def load_leaderboard(
             rows = [row for row in csv.reader(handle) if row and any(c.strip() for c in row)]
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except csv.Error as exc:
+    except (csv.Error, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if not rows:
         raise ParseError(f"{path}: file is empty")
@@ -151,7 +151,9 @@ def _load_json_mapping(path: str | Path) -> Mapping[str, Any]:
             data = json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, UnicodeDecodeError, or an integer literal beyond
+        # the interpreter's digit limit
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{path}: expected a JSON object")

@@ -24,7 +24,6 @@ from typing import Any, Callable, Mapping
 from .majority import condorcet_winner, majority_graph_from_table
 from .model import RankTable, RuleOutcome, ranked_by
 from .modes import Rule
-from .scoring import ScoringVector
 
 
 @dataclass(frozen=True)
@@ -148,9 +147,11 @@ def _borda_elimination(losers: Callable[[dict[int, int]], list[int]]):
             if not gone:
                 break
             tiers.append(frozenset(names[a] for a in gone))
+            k = len(scores)
             rounds.append(EliminationRound(
                 tuple([names[a] for a in scores]),
-                ScoringVector.borda(len(scores)).entries,
+                # ScoringVector.borda(k).entries, without its checks
+                tuple([Fraction(k - 1 - p) for p in range(k)]),
                 {names[a]: Fraction(x, 2 * table.scale) for a, x in scores.items()},
                 tiers[-1],
             ))

@@ -9,8 +9,9 @@ The relation is held as one integer matrix of pairwise counts in
 LCM-scaled weight units (RankTable.pairwise). A margin or support becomes a
 Fraction only when read, and each system's dominated and dominator sets are
 computed once per graph from the integer rows. The copeland rules and
-minimax hand integer scores to model.ranked_by; condorcet and the set rules
-hand their winners to model.chosen.
+minimax read their integer scores straight from the rows, without a graph,
+and hand them to model.ranked_by; condorcet and the set rules hand their
+winners to model.chosen.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from operator import gt
 from typing import Callable, Mapping
 
 from .errors import SearchTooLarge
@@ -235,10 +237,11 @@ def _copeland_run(score: Callable[[int, int], int], *, ascending: bool = False):
     """A rule ranking by score(wins, losses), each the count of rivals."""
 
     def run(table: RankTable) -> RuleOutcome:
-        graph = majority_graph_from_table(table)
-        scores = {
-            m: score(len(graph.dominated(m)), len(graph.dominators(m))) for m in table.systems
-        }
+        counts = table.pairwise()
+        scores = {}
+        for m, row, col in zip(table.systems, counts, zip(*counts)):
+            # m beats a rival when its count over it (row) beats the rival's (col)
+            scores[m] = score(sum(map(gt, row, col)), sum(map(gt, col, row)))
         order = "ascending" if ascending else "descending"
         return ranked_by(scores, 1, ascending=ascending, diagnostics={"score_order": order})
 

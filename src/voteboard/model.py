@@ -31,7 +31,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, groupby
 from operator import itemgetter
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import EmptySubset, MissingScore, UnknownSystem
 
@@ -76,22 +76,33 @@ def as_fraction(value: int | float | Fraction | str) -> Fraction:
     raise TypeError(f"unsupported numeric type: {type(value).__name__}")
 
 
+def _ratio(cell: int | float | Fraction) -> tuple[int, int]:
+    """A cell's exact value as (numerator, denominator)."""
+    # as_fraction's own conversion for floats, without the Fraction
+    exact = Decimal(repr(cell)) if isinstance(cell, float) else as_fraction(cell)
+    return exact.as_integer_ratio()
+
+
+def missing_score(system: str, task: str) -> MissingScore:
+    return MissingScore(f"system {system!r} has no score on task {task!r}")
+
+
 def exact_cells(lb: Leaderboard) -> tuple[list[list[int]], int]:
     """Every cell as an integer over one common denominator: (rows, denominator).
 
     rows[i][j] / denominator is exactly as_fraction(lb.scores[i][j]): a float
     cell keeps its shortest decimal repr, an int or Fraction cell its own
-    value. A missing cell raises MissingScore.
+    value. A missing cell raises MissingScore. A board derived inside an
+    experiment carries its cells' ratios, so only their LCM is taken here.
     """
+    carried = lb._ratios
     ratios = []
-    for system, row in zip(lb.systems, lb.scores):
+    for i, (system, row) in enumerate(zip(lb.systems, lb.scores)):
         out = []
-        for task, cell in zip(lb.tasks, row):
+        for j, (task, cell) in enumerate(zip(lb.tasks, row)):
             if cell is None:
-                raise MissingScore(f"system {system!r} has no score on task {task!r}")
-            # as_fraction's own conversion for floats, without the Fraction
-            exact = Decimal(repr(cell)) if isinstance(cell, float) else as_fraction(cell)
-            out.append(exact.as_integer_ratio())
+                raise missing_score(system, task)
+            out.append(_ratio(cell) if carried is None else carried[i][j])
         ratios.append(out)
     den = math.lcm(*{d for out in ratios for _, d in out})
     return [[n * (den // d) for n, d in out] for out in ratios], den
@@ -123,6 +134,10 @@ class Leaderboard:
     A minimize-direction task ranks low scores first; the stored value stays
     as given. groups, when present, is an ordered mapping of group name to
     its tasks; a task belongs to at most one group.
+
+    restrict_systems and without_cells build their board with _derived,
+    which skips the checks this board passed. The public constructor and
+    from_scores check everything.
     """
 
     systems: tuple[str, ...]
@@ -131,6 +146,11 @@ class Leaderboard:
     directions: tuple[str, ...]
     weights: tuple[Fraction, ...]
     groups: tuple[tuple[str, tuple[str, ...]], ...] | None = None
+
+    # each cell's _ratio (None where missing) on a board from _with_ratios and
+    # the boards derived from it; None elsewhere. Unannotated, so not a field:
+    # equality, repr and dataclasses.replace ignore it.
+    _ratios = None
 
     def __post_init__(self) -> None:
         if not self.systems:
@@ -248,15 +268,41 @@ class Leaderboard:
 
     # -- derived leaderboards -------------------------------------------
 
+    def _derived(
+        self,
+        systems: tuple[str, ...],
+        scores: tuple[tuple[float | None, ...], ...],
+        ratios: tuple[tuple[tuple[int, int] | None, ...], ...] | None,
+    ) -> "Leaderboard":
+        """A board on this board's tasks and metadata, built without its checks.
+
+        systems are distinct systems of this board, and each row of scores
+        holds this board's cells, None or finite floats, so every check this
+        board passed still holds. ratios are the rows' cell ratios, or None.
+        """
+        lb = object.__new__(Leaderboard)
+        lb.__dict__.update(systems=systems, tasks=self.tasks, scores=scores,
+                           directions=self.directions, weights=self.weights,
+                           groups=self.groups, _ratios=ratios)
+        return lb
+
+    def _with_ratios(self) -> "Leaderboard":
+        """An equal board that carries its cells' exact ratios to the boards
+        restrict_systems and without_cells derive from it, so exact_cells on
+        them only takes the LCM."""
+        ratios = [tuple([None if c is None else _ratio(c) for c in row]) for row in self.scores]
+        return self._derived(self.systems, self.scores, tuple(ratios))
+
     def restrict_systems(self, keep: Iterable[str]) -> "Leaderboard":
         wanted = set(keep)
         for m in wanted:
             self._sys_index(m)
-        systems = tuple([m for m in self.systems if m in wanted])
-        if not systems:
+        kept = [i for i, m in enumerate(self.systems) if m in wanted]
+        if not kept:
             raise ValueError("cannot drop every system")
-        rows = tuple([self.scores[self.systems.index(m)] for m in systems])
-        return Leaderboard(systems, self.tasks, rows, self.directions, self.weights, self.groups)
+        ratios = None if self._ratios is None else tuple([self._ratios[i] for i in kept])
+        return self._derived(tuple([self.systems[i] for i in kept]),
+                             tuple([self.scores[i] for i in kept]), ratios)
 
     def restrict_tasks(self, keep: Iterable[str]) -> "Leaderboard":
         wanted = set(keep)
@@ -288,11 +334,20 @@ class Leaderboard:
                            self.directions, self.weights, self.groups)
 
     def without_cells(self, cells: Iterable[tuple[str, str]]) -> "Leaderboard":
+        return self._with_cells({
+            (self._sys_index(system), self._task_index(task)): None for system, task in cells
+        })
+
+    def _with_cells(self, cells: Mapping[tuple[int, int], float | None]) -> "Leaderboard":
+        """This board with cell (i, j) set to each value, None or a finite float."""
         rows = [list(row) for row in self.scores]
-        for system, task in cells:
-            rows[self._sys_index(system)][self._task_index(task)] = None
-        return Leaderboard(self.systems, self.tasks, tuple([tuple(r) for r in rows]),
-                           self.directions, self.weights, self.groups)
+        ratios = None if self._ratios is None else [list(row) for row in self._ratios]
+        for (i, j), value in cells.items():
+            rows[i][j] = value
+            if ratios is not None:
+                ratios[i][j] = None if value is None else _ratio(value)
+        return self._derived(self.systems, tuple([tuple(r) for r in rows]),
+                             None if ratios is None else tuple([tuple(r) for r in ratios]))
 
 
 @dataclass(frozen=True)
@@ -339,12 +394,30 @@ class RankProfile:
         """Drop systems and re-rank the rest, preserving order and ties."""
         wanted = set(keep)
         kept = [i for i, m in enumerate(self.systems) if m in wanted]
-        index = {i: k for k, i in enumerate(kept)}
-        orders = []
-        for groups in self.orders:
-            groups = [tuple([index[i] for i in group if i in index]) for group in groups]
-            orders.append(tuple([group for group in groups if group]))
-        return RankProfile(tuple([self.systems[i] for i in kept]), self.tasks, tuple(orders))
+        return RankProfile(tuple([self.systems[i] for i in kept]), self.tasks,
+                           _renumbered(self.orders, kept))
+
+
+def _renumbered(
+    orders: tuple[tuple[tuple[int, ...], ...], ...], kept: Sequence[int]
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The orders of the systems at ascending indices kept, system kept[k]
+    renumbered k. Groups keep their order and ties; emptied groups go."""
+    index = {i: k for k, i in enumerate(kept)}
+    out = []
+    for groups in orders:
+        left = []
+        for group in groups:
+            if len(group) == 1:
+                # untied, the common case
+                if group[0] in index:
+                    left.append((index[group[0]],))
+                continue
+            group = tuple([index[i] for i in group if i in index])
+            if group:
+                left.append(group)
+        out.append(tuple(left))
+    return tuple(out)
 
 
 def build_profile(
@@ -375,7 +448,7 @@ def build_profile(
             cell = row[j]
             if cell is None:
                 if not missing_ok:
-                    raise MissingScore(f"system {lb.systems[i]!r} has no score on task {task!r}")
+                    raise missing_score(lb.systems[i], task)
                 continue
             scored.append((cell, i))
         # a stable sort: tied systems keep index order
@@ -386,14 +459,22 @@ def build_profile(
     return RankProfile(lb.systems, tasks, tuple(orders))
 
 
+Counts = tuple[tuple[int, ...], ...]
+
+
 @dataclass(frozen=True)
 class RankTable:
-    """A RankProfile's orders with integer task weights, built once per rule call.
+    """A RankProfile's orders with integer task weights.
 
     systems, tasks and orders are the profile's. weights[t] is the task
     weight times scale, the LCM of the weight denominators, so the kernels
     below sum integers. Callers turn their results into Fractions once,
     where the outcome is packaged.
+
+    run_rule builds one table per rule call. The experiments build one per
+    op from the full board and derive a table per step: restrict keeps some
+    systems, without unranks some cells. A derived table takes its pairwise
+    counts from its parent's (counts_from) instead of rebuilding them.
     """
 
     systems: tuple[str, ...]
@@ -401,6 +482,7 @@ class RankTable:
     orders: tuple[tuple[tuple[int, ...], ...], ...]
     weights: tuple[int, ...]
     scale: int
+    counts_from: Callable[[], Counts] | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def of(
@@ -426,11 +508,64 @@ class RankTable:
         largest = max((len(g) for groups in self.orders for g in groups), default=1)
         return self.scale * math.lcm(*range(1, largest + 1))
 
-    def pairwise(self) -> tuple[tuple[int, ...], ...]:
+    def restrict(self, kept: Sequence[int]) -> "RankTable":
+        """The table of the systems at ascending indices kept, renumbered.
+
+        A count depends only on its own two systems, so the restricted
+        counts are the submatrix of this table's.
+        """
+
+        def counts() -> Counts:
+            rows = self.pairwise()
+            return tuple([tuple([row[b] for b in kept]) for row in [rows[a] for a in kept]])
+
+        return RankTable(tuple([self.systems[i] for i in kept]), self.tasks,
+                         _renumbered(self.orders, kept), self.weights, self.scale, counts)
+
+    def without(self, cells: Iterable[tuple[int, int]]) -> "RankTable":
+        """The table with each ranked cell (system index, task index) unranked.
+
+        The counts are this table's less each dropped cell's pairs, O(n)
+        per cell. A dropped cell leaves its task's levels before its pairs
+        are subtracted, so a pair of cells dropped from one task is
+        subtracted once.
+        """
+        dropped: dict[int, set[int]] = {}
+        for i, j in cells:
+            dropped.setdefault(j, set()).add(i)
+        orders = list(self.orders)
+        for j, gone in dropped.items():
+            groups = [tuple([i for i in group if i not in gone]) for group in orders[j]]
+            orders[j] = tuple([group for group in groups if group])
+
+        def counts() -> Counts:
+            rows = [list(row) for row in self.pairwise()]
+            for j, gone in dropped.items():
+                w = self.weights[j]
+                level = {i: p for p, group in enumerate(self.orders[j]) for i in group}
+                for a in gone:
+                    here = level.pop(a)
+                    for b, there in level.items():
+                        if here < there:
+                            rows[a][b] -= w
+                        elif there < here:
+                            rows[b][a] -= w
+            return tuple([tuple(row) for row in rows])
+
+        return RankTable(self.systems, self.tasks, tuple(orders), self.weights, self.scale,
+                         counts)
+
+    def pairwise(self) -> Counts:
         """counts[a][b]: scaled weight of the tasks ranking a strictly above b.
 
-        Ties and missing cells count for neither side.
+        Ties and missing cells count for neither side. Built once per table.
         """
+        return self._counts
+
+    @cached_property
+    def _counts(self) -> Counts:
+        if self.counts_from is not None:
+            return self.counts_from()
         n = len(self.systems)
         counts = [[0] * n for _ in range(n)]
         for groups, w in zip(self.orders, self.weights):

@@ -10,8 +10,9 @@ require a grouping that covers every task.
 The runner contract: a profile rule is called as profile_run(table,
 **params) on the RankTable run_rule builds once from the board's profile and
 the mode's weights; a score rule as score_run(lb, weights, **params). Both
-return a RuleOutcome with rule_id and mode left empty, and run_rule stamps
-them once.
+return a RuleOutcome with rule_id and mode left empty. call_rule makes that
+call and stamps them; run_rule and the experiment loops, which hand it
+tables and boards they derive themselves, all go through it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import inspect
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
 from .errors import InvalidParameter, MissingGroups, RuleUnsupportedForMode, UnknownRule
 from .model import Leaderboard, RankTable, RuleOutcome, build_profile
@@ -83,26 +84,43 @@ def group_weights(lb: Leaderboard) -> dict[str, Fraction]:
     return {t: w * Fraction(1, size[t]) for t, w in base_weights(lb).items()}
 
 
-def run_rule(lb: Leaderboard, rule: Rule, mode: str = BASIC, **params: Any) -> RuleOutcome:
-    """Apply a rule under a mode and stamp the outcome with the rule and mode."""
-    if mode not in MODES:
-        raise UnknownRule(f"unknown mode: {mode!r}")
+def check_params(rule: Rule, params: Mapping[str, Any]) -> None:
     stray = params.keys() - rule.params
     if stray:
         raise InvalidParameter(
             f"rule {rule.rule_id!r} takes no parameter {', '.join(sorted(stray))}"
         )
+
+
+def call_rule(
+    rule: Rule,
+    mode: str,
+    data: RankTable | Leaderboard,
+    weights: Mapping[str, Fraction],
+    **params: Any,
+) -> RuleOutcome:
+    """The rule's outcome on a table (profile rules) or a board (score rules
+    weighted by weights), stamped with the rule and mode."""
+    if rule.score_run is not None:
+        outcome = rule.score_run(data, weights, **params)
+    else:
+        outcome = rule.profile_run(data, **params)
+    return replace(outcome, rule_id=rule.rule_id, mode=mode)
+
+
+def run_rule(lb: Leaderboard, rule: Rule, mode: str = BASIC, **params: Any) -> RuleOutcome:
+    """Apply a rule under a mode and stamp the outcome with the rule and mode."""
+    if mode not in MODES:
+        raise UnknownRule(f"unknown mode: {mode!r}")
+    check_params(rule, params)
     if mode == TWO_STEP:
         outcome, electors = _run_two_step(lb, rule, **params)
-        return replace(outcome, rule_id=rule.rule_id, mode=mode,
-                       diagnostics={**outcome.diagnostics, "electors": electors})
+        return replace(outcome, diagnostics={**outcome.diagnostics, "electors": electors})
     weights = base_weights(lb) if mode == BASIC else group_weights(lb)
-    if rule.score_run is not None:
-        outcome = rule.score_run(lb, weights, **params)
-    else:
-        table = RankTable.of(build_profile(lb, missing_ok=rule.handles_missing), weights)
-        outcome = rule.profile_run(table, **params)
-    return replace(outcome, rule_id=rule.rule_id, mode=mode)
+    data: RankTable | Leaderboard = lb
+    if rule.score_run is None:
+        data = RankTable.of(build_profile(lb, missing_ok=rule.handles_missing), weights)
+    return call_rule(rule, mode, data, weights, **params)
 
 
 def _run_two_step(
@@ -141,4 +159,4 @@ def _run_two_step(
         weights=(1,) * len(groups),
         scale=1,
     )
-    return rule.profile_run(table, **params), electors
+    return call_rule(rule, TWO_STEP, table, weights, **params), electors

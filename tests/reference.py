@@ -16,9 +16,11 @@ The score baselines (mean, gmean, optimality_gap) summing Fractions cell by
 cell, the Fraction Spearman rho, and the spoiler loop that compares
 pair_relations of the present systems follow, as they stood before those
 moved to integers over one common denominator. The spoiler loop runs the
-library's rules: only its check is the reference. After it comes the
-robustness experiment's median imputation, which rebuilt the board once per
-deleted cell.
+library's rules on a board rebuilt, and revalidated, at every step, as it
+did before the experiments moved to tables derived from one full-board
+RankTable. After it come the robustness experiment's median imputation,
+which rebuilt the board once per deleted cell, and the robustness loop,
+which ran the library's rules on boards rebuilt once per trial.
 
 Last comes the two-phase simplex that pivoted a dense tableau of Fractions,
 as it stood before linprog moved to fraction-free integer pivots; the
@@ -43,14 +45,22 @@ from voteboard.errors import (
     RuleUnsupportedForMode,
     ScoreOutOfRange,
     TooFewSystems,
+    TooManyOmissions,
     UnknownRule,
     UnknownSystem,
     VectorLengthMismatch,
 )
-from voteboard.experiments import ExperimentConfig, ExperimentReport, _report, trial_rng
+from voteboard.experiments import (
+    IMPUTABLE,
+    ExperimentConfig,
+    ExperimentReport,
+    _report,
+    trial_rng,
+)
 from voteboard.iterative import EliminationRound, EliminationTrace
 from voteboard.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, Constraint
-from voteboard.metrics import _signed_root
+from voteboard.metrics import _signed_root, end_set
+from voteboard.metrics import rho_from_rank_vectors as library_rho
 from voteboard.model import MINIMIZE, Leaderboard, RuleOutcome, as_fraction
 from voteboard.modes import (
     BASIC,
@@ -999,6 +1009,27 @@ def rho_from_rank_vectors(x: Sequence[Fraction], y: Sequence[Fraction]) -> float
 
 
 
+def restrict_systems(lb: Leaderboard, keep: Iterable[str]) -> Leaderboard:
+    """Leaderboard.restrict_systems as it was, through the validating constructor."""
+    wanted = set(keep)
+    for m in wanted:
+        lb._sys_index(m)
+    systems = tuple([m for m in lb.systems if m in wanted])
+    if not systems:
+        raise ValueError("cannot drop every system")
+    rows = tuple([lb.scores[lb.systems.index(m)] for m in systems])
+    return Leaderboard(systems, lb.tasks, rows, lb.directions, lb.weights, lb.groups)
+
+
+def without_cells(lb: Leaderboard, cells: Iterable[tuple[str, str]]) -> Leaderboard:
+    """Leaderboard.without_cells as it was, through the validating constructor."""
+    rows = [list(row) for row in lb.scores]
+    for system, task in cells:
+        rows[lb._sys_index(system)][lb._task_index(task)] = None
+    return Leaderboard(lb.systems, lb.tasks, tuple([tuple(r) for r in rows]),
+                       lb.directions, lb.weights, lb.groups)
+
+
 def iia_experiment(
     lb: Leaderboard,
     rule: str,
@@ -1022,11 +1053,11 @@ def iia_experiment(
         order = list(lb.systems)
         rng.shuffle(order)
         present = order[:2]
-        prev = run_library_rule(lb.restrict_systems(present), rule_obj, BASIC, **rule_params)
+        prev = run_library_rule(restrict_systems(lb, present), rule_obj, BASIC, **rule_params)
         changed = 0
         for newcomer in order[2:]:
             now = present + [newcomer]
-            out = run_library_rule(lb.restrict_systems(now), rule_obj, BASIC, **rule_params)
+            out = run_library_rule(restrict_systems(lb, now), rule_obj, BASIC, **rule_params)
             if out.pair_relations(present) != prev.pair_relations(present):
                 changed += 1
             present = now
@@ -1048,6 +1079,66 @@ def impute_medians(corrupted: Leaderboard, deleted: Sequence[tuple[str, str]]) -
         for system in systems:
             board = board.with_score(system, task, value)
     return board
+
+
+def robustness_experiment(
+    lb: Leaderboard,
+    rules: Sequence[str],
+    cfg: ExperimentConfig | None = None,
+    *,
+    gamma: float = 0.95,
+) -> ExperimentReport:
+    """The robustness loop that ran every rule on a board rebuilt per trial."""
+    cfg = cfg or ExperimentConfig(trials=100)
+    if cfg.top_k > len(lb.systems):
+        raise InvalidParameter("top_k cannot exceed the number of systems")
+    rule_objs = {}
+    for rid in rules:
+        rule_obj = get_rule(rid)
+        if not rule_obj.handles_missing and rid not in IMPUTABLE:
+            raise RuleUnsupportedForMode(
+                f"rule {rid!r} can neither tolerate missing scores nor be imputed"
+            )
+        rule_objs[rid] = rule_obj
+    present = lb.present_cells()
+    if cfg.omit_count > len(present):
+        raise TooManyOmissions(
+            f"cannot delete {cfg.omit_count} of {len(present)} present cells"
+        )
+
+    def params_for(rid: str) -> dict[str, Any]:
+        return {"gamma": gamma} if "gamma" in rule_objs[rid].params else {}
+
+    ref_ranks: dict[str, dict[str, Fraction]] = {}
+    ref_sets: dict[str, tuple[str, ...]] = {}
+    for rid in rules:
+        out = run_library_rule(lb, rule_objs[rid], BASIC, **params_for(rid))
+        ref_ranks[rid] = out.fractional_ranks()
+        ref_sets[rid] = tuple(sorted(end_set(out, cfg.top_k)))
+
+    series: dict[str, list[float]] = {rid: [] for rid in rules}
+    for trial in range(cfg.trials):
+        rng = trial_rng(cfg.seed, trial)
+        deleted = rng.sample(present, cfg.omit_count)
+        corrupted = without_cells(lb, deleted)
+        imputed: Leaderboard | None = None
+        for rid in rules:
+            if rid in IMPUTABLE:
+                if imputed is None:
+                    imputed = impute_medians(corrupted, deleted)
+                board = imputed
+            else:
+                board = corrupted
+            out = run_library_rule(board, rule_objs[rid], BASIC, **params_for(rid))
+            ranks = out.fractional_ranks()
+            chosen = ref_sets[rid]
+            series[rid].append(library_rho(
+                [ref_ranks[rid][m] for m in chosen],
+                [ranks[m] for m in chosen],
+            ))
+    return _report(
+        "robustness", cfg, series, omit_count=cfg.omit_count, top_k=cfg.top_k, gamma=gamma
+    )
 
 
 # -- exact simplex --------------------------------------------------------------

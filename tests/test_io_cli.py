@@ -270,6 +270,9 @@ FAILURE_FILES = {
     "huge_weight_row": "system,t1,t2\n#weight,1e10000000,1\nalpha,1,2\nbeta,2,1\n",
     "long_field": "system,t1\nalpha," + "1" * 131073 + "\nbeta,2\n",
     "cycle19": cyclic_csv(19),
+    "long_int_weight": '{"t1": 1' + "0" * 5000 + "}",
+    "binary_weights": b'{"t1": "\xff"}',
+    "binary_csv": b"system,t1\nalpha,1\n\xff,2\n",
 }
 FAILURES = [
     ("malformed csv", ["rank", "-i", "{ragged}", "--rule", "borda"], 1),
@@ -323,6 +326,11 @@ FAILURES = [
      ["experiment", "robustness", "-i", "{full}", "--rules", "minimax", "--omit", "99"], 2),
     ("robustness rule without missing support",
      ["experiment", "robustness", "-i", "{full}", "--rules", "borda"], 2),
+    ("sidecar weight with 5,001 digits",
+     ["rank", "-i", "{full}", "--weights", "{long_int_weight}", "--rule", "borda"], 1),
+    ("sidecar weights that are not UTF-8",
+     ["rank", "-i", "{full}", "--weights", "{binary_weights}", "--rule", "borda"], 1),
+    ("csv that is not UTF-8", ["rank", "-i", "{binary_csv}", "--rule", "borda"], 1),
     ("weakly_stable over a dominant set too large to search",
      ["rank", "-i", "{cycle19}", "--rule", "weakly_stable"], 2),
 ]
@@ -335,7 +343,10 @@ def test_cli_failure_classes_exit_with_documented_code(tmp_path, capsys, argv, e
     paths = {}
     for name, text in FAILURE_FILES.items():
         paths[name] = tmp_path / name
-        paths[name].write_text(text)
+        if isinstance(text, bytes):
+            paths[name].write_bytes(text)
+        else:
+            paths[name].write_text(text)
     args = [a.format(**paths) for a in argv]
     try:
         code = main(args)

@@ -14,10 +14,16 @@ The score baselines, which sum integers over one common denominator, are
 held to the same standard on the same ladder with its levels mapped to
 many-decimal and extreme cells, and on boards built directly with int and
 Fraction cells; a refusal must match the reference's type and message.
-Spearman rho must return the same float, and the spoiler experiment the
-same report as the loop that compared pair_relations. The robustness
-experiment's median imputation must build the same board as the loop that
-rebuilt it once per deleted cell, on the ladder boards with holes.
+Spearman rho must return the same float. The robustness experiment's
+median imputation must build the same board as the loop that rebuilt it
+once per deleted cell, on the ladder boards with holes.
+
+Both experiments run on tables derived from one full-board RankTable and
+on boards derived without rechecks. Every derived table and board must
+equal the one built from scratch, and the experiments must give the same
+report, or the same refusal, as the loops that rebuilt a board per step or
+trial, on every ladder board with and without holes. A second call must
+repeat the first.
 """
 
 import random
@@ -26,9 +32,10 @@ from fractions import Fraction as F
 import pytest
 
 import voteboard as vb
-from voteboard.errors import RuleUnsupportedForMode, VoteboardError
+from voteboard.errors import MissingScore, RuleUnsupportedForMode, VoteboardError
 from voteboard.experiments import _impute_medians as impute_medians
-from voteboard.modes import BASIC, TWO_STEP, WEIGHTED
+from voteboard.model import RankTable, build_profile
+from voteboard.modes import BASIC, TWO_STEP, WEIGHTED, base_weights
 
 import reference
 
@@ -284,24 +291,172 @@ def test_rho_matches_reference(n):
     ) == -1.0
 
 
-# one rule of each family: positional, elimination, pairwise, set, baseline
-IIA_RULES = ("borda", "hare", "copeland", "uncovered", "mean")
+# one rule of each family: positional, elimination (on either kernel),
+# pairwise, set, baseline
+IIA_RULES = ("borda", "hare", "baldwin", "copeland", "minimax", "uncovered", "mean")
+LADDER_BOARDS = [
+    pytest.param(n, t, seed, id=f"{n}x{t}-{seed}")
+    for n, t, seeds, _, _ in LADDER
+    for seed in seeds
+]
 
 
-@pytest.mark.parametrize("n,t,seed", [(5, 3, 0), (8, 5, 1), (20, 6, 0)])
+@pytest.mark.parametrize("n,t,seed", [
+    pytest.param(n, t, seed, id=f"{n}-{t}-{seed}") for n, t, seeds, _, _ in LADDER for seed in seeds
+])
 def test_iia_matches_reference_loop(n, t, seed):
-    lb = ladder_board(n, t, seed)
-    cfg = vb.ExperimentConfig(seed=seed, trials=4)
-    for rule in IIA_RULES:
+    """Reports, or refusals, equal the loop that rebuilt a board per step.
+
+    On a board with holes, a rule that needs complete profiles must refuse
+    with the type and message that build_profile gives the first step whose
+    restricted board holds a hole.
+    """
+    cfg = vb.ExperimentConfig(seed=seed, trials=4 if n <= 20 else 2)
+    for lb in (ladder_board(n, t, seed), ladder_board(n, t, seed, holes=True)):
+        for rule in IIA_RULES:
+            try:
+                old = reference.iia_experiment(lb, rule, cfg)
+            except ValueError as exc:
+                # the old check raised a bare ValueError for an unranked system
+                with pytest.raises(RuleUnsupportedForMode):
+                    vb.iia_experiment(lb, rule, cfg)
+                assert "unranked" in str(exc)
+                continue
+            except VoteboardError as exc:
+                with pytest.raises(type(exc)) as caught:
+                    vb.iia_experiment(lb, rule, cfg)
+                assert str(caught.value) == str(exc)
+                continue
+            assert vb.iia_experiment(lb, rule, cfg) == old, rule
+
+
+def test_iia_refuses_a_hole_only_once_it_is_present():
+    """With two holes, a rule needing complete profiles refuses at the first
+    step whose systems hold one, naming the first task with a hole there."""
+    lb = ladder_board(8, 5, 0).without_cells([("s03", "t4"), ("s05", "t2")])
+    named = set()
+    for seed in range(8):
+        cfg = vb.ExperimentConfig(seed=seed, trials=1)
+        with pytest.raises(MissingScore) as caught:
+            vb.iia_experiment(lb, "borda", cfg)
+        with pytest.raises(MissingScore) as expected:
+            reference.iia_experiment(lb, "borda", cfg)
+        assert str(caught.value) == str(expected.value)
+        named.add(str(caught.value))
+    assert named == {"system 's03' has no score on task 't4'",
+                     "system 's05' has no score on task 't2'"}
+
+
+@pytest.mark.parametrize("n,t,seed", LADDER_BOARDS)
+def test_derived_boards_and_tables_match_fresh_builds(n, t, seed):
+    """What the experiments derive equals what the validating paths build.
+
+    Boards from _derived equal, and repr like, the ones the validating
+    constructor builds, and those from a _with_ratios copy carry exactly the
+    ratios of their cells. A restricted or trimmed table equals the table
+    built from the derived board, pairwise counts and mass unit included.
+    """
+    rng = random.Random(f"derive:{n}:{t}:{seed}")
+    for lb in (mapped(ladder_board(n, t, seed), CELLS["decimals"]),
+               ladder_board(n, t, seed, holes=True)):
+        carrier = lb._with_ratios()
+        assert carrier == lb and repr(carrier) == repr(lb)
+        weights = base_weights(lb)
+        table = RankTable.of(build_profile(lb, missing_ok=True), weights)
+
+        def same_table(derived, board):
+            fresh = RankTable.of(build_profile(board, missing_ok=True), weights)
+            assert derived == fresh
+            assert derived.pairwise() == fresh.pairwise()
+            assert derived.mass_unit == fresh.mass_unit
+
+        def same_board(derived, fresh):
+            assert derived == fresh and repr(derived) == repr(fresh)
+            if derived._ratios is not None:
+                assert derived._ratios == fresh._with_ratios()._ratios
+
+        for _ in range(6):
+            kept = sorted(rng.sample(range(n), rng.randint(1, n)))
+            names = [lb.systems[i] for i in kept]
+            fresh = reference.restrict_systems(lb, names)
+            same_board(lb.restrict_systems(names), fresh)
+            same_board(carrier.restrict_systems(names), fresh)
+            assert carrier.restrict_systems(names)._ratios is not None
+            same_table(table.restrict(kept), fresh)
+
+            present = lb.present_cells()
+            deleted = rng.sample(present, rng.randint(1, min(3 * t, len(present))))
+            fresh = reference.without_cells(lb, deleted)
+            same_board(carrier.without_cells(deleted), fresh)
+            cells = [(lb.systems.index(m), lb.tasks.index(tk)) for m, tk in deleted]
+            same_table(table.without(cells), fresh)
+            imputed = impute_medians(carrier.without_cells(deleted), deleted)
+            same_board(imputed, reference.impute_medians(fresh, deleted))
+            assert imputed._ratios is not None
+
+
+ROBUSTNESS_RULES = ("copeland", "minimax", "mean", "optimality_gap")
+
+
+@pytest.mark.parametrize("n,t,seed", LADDER_BOARDS)
+def test_robustness_matches_reference_loop(n, t, seed):
+    """Reports, or refusals, equal the loop that rebuilt the boards per trial.
+
+    The baselines see the ladder's levels mapped into [0, 1], where both
+    accept them; on the holed boards they refuse the full board.
+    """
+    for lb in (ladder_board(n, t, seed), ladder_board(n, t, seed, holes=True)):
+        unit = mapped(lb, CELLS["unit"])
+        for omit in range(1, 6):
+            cfg = vb.ExperimentConfig(seed=seed, trials=3, omit_count=omit, top_k=min(4, n))
+            for rule in ROBUSTNESS_RULES:
+                board = unit if rule in ("mean", "optimality_gap") else lb
+                new = outcome_or_error(lambda: vb.robustness_experiment(board, [rule], cfg))
+                old = outcome_or_error(lambda: reference.robustness_experiment(board, [rule], cfg))
+                assert new == old, (rule, omit)
+    # every rule on the same deletions in one call, on a complete board
+    cfg = vb.ExperimentConfig(seed=seed, trials=4, omit_count=5, top_k=min(4, n))
+    unit = mapped(ladder_board(n, t, seed), CELLS["decimals"])
+    assert vb.robustness_experiment(unit, ROBUSTNESS_RULES, cfg) == (
+        reference.robustness_experiment(unit, ROBUSTNESS_RULES, cfg)
+    )
+
+
+def test_robustness_refuses_an_overflowing_median_as_the_reference_does():
+    """The mean of two cells near the float limit is not a finite score."""
+    near_limit = [1.7e308, 1.7e308, 1.0, 1.6e308, 1.5e308]
+    lb = vb.Leaderboard.from_scores(
+        {m: {"t": v, "u": float(i)} for i, (m, v) in enumerate(zip("abcde", near_limit))}
+    )
+    refused = 0
+    for seed in range(8):
+        cfg = vb.ExperimentConfig(seed=seed, trials=2, omit_count=1, top_k=2)
         try:
-            old = reference.iia_experiment(lb, rule, cfg)
+            old = reference.robustness_experiment(lb, ["mean"], cfg)
         except ValueError as exc:
-            # the old check raised a bare ValueError for an unranked system
-            with pytest.raises(RuleUnsupportedForMode):
-                vb.iia_experiment(lb, rule, cfg)
-            assert "unranked" in str(exc)
+            with pytest.raises(ValueError, match=str(exc)):
+                vb.robustness_experiment(lb, ["mean"], cfg)
+            refused += 1
             continue
-        assert vb.iia_experiment(lb, rule, cfg) == old, rule
+        assert vb.robustness_experiment(lb, ["mean"], cfg) == old
+    assert 0 < refused < 8
+
+
+def test_experiments_repeat_exactly():
+    """A second call on the same board gives the same report: no call leaves
+    state behind for the next."""
+    complete = mapped(ladder_board(14, 6, 0), CELLS["unit"])
+    holed = ladder_board(14, 6, 0, holes=True)
+    for lb, rules in ((complete, ("baldwin", "copeland", "minimax", "mean")),
+                      (holed, ("baldwin", "copeland", "minimax"))):
+        for rule in rules:
+            cfg = vb.ExperimentConfig(seed=5, trials=3)
+            first = outcome_or_error(lambda: vb.iia_experiment(lb, rule, cfg))
+            assert outcome_or_error(lambda: vb.iia_experiment(lb, rule, cfg)) == first
+        robust = [r for r in rules if r != "baldwin"]
+        cfg = vb.ExperimentConfig(seed=5, trials=3, omit_count=4, top_k=4)
+        first = vb.robustness_experiment(lb, robust, cfg)
+        assert vb.robustness_experiment(lb, robust, cfg) == first
 
 
 @pytest.mark.parametrize("n,t,seed", [
