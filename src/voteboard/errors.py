@@ -67,3 +67,7 @@ class InvalidParameter(VoteboardError, ValueError):
 
 class SearchTooLarge(VoteboardError, RuntimeError):
     """An exhaustive search was refused because its input is too large."""
+
+
+class ProductTooLarge(VoteboardError, RuntimeError):
+    """An exact product was refused because it would exceed a fixed size."""

@@ -209,7 +209,8 @@ def robustness_experiment(
     optimality-gap baselines get each deleted cell imputed with its task's
     median over the remaining systems. The trial result per rule is the
     Spearman correlation between the reference ranks of the intact top-k
-    systems and their ranks after deletion.
+    systems and their ranks after deletion. A rule that leaves a system
+    unranked, on the intact board or after a trial's deletions, is refused.
     """
     cfg = cfg or ExperimentConfig(trials=100)
     if cfg.top_k > len(lb.systems):
@@ -263,6 +264,12 @@ def robustness_experiment(
                 out = run(rid, imputed)
             else:
                 out = run(rid, trimmed)
+            if not out.is_total():
+                # a set rule's winners on the intact board may be everyone
+                raise RuleUnsupportedForMode(
+                    f"rule {rid!r} leaves systems unranked once cells are deleted, "
+                    "so it has no ranks to correlate"
+                )
             ranks = out.fractional_ranks()
             chosen = ref_sets[rid]
             rho = rho_from_rank_vectors(

@@ -176,8 +176,8 @@ def jsonify(value: Any) -> Any:
     if isinstance(value, (frozenset, set)):
         return sorted(value)
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {k: jsonify(v) for k, v in dataclasses.asdict(value).items()}
-    if isinstance(value, dict):
+        return {f.name: jsonify(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, Mapping):
         return {str(k): jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonify(v) for v in value]

@@ -8,9 +8,10 @@ elimination order backwards, best group first.
 Every rule here reads the RankTable that run_rule builds. threshold,
 hare and coombs take the survivors' place masses; baldwin, nanson and black
 take Borda scores from the pairwise counts, where dropping a system deletes
-its column. Both kernels sum integers in LCM-scaled weight units, and
-scores become Fractions only when a round or the outcome is packaged; black
-packages its Borda scores with model.ranked_by.
+its column. Both kernels sum integers in LCM-scaled weight units. Each
+threshold stage and elimination round keeps its integer scores and their
+unit in a model.LazyScores, which builds the Fractions when it is read;
+black packages its Borda scores with model.ranked_by.
 
 Tuples are built from lists, for the reason the model module gives.
 """
@@ -19,10 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import sub
 from typing import Any, Callable, Mapping
 
 from .majority import condorcet_winner, majority_graph_from_table
-from .model import RankTable, RuleOutcome, ranked_by
+from .model import LazyScores, RankTable, RuleOutcome, ranked_by
 from .modes import Rule
 
 
@@ -45,34 +47,37 @@ class EliminationTrace:
 
 
 def _threshold_winner(
-    table: RankTable, candidates: list[int]
+    table: RankTable, candidates: list[int], names: tuple[str, ...]
 ) -> tuple[list[int], list[dict[str, Any]]]:
     """Tied set left after the top-k tie-break cascade among the candidates.
 
     With k candidates, stage z scores each one by its mass on the top k - z
-    places: its total mass minus its mass on the last z places.
+    places: its total mass minus its mass on the last z places. names are
+    the candidates' names, in their order.
     """
     k = len(candidates)
     if k == 1:
         return candidates, []
-    names = table.systems
     masses = table.masses(candidates)
-    scores = {a: sum(masses[a]) for a in candidates}
-    pool = candidates
+    rows = [masses[a] for a in candidates]
+    # places[p][i] is candidate i's mass at place p + 1
+    places = list(zip(*rows))
+    scores = list(map(sum, rows))
+    pool = range(k)
     stages: list[dict[str, Any]] = []
     for zeros in range(1, k):
-        for a in candidates:
-            scores[a] -= masses[a][k - zeros]
-        best = max(scores[a] for a in pool)
-        pool = [a for a in pool if scores[a] == best]
+        # a new list per stage, so each stage keeps its own row
+        scores = list(map(sub, scores, places[k - zeros]))
+        best = max([scores[i] for i in pool])
+        pool = [i for i in pool if scores[i] == best]
         stages.append({
             "zeros": zeros,
-            "scores": {names[a]: Fraction(scores[a], table.mass_unit) for a in candidates},
-            "tied": tuple(sorted(names[a] for a in pool)),
+            "scores": LazyScores(names, scores, table.mass_unit),
+            "tied": tuple(sorted([names[i] for i in pool])),
         })
         if len(pool) == 1:
             break
-    return pool, stages
+    return [candidates[i] for i in pool], stages
 
 
 def _threshold_run(table: RankTable) -> RuleOutcome:
@@ -81,15 +86,15 @@ def _threshold_run(table: RankTable) -> RuleOutcome:
     groups: list[frozenset[str]] = []
     repetitions: list[dict[str, Any]] = []
     while remaining:
-        winners, stages = _threshold_winner(table, remaining)
-        groups.append(frozenset(names[a] for a in winners))
         candidates = tuple([names[a] for a in remaining])
+        winners, stages = _threshold_winner(table, remaining, candidates)
+        groups.append(frozenset(names[a] for a in winners))
         repetitions.append({"candidates": candidates, "stages": stages})
         remaining = [a for a in remaining if a not in winners]
     first = repetitions[0]["stages"]
     diagnostics = {
         "repetitions": repetitions,
-        "first_round_scores": dict(first[0]["scores"]) if first else None,
+        "first_round_scores": first[0]["scores"] if first else None,
     }
     return RuleOutcome(ranking=tuple(groups), diagnostics=diagnostics)
 
@@ -139,6 +144,9 @@ def _borda_elimination(losers: Callable[[dict[int, int]], list[int]]):
         names = table.systems
         counts = table.pairwise()
         net = _net_wins(counts)
+        n = len(names)
+        # ScoringVector.borda(k).entries, without its checks, is the last k of these
+        borda = tuple([Fraction(p) for p in range(n - 1, -1, -1)])
         tiers: list[frozenset[str]] = []
         rounds: list[EliminationRound] = []
         while True:
@@ -147,12 +155,11 @@ def _borda_elimination(losers: Callable[[dict[int, int]], list[int]]):
             if not gone:
                 break
             tiers.append(frozenset(names[a] for a in gone))
-            k = len(scores)
+            survivors = tuple([names[a] for a in scores])
             rounds.append(EliminationRound(
-                tuple([names[a] for a in scores]),
-                # ScoringVector.borda(k).entries, without its checks
-                tuple([Fraction(k - 1 - p) for p in range(k)]),
-                {names[a]: Fraction(x, 2 * table.scale) for a, x in scores.items()},
+                survivors,
+                borda[n - len(scores):],
+                LazyScores(survivors, list(scores.values()), 2 * table.scale),
                 tiers[-1],
             ))
             _drop(net, counts, gone)
@@ -185,7 +192,10 @@ def _mass_elimination(from_last: bool):
         names = table.systems
         unit = table.mass_unit
         total = table.total * (unit // table.scale)
-        survivors = list(range(len(names)))
+        n = len(names)
+        survivors = list(range(n))
+        # each round's one-hot vector is a slice of this, whose 1 is at n - 1
+        hot = (Fraction(0),) * (n - 1) + (Fraction(1),) + (Fraction(0),) * (n - 1)
         tiers: list[frozenset[str]] = []
         rounds: list[EliminationRound] = []
         while len(survivors) > 1:
@@ -201,14 +211,16 @@ def _mass_elimination(from_last: bool):
                         "majority_share": Fraction(masses[best][0], total),
                     })
             place = k - 1 if from_last else 0
-            column = {a: masses[a][place] for a in survivors}
-            edge = max(column.values()) if from_last else min(column.values())
-            gone = frozenset(names[a] for a in survivors if column[a] == edge)
+            column = [masses[a][place] for a in survivors]
+            edge = max(column) if from_last else min(column)
+            gone = frozenset(names[a] for a, x in zip(survivors, column) if x == edge)
             if len(gone) == k:
                 break
-            vector = tuple([Fraction(1 if p == place else 0) for p in range(k)])
-            scores = {names[a]: Fraction(x, unit) for a, x in column.items()}
-            rounds.append(EliminationRound(tuple(scores), vector, scores, gone))
+            alive = tuple([names[a] for a in survivors])
+            start = n - 1 - place
+            rounds.append(EliminationRound(
+                alive, hot[start:start + k], LazyScores(alive, column, unit), gone
+            ))
             tiers.append(gone)
             survivors = [a for a in survivors if names[a] not in gone]
         return _finish([names[a] for a in survivors], tiers, rounds)

@@ -28,6 +28,7 @@ from .errors import (
     InvalidParameter,
     MismatchedSystems,
     NonPositiveScore,
+    ProductTooLarge,
     ScoreOutOfRange,
 )
 from .model import (
@@ -43,6 +44,9 @@ from .modes import Rule
 
 TOP = "top"
 LEAST = "least"
+# gmean refuses a product estimated, as sum(n_j * bit_length(cell_j)), above
+# this many bits; one such product takes about 4 ms on a 2-vCPU x86 VM
+GMEAN_PRODUCT_BITS = 1 << 18
 
 
 def _mean_run(lb: Leaderboard, weights: Mapping[str, Fraction]) -> RuleOutcome:
@@ -55,24 +59,30 @@ def _mean_run(lb: Leaderboard, weights: Mapping[str, Fraction]) -> RuleOutcome:
 def _gmean_run(lb: Leaderboard, weights: Mapping[str, Fraction]) -> RuleOutcome:
     cells, _ = exact_cells(lb)
     # integer exponents: ranking by prod(cell^n_j) equals ranking by the
-    # geometric mean, and the common denominator^sum(n_j) divides out
+    # geometric mean, and the common denominator^sum(n_j) divides out; so
+    # does a common factor of the n_j, whose root keeps the order
     exps, _ = integer_weights(lb.tasks, weights)
+    common = math.gcd(*exps)
+    exps = [n // common for n in exps]
     n_total = sum(exps)
     products: dict[str, int] = {}
     display: dict[str, float] = {}
     for system, raw, row in zip(lb.systems, lb.scores, cells):
-        prod = 1
-        terms = []
-        for task, cell, num, n in zip(lb.tasks, raw, row, exps):
+        for task, cell in zip(lb.tasks, raw):
             if cell <= 0:
                 raise NonPositiveScore(
                     f"geometric mean needs positive scores; {system!r} on {task!r} is {cell}"
                 )
-            prod *= num ** n
-            terms.append(n * math.log(cell))
-        products[system] = prod
+        bits = sum(map(mul, exps, [num.bit_length() for num in row]))
+        if bits > GMEAN_PRODUCT_BITS:
+            raise ProductTooLarge(
+                f"geometric mean of {system!r} needs an exact product of more than "
+                f"{GMEAN_PRODUCT_BITS} bits: the task weights, scaled to coprime "
+                "integers, are too large"
+            )
+        products[system] = math.prod(map(pow, row, exps))
         # fsum is correctly rounded, so the report does not depend on task order
-        display[system] = math.exp(math.fsum(terms) / n_total)
+        display[system] = math.exp(math.fsum(map(mul, exps, map(math.log, raw))) / n_total)
     return RuleOutcome(ranking=group_by_score(products), scores=display)
 
 

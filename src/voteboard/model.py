@@ -12,7 +12,8 @@ scaled to integers by the LCM of their denominators. Its pairwise and
 place-mass kernels sum integers. A rule that ranks by a score hands its
 integer scores and their unit to ranked_by, which groups on the integers
 and builds each Fraction once; a set-valued rule hands its winners to
-chosen.
+chosen. Score maps kept only as diagnostics are LazyScores, which build
+their Fractions when first read.
 
 Tuples built on every rule call come from lists, not generators. tuple() of
 an iterator without a length resizes its result, and the resized tuple is
@@ -753,6 +754,41 @@ def ranked_by(
         scores={m: Fraction(x, unit) for m, x in scores.items()},
         diagnostics={} if diagnostics is None else diagnostics,
     )
+
+
+class LazyScores(Mapping[str, Fraction]):
+    """Read-only {name: Fraction(score, unit)} that keeps the integers until read.
+
+    The dict is built on the first read. A Mapping equals the dict it
+    stands for, and the repr is that dict's, so a diagnostic held this way
+    compares and prints like the dict. unit must be positive.
+    """
+
+    __slots__ = ("_names", "_row", "_unit", "_dict")
+
+    def __init__(self, names: Sequence[str], row: Sequence[int], unit: int) -> None:
+        self._names = names
+        self._row = row
+        self._unit = unit
+        self._dict: dict[str, Fraction] | None = None
+
+    def _filled(self) -> dict[str, Fraction]:
+        if self._dict is None:
+            unit = self._unit
+            self._dict = {m: Fraction(x, unit) for m, x in zip(self._names, self._row)}
+        return self._dict
+
+    def __getitem__(self, name: str) -> Fraction:
+        return self._filled()[name]
+
+    def __iter__(self):
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+    def __repr__(self) -> str:
+        return repr(self._filled())
 
 
 def chosen(

@@ -22,6 +22,10 @@ RankTable. After it come the robustness experiment's median imputation,
 which rebuilt the board once per deleted cell, and the robustness loop,
 which ran the library's rules on boards rebuilt once per trial.
 
+Then comes the outcome's JSON text as the CLI printed it while every
+diagnostic mapping was a dict, whose dataclasses went through
+dataclasses.asdict.
+
 Last comes the two-phase simplex that pivoted a dense tableau of Fractions,
 as it stood before linprog moved to fraction-free integer pivots; the
 status strings come from the library.
@@ -29,6 +33,8 @@ status strings come from the library.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 import statistics
 from dataclasses import dataclass, field
@@ -57,6 +63,7 @@ from voteboard.experiments import (
     _report,
     trial_rng,
 )
+from voteboard.io import _as_float
 from voteboard.iterative import EliminationRound, EliminationTrace
 from voteboard.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, Constraint
 from voteboard.metrics import _signed_root, end_set
@@ -1139,6 +1146,41 @@ def robustness_experiment(
     return _report(
         "robustness", cfg, series, omit_count=cfg.omit_count, top_k=cfg.top_k, gamma=gamma
     )
+
+
+# -- outcome JSON -------------------------------------------------------------
+
+
+def jsonify(value: Any) -> Any:
+    """io.jsonify as it stood while every diagnostic mapping was a dict."""
+    if isinstance(value, Fraction):
+        return _as_float(value)
+    if isinstance(value, (frozenset, set)):
+        return sorted(value)
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {k: jsonify(v) for k, v in dataclasses.asdict(value).items()}
+    if isinstance(value, dict):
+        return {str(k): jsonify(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonify(v) for v in value]
+    return value
+
+
+def outcome_json(outcome: RuleOutcome) -> str:
+    """The text `voteboard rank --format json` printed for the outcome, through that jsonify."""
+    ranking = []
+    place = 1
+    for group in outcome.ranking:
+        members = sorted(group)
+        score = None if outcome.scores is None else jsonify(outcome.scores[members[0]])
+        ranking.append({"rank": place, "systems": members, "score": score})
+        place += len(group)
+    diagnostics = jsonify(dict(outcome.diagnostics))
+    if outcome.unranked:
+        diagnostics["unranked"] = sorted(outcome.unranked)
+    payload = {"rule": outcome.rule_id, "mode": outcome.mode, "ranking": ranking,
+               "diagnostics": diagnostics, "seed": None}
+    return json.dumps(jsonify(payload), sort_keys=True, indent=2) + "\n"
 
 
 # -- exact simplex --------------------------------------------------------------

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import random
 import time
 
 import pytest
@@ -18,6 +19,8 @@ from voteboard.io import (
     render_outcome_table,
     to_json,
 )
+
+import reference
 
 BASIC_CSV = """system,t1,t2,t3
 #direction,max,max,min
@@ -273,6 +276,13 @@ FAILURE_FILES = {
     "long_int_weight": '{"t1": 1' + "0" * 5000 + "}",
     "binary_weights": b'{"t1": "\xff"}',
     "binary_csv": b"system,t1\nalpha,1\n\xff,2\n",
+    # every pair ties, so the set rules choose all three
+    "tied3": "system,t1,t2\ns0,3,1\ns1,1,3\ns2,2,2\n",
+    "far_weights": "system,t1,t2\n#weight,1,1e-7\nalpha,0.5,0.3\nbeta,0.25,0.9\n",
+    "huge_and_unit_weights": "system,t1,t2\n#weight,1e300,1\nalpha,0.5,0.3\nbeta,0.25,0.9\n",
+    "one_heavy_task": "system,t1\n#weight,1e7\n" + "".join(
+        f"s{i},0.{917 - 13 * i}\n" for i in range(6)
+    ),
 }
 FAILURES = [
     ("malformed csv", ["rank", "-i", "{ragged}", "--rule", "borda"], 1),
@@ -333,6 +343,17 @@ FAILURES = [
     ("csv that is not UTF-8", ["rank", "-i", "{binary_csv}", "--rule", "borda"], 1),
     ("weakly_stable over a dominant set too large to search",
      ["rank", "-i", "{cycle19}", "--rule", "weakly_stable"], 2),
+    ("robustness with a set rule that ranks everyone until cells go",
+     ["experiment", "robustness", "-i", "{tied3}", "--rules", "uncovered", "--omit", "2",
+      "--top-k", "3", "--trials", "2", "--seed", "0"], 2),
+    ("robustness with condorcet",
+     ["experiment", "robustness", "-i", "{tied3}", "--rules", "condorcet", "--omit", "2",
+      "--top-k", "3", "--trials", "2", "--seed", "0"], 2),
+    ("gmean under weights 1 and 1e-7",
+     ["rank", "-i", "{far_weights}", "--rule", "gmean"], 2),
+    ("gmean under weights 1e300 and 1",
+     ["rank", "-i", "{huge_and_unit_weights}", "--rule", "gmean"], 2),
+    ("gmean with one task of weight 1e7", ["rank", "-i", "{one_heavy_task}", "--rule", "gmean"], 0),
 ]
 
 
@@ -348,6 +369,7 @@ def test_cli_failure_classes_exit_with_documented_code(tmp_path, capsys, argv, e
         else:
             paths[name].write_text(text)
     args = [a.format(**paths) for a in argv]
+    start = time.perf_counter()
     try:
         code = main(args)
     except SystemExit as exc:
@@ -355,6 +377,7 @@ def test_cli_failure_classes_exit_with_documented_code(tmp_path, capsys, argv, e
     err = capsys.readouterr().err
     assert code == expected, err
     assert "internal error" not in err
+    assert time.perf_counter() - start < 5.0
 
 
 def test_scores_beyond_the_float_range_render_as_infinity(tmp_path, capsys):
@@ -400,3 +423,47 @@ def test_no_weight_string_is_an_internal_error(tmp_path_factory, weight):
         code = main(["rank", *argv, "--rule", "borda"])
         assert time.perf_counter() - start < 2.0, weight
         assert code in (0, 1), weight
+
+
+def glue_shaped_csv(seed, spread):
+    """A 20 x 9 board like GLUE's: three-decimal cells, so ties occur; two min tasks."""
+    rng = random.Random(f"glue-shaped:{seed}:{spread}")
+    tasks = [f"t{j}" for j in range(9)]
+    lines = [
+        ",".join(["system", *tasks]),
+        ",".join(["#direction", *("min" if j in (4, 7) else "max" for j in range(9))]),
+        ",".join(["#weight", *(("1", "1/2", "2")[j % 3] for j in range(9))]),
+    ]
+    for i in range(20):
+        skill = rng.gauss(0.0, spread)
+        cells = []
+        for j in range(9):
+            p = 1 / (1 + math.exp(-(skill + rng.gauss(0.0, 1.0))))
+            p = min(max(round(p, 3), 0.001), 0.999)
+            cells.append(f"{1 - p if j in (4, 7) else p:.3f}")
+        lines.append(",".join([f"sys{i:02d}", *cells]))
+    return "\n".join(lines) + "\n"
+
+
+GLUE_GROUPS = {"t0": "a", "t1": "a", "t2": "a", "t3": "b", "t4": "b", "t5": "b",
+               "t6": "c", "t7": "c", "t8": "c"}
+
+
+@pytest.mark.parametrize("seed,spread", [(0, 0.0), (1, 0.0), (0, 0.5), (1, 0.5), (0, 2.0)])
+def test_iterative_json_is_the_all_dict_outcome_json(tmp_path, capsys, seed, spread):
+    """Stage and round scores built on read print the bytes the dict diagnostics printed."""
+    board = tmp_path / "board.csv"
+    board.write_text(glue_shaped_csv(seed, spread))
+    groups = tmp_path / "groups.json"
+    groups.write_text(json.dumps(GLUE_GROUPS))
+    lb = load_leaderboard(board, groups_path=groups)
+    for rule in ("threshold", "baldwin", "nanson", "hare", "coombs"):
+        for mode in ("basic", "weighted", "two_step"):
+            code, out, err = run_cli(["rank", "-i", str(board), "--groups", str(groups),
+                                      "--rule", rule, "--mode", mode, "--format", "json"], capsys)
+            assert code == 0, err
+            old = reference.run_rule(lb, reference.RULES[rule], mode)
+            assert out == reference.outcome_json(old), (rule, mode)
+            back = outcome_from_dict(json.loads(out))
+            assert back == outcome_from_dict(json.loads(reference.outcome_json(old)))
+            assert to_json(outcome_to_dict(back)) == out

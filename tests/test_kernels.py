@@ -7,7 +7,8 @@ rows, on a seeded ladder of boards from 5 to 60 systems with ties, min
 directions, weights 1, 1/2 and 1/3, and missing cells for the rules that
 accept them. The larger boards run in fewer modes, and the largest gets
 its missing cells only in the graph check, because the reference is slow
-there. On the 60-system board, dowdall's vector is scaled by the LCM of
+there. The rules also run on one 50 x 20 board, the wide benchmark's shape,
+with and without holes. On the 60-system board, dowdall's vector is scaled by the LCM of
 1..60, a 25-digit integer.
 
 The score baselines, which sum integers over one common denominator, are
@@ -100,7 +101,12 @@ def assert_same_outcomes(lb, rule_ids, modes, **params):
             assert new == old, (rid, mode)
 
 
-@pytest.mark.parametrize("n,t,seed,modes,holes", ladder())
+# a wide-lib shaped rung, for the rules only: the reference threshold and
+# elimination rounds re-score every stage, and the loops' tests run them often
+WIDE_RUNG = pytest.param(50, 20, 0, (BASIC,), True, id="50x20-0")
+
+
+@pytest.mark.parametrize("n,t,seed,modes,holes", [*ladder(), WIDE_RUNG])
 def test_rules_match_reference(n, t, seed, modes, holes):
     assert_same_outcomes(ladder_board(n, t, seed), PAIRWISE + COMPLETE, modes)
     if holes:

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import random
 import time
 from fractions import Fraction as F
@@ -15,6 +17,9 @@ from voteboard import (
     group_by_score,
     position_counts,
 )
+from voteboard.io import to_json
+from voteboard.iterative import EliminationRound
+from voteboard.model import LazyScores
 
 from conftest import TOY_ORDERS, board_from_orders, random_board
 
@@ -193,3 +198,25 @@ def test_outcome_accessors(toy):
     assert plur.competition_ranks() == {"A": 1, "B": 2, "C": 2, "D": 2}
     assert plur.fractional_ranks()["B"] == F(3)
     assert plur.pair_relations()[("B", "C")] == 0
+
+
+def test_lazy_scores_read_as_the_dict_they_stand_for():
+    plain = {"a": F(3, 4), "b": F(-1), "c": F(3, 2)}
+    lazy = LazyScores(("a", "b", "c"), [3, -4, 6], 4)
+    assert list(lazy) == ["a", "b", "c"] and len(lazy) == 3
+    assert lazy._dict is None  # nothing built until a value is read
+    assert "b" in lazy and "d" not in lazy
+    assert lazy == plain and plain == lazy and dict(lazy) == plain
+    assert lazy != {"a": F(3, 4)} and lazy != {**plain, "c": F(1)}
+    assert repr(lazy) == repr(plain)
+    with pytest.raises(TypeError):
+        lazy["a"] = F(0)
+    with pytest.raises(KeyError):
+        lazy["d"]
+    assert to_json(lazy) == to_json(plain)
+    assert copy.deepcopy(lazy) == plain
+    rounds = [EliminationRound(("a", "b", "c"), (F(1), F(0), F(0)), scores, frozenset("b"))
+              for scores in (lazy, plain)]
+    assert rounds[0] == rounds[1] and repr(rounds[0]) == repr(rounds[1])
+    assert dataclasses.asdict(rounds[0]) == dataclasses.asdict(rounds[1])
+    assert to_json(rounds[0]) == to_json(rounds[1])
