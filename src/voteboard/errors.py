@@ -37,7 +37,7 @@ class NonPositiveScore(VoteboardError):
     """A score must be strictly positive for this operation."""
 
 
-class ScoreOutOfRange(VoteboardError):
+class ScoreOutOfRange(VoteboardError, ValueError):
     """A score falls outside the range this operation requires."""
 
 

@@ -25,6 +25,7 @@ from typing import Any, Callable, Mapping, Sequence
 from .errors import (
     InvalidParameter,
     RuleUnsupportedForMode,
+    ScoreOutOfRange,
     TooFewSystems,
     TooManyOmissions,
 )
@@ -189,7 +190,7 @@ def _impute_medians(
             medians[j] = float(statistics.median(remaining)) if remaining else 0.0
             if not math.isfinite(medians[j]):
                 # the mean of two cells near the float limit overflows
-                raise ValueError("scores must be finite or None")
+                raise ScoreOutOfRange("scores must be finite or None")
         cells[(corrupted.systems.index(system), j)] = medians[j]
     return corrupted._with_cells(cells)
 

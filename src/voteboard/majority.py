@@ -5,23 +5,24 @@ ranks a strictly above b, -1 when strictly below, and 0 on a tie or when
 either score is missing. a dominates b when the signed sum is positive, so
 missing cells shrink the evidence for a pair instead of being imputed.
 
-The relation is held as one integer matrix of pairwise counts in
-LCM-scaled weight units (RankTable.pairwise). A margin or support becomes a
-Fraction only when read, and each system's dominated and dominator sets are
-computed once per graph from the integer rows. The copeland rules and
-minimax read their integer scores straight from the rows, without a graph,
-and hand them to model.ranked_by; condorcet and the set rules hand their
-winners to model.chosen.
+The counts are one integer matrix in LCM-scaled weight units
+(RankTable.pairwise); a margin or support becomes a Fraction only when read.
+Each graph builds two bitmasks per system once: the systems it beats and
+those beating it. condorcet counts their bits, and the set rules are subset
+tests on them; dominated, dominators and edges build frozensets from them
+when read. The copeland rules and minimax read integer scores straight from
+the rows, without a graph, and hand them to model.ranked_by; condorcet and
+the set rules hand their winners to model.chosen.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import combinations
-from operator import gt
-from typing import Callable, Mapping
+from functools import cached_property, reduce
+from itertools import combinations, compress
+from operator import gt, or_
+from typing import Callable, Iterator, Sequence
 
 from .errors import SearchTooLarge
 from .model import Leaderboard, RankTable, RuleOutcome, build_profile, chosen, ranked_by
@@ -29,6 +30,11 @@ from .modes import Rule, base_weights
 
 # exhaustive weakly-stable search is exponential in the dominant component
 _WEAKLY_STABLE_LIMIT = 18
+
+
+def _picked(items: Sequence, mask: int) -> Iterator:
+    """The items at the set bits of mask, in order: bit i picks items[i]."""
+    return compress(items, map("1".__eq__, reversed(f"{mask:b}")))
 
 
 @dataclass(frozen=True)
@@ -51,14 +57,15 @@ class MajorityGraph:
         return {m: i for i, m in enumerate(self.systems)}
 
     @cached_property
-    def _lower_upper(self) -> tuple[dict[str, frozenset[str]], dict[str, frozenset[str]]]:
-        names = self.systems
-        lower: dict[str, frozenset[str]] = {}
-        upper: dict[str, frozenset[str]] = {}
-        for a, row, col in zip(names, self.counts, zip(*self.counts)):
-            lower[a] = frozenset(b for b, x, y in zip(names, row, col) if x > y)
-            upper[a] = frozenset(b for b, x, y in zip(names, row, col) if y > x)
-        return lower, upper
+    def _masks(self) -> tuple[list[int], list[int]]:
+        """(beats, beaten): bit j of beats[i] is set when systems[i] beats
+        systems[j], and bit j of beaten[i] when systems[j] beats systems[i]."""
+        bits = [1 << j for j in range(len(self.systems))]
+        beats, beaten = [], []
+        for row, col in zip(self.counts, zip(*self.counts)):
+            beats.append(sum(compress(bits, map(gt, row, col))))
+            beaten.append(sum(compress(bits, map(gt, col, row))))
+        return beats, beaten
 
     def margin(self, a: str, b: str) -> Fraction:
         i, j = self._index[a], self._index[b]
@@ -75,20 +82,16 @@ class MajorityGraph:
 
     def dominated(self, m: str) -> frozenset[str]:
         """L(m): systems that m beats."""
-        return self._lower_upper[0][m]
+        return frozenset(_picked(self.systems, self._masks[0][self._index[m]]))
 
     def dominators(self, m: str) -> frozenset[str]:
         """U(m): systems that beat m."""
-        return self._lower_upper[1][m]
+        return frozenset(_picked(self.systems, self._masks[1][self._index[m]]))
 
     def edges(self) -> tuple[tuple[str, str], ...]:
         names = self.systems
-        return tuple(
-            (a, b)
-            for a, row, col in zip(names, self.counts, zip(*self.counts))
-            for b, x, y in zip(names, row, col)
-            if x > y
-        )
+        return tuple([(a, b) for a, mask in zip(names, self._masks[0])
+                      for b in _picked(names, mask)])
 
 
 def majority_graph_from_table(table: RankTable) -> MajorityGraph:
@@ -104,20 +107,10 @@ def build_majority_graph(lb: Leaderboard) -> MajorityGraph:
 def condorcet_winner(graph: MajorityGraph) -> str | None:
     """The system beating every other one strictly, if any."""
     rivals = len(graph.systems) - 1
-    for m in graph.systems:
-        if len(graph.dominated(m)) == rivals:
+    for m, mask in zip(graph.systems, graph._masks[0]):
+        if mask.bit_count() == rivals:
             return m
     return None
-
-
-def _closure(seed: str, expand: Mapping[str, frozenset[str]]) -> frozenset[str]:
-    seen = {seed}
-    todo = [seed]
-    while todo:
-        fresh = expand[todo.pop()] - seen
-        seen |= fresh
-        todo.extend(fresh)
-    return frozenset(seen)
 
 
 def minimal_dominant_set(graph: MajorityGraph) -> frozenset[str]:
@@ -128,33 +121,39 @@ def minimal_dominant_set(graph: MajorityGraph) -> frozenset[str]:
     dominant set is a prefix of the systems in order of wins, and the
     minimal one is the shortest prefix whose members beat everyone after it.
     """
-    order = sorted(graph.systems, key=lambda m: len(graph.dominated(m)), reverse=True)
-    for k in range(1, len(order)):
-        rest = frozenset(order[k:])
-        if all(rest <= graph.dominated(m) for m in order[:k]):
-            return frozenset(order[:k])
-    return frozenset(order)
+    beats = graph._masks[0]
+    order = sorted(range(len(beats)), key=lambda i: beats[i].bit_count(), reverse=True)
+    everyone = rest = common = (1 << len(beats)) - 1
+    for i in order[:-1]:
+        rest ^= 1 << i
+        common &= beats[i]
+        if common & rest == rest:
+            return frozenset(_picked(graph.systems, everyone ^ rest))
+    return frozenset(graph.systems)
 
 
 def minimal_undominated_set(graph: MajorityGraph) -> frozenset[str]:
-    """Union of all inclusion-minimal sets no outsider beats into."""
-    upper = {m: graph.dominators(m) for m in graph.systems}
-    distinct = {_closure(m, upper) for m in graph.systems}
-    minimal = [c for c in distinct if not any(o < c for o in distinct)]
-    out: set[str] = set()
-    for c in minimal:
-        out |= c
-    return frozenset(out)
+    """Union of all inclusion-minimal sets no outsider beats into.
+
+    reach[i], the closure of system i under "is beaten by", is the OR
+    fixpoint of the beaten masks, found for all systems by Warshall's sweep.
+    """
+    reach = [(1 << i) | mask for i, mask in enumerate(graph._masks[1])]
+    for k in range(len(reach)):
+        bit, via = 1 << k, reach[k]
+        for i, r in enumerate(reach):
+            if r & bit:
+                reach[i] = r | via
+    distinct = set(reach)
+    minimal = [c for c in distinct if not any(o & c == o and o != c for o in distinct)]
+    return frozenset(_picked(graph.systems, reduce(or_, minimal, 0)))
 
 
-def _undominated_under(
-    graph: MajorityGraph, wins_over: Callable[[str, str], bool]
-) -> frozenset[str]:
-    return frozenset(
-        a
-        for a in graph.systems
-        if not any(b != a and wins_over(b, a) for b in graph.systems)
-    )
+def _uncovered_under(graph: MajorityGraph, covers: Callable[[int, int], bool]) -> frozenset[str]:
+    """The systems a that no system b covers; covers(b, a) is false for b == a.
+    In the covering tests on masks, x & y == x says x is a subset of y."""
+    every = range(len(graph.systems))
+    return frozenset([graph.systems[a] for a in every if not any(covers(b, a) for b in every)])
 
 
 def uncovered_set(graph: MajorityGraph, variant: str = "I") -> frozenset[str]:
@@ -162,40 +161,24 @@ def uncovered_set(graph: MajorityGraph, variant: str = "I") -> frozenset[str]:
     additionally requires a majority edge and compares the sets beating them."""
     if variant not in ("I", "II"):
         raise ValueError("variant must be 'I' or 'II'")
-    lower = {m: graph.dominated(m) for m in graph.systems}
-    upper = {m: graph.dominators(m) for m in graph.systems}
+    beats, beaten = graph._masks
     if variant == "I":
-        return _undominated_under(graph, lambda b, a: lower[b] > lower[a])
-    return _undominated_under(
-        graph, lambda b, a: a in lower[b] and upper[b] <= upper[a]
-    )
+        return _uncovered_under(graph, lambda b, a: beats[a] & beats[b] == beats[a] != beats[b])
+    return _uncovered_under(
+        graph, lambda b, a: beats[b] >> a & 1 and beaten[b] & beaten[a] == beaten[b])
 
 
 def richelson_set(graph: MajorityGraph) -> frozenset[str]:
-    lower = {m: graph.dominated(m) for m in graph.systems}
-    upper = {m: graph.dominators(m) for m in graph.systems}
-
-    def wins(b: str, a: str) -> bool:
-        return (
-            lower[b] >= lower[a]
-            and upper[b] <= upper[a]
-            and (lower[b] > lower[a] or upper[b] < upper[a])
-        )
-
-    return _undominated_under(graph, wins)
+    beats, beaten = graph._masks
+    return _uncovered_under(graph, lambda b, a: (
+        beats[a] & beats[b] == beats[a] and beaten[b] & beaten[a] == beaten[b]
+        and (beats[a], beaten[a]) != (beats[b], beaten[b])
+    ))
 
 
 def fishburn_set(graph: MajorityGraph) -> frozenset[str]:
-    upper = {m: graph.dominators(m) for m in graph.systems}
-    return _undominated_under(graph, lambda b, a: upper[b] < upper[a])
-
-
-def _is_weakly_stable(graph: MajorityGraph, candidate: frozenset[str]) -> bool:
-    for x in candidate:
-        for y in graph.dominators(x) - candidate:
-            if not graph.dominators(y) & candidate:
-                return False
-    return True
+    beaten = graph._masks[1]
+    return _uncovered_under(graph, lambda b, a: beaten[b] & beaten[a] == beaten[b] != beaten[a])
 
 
 def minimal_weakly_stable_set(graph: MajorityGraph) -> frozenset[str]:
@@ -210,18 +193,17 @@ def minimal_weakly_stable_set(graph: MajorityGraph) -> frozenset[str]:
         raise SearchTooLarge(
             f"dominant component of size {len(pool)} is too large for exhaustive search"
         )
-    found: list[frozenset[str]] = []
+    index, beaten = graph._index, graph._masks[1]
+    found: list[int] = []
     for size in range(1, len(pool) + 1):
-        for combo in combinations(pool, size):
-            candidate = frozenset(combo)
-            if any(smaller <= candidate for smaller in found):
+        for combo in combinations([index[m] for m in pool], size):
+            candidate = sum([1 << i for i in combo])
+            if any(smaller & candidate == smaller for smaller in found):
                 continue
-            if _is_weakly_stable(graph, candidate):
+            threats = reduce(or_, [beaten[i] for i in combo]) & ~candidate
+            if all(mask & candidate for mask in _picked(beaten, threats)):
                 found.append(candidate)
-    union: set[str] = set()
-    for q in found:
-        union |= q
-    return frozenset(union)
+    return frozenset(_picked(graph.systems, reduce(or_, found, 0)))
 
 
 # -- registry wiring ------------------------------------------------------
@@ -258,11 +240,13 @@ def _minimax_run(table: RankTable) -> RuleOutcome:
     return ranked_by(scores, table.scale)
 
 
-def _set_rule_run(chooser: Callable[[MajorityGraph], frozenset[str]]):
+def _set_rule(rule_id: str, chooser: Callable[[MajorityGraph], frozenset[str]]) -> Rule:
+    """A rule whose chosen systems tie first, the others left unranked."""
+
     def run(table: RankTable) -> RuleOutcome:
         return chosen(table.systems, chooser(majority_graph_from_table(table)))
 
-    return run
+    return Rule(rule_id, profile_run=run, handles_missing=True, elector=False)
 
 
 RULES: dict[str, Rule] = {
@@ -277,19 +261,12 @@ RULES: dict[str, Rule] = {
         Rule("copeland3", profile_run=_copeland_run(lambda wins, losses: losses, ascending=True),
              handles_missing=True),
         Rule("minimax", profile_run=_minimax_run, handles_missing=True),
-        Rule("minimal_dominant", profile_run=_set_rule_run(minimal_dominant_set),
-             handles_missing=True, elector=False),
-        Rule("minimal_undominated", profile_run=_set_rule_run(minimal_undominated_set),
-             handles_missing=True, elector=False),
-        Rule("uncovered", profile_run=_set_rule_run(lambda g: uncovered_set(g, "I")),
-             handles_missing=True, elector=False),
-        Rule("uncovered2", profile_run=_set_rule_run(lambda g: uncovered_set(g, "II")),
-             handles_missing=True, elector=False),
-        Rule("richelson", profile_run=_set_rule_run(richelson_set),
-             handles_missing=True, elector=False),
-        Rule("fishburn", profile_run=_set_rule_run(fishburn_set),
-             handles_missing=True, elector=False),
-        Rule("weakly_stable", profile_run=_set_rule_run(minimal_weakly_stable_set),
-             handles_missing=True, elector=False),
+        _set_rule("minimal_dominant", minimal_dominant_set),
+        _set_rule("minimal_undominated", minimal_undominated_set),
+        _set_rule("uncovered", lambda g: uncovered_set(g, "I")),
+        _set_rule("uncovered2", lambda g: uncovered_set(g, "II")),
+        _set_rule("richelson", richelson_set),
+        _set_rule("fishburn", fishburn_set),
+        _set_rule("weakly_stable", minimal_weakly_stable_set),
     )
 }

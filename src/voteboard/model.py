@@ -26,6 +26,8 @@ boards the growth raised peak memory by a tenth.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from functools import cached_property
@@ -475,7 +477,9 @@ class RankTable:
     run_rule builds one table per rule call. The experiments build one per
     op from the full board and derive a table per step: restrict keeps some
     systems, without unranks some cells. A derived table takes its pairwise
-    counts from its parent's (counts_from) instead of rebuilding them.
+    counts from its parent's (counts_from) instead of rebuilding them. A
+    table built from orders packs each system's counts into one integer of
+    32- or 64-bit fields, or sums them pair by pair once total reaches 2**63.
     """
 
     systems: tuple[str, ...]
@@ -567,18 +571,35 @@ class RankTable:
     def _counts(self) -> Counts:
         if self.counts_from is not None:
             return self.counts_from()
+        if self.total >= 1 << 63:
+            return self._loop_counts()
+        # row a holds counts[a][b] at bit width * b; no count exceeds total, so none carries
+        code, width = ("I", 32) if self.total < 1 << 32 else ("Q", 64)
         n = len(self.systems)
-        counts = [[0] * n for _ in range(n)]
+        field_of = [1 << (width * b) for b in range(n)]
+        rows = [0] * n
+        for groups, w in zip(self.orders, self.weights):
+            below = 0
+            for group in reversed(groups):
+                if w and below:
+                    add = w * below
+                    for a in group:
+                        rows[a] += add
+                for b in group:
+                    below += field_of[b]
+        size = n * width // 8
+        return tuple([tuple(array(code, row.to_bytes(size, sys.byteorder))) for row in rows])
+
+    def _loop_counts(self) -> Counts:
+        """The counts summed pair by pair, for totals beyond 64-bit fields."""
+        counts = [[0] * len(self.systems) for _ in self.systems]
         for groups, w in zip(self.orders, self.weights):
             below = [b for group in groups for b in group]
-            start = 0
             for group in groups:
-                start += len(group)
-                rest = below[start:]
+                del below[:len(group)]
                 for a in group:
-                    row = counts[a]
-                    for b in rest:
-                        row[b] += w
+                    for b in below:
+                        counts[a][b] += w
         return tuple([tuple(row) for row in counts])
 
     def masses(self, survivors: Sequence[int]) -> dict[int, list[int]]:

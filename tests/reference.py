@@ -2,7 +2,9 @@
 
 These are the rank profile with Fraction positions and its build_profile,
 the aggregation modes that run rules on it, the pairwise loop with the
-majority-graph rules built on it, the positional scoring loop, the
+majority-graph rules built on it, the integer pairwise counts summed pair
+by pair as RankTable built them before they were packed into one integer
+per row, the positional scoring loop, the
 threshold cascade, the baldwin, nanson, hare, coombs and black rounds,
 position_counts, and the cw dominance matrix compared from raw scores, as
 they stood before the rules moved to integer tie orders and RankTable. They
@@ -346,6 +348,25 @@ def majority_graph_from_profile(
         supports[(a, b)] = above if above > below else zero
         supports[(b, a)] = below if below > above else zero
     return MajorityGraph(profile.systems, margins, supports)
+
+
+def pairwise_counts(
+    orders: Sequence[Sequence[Sequence[int]]], weights: Sequence[int], n: int
+) -> tuple[tuple[int, ...], ...]:
+    """counts[a][b]: summed integer weight of the tasks ranking a strictly
+    above b, from each task's tie groups of system indices, best first."""
+    counts = [[0] * n for _ in range(n)]
+    for groups, w in zip(orders, weights):
+        below = [b for group in groups for b in group]
+        start = 0
+        for group in groups:
+            start += len(group)
+            rest = below[start:]
+            for a in group:
+                row = counts[a]
+                for b in rest:
+                    row[b] += w
+    return tuple([tuple(row) for row in counts])
 
 
 def condorcet_winner(graph: MajorityGraph) -> str | None:

@@ -280,6 +280,8 @@ FAILURE_FILES = {
     "tied3": "system,t1,t2\ns0,3,1\ns1,1,3\ns2,2,2\n",
     "far_weights": "system,t1,t2\n#weight,1,1e-7\nalpha,0.5,0.3\nbeta,0.25,0.9\n",
     "huge_and_unit_weights": "system,t1,t2\n#weight,1e300,1\nalpha,0.5,0.3\nbeta,0.25,0.9\n",
+    # two middle cells of t near the float limit: their median overflows
+    "near_limit": "system,t,u\na,1.7e308,0\nb,1.7e308,1\nc,1.0,2\nd,1.6e308,3\ne,1.5e308,4\n",
     "one_heavy_task": "system,t1\n#weight,1e7\n" + "".join(
         f"s{i},0.{917 - 13 * i}\n" for i in range(6)
     ),
@@ -353,6 +355,9 @@ FAILURES = [
      ["rank", "-i", "{far_weights}", "--rule", "gmean"], 2),
     ("gmean under weights 1e300 and 1",
      ["rank", "-i", "{huge_and_unit_weights}", "--rule", "gmean"], 2),
+    ("robustness whose median of a task overflows",
+     ["experiment", "robustness", "-i", "{near_limit}", "--rules", "mean", "--omit", "1",
+      "--trials", "2", "--top-k", "2", "--seed", "1"], 2),
     ("gmean with one task of weight 1e7", ["rank", "-i", "{one_heavy_task}", "--rule", "gmean"], 0),
 ]
 

@@ -25,6 +25,13 @@ equal the one built from scratch, and the experiments must give the same
 report, or the same refusal, as the loops that rebuilt a board per step or
 trial, on every ladder board with and without holes. A second call must
 repeat the first.
+
+The packed pairwise counts must equal the pair-by-pair loop's on every
+ladder board, on 200 seeded random boards of 2 to 30 systems with ties,
+holes and weights 1, 1/3 and 5/7, and on boards whose scaled total passes
+2**32 (64-bit fields) and 2**63 (the loop fallback). On the random boards
+the bitmask relation (edges, dominated and dominator sets, the Condorcet
+winner) and every set rule must equal the reference's frozenset versions.
 """
 
 import random
@@ -165,6 +172,104 @@ def test_graph_and_position_counts_match_reference(n, t, seed):
             assert new.dominators(m) == old.dominators(m)
             assert vb.position_counts(profile, m, weights) == reference.position_counts(
                 ref_profile, m, weights
+            )
+
+
+def table_of(lb):
+    return RankTable.of(build_profile(lb, missing_ok=True), base_weights(lb))
+
+
+def loop_counts(table):
+    return reference.pairwise_counts(table.orders, table.weights, len(table.systems))
+
+
+@pytest.mark.parametrize("n,t,seed", [
+    pytest.param(n, t, seed, id=f"{n}x{t}-{seed}")
+    for n, t, seeds, _, _ in LADDER
+    for seed in seeds
+])
+def test_packed_counts_match_loop_kernel(n, t, seed):
+    for lb in (ladder_board(n, t, seed), ladder_board(n, t, seed, holes=True)):
+        table = table_of(lb)
+        assert table.pairwise() == loop_counts(table)
+
+
+def relation_board(seed):
+    """Seeded board of 2 to 30 systems with ties, holes and weights 1, 1/3, 5/7."""
+    rng = random.Random(f"relation:{seed}")
+    n, t = rng.randint(2, 30), rng.randint(1, 9)
+    tasks = [f"t{j}" for j in range(t)]
+    levels = rng.randint(1, max(1, n // 2))
+    scores = {f"s{i:02d}": {tk: rng.randint(0, levels) for tk in tasks} for i in range(n)}
+    weights = {tk: rng.choice([F(1), F(1, 3), F(5, 7)]) for tk in tasks}
+    lb = vb.Leaderboard.from_scores(scores, tasks=tasks, weights=weights)
+    cells = lb.present_cells()
+    return lb.without_cells(rng.sample(cells, rng.randint(0, len(cells) // 3)))
+
+
+SET_RULES = (
+    ("minimal_dominant_set", vb.minimal_dominant_set, reference.minimal_dominant_set),
+    ("minimal_undominated_set", vb.minimal_undominated_set, reference.minimal_undominated_set),
+    ("uncovered I", lambda g: vb.uncovered_set(g, "I"), lambda g: reference.uncovered_set(g, "I")),
+    ("uncovered II", lambda g: vb.uncovered_set(g, "II"),
+     lambda g: reference.uncovered_set(g, "II")),
+    ("richelson_set", vb.richelson_set, reference.richelson_set),
+    ("fishburn_set", vb.fishburn_set, reference.fishburn_set),
+)
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_packed_counts_and_mask_relation_match_reference_on_random_boards(block):
+    """50 seeded boards per block: the counts equal the loop's, and the
+    relation and every set rule equal the reference's frozenset versions."""
+    for seed in range(50 * block, 50 * block + 50):
+        lb = relation_board(seed)
+        table = table_of(lb)
+        assert table.pairwise() == loop_counts(table), seed
+        new = vb.build_majority_graph(lb)
+        old = reference.majority_graph_from_profile(
+            reference.build_profile(lb, missing_ok=True), base_weights(lb)
+        )
+        assert new.edges() == old.edges(), seed
+        for m in lb.systems:
+            assert new.dominated(m) == old.dominated(m), (seed, m)
+            assert new.dominators(m) == old.dominators(m), (seed, m)
+        assert vb.condorcet_winner(new) == reference.condorcet_winner(old), seed
+        for name, rule, ref_rule in SET_RULES:
+            assert rule(new) == ref_rule(old), (seed, name)
+        # the reference search is slow on large dominant sets; beyond the
+        # cap both sides refuse
+        if not 12 < len(vb.minimal_dominant_set(new)) <= 18:
+            assert outcome_or_refusal(lambda: vb.minimal_weakly_stable_set(new)) == (
+                outcome_or_refusal(lambda: reference.minimal_weakly_stable_set(old))
+            ), seed
+
+
+def test_packed_counts_beyond_32_and_63_bits(monkeypatch):
+    """Totals of 2**32 or more pack into 64-bit fields; from 2**63 on, the
+    counts come from the pair-by-pair loop. Each board has counts above
+    2**32, and the first a task of weight 0, which the packed kernel skips."""
+    looped = []
+    loop = RankTable._loop_counts
+    monkeypatch.setattr(RankTable, "_loop_counts", lambda self: looped.append(self) or loop(self))
+    for weights, total, fallback in (
+        ([F(2**33), F(1, 3), F(5, 7), F(0)], 2**33 * 21 + 7 + 15, False),
+        ([F(2**62), F(2**62), F(1), F(0)], 2**63 + 1, True),
+        ([F(2**70), F(1, 3), F(5, 7), F(1)], (2**70 + 1) * 21 + 7 + 15, True),
+    ):
+        for holes in (False, True):
+            lb = ladder_board(14, 4, 0, holes=holes)
+            lb = vb.Leaderboard(lb.systems, lb.tasks, lb.scores, lb.directions,
+                                tuple(weights), lb.groups)
+            table = table_of(lb)
+            assert table.total == total
+            looped.clear()
+            counts = table.pairwise()
+            assert looped == ([table] if fallback else [])
+            assert counts == loop_counts(table)
+            assert max(map(max, counts)) > 2**32
+            assert vb.aggregate(lb, "uncovered") == reference.run_rule(
+                lb, reference.RULES["uncovered"]
             )
 
 

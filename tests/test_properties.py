@@ -19,16 +19,24 @@ Whether task weights can make a system a weak Condorcet winner does not
 depend on the order or the repetition of its rival rows, nor on the order
 of the tasks when their bounds move with them, and every witness returned
 holds exactly.
+
+No command line is an internal error: on small boards of extreme cells
+and holes, with or without sidecar files, every subcommand, rule, mode and
+numeric flag exits 0, 1 or 2, and JSON output parses.
 """
 
+import contextlib
+import io
 import json
 import math
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import voteboard as vb
+from voteboard.cli import main
 from voteboard.io import outcome_from_dict, outcome_to_dict, to_json
 from voteboard.majority import minimal_dominant_set
 
@@ -255,3 +263,96 @@ def test_cw_status_ignores_rival_and_task_order(problem, data):
     assert cw_status(moved, [lower[j] for j in order], [upper[j] for j in order], margin) == (
         cw_status(rows, lower, upper, margin)
     )
+
+
+# the float limits, the smallest subnormal, 2**53 + 1 (not a float) and a hole
+CELLS = ("1.7e308", "-1.7e308", "5e-324", "1e300", "1e-300", "9007199254740993", "0", "")
+WEIGHTS = ("1", "0", "1/3", "5e-324", "1e300", "1e-7", "9007199254740993")
+FLOATS = ("0", "1", "0.5", "-1", "1e300", "5e-324", "1.7e308", "inf", "nan")
+# counts in range three times as often as ones out of it
+COUNTS = ("1", "2", "3") * 3 + ("0", "-1", "99")
+CLI_RULES = (*vb.rule_ids(), "nosuch")
+
+
+@st.composite
+def cli_requests(draw, command):
+    """A board file of 1-6 systems by 1-4 tasks, optional sidecars and an argv."""
+    n, t = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    tasks = [f"t{j}" for j in range(t)]
+    lines = [",".join(["system", *tasks])]
+    if draw(st.booleans()):
+        directions = draw(st.lists(st.sampled_from(["max", "min"]), min_size=t, max_size=t))
+        lines.append(",".join(["#direction", *directions]))
+    if draw(st.booleans()):
+        lines.append(",".join(["#weight", *draw(
+            st.lists(st.sampled_from(WEIGHTS), min_size=t, max_size=t))]))
+    # a few values per board, so that equal extreme cells meet; holes half the time
+    palette = draw(st.lists(st.sampled_from(CELLS[:-1]), min_size=1, max_size=3, unique=True))
+    cell = st.sampled_from(palette + [""] * draw(st.integers(0, 1)))
+    for i in range(n):
+        lines.append(",".join([f"s{i}", *draw(st.lists(cell, min_size=t, max_size=t))]))
+    files = {"board.csv": "\n".join(lines) + "\n"}
+    flags = ["-i", "@board.csv"]
+    if draw(st.booleans()):
+        # most groupings cover every task, as two_step needs
+        grouped = tasks if draw(st.integers(0, 3)) else draw(st.sets(st.sampled_from(tasks)))
+        files["groups.json"] = json.dumps({tk: draw(st.sampled_from(["g", "h"])) for tk in grouped})
+        flags += ["--groups", "@groups.json"]
+    if draw(st.booleans()):
+        files["weights.json"] = json.dumps(
+            {tk: draw(st.sampled_from(WEIGHTS)) for tk in draw(st.sets(st.sampled_from(tasks)))})
+        flags += ["--weights", "@weights.json"]
+    if draw(st.booleans()):
+        flags.append("--normalize")
+    rule, mode, gamma = (draw(st.sampled_from(CLI_RULES)), draw(st.sampled_from(vb.MODES)),
+                         draw(st.sampled_from(FLOATS)))
+    if command in ("rank", "winner"):
+        argv = [command, *flags, "--rule", rule, "--mode", mode, "--gamma", gamma]
+        if command == "rank" and draw(st.booleans()):
+            argv += ["--baseline", draw(st.sampled_from(CLI_RULES))]
+    elif command == "cw-weights":
+        argv = [command, *flags, "--system", draw(st.sampled_from(["s0", "s5", "nosuch"]))]
+        for flag in ("--margin", "--lower", "--upper"):
+            if draw(st.booleans()):
+                argv += [flag, draw(st.sampled_from(FLOATS))]
+    elif command == "compare":
+        argv = [command, *flags, "--rules", rule, draw(st.sampled_from(CLI_RULES)),
+                "--mode", mode, "--gamma", gamma, "--top-k", draw(st.sampled_from(COUNTS))]
+    else:
+        argv = ["experiment", command, *flags, "--gamma", gamma,
+                "--trials", draw(st.sampled_from(COUNTS[:-1])),
+                "--seed", draw(st.sampled_from(["0", "1", "-5"]))]
+        if command == "iia":
+            argv += ["--rule", rule]
+        else:
+            # half the time only rules that take holes, as robustness needs
+            pool = ("copeland", "minimax", "mean", "optimality_gap") if draw(st.booleans()) else (
+                CLI_RULES)
+            argv += ["--rules", *draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3)),
+                     "--omit", draw(st.sampled_from(COUNTS)),
+                     "--top-k", draw(st.sampled_from(COUNTS))]
+    if draw(st.booleans()):
+        argv += ["--format", "json"]
+    return files, argv
+
+
+@pytest.mark.parametrize("command", ["rank", "winner", "cw-weights", "compare", "iia",
+                                     "robustness"])
+@settings(max_examples=150, deadline=5000, derandomize=True, database=None)
+@given(data=st.data())
+def test_no_command_line_is_an_internal_error(tmp_path_factory, command, data):
+    files, argv = data.draw(cli_requests(command))
+    root = tmp_path_factory.mktemp("cli")
+    for name, text in files.items():
+        (root / name).write_text(text, encoding="utf-8")
+    args = [str(root / a[1:]) if a.startswith("@") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (args, err.getvalue())
+    assert "internal error" not in err.getvalue(), args
+    if code == 0 and "json" in args:
+        json.loads(out.getvalue())
