@@ -141,7 +141,7 @@ def _on_systems(
         return lambda present: call_rule(
             rule, BASIC, board.restrict_systems(present), weights, **params
         )
-    table = RankTable.of(build_profile(lb, missing_ok=True), weights)
+    table = build_profile(lb, missing_ok=True, weights=weights)
     index = {m: i for i, m in enumerate(lb.systems)}
     holes = []
     if not rule.handles_missing:
@@ -233,7 +233,7 @@ def robustness_experiment(
     table = board = None
     if any(rid not in IMPUTABLE for rid in rules):
         # the rules that tolerate missing scores are profile rules
-        table = RankTable.of(build_profile(lb, missing_ok=True), weights)
+        table = build_profile(lb, missing_ok=True, weights=weights)
     if any(rid in IMPUTABLE for rid in rules):
         board = lb._with_ratios()
     sys_index = {m: i for i, m in enumerate(lb.systems)}

@@ -127,7 +127,7 @@ def _drop(net: dict[int, int], counts: tuple[tuple[int, ...], ...], gone: list[i
 
 
 def _doubled_borda(net: dict[int, int], total: int) -> dict[int, int]:
-    """2 * scale * Borda score of each survivor of a complete profile.
+    """2 * scale * Borda score of each survivor of a complete table.
 
     A rival b adds the weight of the tasks ranking a above it plus half the
     weight of those tying, so 2 * scale * Borda(a) is the sum over rivals of

@@ -39,7 +39,7 @@ def _picked(items: Sequence, mask: int) -> Iterator:
 
 @dataclass(frozen=True)
 class MajorityGraph:
-    """Pairwise counts of a profile, read as a majority relation.
+    """Pairwise counts of a rank table, read as a majority relation.
 
     counts[i][j] is the weight of the tasks ranking systems[i] strictly above
     systems[j], in units of 1/scale. margin(a, b) is the weighted signed
@@ -100,8 +100,7 @@ def majority_graph_from_table(table: RankTable) -> MajorityGraph:
 
 def build_majority_graph(lb: Leaderboard) -> MajorityGraph:
     """Majority graph of a leaderboard, tolerating missing cells."""
-    table = RankTable.of(build_profile(lb, missing_ok=True), base_weights(lb))
-    return majority_graph_from_table(table)
+    return majority_graph_from_table(build_profile(lb, missing_ok=True, weights=base_weights(lb)))
 
 
 def condorcet_winner(graph: MajorityGraph) -> str | None:

@@ -1,19 +1,19 @@
-"""Leaderboard data model, rank profiles, and rule outcomes.
+"""Leaderboard data model, rank tables, and rule outcomes.
 
 A Leaderboard is a systems-by-tasks matrix of optional scores plus per-task
-metadata (direction, weight, optional group). Rules never read raw scores
-directly; they consume a RankProfile, the per-task tie orders built straight
-from one sort of each task's scores: tie groups of system indices, best
-first. Fractional positions (tied systems share the mean of the integer
-places they span) are a view derived from the orders.
+metadata (direction, weight, optional group). build_profile turns it into a
+RankTable: the per-task tie orders built straight from one sort of each
+task's scores (tie groups of system indices, best first), with the task
+weights scaled to integers by the LCM of their denominators. Rank rules
+read only the table; the score baselines (mean, gmean, optimality_gap)
+read the board's cells. Fractional positions (tied systems share the mean
+of the integer places they span) are a view derived from the orders.
 
-Rules read the orders through a RankTable, which adds the task weights
-scaled to integers by the LCM of their denominators. Its pairwise and
-place-mass kernels sum integers. A rule that ranks by a score hands its
-integer scores and their unit to ranked_by, which groups on the integers
-and builds each Fraction once; a set-valued rule hands its winners to
-chosen. Score maps kept only as diagnostics are LazyScores, which build
-their Fractions when first read.
+The table's pairwise and place-mass kernels sum integers. A rule that ranks
+by a score hands its integer scores and their unit to ranked_by, which
+groups on the integers and builds each Fraction once; a set-valued rule
+hands its winners to chosen. Score maps kept only as diagnostics are
+LazyScores, which build their Fractions when first read.
 
 Tuples built on every rule call come from lists, not generators. tuple() of
 an iterator without a length resizes its result, and the resized tuple is
@@ -121,6 +121,11 @@ def integer_weights(
     return tuple([w.numerator * (scale // w.denominator) for w in exact]), scale
 
 
+def _check_weights(weights: Iterable[int | Fraction]) -> None:
+    if any(w < 0 for w in weights):
+        raise ValueError("task weights must be non-negative")
+
+
 def _check_unique(names: Sequence[str], kind: str) -> None:
     seen = set()
     for name in names:
@@ -177,8 +182,7 @@ class Leaderboard:
                 raise ValueError(f"direction must be 'max' or 'min', got {d!r}")
         if len(self.weights) != len(self.tasks):
             raise ValueError("one weight per task required")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("task weights must be non-negative")
+        _check_weights(self.weights)
         if not any(w > 0 for w in self.weights):
             raise ValueError("at least one task weight must be positive")
         if self.groups is not None:
@@ -353,54 +357,6 @@ class Leaderboard:
                              None if ratios is None else tuple([tuple(r) for r in ratios]))
 
 
-@dataclass(frozen=True)
-class RankProfile:
-    """Per-task rankings as integer tie orders.
-
-    orders[t] holds task t's tie groups, best first, each a tuple of indices
-    into systems. A system missing from a task (missing-tolerant profiles)
-    is in none of its groups. positions, position(), tie_groups() and
-    restrict() are views derived from the orders.
-    """
-
-    systems: tuple[str, ...]
-    tasks: tuple[str, ...]
-    orders: tuple[tuple[tuple[int, ...], ...], ...]
-
-    @cached_property
-    def positions(self) -> dict[str, dict[str, Fraction]]:
-        """positions[task][system] -> fractional place, best place 1.
-
-        Tied systems share the mean of the places they span, so a complete
-        task's positions sum to n(n+1)/2.
-        """
-        names = self.systems
-        return {
-            task: fractional_ranks_of([[names[i] for i in group] for group in groups])
-            for task, groups in zip(self.tasks, self.orders)
-        }
-
-    def position(self, task: str, system: str) -> Fraction | None:
-        return self.positions[task].get(system)
-
-    def tie_groups(self, task: str) -> tuple[tuple[str, ...], ...]:
-        """Ordered tie groups for one task, best first, members sorted."""
-        names = self.systems
-        groups = self.orders[self.tasks.index(task)]
-        return tuple([tuple(sorted([names[i] for i in group])) for group in groups])
-
-    def is_complete(self) -> bool:
-        n = len(self.systems)
-        return all(sum(map(len, groups)) == n for groups in self.orders)
-
-    def restrict(self, keep: Sequence[str]) -> "RankProfile":
-        """Drop systems and re-rank the rest, preserving order and ties."""
-        wanted = set(keep)
-        kept = [i for i, m in enumerate(self.systems) if m in wanted]
-        return RankProfile(tuple([self.systems[i] for i in kept]), self.tasks,
-                           _renumbered(self.orders, kept))
-
-
 def _renumbered(
     orders: tuple[tuple[tuple[int, ...], ...], ...], kept: Sequence[int]
 ) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -428,12 +384,16 @@ def build_profile(
     task_subset: Sequence[str] | None = None,
     *,
     missing_ok: bool = False,
-) -> RankProfile:
-    """Rank every task of the subset (default: all tasks) by adjusted score.
+    weights: Mapping[str, int | float | Fraction | str] | None = None,
+) -> RankTable:
+    """A RankTable that ranks every task of the subset (default: all tasks).
 
-    Minimize-direction tasks rank low scores first. Equal scores form one
-    tie group. A missing cell raises MissingScore unless missing_ok is set,
-    in which case the system is simply unranked on that task.
+    Each task ranks the systems by score: minimize-direction tasks rank low
+    scores first, and equal scores form one tie group. A missing cell
+    raises MissingScore unless missing_ok is set, in which case the system
+    is simply unranked on that task. weights maps tasks to their weights
+    (default 1 each); a negative weight, or a subset that names a task
+    twice, raises ValueError.
     """
     if task_subset is None:
         tasks = lb.tasks
@@ -441,8 +401,11 @@ def build_profile(
         tasks = tuple(task_subset)
         if not tasks:
             raise EmptySubset("task subset is empty")
+        _check_unique(tasks, "task")
         for t in tasks:
             lb._task_index(t)
+    scaled, scale = integer_weights(tasks, weights)
+    _check_weights(scaled)
     orders = []
     for task in tasks:
         j = lb._task_index(task)
@@ -459,7 +422,7 @@ def build_profile(
         orders.append(tuple([
             tuple([i for _, i in group]) for _, group in groupby(scored, itemgetter(0))
         ]))
-    return RankProfile(lb.systems, tasks, tuple(orders))
+    return RankTable(lb.systems, tasks, tuple(orders), scaled, scale)
 
 
 Counts = tuple[tuple[int, ...], ...]
@@ -467,19 +430,22 @@ Counts = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class RankTable:
-    """A RankProfile's orders with integer task weights.
+    """Per-task rankings as integer tie orders, with integer task weights.
 
-    systems, tasks and orders are the profile's. weights[t] is the task
-    weight times scale, the LCM of the weight denominators, so the kernels
-    below sum integers. Callers turn their results into Fractions once,
-    where the outcome is packaged.
+    orders[t] holds task t's tie groups, best first, each a tuple of indices
+    into systems. A system missing from a task (missing-tolerant tables) is
+    in none of its groups. weights[t] is the task weight times scale, the
+    LCM of the weight denominators, so the kernels below sum integers.
+    Callers turn their results into Fractions once, where the outcome is
+    packaged. positions and position() are views derived from the orders.
 
-    run_rule builds one table per rule call. The experiments build one per
-    op from the full board and derive a table per step: restrict keeps some
-    systems, without unranks some cells. A derived table takes its pairwise
-    counts from its parent's (counts_from) instead of rebuilding them. A
-    table built from orders packs each system's counts into one integer of
-    32- or 64-bit fields, or sums them pair by pair once total reaches 2**63.
+    build_profile builds a table from a board, and run_rule builds one per
+    rule call. The experiments build one per op from the full board and
+    derive a table per step: restrict keeps some systems, without unranks
+    some cells. A derived table takes its pairwise counts from its parent's
+    (counts_from) instead of rebuilding them. A table built from orders
+    packs each system's counts into one integer of 32- or 64-bit fields, or
+    sums them pair by pair once total reaches 2**63.
     """
 
     systems: tuple[str, ...]
@@ -489,14 +455,22 @@ class RankTable:
     scale: int
     counts_from: Callable[[], Counts] | None = field(default=None, repr=False, compare=False)
 
-    @classmethod
-    def of(
-        cls,
-        profile: RankProfile,
-        weights: Mapping[str, int | float | Fraction | str] | None = None,
-    ) -> "RankTable":
-        scaled, scale = integer_weights(profile.tasks, weights)
-        return cls(profile.systems, profile.tasks, profile.orders, scaled, scale)
+    @cached_property
+    def positions(self) -> dict[str, dict[str, Fraction]]:
+        """positions[task][system] -> fractional place, best place 1.
+
+        Tied systems share the mean of the places they span, so a complete
+        task's positions sum to n(n+1)/2. A system a task leaves unranked
+        has no entry.
+        """
+        names = self.systems
+        return {
+            task: fractional_ranks_of([[names[i] for i in group] for group in groups])
+            for task, groups in zip(self.tasks, self.orders)
+        }
+
+    def position(self, task: str, system: str) -> Fraction | None:
+        return self.positions[task].get(system)
 
     @property
     def total(self) -> int:
@@ -635,21 +609,16 @@ class RankTable:
         return rows
 
 
-def position_counts(
-    profile: RankProfile,
-    system: str,
-    weights: Mapping[str, int | float | Fraction | str] | None = None,
-) -> tuple[Fraction, ...]:
+def position_counts(table: RankTable, system: str) -> tuple[Fraction, ...]:
     """Weighted mass the system places at each integer rank 1..n.
 
     A tie group of size g spanning places p..p+g-1 contributes w/g of the
     task's weight w at each spanned place, so the total mass equals the
     weight of the tasks that rank the system.
     """
-    if system not in profile.systems:
+    if system not in table.systems:
         raise UnknownSystem(f"unknown system: {system!r}")
-    table = RankTable.of(profile, weights)
-    row = table.masses(range(len(profile.systems)))[profile.systems.index(system)]
+    row = table.masses(range(len(table.systems)))[table.systems.index(system)]
     return tuple(Fraction(x, table.mass_unit) for x in row)
 
 

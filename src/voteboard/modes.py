@@ -8,11 +8,12 @@ order over the systems, and applies the rule once more. Both grouped modes
 require a grouping that covers every task.
 
 The runner contract: a profile rule is called as profile_run(table,
-**params) on the RankTable run_rule builds once from the board's profile and
-the mode's weights; a score rule as score_run(lb, weights, **params). Both
-return a RuleOutcome with rule_id and mode left empty. call_rule makes that
-call and stamps them; run_rule and the experiment loops, which hand it
-tables and boards they derive themselves, all go through it.
+**params) on the RankTable that run_rule builds once, with build_profile,
+from the board and the mode's weights; a score rule as score_run(lb,
+weights, **params). Both return a RuleOutcome with rule_id and mode left
+empty. call_rule makes that call and stamps them; run_rule and the
+experiment loops, which hand it tables and boards they derive themselves,
+all go through it.
 """
 
 from __future__ import annotations
@@ -36,9 +37,10 @@ MODES = (BASIC, WEIGHTED, TWO_STEP)
 class Rule:
     """A registered rule.
 
-    profile_run(table, **params) -> RuleOutcome reads the RankTable of the
-    board's profile and the mode's weights; score_run(lb, weights, **params)
-    -> RuleOutcome reads the raw scores, for aggregators that need them.
+    profile_run(table, **params) -> RuleOutcome reads a RankTable built
+    from the board under the mode's weights; score_run(lb, weights,
+    **params) -> RuleOutcome reads the raw scores, for aggregators that
+    need them.
     elector marks rules whose full output is a total preorder, the only kind
     that can vote in the second step of two_step. The keyword-only
     parameters of the runner are the only params the rule accepts.
@@ -119,7 +121,7 @@ def run_rule(lb: Leaderboard, rule: Rule, mode: str = BASIC, **params: Any) -> R
     weights = base_weights(lb) if mode == BASIC else group_weights(lb)
     data: RankTable | Leaderboard = lb
     if rule.score_run is None:
-        data = RankTable.of(build_profile(lb, missing_ok=rule.handles_missing), weights)
+        data = build_profile(lb, missing_ok=rule.handles_missing, weights=weights)
     return call_rule(rule, mode, data, weights, **params)
 
 
@@ -141,8 +143,8 @@ def _run_two_step(
     electors: dict[str, list[list[str]]] = {}
     orders = []
     for name, members in groups:
-        profile = build_profile(lb, members, missing_ok=rule.handles_missing)
-        outcome = rule.profile_run(RankTable.of(profile, weights), **params)
+        table = build_profile(lb, members, missing_ok=rule.handles_missing, weights=weights)
+        outcome = rule.profile_run(table, **params)
         if outcome.unranked:
             raise RuleUnsupportedForMode(
                 f"rule {rule.rule_id!r} left systems unranked inside group {name!r}"

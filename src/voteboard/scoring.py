@@ -5,9 +5,9 @@ total is the weighted sum over tasks; a tie group of size g spanning places
 p..p+g-1 earns each member the mean of those entries, which is the same as
 splitting the group's position mass evenly.
 
-Totals are summed in integers from the profile's tie orders: the vector
+Totals are summed in integers from a RankTable's tie orders: the vector
 entries are scaled by the LCM L of their denominators and the task weights
-by the RankTable's mass unit, and each tie group adds the sum of the scaled
+by the table's mass unit, and each tie group adds the sum of the scaled
 entries over the places it spans. The totals and their unit, mass_unit * L,
 go to model.ranked_by, which makes each total a Fraction once.
 """
@@ -17,10 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import InvalidParameter, MissingScore, VectorLengthMismatch
-from .model import RankProfile, RankTable, RuleOutcome, as_fraction, ranked_by
+from .model import RankTable, RuleOutcome, as_fraction, ranked_by
 from .modes import Rule
 
 
@@ -117,13 +117,10 @@ def _integer_totals(table: RankTable, vector: ScoringVector) -> tuple[dict[str, 
     return dict(zip(table.systems, totals)), table.mass_unit * lcm
 
 
-def score_with_vector(
-    profile: RankProfile,
-    vector: ScoringVector,
-    weights: Mapping[str, int | float | Fraction | str] | None = None,
-) -> dict[str, Fraction]:
-    """Exact per-system totals for one vector over a complete profile."""
-    totals, unit = _integer_totals(RankTable.of(profile, weights), vector)
+def score_with_vector(table: RankTable, vector: ScoringVector) -> dict[str, Fraction]:
+    """Exact per-system totals for one vector over a complete table, under
+    the table's task weights."""
+    totals, unit = _integer_totals(table, vector)
     return {m: Fraction(x, unit) for m, x in totals.items()}
 
 

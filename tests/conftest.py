@@ -31,6 +31,19 @@ def board_from_orders(orders, *, weights=None, groups=None):
     )
 
 
+def tie_groups(table, task):
+    """One task's tie groups in a RankTable as sorted names, best first."""
+    names = table.systems
+    groups = table.orders[table.tasks.index(task)]
+    return tuple([tuple(sorted([names[i] for i in group])) for group in groups])
+
+
+def is_complete(table):
+    """Whether every task of a RankTable ranks every system."""
+    n = len(table.systems)
+    return all(sum(map(len, groups)) == n for groups in table.orders)
+
+
 @pytest.fixture
 def toy():
     return board_from_orders(TOY_ORDERS)

@@ -6,10 +6,12 @@ from fractions import Fraction as F
 
 import pytest
 
+import voteboard
 from voteboard import (
     EmptySubset,
     Leaderboard,
     MissingScore,
+    RankTable,
     UnknownSystem,
     as_fraction,
     build_profile,
@@ -21,7 +23,7 @@ from voteboard.io import to_json
 from voteboard.iterative import EliminationRound
 from voteboard.model import LazyScores
 
-from conftest import TOY_ORDERS, board_from_orders, random_board
+from conftest import TOY_ORDERS, board_from_orders, is_complete, random_board, tie_groups
 
 
 def test_as_fraction_uses_decimal_text_for_floats():
@@ -79,12 +81,12 @@ def test_leaderboard_validation():
 
 def test_toy_profile_positions(toy):
     prof = build_profile(toy)
-    assert prof.is_complete()
+    assert is_complete(prof)
     assert prof.position("t1", "A") == 1
     assert prof.position("t1", "B") == 2
     assert prof.position("t2", "B") == 4
     assert prof.position("t5", "A") == 4
-    assert prof.tie_groups("t3") == (("B",), ("D",), ("C",), ("A",))
+    assert tie_groups(prof, "t3") == (("B",), ("D",), ("C",), ("A",))
 
 
 def test_tied_scores_get_mean_position():
@@ -95,7 +97,7 @@ def test_tied_scores_get_mean_position():
     assert prof.position("t", "a") == F(3, 2)
     assert prof.position("t", "b") == F(3, 2)
     assert prof.position("t", "c") == 3
-    assert prof.tie_groups("t") == (("a", "b"), ("c",))
+    assert tie_groups(prof, "t") == (("a", "b"), ("c",))
 
 
 def test_min_direction_reverses_order():
@@ -154,10 +156,42 @@ def test_position_counts_split_ties():
 
 def test_profile_restrict_reranks():
     prof = build_profile(board_from_orders(TOY_ORDERS))
-    sub = prof.restrict(["B", "C", "D"])
+    # systems A, B, C, D; keep B, C and D
+    sub = prof.restrict([1, 2, 3])
     assert sub.position("t1", "B") == 1
     assert sub.position("t1", "D") == 3
     assert set(sub.systems) == {"B", "C", "D"}
+
+
+def test_public_names_resolve_once():
+    names = voteboard.__all__
+    assert len(set(names)) == len(names)
+    for name in names:
+        assert getattr(voteboard, name) is not None, name
+    assert "RankTable" in names and "RankProfile" not in names
+
+
+def test_build_profile_returns_the_exported_table(toy):
+    table = build_profile(toy, missing_ok=True)
+    assert type(table) is RankTable
+    assert table.weights == (1,) * len(toy.tasks) and table.scale == 1
+    weighted = build_profile(toy, ["t2", "t1"], weights={"t1": F(1, 2), "t2": 3})
+    assert weighted.tasks == ("t2", "t1")
+    assert weighted.weights == (6, 1) and weighted.scale == 2
+    assert weighted.orders == build_profile(toy, ["t2", "t1"]).orders
+    assert position_counts(weighted, "A") == (F(7, 2), F(0), F(0), F(0))
+
+
+def test_build_profile_refuses_negative_weights_and_repeated_tasks(toy):
+    with pytest.raises(ValueError, match="task weights must be non-negative"):
+        build_profile(toy, weights={"t1": -1})
+    with pytest.raises(ValueError, match="task weights must be non-negative"):
+        build_profile(toy, ["t2"], weights={"t2": F(-1, 3)})
+    with pytest.raises(ValueError, match="duplicate task id: 't1'"):
+        build_profile(toy, ["t1", "t1"])
+    # a group whose tasks all weigh 0 still ranks, as two_step needs
+    zero = build_profile(toy, ["t1"], weights={"t1": 0})
+    assert zero.weights == (0,) and zero.pairwise()[0] == (0, 0, 0, 0)
 
 
 def test_board_edits(toy):
