@@ -169,8 +169,15 @@ def _as_float(value: Fraction | float) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+# leaf types returned as they are, before the dataclass and Mapping checks,
+# whose abc instance checks cost most on the many name strings of an outcome
+_LEAVES = frozenset([str, int, float, bool, type(None)])
+
+
 def jsonify(value: Any) -> Any:
     """Recursively convert package values into JSON-serializable ones."""
+    if type(value) in _LEAVES:
+        return value
     if isinstance(value, Fraction):
         return _as_float(value)
     if isinstance(value, (frozenset, set)):

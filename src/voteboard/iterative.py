@@ -5,13 +5,16 @@ re-rank the rest, and repeat. If a round would eliminate everyone, the
 survivors stop as one tie group instead. The final ranking reads the
 elimination order backwards, best group first.
 
-Every rule here reads the RankTable that run_rule builds. threshold,
-hare and coombs take the survivors' place masses; baldwin, nanson and black
-take Borda scores from the pairwise counts, where dropping a system deletes
-its column. Both kernels sum integers in LCM-scaled weight units. Each
-threshold stage and elimination round keeps its integer scores and their
-unit in a model.LazyScores, which builds the Fractions when it is read;
-black packages its Borda scores with model.ranked_by.
+Every rule here reads the RankTable that run_rule builds. threshold takes
+the candidates' place masses at every place; hare and coombs take only the
+first- or last-place column, from RankTable.edge_masses, which walks each
+task from that end only as far as its first surviving group. baldwin,
+nanson and black take Borda scores from the pairwise counts, where dropping
+a system deletes its column. Both kernels sum integers in LCM-scaled weight
+units. Each threshold stage and elimination round keeps its integer scores
+and their unit in a model.LazyScores, which builds the Fractions when it is
+read; black packages its Borda scores with model.ranked_by, whose scores
+are a LazyScores too.
 
 Tuples are built from lists, for the reason the model module gives.
 """
@@ -200,18 +203,19 @@ def _mass_elimination(from_last: bool):
         rounds: list[EliminationRound] = []
         while len(survivors) > 1:
             k = len(survivors)
-            masses = table.masses(survivors)
             if from_last:
-                best = max(survivors, key=lambda a: masses[a][0])
-                if 2 * masses[best][0] > total:
+                firsts = table.edge_masses(survivors)
+                top = max(firsts)
+                if 2 * top > total:
                     # at most one system can clear half the weight
+                    best = survivors[firsts.index(top)]
                     rest = frozenset(names[a] for a in survivors if a != best)
                     return _finish([names[best]], [*tiers, rest], rounds, {
                         "majority_winner": names[best],
-                        "majority_share": Fraction(masses[best][0], total),
+                        "majority_share": Fraction(top, total),
                     })
             place = k - 1 if from_last else 0
-            column = [masses[a][place] for a in survivors]
+            column = table.edge_masses(survivors, last=from_last)
             edge = max(column) if from_last else min(column)
             gone = frozenset(names[a] for a, x in zip(survivors, column) if x == edge)
             if len(gone) == k:

@@ -2,25 +2,29 @@
 
 A Leaderboard is a systems-by-tasks matrix of optional scores plus per-task
 metadata (direction, weight, optional group). build_profile turns it into a
-RankTable: the per-task tie orders built straight from one sort of each
-task's scores (tie groups of system indices, best first), with the task
-weights scaled to integers by the LCM of their denominators. Rank rules
-read only the table; the score baselines (mean, gmean, optimality_gap)
-read the board's cells. Fractional positions (tied systems share the mean
-of the integer places they span) are a view derived from the orders.
+RankTable: the per-task tie orders (tie groups of system indices, best
+first) from one sort of each task's system indices keyed by their cells,
+with the task weights scaled to integers by the LCM of their denominators.
+Rank rules read only the table; the score baselines (mean, gmean,
+optimality_gap) read the board's cells. Fractional positions (tied systems
+share the mean of the integer places they span) are a view derived from
+the orders.
 
-The table's pairwise and place-mass kernels sum integers. A rule that ranks
-by a score hands its integer scores and their unit to ranked_by, which
-groups on the integers and builds each Fraction once; a set-valued rule
-hands its winners to chosen. Score maps kept only as diagnostics are
-LazyScores, which build their Fractions when first read.
+The table's kernels sum integers: the packed pairwise counts, summed per
+distinct task weight and multiplied by it once; the place masses; and the
+first- and last-place columns of those masses, walked from either end. A
+rule that ranks by a score hands its integer scores and their unit to
+ranked_by, which groups on the integers; a set-valued rule hands its
+winners to chosen. Outcome scores, and the score maps kept as diagnostics,
+are LazyScores, which build their Fractions when first read, so a caller
+that reads only the ranking never builds them.
 
-Tuples built on every rule call come from lists, not generators. tuple() of
-an iterator without a length resizes its result, and the resized tuple is
-later freed onto the interpreter's free list for its final size, so those
-lists grow call after call until a full garbage collection empties them.
-Code that allocates little triggers few full collections: on 20-system
-boards the growth raised peak memory by a tenth.
+Tuples built on every rule call come from lists, not from generators or
+map objects. tuple() of an iterator without a length resizes its result,
+and the resized tuple is later freed onto the interpreter's free list for
+its final size, so those lists grow call after call until a full garbage
+collection empties them. Code that allocates little triggers few full
+collections: on 20-system boards the growth raised peak memory by a tenth.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations, groupby
-from operator import itemgetter
+from itertools import chain, combinations, compress, groupby
+from operator import eq, itemgetter
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import EmptySubset, MissingScore, UnknownSystem
@@ -52,8 +56,9 @@ def as_fraction(value: int | float | Fraction | str) -> Fraction:
 
     Floats convert through their shortest decimal repr, so 0.1 becomes 1/10
     rather than the binary expansion. Strings accept decimal ("0.25") and
-    ratio ("1/4") forms. A non-finite value, or a nonzero decimal string
-    whose magnitude is beyond 10**±DECIMAL_EXPONENT_LIMIT, raises ValueError.
+    ratio ("1/4") forms. A non-finite value, a ratio with a zero
+    denominator, or a nonzero decimal string whose magnitude is beyond
+    10**±DECIMAL_EXPONENT_LIMIT, raises ValueError.
     """
     if isinstance(value, Fraction):
         return value
@@ -70,7 +75,10 @@ def as_fraction(value: int | float | Fraction | str) -> Fraction:
         try:
             exact = Decimal(text)
         except InvalidOperation:
-            return Fraction(text)
+            try:
+                return Fraction(text)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator: {value!r}") from None
         if not exact.is_finite():
             raise ValueError(f"non-finite value: {value!r}")
         if exact and abs(exact.adjusted()) > DECIMAL_EXPONENT_LIMIT:
@@ -391,37 +399,57 @@ def build_profile(
     Each task ranks the systems by score: minimize-direction tasks rank low
     scores first, and equal scores form one tie group. A missing cell
     raises MissingScore unless missing_ok is set, in which case the system
-    is simply unranked on that task. weights maps tasks to their weights
-    (default 1 each); a negative weight, or a subset that names a task
-    twice, raises ValueError.
+    is simply unranked on that task. weights maps tasks of the board to
+    their weights (default 1 each); a key that names no task of the board,
+    a negative weight, or a subset that names a task twice, raises
+    ValueError.
+
+    Each task's system indices are sorted by their cells, and runs of equal
+    neighbours become tie groups. An untied system's group is taken from
+    one list of singleton groups made per call.
     """
     if task_subset is None:
         tasks = lb.tasks
+        index: Sequence[int] = range(len(tasks))
     else:
         tasks = tuple(task_subset)
         if not tasks:
             raise EmptySubset("task subset is empty")
         _check_unique(tasks, "task")
-        for t in tasks:
-            lb._task_index(t)
+        index = [lb._task_index(t) for t in tasks]
+    if weights is not None and not weights.keys() <= set(lb.tasks):
+        stray = next(t for t in weights if t not in lb.tasks)
+        raise ValueError(f"weights name an unknown task: {stray!r}")
     scaled, scale = integer_weights(tasks, weights)
     _check_weights(scaled)
+    columns = list(zip(*lb.scores))
+    everyone = range(len(lb.systems))
+    singles = [(i,) for i in everyone]
     orders = []
-    for task in tasks:
-        j = lb._task_index(task)
-        scored: list[tuple[float, int]] = []
-        for i, row in enumerate(lb.scores):
-            cell = row[j]
-            if cell is None:
-                if not missing_ok:
-                    raise missing_score(lb.systems[i], task)
-                continue
-            scored.append((cell, i))
+    for task, j in zip(tasks, index):
+        col = columns[j]
+        ranked: Sequence[int] = everyone
+        if None in col:
+            if not missing_ok:
+                raise missing_score(lb.systems[col.index(None)], task)
+            ranked = [i for i in everyone if col[i] is not None]
         # a stable sort: tied systems keep index order
-        scored.sort(key=itemgetter(0), reverse=lb.directions[j] != MINIMIZE)
-        orders.append(tuple([
-            tuple([i for _, i in group]) for _, group in groupby(scored, itemgetter(0))
-        ]))
+        order = sorted(ranked, key=col.__getitem__, reverse=lb.directions[j] != MINIMIZE)
+        values = list(map(col.__getitem__, order))
+        groups = list(map(singles.__getitem__, order))
+        # p is listed when the systems at places p - 1 and p tie
+        tied = list(compress(range(1, len(order)), map(eq, values, values[1:])))
+        if tied:
+            runs: list[list[int]] = []
+            for p in tied:
+                if runs and runs[-1][1] == p:
+                    runs[-1][1] = p + 1
+                else:
+                    runs.append([p - 1, p + 1])
+            # the last run first, so the places of the earlier runs hold
+            for start, stop in reversed(runs):
+                groups[start:stop] = [tuple(order[start:stop])]
+        orders.append(tuple(groups))
     return RankTable(lb.systems, tasks, tuple(orders), scaled, scale)
 
 
@@ -438,14 +466,16 @@ class RankTable:
     LCM of the weight denominators, so the kernels below sum integers.
     Callers turn their results into Fractions once, where the outcome is
     packaged. positions and position() are views derived from the orders.
+    Nothing a table caches (counts, mass unit, completeness) outlives it.
 
     build_profile builds a table from a board, and run_rule builds one per
     rule call. The experiments build one per op from the full board and
     derive a table per step: restrict keeps some systems, without unranks
     some cells. A derived table takes its pairwise counts from its parent's
     (counts_from) instead of rebuilding them. A table built from orders
-    packs each system's counts into one integer of 32- or 64-bit fields, or
-    sums them pair by pair once total reaches 2**63.
+    packs each system's counts into one integer of 32- or 64-bit fields,
+    one row per distinct task weight multiplied out at the end, or sums them
+    pair by pair once total reaches 2**63.
     """
 
     systems: tuple[str, ...]
@@ -484,7 +514,7 @@ class RankTable:
         A surviving tie group is never larger than its group in orders, so
         every share w / g of a mass is a whole number of units.
         """
-        largest = max((len(g) for groups in self.orders for g in groups), default=1)
+        largest = max(map(len, chain.from_iterable(self.orders)), default=1)
         return self.scale * math.lcm(*range(1, largest + 1))
 
     def restrict(self, kept: Sequence[int]) -> "RankTable":
@@ -551,16 +581,24 @@ class RankTable:
         code, width = ("I", 32) if self.total < 1 << 32 else ("Q", 64)
         n = len(self.systems)
         field_of = [1 << (width * b) for b in range(n)]
-        rows = [0] * n
+        # the unweighted counts of each distinct positive weight's tasks, so
+        # each class is multiplied by its weight once, below
+        by_weight: dict[int, list[int]] = {}
         for groups, w in zip(self.orders, self.weights):
+            if not w:
+                continue
+            rows = by_weight.get(w)
+            if rows is None:
+                rows = by_weight[w] = [0] * n
             below = 0
             for group in reversed(groups):
-                if w and below:
-                    add = w * below
-                    for a in group:
-                        rows[a] += add
+                for a in group:
+                    rows[a] += below
                 for b in group:
                     below += field_of[b]
+        rows = [0] * n
+        for w, counted in by_weight.items():
+            rows = [r + w * x for r, x in zip(rows, counted)]
         size = n * width // 8
         return tuple([tuple(array(code, row.to_bytes(size, sys.byteorder))) for row in rows])
 
@@ -575,6 +613,44 @@ class RankTable:
                     for b in below:
                         counts[a][b] += w
         return tuple([tuple(row) for row in counts])
+
+    @cached_property
+    def _complete(self) -> list[bool]:
+        """Whether each task ranks every system."""
+        n = len(self.systems)
+        return [sum(map(len, groups)) == n for groups in self.orders]
+
+    def edge_masses(self, survivors: Sequence[int], *, last: bool = False) -> list[int]:
+        """Each survivor's mass at the first place, or with last at the last
+        place, in mass_unit units and in the order of survivors.
+
+        This is the column masses(survivors)[a][0], or [k - 1] for k
+        survivors, but each task is walked from that end only as far as its
+        first group holding a survivor. A task that leaves a survivor
+        unranked puts no mass on the last place.
+        """
+        alive = set(survivors)
+        mass = dict.fromkeys(survivors, 0)
+        per_weight = self.mass_unit // self.scale
+        for groups, w, complete in zip(self.orders, self.weights, self._complete):
+            if last:
+                if not (complete or alive.issubset(chain.from_iterable(groups))):
+                    continue
+                groups = reversed(groups)
+            w *= per_weight
+            for group in groups:
+                if len(group) == 1:
+                    if group[0] in alive:
+                        mass[group[0]] += w
+                        break
+                    continue
+                live = alive.intersection(group)
+                if live:
+                    share = w // len(live)
+                    for a in live:
+                        mass[a] += share
+                    break
+        return [mass[a] for a in survivors]
 
     def masses(self, survivors: Sequence[int]) -> dict[int, list[int]]:
         """Weighted mass each survivor holds at each place, in mass_unit units.
@@ -658,8 +734,9 @@ class RuleOutcome:
     ranking holds disjoint nonempty tie groups, best first. Rules that only
     produce a winning set put it in ranking[0] and list everything else in
     unranked. scores, when present, maps each ranked system to the value the
-    rule ordered by (exact rationals where the rule allows it). A rule's
-    runner leaves rule_id and mode empty; run_rule stamps them.
+    rule ordered by (exact rationals where the rule allows it); a rule
+    packaged by ranked_by holds them as a LazyScores. A rule's runner leaves
+    rule_id and mode empty; call_rule stamps them.
     """
 
     rule_id: str = ""
@@ -694,6 +771,13 @@ class RuleOutcome:
     @property
     def all_systems(self) -> frozenset[str]:
         return self.ranked_systems | self.unranked
+
+    def stamped(self, rule_id: str, mode: str) -> "RuleOutcome":
+        """This outcome with rule_id and mode set. Its groups were checked
+        when it was built, so __post_init__ does not run again."""
+        out = object.__new__(RuleOutcome)
+        out.__dict__.update(self.__dict__, rule_id=rule_id, mode=mode)
+        return out
 
     def is_total(self) -> bool:
         return not self.unranked
@@ -736,12 +820,13 @@ def ranked_by(
 ) -> RuleOutcome:
     """Outcome of a rule that orders systems by integer scores over one unit.
 
-    The tie groups come from the integers; each system's score becomes
-    Fraction(score, unit) once, here. unit must be positive.
+    The tie groups come from the integers. The scores are a LazyScores, so
+    each system's Fraction(score, unit) is built when the scores are first
+    read. unit must be positive.
     """
     return RuleOutcome(
         ranking=group_by_score(scores, ascending=ascending),
-        scores={m: Fraction(x, unit) for m, x in scores.items()},
+        scores=LazyScores(list(scores), list(scores.values()), unit),
         diagnostics={} if diagnostics is None else diagnostics,
     )
 
@@ -750,8 +835,9 @@ class LazyScores(Mapping[str, Fraction]):
     """Read-only {name: Fraction(score, unit)} that keeps the integers until read.
 
     The dict is built on the first read. A Mapping equals the dict it
-    stands for, and the repr is that dict's, so a diagnostic held this way
-    compares and prints like the dict. unit must be positive.
+    stands for, and the repr is that dict's, so outcome scores or a
+    diagnostic held this way compare and print like the dict. unit must be
+    positive.
     """
 
     __slots__ = ("_names", "_row", "_unit", "_dict")

@@ -107,7 +107,7 @@ def call_rule(
         outcome = rule.score_run(data, weights, **params)
     else:
         outcome = rule.profile_run(data, **params)
-    return replace(outcome, rule_id=rule.rule_id, mode=mode)
+    return outcome.stamped(rule.rule_id, mode)
 
 
 def run_rule(lb: Leaderboard, rule: Rule, mode: str = BASIC, **params: Any) -> RuleOutcome:

@@ -2,7 +2,8 @@
 
 These are the rank profile with Fraction positions and its build_profile,
 the aggregation modes that run rules on it, the pairwise loop with the
-majority-graph rules built on it, the integer pairwise counts summed pair
+majority-graph rules built on it, the RankTable builder that ranked each
+task with groupby, the integer pairwise counts summed pair
 by pair as RankTable built them before they were packed into one integer
 per row, the positional scoring loop, the
 threshold cascade, the baldwin, nanson, hare, coombs and black rounds,
@@ -41,7 +42,8 @@ import math
 import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from voteboard.cw import DominanceMatrix
@@ -70,7 +72,17 @@ from voteboard.iterative import EliminationRound, EliminationTrace
 from voteboard.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, Constraint
 from voteboard.metrics import _signed_root, end_set
 from voteboard.metrics import rho_from_rank_vectors as library_rho
-from voteboard.model import MINIMIZE, Leaderboard, RuleOutcome, as_fraction
+from voteboard.model import (
+    MINIMIZE,
+    Leaderboard,
+    RankTable,
+    RuleOutcome,
+    _check_unique,
+    _check_weights,
+    as_fraction,
+    integer_weights,
+    missing_score,
+)
 from voteboard.modes import (
     BASIC,
     MODES,
@@ -367,6 +379,44 @@ def pairwise_counts(
                 for b in rest:
                     row[b] += w
     return tuple([tuple(row) for row in counts])
+
+
+def build_table(
+    lb: Leaderboard,
+    task_subset: Sequence[str] | None = None,
+    *,
+    missing_ok: bool = False,
+    weights: Mapping[str, int | float | Fraction | str] | None = None,
+) -> RankTable:
+    """model.build_profile as it stood while it ranked each task with a
+    sort of (cell, index) pairs and itertools.groupby."""
+    if task_subset is None:
+        tasks = lb.tasks
+    else:
+        tasks = tuple(task_subset)
+        if not tasks:
+            raise EmptySubset("task subset is empty")
+        _check_unique(tasks, "task")
+        for t in tasks:
+            lb._task_index(t)
+    scaled, scale = integer_weights(tasks, weights)
+    _check_weights(scaled)
+    orders = []
+    for task in tasks:
+        j = lb._task_index(task)
+        scored: list[tuple[float, int]] = []
+        for i, row in enumerate(lb.scores):
+            cell = row[j]
+            if cell is None:
+                if not missing_ok:
+                    raise missing_score(lb.systems[i], task)
+                continue
+            scored.append((cell, i))
+        scored.sort(key=itemgetter(0), reverse=lb.directions[j] != MINIMIZE)
+        orders.append(tuple([
+            tuple([i for _, i in group]) for _, group in groupby(scored, itemgetter(0))
+        ]))
+    return RankTable(lb.systems, tasks, tuple(orders), scaled, scale)
 
 
 def condorcet_winner(graph: MajorityGraph) -> str | None:

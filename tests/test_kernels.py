@@ -32,8 +32,20 @@ holes and weights 1, 1/3 and 5/7, and on boards whose scaled total passes
 2**32 (64-bit fields) and 2**63 (the loop fallback). On the random boards
 the bitmask relation (edges, dominated and dominator sets, the Condorcet
 winner) and every set rule must equal the reference's frozenset versions.
+Boards whose weights several tasks share check that each weight class is
+multiplied out once.
+
+build_profile must give the same table (orders, weights and scale), or the
+same MissingScore, as the groupby builder in reference.build_table, on the
+ladder and on 200 seeded random boards with ties, holes, min tasks, -0.0
+and 0.0 cells, int and Fraction cells, zero-weight tasks and task subsets.
+On the same tables, RankTable.edge_masses must equal the first and last
+columns of masses on random survivor sets. A scored outcome, whose scores
+build their Fractions when read, must equal, print, serialise and render
+as the outcome holding a plain dict.
 """
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -42,7 +54,8 @@ import pytest
 import voteboard as vb
 from voteboard.errors import MissingScore, RuleUnsupportedForMode, VoteboardError
 from voteboard.experiments import _impute_medians as impute_medians
-from voteboard.model import RankTable, build_profile
+from voteboard.io import outcome_to_dict, render_outcome_table, to_json
+from voteboard.model import LazyScores, RankTable, build_profile
 from voteboard.modes import BASIC, TWO_STEP, WEIGHTED, base_weights
 
 import reference
@@ -88,6 +101,13 @@ def ladder():
     for n, t, seeds, modes, holes in LADDER:
         for seed in seeds:
             yield pytest.param(n, t, seed, modes, holes, id=f"{n}x{t}-{seed}")
+
+
+LADDER_BOARDS = [
+    pytest.param(n, t, seed, id=f"{n}x{t}-{seed}")
+    for n, t, seeds, _, _ in LADDER
+    for seed in seeds
+]
 
 
 def outcome_or_refusal(run):
@@ -250,7 +270,10 @@ def test_packed_counts_and_mask_relation_match_reference_on_random_boards(block)
 def test_packed_counts_beyond_32_and_63_bits(monkeypatch):
     """Totals of 2**32 or more pack into 64-bit fields; from 2**63 on, the
     counts come from the pair-by-pair loop. Each board has counts above
-    2**32, and the first a task of weight 0, which the packed kernel skips."""
+    2**32, and the first a task of weight 0, which the packed kernel skips.
+    The boards of six tasks mix weights that several tasks share, so the
+    kernel's per-weight rows are multiplied out with more than one task in
+    a class."""
     looped = []
     loop = RankTable._loop_counts
     monkeypatch.setattr(RankTable, "_loop_counts", lambda self: looped.append(self) or loop(self))
@@ -258,9 +281,12 @@ def test_packed_counts_beyond_32_and_63_bits(monkeypatch):
         ([F(2**33), F(1, 3), F(5, 7), F(0)], 2**33 * 21 + 7 + 15, False),
         ([F(2**62), F(2**62), F(1), F(0)], 2**63 + 1, True),
         ([F(2**70), F(1, 3), F(5, 7), F(1)], (2**70 + 1) * 21 + 7 + 15, True),
+        ([F(2**33), F(1, 3), F(2**33), F(5, 7), F(1, 3), F(0)], 2**34 * 21 + 14 + 15, False),
+        ([F(3 * 2**31), F(2), F(3 * 2**31), F(1), F(2), F(1)], 3 * 2**32 + 6, False),
+        ([F(2**61), F(1, 3), F(2**61), F(2**61), F(1, 3), F(2**61)], 2**63 * 3 + 2, True),
     ):
         for holes in (False, True):
-            lb = ladder_board(14, 4, 0, holes=holes)
+            lb = ladder_board(14, len(weights), 0, holes=holes)
             lb = vb.Leaderboard(lb.systems, lb.tasks, lb.scores, lb.directions,
                                 tuple(weights), lb.groups)
             table = table_of(lb)
@@ -273,6 +299,112 @@ def test_packed_counts_beyond_32_and_63_bits(monkeypatch):
             assert vb.aggregate(lb, "uncovered") == reference.run_rule(
                 lb, reference.RULES["uncovered"]
             )
+
+
+# -- the table builder, the weight-grouped counts, the edge masses ------------
+
+
+def kernel_board(seed):
+    """Seeded board of 2 to 30 systems for the table kernels.
+
+    Level k of a cell is k/2 as a float, an int (even k) or a Fraction, and
+    level 0 is also -0.0, so equal cells of different types tie. It has
+    min tasks, weights 0, 1/3, 1, 5/7 and 2 (at least one positive) and
+    holes.
+    """
+    rng = random.Random(f"kernel:{seed}")
+    n, t = rng.randint(2, 30), rng.randint(1, 8)
+    levels = rng.randint(1, max(1, n // 2))
+
+    def cell(k):
+        forms = [k / 2, F(k, 2)] + ([k // 2] if k % 2 == 0 else []) + ([-0.0] if k == 0 else [])
+        return rng.choice(forms)
+
+    systems = tuple([f"s{i:02d}" for i in range(n)])
+    tasks = tuple([f"t{j}" for j in range(t)])
+    rows = tuple([tuple([cell(rng.randint(0, levels)) for _ in tasks]) for _ in systems])
+    directions = tuple([rng.choice(["max", "min"]) for _ in tasks])
+    weights = [rng.choice([F(0), F(1, 3), F(1), F(5, 7), F(2)]) for _ in tasks]
+    weights[rng.randrange(t)] = F(1)
+    lb = vb.Leaderboard(systems, tasks, rows, directions, tuple(weights))
+    cells = lb.present_cells()
+    return lb.without_cells(rng.sample(cells, rng.randint(0, len(cells) // 3)))
+
+
+def assert_same_table(lb, subset=None, weights=None):
+    """build_profile equals the groupby builder, or refuses alike, with and
+    without missing_ok; returns the missing-tolerant table."""
+    for missing_ok in (False, True):
+        new = outcome_or_error(
+            lambda: build_profile(lb, subset, missing_ok=missing_ok, weights=weights)
+        )
+        old = outcome_or_error(
+            lambda: reference.build_table(lb, subset, missing_ok=missing_ok, weights=weights)
+        )
+        assert new == old, (subset, missing_ok)
+    return new
+
+
+def assert_edge_columns(table, rng):
+    """edge_masses equals the first and last columns of masses on random
+    survivor sets, the whole board among them."""
+    n = len(table.systems)
+    for survivors in [list(range(n))] + [
+        sorted(rng.sample(range(n), rng.randint(1, n))) for _ in range(4)
+    ]:
+        masses = table.masses(survivors)
+        k = len(survivors)
+        assert table.edge_masses(survivors) == [masses[a][0] for a in survivors], survivors
+        assert table.edge_masses(survivors, last=True) == [
+            masses[a][k - 1] for a in survivors
+        ], survivors
+
+
+@pytest.mark.parametrize("n,t,seed", LADDER_BOARDS)
+def test_table_kernels_match_reference_on_the_ladder(n, t, seed):
+    rng = random.Random(f"table:{n}:{t}:{seed}")
+    for lb in (ladder_board(n, t, seed), ladder_board(n, t, seed, holes=True)):
+        assert_edge_columns(assert_same_table(lb, weights=base_weights(lb)), rng)
+        subset = rng.sample(lb.tasks, rng.randint(1, t))
+        assert_same_table(lb, subset, weights=base_weights(lb))
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_table_kernels_match_reference_on_random_boards(block):
+    """50 seeded boards per block, each in full and on a shuffled task subset:
+    the table, or the MissingScore refusal, equals the groupby builder's;
+    the counts equal the pair-by-pair loop's; the edge masses equal the
+    columns of masses."""
+    for seed in range(50 * block, 50 * block + 50):
+        lb = kernel_board(seed)
+        rng = random.Random(seed)
+        for subset in (None, rng.sample(lb.tasks, rng.randint(1, len(lb.tasks)))):
+            table = assert_same_table(lb, subset, weights=base_weights(lb))
+            assert table.pairwise() == loop_counts(table), (seed, subset)
+            assert_edge_columns(table, rng)
+        assert_same_table(lb)
+
+
+# the rules whose outcome carries scores
+SCORED = ("plurality", "borda", "dowdall", "copeland", "minimax", "black", "mean")
+
+
+def test_scored_outcomes_read_as_their_plain_dict_versions():
+    """A rule's scores build their Fractions when read, yet the outcome
+    equals, prints, serialises and renders as the one holding a plain dict."""
+    for lb in (ladder_board(5, 3, 0), ladder_board(20, 6, 0), ladder_board(50, 20, 0)):
+        for rid in SCORED:
+            plain = vb.aggregate(lb, rid)
+            plain = dataclasses.replace(plain, scores=dict(plain.scores))
+            assert type(plain.scores) is dict
+            assert isinstance(vb.aggregate(lb, rid).scores, LazyScores), rid
+            assert vb.aggregate(lb, rid) == plain, rid
+            assert list(vb.aggregate(lb, rid).scores.items()) == list(plain.scores.items())
+            assert repr(vb.aggregate(lb, rid)) == repr(plain), rid
+            assert to_json(outcome_to_dict(vb.aggregate(lb, rid))) == (
+                to_json(outcome_to_dict(plain))
+            ) == reference.outcome_json(plain), rid
+            assert render_outcome_table(vb.aggregate(lb, rid)) == render_outcome_table(plain)
 
 
 @pytest.mark.parametrize("n,t,seed", [
@@ -407,11 +539,6 @@ def test_rho_matches_reference(n):
 # one rule of each family: positional, elimination (on either kernel),
 # pairwise, set, baseline
 IIA_RULES = ("borda", "hare", "baldwin", "copeland", "minimax", "uncovered", "mean")
-LADDER_BOARDS = [
-    pytest.param(n, t, seed, id=f"{n}x{t}-{seed}")
-    for n, t, seeds, _, _ in LADDER
-    for seed in seeds
-]
 
 
 @pytest.mark.parametrize("n,t,seed", [

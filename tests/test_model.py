@@ -53,6 +53,19 @@ def test_as_fraction_keeps_decimals_inside_the_exponent_limit():
     assert as_fraction("0.000123") == F(123, 10**6)
 
 
+def test_zero_denominator_weights_are_value_errors(toy):
+    """A "1/0" weight is refused as a ValueError, not a bare ZeroDivisionError."""
+    for run in (
+        lambda: as_fraction("1/0"),
+        lambda: as_fraction(" -3/0 "),
+        lambda: Leaderboard.from_scores({"a": {"t": 1.0}}, weights={"t": "1/0"}),
+        lambda: build_profile(toy, weights={"t1": "1/0"}),
+    ):
+        with pytest.raises(ValueError, match="zero denominator") as caught:
+            run()
+        assert not isinstance(caught.value, ZeroDivisionError)
+
+
 def test_as_fraction_rejects_bool():
     with pytest.raises(TypeError):
         as_fraction(True)
@@ -192,6 +205,17 @@ def test_build_profile_refuses_negative_weights_and_repeated_tasks(toy):
     # a group whose tasks all weigh 0 still ranks, as two_step needs
     zero = build_profile(toy, ["t1"], weights={"t1": 0})
     assert zero.weights == (0,) and zero.pairwise()[0] == (0, 0, 0, 0)
+
+
+def test_build_profile_refuses_weights_for_tasks_off_the_board(toy):
+    with pytest.raises(ValueError, match="unknown task: 'T1'"):
+        build_profile(toy, weights={"T1": 5})
+    with pytest.raises(ValueError, match="unknown task: 'x'"):
+        build_profile(toy, ["t2"], weights={"t2": 1, "x": 2})
+    # a task of the board outside the subset may carry a weight: two_step
+    # passes the whole board's map to each group
+    table = build_profile(toy, ["t1"], weights={"t1": F(2, 3), "t2": 5})
+    assert table.weights == (2,) and table.scale == 3
 
 
 def test_board_edits(toy):
