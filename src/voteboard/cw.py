@@ -80,7 +80,7 @@ def _per_task(values: Sequence, size: int, what: str, *, blanks: bool = False) -
     # an entry as_fraction rejects, a non-iterable or a wrong length is a bad parameter
     try:
         out = tuple([None if blanks and v is None else as_fraction(v) for v in values])
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError) as exc:
         raise InvalidParameter(f"bad {what}: {exc}") from None
     if len(out) != size:
         raise InvalidParameter(f"{what} length must match the task count")

@@ -93,7 +93,7 @@ def load_leaderboard(
                 for task, cell in zip(tasks, cells[1:]):
                     try:
                         weights[task] = as_fraction(cell)
-                    except (ValueError, ZeroDivisionError) as exc:
+                    except ValueError as exc:
                         raise ParseError(f"{path}:{lineno}: bad weight {cell!r}") from exc
             else:
                 raise ParseError(f"{path}:{lineno}: unknown metadata row {label!r}")
@@ -130,7 +130,7 @@ def load_leaderboard(
         for task, value in mapping.items():
             try:
                 weights[task] = as_fraction(value)
-            except (TypeError, ValueError, ZeroDivisionError) as exc:
+            except (TypeError, ValueError) as exc:
                 raise ParseError(f"{weights_path}: bad weight for {task!r}") from exc
 
     try:

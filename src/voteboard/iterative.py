@@ -6,15 +6,18 @@ survivors stop as one tie group instead. The final ranking reads the
 elimination order backwards, best group first.
 
 Every rule here reads the RankTable that run_rule builds. threshold takes
-the candidates' place masses at every place; hare and coombs take only the
-first- or last-place column, from RankTable.edge_masses, which walks each
-task from that end only as far as its first surviving group. baldwin,
-nanson and black take Borda scores from the pairwise counts, where dropping
-a system deletes its column. Both kernels sum integers in LCM-scaled weight
-units. Each threshold stage and elimination round keeps its integer scores
-and their unit in a model.LazyScores, which builds the Fractions when it is
-read; black packages its Borda scores with model.ranked_by, whose scores
-are a LazyScores too.
+each task's slot rows from RankTable.place_slots once per call: stage z of
+a repetition among k candidates reads only slot k - z (counting from 0) of
+every row, and the repetition's winners are then deleted from the rows.
+hare and coombs take only the first- or last-place mass column, from
+RankTable.edge_masses, which walks each task from that end only as far as
+its first surviving group. baldwin, nanson and black take Borda scores
+from the pairwise counts, where dropping a system deletes its column.
+Both kernels sum integers in LCM-scaled weight units. Each threshold stage
+and elimination round keeps its integer scores and their unit in a
+model.LazyScores, which builds the Fractions when it is read; black
+packages its Borda scores with model.ranked_by, whose scores are a
+LazyScores too.
 
 Tuples are built from lists, for the reason the model module gives.
 """
@@ -24,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import sub
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 from .majority import condorcet_winner, majority_graph_from_table
 from .model import LazyScores, RankTable, RuleOutcome, ranked_by
@@ -50,50 +53,94 @@ class EliminationTrace:
 
 
 def _threshold_winner(
-    table: RankTable, candidates: list[int], names: tuple[str, ...]
-) -> tuple[list[int], list[dict[str, Any]]]:
+    rows: list[list[tuple[int, ...]]],
+    weights: list[int],
+    scores: list[int],
+    index: list[int],
+    names: tuple[str, ...],
+    unit: int,
+) -> tuple[Sequence[int], list[dict[str, Any]]]:
     """Tied set left after the top-k tie-break cascade among the candidates.
 
-    With k candidates, stage z scores each one by its mass on the top k - z
-    places: its total mass minus its mass on the last z places. names are
-    the candidates' names, in their order.
+    rows are the tasks' slot rows, holding only the k candidates, and
+    weights the tasks' weights. scores are the candidates' total masses
+    and names their names, in candidate order; index[a] is system a's
+    position in that order. Every mass is in units of unit. Stage z scores
+    each candidate by its mass on the top k - z places: the previous
+    stage's score less its mass in slot k - z (counting from 0) of every
+    row that long. Returns the winners' positions.
     """
-    k = len(candidates)
-    if k == 1:
-        return candidates, []
-    masses = table.masses(candidates)
-    rows = [masses[a] for a in candidates]
-    # places[p][i] is candidate i's mass at place p + 1
-    places = list(zip(*rows))
-    scores = list(map(sum, rows))
-    pool = range(k)
+    k = len(names)
+    pool: Sequence[int] = range(k)
     stages: list[dict[str, Any]] = []
     for zeros in range(1, k):
+        p = k - zeros
+        column = [0] * k
+        for row, w in zip(rows, weights):
+            if len(row) > p:
+                group = row[p]
+                if len(group) == 1:
+                    column[index[group[0]]] += w
+                else:
+                    share = w // len(group)
+                    for a in group:
+                        column[index[a]] += share
         # a new list per stage, so each stage keeps its own row
-        scores = list(map(sub, scores, places[k - zeros]))
+        scores = list(map(sub, scores, column))
         best = max([scores[i] for i in pool])
         pool = [i for i in pool if scores[i] == best]
         stages.append({
             "zeros": zeros,
-            "scores": LazyScores(names, scores, table.mass_unit),
+            "scores": LazyScores(names, scores, unit),
             "tied": tuple(sorted([names[i] for i in pool])),
         })
         if len(pool) == 1:
             break
-    return [candidates[i] for i in pool], stages
+    return pool, stages
+
+
+def _drop_from_slots(rows: list[list[tuple[int, ...]]], gone: list[int]) -> None:
+    """Delete the systems gone from every slot row.
+
+    An untied system leaves its one slot. A tied one leaves its group, which
+    becomes the smaller group in one slot fewer; a system the task leaves
+    unranked is in none of its slots.
+    """
+    for row in rows:
+        for a in gone:
+            try:
+                del row[row.index((a,))]
+            except ValueError:
+                for p, group in enumerate(row):
+                    if a in group:
+                        smaller = tuple([b for b in group if b != a])
+                        row[p:p + len(group)] = [smaller] * len(smaller)
+                        break
 
 
 def _threshold_run(table: RankTable) -> RuleOutcome:
     names = table.systems
+    unit = table.mass_unit
+    per_weight = unit // table.scale
+    weights = [w * per_weight for w in table.weights]
+    rows, mass = table.place_slots()
+    index = [0] * len(names)
     remaining = list(range(len(names)))
     groups: list[frozenset[str]] = []
     repetitions: list[dict[str, Any]] = []
     while remaining:
         candidates = tuple([names[a] for a in remaining])
-        winners, stages = _threshold_winner(table, remaining, candidates)
+        for i, a in enumerate(remaining):
+            index[a] = i
+        pool, stages = _threshold_winner(
+            rows, weights, [mass[a] for a in remaining], index, candidates, unit
+        )
+        winners = [remaining[i] for i in pool]
         groups.append(frozenset(names[a] for a in winners))
         repetitions.append({"candidates": candidates, "stages": stages})
         remaining = [a for a in remaining if a not in winners]
+        if remaining:
+            _drop_from_slots(rows, winners)
     first = repetitions[0]["stages"]
     diagnostics = {
         "repetitions": repetitions,

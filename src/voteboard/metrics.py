@@ -95,7 +95,7 @@ def _og_run(
     cells, den = exact_cells(lb)
     try:
         g = as_fraction(gamma)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError) as exc:
         raise InvalidParameter(f"bad gamma: {exc}") from None
     if g <= 0:
         raise InvalidParameter(f"gamma must be positive, got {gamma!r}")

@@ -11,8 +11,10 @@ share the mean of the integer places they span) are a view derived from
 the orders.
 
 The table's kernels sum integers: the packed pairwise counts, summed per
-distinct task weight and multiplied by it once; the place masses; and the
-first- and last-place columns of those masses, walked from either end. A
+distinct task weight and multiplied by it once; the place slots, one per
+ranked system holding its tie group, from which threshold reads one place
+column at a time; and the first- and last-place mass columns, walked from
+either end. A
 rule that ranks by a score hands its integer scores and their unit to
 ranked_by, which groups on the integers; a set-valued rule hands its
 winners to chosen. Outcome scores, and the score maps kept as diagnostics,
@@ -134,6 +136,13 @@ def _check_weights(weights: Iterable[int | Fraction]) -> None:
         raise ValueError("task weights must be non-negative")
 
 
+def _check_known(given: Mapping[str, Any] | None, tasks: Sequence[str], kind: str) -> None:
+    """Refuse a key of given that names none of the tasks."""
+    if given is not None and not given.keys() <= set(tasks):
+        stray = next(t for t in given if t not in tasks)
+        raise ValueError(f"{kind} name an unknown task: {stray!r}")
+
+
 def _check_unique(names: Sequence[str], kind: str) -> None:
     seen = set()
     for name in names:
@@ -217,7 +226,10 @@ class Leaderboard:
         weights: Mapping[str, int | float | Fraction | str] | None = None,
         groups: Mapping[str, Sequence[str]] | None = None,
     ) -> "Leaderboard":
-        """Build from nested dicts; iteration order fixes system/task order."""
+        """Build from nested dicts; iteration order fixes system/task order.
+
+        A weights or directions key that names no task raises ValueError.
+        """
         systems = tuple(scores)
         if tasks is None:
             ordered: list[str] = []
@@ -227,6 +239,8 @@ class Leaderboard:
                         ordered.append(t)
             tasks = ordered
         task_tuple = tuple(tasks)
+        _check_known(weights, task_tuple, "weights")
+        _check_known(directions, task_tuple, "directions")
         matrix = tuple(
             tuple(
                 None if (v := scores[m].get(t)) is None else float(v)
@@ -417,9 +431,7 @@ def build_profile(
             raise EmptySubset("task subset is empty")
         _check_unique(tasks, "task")
         index = [lb._task_index(t) for t in tasks]
-    if weights is not None and not weights.keys() <= set(lb.tasks):
-        stray = next(t for t in weights if t not in lb.tasks)
-        raise ValueError(f"weights name an unknown task: {stray!r}")
+    _check_known(weights, lb.tasks, "weights")
     scaled, scale = integer_weights(tasks, weights)
     _check_weights(scaled)
     columns = list(zip(*lb.scores))
@@ -465,7 +477,8 @@ class RankTable:
     in none of its groups. weights[t] is the task weight times scale, the
     LCM of the weight denominators, so the kernels below sum integers.
     Callers turn their results into Fractions once, where the outcome is
-    packaged. positions and position() are views derived from the orders.
+    packaged. positions and position() are views derived from the orders,
+    and place_slots builds each task's places as fresh slot rows per call.
     Nothing a table caches (counts, mass unit, completeness) outlives it.
 
     build_profile builds a table from a board, and run_rule builds one per
@@ -509,10 +522,11 @@ class RankTable:
 
     @cached_property
     def mass_unit(self) -> int:
-        """Denominator of masses(): scale times the LCM of 1..largest tie group.
+        """Denominator of the place masses: scale times the LCM of 1..largest
+        tie group.
 
         A surviving tie group is never larger than its group in orders, so
-        every share w / g of a mass is a whole number of units.
+        every share w / g of a task's weight is a whole number of units.
         """
         largest = max(map(len, chain.from_iterable(self.orders)), default=1)
         return self.scale * math.lcm(*range(1, largest + 1))
@@ -624,10 +638,11 @@ class RankTable:
         """Each survivor's mass at the first place, or with last at the last
         place, in mass_unit units and in the order of survivors.
 
-        This is the column masses(survivors)[a][0], or [k - 1] for k
-        survivors, but each task is walked from that end only as far as its
-        first group holding a survivor. A task that leaves a survivor
-        unranked puts no mass on the last place.
+        The tasks are re-ranked on the survivors alone, and a surviving tie
+        group of g gives each member w/g at each place it spans. Each task
+        is walked from that end only as far as its first group holding a
+        survivor. A task that leaves a survivor unranked puts no mass on
+        the last place.
         """
         alive = set(survivors)
         mass = dict.fromkeys(survivors, 0)
@@ -652,37 +667,27 @@ class RankTable:
                     break
         return [mass[a] for a in survivors]
 
-    def masses(self, survivors: Sequence[int]) -> dict[int, list[int]]:
-        """Weighted mass each survivor holds at each place, in mass_unit units.
+    def place_slots(self) -> tuple[list[list[tuple[int, ...]]], list[int]]:
+        """Each task's places as a fresh list of slots, and each system's total
+        mass in mass_unit units.
 
-        The tasks are re-ranked on the survivors alone: a surviving tie group
-        of size g spanning places p..p+g-1 gives each member w/g at each of
-        those places. rows[a][p - 1] is survivor a's mass at place p.
+        Slot p of a task's row holds the tie group at place p, and a group of
+        g systems fills g slots, so a row is as long as its task's ranked
+        systems and a member of the group at slot p holds w/g there. A
+        system's total mass is the weight of the tasks that rank it. Every
+        call builds new rows, which the caller may mutate.
         """
-        alive = set(survivors)
-        rows = {a: [0] * len(survivors) for a in survivors}
         per_weight = self.mass_unit // self.scale
+        rows = []
+        totals = [0] * len(self.systems)
         for groups, w in zip(self.orders, self.weights):
-            w *= per_weight
-            place = 0
-            for group in groups:
-                if len(group) == 1:
-                    # untied, the common case: skip the set and range work
-                    if group[0] in alive:
-                        rows[group[0]][place] += w
-                        place += 1
-                    continue
-                live = alive.intersection(group)
-                if not live:
-                    continue
-                g = len(live)
-                share = w // g
-                for a in live:
-                    row = rows[a]
-                    for p in range(place, place + g):
-                        row[p] += share
-                place += g
-        return rows
+            ranked = list(chain.from_iterable(groups))
+            # a task without ties has one slot per group already
+            rows.append(list(groups) if len(groups) == len(ranked)
+                        else [group for group in groups for _ in group])
+            for a in ranked:
+                totals[a] += w
+        return rows, [x * per_weight for x in totals]
 
 
 def position_counts(table: RankTable, system: str) -> tuple[Fraction, ...]:
@@ -694,8 +699,14 @@ def position_counts(table: RankTable, system: str) -> tuple[Fraction, ...]:
     """
     if system not in table.systems:
         raise UnknownSystem(f"unknown system: {system!r}")
-    row = table.masses(range(len(table.systems)))[table.systems.index(system)]
-    return tuple(Fraction(x, table.mass_unit) for x in row)
+    a = table.systems.index(system)
+    per_weight = table.mass_unit // table.scale
+    counts = [0] * len(table.systems)
+    for row, w in zip(table.place_slots()[0], table.weights):
+        for p, group in enumerate(row):
+            if a in group:
+                counts[p] += w * per_weight // len(group)
+    return tuple(Fraction(x, table.mass_unit) for x in counts)
 
 
 def group_by_score(

@@ -80,7 +80,7 @@ class ScoringVector:
     def custom(cls, values: Sequence[int | float | Fraction | str]) -> "ScoringVector":
         try:
             entries = tuple([as_fraction(v) for v in values])
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+        except (TypeError, ValueError) as exc:
             raise InvalidParameter(f"bad scoring vector: {exc}") from None
         vec = cls(entries)
         if len(set(vec.entries)) == 1:

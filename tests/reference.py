@@ -5,7 +5,9 @@ the aggregation modes that run rules on it, the pairwise loop with the
 majority-graph rules built on it, the RankTable builder that ranked each
 task with groupby, the integer pairwise counts summed pair
 by pair as RankTable built them before they were packed into one integer
-per row, the positional scoring loop, the
+per row, the integer place masses RankTable rebuilt for every threshold
+repetition with the threshold cascade that read them, the positional
+scoring loop, the
 threshold cascade, the baldwin, nanson, hare, coombs and black rounds,
 position_counts, and the cw dominance matrix compared from raw scores, as
 they stood before the rules moved to integer tie orders and RankTable. They
@@ -43,7 +45,7 @@ import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, groupby
-from operator import itemgetter
+from operator import itemgetter, sub
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from voteboard.cw import DominanceMatrix
@@ -74,6 +76,7 @@ from voteboard.metrics import _signed_root, end_set
 from voteboard.metrics import rho_from_rank_vectors as library_rho
 from voteboard.model import (
     MINIMIZE,
+    LazyScores,
     Leaderboard,
     RankTable,
     RuleOutcome,
@@ -417,6 +420,90 @@ def build_table(
             tuple([i for _, i in group]) for _, group in groupby(scored, itemgetter(0))
         ]))
     return RankTable(lb.systems, tasks, tuple(orders), scaled, scale)
+
+
+def masses(table: RankTable, survivors: Sequence[int]) -> dict[int, list[int]]:
+    """RankTable.masses as it stood: the weighted mass each survivor holds at
+    each place, in mass_unit units, rows[a][p - 1] at place p.
+
+    The tasks are re-ranked on the survivors alone: a surviving tie group
+    of size g spanning places p..p+g-1 gives each member w/g at each of
+    those places.
+    """
+    alive = set(survivors)
+    rows = {a: [0] * len(survivors) for a in survivors}
+    per_weight = table.mass_unit // table.scale
+    for groups, w in zip(table.orders, table.weights):
+        w *= per_weight
+        place = 0
+        for group in groups:
+            if len(group) == 1:
+                # untied, the common case: skip the set and range work
+                if group[0] in alive:
+                    rows[group[0]][place] += w
+                    place += 1
+                continue
+            live = alive.intersection(group)
+            if not live:
+                continue
+            g = len(live)
+            share = w // g
+            for a in live:
+                row = rows[a]
+                for p in range(place, place + g):
+                    row[p] += share
+            place += g
+    return rows
+
+
+def _mass_threshold_winner(
+    table: RankTable, candidates: list[int], names: tuple[str, ...]
+) -> tuple[list[int], list[dict[str, Any]]]:
+    """The integer threshold cascade as it stood, on the candidates' masses
+    rebuilt from the orders for every repetition."""
+    k = len(candidates)
+    if k == 1:
+        return candidates, []
+    by_system = masses(table, candidates)
+    rows = [by_system[a] for a in candidates]
+    # places[p][i] is candidate i's mass at place p + 1
+    places = list(zip(*rows))
+    scores = list(map(sum, rows))
+    pool = range(k)
+    stages: list[dict[str, Any]] = []
+    for zeros in range(1, k):
+        scores = list(map(sub, scores, places[k - zeros]))
+        best = max([scores[i] for i in pool])
+        pool = [i for i in pool if scores[i] == best]
+        stages.append({
+            "zeros": zeros,
+            "scores": LazyScores(names, scores, table.mass_unit),
+            "tied": tuple(sorted([names[i] for i in pool])),
+        })
+        if len(pool) == 1:
+            break
+    return [candidates[i] for i in pool], stages
+
+
+def mass_threshold_run(table: RankTable) -> RuleOutcome:
+    """The library's threshold rule as it stood on a RankTable, before its
+    cascade read place columns from slot rows."""
+    names = table.systems
+    remaining = list(range(len(names)))
+    groups: list[frozenset[str]] = []
+    repetitions: list[dict[str, Any]] = []
+    while remaining:
+        candidates = tuple([names[a] for a in remaining])
+        winners, stages = _mass_threshold_winner(table, remaining, candidates)
+        groups.append(frozenset(names[a] for a in winners))
+        repetitions.append({"candidates": candidates, "stages": stages})
+        remaining = [a for a in remaining if a not in winners]
+    first = repetitions[0]["stages"]
+    diagnostics = {
+        "repetitions": repetitions,
+        "first_round_scores": first[0]["scores"] if first else None,
+    }
+    return RuleOutcome(ranking=tuple(groups), diagnostics=diagnostics)
 
 
 def condorcet_winner(graph: MajorityGraph) -> str | None:

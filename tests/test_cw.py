@@ -164,6 +164,7 @@ def test_objective_of_the_wrong_length_is_invalid(small_matrix):
 
 @pytest.mark.parametrize("bad", [
     {"upper_bounds": ["abc", 1, 1]},
+    {"upper_bounds": [1, "1/0", 1]},
     {"lower_bounds": [0, float("nan"), 0]},
     {"upper_bounds": float("inf")},
     {"objective": [1, None, 0]},

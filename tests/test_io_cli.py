@@ -89,6 +89,7 @@ def test_parse_errors(tmp_path):
         "system,t1\n#direction,sideways\n",  # bad direction
         "system,t1\n#volume,1\na,1\n",  # unknown metadata row
         "system,t1\n#weight,-2\na,1\n",  # negative weight
+        "system,t1\n#weight,1/0\na,1\n",  # zero denominator
     ]
     for body in cases:
         p = tmp_path / "bad.csv"

@@ -40,9 +40,18 @@ same MissingScore, as the groupby builder in reference.build_table, on the
 ladder and on 200 seeded random boards with ties, holes, min tasks, -0.0
 and 0.0 cells, int and Fraction cells, zero-weight tasks and task subsets.
 On the same tables, RankTable.edge_masses must equal the first and last
-columns of masses on random survivor sets. A scored outcome, whose scores
-build their Fractions when read, must equal, print, serialise and render
-as the outcome holding a plain dict.
+columns of reference.masses, the place-mass table RankTable built before,
+on random survivor sets. A scored outcome, whose scores build their
+Fractions when read, must equal, print, serialise and render as the
+outcome holding a plain dict.
+
+threshold, which reads one place column per stage from slot rows it
+trims as systems win, must give the outcome, every stage's scores and
+tied set and the repr of reference.mass_threshold_run, which rebuilt the
+masses for every repetition; position_counts must equal the masses' rows.
+Both hold on the holed ladder boards, built missing-tolerant and derived
+with without and restrict, and on 200 seeded random boards with ties, min
+tasks, holes and weights 0, 1/3, 5/7 and 2.
 """
 
 import dataclasses
@@ -352,7 +361,7 @@ def assert_edge_columns(table, rng):
     for survivors in [list(range(n))] + [
         sorted(rng.sample(range(n), rng.randint(1, n))) for _ in range(4)
     ]:
-        masses = table.masses(survivors)
+        masses = reference.masses(table, survivors)
         k = len(survivors)
         assert table.edge_masses(survivors) == [masses[a][0] for a in survivors], survivors
         assert table.edge_masses(survivors, last=True) == [
@@ -374,7 +383,7 @@ def test_table_kernels_match_reference_on_random_boards(block):
     """50 seeded boards per block, each in full and on a shuffled task subset:
     the table, or the MissingScore refusal, equals the groupby builder's;
     the counts equal the pair-by-pair loop's; the edge masses equal the
-    columns of masses."""
+    columns of reference.masses."""
     for seed in range(50 * block, 50 * block + 50):
         lb = kernel_board(seed)
         rng = random.Random(seed)
@@ -383,6 +392,51 @@ def test_table_kernels_match_reference_on_random_boards(block):
             assert table.pairwise() == loop_counts(table), (seed, subset)
             assert_edge_columns(table, rng)
         assert_same_table(lb)
+
+
+# -- threshold's slot rows ----------------------------------------------------
+
+
+def assert_slot_kernels(table):
+    """threshold and position_counts equal the masses-based code they
+    replaced, and a second threshold call repeats the first."""
+    threshold = vb.get_rule("threshold").profile_run
+    new = threshold(table)
+    old = reference.mass_threshold_run(table)
+    assert new == old
+    assert repr(new) == repr(old)
+    assert threshold(table) == new
+    rows = reference.masses(table, range(len(table.systems)))
+    for a, m in enumerate(table.systems):
+        assert vb.position_counts(table, m) == tuple([F(x, table.mass_unit) for x in rows[a]]), m
+
+
+def derived_tables(table, rng):
+    """The table, a copy with a quarter of its ranked cells unranked, a
+    random subset of its systems, and that subset with cells unranked."""
+    def holed(t):
+        cells = [(i, j) for j, groups in enumerate(t.orders) for group in groups for i in group]
+        return t.without(rng.sample(cells, len(cells) // 4))
+
+    n = len(table.systems)
+    kept = table.restrict(sorted(rng.sample(range(n), rng.randint(1, n))))
+    return [table, holed(table), kept, holed(kept)]
+
+
+@pytest.mark.parametrize("n,t,seed", LADDER_BOARDS)
+def test_threshold_slots_match_masses_on_the_holed_ladder(n, t, seed):
+    rng = random.Random(f"slots:{n}:{t}:{seed}")
+    for table in derived_tables(table_of(ladder_board(n, t, seed, holes=True)), rng):
+        assert_slot_kernels(table)
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_threshold_slots_match_masses_on_random_boards(block):
+    """50 seeded boards per block, missing-tolerant, in full and derived."""
+    for seed in range(50 * block, 50 * block + 50):
+        rng = random.Random(f"slots:{seed}")
+        for table in derived_tables(table_of(kernel_board(seed)), rng):
+            assert_slot_kernels(table)
 
 
 # the rules whose outcome carries scores

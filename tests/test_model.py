@@ -218,6 +218,19 @@ def test_build_profile_refuses_weights_for_tasks_off_the_board(toy):
     assert table.weights == (2,) and table.scale == 3
 
 
+def test_from_scores_refuses_keys_for_tasks_off_the_board():
+    scores = {"a": {"t1": 1, "t2": 2}, "b": {"t1": 2, "t2": 1}}
+    with pytest.raises(ValueError, match="weights name an unknown task: 'T1'"):
+        Leaderboard.from_scores(scores, weights={"T1": 5})
+    with pytest.raises(ValueError, match="directions name an unknown task: 'T2'"):
+        Leaderboard.from_scores(scores, directions={"T2": "min"})
+    # a task of the rows left out of tasks is off the board too
+    with pytest.raises(ValueError, match="weights name an unknown task: 't2'"):
+        Leaderboard.from_scores(scores, tasks=["t1"], weights={"t2": 3})
+    lb = Leaderboard.from_scores(scores, weights={"t1": 5}, directions={"t2": "min"})
+    assert lb.weights == (5, 1) and lb.directions == ("max", "min")
+
+
 def test_board_edits(toy):
     fewer = toy.restrict_systems(["A", "B"])
     assert fewer.systems == ("A", "B")
