@@ -16,7 +16,7 @@ from typing import Sequence
 
 from . import io as vio
 from .cw import build_dominance_matrix, find_cw_weights
-from .errors import InvalidParameter, ParseError, VoteboardError
+from .errors import InvalidParameter, ParseError, UnknownRule, VoteboardError
 from .experiments import ExperimentConfig, iia_experiment, robustness_experiment
 from .metrics import agreement_rate, kendall_tau, spearman_rho
 from .model import Leaderboard, RuleOutcome
@@ -39,7 +39,7 @@ def _add_input_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--groups", help="JSON file mapping task -> group name")
     parser.add_argument("--weights", help="JSON file mapping task -> weight")
     parser.add_argument(
-        "--normalize", action="store_true", help="divide all scores by 100 on load"
+        "--normalize", action="store_true", help="divide every score by 100, exactly, on load"
     )
 
 
@@ -57,7 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     rank = sub.add_parser("rank", parents=[], help="rank all systems under one rule")
     _add_input_flags(rank)
-    rank.add_argument("--rule", required=True, help=f"one of: {', '.join(rule_ids())}")
+    offered = [r for r in rule_ids() if r != "custom"]
+    rank.add_argument("--rule", required=True, help=f"one of: {', '.join(offered)}")
     rank.add_argument("--mode", choices=sorted(MODES), default=BASIC)
     rank.add_argument("--gamma", type=float, default=DEFAULT_GAMMA,
                       help="optimality gap discount (optimality_gap rule only)")
@@ -125,13 +126,16 @@ def _load(args: argparse.Namespace) -> Leaderboard:
     )
 
 
-def _gamma_param(rule_id: str, gamma: float) -> dict[str, float]:
-    """--gamma as a keyword for the rules that take one."""
+def _rule_params(rule_id: str, gamma: float) -> dict[str, float]:
+    """--gamma as a keyword for the rules that take one. custom, whose scoring
+    vector no flag passes, is an unknown rule here."""
+    if rule_id == "custom":
+        raise UnknownRule(f"unknown rule: {rule_id!r}")
     return {"gamma": gamma} if "gamma" in get_rule(rule_id).params else {}
 
 
 def _run(lb: Leaderboard, rule_id: str, mode: str, gamma: float) -> RuleOutcome:
-    return aggregate(lb, rule_id, mode=mode, **_gamma_param(rule_id, gamma))
+    return aggregate(lb, rule_id, mode=mode, **_rule_params(rule_id, gamma))
 
 
 def _seed(args: argparse.Namespace) -> int:
@@ -233,8 +237,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     seed = _seed(args)
     if args.experiment == "iia":
         cfg = ExperimentConfig(seed=seed, trials=args.trials)
-        report = iia_experiment(lb, args.rule, cfg, **_gamma_param(args.rule, args.gamma))
+        report = iia_experiment(lb, args.rule, cfg, **_rule_params(args.rule, args.gamma))
     else:
+        for rule_id in args.rules:
+            _rule_params(rule_id, args.gamma)  # refuses custom, as the others do
         cfg = ExperimentConfig(
             seed=seed,
             trials=args.trials,

@@ -9,8 +9,8 @@ Each op builds one RankTable from the full board, and every rule call reads
 a table derived from it: iia restricts it to the present systems and
 robustness unranks the deleted cells. The derived tables take their
 pairwise counts from the full table's, so the counts are built once per op.
-The score baselines read boards derived, without rechecks, from one copy of
-the board that carries its exact cell ratios. Nothing outlives the op.
+The score baselines read boards derived from the board without rechecks,
+whose integer cells are sliced or set. Nothing outlives the op.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import (
     TooManyOmissions,
 )
 from .metrics import end_set, rho_from_rank_vectors
-from .model import Leaderboard, RankTable, RuleOutcome, build_profile, missing_score
+from .model import Leaderboard, RankTable, RuleOutcome, build_profile, cell_ratio, missing_score
 from .modes import BASIC, Rule, base_weights, call_rule, check_params
 from .registry import get_rule
 
@@ -137,16 +137,15 @@ def _on_systems(
     """
     weights = base_weights(lb)
     if rule.score_run is not None:
-        board = lb._with_ratios()
         return lambda present: call_rule(
-            rule, BASIC, board.restrict_systems(present), weights, **params
+            rule, BASIC, lb.restrict_systems(present), weights, **params
         )
     table = build_profile(lb, missing_ok=True, weights=weights)
     index = {m: i for i, m in enumerate(lb.systems)}
     holes = []
     if not rule.handles_missing:
         for j, task in enumerate(lb.tasks):
-            gone = frozenset([i for i, row in enumerate(lb.scores) if row[j] is None])
+            gone = frozenset([i for i, row in enumerate(lb.cells) if row[j] is None])
             if gone:
                 holes.append((task, gone))
 
@@ -177,20 +176,23 @@ def _impute_medians(
 ) -> Leaderboard:
     """The corrupted board with each deleted cell set to its task's median.
 
-    Each median is taken once over the cells the corrupted board still holds
-    and written into one copy of the rows, so the trial builds one board.
-    """
-    medians: dict[int, float] = {}
-    cells: dict[tuple[int, int], float] = {}
+    Each median, of the floats of the cells the corrupted board still holds,
+    is taken once and written into one copy of the rows, so the trial builds
+    one board."""
+    den = corrupted.denominator
+    medians: dict[int, tuple[int, int]] = {}
+    cells: dict[tuple[int, int], tuple[int, int]] = {}
     for system, task in deleted:
         j = corrupted.tasks.index(task)
         if j not in medians:
-            remaining = [row[j] for row in corrupted.scores if row[j] is not None]
+            # int true division rounds correctly: each is the cell's float
+            remaining = [row[j] / den for row in corrupted.cells if row[j] is not None]
             # a column emptied entirely becomes constant, hence uninformative
-            medians[j] = float(statistics.median(remaining)) if remaining else 0.0
-            if not math.isfinite(medians[j]):
+            median = float(statistics.median(remaining)) if remaining else 0.0
+            if not math.isfinite(median):
                 # the mean of two cells near the float limit overflows
                 raise ScoreOutOfRange("scores must be finite or None")
+            medians[j] = cell_ratio(median)
         cells[(corrupted.systems.index(system), j)] = medians[j]
     return corrupted._with_cells(cells)
 
@@ -230,12 +232,10 @@ def robustness_experiment(
             f"cannot delete {cfg.omit_count} of {len(present)} present cells"
         )
     weights = base_weights(lb)
-    table = board = None
+    table = None
     if any(rid not in IMPUTABLE for rid in rules):
         # the rules that tolerate missing scores are profile rules
         table = build_profile(lb, missing_ok=True, weights=weights)
-    if any(rid in IMPUTABLE for rid in rules):
-        board = lb._with_ratios()
     sys_index = {m: i for i, m in enumerate(lb.systems)}
     task_index = {t: j for j, t in enumerate(lb.tasks)}
 
@@ -246,7 +246,7 @@ def robustness_experiment(
     ref_ranks: dict[str, dict[str, Fraction]] = {}
     ref_sets: dict[str, tuple[str, ...]] = {}
     for rid in rules:
-        out = run(rid, board if rid in IMPUTABLE else table)
+        out = run(rid, lb if rid in IMPUTABLE else table)
         ref_ranks[rid] = out.fractional_ranks()
         ref_sets[rid] = tuple(sorted(end_set(out, cfg.top_k)))
 
@@ -261,7 +261,7 @@ def robustness_experiment(
         for rid in rules:
             if rid in IMPUTABLE:
                 if imputed is None:
-                    imputed = _impute_medians(board.without_cells(deleted), deleted)
+                    imputed = _impute_medians(lb.without_cells(deleted), deleted)
                 out = run(rid, imputed)
             else:
                 out = run(rid, trimmed)

@@ -20,12 +20,14 @@ import csv
 import dataclasses
 import json
 import math
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
 
 from .errors import ParseError
-from .model import Leaderboard, RuleOutcome, as_fraction
+from .model import (DECIMAL_EXPONENT_LIMIT, FLOAT_BOUND, MAXIMIZE, Leaderboard, RuleOutcome,
+                    as_fraction, over_one_denominator)
 
 if TYPE_CHECKING:
     from .experiments import ExperimentReport
@@ -34,17 +36,21 @@ DIRECTION_TAG = "#direction"
 WEIGHT_TAG = "#weight"
 
 
-def _parse_score(cell: str, where: str, normalize: bool) -> float | None:
-    text = cell.strip()
+def _parse_score(text: str, where: str) -> tuple[int, int] | None:
+    """A stripped cell's exact (numerator, denominator), read as a Decimal, or
+    None for a hole. A cell whose float is not finite, or nonzero and below
+    10**-DECIMAL_EXPONENT_LIMIT in magnitude, raises ParseError."""
     if not text:
         return None
     try:
-        value = float(text)
-    except ValueError:
+        value = Decimal(text)
+    except InvalidOperation:
         raise ParseError(f"{where}: not a number: {text!r}") from None
-    if not math.isfinite(value):
+    if not value.is_finite() or value.adjusted() >= 308 and not value.copy_abs() < FLOAT_BOUND:
         raise ParseError(f"{where}: non-finite scores are not allowed")
-    return value / 100 if normalize else value
+    if value and value.adjusted() < -DECIMAL_EXPONENT_LIMIT:
+        raise ParseError(f"{where}: score below 1e-{DECIMAL_EXPONENT_LIMIT} in magnitude")
+    return value.as_integer_ratio()
 
 
 def load_leaderboard(
@@ -76,7 +82,7 @@ def load_leaderboard(
 
     directions: dict[str, str] = {}
     weights: dict[str, Fraction] = {}
-    scores: dict[str, dict[str, float | None]] = {}
+    ratios: dict[str, list[tuple[int, int] | None]] = {}
     for lineno, row in enumerate(rows[1:], start=2):
         cells = [c.strip() for c in row]
         label = cells[0]
@@ -100,15 +106,13 @@ def load_leaderboard(
             continue
         if not label:
             raise ParseError(f"{path}:{lineno}: system name is empty")
-        if label in scores:
+        if label in ratios:
             raise ParseError(f"{path}:{lineno}: duplicate system {label!r}")
         if len(cells) != len(header):
             raise ParseError(f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}")
-        scores[label] = {
-            task: _parse_score(cell, f"{path}:{lineno}", normalize)
-            for task, cell in zip(tasks, cells[1:])
-        }
-    if not scores:
+        where = f"{path}:{lineno}"
+        ratios[label] = [_parse_score(cell, where) for cell in cells[1:]]
+    if not ratios:
         raise ParseError(f"{path}: no system rows")
 
     groups: dict[str, list[str]] | None = None
@@ -133,14 +137,13 @@ def load_leaderboard(
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"{weights_path}: bad weight for {task!r}") from exc
 
+    cells, den = over_one_denominator(ratios.values())
     try:
-        return Leaderboard.from_scores(
-            scores,
-            tasks=tasks,
-            directions=directions,
-            weights=weights,
-            groups=groups,
-        )
+        return Leaderboard._of_cells(
+            tuple(ratios), tuple(tasks), cells, den * 100 if normalize else den,
+            tuple([directions.get(t, MAXIMIZE) for t in tasks]),
+            tuple([weights.get(t, Fraction(1)) for t in tasks]),
+            None if groups is None else tuple([(g, tuple(ts)) for g, ts in groups.items()]))
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

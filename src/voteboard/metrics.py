@@ -2,12 +2,13 @@
 
 The aggregators (weighted arithmetic mean, geometric mean, optimality gap)
 order systems by their raw scores and exist mostly as references to compare
-the voting rules against. They read the cells as integers over one common
-denominator (model.exact_cells) and the task weights scaled to integers by
-the LCM of theirs, sum integers (or multiply integer powers, for the
-geometric mean's order) and hand the integers to model.ranked_by, which
-groups on them and gives each system one Fraction. The geometric mean keeps
-its own packaging, because the scores it reports are floats.
+the voting rules against. They read the board's stored cells, integers over
+one common denominator (model.exact_cells refuses a missing one), and the
+task weights scaled to integers by the LCM of theirs, sum integers (or
+multiply integer powers, for the geometric mean's order) and hand the
+integers to model.ranked_by, which groups on them and gives each system one
+Fraction. The geometric mean keeps its own packaging, because the scores it
+reports are floats, each read from cell / denominator.
 
 The comparison measures operate on pairs of finished outcomes and are
 tie-aware throughout: ranks are fractional, and correlation values are
@@ -57,7 +58,7 @@ def _mean_run(lb: Leaderboard, weights: Mapping[str, Fraction]) -> RuleOutcome:
 
 
 def _gmean_run(lb: Leaderboard, weights: Mapping[str, Fraction]) -> RuleOutcome:
-    cells, _ = exact_cells(lb)
+    cells, den = exact_cells(lb)
     # integer exponents: ranking by prod(cell^n_j) equals ranking by the
     # geometric mean, and the common denominator^sum(n_j) divides out; so
     # does a common factor of the n_j, whose root keeps the order
@@ -67,8 +68,11 @@ def _gmean_run(lb: Leaderboard, weights: Mapping[str, Fraction]) -> RuleOutcome:
     n_total = sum(exps)
     products: dict[str, int] = {}
     display: dict[str, float] = {}
-    for system, raw, row in zip(lb.systems, lb.scores, cells):
-        for task, cell in zip(lb.tasks, raw):
+    for system, row in zip(lb.systems, cells):
+        # int true division rounds correctly: each cell's float, which is
+        # 0.0 for a positive cell below the float range
+        floats = [num / den for num in row]
+        for task, cell in zip(lb.tasks, floats):
             if cell <= 0:
                 raise NonPositiveScore(
                     f"geometric mean needs positive scores; {system!r} on {task!r} is {cell}"
@@ -82,7 +86,7 @@ def _gmean_run(lb: Leaderboard, weights: Mapping[str, Fraction]) -> RuleOutcome:
             )
         products[system] = math.prod(map(pow, row, exps))
         # fsum is correctly rounded, so the report does not depend on task order
-        display[system] = math.exp(math.fsum(map(mul, exps, map(math.log, raw))) / n_total)
+        display[system] = math.exp(math.fsum(map(mul, exps, map(math.log, floats))) / n_total)
     return RuleOutcome(ranking=group_by_score(products), scores=display)
 
 
@@ -109,7 +113,7 @@ def _og_run(
             if num < 0 or num > den:
                 raise ScoreOutOfRange(
                     "optimality gap expects scores in [0, 1]; "
-                    f"{system!r} on {task!r} is {float(Fraction(num, den))}"
+                    f"{system!r} on {task!r} is {num / den}"
                 )
             acc += w * max(0, top - num * g.denominator)
         sums[system] = acc

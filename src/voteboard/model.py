@@ -1,7 +1,8 @@
 """Leaderboard data model, rank tables, and rule outcomes.
 
-A Leaderboard is a systems-by-tasks matrix of optional scores plus per-task
-metadata (direction, weight, optional group). build_profile turns it into a
+A Leaderboard is a systems-by-tasks matrix of optional scores, stored as
+integers over one common denominator, plus per-task metadata (direction,
+weight, optional group). build_profile turns it into a
 RankTable: the per-task tie orders (tie groups of system indices, best
 first) from one sort of each task's system indices keyed by their cells,
 with the task weights scaled to integers by the LCM of their denominators.
@@ -51,6 +52,9 @@ MINIMIZE = "min"
 # its exact ratio holds 10**|exponent|, which hangs on "1e100000000", while
 # every float lies between about 1e-324 and 1e308
 DECIMAL_EXPONENT_LIMIT = 1000
+# a value's float is finite exactly when its magnitude is below this: the
+# largest float plus half its last place rounds, to even, up to 2**1024
+FLOAT_BOUND = 2**1024 - 2**970
 
 
 def as_fraction(value: int | float | Fraction | str) -> Fraction:
@@ -89,36 +93,39 @@ def as_fraction(value: int | float | Fraction | str) -> Fraction:
     raise TypeError(f"unsupported numeric type: {type(value).__name__}")
 
 
-def _ratio(cell: int | float | Fraction) -> tuple[int, int]:
-    """A cell's exact value as (numerator, denominator)."""
-    # as_fraction's own conversion for floats, without the Fraction
-    exact = Decimal(repr(cell)) if isinstance(cell, float) else as_fraction(cell)
-    return exact.as_integer_ratio()
-
-
 def missing_score(system: str, task: str) -> MissingScore:
     return MissingScore(f"system {system!r} has no score on task {task!r}")
 
 
-def exact_cells(lb: Leaderboard) -> tuple[list[list[int]], int]:
-    """Every cell as an integer over one common denominator: (rows, denominator).
+def cell_ratio(value: int | float | Fraction) -> tuple[int, int]:
+    """A score cell's exact (numerator, denominator), converted as by
+    as_fraction; a value whose float is not finite raises ValueError."""
+    try:
+        exact = as_fraction(value)
+    except ValueError:
+        exact = FLOAT_BOUND
+    if not -FLOAT_BOUND < exact < FLOAT_BOUND:
+        raise ValueError("scores must be finite or None")
+    return exact.as_integer_ratio()
 
-    rows[i][j] / denominator is exactly as_fraction(lb.scores[i][j]): a float
-    cell keeps its shortest decimal repr, an int or Fraction cell its own
-    value. A missing cell raises MissingScore. A board derived inside an
-    experiment carries its cells' ratios, so only their LCM is taken here.
-    """
-    carried = lb._ratios
-    ratios = []
-    for i, (system, row) in enumerate(zip(lb.systems, lb.scores)):
-        out = []
-        for j, (task, cell) in enumerate(zip(lb.tasks, row)):
-            if cell is None:
-                raise missing_score(system, task)
-            out.append(_ratio(cell) if carried is None else carried[i][j])
-        ratios.append(out)
-    den = math.lcm(*{d for out in ratios for _, d in out})
-    return [[n * (den // d) for n, d in out] for out in ratios], den
+
+Cells = tuple[tuple[int | None, ...], ...]
+
+
+def over_one_denominator(ratios: Iterable[Sequence[tuple[int, int] | None]]) -> tuple[Cells, int]:
+    """Rows of (numerator, denominator) or None as integer rows over one LCM, and the LCM."""
+    ratios = list(ratios)
+    den = math.lcm(*{r[1] for row in ratios for r in row if r is not None})
+    return tuple([tuple([None if r is None else r[0] * (den // r[1]) for r in row])
+                  for row in ratios]), den
+
+
+def exact_cells(lb: Leaderboard) -> tuple[Cells, int]:
+    """The board's cells and denominator; a missing cell raises MissingScore."""
+    for system, row in zip(lb.systems, lb.cells):
+        if None in row:
+            raise missing_score(system, lb.tasks[row.index(None)])
+    return lb.cells, lb.denominator
 
 
 def integer_weights(
@@ -151,47 +158,62 @@ def _check_unique(names: Sequence[str], kind: str) -> None:
         seen.add(name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Leaderboard:
     """Immutable score matrix with task directions, weights, and groups.
 
-    scores[i][j] is the score of systems[i] on tasks[j]; None means missing.
-    A minimize-direction task ranks low scores first; the stored value stays
-    as given. groups, when present, is an ordered mapping of group name to
-    its tasks; a task belongs to at most one group.
-
-    restrict_systems and without_cells build their board with _derived,
-    which skips the checks this board passed. The public constructor and
-    from_scores check everything.
+    Leaderboard(systems, tasks, scores, directions, weights, groups) takes
+    scores[i][j], the score of systems[i] on tasks[j], as an int, float
+    (read by its shortest decimal repr) or Fraction, or None for missing.
+    It stores each cell once, exactly, as cells[i][j] / denominator in
+    lowest terms, so boards of equal cells are equal however they were
+    built; scores and score() are Fraction views built on first read. A
+    minimize-direction task ranks low scores first. groups, when present,
+    maps group names, in order, to their tasks; a task is in one group at most.
     """
 
     systems: tuple[str, ...]
     tasks: tuple[str, ...]
-    scores: tuple[tuple[float | None, ...], ...]
+    cells: Cells
+    denominator: int
     directions: tuple[str, ...]
     weights: tuple[Fraction, ...]
     groups: tuple[tuple[str, tuple[str, ...]], ...] | None = None
 
-    # each cell's _ratio (None where missing) on a board from _with_ratios and
-    # the boards derived from it; None elsewhere. Unannotated, so not a field:
-    # equality, repr and dataclasses.replace ignore it.
-    _ratios = None
+    def __init__(self, systems, tasks, scores, directions, weights, groups=None) -> None:
+        ratios = [[None if c is None else cell_ratio(c) for c in row] for row in scores]
+        self._fill(systems, tasks, *over_one_denominator(ratios), directions, weights, groups)
+        self._check()
 
-    def __post_init__(self) -> None:
+    @classmethod
+    def _of_cells(cls, *fields: Any) -> "Leaderboard":
+        """A board from its fields, checked as the constructor checks them,
+        whose cells' floats are finite."""
+        return object.__new__(cls)._fill(*fields)._check()
+
+    def _fill(self, systems, tasks, cells, den, directions, weights, groups) -> "Leaderboard":
+        """Set the fields, with cells over den reduced to lowest terms."""
+        present = [c for row in cells for c in row if c is not None] if den > 1 else ()
+        common = math.gcd(den, *present)
+        if common > 1:
+            den //= common
+            cells = tuple([tuple([None if c is None else c // common for c in row])
+                           for row in cells])
+        self.__dict__.update(systems=systems, tasks=tasks, cells=cells, denominator=den,
+                             directions=directions, weights=weights, groups=groups)
+        return self
+
+    def _check(self) -> "Leaderboard":
         if not self.systems:
             raise ValueError("leaderboard needs at least one system")
         if not self.tasks:
             raise ValueError("leaderboard needs at least one task")
         _check_unique(self.systems, "system")
         _check_unique(self.tasks, "task")
-        if len(self.scores) != len(self.systems):
+        if len(self.cells) != len(self.systems):
             raise ValueError("score matrix must have one row per system")
-        for row in self.scores:
-            if len(row) != len(self.tasks):
-                raise ValueError("score row length must match task count")
-            for cell in row:
-                if cell is not None and not math.isfinite(cell):
-                    raise ValueError("scores must be finite or None")
+        if any(len(row) != len(self.tasks) for row in self.cells):
+            raise ValueError("score row length must match task count")
         if len(self.directions) != len(self.tasks):
             raise ValueError("one direction per task required")
         for d in self.directions:
@@ -215,11 +237,12 @@ class Leaderboard:
                     if t in claimed:
                         raise ValueError(f"task {t!r} appears in two groups")
                     claimed.add(t)
+        return self
 
     @classmethod
     def from_scores(
         cls,
-        scores: Mapping[str, Mapping[str, float | int | None]],
+        scores: Mapping[str, Mapping[str, int | float | Fraction | None]],
         *,
         tasks: Sequence[str] | None = None,
         directions: Mapping[str, str] | None = None,
@@ -232,27 +255,14 @@ class Leaderboard:
         """
         systems = tuple(scores)
         if tasks is None:
-            ordered: list[str] = []
-            for row in scores.values():
-                for t in row:
-                    if t not in ordered:
-                        ordered.append(t)
-            tasks = ordered
+            tasks = dict.fromkeys([t for row in scores.values() for t in row])
         task_tuple = tuple(tasks)
         _check_known(weights, task_tuple, "weights")
         _check_known(directions, task_tuple, "directions")
-        matrix = tuple(
-            tuple(
-                None if (v := scores[m].get(t)) is None else float(v)
-                for t in task_tuple
-            )
-            for m in systems
-        )
+        matrix = [[scores[m].get(t) for t in task_tuple] for m in systems]
         dirs = tuple((directions or {}).get(t, MAXIMIZE) for t in task_tuple)
         wts = tuple(as_fraction((weights or {}).get(t, 1)) for t in task_tuple)
-        grp = None
-        if groups is not None:
-            grp = tuple((name, tuple(members)) for name, members in groups.items())
+        grp = None if groups is None else tuple([(g, tuple(ts)) for g, ts in groups.items()])
         return cls(systems, task_tuple, matrix, dirs, wts, grp)
 
     # -- lookups ---------------------------------------------------------
@@ -269,7 +279,13 @@ class Leaderboard:
         except ValueError:
             raise ValueError(f"unknown task: {task!r}") from None
 
-    def score(self, system: str, task: str) -> float | None:
+    @cached_property
+    def scores(self) -> tuple[tuple[Fraction | None, ...], ...]:
+        den = self.denominator
+        return tuple([tuple([None if c is None else Fraction(c, den) for c in row])
+                      for row in self.cells])
+
+    def score(self, system: str, task: str) -> Fraction | None:
         return self.scores[self._sys_index(system)][self._task_index(task)]
 
     def direction(self, task: str) -> str:
@@ -290,37 +306,19 @@ class Leaderboard:
         """All (system, task) pairs that carry a score."""
         return tuple(
             (m, t)
-            for i, m in enumerate(self.systems)
-            for j, t in enumerate(self.tasks)
-            if self.scores[i][j] is not None
+            for m, row in zip(self.systems, self.cells)
+            for t, cell in zip(self.tasks, row)
+            if cell is not None
         )
 
     # -- derived leaderboards -------------------------------------------
 
-    def _derived(
-        self,
-        systems: tuple[str, ...],
-        scores: tuple[tuple[float | None, ...], ...],
-        ratios: tuple[tuple[tuple[int, int] | None, ...], ...] | None,
-    ) -> "Leaderboard":
-        """A board on this board's tasks and metadata, built without its checks.
-
-        systems are distinct systems of this board, and each row of scores
-        holds this board's cells, None or finite floats, so every check this
-        board passed still holds. ratios are the rows' cell ratios, or None.
-        """
-        lb = object.__new__(Leaderboard)
-        lb.__dict__.update(systems=systems, tasks=self.tasks, scores=scores,
-                           directions=self.directions, weights=self.weights,
-                           groups=self.groups, _ratios=ratios)
-        return lb
-
-    def _with_ratios(self) -> "Leaderboard":
-        """An equal board that carries its cells' exact ratios to the boards
-        restrict_systems and without_cells derive from it, so exact_cells on
-        them only takes the LCM."""
-        ratios = [tuple([None if c is None else _ratio(c) for c in row]) for row in self.scores]
-        return self._derived(self.systems, self.scores, tuple(ratios))
+    def _derived(self, systems: tuple[str, ...], cells: Cells, den: int) -> "Leaderboard":
+        """A board on this board's tasks and metadata, built without its checks:
+        systems are distinct systems of this board, and cells its rows, with
+        cells removed or set to values whose floats are finite."""
+        return object.__new__(Leaderboard)._fill(systems, self.tasks, cells, den,
+                                                 self.directions, self.weights, self.groups)
 
     def restrict_systems(self, keep: Iterable[str]) -> "Leaderboard":
         wanted = set(keep)
@@ -329,9 +327,8 @@ class Leaderboard:
         kept = [i for i, m in enumerate(self.systems) if m in wanted]
         if not kept:
             raise ValueError("cannot drop every system")
-        ratios = None if self._ratios is None else tuple([self._ratios[i] for i in kept])
         return self._derived(tuple([self.systems[i] for i in kept]),
-                             tuple([self.scores[i] for i in kept]), ratios)
+                             tuple([self.cells[i] for i in kept]), self.denominator)
 
     def restrict_tasks(self, keep: Iterable[str]) -> "Leaderboard":
         wanted = set(keep)
@@ -341,42 +338,30 @@ class Leaderboard:
         if not idx:
             raise ValueError("cannot drop every task")
         tasks = tuple(self.tasks[j] for j in idx)
-        rows = tuple(tuple(row[j] for j in idx) for row in self.scores)
+        rows = tuple(tuple(row[j] for j in idx) for row in self.cells)
         dirs = tuple(self.directions[j] for j in idx)
         wts = tuple(self.weights[j] for j in idx)
-        groups = None
-        if self.groups:
-            kept = []
-            for name, members in self.groups:
-                inside = tuple(t for t in members if t in wanted)
-                if inside:
-                    kept.append((name, inside))
-            groups = tuple(kept) or None
-        return Leaderboard(systems=self.systems, tasks=tasks, scores=rows,
-                           directions=dirs, weights=wts, groups=groups)
+        groups = tuple([(name, inside) for name, members in self.groups or ()
+                        if (inside := tuple([t for t in members if t in wanted]))]) or None
+        return self._of_cells(self.systems, tasks, rows, self.denominator, dirs, wts, groups)
 
-    def with_score(self, system: str, task: str, value: float | None) -> "Leaderboard":
+    def with_score(self, system: str, task: str, value: int | float | Fraction | None):
         i, j = self._sys_index(system), self._task_index(task)
-        rows = [list(row) for row in self.scores]
-        rows[i][j] = None if value is None else float(value)
-        return Leaderboard(self.systems, self.tasks, tuple([tuple(r) for r in rows]),
-                           self.directions, self.weights, self.groups)
+        return self._with_cells({(i, j): None if value is None else cell_ratio(value)})
 
     def without_cells(self, cells: Iterable[tuple[str, str]]) -> "Leaderboard":
-        return self._with_cells({
-            (self._sys_index(system), self._task_index(task)): None for system, task in cells
-        })
+        gone = [(self._sys_index(m), self._task_index(t)) for m, t in cells]
+        return self._with_cells(dict.fromkeys(gone))
 
-    def _with_cells(self, cells: Mapping[tuple[int, int], float | None]) -> "Leaderboard":
-        """This board with cell (i, j) set to each value, None or a finite float."""
-        rows = [list(row) for row in self.scores]
-        ratios = None if self._ratios is None else [list(row) for row in self._ratios]
-        for (i, j), value in cells.items():
-            rows[i][j] = value
-            if ratios is not None:
-                ratios[i][j] = None if value is None else _ratio(value)
-        return self._derived(self.systems, tuple([tuple(r) for r in rows]),
-                             None if ratios is None else tuple([tuple(r) for r in ratios]))
+    def _with_cells(self, cells: Mapping[tuple[int, int], tuple[int, int] | None]):
+        """This board with cell (i, j) set to each value: a cell_ratio, or None."""
+        den = math.lcm(self.denominator, *[r[1] for r in cells.values() if r is not None])
+        up = den // self.denominator
+        rows = [list(row) if up == 1 else [None if c is None else c * up for c in row]
+                for row in self.cells]
+        for (i, j), r in cells.items():
+            rows[i][j] = None if r is None else r[0] * (den // r[1])
+        return self._derived(self.systems, tuple([tuple(r) for r in rows]), den)
 
 
 def _renumbered(
@@ -434,7 +419,7 @@ def build_profile(
     _check_known(weights, lb.tasks, "weights")
     scaled, scale = integer_weights(tasks, weights)
     _check_weights(scaled)
-    columns = list(zip(*lb.scores))
+    columns = list(zip(*lb.cells))
     everyone = range(len(lb.systems))
     singles = [(i,) for i in everyone]
     orders = []

@@ -17,15 +17,20 @@ oracle's. Only data types and unchanged helpers come from
 the library. Its rule runners take (profile, weights) and return the
 RuleParts defined here, which its own run_rule packages into a RuleOutcome.
 
-The score baselines (mean, gmean, optimality_gap) summing Fractions cell by
-cell, the Fraction Spearman rho, and the spoiler loop that compares
-pair_relations of the present systems follow, as they stood before those
-moved to integers over one common denominator. The spoiler loop runs the
-library's rules on a board rebuilt, and revalidated, at every step, as it
-did before the experiments moved to tables derived from one full-board
-RankTable. After it come the robustness experiment's median imputation,
-which rebuilt the board once per deleted cell, and the robustness loop,
-which ran the library's rules on boards rebuilt once per trial.
+exact_cells follows as it stood while a board stored its cells as given:
+it read each cell through its shortest decimal repr and took the LCM of
+the denominators on every call. After it come the score baselines (mean,
+gmean, optimality_gap) summing Fractions cell by cell, the Fraction
+Spearman rho, and the spoiler loop that compares pair_relations of the
+present systems, as they stood before those moved to integers over one
+common denominator. A board now stores exact cells, so where the old code
+read a stored float (the gmean refusal's message, the median imputation)
+these read the cell's float. The spoiler loop runs the library's rules on
+a board rebuilt, and revalidated, at every step, as it did before the
+experiments moved to tables derived from one full-board RankTable. After
+it come the robustness experiment's median imputation, which rebuilt the
+board once per deleted cell, and the robustness loop, which ran the
+library's rules on boards rebuilt once per trial.
 
 Then comes the outcome's JSON text as the CLI printed it while every
 diagnostic mapping was a dict, whose dataclasses went through
@@ -43,6 +48,7 @@ import json
 import math
 import statistics
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, groupby
 from operator import itemgetter, sub
@@ -1067,6 +1073,34 @@ def build_dominance_matrix(lb: Leaderboard, system: str) -> DominanceMatrix:
 # -- score baselines ----------------------------------------------------------
 
 
+def _ratio(cell: int | float | Fraction) -> tuple[int, int]:
+    """A cell's exact value as (numerator, denominator)."""
+    # as_fraction's own conversion for floats, without the Fraction
+    exact = Decimal(repr(cell)) if isinstance(cell, float) else as_fraction(cell)
+    return exact.as_integer_ratio()
+
+
+def exact_cells(
+    systems: Sequence[str], tasks: Sequence[str], scores: Sequence[Sequence[Any]]
+) -> tuple[list[list[int]], int]:
+    """model.exact_cells as it stood while a board stored its cells as given
+    (floats, ints or Fractions): each cell's _ratio, over their LCM.
+
+    It takes the rows the board was built from. A missing cell raises
+    MissingScore.
+    """
+    ratios = []
+    for system, row in zip(systems, scores):
+        out = []
+        for task, cell in zip(tasks, row):
+            if cell is None:
+                raise missing_score(system, task)
+            out.append(_ratio(cell))
+        ratios.append(out)
+    den = math.lcm(*{d for out in ratios for _, d in out})
+    return [[n * (den // d) for n, d in out] for out in ratios], den
+
+
 def _complete_columns(lb: Leaderboard) -> None:
     for i, system in enumerate(lb.systems):
         for j, task in enumerate(lb.tasks):
@@ -1106,8 +1140,10 @@ def _gmean_run(lb: Leaderboard, weights: Mapping[str, Fraction]) -> RuleParts:
         for j, task in enumerate(lb.tasks):
             cell = lb.scores[i][j]
             if cell <= 0:
+                # the cell's float, as the board stored it
                 raise NonPositiveScore(
-                    f"geometric mean needs positive scores; {system!r} on {task!r} is {cell}"
+                    f"geometric mean needs positive scores; {system!r} on {task!r} is "
+                    f"{float(cell)}"
                 )
             prod *= as_fraction(cell) ** exps[j]
             terms.append(exps[j] * math.log(cell))
@@ -1239,7 +1275,8 @@ def impute_medians(corrupted: Leaderboard, deleted: Sequence[tuple[str, str]]) -
     board = corrupted
     for task, systems in by_task.items():
         j = corrupted.tasks.index(task)
-        remaining = [row[j] for row in corrupted.scores if row[j] is not None]
+        # the median of the cells' floats, as the board stored them
+        remaining = [float(row[j]) for row in corrupted.scores if row[j] is not None]
         value = statistics.median(remaining) if remaining else 0.0
         for system in systems:
             board = board.with_score(system, task, value)

@@ -5,8 +5,10 @@ import math
 import random
 import time
 
+from fractions import Fraction as F
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import voteboard as vb
@@ -283,6 +285,10 @@ FAILURE_FILES = {
     "huge_and_unit_weights": "system,t1,t2\n#weight,1e300,1\nalpha,0.5,0.3\nbeta,0.25,0.9\n",
     # two middle cells of t near the float limit: their median overflows
     "near_limit": "system,t,u\na,1.7e308,0\nb,1.7e308,1\nc,1.0,2\nd,1.6e308,3\ne,1.5e308,4\n",
+    # a positive cell whose float is 0.0
+    "below_floats": "system,t1\nalpha,1e-400\nbeta,1\n",
+    "below_limit": "system,t1\nalpha,1e-1001\nbeta,1\n",
+    "beyond_floats": "system,t1\nalpha,1.8e308\nbeta,1\n",
     "one_heavy_task": "system,t1\n#weight,1e7\n" + "".join(
         f"s{i},0.{917 - 13 * i}\n" for i in range(6)
     ),
@@ -360,6 +366,10 @@ FAILURES = [
      ["experiment", "robustness", "-i", "{near_limit}", "--rules", "mean", "--omit", "1",
       "--trials", "2", "--top-k", "2", "--seed", "1"], 2),
     ("gmean with one task of weight 1e7", ["rank", "-i", "{one_heavy_task}", "--rule", "gmean"], 0),
+    ("gmean on a positive cell whose float is 0.0",
+     ["rank", "-i", "{below_floats}", "--rule", "gmean"], 2),
+    ("score cell below 1e-1000", ["rank", "-i", "{below_limit}", "--rule", "borda"], 1),
+    ("score cell beyond the float range", ["rank", "-i", "{beyond_floats}", "--rule", "borda"], 1),
 ]
 
 
@@ -384,6 +394,109 @@ def test_cli_failure_classes_exit_with_documented_code(tmp_path, capsys, argv, e
     assert code == expected, err
     assert "internal error" not in err
     assert time.perf_counter() - start < 5.0
+
+
+def test_gmean_refuses_a_cell_whose_float_is_zero_before_its_log(tmp_path):
+    path = tmp_path / "tiny.csv"
+    path.write_text(FAILURE_FILES["below_floats"])
+    lb = load_leaderboard(path)
+    assert lb.score("alpha", "t1") == F(1, 10**400)
+    with pytest.raises(vb.NonPositiveScore, match="'alpha' on 't1' is 0.0"):
+        vb.aggregate(lb, "gmean")
+    # the rank rules still tell it from zero
+    assert vb.aggregate(lb, "borda").ranking == (frozenset({"beta"}), frozenset({"alpha"}))
+
+
+# (id, board, argv after -i, the ranking's JSON): exact cells decide ties
+CLI_RANKINGS = [
+    ("mean ties a and b", "system,x,y\na,4.9,2.9\nb,3.1,4.7\n", ["--rule", "mean"],
+     [{"rank": 1, "systems": ["a", "b"], "score": 3.9}]),
+    ("mean ties a and b under --normalize", "system,x,y\na,4.9,2.9\nb,3.1,4.7\n",
+     ["--rule", "mean", "--normalize"],
+     [{"rank": 1, "systems": ["a", "b"], "score": 0.039}]),
+    ("borda tells 2**53 + 1 from 2**53", f"system,x\na,{2**53 + 1}\nb,{2**53}\n",
+     ["--rule", "borda"],
+     [{"rank": 1, "systems": ["a"], "score": 1.0}, {"rank": 2, "systems": ["b"], "score": 0.0}]),
+]
+
+
+@pytest.mark.parametrize("board,argv,ranking", [
+    pytest.param(board, argv, ranking, id=name) for name, board, argv, ranking in CLI_RANKINGS
+])
+def test_cli_rankings_on_exact_cells(tmp_path, capsys, board, argv, ranking):
+    path = tmp_path / "board.csv"
+    path.write_text(board)
+    code, out, err = run_cli(["rank", "-i", str(path), *argv, "--format", "json"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["ranking"] == ranking
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(tenths=st.lists(st.integers(0, 1000), min_size=1, max_size=4))
+@example(tenths=[7])
+@example(tenths=[49, 29])
+def test_normalize_reads_one_decimal_percentages_as_exact_hundredths(tmp_path_factory, tenths):
+    """Each of 0.0, 0.1, ..., 100.0 under --normalize is k/1000 exactly, on a
+    board equal to one built from those Fractions."""
+    path = tmp_path_factory.mktemp("normalize") / "board.csv"
+    tasks = [f"t{j}" for j in range(len(tenths))]
+    cells = [f"{k // 10}.{k % 10}" for k in tenths]
+    path.write_text(",".join(["system", *tasks]) + "\n" + ",".join(["a", *cells]) + "\n")
+    lb = load_leaderboard(path, normalize=True)
+    assert [lb.score("a", t) for t in tasks] == [F(k, 1000) for k in tenths]
+    assert lb == vb.Leaderboard.from_scores({"a": {t: F(k, 1000) for t, k in zip(tasks, tenths)}})
+
+
+@pytest.mark.parametrize("argv", [
+    ["rank", "-i", "{full}", "--rule", "custom"],
+    ["rank", "-i", "{full}", "--rule", "borda", "--baseline", "custom"],
+    ["winner", "-i", "{full}", "--rule", "custom"],
+    ["compare", "-i", "{full}", "--rules", "borda", "custom"],
+    ["experiment", "iia", "-i", "{full}", "--rule", "custom"],
+    ["experiment", "robustness", "-i", "{full}", "--rules", "copeland", "custom"],
+], ids=["rank", "baseline", "winner", "compare", "iia", "robustness"])
+def test_custom_is_an_unknown_rule_on_the_command_line(full_csv, capsys, argv):
+    """The CLI has no flag for a scoring vector, so it offers no custom rule;
+    the library keeps it."""
+    code, _, err = run_cli([a.format(full=full_csv) for a in argv], capsys)
+    assert code == 2
+    assert "unknown rule: 'custom'" in err
+
+
+def test_rank_help_lists_every_rule_but_custom(capsys):
+    with pytest.raises(SystemExit):
+        main(["rank", "--help"])
+    listed = " ".join(capsys.readouterr().out.split()).split("one of: ")[1]
+    assert "custom" not in listed
+    assert all(rule in listed for rule in vb.rule_ids() if rule != "custom")
+
+
+SCORE_STRINGS = st.one_of(
+    st.builds(
+        "{}{}{}".format,
+        st.from_regex(r"\A[+-]?[0-9]{1,6}(\.[0-9]{0,6})?\Z"),
+        st.sampled_from(["e", "E"]),
+        st.integers(-2000, 2000) | st.integers(-10**9, 10**9),
+    ),
+    st.sampled_from(["inf", "-inf", "nan", "sNaN", "1_000.5", "0e-999999999", "1e308",
+                     "1.8e308", "5e-324", "1e-400", "-0"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(cell=SCORE_STRINGS)
+def test_no_score_string_is_an_internal_error(tmp_path_factory, cell):
+    """A score cell parses, or exits 1, promptly; a parsed board ranks."""
+    root = tmp_path_factory.mktemp("score")
+    rows = io.StringIO()
+    csv.writer(rows).writerows([["system", "t1", "t2"], ["alpha", cell, "2"], ["beta", "1", "1"]])
+    (root / "board.csv").write_text(rows.getvalue(), encoding="utf-8")
+    for rule in ("borda", "mean", "gmean"):
+        start = time.perf_counter()
+        code = main(["rank", "-i", str(root / "board.csv"), "--rule", rule])
+        assert time.perf_counter() - start < 2.0, cell
+        assert code in (0, 1, 2), cell
 
 
 def test_scores_beyond_the_float_range_render_as_infinity(tmp_path, capsys):

@@ -64,7 +64,7 @@ import voteboard as vb
 from voteboard.errors import MissingScore, RuleUnsupportedForMode, VoteboardError
 from voteboard.experiments import _impute_medians as impute_medians
 from voteboard.io import outcome_to_dict, render_outcome_table, to_json
-from voteboard.model import LazyScores, RankTable, build_profile
+from voteboard.model import LazyScores, RankTable, build_profile, exact_cells
 from voteboard.modes import BASIC, TWO_STEP, WEIGHTED, base_weights
 
 import reference
@@ -501,12 +501,16 @@ KINDS = {
 GAMMAS = ({}, {"gamma": F(2, 3)}, {"gamma": "0.9500000000000001"}, {"gamma": 1e-300})
 
 
-def mapped(lb, values):
-    rows = tuple([
+def mapped_rows(lb, values):
+    return tuple([
         tuple([None if c is None else values[int(c) % len(values)] for c in row])
         for row in lb.scores
     ])
-    return vb.Leaderboard(lb.systems, lb.tasks, rows, lb.directions, lb.weights, lb.groups)
+
+
+def mapped(lb, values):
+    return vb.Leaderboard(lb.systems, lb.tasks, mapped_rows(lb, values), lb.directions,
+                          lb.weights, lb.groups)
 
 
 def outcome_or_error(run):
@@ -566,6 +570,89 @@ def test_score_baselines_on_int_and_fraction_cells(n, t, seed):
         assert_same_baseline(unit_ints, "optimality_gap", **params)
     exact = vb.aggregate(fractions, "mean")
     assert all(isinstance(v, F) for v in exact.scores.values())
+
+
+def assert_same_cells(lb, rows):
+    """The board's cells equal what reference.exact_cells made of the rows it
+    was built from, or both refuse alike; each cell reads back as its exact
+    value."""
+    new = outcome_or_error(lambda: exact_cells(lb))
+    old = outcome_or_error(lambda: reference.exact_cells(lb.systems, lb.tasks, rows))
+    if isinstance(old, tuple) and isinstance(old[0], type):
+        assert new == old
+    else:
+        assert ([list(row) for row in new[0]], new[1]) == old
+    assert lb.scores == tuple([
+        tuple([None if c is None else vb.as_fraction(c) for c in row]) for row in rows
+    ])
+
+
+@pytest.mark.parametrize("n,t,seed", LADDER_BOARDS)
+def test_exact_cells_match_reference_on_the_ladder(n, t, seed):
+    for holes in (False, True):
+        lb = ladder_board(n, t, seed, holes=holes)
+        for values in CELLS.values():
+            rows = mapped_rows(lb, values)
+            assert_same_cells(
+                vb.Leaderboard(lb.systems, lb.tasks, rows, lb.directions, lb.weights, lb.groups),
+                rows,
+            )
+
+
+def float_board(seed):
+    """Seeded board of 3 to 10 systems with float cells, tied half the time.
+
+    Cells are positive and at most 1 on most boards, so every baseline
+    runs; the rest are signed, of any size, or rounded to few decimals.
+    A third of the boards have holes; tasks are max or min, weights 1, 1/2
+    or 1/3.
+    """
+    rng = random.Random(f"float-cells:{seed}")
+    n, t = rng.randint(3, 10), rng.randint(1, 5)
+    kind = rng.choice(["unit", "unit", "unit", "signed", "rounded"])
+
+    def fresh():
+        if kind == "unit":
+            return rng.choice([rng.random(), 1.0, 0.5, 1 - rng.random() / 1e9]) or 1.0
+        if kind == "signed":
+            return rng.uniform(-1, 1) * 10.0 ** rng.randint(-300, 300)
+        return round(rng.uniform(0, 100), rng.randint(0, 3))
+
+    palette = [fresh() for _ in range(rng.randint(2, 4))]
+    systems = tuple([f"s{i}" for i in range(n)])
+    tasks = tuple([f"t{j}" for j in range(t)])
+    rows = tuple([tuple([rng.choice(palette) if rng.random() < 0.5 else fresh() for _ in tasks])
+                  for _ in systems])
+    if seed % 3 == 0:
+        holes = {(rng.randrange(n), rng.randrange(t)) for _ in range(rng.randint(1, n))}
+        rows = tuple([tuple([None if (i, j) in holes else c for j, c in enumerate(row)])
+                      for i, row in enumerate(rows)])
+    lb = vb.Leaderboard(systems, tasks, rows, tuple([rng.choice(["max", "min"]) for _ in tasks]),
+                        tuple([rng.choice([F(1), F(1, 2), F(1, 3)]) for _ in tasks]))
+    return lb, rows
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_float_boards_match_reference(chunk):
+    """On 200 seeded boards of float cells: the cells, every baseline outcome
+    or refusal, and, on every tenth board, the iia and robustness reports of
+    a baseline and a rank rule equal the reference's."""
+    for seed in range(chunk * 50, chunk * 50 + 50):
+        lb, rows = float_board(seed)
+        assert_same_cells(lb, rows)
+        for rid in KINDS:
+            for params in GAMMAS[:2] if rid == "optimality_gap" else ({},):
+                assert_same_baseline(lb, rid, **params)
+        if seed % 10:
+            continue
+        cfg = vb.ExperimentConfig(seed=seed, trials=3, omit_count=2, top_k=3)
+        for rule in ("mean", "optimality_gap", "copeland"):
+            new = outcome_or_error(lambda: vb.iia_experiment(lb, rule, cfg))
+            old = outcome_or_error(lambda: reference.iia_experiment(lb, rule, cfg))
+            assert new == old, (seed, rule)
+            new = outcome_or_error(lambda: vb.robustness_experiment(lb, [rule], cfg))
+            old = outcome_or_error(lambda: reference.robustness_experiment(lb, [rule], cfg))
+            assert new == old, (seed, rule)
 
 
 @pytest.mark.parametrize("n", [5, 8, 14, 20, 35, 60])
@@ -646,15 +733,12 @@ def test_derived_boards_and_tables_match_fresh_builds(n, t, seed):
     """What the experiments derive equals what the validating paths build.
 
     Boards from _derived equal, and repr like, the ones the validating
-    constructor builds, and those from a _with_ratios copy carry exactly the
-    ratios of their cells. A restricted or trimmed table equals the table
+    constructor builds. A restricted or trimmed table equals the table
     built from the derived board, pairwise counts and mass unit included.
     """
     rng = random.Random(f"derive:{n}:{t}:{seed}")
     for lb in (mapped(ladder_board(n, t, seed), CELLS["decimals"]),
                ladder_board(n, t, seed, holes=True)):
-        carrier = lb._with_ratios()
-        assert carrier == lb and repr(carrier) == repr(lb)
         weights = base_weights(lb)
         table = build_profile(lb, missing_ok=True, weights=weights)
 
@@ -666,27 +750,22 @@ def test_derived_boards_and_tables_match_fresh_builds(n, t, seed):
 
         def same_board(derived, fresh):
             assert derived == fresh and repr(derived) == repr(fresh)
-            if derived._ratios is not None:
-                assert derived._ratios == fresh._with_ratios()._ratios
 
         for _ in range(6):
             kept = sorted(rng.sample(range(n), rng.randint(1, n)))
             names = [lb.systems[i] for i in kept]
             fresh = reference.restrict_systems(lb, names)
             same_board(lb.restrict_systems(names), fresh)
-            same_board(carrier.restrict_systems(names), fresh)
-            assert carrier.restrict_systems(names)._ratios is not None
             same_table(table.restrict(kept), fresh)
 
             present = lb.present_cells()
             deleted = rng.sample(present, rng.randint(1, min(3 * t, len(present))))
             fresh = reference.without_cells(lb, deleted)
-            same_board(carrier.without_cells(deleted), fresh)
+            same_board(lb.without_cells(deleted), fresh)
             cells = [(lb.systems.index(m), lb.tasks.index(tk)) for m, tk in deleted]
             same_table(table.without(cells), fresh)
-            imputed = impute_medians(carrier.without_cells(deleted), deleted)
+            imputed = impute_medians(lb.without_cells(deleted), deleted)
             same_board(imputed, reference.impute_medians(fresh, deleted))
-            assert imputed._ratios is not None
 
 
 ROBUSTNESS_RULES = ("copeland", "minimax", "mean", "optimality_gap")

@@ -291,3 +291,66 @@ def test_lazy_scores_read_as_the_dict_they_stand_for():
     assert rounds[0] == rounds[1] and repr(rounds[0]) == repr(rounds[1])
     assert dataclasses.asdict(rounds[0]) == dataclasses.asdict(rounds[1])
     assert to_json(rounds[0]) == to_json(rounds[1])
+
+
+def test_cells_are_stored_once_as_integers_over_one_denominator():
+    """A float cell is its shortest decimal repr, an int or Fraction its own
+    value, and the integers and their denominator share no factor."""
+    lb = Leaderboard.from_scores({"a": {"x": 0.5, "y": F(1, 3)}, "b": {"x": 2, "y": None}})
+    assert lb.cells == ((3, 2), (12, None)) and lb.denominator == 6
+    assert lb.scores == ((F(1, 2), F(1, 3)), (F(2), None))
+    assert lb.score("a", "x") == F(1, 2) and type(lb.score("a", "x")) is F
+    assert lb.score("b", "y") is None
+    # the Fraction view round-trips through the constructor
+    again = Leaderboard(lb.systems, lb.tasks, lb.scores, lb.directions, lb.weights, lb.groups)
+    assert again == lb and repr(again) == repr(lb)
+    assert Leaderboard.from_scores({"a": {"x": 0.1}}).cells == ((1,),)
+    assert Leaderboard.from_scores({"a": {"x": 0.1}}).denominator == 10
+
+
+def test_derived_boards_are_in_lowest_terms_like_fresh_ones():
+    """Dropping or setting cells can change the common factor; the derived
+    board divides it out, so it equals, and prints as, the board built fresh."""
+    lb = Leaderboard.from_scores({"a": {"x": 0.5, "y": 0.25}, "b": {"x": 1.5, "y": 0.75}})
+    assert lb.denominator == 4
+    cases = (
+        (lb.without_cells([("a", "y"), ("b", "y")]),
+         {"a": {"x": 0.5, "y": None}, "b": {"x": 1.5, "y": None}}),
+        (lb.restrict_tasks(["x"]), {"a": {"x": 0.5}, "b": {"x": 1.5}}),
+        (lb.restrict_systems(["b"]).with_score("b", "y", 3), {"b": {"x": 1.5, "y": 3}}),
+        (lb.with_score("a", "x", F(1, 3)),
+         {"a": {"x": F(1, 3), "y": 0.25}, "b": {"x": 1.5, "y": 0.75}}),
+    )
+    for derived, scores in cases:
+        fresh = Leaderboard.from_scores(scores)
+        assert derived == fresh and repr(derived) == repr(fresh)
+    assert cases[0][0].denominator == 2 and cases[2][0].denominator == 2
+    assert cases[3][0].denominator == 12
+
+
+def test_a_cell_whose_float_is_not_finite_is_a_value_error():
+    """The accepted range is the float range, checked at every way in."""
+    limit = 2**1024 - 2**970
+    assert Leaderboard.from_scores({"a": {"x": limit - 1}}).score("a", "x") == limit - 1
+    lb = Leaderboard.from_scores({"a": {"x": 1}, "b": {"x": 2}})
+    for build in (
+        lambda: Leaderboard.from_scores({"a": {"x": 2**1100}, "b": {"x": 1}}),
+        lambda: Leaderboard.from_scores({"a": {"x": -limit}}),
+        lambda: Leaderboard.from_scores({"a": {"x": F(limit * 3 + 1, 3)}}),
+        lambda: Leaderboard.from_scores({"a": {"x": float("inf")}}),
+        lambda: Leaderboard(("a",), ("x",), ((float("nan"),),), ("max",), (F(1),)),
+        lambda: lb.with_score("a", "x", 10**400),
+        lambda: lb.with_score("a", "x", -float("inf")),
+    ):
+        with pytest.raises(ValueError, match="scores must be finite or None") as caught:
+            build()
+        assert not isinstance(caught.value, OverflowError)
+
+
+def test_boolean_cells_are_refused_as_boolean_weights_are():
+    with pytest.raises(TypeError):
+        Leaderboard(("a", "b"), ("x",), ((True,), (0.5,)), ("max",), (F(1),))
+    with pytest.raises(TypeError):
+        Leaderboard.from_scores({"a": {"x": False}})
+    with pytest.raises(TypeError):
+        Leaderboard.from_scores({"a": {"x": 1}}).with_score("a", "x", True)

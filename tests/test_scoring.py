@@ -14,6 +14,8 @@ from voteboard import (
     score_with_vector,
 )
 
+from voteboard.io import load_leaderboard
+
 import oracle
 from conftest import random_board
 
@@ -125,6 +127,20 @@ def test_custom_vector_rule(toy):
     assert out.winners == {"C"}
     with pytest.raises(InvalidParameter):
         vb.aggregate(toy, "custom")
+
+
+def test_borda_tells_2_53_plus_1_from_2_53(tmp_path):
+    """Integers past the float mantissa stay distinct, from dicts and from a CSV."""
+    big = 2**53
+    path = tmp_path / "big.csv"
+    path.write_text(f"system,x,y\na,{big + 1},{big}\nb,{big},{big}\n")
+    scores = {"a": {"x": big + 1, "y": big}, "b": {"x": big, "y": big}}
+    for lb in (vb.Leaderboard.from_scores(scores),
+               load_leaderboard(path)):
+        out = vb.aggregate(lb, "borda")
+        assert out.ranking == (frozenset({"a"}), frozenset({"b"}))
+        assert out.scores == {"a": F(3, 2), "b": F(1, 2)}
+        assert vb.aggregate(lb, "mean").ranking == out.ranking
 
 
 def test_tied_task_splits_vector_mass():
