@@ -1,7 +1,8 @@
 """Weight feasibility: can any task weighting make a system the majority champion?
 
 For a fixed system m, each rival contributes one constraint row: the signed
-per-task comparison pattern of m against that rival. m is prospective when
+per-task comparison pattern of m against that rival, read straight from
+the board's exact integer cells. m is prospective when
 some weight vector w (non-negative, summing to one, optionally box-bounded)
 satisfies G w >= margin elementwise. At the default margin 0 that makes m a
 weak Condorcet winner: every row's weighted sum is non-negative, so no
@@ -20,7 +21,7 @@ from typing import Sequence
 
 from .errors import InfeasibleBounds, InvalidParameter
 from .linprog import INFEASIBLE, OPTIMAL, solve_lp
-from .model import Leaderboard, as_fraction, build_profile
+from .model import MINIMIZE, Leaderboard, as_fraction
 
 PROSPECTIVE = "prospective"
 NON_PROSPECTIVE = "non_prospective"
@@ -53,25 +54,19 @@ class FeasibilityResult:
 
 
 def build_dominance_matrix(lb: Leaderboard, system: str) -> DominanceMatrix:
-    """The system's row against each rival, read from the tie orders.
+    """The system's row against each rival, compared from the exact cells.
 
-    A task's sign compares the two systems' tie groups: the earlier group
-    wins, the same group ties, and a system the task does not rank ties.
+    A task's sign compares the two integer cells, negated on a min task; a
+    cell missing on either side ties.
     """
     i = lb._sys_index(system)
-    n = len(lb.systems)
-    columns = []
-    for groups in build_profile(lb, missing_ok=True).orders:
-        place: list[int | None] = [None] * n
-        for p, group in enumerate(groups):
-            for a in group:
-                place[a] = p
-        mine = place[i]
-        columns.append([
-            0 if mine is None or theirs is None else (theirs > mine) - (theirs < mine)
-            for theirs in place
-        ])
-    rows = tuple([tuple([column[r] for column in columns]) for r in range(n) if r != i])
+    signs = [-1 if d == MINIMIZE else 1 for d in lb.directions]
+    mine = lb.cells[i]
+    rows = tuple([
+        tuple([0 if a is None or b is None else s * ((a > b) - (a < b))
+               for a, b, s in zip(mine, row, signs)])
+        for r, row in enumerate(lb.cells) if r != i
+    ])
     rivals = tuple([m for m in lb.systems if m != system])
     return DominanceMatrix(system, rivals, lb.tasks, rows)
 

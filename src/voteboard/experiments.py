@@ -10,7 +10,9 @@ a table derived from it: iia restricts it to the present systems and
 robustness unranks the deleted cells. The derived tables take their
 pairwise counts from the full table's, so the counts are built once per op.
 The score baselines read boards derived from the board without rechecks,
-whose integer cells are sliced or set. Nothing outlives the op.
+whose integer cells are sliced or set: a robustness trial names its deleted
+cells by (system, task) index, and the board it imputes is derived from the
+full board once. Nothing outlives the op.
 """
 
 from __future__ import annotations
@@ -171,30 +173,29 @@ def _tie_order(outcome: RuleOutcome, systems: frozenset[str]) -> list[frozenset[
     return groups
 
 
-def _impute_medians(
-    corrupted: Leaderboard, deleted: Sequence[tuple[str, str]]
-) -> Leaderboard:
-    """The corrupted board with each deleted cell set to its task's median.
+def _impute_medians(lb: Leaderboard, deleted: Sequence[tuple[int, int]]) -> Leaderboard:
+    """The board with each deleted cell (system index, task index) set to its
+    task's median.
 
-    Each median, of the floats of the cells the corrupted board still holds,
-    is taken once and written into one copy of the rows, so the trial builds
-    one board."""
-    den = corrupted.denominator
-    medians: dict[int, tuple[int, int]] = {}
+    Each median, of the floats of the task's cells that are neither missing
+    nor deleted, is taken once from the intact board, and the imputed board
+    is derived from it once."""
+    gone: dict[int, set[int]] = {}
+    for i, j in deleted:
+        gone.setdefault(j, set()).add(i)
+    den = lb.denominator
     cells: dict[tuple[int, int], tuple[int, int]] = {}
-    for system, task in deleted:
-        j = corrupted.tasks.index(task)
-        if j not in medians:
-            # int true division rounds correctly: each is the cell's float
-            remaining = [row[j] / den for row in corrupted.cells if row[j] is not None]
-            # a column emptied entirely becomes constant, hence uninformative
-            median = float(statistics.median(remaining)) if remaining else 0.0
-            if not math.isfinite(median):
-                # the mean of two cells near the float limit overflows
-                raise ScoreOutOfRange("scores must be finite or None")
-            medians[j] = cell_ratio(median)
-        cells[(corrupted.systems.index(system), j)] = medians[j]
-    return corrupted._with_cells(cells)
+    for j, rows in gone.items():
+        # int true division rounds correctly: each is the cell's float
+        remaining = [row[j] / den for i, row in enumerate(lb.cells)
+                     if row[j] is not None and i not in rows]
+        # a column emptied entirely becomes constant, hence uninformative
+        median = float(statistics.median(remaining)) if remaining else 0.0
+        if not math.isfinite(median):
+            # the mean of two cells near the float limit overflows
+            raise ScoreOutOfRange("scores must be finite or None")
+        cells.update(dict.fromkeys([(i, j) for i in rows], cell_ratio(median)))
+    return lb._with_cells(cells)
 
 
 def robustness_experiment(
@@ -210,10 +211,11 @@ def robustness_experiment(
     every rule). Majority-based rules rerun natively on the holes, on the
     full board's table with the deleted cells unranked; the mean and
     optimality-gap baselines get each deleted cell imputed with its task's
-    median over the remaining systems. The trial result per rule is the
-    Spearman correlation between the reference ranks of the intact top-k
-    systems and their ranks after deletion. A rule that leaves a system
-    unranked, on the intact board or after a trial's deletions, is refused.
+    median over the cells neither missing nor deleted. The trial result per
+    rule is the Spearman correlation between the reference ranks of the
+    intact top-k systems and their ranks after deletion. A rule that leaves
+    a system unranked, on the intact board or after a trial's deletions, is
+    refused.
     """
     cfg = cfg or ExperimentConfig(trials=100)
     if cfg.top_k > len(lb.systems):
@@ -226,7 +228,8 @@ def robustness_experiment(
                 f"rule {rid!r} can neither tolerate missing scores nor be imputed"
             )
         rule_objs[rid] = rule_obj
-    present = lb.present_cells()
+    present = [(i, j) for i, row in enumerate(lb.cells)
+               for j, cell in enumerate(row) if cell is not None]
     if cfg.omit_count > len(present):
         raise TooManyOmissions(
             f"cannot delete {cfg.omit_count} of {len(present)} present cells"
@@ -236,8 +239,6 @@ def robustness_experiment(
     if any(rid not in IMPUTABLE for rid in rules):
         # the rules that tolerate missing scores are profile rules
         table = build_profile(lb, missing_ok=True, weights=weights)
-    sys_index = {m: i for i, m in enumerate(lb.systems)}
-    task_index = {t: j for j, t in enumerate(lb.tasks)}
 
     def run(rid: str, data: RankTable | Leaderboard) -> RuleOutcome:
         params = {"gamma": gamma} if "gamma" in rule_objs[rid].params else {}
@@ -254,14 +255,12 @@ def robustness_experiment(
     for trial in range(cfg.trials):
         rng = trial_rng(cfg.seed, trial)
         deleted = rng.sample(present, cfg.omit_count)
-        trimmed = None if table is None else table.without(
-            [(sys_index[m], task_index[t]) for m, t in deleted]
-        )
+        trimmed = None if table is None else table.without(deleted)
         imputed: Leaderboard | None = None
         for rid in rules:
             if rid in IMPUTABLE:
                 if imputed is None:
-                    imputed = _impute_medians(lb.without_cells(deleted), deleted)
+                    imputed = _impute_medians(lb, deleted)
                 out = run(rid, imputed)
             else:
                 out = run(rid, trimmed)

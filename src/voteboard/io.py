@@ -194,7 +194,7 @@ def jsonify(value: Any) -> Any:
     return value
 
 
-def outcome_to_dict(outcome: RuleOutcome, seed: int | None = None) -> dict[str, Any]:
+def outcome_to_dict(outcome: RuleOutcome) -> dict[str, Any]:
     ranking = []
     place = 1
     for group in outcome.ranking:
@@ -212,7 +212,7 @@ def outcome_to_dict(outcome: RuleOutcome, seed: int | None = None) -> dict[str, 
         "mode": outcome.mode,
         "ranking": ranking,
         "diagnostics": diagnostics,
-        "seed": seed,
+        "seed": None,
     }
 
 

@@ -10,11 +10,11 @@ integers to model.ranked_by, which groups on them and gives each system one
 Fraction. The geometric mean keeps its own packaging, because the scores it
 reports are floats, each read from cell / denominator.
 
-The comparison measures operate on pairs of finished outcomes and are
-tie-aware throughout: ranks are fractional, and correlation values are
-computed exactly, Spearman rho from integer sums over the rank vectors
-scaled by the LCM of their denominators, so that identities like
-rho(r, r) = 1 hold bit-for-bit.
+The comparison measures operate on pairs of finished outcomes, are
+tie-aware throughout and compute correlations exactly, so that identities
+like rho(r, r) = 1 hold bit-for-bit: Spearman rho from integer sums over the
+fractional rank vectors scaled by the LCM of their denominators, Kendall tau
+from the integer competition ranks, which order and tie as those do.
 """
 
 from __future__ import annotations
@@ -144,12 +144,6 @@ def _check_pair(r1: RuleOutcome, r2: RuleOutcome) -> list[str]:
     return sorted(a)
 
 
-def _paired_ranks(r1: RuleOutcome, r2: RuleOutcome) -> tuple[list[Fraction], list[Fraction]]:
-    order = _check_pair(r1, r2)
-    f1, f2 = r1.fractional_ranks(), r2.fractional_ranks()
-    return [f1[m] for m in order], [f2[m] for m in order]
-
-
 def end_set(outcome: RuleOutcome, k: int, end: str = TOP) -> frozenset[str]:
     """The k best (or worst) systems, grown to whole tie groups."""
     if end not in (TOP, LEAST):
@@ -190,34 +184,35 @@ def _signed_root(num: int | Fraction, den: int | Fraction) -> float:
 
 
 def kendall_tau(r1: RuleOutcome, r2: RuleOutcome) -> float:
-    """Tie-corrected pairwise agreement in [-1, 1]."""
-    x, y = _paired_ranks(r1, r2)
+    """Tie-corrected pairwise agreement in [-1, 1], counted in one walk over
+    the pairs of the integer competition ranks."""
+    order = _check_pair(r1, r2)
+    c1, c2 = r1.competition_ranks(), r2.competition_ranks()
+    x, y = [c1[m] for m in order], [c2[m] for m in order]
     if x == y:
         return 1.0
-    n = len(x)
-    concordant = discordant = 0
-    for i, j in combinations(range(n), 2):
-        sx = (x[i] > x[j]) - (x[i] < x[j])
-        sy = (y[i] > y[j]) - (y[i] < y[j])
-        prod = sx * sy
-        if prod > 0:
+    concordant = discordant = ties_x = ties_y = 0
+    for (xa, ya), (xb, yb) in combinations(zip(x, y), 2):
+        sign = (xa - xb) * (ya - yb)
+        if sign > 0:
             concordant += 1
-        elif prod < 0:
+        elif sign < 0:
             discordant += 1
-    pairs = n * (n - 1) // 2
-    ties_x = pairs - sum(1 for i, j in combinations(range(n), 2) if x[i] != x[j])
-    ties_y = pairs - sum(1 for i, j in combinations(range(n), 2) if y[i] != y[j])
-    den_x = pairs - ties_x
-    den_y = pairs - ties_y
+        else:
+            ties_x += xa == xb
+            ties_y += ya == yb
+    pairs = len(x) * (len(x) - 1) // 2
+    den_x, den_y = pairs - ties_x, pairs - ties_y
     if den_x == 0 or den_y == 0:
         return 0.0
-    return _signed_root(Fraction(concordant - discordant), Fraction(den_x * den_y))
+    return _signed_root(concordant - discordant, den_x * den_y)
 
 
 def spearman_rho(r1: RuleOutcome, r2: RuleOutcome) -> float:
     """Pearson correlation of the fractional rank vectors."""
-    x, y = _paired_ranks(r1, r2)
-    return rho_from_rank_vectors(x, y)
+    order = _check_pair(r1, r2)
+    f1, f2 = r1.fractional_ranks(), r2.fractional_ranks()
+    return rho_from_rank_vectors([f1[m] for m in order], [f2[m] for m in order])
 
 
 def rho_from_rank_vectors(x: Sequence[Fraction], y: Sequence[Fraction]) -> float:

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from decimal import Decimal, InvalidOperation
 from functools import cached_property
 from fractions import Fraction
@@ -170,12 +170,16 @@ class Leaderboard:
     built; scores and score() are Fraction views built on first read. A
     minimize-direction task ranks low scores first. groups, when present,
     maps group names, in order, to their tasks; a task is in one group at most.
+    dataclasses.replace builds the edited board with the constructor, from
+    the board's scores and the replaced fields, and checks it as it does.
     """
 
     systems: tuple[str, ...]
     tasks: tuple[str, ...]
-    cells: Cells
-    denominator: int
+    # dataclasses.replace passes scores, read as the view below, not the stored fields
+    scores: InitVar[Sequence[Sequence[int | float | Fraction | None]]]
+    cells: Cells = field(init=False)
+    denominator: int = field(init=False)
     directions: tuple[str, ...]
     weights: tuple[Fraction, ...]
     groups: tuple[tuple[str, tuple[str, ...]], ...] | None = None

@@ -21,7 +21,8 @@ exact_cells follows as it stood while a board stored its cells as given:
 it read each cell through its shortest decimal repr and took the LCM of
 the denominators on every call. After it come the score baselines (mean,
 gmean, optimality_gap) summing Fractions cell by cell, the Fraction
-Spearman rho, and the spoiler loop that compares pair_relations of the
+Spearman rho, the Kendall tau that walked the pairs of the Fraction ranks
+three times, and the spoiler loop that compares pair_relations of the
 present systems, as they stood before those moved to integers over one
 common denominator. A board now stores exact cells, so where the old code
 read a stored float (the gmean refusal's message, the median imputation)
@@ -78,7 +79,7 @@ from voteboard.experiments import (
 from voteboard.io import _as_float
 from voteboard.iterative import EliminationRound, EliminationTrace
 from voteboard.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, Constraint
-from voteboard.metrics import _signed_root, end_set
+from voteboard.metrics import _check_pair, _signed_root, end_set
 from voteboard.metrics import rho_from_rank_vectors as library_rho
 from voteboard.model import (
     MINIMIZE,
@@ -1208,6 +1209,32 @@ def rho_from_rank_vectors(x: Sequence[Fraction], y: Sequence[Fraction]) -> float
         return 0.0
     return _signed_root(num, den_x * den_y)
 
+
+def kendall_tau(r1: RuleOutcome, r2: RuleOutcome) -> float:
+    """metrics.kendall_tau as it was: three walks over the pairs of the Fraction ranks."""
+    order = _check_pair(r1, r2)
+    f1, f2 = r1.fractional_ranks(), r2.fractional_ranks()
+    x, y = [f1[m] for m in order], [f2[m] for m in order]
+    if x == y:
+        return 1.0
+    n = len(x)
+    concordant = discordant = 0
+    for i, j in combinations(range(n), 2):
+        sx = (x[i] > x[j]) - (x[i] < x[j])
+        sy = (y[i] > y[j]) - (y[i] < y[j])
+        prod = sx * sy
+        if prod > 0:
+            concordant += 1
+        elif prod < 0:
+            discordant += 1
+    pairs = n * (n - 1) // 2
+    ties_x = pairs - sum(1 for i, j in combinations(range(n), 2) if x[i] != x[j])
+    ties_y = pairs - sum(1 for i, j in combinations(range(n), 2) if y[i] != y[j])
+    den_x = pairs - ties_x
+    den_y = pairs - ties_y
+    if den_x == 0 or den_y == 0:
+        return 0.0
+    return _signed_root(Fraction(concordant - discordant), Fraction(den_x * den_y))
 
 
 def restrict_systems(lb: Leaderboard, keep: Iterable[str]) -> Leaderboard:

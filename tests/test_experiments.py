@@ -111,6 +111,12 @@ def test_robustness_too_many_omissions(toy):
         robustness_experiment(toy, ["minimax"], cfg)
 
 
+def test_robustness_top_k_above_the_system_count(toy):
+    cfg = ExperimentConfig(seed=3, trials=2, omit_count=1, top_k=len(toy.systems) + 1)
+    with pytest.raises(vb.InvalidParameter, match="top_k cannot exceed the number of systems"):
+        robustness_experiment(toy, ["minimax"], cfg)
+
+
 def test_robustness_handles_heavy_deletion():
     rng = random.Random(6)
     lb = unit_board(rng, n=5, t=4)

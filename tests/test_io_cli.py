@@ -2,10 +2,14 @@ import csv
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -180,6 +184,49 @@ def test_cli_winner_no_condorcet(tmp_path, capsys):
     assert "no Condorcet winner" in out
 
 
+def test_cli_rank_against_a_baseline_that_leaves_systems_unranked(tmp_path, capsys):
+    """condorcet ranks no one on a cyclic board, so every system is new to it."""
+    p = tmp_path / "cycle.csv"
+    p.write_text("system,t1,t2,t3\na,3,1,2\nb,2,3,1\nc,1,2,3\n")
+    request = ["rank", "--input", str(p), "--rule", "borda", "--baseline", "condorcet"]
+    code, out, err = run_cli(request, capsys)
+    assert code == 0, err
+    assert out.splitlines()[2:] == ["1     a       3      new", "1     b       3      new",
+                                    "1     c       3      new"]
+    code, out, err = run_cli(request + ["--format", "json"], capsys)
+    assert code == 0, err
+    baseline = json.loads(out)["baseline"]
+    assert baseline["rule"] == "condorcet" and baseline["ranking"] == []
+    assert baseline["diagnostics"]["unranked"] == ["a", "b", "c"]
+
+
+def test_cli_rank_of_a_rule_that_leaves_systems_unranked(full_csv, capsys):
+    """The systems condorcet leaves unranked print as - rows with no movement."""
+    request = ["rank", "--input", str(full_csv), "--rule", "condorcet", "--baseline", "borda"]
+    code, out, err = run_cli(request, capsys)
+    assert code == 0, err
+    assert out.splitlines()[2:] == ["1     beta           same", "-     alpha", "-     gamma"]
+    code, out, err = run_cli(request + ["--format", "json"], capsys)
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["ranking"] == [{"rank": 1, "score": None, "systems": ["beta"]}]
+    assert payload["diagnostics"]["unranked"] == ["alpha", "gamma"]
+    assert [item["systems"] for item in payload["baseline"]["ranking"]] == [
+        ["beta"], ["alpha"], ["gamma"]
+    ]
+
+
+def test_python_dash_m_runs_the_command_line(full_csv, capsys):
+    """python -m voteboard prints what main prints, under -X dev -W error."""
+    request = ["rank", "--input", str(full_csv), "--rule", "borda", "--format", "json"]
+    _, expected, _ = run_cli(request, capsys)
+    src = str(Path(vb.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "voteboard", *request],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
+
+
 def test_cli_exit_codes(csv_path, tmp_path, capsys):
     code, _, err = run_cli(
         ["rank", "--input", str(tmp_path / "nope.csv"), "--rule", "borda"], capsys
@@ -292,6 +339,11 @@ FAILURE_FILES = {
     "one_heavy_task": "system,t1\n#weight,1e7\n" + "".join(
         f"s{i},0.{917 - 13 * i}\n" for i in range(6)
     ),
+    "short_weight_row": "system,t1,t2\n#weight,1\nalpha,1,2\n",
+    "empty_name": "system,t1\nalpha,1\n,2\n",
+    "header_only": "system,t1,t2\n",
+    "unknown_task_weight": json.dumps({"t9": 1}),
+    "list_weights": json.dumps([1, 2, 3]),
 }
 FAILURES = [
     ("malformed csv", ["rank", "-i", "{ragged}", "--rule", "borda"], 1),
@@ -370,6 +422,16 @@ FAILURES = [
      ["rank", "-i", "{below_floats}", "--rule", "gmean"], 2),
     ("score cell below 1e-1000", ["rank", "-i", "{below_limit}", "--rule", "borda"], 1),
     ("score cell beyond the float range", ["rank", "-i", "{beyond_floats}", "--rule", "borda"], 1),
+    ("weight row shorter than the header", ["rank", "-i", "{short_weight_row}", "--rule", "borda"],
+     1),
+    ("empty system name", ["rank", "-i", "{empty_name}", "--rule", "borda"], 1),
+    ("csv with a header and no systems", ["rank", "-i", "{header_only}", "--rule", "borda"], 1),
+    ("sidecar weight for an unknown task",
+     ["rank", "-i", "{full}", "--weights", "{unknown_task_weight}", "--rule", "borda"], 1),
+    ("sidecar weights that are a JSON list",
+     ["rank", "-i", "{full}", "--weights", "{list_weights}", "--rule", "borda"], 1),
+    ("sidecar weights that cannot be read",
+     ["rank", "-i", "{full}", "--weights", "{full}.missing", "--rule", "borda"], 1),
 ]
 
 

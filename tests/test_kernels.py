@@ -5,9 +5,11 @@ the profile build and the modes up. Every rewired rule must produce an
 equal RuleOutcome, diagnostics included, and the cw dominance matrix equal
 rows, on a seeded ladder of boards from 5 to 60 systems with ties, min
 directions, weights 1, 1/2 and 1/3, and missing cells for the rules that
-accept them. The larger boards run in fewer modes, and the largest gets
-its missing cells only in the graph check, because the reference is slow
-there. The rules also run on one 50 x 20 board, the wide benchmark's shape,
+accept them. The dominance rows, compared from the integer cells, also
+match on seeded random boards whose int, float and Fraction cells tie
+across types (-0.0 with 0.0 among them), on min tasks and with holes.
+The larger boards run in fewer modes, and the largest gets its missing
+cells only in the graph check, because the reference is slow there. The rules also run on one 50 x 20 board, the wide benchmark's shape,
 with and without holes. On the 60-system board, dowdall's vector is scaled by the LCM of
 1..60, a 25-digit integer.
 
@@ -15,9 +17,13 @@ The score baselines, which sum integers over one common denominator, are
 held to the same standard on the same ladder with its levels mapped to
 many-decimal and extreme cells, and on boards built directly with int and
 Fraction cells; a refusal must match the reference's type and message.
-Spearman rho must return the same float. The robustness experiment's
-median imputation must build the same board as the loop that rebuilt it
-once per deleted cell, on the ladder boards with holes.
+Spearman rho must return the same float, and so must Kendall tau, counted
+on integer competition ranks in one walk, as the Fraction version that
+walked the pairs three times: on seeded random outcomes with ties and on
+pairs of rule outcomes on the ladder. The robustness experiment's median
+imputation, which takes each median from the intact board leaving out the
+deleted cells, must build the same board as the loop that rebuilt the
+board without them once per deleted cell, on the ladder boards with holes.
 
 Both experiments run on tables derived from one full-board RankTable and
 on boards derived without rechecks. Every derived table and board must
@@ -55,6 +61,7 @@ tasks, holes and weights 0, 1/3, 5/7 and 2.
 """
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -104,6 +111,11 @@ def ladder_board(n, t, seed, *, holes=False):
     if holes:
         lb = lb.without_cells(rng.sample(lb.present_cells(), n * t // 5))
     return lb
+
+
+def cell_indices(lb, cells):
+    """(system, task) names as the (system index, task index) pairs the experiments pass."""
+    return [(lb.systems.index(m), lb.tasks.index(tk)) for m, tk in cells]
 
 
 def ladder():
@@ -461,13 +473,31 @@ def test_scored_outcomes_read_as_their_plain_dict_versions():
             assert render_outcome_table(vb.aggregate(lb, rid)) == render_outcome_table(plain)
 
 
+# values equal across types tie: 0, 0.0, -0.0 and F(0); 1, 1.0 and F(1); 0.1 and F(1, 10)
+MIXED_CELLS = (0, 0.0, -0.0, F(0), 1, 1.0, F(1), 0.5, F(1, 2), 0.1, F(1, 10), -2, -2.0,
+               F(-7, 3), 1e-300, 2**53, float(2**53), 2**53 + 1)
+
+
+def mixed_board(seed):
+    """Seeded board of 2 to 12 systems whose int, float and Fraction cells
+    often tie, on max and min tasks, with about one cell in six missing."""
+    rng = random.Random(f"mixed-cells:{seed}")
+    n, t = rng.randint(2, 12), rng.randint(1, 6)
+    rows = [[None if rng.random() < 0.15 else rng.choice(MIXED_CELLS) for _ in range(t)]
+            for _ in range(n)]
+    return vb.Leaderboard(tuple([f"s{i}" for i in range(n)]), tuple([f"t{j}" for j in range(t)]),
+                          rows, tuple([rng.choice(["max", "min"]) for _ in range(t)]),
+                          (F(1),) * t)
+
+
 @pytest.mark.parametrize("n,t,seed", [
     pytest.param(n, t, seed, id=f"{n}x{t}-{seed}")
     for n, t, seeds, _, _ in LADDER
     for seed in seeds
 ])
 def test_dominance_rows_match_reference(n, t, seed):
-    for lb in (ladder_board(n, t, seed), ladder_board(n, t, seed, holes=True)):
+    mixed = [mixed_board(f"{n}:{t}:{seed}:{k}") for k in range(10)]
+    for lb in (ladder_board(n, t, seed), ladder_board(n, t, seed, holes=True), *mixed):
         for m in lb.systems:
             assert vb.build_dominance_matrix(lb, m) == reference.build_dominance_matrix(lb, m), m
 
@@ -677,6 +707,43 @@ def test_rho_matches_reference(n):
     ) == -1.0
 
 
+def random_outcome(rng, names):
+    """The names in seeded tie groups of one to four, as a rule's outcome."""
+    order, groups = rng.sample(names, len(names)), []
+    while order:
+        cut = rng.randint(1, min(4, len(order)))
+        groups.append(frozenset(order[:cut]))
+        order = order[cut:]
+    return vb.RuleOutcome(ranking=tuple(groups))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 14, 20, 35, 60])
+def test_kendall_tau_matches_reference(n):
+    rng = random.Random(f"tau:{n}")
+    names = [f"s{i:02d}" for i in range(n)]
+    flat = vb.RuleOutcome(ranking=(frozenset(names),))
+    for _ in range(20):
+        a, b = random_outcome(rng, names), random_outcome(rng, names)
+        backwards = vb.RuleOutcome(ranking=a.ranking[::-1])
+        for x, y in ((a, b), (a, a), (a, backwards), (a, flat), (flat, b), (flat, flat)):
+            assert vb.kendall_tau(x, y) == reference.kendall_tau(x, y)
+
+
+# rules whose outcomes rank everyone, and condorcet, which leaves systems unranked
+TAU_RULES = ("plurality", "borda", "copeland", "minimax", "threshold", "hare", "black", "mean",
+             "condorcet")
+
+
+@pytest.mark.parametrize("n,t,seed", LADDER_BOARDS)
+def test_kendall_tau_matches_reference_on_rule_pairs(n, t, seed):
+    lb = ladder_board(n, t, seed)
+    outcomes = [vb.aggregate(lb, rid) for rid in TAU_RULES]
+    for x, y in itertools.product(outcomes, repeat=2):
+        assert outcome_or_error(lambda: vb.kendall_tau(x, y)) == (
+            outcome_or_error(lambda: reference.kendall_tau(x, y))
+        ), (x.rule_id, y.rule_id)
+
+
 # one rule of each family: positional, elimination (on either kernel),
 # pairwise, set, baseline
 IIA_RULES = ("borda", "hare", "baldwin", "copeland", "minimax", "uncovered", "mean")
@@ -762,10 +829,9 @@ def test_derived_boards_and_tables_match_fresh_builds(n, t, seed):
             deleted = rng.sample(present, rng.randint(1, min(3 * t, len(present))))
             fresh = reference.without_cells(lb, deleted)
             same_board(lb.without_cells(deleted), fresh)
-            cells = [(lb.systems.index(m), lb.tasks.index(tk)) for m, tk in deleted]
+            cells = cell_indices(lb, deleted)
             same_table(table.without(cells), fresh)
-            imputed = impute_medians(lb.without_cells(deleted), deleted)
-            same_board(imputed, reference.impute_medians(fresh, deleted))
+            same_board(impute_medians(lb, cells), reference.impute_medians(fresh, deleted))
 
 
 ROBUSTNESS_RULES = ("copeland", "minimax", "mean", "optimality_gap")
@@ -844,11 +910,11 @@ def test_median_imputation_matches_reference_loop(n, t, seed):
     for lb in (holed, ints.without_cells(set(ints.present_cells()) - set(holed.present_cells()))):
         for omit in range(1, 6):
             deleted = rng.sample(lb.present_cells(), omit)
-            corrupted = lb.without_cells(deleted)
-            # repr tells a float median from an int one
-            new = repr(impute_medians(corrupted, deleted))
-            assert new == repr(reference.impute_medians(corrupted, deleted)), omit
+            new = repr(impute_medians(lb, cell_indices(lb, deleted)))
+            old = repr(reference.impute_medians(lb.without_cells(deleted), deleted))
+            assert new == old, omit
     # a task that loses every cell is filled with 0.0
     column = [(m, "t0") for m in holed.systems if holed.score(m, "t0") is not None]
-    emptied = holed.without_cells(column)
-    assert impute_medians(emptied, column) == reference.impute_medians(emptied, column)
+    assert impute_medians(holed, cell_indices(holed, column)) == (
+        reference.impute_medians(holed.without_cells(column), column)
+    )

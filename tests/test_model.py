@@ -354,3 +354,51 @@ def test_boolean_cells_are_refused_as_boolean_weights_are():
         Leaderboard.from_scores({"a": {"x": False}})
     with pytest.raises(TypeError):
         Leaderboard.from_scores({"a": {"x": 1}}).with_score("a", "x", True)
+
+
+def two_systems(scores=((0.5, 2), (F(1, 3), None)), directions=("max", "min"),
+                weights=(F(1), F(1, 2)), groups=None, systems=("a", "b"), tasks=("x", "y")):
+    return Leaderboard(systems, tasks, scores, directions, weights, groups)
+
+
+def test_replace_builds_the_board_the_constructor_builds():
+    lb = two_systems()
+    edits = {"weights": (F(2), F(0)), "directions": ("min", "max"),
+             "groups": (("g", ("x",)), ("h", ("y",)))}
+    edited = dataclasses.replace(lb, **edits)
+    assert edited == two_systems(**edits) and repr(edited) == repr(two_systems(**edits))
+    assert edited.cells == lb.cells and edited.denominator == lb.denominator
+    with pytest.raises(ValueError, match="task weights must be non-negative"):
+        dataclasses.replace(lb, weights=(F(1), F(-1)))
+
+
+# (id, a call on or building a two-system board, the ValueError's message)
+BOARD_REFUSALS = [
+    ("one row per system", lambda: two_systems(scores=((1, 2),)),
+     "score matrix must have one row per system"),
+    ("row length", lambda: two_systems(scores=((1, 2), (3,))),
+     "score row length must match task count"),
+    ("one direction per task", lambda: two_systems(directions=("max",)),
+     "one direction per task required"),
+    ("one weight per task", lambda: two_systems(weights=(F(1),)),
+     "one weight per task required"),
+    ("at least one system", lambda: two_systems(systems=(), scores=()),
+     "leaderboard needs at least one system"),
+    ("a group with no tasks", lambda: two_systems(groups=(("g", ()),)),
+     "group 'g' has no tasks"),
+    ("score on an unknown task", lambda: two_systems().score("a", "nope"),
+     "unknown task: 'nope'"),
+    ("restrict to no systems", lambda: two_systems().restrict_systems([]),
+     "cannot drop every system"),
+    ("restrict to no tasks", lambda: two_systems().restrict_tasks([]),
+     "cannot drop every task"),
+]
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(call, message, id=name) for name, call, message in BOARD_REFUSALS
+])
+def test_board_refusals(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message
