@@ -7,8 +7,10 @@ are stable across platforms and hash seeds.
 
 Each op builds one RankTable from the full board, and every rule call reads
 a table derived from it: iia restricts it to the present systems and
-robustness unranks the deleted cells. The derived tables take their
-pairwise counts from the full table's, so the counts are built once per op.
+robustness unranks the deleted cells. A derived table builds its tie orders
+and its pairwise counts from the full table's when each is first read, so
+the full counts are built once per op, and a rule that reads only the
+counts (copeland, minimax, baldwin, nanson) never builds the orders.
 The score baselines read boards derived from the board without rechecks,
 whose integer cells are sliced or set: a robustness trial names its deleted
 cells by (system, task) index, and the board it imputes is derived from the
@@ -215,13 +217,15 @@ def robustness_experiment(
     rule is the Spearman correlation between the reference ranks of the
     intact top-k systems and their ranks after deletion. A rule that leaves
     a system unranked, on the intact board or after a trial's deletions, is
-    refused.
+    refused, and so is a rule named twice (InvalidParameter).
     """
     cfg = cfg or ExperimentConfig(trials=100)
     if cfg.top_k > len(lb.systems):
         raise InvalidParameter("top_k cannot exceed the number of systems")
     rule_objs = {}
     for rid in rules:
+        if rid in rule_objs:
+            raise InvalidParameter(f"rule {rid!r} is named twice")
         rule_obj = get_rule(rid)
         if not rule_obj.handles_missing and rid not in IMPUTABLE:
             raise RuleUnsupportedForMode(

@@ -9,7 +9,9 @@ with the task weights scaled to integers by the LCM of their denominators.
 Rank rules read only the table; the score baselines (mean, gmean,
 optimality_gap) read the board's cells. Fractional positions (tied systems
 share the mean of the integer places they span) are a view derived from
-the orders.
+the orders. A table derived from another (restrict keeps some systems,
+without unranks some cells) holds its parent and the change, and builds
+its orders and its counts from the parent's when each is first read.
 
 The table's kernels sum integers: the packed pairwise counts, summed per
 distinct task weight and multiplied by it once; the place slots, one per
@@ -40,8 +42,8 @@ from decimal import Decimal, InvalidOperation
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain, combinations, compress, groupby
-from operator import eq, itemgetter
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from operator import eq, itemgetter, lt
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import EmptySubset, MissingScore, UnknownSystem
 
@@ -368,28 +370,6 @@ class Leaderboard:
         return self._derived(self.systems, tuple([tuple(r) for r in rows]), den)
 
 
-def _renumbered(
-    orders: tuple[tuple[tuple[int, ...], ...], ...], kept: Sequence[int]
-) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The orders of the systems at ascending indices kept, system kept[k]
-    renumbered k. Groups keep their order and ties; emptied groups go."""
-    index = {i: k for k, i in enumerate(kept)}
-    out = []
-    for groups in orders:
-        left = []
-        for group in groups:
-            if len(group) == 1:
-                # untied, the common case
-                if group[0] in index:
-                    left.append((index[group[0]],))
-                continue
-            group = tuple([index[i] for i in group if i in index])
-            if group:
-                left.append(group)
-        out.append(tuple(left))
-    return tuple(out)
-
-
 def build_profile(
     lb: Leaderboard,
     task_subset: Sequence[str] | None = None,
@@ -457,7 +437,7 @@ def build_profile(
 Counts = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RankTable:
     """Per-task rankings as integer tie orders, with integer task weights.
 
@@ -468,13 +448,17 @@ class RankTable:
     Callers turn their results into Fractions once, where the outcome is
     packaged. positions and position() are views derived from the orders,
     and place_slots builds each task's places as fresh slot rows per call.
-    Nothing a table caches (counts, mass unit, completeness) outlives it.
+    Nothing a table caches (orders, counts, mass unit, completeness)
+    outlives it.
 
     build_profile builds a table from a board, and run_rule builds one per
     rule call. The experiments build one per op from the full board and
     derive a table per step: restrict keeps some systems, without unranks
-    some cells. A derived table takes its pairwise counts from its parent's
-    (counts_from) instead of rebuilding them. A table built from orders
+    some cells. A derived table holds its parent and the change (its
+    source), and builds its orders and its pairwise counts from the
+    parent's when each is first read, so a rule that reads only the counts
+    never builds the orders. Equality, repr and every kernel but the counts
+    read the orders, and build them. A table built from orders
     packs each system's counts into one integer of 32- or 64-bit fields,
     one row per distinct task weight multiplied out at the end, or sums them
     pair by pair once total reaches 2**63.
@@ -482,10 +466,28 @@ class RankTable:
 
     systems: tuple[str, ...]
     tasks: tuple[str, ...]
+    # a field; a derived table builds it in the cached property of that name below
     orders: tuple[tuple[tuple[int, ...], ...], ...]
     weights: tuple[int, ...]
     scale: int
-    counts_from: Callable[[], Counts] | None = field(default=None, repr=False, compare=False)
+    # a derived table's _Restriction or _Unranking; not a field
+    _source = None
+
+    def __init__(self, systems, tasks, orders, weights, scale) -> None:
+        self.__dict__.update(systems=systems, tasks=tasks, orders=orders, weights=weights,
+                             scale=scale)
+
+    @cached_property
+    def orders(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """A derived table's orders, built from its source on first read; a
+        table built from orders holds them from the start."""
+        return self._source.orders()
+
+    def _derived(self, systems: tuple[str, ...], source: _Restriction | _Unranking) -> "RankTable":
+        table = object.__new__(RankTable)
+        table.__dict__.update(systems=systems, tasks=self.tasks, weights=self.weights,
+                              scale=self.scale, _source=source)
+        return table
 
     @cached_property
     def positions(self) -> dict[str, dict[str, Fraction]]:
@@ -521,51 +523,35 @@ class RankTable:
         return self.scale * math.lcm(*range(1, largest + 1))
 
     def restrict(self, kept: Sequence[int]) -> "RankTable":
-        """The table of the systems at ascending indices kept, renumbered.
+        """The table of the systems at indices kept, renumbered.
 
-        A count depends only on its own two systems, so the restricted
-        counts are the submatrix of this table's.
+        kept must be non-empty, strictly ascending and within range, else
+        ValueError. The table builds its orders and counts from this one's
+        when each is first read (_Restriction).
         """
-
-        def counts() -> Counts:
-            rows = self.pairwise()
-            return tuple([tuple([row[b] for b in kept]) for row in [rows[a] for a in kept]])
-
-        return RankTable(tuple([self.systems[i] for i in kept]), self.tasks,
-                         _renumbered(self.orders, kept), self.weights, self.scale, counts)
+        kept, n = list(kept), len(self.systems)
+        if not (kept and 0 <= kept[0] and kept[-1] < n and all(map(lt, kept, kept[1:]))):
+            raise ValueError(f"system indices must be non-empty, strictly ascending and in "
+                             f"0..{n - 1}: {kept!r}")
+        return self._derived(tuple([self.systems[i] for i in kept]), _Restriction(self, kept))
 
     def without(self, cells: Iterable[tuple[int, int]]) -> "RankTable":
-        """The table with each ranked cell (system index, task index) unranked.
+        """The table with each cell (system index, task index) unranked.
 
-        The counts are this table's less each dropped cell's pairs, O(n)
-        per cell. A dropped cell leaves its task's levels before its pairs
-        are subtracted, so a pair of cells dropped from one task is
-        subtracted once.
+        Each cell must be ranked on this table, else ValueError; the check
+        reads this table's orders, O(n) per task the cells touch. The table
+        builds its orders and counts from this one's when each is first read
+        (_Unranking).
         """
         dropped: dict[int, set[int]] = {}
         for i, j in cells:
             dropped.setdefault(j, set()).add(i)
-        orders = list(self.orders)
         for j, gone in dropped.items():
-            groups = [tuple([i for i in group if i not in gone]) for group in orders[j]]
-            orders[j] = tuple([group for group in groups if group])
-
-        def counts() -> Counts:
-            rows = [list(row) for row in self.pairwise()]
-            for j, gone in dropped.items():
-                w = self.weights[j]
-                level = {i: p for p, group in enumerate(self.orders[j]) for i in group}
-                for a in gone:
-                    here = level.pop(a)
-                    for b, there in level.items():
-                        if here < there:
-                            rows[a][b] -= w
-                        elif there < here:
-                            rows[b][a] -= w
-            return tuple([tuple(row) for row in rows])
-
-        return RankTable(self.systems, self.tasks, tuple(orders), self.weights, self.scale,
-                         counts)
+            stray = gone.difference(chain.from_iterable(
+                self.orders[j] if 0 <= j < len(self.tasks) else ()))
+            if stray:
+                raise ValueError(f"cell ({min(stray)!r}, {j!r}) is not ranked on this table")
+        return self._derived(self.systems, _Unranking(self, dropped))
 
     def pairwise(self) -> Counts:
         """counts[a][b]: scaled weight of the tasks ranking a strictly above b.
@@ -576,8 +562,8 @@ class RankTable:
 
     @cached_property
     def _counts(self) -> Counts:
-        if self.counts_from is not None:
-            return self.counts_from()
+        if self._source is not None:
+            return self._source.counts()
         if self.total >= 1 << 63:
             return self._loop_counts()
         # row a holds counts[a][b] at bit width * b; no count exceeds total, so none carries
@@ -677,6 +663,75 @@ class RankTable:
             for a in ranked:
                 totals[a] += w
         return rows, [x * per_weight for x in totals]
+
+
+class _Restriction(NamedTuple):
+    """What RankTable.restrict derives from: the parent, and the ascending
+    indices of the systems kept."""
+
+    parent: RankTable
+    kept: list[int]
+
+    def orders(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The parent's orders of the kept systems, system kept[k] renumbered
+        k. Groups keep their order and ties; emptied groups go."""
+        index = {i: k for k, i in enumerate(self.kept)}
+        out = []
+        for groups in self.parent.orders:
+            left = []
+            for group in groups:
+                if len(group) == 1:
+                    # untied, the common case
+                    if group[0] in index:
+                        left.append((index[group[0]],))
+                    continue
+                group = tuple([index[i] for i in group if i in index])
+                if group:
+                    left.append(group)
+            out.append(tuple(left))
+        return tuple(out)
+
+    def counts(self) -> Counts:
+        """A count depends only on its own two systems, so the restricted
+        counts are the submatrix of the parent's."""
+        rows, kept = self.parent.pairwise(), self.kept
+        return tuple([tuple([row[b] for b in kept]) for row in [rows[a] for a in kept]])
+
+
+class _Unranking(NamedTuple):
+    """What RankTable.without derives from: the parent, and the system
+    indices unranked on each task index touched."""
+
+    parent: RankTable
+    dropped: dict[int, set[int]]
+
+    def orders(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        orders = list(self.parent.orders)
+        for j, gone in self.dropped.items():
+            groups = [tuple([i for i in group if i not in gone]) for group in orders[j]]
+            orders[j] = tuple([group for group in groups if group])
+        return tuple(orders)
+
+    def counts(self) -> Counts:
+        """The parent's counts less each dropped cell's pairs, O(n) per cell.
+
+        A dropped cell leaves its task's levels before its pairs are
+        subtracted, so a pair of cells dropped from one task is subtracted
+        once.
+        """
+        parent = self.parent
+        rows = [list(row) for row in parent.pairwise()]
+        for j, gone in self.dropped.items():
+            w = parent.weights[j]
+            level = {i: p for p, group in enumerate(parent.orders[j]) for i in group}
+            for a in gone:
+                here = level.pop(a)
+                for b, there in level.items():
+                    if here < there:
+                        rows[a][b] -= w
+                    elif there < here:
+                        rows[b][a] -= w
+        return tuple([tuple(row) for row in rows])
 
 
 def position_counts(table: RankTable, system: str) -> tuple[Fraction, ...]:

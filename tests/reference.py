@@ -6,7 +6,9 @@ majority-graph rules built on it, the RankTable builder that ranked each
 task with groupby, the integer pairwise counts summed pair
 by pair as RankTable built them before they were packed into one integer
 per row, the integer place masses RankTable rebuilt for every threshold
-repetition with the threshold cascade that read them, the positional
+repetition with the threshold cascade that read them, RankTable's restrict
+and without as they stood while they built a derived table's orders at
+once, with the counts they derived from the parent's, the positional
 scoring loop, the
 threshold cascade, the baldwin, nanson, hare, coombs and black rounds,
 position_counts, and the cw dominance matrix compared from raw scores, as
@@ -83,6 +85,7 @@ from voteboard.metrics import _check_pair, _signed_root, end_set
 from voteboard.metrics import rho_from_rank_vectors as library_rho
 from voteboard.model import (
     MINIMIZE,
+    Counts,
     LazyScores,
     Leaderboard,
     RankTable,
@@ -511,6 +514,66 @@ def mass_threshold_run(table: RankTable) -> RuleOutcome:
         "first_round_scores": first[0]["scores"] if first else None,
     }
     return RuleOutcome(ranking=tuple(groups), diagnostics=diagnostics)
+
+
+def renumbered(
+    orders: tuple[tuple[tuple[int, ...], ...], ...], kept: Sequence[int]
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """model._renumbered as it stood: the orders of the systems at ascending
+    indices kept, system kept[k] renumbered k. Groups keep their order and
+    ties; emptied groups go."""
+    index = {i: k for k, i in enumerate(kept)}
+    out = []
+    for groups in orders:
+        left = []
+        for group in groups:
+            if len(group) == 1:
+                # untied, the common case
+                if group[0] in index:
+                    left.append((index[group[0]],))
+                continue
+            group = tuple([index[i] for i in group if i in index])
+            if group:
+                left.append(group)
+        out.append(tuple(left))
+    return tuple(out)
+
+
+def restrict(table: RankTable, kept: Sequence[int]) -> tuple[RankTable, Counts]:
+    """RankTable.restrict as it stood before derived tables built their
+    orders on first read: the table of the systems at ascending indices
+    kept, its orders renumbered at once, and its counts, the submatrix of
+    the table's."""
+    rows = table.pairwise()
+    counts = tuple([tuple([row[b] for b in kept]) for row in [rows[a] for a in kept]])
+    return RankTable(tuple([table.systems[i] for i in kept]), table.tasks,
+                     renumbered(table.orders, kept), table.weights, table.scale), counts
+
+
+def without(table: RankTable, cells: Iterable[tuple[int, int]]) -> tuple[RankTable, Counts]:
+    """RankTable.without as it stood: the table with each ranked cell
+    (system index, task index) unranked, every touched task's orders rebuilt
+    at once, and its counts, the table's less each dropped cell's pairs."""
+    dropped: dict[int, set[int]] = {}
+    for i, j in cells:
+        dropped.setdefault(j, set()).add(i)
+    orders = list(table.orders)
+    for j, gone in dropped.items():
+        groups = [tuple([i for i in group if i not in gone]) for group in orders[j]]
+        orders[j] = tuple([group for group in groups if group])
+    rows = [list(row) for row in table.pairwise()]
+    for j, gone in dropped.items():
+        w = table.weights[j]
+        level = {i: p for p, group in enumerate(table.orders[j]) for i in group}
+        for a in gone:
+            here = level.pop(a)
+            for b, there in level.items():
+                if here < there:
+                    rows[a][b] -= w
+                elif there < here:
+                    rows[b][a] -= w
+    return (RankTable(table.systems, table.tasks, tuple(orders), table.weights, table.scale),
+            tuple([tuple(row) for row in rows]))
 
 
 def condorcet_winner(graph: MajorityGraph) -> str | None:

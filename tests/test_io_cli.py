@@ -397,6 +397,8 @@ FAILURES = [
      ["experiment", "robustness", "-i", "{full}", "--rules", "minimax", "--omit", "99"], 2),
     ("robustness rule without missing support",
      ["experiment", "robustness", "-i", "{full}", "--rules", "borda"], 2),
+    ("robustness rule named twice",
+     ["experiment", "robustness", "-i", "{full}", "--rules", "copeland", "copeland"], 2),
     ("sidecar weight with 5,001 digits",
      ["rank", "-i", "{full}", "--weights", "{long_int_weight}", "--rule", "borda"], 1),
     ("sidecar weights that are not UTF-8",

@@ -834,6 +834,136 @@ def test_derived_boards_and_tables_match_fresh_builds(n, t, seed):
             same_board(impute_medians(lb, cells), reference.impute_medians(fresh, deleted))
 
 
+# the rules that read a table; custom also needs a vector, and weakly_stable
+# reads the counts as the other set rules do, with an exhaustive search
+PROFILE_RULES = tuple(sorted(
+    rid for rid, rule in vb.registry.RULES.items()
+    if rule.profile_run and rid not in ("custom", "weakly_stable")
+))
+
+
+def ranked_cells(table):
+    return [(i, j) for j, groups in enumerate(table.orders) for group in groups for i in group]
+
+
+def assert_lazy_derivation(derive, eager):
+    """A table derive() builds equals the eager reference's table and counts,
+    with its counts read before its orders or after them, and every profile
+    rule it supports ranks it as it ranks the reference table."""
+    table, counts = eager
+    counted = derive()
+    assert counted.pairwise() == counts
+    assert "orders" not in counted.__dict__
+    assert counted == table and repr(counted) == repr(table)
+    ordered = derive()
+    assert ordered.orders == table.orders
+    assert ordered.pairwise() == counts == table.pairwise()
+    assert ordered.mass_unit == table.mass_unit
+    complete = is_complete(table)
+    for rid in PROFILE_RULES:
+        run = vb.get_rule(rid).profile_run
+        if complete or vb.get_rule(rid).handles_missing:
+            assert outcome_or_refusal(lambda: run(derive())) == (
+                outcome_or_refusal(lambda: run(table))), rid
+
+
+def assert_lazy_derivations(table, rng, draws):
+    """restrict, without, and both chained, on random systems and cells,
+    against reference.restrict and reference.without."""
+    n = len(table.systems)
+    for _ in range(draws):
+        kept = sorted(rng.sample(range(n), rng.randint(1, n)))
+        assert_lazy_derivation(lambda: table.restrict(kept), reference.restrict(table, kept))
+        cells = ranked_cells(table)
+        gone = rng.sample(cells, rng.randint(0, len(cells) // 3))
+        assert_lazy_derivation(lambda: table.without(gone), reference.without(table, gone))
+        sub, _ = reference.restrict(table, kept)
+        cells = ranked_cells(sub)
+        sub_gone = rng.sample(cells, rng.randint(0, len(cells) // 3))
+        assert_lazy_derivation(lambda: table.restrict(kept).without(sub_gone),
+                               reference.without(sub, sub_gone))
+        trimmed, _ = reference.without(table, gone)
+        assert_lazy_derivation(lambda: table.without(gone).restrict(kept),
+                               reference.restrict(trimmed, kept))
+
+
+@pytest.mark.parametrize("n,t,seed", LADDER_BOARDS)
+def test_lazy_derived_tables_match_eager_reference_on_the_ladder(n, t, seed):
+    rng = random.Random(f"lazy:{n}:{t}:{seed}")
+    for lb in (ladder_board(n, t, seed), ladder_board(n, t, seed, holes=True)):
+        assert_lazy_derivations(table_of(lb), rng, draws=2)
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_lazy_derived_tables_match_eager_reference_on_random_boards(block):
+    """50 seeded boards per block: ties, min tasks, zero weights, holes."""
+    for seed in range(50 * block, 50 * block + 50):
+        rng = random.Random(f"lazy:{seed}")
+        assert_lazy_derivations(table_of(kernel_board(seed)), rng, draws=1)
+
+
+def test_pairwise_rules_never_build_derived_orders(monkeypatch):
+    """copeland, minimax, baldwin and nanson read only the counts, so their
+    iia steps and the robustness trials of copeland and minimax build no
+    derived table's orders; borda's iia steps do."""
+    built = []
+    for source in (vb.model._Restriction, vb.model._Unranking):
+        def counted(self, real=source.orders):
+            built.append(type(self).__name__)
+            return real(self)
+
+        monkeypatch.setattr(source, "orders", counted)
+    cfg = vb.ExperimentConfig(seed=3, trials=3, omit_count=6, top_k=5)
+    complete, holed = ladder_board(14, 6, 0), ladder_board(14, 6, 0, holes=True)
+    for rid in ("copeland", "minimax", "baldwin", "nanson"):
+        vb.iia_experiment(complete, rid, cfg)
+    for rid in ("copeland", "minimax"):
+        vb.iia_experiment(holed, rid, cfg)
+    for lb in (complete, holed):
+        vb.robustness_experiment(lb, ["copeland", "minimax"], cfg)
+    assert built == []
+    vb.iia_experiment(complete, "borda", cfg)
+    table = table_of(holed)
+    assert table.without(ranked_cells(table)[:3]).positions
+    assert set(built) == {"_Restriction", "_Unranking"}
+
+
+def test_reading_derived_tables_leaves_the_parent_unchanged():
+    """A derived table caches what it builds on itself; the parent keeps
+    exactly what it held, its own counts included."""
+    lb = ladder_board(14, 6, 1, holes=True)
+    parent = table_of(lb)
+    assert parent.pairwise()
+    before = dict(parent.__dict__)
+    rng = random.Random(7)
+    kept = sorted(rng.sample(range(14), 9))
+    cells = rng.sample(ranked_cells(parent), 8)
+    for _ in range(2):
+        restricted = parent.restrict(kept)
+        for table in (restricted, parent.without(cells),
+                      restricted.without(ranked_cells(restricted)[:5])):
+            table.pairwise(), table.orders, table.positions, table.mass_unit
+            table.place_slots(), table.edge_masses([0, 1], last=True)
+            assert parent.__dict__.keys() == before.keys()
+            assert all(parent.__dict__[k] is v for k, v in before.items())
+    # unread, the parent builds its own counts once, for every derived table
+    fresh = table_of(lb)
+    held = set(fresh.__dict__)
+    fresh.restrict(kept).pairwise()
+    fresh.without(cells).orders
+    assert set(fresh.__dict__) - held == {"_counts"}
+
+
+def test_robustness_refuses_a_rule_named_twice():
+    lb = ladder_board(8, 5, 0)
+    cfg = vb.ExperimentConfig(trials=3, omit_count=2, top_k=3)
+    with pytest.raises(vb.InvalidParameter, match="'copeland' is named twice"):
+        vb.robustness_experiment(lb, ["copeland", "copeland"], cfg)
+    with pytest.raises(vb.InvalidParameter, match="'mean' is named twice"):
+        vb.robustness_experiment(lb, ["mean", "minimax", "mean"], cfg)
+    assert len(vb.robustness_experiment(lb, ["copeland"], cfg).series["copeland"]) == 3
+
+
 ROBUSTNESS_RULES = ("copeland", "minimax", "mean", "optimality_gap")
 
 

@@ -176,6 +176,35 @@ def test_profile_restrict_reranks():
     assert set(sub.systems) == {"B", "C", "D"}
 
 
+# (id, derivation on a 4-system, 5-task table whose system 1 is unranked on
+# task 0, the ValueError's message): refused when called, not when read
+RESTRICT_REFUSAL = r"non-empty, strictly ascending and in 0\.\.3: "
+BAD_DERIVATIONS = [
+    ("restrict a system twice", lambda t: t.restrict([0, 0]), RESTRICT_REFUSAL),
+    ("restrict nobody", lambda t: t.restrict([]), RESTRICT_REFUSAL),
+    ("restrict beyond the last system", lambda t: t.restrict([0, 7]), RESTRICT_REFUSAL),
+    ("restrict a negative index", lambda t: t.restrict([-1, 2]), RESTRICT_REFUSAL),
+    ("restrict out of order", lambda t: t.restrict([2, 1]), RESTRICT_REFUSAL),
+    ("unrank an unranked cell", lambda t: t.without([(1, 0)]), r"cell \(1, 0\) is not ranked"),
+    ("unrank a cell of no system", lambda t: t.without([(0, 1), (4, 1)]), r"cell \(4, 1\)"),
+    ("unrank a cell of no task", lambda t: t.without([(0, 5)]), r"cell \(0, 5\)"),
+    ("unrank a cell of a negative task", lambda t: t.without([(0, -1)]), r"cell \(0, -1\)"),
+    ("unrank a cell once unranked", lambda t: t.without([(2, 2)]).without([(2, 2)]),
+     r"cell \(2, 2\) is not ranked"),
+]
+
+
+@pytest.mark.parametrize("derive,message", [
+    pytest.param(derive, message, id=name) for name, derive, message in BAD_DERIVATIONS
+])
+def test_derived_tables_refuse_bad_indices(derive, message):
+    lb = board_from_orders(TOY_ORDERS).without_cells([("B", "t1")])
+    table = build_profile(lb, missing_ok=True)
+    assert table.tasks[0] == "t1" and len(table.systems) == 4 and len(table.tasks) == 5
+    with pytest.raises(ValueError, match=message):
+        derive(table)
+
+
 def test_public_names_resolve_once():
     names = voteboard.__all__
     assert len(set(names)) == len(names)
