@@ -217,9 +217,12 @@ def robustness_experiment(
     rule is the Spearman correlation between the reference ranks of the
     intact top-k systems and their ranks after deletion. A rule that leaves
     a system unranked, on the intact board or after a trial's deletions, is
-    refused, and so is a rule named twice (InvalidParameter).
+    refused, and so are an empty rule list and a rule named twice
+    (InvalidParameter).
     """
     cfg = cfg or ExperimentConfig(trials=100)
+    if not rules:
+        raise InvalidParameter("robustness needs at least one rule")
     if cfg.top_k > len(lb.systems):
         raise InvalidParameter("top_k cannot exceed the number of systems")
     rule_objs = {}

@@ -1,9 +1,11 @@
 """Iterative rules: threshold tie-breaking and elimination procedures.
 
-Elimination rules drop every survivor at the losing score simultaneously,
-re-rank the rest, and repeat. If a round would eliminate everyone, the
-survivors stop as one tie group instead. The final ranking reads the
-elimination order backwards, best group first.
+baldwin, nanson, hare and coombs run one elimination loop. Each round drops
+every survivor at the losing score (the least, below the mean, or the most)
+at once, and the loop stops when a round would drop none of them or all of
+them, or, in coombs, when a survivor holds a strict majority of the
+first-place mass. The final ranking reads the elimination order backwards,
+best group first.
 
 Every rule here reads the RankTable that run_rule builds. threshold takes
 each task's slot rows from RankTable.place_slots once per call: stage z of
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import compress
 from operator import sub
 from typing import Any, Callable, Mapping, Sequence
 
@@ -151,141 +154,130 @@ def _threshold_run(table: RankTable) -> RuleOutcome:
 
 # -- elimination rules ------------------------------------------------------
 
-
-def _finish(
-    survivors: list[str],
-    tiers: list[frozenset[str]],
-    rounds: list[EliminationRound],
-    extra: Mapping[str, Any] | None = None,
-) -> RuleOutcome:
-    ranking = (frozenset(survivors), *reversed(tiers))
-    diagnostics = {"trace": EliminationTrace(tuple(rounds)), **(extra or {})}
-    return RuleOutcome(ranking=ranking, diagnostics=diagnostics)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-def _net_wins(counts: tuple[tuple[int, ...], ...]) -> dict[int, int]:
+def _elimination(scorer: Callable[[RankTable], tuple[Callable, int, Callable]],
+                 pick: Callable[[list[int]], list[bool]], majority: bool = False):
+    """A rule that runs the elimination loop, with coombs' majority stop if
+    majority is set.
+
+    scorer(table) gives score(survivors, dropped), each survivor's integer
+    score once the systems the last round dropped are gone, the scores'
+    unit, and vector(k), the round's scoring vector on k survivors. pick
+    marks the round's losers from the scores.
+    """
+
+    def run(table: RankTable) -> RuleOutcome:
+        names = table.systems
+        score, unit, vector = scorer(table)
+        whole = table.total * (unit // table.scale)
+        survivors = list(range(len(names)))
+        dropped: list[int] = []
+        tiers: list[frozenset[str]] = []
+        rounds: list[EliminationRound] = []
+        extra: dict[str, Any] = {}
+        while len(survivors) > 1:
+            if majority:
+                firsts = table.edge_masses(survivors)
+                top = max(firsts)
+                # at most one system can clear half the weight
+                if 2 * top > whole:
+                    best = survivors[firsts.index(top)]
+                    tiers.append(frozenset([names[a] for a in survivors if a != best]))
+                    extra = {"majority_winner": names[best], "majority_share": Fraction(top, whole)}
+                    survivors = [best]
+                    break
+            scores = score(survivors, dropped)
+            out = pick(scores)
+            dropped = list(compress(survivors, out))
+            if not dropped or len(dropped) == len(survivors):
+                break
+            alive = tuple([names[a] for a in survivors])
+            tiers.append(frozenset([names[a] for a in dropped]))
+            rounds.append(EliminationRound(
+                alive, vector(len(alive)), LazyScores(alive, scores, unit), tiers[-1]
+            ))
+            survivors = [a for a, gone in zip(survivors, out) if not gone]
+        ranking = (frozenset([names[a] for a in survivors]), *reversed(tiers))
+        diagnostics = {"trace": EliminationTrace(tuple(rounds)), **extra}
+        return RuleOutcome(ranking=ranking, diagnostics=diagnostics)
+
+    return run
+
+
+def _net_wins(counts: tuple[tuple[int, ...], ...]) -> list[int]:
     """Each system's pairwise wins minus losses, in scaled weight: row minus column sum."""
-    return {a: sum(row) - sum(col) for a, (row, col) in enumerate(zip(counts, zip(*counts)))}
+    return [sum(row) - sum(col) for row, col in zip(counts, zip(*counts))]
 
 
-def _drop(net: dict[int, int], counts: tuple[tuple[int, ...], ...], gone: list[int]) -> None:
-    """Delete the columns of the eliminated systems from the net wins."""
-    for a in gone:
-        del net[a]
-    for a in net:
-        net[a] -= sum(counts[a][b] - counts[b][a] for b in gone)
-
-
-def _doubled_borda(net: dict[int, int], total: int) -> dict[int, int]:
-    """2 * scale * Borda score of each survivor of a complete table.
+def _doubled_borda(net: list[int], survivors: Sequence[int], total: int) -> list[int]:
+    """2 * scale * Borda score of each survivor of a complete table, where
+    net[a] is a's wins minus losses against the other survivors.
 
     A rival b adds the weight of the tasks ranking a above it plus half the
     weight of those tying, so 2 * scale * Borda(a) is the sum over rivals of
     total + counts[a][b] - counts[b][a].
     """
-    rivals = len(net) - 1
-    return {a: rivals * total + x for a, x in net.items()}
+    base = (len(survivors) - 1) * total
+    return [base + net[a] for a in survivors]
 
 
-def _borda_elimination(losers: Callable[[dict[int, int]], list[int]]):
-    """A rule that drops losers(scores) from the survivors until it names nobody."""
+def _borda_scorer(table: RankTable):
+    """Doubled Borda scores, in units of 2 * scale, from the net wins, which
+    lose the dropped systems' columns each round; the Borda vector."""
+    counts = table.pairwise()
+    net = _net_wins(counts)
+    total = table.total
+    n = len(net)
+    # ScoringVector.borda(k).entries, without its checks, is the last k of these
+    borda = tuple([Fraction(p) for p in range(n - 1, -1, -1)])
 
-    def run(table: RankTable) -> RuleOutcome:
-        names = table.systems
-        counts = table.pairwise()
-        net = _net_wins(counts)
-        n = len(names)
-        # ScoringVector.borda(k).entries, without its checks, is the last k of these
-        borda = tuple([Fraction(p) for p in range(n - 1, -1, -1)])
-        tiers: list[frozenset[str]] = []
-        rounds: list[EliminationRound] = []
-        while True:
-            scores = _doubled_borda(net, table.total)
-            gone = losers(scores)
-            if not gone:
-                break
-            tiers.append(frozenset(names[a] for a in gone))
-            survivors = tuple([names[a] for a in scores])
-            rounds.append(EliminationRound(
-                survivors,
-                borda[n - len(scores):],
-                LazyScores(survivors, list(scores.values()), 2 * table.scale),
-                tiers[-1],
-            ))
-            _drop(net, counts, gone)
-        return _finish([names[a] for a in net], tiers, rounds)
+    def score(survivors: list[int], dropped: list[int]) -> list[int]:
+        if dropped:
+            for a in survivors:
+                net[a] -= sum([counts[a][b] - counts[b][a] for b in dropped])
+        return _doubled_borda(net, survivors, total)
 
-    return run
+    return score, 2 * table.scale, lambda k: borda[n - k:]
 
 
-def _baldwin_losers(scores: dict[int, int]) -> list[int]:
-    low = min(scores.values())
-    gone = [a for a, x in scores.items() if x == low]
-    return gone if len(gone) < len(scores) else []
+def _edge_scorer(last: bool):
+    """First-place (hare) or last-place (coombs) masses, in mass_unit units,
+    and the one-hot vector on that place."""
+
+    def vector(k: int) -> tuple[Fraction, ...]:
+        return (_ZERO,) * (k - 1) + (_ONE,) if last else (_ONE,) + (_ZERO,) * (k - 1)
+
+    def scorer(table: RankTable):
+        return lambda survivors, _: table.edge_masses(survivors, last=last), table.mass_unit, vector
+
+    return scorer
 
 
-def _nanson_losers(scores: dict[int, int]) -> list[int]:
-    # below the mean score: k * score < sum of scores
-    total = sum(scores.values())
-    return [a for a, x in scores.items() if len(scores) * x < total]
+def _least(scores: list[int]) -> list[bool]:
+    low = min(scores)
+    return [x == low for x in scores]
 
 
-def _mass_elimination(from_last: bool):
-    """A rule that drops survivors by their place mass until one would drop all.
+def _most(scores: list[int]) -> list[bool]:
+    high = max(scores)
+    return [x == high for x in scores]
 
-    hare (from_last False) drops the survivors with the least first-place
-    mass. coombs (from_last True) drops those with the most last-place mass,
-    and stops as soon as one survivor holds a strict first-place majority.
-    """
 
-    def run(table: RankTable) -> RuleOutcome:
-        names = table.systems
-        unit = table.mass_unit
-        total = table.total * (unit // table.scale)
-        n = len(names)
-        survivors = list(range(n))
-        # each round's one-hot vector is a slice of this, whose 1 is at n - 1
-        hot = (Fraction(0),) * (n - 1) + (Fraction(1),) + (Fraction(0),) * (n - 1)
-        tiers: list[frozenset[str]] = []
-        rounds: list[EliminationRound] = []
-        while len(survivors) > 1:
-            k = len(survivors)
-            if from_last:
-                firsts = table.edge_masses(survivors)
-                top = max(firsts)
-                if 2 * top > total:
-                    # at most one system can clear half the weight
-                    best = survivors[firsts.index(top)]
-                    rest = frozenset(names[a] for a in survivors if a != best)
-                    return _finish([names[best]], [*tiers, rest], rounds, {
-                        "majority_winner": names[best],
-                        "majority_share": Fraction(top, total),
-                    })
-            place = k - 1 if from_last else 0
-            column = table.edge_masses(survivors, last=from_last)
-            edge = max(column) if from_last else min(column)
-            gone = frozenset(names[a] for a, x in zip(survivors, column) if x == edge)
-            if len(gone) == k:
-                break
-            alive = tuple([names[a] for a in survivors])
-            start = n - 1 - place
-            rounds.append(EliminationRound(
-                alive, hot[start:start + k], LazyScores(alive, column, unit), gone
-            ))
-            tiers.append(gone)
-            survivors = [a for a in survivors if names[a] not in gone]
-        return _finish([names[a] for a in survivors], tiers, rounds)
-
-    return run
+def _below_mean(scores: list[int]) -> list[bool]:
+    # k * score < sum of scores
+    total = sum(scores)
+    return [len(scores) * x < total for x in scores]
 
 
 def _black_run(table: RankTable) -> RuleOutcome:
     graph = majority_graph_from_table(table)
     winner = condorcet_winner(graph)
     names = table.systems
-    doubled = _doubled_borda(_net_wins(graph.counts), table.total)
+    doubled = _doubled_borda(_net_wins(graph.counts), range(len(names)), table.total)
     borda = ranked_by(
-        {names[a]: x for a, x in doubled.items()},
+        dict(zip(names, doubled)),
         2 * table.scale,
         diagnostics={"path": "borda", "condorcet_winner": None},
     )
@@ -303,10 +295,10 @@ RULES: dict[str, Rule] = {
     rule.rule_id: rule
     for rule in (
         Rule("threshold", profile_run=_threshold_run),
-        Rule("baldwin", profile_run=_borda_elimination(_baldwin_losers)),
-        Rule("hare", profile_run=_mass_elimination(from_last=False)),
-        Rule("coombs", profile_run=_mass_elimination(from_last=True)),
-        Rule("nanson", profile_run=_borda_elimination(_nanson_losers)),
+        Rule("baldwin", profile_run=_elimination(_borda_scorer, _least)),
+        Rule("hare", profile_run=_elimination(_edge_scorer(last=False), _least)),
+        Rule("coombs", profile_run=_elimination(_edge_scorer(last=True), _most, majority=True)),
+        Rule("nanson", profile_run=_elimination(_borda_scorer, _below_mean)),
         Rule("black", profile_run=_black_run),
     )
 }

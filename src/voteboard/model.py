@@ -14,15 +14,16 @@ without unranks some cells) holds its parent and the change, and builds
 its orders and its counts from the parent's when each is first read.
 
 The table's kernels sum integers: the packed pairwise counts, summed per
-distinct task weight and multiplied by it once; the place slots, one per
-ranked system holding its tie group, from which threshold reads one place
-column at a time; and the first- and last-place mass columns, walked from
-either end. A
-rule that ranks by a score hands its integer scores and their unit to
-ranked_by, which groups on the integers; a set-valued rule hands its
-winners to chosen. Outcome scores, and the score maps kept as diagnostics,
-are LazyScores, which build their Fractions when first read, so a caller
-that reads only the ranking never builds them.
+distinct task weight and multiplied by it once, in fields wide enough for
+the total weight and read back in little-endian order; the place slots,
+one per ranked system holding its tie group, from which threshold reads
+one place column at a time; and the first- and last-place mass columns,
+walked from either end. A rule that ranks by a score hands its integer
+scores and their unit to ranked_by, which groups on the integers; a
+set-valued rule hands its winners to chosen. Outcome scores, and the
+score maps kept as diagnostics, are LazyScores, which build their
+Fractions when first read, so a caller that reads only the ranking never
+builds them.
 
 Tuples built on every rule call come from lists, not from generators or
 map objects. tuple() of an iterator without a length resizes its result,
@@ -35,8 +36,7 @@ collections: on 20-system boards the growth raised peak memory by a tenth.
 from __future__ import annotations
 
 import math
-import sys
-from array import array
+import struct
 from dataclasses import InitVar, dataclass, field
 from decimal import Decimal, InvalidOperation
 from functools import cached_property
@@ -169,9 +169,12 @@ class Leaderboard:
     (read by its shortest decimal repr) or Fraction, or None for missing.
     It stores each cell once, exactly, as cells[i][j] / denominator in
     lowest terms, so boards of equal cells are equal however they were
-    built; scores and score() are Fraction views built on first read. A
-    minimize-direction task ranks low scores first. groups, when present,
-    maps group names, in order, to their tasks; a task is in one group at most.
+    built; scores and score() are Fraction views built on first read. It
+    reads each weight with as_fraction, so a boolean weight is a TypeError
+    and a non-finite one a ValueError, and it keeps the systems, tasks,
+    directions, weights and groups as tuples. A minimize-direction task
+    ranks low scores first. groups, when present, maps group names, in
+    order, to their tasks; a task is in one group at most.
     dataclasses.replace builds the edited board with the constructor, from
     the board's scores and the replaced fields, and checks it as it does.
     """
@@ -188,7 +191,10 @@ class Leaderboard:
 
     def __init__(self, systems, tasks, scores, directions, weights, groups=None) -> None:
         ratios = [[None if c is None else cell_ratio(c) for c in row] for row in scores]
-        self._fill(systems, tasks, *over_one_denominator(ratios), directions, weights, groups)
+        if groups is not None:
+            groups = tuple([(name, tuple(members)) for name, members in groups])
+        self._fill(tuple(systems), tuple(tasks), *over_one_denominator(ratios),
+                   tuple(directions), tuple([as_fraction(w) for w in weights]), groups)
         self._check()
 
     @classmethod
@@ -431,7 +437,8 @@ def build_profile(
             for start, stop in reversed(runs):
                 groups[start:stop] = [tuple(order[start:stop])]
         orders.append(tuple(groups))
-    return RankTable(lb.systems, tasks, tuple(orders), scaled, scale)
+    return RankTable._unchecked(systems=lb.systems, tasks=tasks, orders=tuple(orders),
+                                weights=scaled, scale=scale)
 
 
 Counts = tuple[tuple[int, ...], ...]
@@ -458,10 +465,15 @@ class RankTable:
     source), and builds its orders and its pairwise counts from the
     parent's when each is first read, so a rule that reads only the counts
     never builds the orders. Equality, repr and every kernel but the counts
-    read the orders, and build them. A table built from orders
-    packs each system's counts into one integer of 32- or 64-bit fields,
-    one row per distinct task weight multiplied out at the end, or sums them
-    pair by pair once total reaches 2**63.
+    read the orders, and build them. A table built from orders packs each
+    system's counts into one integer, one row per distinct task weight
+    multiplied out at the end, with a field per rival 32 * ceil(bits(total)
+    / 32) bits wide and never narrower than 32. It reads each row back from
+    its little-endian bytes: 32- and 64-bit fields with struct, wider ones
+    in slices.
+
+    The constructor checks the orders it is given; build_profile, the
+    two-step second step and the derived tables build through _unchecked.
     """
 
     systems: tuple[str, ...]
@@ -474,8 +486,34 @@ class RankTable:
     _source = None
 
     def __init__(self, systems, tasks, orders, weights, scale) -> None:
+        """A table from its fields, checked: one order and one weight per task,
+        each weight a non-negative int, an int scale of at least 1, and in each
+        task non-empty groups of distinct indices into systems; else ValueError."""
+        if not len(tasks) == len(orders) == len(weights):
+            raise ValueError("tasks, orders and weights must be of one length")
+        if not all(type(w) is int and w >= 0 for w in weights):
+            raise ValueError(f"weights must be non-negative ints: {weights!r}")
+        if type(scale) is not int or scale < 1:
+            raise ValueError(f"scale must be an int of at least 1: {scale!r}")
+        n = len(systems)
+        for task, groups in zip(tasks, orders):
+            ranked = list(chain.from_iterable(groups))
+            if not all(groups):
+                raise ValueError(f"task {task!r} has an empty tie group")
+            if len(set(ranked)) < len(ranked):
+                raise ValueError(f"task {task!r} ranks a system twice")
+            if not all(type(a) is int and 0 <= a < n for a in ranked):
+                raise ValueError(f"task {task!r} ranks an index outside 0..{n - 1}")
         self.__dict__.update(systems=systems, tasks=tasks, orders=orders, weights=weights,
                              scale=scale)
+
+    @classmethod
+    def _unchecked(cls, **fields: Any) -> "RankTable":
+        """A table from its fields, or a derived table from its source, without
+        the constructor's checks, for callers whose orders pass them."""
+        table = object.__new__(cls)
+        table.__dict__.update(fields)
+        return table
 
     @cached_property
     def orders(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -484,10 +522,8 @@ class RankTable:
         return self._source.orders()
 
     def _derived(self, systems: tuple[str, ...], source: _Restriction | _Unranking) -> "RankTable":
-        table = object.__new__(RankTable)
-        table.__dict__.update(systems=systems, tasks=self.tasks, weights=self.weights,
-                              scale=self.scale, _source=source)
-        return table
+        return self._unchecked(systems=systems, tasks=self.tasks, weights=self.weights,
+                               scale=self.scale, _source=source)
 
     @cached_property
     def positions(self) -> dict[str, dict[str, Fraction]]:
@@ -564,10 +600,8 @@ class RankTable:
     def _counts(self) -> Counts:
         if self._source is not None:
             return self._source.counts()
-        if self.total >= 1 << 63:
-            return self._loop_counts()
         # row a holds counts[a][b] at bit width * b; no count exceeds total, so none carries
-        code, width = ("I", 32) if self.total < 1 << 32 else ("Q", 64)
+        width = 32 * max(1, (self.total.bit_length() + 31) // 32)
         n = len(self.systems)
         field_of = [1 << (width * b) for b in range(n)]
         # the unweighted counts of each distinct positive weight's tasks, so
@@ -588,20 +622,14 @@ class RankTable:
         rows = [0] * n
         for w, counted in by_weight.items():
             rows = [r + w * x for r, x in zip(rows, counted)]
-        size = n * width // 8
-        return tuple([tuple(array(code, row.to_bytes(size, sys.byteorder))) for row in rows])
-
-    def _loop_counts(self) -> Counts:
-        """The counts summed pair by pair, for totals beyond 64-bit fields."""
-        counts = [[0] * len(self.systems) for _ in self.systems]
-        for groups, w in zip(self.orders, self.weights):
-            below = [b for group in groups for b in group]
-            for group in groups:
-                del below[:len(group)]
-                for a in group:
-                    for b in below:
-                        counts[a][b] += w
-        return tuple([tuple(row) for row in counts])
+        step = width // 8
+        data = [row.to_bytes(n * step, "little") for row in rows]
+        if width <= 64:
+            unpack = struct.Struct(f"<{n}{'I' if width == 32 else 'Q'}").unpack
+            return tuple([unpack(row) for row in data])
+        slices = range(0, n * step, step)
+        return tuple([tuple([int.from_bytes(row[i:i + step], "little") for i in slices])
+                      for row in data])
 
     @cached_property
     def _complete(self) -> list[bool]:

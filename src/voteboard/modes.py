@@ -154,7 +154,7 @@ def _run_two_step(
             tuple(sorted([index[m] for m in group])) for group in outcome.ranking
         ]))
     # every group votes with unit weight
-    table = RankTable(
+    table = RankTable._unchecked(
         systems=lb.systems,
         tasks=tuple([name for name, _ in groups]),
         orders=tuple(orders),

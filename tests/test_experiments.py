@@ -105,6 +105,12 @@ def test_robustness_rejects_unsupported_rules(toy):
         robustness_experiment(toy, ["hare"], cfg)
 
 
+def test_robustness_refuses_an_empty_rule_list(toy):
+    cfg = ExperimentConfig(seed=3, trials=2, omit_count=1, top_k=4)
+    with pytest.raises(vb.InvalidParameter, match="at least one rule"):
+        robustness_experiment(toy, [], cfg)
+
+
 def test_robustness_too_many_omissions(toy):
     cfg = ExperimentConfig(seed=3, trials=2, omit_count=21, top_k=4)
     with pytest.raises(TooManyOmissions):

@@ -71,7 +71,7 @@ import voteboard as vb
 from voteboard.errors import MissingScore, RuleUnsupportedForMode, VoteboardError
 from voteboard.experiments import _impute_medians as impute_medians
 from voteboard.io import outcome_to_dict, render_outcome_table, to_json
-from voteboard.model import LazyScores, RankTable, build_profile, exact_cells
+from voteboard.model import LazyScores, build_profile, exact_cells
 from voteboard.modes import BASIC, TWO_STEP, WEIGHTED, base_weights
 
 import reference
@@ -288,23 +288,20 @@ def test_packed_counts_and_mask_relation_match_reference_on_random_boards(block)
             ), seed
 
 
-def test_packed_counts_beyond_32_and_63_bits(monkeypatch):
-    """Totals of 2**32 or more pack into 64-bit fields; from 2**63 on, the
-    counts come from the pair-by-pair loop. Each board has counts above
-    2**32, and the first a task of weight 0, which the packed kernel skips.
-    The boards of six tasks mix weights that several tasks share, so the
-    kernel's per-weight rows are multiplied out with more than one task in
-    a class."""
-    looped = []
-    loop = RankTable._loop_counts
-    monkeypatch.setattr(RankTable, "_loop_counts", lambda self: looped.append(self) or loop(self))
-    for weights, total, fallback in (
-        ([F(2**33), F(1, 3), F(5, 7), F(0)], 2**33 * 21 + 7 + 15, False),
-        ([F(2**62), F(2**62), F(1), F(0)], 2**63 + 1, True),
-        ([F(2**70), F(1, 3), F(5, 7), F(1)], (2**70 + 1) * 21 + 7 + 15, True),
-        ([F(2**33), F(1, 3), F(2**33), F(5, 7), F(1, 3), F(0)], 2**34 * 21 + 14 + 15, False),
-        ([F(3 * 2**31), F(2), F(3 * 2**31), F(1), F(2), F(1)], 3 * 2**32 + 6, False),
-        ([F(2**61), F(1, 3), F(2**61), F(2**61), F(1, 3), F(2**61)], 2**63 * 3 + 2, True),
+def test_packed_counts_beyond_32_and_63_bits():
+    """Totals of 2**32 or more pack into 64-bit fields, and totals of 2**64
+    or more into fields of the next multiple of 32 bits. Each board has
+    counts above 2**32, and the first a task of weight 0, which the packed
+    kernel skips. The boards of six tasks mix weights that several tasks
+    share, so the kernel's per-weight rows are multiplied out with more
+    than one task in a class."""
+    for weights, total in (
+        ([F(2**33), F(1, 3), F(5, 7), F(0)], 2**33 * 21 + 7 + 15),
+        ([F(2**62), F(2**62), F(1), F(0)], 2**63 + 1),
+        ([F(2**70), F(1, 3), F(5, 7), F(1)], (2**70 + 1) * 21 + 7 + 15),
+        ([F(2**33), F(1, 3), F(2**33), F(5, 7), F(1, 3), F(0)], 2**34 * 21 + 14 + 15),
+        ([F(3 * 2**31), F(2), F(3 * 2**31), F(1), F(2), F(1)], 3 * 2**32 + 6),
+        ([F(2**61), F(1, 3), F(2**61), F(2**61), F(1, 3), F(2**61)], 2**63 * 3 + 2),
     ):
         for holes in (False, True):
             lb = ladder_board(14, len(weights), 0, holes=holes)
@@ -312,9 +309,7 @@ def test_packed_counts_beyond_32_and_63_bits(monkeypatch):
                                 tuple(weights), lb.groups)
             table = table_of(lb)
             assert table.total == total
-            looped.clear()
             counts = table.pairwise()
-            assert looped == ([table] if fallback else [])
             assert counts == loop_counts(table)
             assert max(map(max, counts)) > 2**32
             assert vb.aggregate(lb, "uncovered") == reference.run_rule(
@@ -502,16 +497,26 @@ def test_dominance_rows_match_reference(n, t, seed):
             assert vb.build_dominance_matrix(lb, m) == reference.build_dominance_matrix(lb, m), m
 
 
+ELIMINATION_RULES = ("baldwin", "nanson", "hare", "coombs")
+
+
 def test_ladder_reaches_every_branch():
-    """The ladder exercises both Black paths and Coombs' majority stop."""
-    paths, coombs_majority = set(), False
+    """The ladder exercises both Black paths, Coombs' majority stop, and in
+    every elimination rule the stop that leaves two or more survivors tied:
+    the round that would drop all of them (in nanson, none of them)."""
+    paths, coombs_majority, tied_stop = set(), False, set()
     for n, t, seeds, _, _ in LADDER[:2]:
         for seed in seeds:
             lb = ladder_board(n, t, seed)
             paths.add(vb.aggregate(lb, "black").diagnostics["path"])
             coombs_majority |= "majority_winner" in vb.aggregate(lb, "coombs").diagnostics
+            for rule in ELIMINATION_RULES:
+                out = vb.aggregate(lb, rule)
+                if len(out.winners) > 1 and "majority_winner" not in out.diagnostics:
+                    tied_stop.add(rule)
     assert paths == {"borda", "condorcet"}
     assert coombs_majority
+    assert tied_stop == set(ELIMINATION_RULES)
 
 
 # -- score baselines, rho and the spoiler check --------------------------------

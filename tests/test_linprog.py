@@ -130,6 +130,16 @@ def test_degenerate_cases_match_reference(case):
     assert_same(*DEGENERATE[case])
 
 
+@pytest.mark.parametrize("objective,constraints,message", [
+    pytest.param([1], [([1, 1], "<=", 1)], "objective length must match num_vars", id="objective"),
+    pytest.param([1, 1], [([1], "<=", 1)], "constraint length must match num_vars", id="row"),
+    pytest.param([1, 1], [([1, 1], "<", 1)], "unknown relation: '<'", id="relation"),
+])
+def test_solve_lp_refuses_malformed_input(objective, constraints, message):
+    with pytest.raises(ValueError, match=message):
+        linprog.solve_lp(objective, constraints, 2)
+
+
 def test_degenerate_cases_reach_their_branches(monkeypatch):
     """The drive-out cases pivot outside the Bland loop, on a positive or a
     negative entry, and the redundant rows are deleted."""

@@ -98,6 +98,8 @@ def test_three_cycle_sets():
     assert minimal_dominant_set(g) == everyone
     assert uncovered_set(g, "I") == everyone
     assert minimal_undominated_set(g) == everyone
+    with pytest.raises(ValueError, match="variant must be 'I' or 'II'"):
+        uncovered_set(g, "III")
     assert minimal_weakly_stable_set(g) == everyone
 
 

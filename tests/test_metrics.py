@@ -153,6 +153,8 @@ def test_rho_identities():
     assert spearman_rho(r, r) == 1.0
     rev = outcome_from_order(["d", "c", "b", "a"])
     assert spearman_rho(r, rev) == -1.0
+    with pytest.raises(ValueError, match="rank vectors differ in length"):
+        vb.rho_from_rank_vectors([F(1), F(2)], [F(1), F(2), F(3)])
 
 
 def test_tau_rho_constant_ranking_is_zero():

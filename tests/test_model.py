@@ -12,6 +12,7 @@ from voteboard import (
     Leaderboard,
     MissingScore,
     RankTable,
+    RuleOutcome,
     UnknownSystem,
     as_fraction,
     build_profile,
@@ -205,6 +206,38 @@ def test_derived_tables_refuse_bad_indices(derive, message):
         derive(table)
 
 
+# (id, RankTable arguments on systems a and b, the ValueError's message)
+BAD_TABLES = [
+    ("fewer orders than tasks", (("t", "u"), (((0, 1),),), (1, 1), 1), "of one length"),
+    ("fewer weights than tasks", (("t",), (((0, 1),),), (), 1), "of one length"),
+    ("a negative weight", (("t",), (((0, 1),),), (-1,), 1), "non-negative ints"),
+    ("a Fraction weight", (("t",), (((0, 1),),), (F(1),), 1), "non-negative ints"),
+    ("a boolean weight", (("t",), (((0, 1),),), (True,), 1), "non-negative ints"),
+    ("a zero scale", (("t",), (((0, 1),),), (1,), 0), "scale must be an int of at least 1"),
+    ("an empty group", (("t",), (((0,), ()),), (1,), 1), "task 't' has an empty tie group"),
+    ("a system twice", (("t",), (((0,), (0,)),), (1,), 1), "task 't' ranks a system twice"),
+    ("a system twice in a group", (("t",), (((1, 1),),), (1,), 1), "ranks a system twice"),
+    ("an index past the last", (("t",), (((0,), (5,)),), (1,), 1), r"outside 0\.\.1"),
+    ("a negative index", (("t",), (((-1,), (0,)),), (1,), 1), r"outside 0\.\.1"),
+]
+
+
+@pytest.mark.parametrize("fields,message", [
+    pytest.param(fields, message, id=name) for name, fields, message in BAD_TABLES
+])
+def test_rank_table_constructor_refuses_inconsistent_orders(fields, message):
+    with pytest.raises(ValueError, match=message):
+        RankTable(("a", "b"), *fields)
+
+
+def test_rank_table_constructor_accepts_what_build_profile_builds(toy):
+    lb = toy.without_cells([("B", "t1")])
+    built = build_profile(lb, missing_ok=True, weights={"t1": F(1, 2)})
+    table = RankTable(built.systems, built.tasks, built.orders, built.weights, built.scale)
+    assert table == built and table.pairwise() == built.pairwise()
+    assert RankTable(("a", "b"), ("t",), (((1,),),), (0,), 1).pairwise() == ((0, 0), (0, 0))
+
+
 def test_public_names_resolve_once():
     names = voteboard.__all__
     assert len(set(names)) == len(names)
@@ -298,6 +331,17 @@ def test_outcome_accessors(toy):
     assert plur.competition_ranks() == {"A": 1, "B": 2, "C": 2, "D": 2}
     assert plur.fractional_ranks()["B"] == F(3)
     assert plur.pair_relations()[("B", "C")] == 0
+
+
+@pytest.mark.parametrize("fields,message", [
+    pytest.param({"ranking": (frozenset("a"), frozenset())}, "empty tie group", id="empty group"),
+    pytest.param({"ranking": (frozenset("ab"), frozenset("b"))}, "disjoint", id="shared system"),
+    pytest.param({"ranking": (frozenset("a"),), "unranked": frozenset("a")},
+                 "both ranked and unranked", id="ranked and unranked"),
+])
+def test_outcome_refuses_inconsistent_groups(fields, message):
+    with pytest.raises(ValueError, match=message):
+        RuleOutcome(**fields)
 
 
 def test_lazy_scores_read_as_the_dict_they_stand_for():
@@ -401,6 +445,25 @@ def test_replace_builds_the_board_the_constructor_builds():
         dataclasses.replace(lb, weights=(F(1), F(-1)))
 
 
+def test_board_reads_weights_exactly_and_keeps_its_fields_as_tuples():
+    assert two_systems(weights=(1, "1/2")).weights == (F(1), F(1, 2))
+    assert two_systems(weights=(0.1, 0.2)).total_weight == F(3, 10)
+    with pytest.raises(TypeError, match="booleans"):
+        two_systems(weights=(True, 1))
+    with pytest.raises(TypeError, match="booleans"):
+        dataclasses.replace(two_systems(), weights=(1, False))
+    assert dataclasses.replace(two_systems(), weights=[0.1, "1/5"]).weights == (F(1, 10), F(1, 5))
+    listed = Leaderboard(["a", "b"], ["x", "y"], [[0.5, 2], [F(1, 3), None]], ["max", "min"],
+                         [1, 0.5], [["g", ["x", "y"]]])
+    assert listed == two_systems(groups=(("g", ("x", "y")),))
+    assert hash(listed) == hash(two_systems(groups=(("g", ("x", "y")),)))
+    for name in ("systems", "tasks", "directions", "weights", "groups"):
+        assert type(getattr(listed, name)) is tuple, name
+    assert listed.groups[0] == ("g", ("x", "y"))
+    with pytest.raises(AttributeError):
+        listed.systems.append("c")
+
+
 # (id, a call on or building a two-system board, the ValueError's message)
 BOARD_REFUSALS = [
     ("one row per system", lambda: two_systems(scores=((1, 2),)),
@@ -413,6 +476,11 @@ BOARD_REFUSALS = [
      "one weight per task required"),
     ("at least one system", lambda: two_systems(systems=(), scores=()),
      "leaderboard needs at least one system"),
+    ("at least one task", lambda: two_systems(tasks=(), scores=((), ()), directions=(),
+                                              weights=()),
+     "leaderboard needs at least one task"),
+    ("a NaN weight", lambda: two_systems(weights=(F(1), float("nan"))),
+     "non-finite value: nan"),
     ("a group with no tasks", lambda: two_systems(groups=(("g", ()),)),
      "group 'g' has no tasks"),
     ("score on an unknown task", lambda: two_systems().score("a", "nope"),

@@ -4,6 +4,7 @@ import pytest
 
 import voteboard as vb
 from voteboard import MissingGroups, RuleUnsupportedForMode, aggregate
+from voteboard.modes import Rule
 
 from conftest import TOY_ORDERS, board_from_orders
 
@@ -91,6 +92,16 @@ def test_two_step_elimination_rule(grouped):
     assert out.mode == "two_step"
     assert out.winners  # nonempty, sanity
     assert set().union(*out.ranking) == set(grouped.systems)
+
+
+def test_rule_needs_exactly_one_runner():
+    def run(table):
+        return vb.RuleOutcome()
+
+    for runners in ({}, {"profile_run": run, "score_run": run}):
+        with pytest.raises(ValueError, match="exactly one of profile_run/score_run"):
+            Rule("r", **runners)
+    assert Rule("r", profile_run=run).score_run is None
 
 
 def test_unknown_mode(toy):

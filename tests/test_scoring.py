@@ -17,6 +17,7 @@ from voteboard import (
 from voteboard.io import load_leaderboard
 
 import oracle
+import reference
 from conftest import random_board
 
 
@@ -27,6 +28,10 @@ def test_named_vectors():
     assert ScoringVector.borda(4).entries == (F(3), F(2), F(1), F(0))
     assert ScoringVector.dowdall(4).entries == (F(1), F(1, 2), F(1, 3), F(1, 4))
     assert ScoringVector.top_k(5, 3).entries == (F(1),) * 3 + (F(0),) * 2
+    assert ScoringVector.top_k(5, 5).entries == (F(1),) * 5
+    for k in (0, 6):
+        with pytest.raises(InvalidParameter, match="k must be between 1 and n"):
+            ScoringVector.top_k(5, k)
 
 
 def test_vector_validation(toy):
@@ -161,6 +166,23 @@ def test_missing_score_rejected(toy):
     holed = toy.with_score("C", "t2", None)
     with pytest.raises(MissingScore):
         vb.aggregate(holed, "borda")
+    table = build_profile(holed, missing_ok=True)
+    with pytest.raises(MissingScore, match="task 't2' does not rank every system"):
+        score_with_vector(table, ScoringVector.borda(len(holed.systems)))
+
+
+def test_score_with_vector_matches_reference():
+    rng = random.Random(35)
+    for _ in range(30):
+        lb = random_board(rng, allow_weights=True, allow_min_direction=True)
+        weights = vb.base_weights(lb)
+        table = build_profile(lb, weights=weights)
+        n = len(lb.systems)
+        falling = ScoringVector.custom([F(7, 3)] + [F(n - 1 - p, 5 * n) for p in range(n - 1)])
+        for vector in (ScoringVector.borda(n), ScoringVector.dowdall(n), falling):
+            got = score_with_vector(table, vector)
+            want = reference.score_with_vector(reference.build_profile(lb), vector, weights)
+            assert got == want and list(got) == list(lb.systems)
 
 
 def test_score_mass_is_conserved():
