@@ -33,9 +33,9 @@ from .errors import (
     TooFewSystems,
     TooManyOmissions,
 )
-from .metrics import end_set, rho_from_rank_vectors
+from .metrics import checked_gamma, end_set, rho_from_rank_vectors
 from .model import Leaderboard, RankTable, RuleOutcome, build_profile, cell_ratio, missing_score
-from .modes import BASIC, Rule, base_weights, call_rule, check_params
+from .modes import BASIC, Rule, call_rule, check_params
 from .registry import get_rule
 
 # score aggregators repaired by per-task median imputation instead of
@@ -139,12 +139,9 @@ def _on_systems(
     build_profile does on the restricted board: the first such task, then
     system, in board order. A score rule reads the restricted board.
     """
-    weights = base_weights(lb)
     if rule.score_run is not None:
-        return lambda present: call_rule(
-            rule, BASIC, lb.restrict_systems(present), weights, **params
-        )
-    table = build_profile(lb, missing_ok=True, weights=weights)
+        return lambda present: call_rule(rule, BASIC, lb.restrict_systems(present), **params)
+    table = build_profile(lb, missing_ok=True)
     index = {m: i for i, m in enumerate(lb.systems)}
     holes = []
     if not rule.handles_missing:
@@ -159,7 +156,7 @@ def _on_systems(
             hit = [i for i in kept if i in gone]
             if hit:
                 raise missing_score(lb.systems[hit[0]], task)
-        return call_rule(rule, BASIC, table.restrict(kept), weights, **params)
+        return call_rule(rule, BASIC, table.restrict(kept), **params)
 
     return run
 
@@ -217,12 +214,14 @@ def robustness_experiment(
     rule is the Spearman correlation between the reference ranks of the
     intact top-k systems and their ranks after deletion. A rule that leaves
     a system unranked, on the intact board or after a trial's deletions, is
-    refused, and so are an empty rule list and a rule named twice
+    refused, and so are an empty rule list, a rule named twice and a gamma
+    that is not a finite positive number, whether a rule reads it or not
     (InvalidParameter).
     """
     cfg = cfg or ExperimentConfig(trials=100)
     if not rules:
         raise InvalidParameter("robustness needs at least one rule")
+    checked_gamma(gamma)
     if cfg.top_k > len(lb.systems):
         raise InvalidParameter("top_k cannot exceed the number of systems")
     rule_objs = {}
@@ -241,15 +240,14 @@ def robustness_experiment(
         raise TooManyOmissions(
             f"cannot delete {cfg.omit_count} of {len(present)} present cells"
         )
-    weights = base_weights(lb)
     table = None
     if any(rid not in IMPUTABLE for rid in rules):
         # the rules that tolerate missing scores are profile rules
-        table = build_profile(lb, missing_ok=True, weights=weights)
+        table = build_profile(lb, missing_ok=True)
 
     def run(rid: str, data: RankTable | Leaderboard) -> RuleOutcome:
         params = {"gamma": gamma} if "gamma" in rule_objs[rid].params else {}
-        return call_rule(rule_objs[rid], BASIC, data, weights, **params)
+        return call_rule(rule_objs[rid], BASIC, data, **params)
 
     ref_ranks: dict[str, dict[str, Fraction]] = {}
     ref_sets: dict[str, tuple[str, ...]] = {}

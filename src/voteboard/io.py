@@ -11,7 +11,8 @@ other row is one system. Empty or whitespace cells are missing scores.
     beta,90.1,
 
 Sidecar JSON files can supply task -> group and task -> weight mappings and
-take precedence over in-file rows.
+take precedence over in-file rows. Every file is read as UTF-8, with or
+without a byte-order mark.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def load_leaderboard(
     """Read a leaderboard CSV plus optional sidecar groups/weights files."""
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8") as handle:
+        with path.open(newline="", encoding="utf-8-sig") as handle:
             rows = [row for row in csv.reader(handle) if row and any(c.strip() for c in row)]
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
@@ -150,7 +151,7 @@ def load_leaderboard(
 
 def _load_json_mapping(path: str | Path) -> Mapping[str, Any]:
     try:
-        with Path(path).open(encoding="utf-8") as handle:
+        with Path(path).open(encoding="utf-8-sig") as handle:
             data = json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc

@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import SearchTooLarge
 from .model import Leaderboard, RankTable, RuleOutcome, build_profile, chosen, ranked_by
-from .modes import Rule, base_weights
+from .modes import Rule
 
 # exhaustive weakly-stable search is exponential in the dominant component
 _WEAKLY_STABLE_LIMIT = 18
@@ -100,7 +100,7 @@ def majority_graph_from_table(table: RankTable) -> MajorityGraph:
 
 def build_majority_graph(lb: Leaderboard) -> MajorityGraph:
     """Majority graph of a leaderboard, tolerating missing cells."""
-    return majority_graph_from_table(build_profile(lb, missing_ok=True, weights=base_weights(lb)))
+    return majority_graph_from_table(build_profile(lb, missing_ok=True))
 
 
 def condorcet_winner(graph: MajorityGraph) -> str | None:

@@ -4,7 +4,7 @@ The aggregators (weighted arithmetic mean, geometric mean, optimality gap)
 order systems by their raw scores and exist mostly as references to compare
 the voting rules against. They read the board's stored cells, integers over
 one common denominator (model.exact_cells refuses a missing one), and the
-task weights scaled to integers by the LCM of theirs, sum integers (or
+board's task weights scaled to integers by the LCM of theirs, sum integers (or
 multiply integer powers, for the geometric mean's order) and hand the
 integers to model.ranked_by, which groups on them and gives each system one
 Fraction. The geometric mean keeps its own packaging, because the scores it
@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import (
     InvalidParameter,
@@ -50,19 +50,19 @@ LEAST = "least"
 GMEAN_PRODUCT_BITS = 1 << 18
 
 
-def _mean_run(lb: Leaderboard, weights: Mapping[str, Fraction]) -> RuleOutcome:
+def _mean_run(lb: Leaderboard) -> RuleOutcome:
     cells, den = exact_cells(lb)
-    wts, _ = integer_weights(lb.tasks, weights)
+    wts, _ = integer_weights(lb.weights)
     sums = {system: sum(map(mul, wts, row)) for system, row in zip(lb.systems, cells)}
     return ranked_by(sums, den * sum(wts))
 
 
-def _gmean_run(lb: Leaderboard, weights: Mapping[str, Fraction]) -> RuleOutcome:
+def _gmean_run(lb: Leaderboard) -> RuleOutcome:
     cells, den = exact_cells(lb)
     # integer exponents: ranking by prod(cell^n_j) equals ranking by the
     # geometric mean, and the common denominator^sum(n_j) divides out; so
     # does a common factor of the n_j, whose root keeps the order
-    exps, _ = integer_weights(lb.tasks, weights)
+    exps, _ = integer_weights(lb.weights)
     common = math.gcd(*exps)
     exps = [n // common for n in exps]
     n_total = sum(exps)
@@ -90,20 +90,22 @@ def _gmean_run(lb: Leaderboard, weights: Mapping[str, Fraction]) -> RuleOutcome:
     return RuleOutcome(ranking=group_by_score(products), scores=display)
 
 
-def _og_run(
-    lb: Leaderboard,
-    weights: Mapping[str, Fraction],
-    *,
-    gamma: int | float | Fraction | str = 0.95,
-) -> RuleOutcome:
-    cells, den = exact_cells(lb)
+def checked_gamma(gamma: int | float | Fraction | str) -> Fraction:
+    """optimality_gap's gamma as an exact Fraction; a value that is not a
+    finite positive number raises InvalidParameter."""
     try:
         g = as_fraction(gamma)
     except (TypeError, ValueError) as exc:
         raise InvalidParameter(f"bad gamma: {exc}") from None
     if g <= 0:
         raise InvalidParameter(f"gamma must be positive, got {gamma!r}")
-    wts, _ = integer_weights(lb.tasks, weights)
+    return g
+
+
+def _og_run(lb: Leaderboard, *, gamma: int | float | Fraction | str = 0.95) -> RuleOutcome:
+    cells, den = exact_cells(lb)
+    g = checked_gamma(gamma)
+    wts, _ = integer_weights(lb.weights)
     # over den * g.denominator, gamma is g.numerator * den and a cell c * g.denominator
     top = g.numerator * den
     sums: dict[str, int] = {}

@@ -130,19 +130,10 @@ def exact_cells(lb: Leaderboard) -> tuple[Cells, int]:
     return lb.cells, lb.denominator
 
 
-def integer_weights(
-    tasks: Sequence[str],
-    weights: Mapping[str, int | float | Fraction | str] | None = None,
-) -> tuple[tuple[int, ...], int]:
-    """Task weights (default 1) times the LCM of their denominators, and that LCM."""
-    exact = [as_fraction(1 if weights is None else weights.get(t, 1)) for t in tasks]
-    scale = math.lcm(*{w.denominator for w in exact})
-    return tuple([w.numerator * (scale // w.denominator) for w in exact]), scale
-
-
-def _check_weights(weights: Iterable[int | Fraction]) -> None:
-    if any(w < 0 for w in weights):
-        raise ValueError("task weights must be non-negative")
+def integer_weights(weights: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """Task weights times the LCM of their denominators, and that LCM."""
+    scale = math.lcm(*{w.denominator for w in weights})
+    return tuple([w.numerator * (scale // w.denominator) for w in weights]), scale
 
 
 def _check_known(given: Mapping[str, Any] | None, tasks: Sequence[str], kind: str) -> None:
@@ -174,7 +165,8 @@ class Leaderboard:
     and a non-finite one a ValueError, and it keeps the systems, tasks,
     directions, weights and groups as tuples. A minimize-direction task
     ranks low scores first. groups, when present, maps group names, in
-    order, to their tasks; a task is in one group at most.
+    order, to their tasks, as a Mapping or as (name, tasks) pairs; a task
+    is in one group at most.
     dataclasses.replace builds the edited board with the constructor, from
     the board's scores and the replaced fields, and checks it as it does.
     """
@@ -192,7 +184,8 @@ class Leaderboard:
     def __init__(self, systems, tasks, scores, directions, weights, groups=None) -> None:
         ratios = [[None if c is None else cell_ratio(c) for c in row] for row in scores]
         if groups is not None:
-            groups = tuple([(name, tuple(members)) for name, members in groups])
+            pairs = groups.items() if isinstance(groups, Mapping) else groups
+            groups = tuple([(name, tuple(members)) for name, members in pairs])
         self._fill(tuple(systems), tuple(tasks), *over_one_denominator(ratios),
                    tuple(directions), tuple([as_fraction(w) for w in weights]), groups)
         self._check()
@@ -233,7 +226,8 @@ class Leaderboard:
                 raise ValueError(f"direction must be 'max' or 'min', got {d!r}")
         if len(self.weights) != len(self.tasks):
             raise ValueError("one weight per task required")
-        _check_weights(self.weights)
+        if any(w < 0 for w in self.weights):
+            raise ValueError("task weights must be non-negative")
         if not any(w > 0 for w in self.weights):
             raise ValueError("at least one task weight must be positive")
         if self.groups is not None:
@@ -272,10 +266,9 @@ class Leaderboard:
         _check_known(weights, task_tuple, "weights")
         _check_known(directions, task_tuple, "directions")
         matrix = [[scores[m].get(t) for t in task_tuple] for m in systems]
-        dirs = tuple((directions or {}).get(t, MAXIMIZE) for t in task_tuple)
-        wts = tuple(as_fraction((weights or {}).get(t, 1)) for t in task_tuple)
-        grp = None if groups is None else tuple([(g, tuple(ts)) for g, ts in groups.items()])
-        return cls(systems, task_tuple, matrix, dirs, wts, grp)
+        dirs = [(directions or {}).get(t, MAXIMIZE) for t in task_tuple]
+        wts = [(weights or {}).get(t, 1) for t in task_tuple]
+        return cls(systems, task_tuple, matrix, dirs, wts, groups)
 
     # -- lookups ---------------------------------------------------------
 
@@ -325,12 +318,16 @@ class Leaderboard:
 
     # -- derived leaderboards -------------------------------------------
 
-    def _derived(self, systems: tuple[str, ...], cells: Cells, den: int) -> "Leaderboard":
+    def _derived(self, systems: tuple[str, ...], cells: Cells, den: int,
+                 weights: tuple[Fraction, ...] | None = None) -> "Leaderboard":
         """A board on this board's tasks and metadata, built without its checks:
-        systems are distinct systems of this board, and cells its rows, with
-        cells removed or set to values whose floats are finite."""
-        return object.__new__(Leaderboard)._fill(systems, self.tasks, cells, den,
-                                                 self.directions, self.weights, self.groups)
+        systems are distinct systems of this board, cells its rows, with cells
+        removed or set to values whose floats are finite, and weights (default
+        this board's) non-negative Fractions, one per task, at least one
+        positive."""
+        return object.__new__(Leaderboard)._fill(
+            systems, self.tasks, cells, den, self.directions,
+            self.weights if weights is None else weights, self.groups)
 
     def restrict_systems(self, keep: Iterable[str]) -> "Leaderboard":
         wanted = set(keep)
@@ -381,17 +378,15 @@ def build_profile(
     task_subset: Sequence[str] | None = None,
     *,
     missing_ok: bool = False,
-    weights: Mapping[str, int | float | Fraction | str] | None = None,
 ) -> RankTable:
-    """A RankTable that ranks every task of the subset (default: all tasks).
+    """A RankTable that ranks every task of the subset (default: all tasks),
+    weighted by the board's weights of those tasks.
 
     Each task ranks the systems by score: minimize-direction tasks rank low
     scores first, and equal scores form one tie group. A missing cell
     raises MissingScore unless missing_ok is set, in which case the system
-    is simply unranked on that task. weights maps tasks of the board to
-    their weights (default 1 each); a key that names no task of the board,
-    a negative weight, or a subset that names a task twice, raises
-    ValueError.
+    is simply unranked on that task. A subset that names a task twice
+    raises ValueError.
 
     Each task's system indices are sorted by their cells, and runs of equal
     neighbours become tie groups. An untied system's group is taken from
@@ -406,9 +401,7 @@ def build_profile(
             raise EmptySubset("task subset is empty")
         _check_unique(tasks, "task")
         index = [lb._task_index(t) for t in tasks]
-    _check_known(weights, lb.tasks, "weights")
-    scaled, scale = integer_weights(tasks, weights)
-    _check_weights(scaled)
+    scaled, scale = integer_weights([lb.weights[j] for j in index])
     columns = list(zip(*lb.cells))
     everyone = range(len(lb.systems))
     singles = [(i,) for i in everyone]

@@ -1,26 +1,26 @@
 """Aggregation modes: basic, weighted, and two-step.
 
-basic applies a rule once with the raw task weights. weighted scales each
-task's weight by 1 / |its group| so every group contributes equally in total.
+A rule reads the task weights of the board it is given, and a mode only
+chooses that board. basic applies a rule once to the board as it is.
+weighted applies it once to the board with each task's weight divided by
+the size of its group, so every group contributes equally in total.
 two_step runs the rule inside each group to get an interim ranking, then
 treats each group as a single voter whose ballot is that ranking, a tie
 order over the systems, and applies the rule once more. Both grouped modes
 require a grouping that covers every task.
 
-The runner contract: a profile rule is called as profile_run(table,
-**params) on the RankTable that run_rule builds once, with build_profile,
-from the board and the mode's weights; a score rule as score_run(lb,
-weights, **params). Both return a RuleOutcome with rule_id and mode left
-empty. call_rule makes that call and stamps them; run_rule and the
-experiment loops, which hand it tables and boards they derive themselves,
-all go through it.
+The runner contract: every runner is called as run(data, **params). A
+profile rule's data is the RankTable that run_rule builds once, with
+build_profile, from the mode's board; a score rule's data is that board.
+Both return a RuleOutcome with rule_id and mode left empty. call_rule
+makes that call and stamps them; run_rule and the experiment loops, which
+hand it tables and boards they derive themselves, all go through it.
 """
 
 from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cached_property
 from typing import Any, Callable, Mapping
 
@@ -37,10 +37,10 @@ MODES = (BASIC, WEIGHTED, TWO_STEP)
 class Rule:
     """A registered rule.
 
-    profile_run(table, **params) -> RuleOutcome reads a RankTable built
-    from the board under the mode's weights; score_run(lb, weights,
-    **params) -> RuleOutcome reads the raw scores, for aggregators that
-    need them.
+    A rule has exactly one runner, run(data, **params) -> RuleOutcome:
+    profile_run reads a RankTable built from the mode's board, and
+    score_run reads that board's cells and weights, for aggregators that
+    need the raw scores.
     elector marks rules whose full output is a total preorder, the only kind
     that can vote in the second step of two_step. The keyword-only
     parameters of the runner are the only params the rule accepts.
@@ -56,18 +56,18 @@ class Rule:
         if (self.profile_run is None) == (self.score_run is None):
             raise ValueError("a rule needs exactly one of profile_run/score_run")
 
+    @property
+    def run(self) -> Callable[..., RuleOutcome]:
+        """The rule's runner, called as run(data, **params)."""
+        return self.profile_run or self.score_run
+
     @cached_property
     def params(self) -> frozenset[str]:
         """Names of the keyword parameters the rule accepts."""
-        run = self.profile_run or self.score_run
         return frozenset([
-            name for name, p in inspect.signature(run).parameters.items()
+            name for name, p in inspect.signature(self.run).parameters.items()
             if p.kind is p.KEYWORD_ONLY
         ])
-
-
-def base_weights(lb: Leaderboard) -> dict[str, Fraction]:
-    return {t: lb.weights[j] for j, t in enumerate(lb.tasks)}
 
 
 def _covering_groups(lb: Leaderboard) -> tuple[tuple[str, tuple[str, ...]], ...]:
@@ -80,10 +80,11 @@ def _covering_groups(lb: Leaderboard) -> tuple[tuple[str, tuple[str, ...]], ...]
     return lb.groups
 
 
-def group_weights(lb: Leaderboard) -> dict[str, Fraction]:
-    """Each task weight scaled by one over its group size."""
+def _weighted(lb: Leaderboard) -> Leaderboard:
+    """The board with each task weight divided by the size of its group."""
     size = {t: len(members) for _, members in _covering_groups(lb) for t in members}
-    return {t: w * Fraction(1, size[t]) for t, w in base_weights(lb).items()}
+    return lb._derived(lb.systems, lb.cells, lb.denominator,
+                       tuple([w / size[t] for t, w in zip(lb.tasks, lb.weights)]))
 
 
 def check_params(rule: Rule, params: Mapping[str, Any]) -> None:
@@ -94,20 +95,10 @@ def check_params(rule: Rule, params: Mapping[str, Any]) -> None:
         )
 
 
-def call_rule(
-    rule: Rule,
-    mode: str,
-    data: RankTable | Leaderboard,
-    weights: Mapping[str, Fraction],
-    **params: Any,
-) -> RuleOutcome:
-    """The rule's outcome on a table (profile rules) or a board (score rules
-    weighted by weights), stamped with the rule and mode."""
-    if rule.score_run is not None:
-        outcome = rule.score_run(data, weights, **params)
-    else:
-        outcome = rule.profile_run(data, **params)
-    return outcome.stamped(rule.rule_id, mode)
+def call_rule(rule: Rule, mode: str, data: RankTable | Leaderboard, **params: Any) -> RuleOutcome:
+    """The rule's outcome on a table (profile rules) or a board (score rules),
+    stamped with the rule and mode."""
+    return rule.run(data, **params).stamped(rule.rule_id, mode)
 
 
 def run_rule(lb: Leaderboard, rule: Rule, mode: str = BASIC, **params: Any) -> RuleOutcome:
@@ -118,11 +109,12 @@ def run_rule(lb: Leaderboard, rule: Rule, mode: str = BASIC, **params: Any) -> R
     if mode == TWO_STEP:
         outcome, electors = _run_two_step(lb, rule, **params)
         return replace(outcome, diagnostics={**outcome.diagnostics, "electors": electors})
-    weights = base_weights(lb) if mode == BASIC else group_weights(lb)
+    if mode == WEIGHTED:
+        lb = _weighted(lb)
     data: RankTable | Leaderboard = lb
     if rule.score_run is None:
-        data = build_profile(lb, missing_ok=rule.handles_missing, weights=weights)
-    return call_rule(rule, mode, data, weights, **params)
+        data = build_profile(lb, missing_ok=rule.handles_missing)
+    return call_rule(rule, mode, data, **params)
 
 
 def _run_two_step(
@@ -138,12 +130,11 @@ def _run_two_step(
             f"rule {rule.rule_id!r} does not produce a total ranking usable as a ballot"
         )
     groups = _covering_groups(lb)
-    weights = base_weights(lb)
     index = {m: i for i, m in enumerate(lb.systems)}
     electors: dict[str, list[list[str]]] = {}
     orders = []
     for name, members in groups:
-        table = build_profile(lb, members, missing_ok=rule.handles_missing, weights=weights)
+        table = build_profile(lb, members, missing_ok=rule.handles_missing)
         outcome = rule.profile_run(table, **params)
         if outcome.unranked:
             raise RuleUnsupportedForMode(
@@ -161,4 +152,4 @@ def _run_two_step(
         weights=(1,) * len(groups),
         scale=1,
     )
-    return call_rule(rule, TWO_STEP, table, weights, **params), electors
+    return call_rule(rule, TWO_STEP, table, **params), electors

@@ -91,26 +91,46 @@ from voteboard.model import (
     RankTable,
     RuleOutcome,
     _check_unique,
-    _check_weights,
     as_fraction,
-    integer_weights,
     missing_score,
 )
-from voteboard.modes import (
-    BASIC,
-    MODES,
-    TWO_STEP,
-    Rule,
-    _covering_groups,
-    base_weights,
-    group_weights,
-)
+from voteboard.modes import BASIC, MODES, TWO_STEP, Rule, _covering_groups
 from voteboard.modes import run_rule as run_library_rule
 from voteboard.registry import get_rule
 from voteboard.scoring import ScoringVector
 
 COPELAND_VARIANTS = ("I", "II", "III")
 _WEAKLY_STABLE_LIMIT = 18
+
+
+# -- task weights as name-keyed maps ------------------------------------------
+
+
+def base_weights(lb: Leaderboard) -> dict[str, Fraction]:
+    """modes.base_weights as it stood while a mode passed its weights as a map."""
+    return {t: lb.weights[j] for j, t in enumerate(lb.tasks)}
+
+
+def group_weights(lb: Leaderboard) -> dict[str, Fraction]:
+    """modes.group_weights: each task weight scaled by one over its group size."""
+    size = {t: len(members) for _, members in _covering_groups(lb) for t in members}
+    return {t: w * Fraction(1, size[t]) for t, w in base_weights(lb).items()}
+
+
+def integer_weights(
+    tasks: Sequence[str],
+    weights: Mapping[str, int | float | Fraction | str] | None = None,
+) -> tuple[tuple[int, ...], int]:
+    """model.integer_weights as it stood while it read a map: task weights
+    (default 1) times the LCM of their denominators, and that LCM."""
+    exact = [as_fraction(1 if weights is None else weights.get(t, 1)) for t in tasks]
+    scale = math.lcm(*{w.denominator for w in exact})
+    return tuple([w.numerator * (scale // w.denominator) for w in exact]), scale
+
+
+def _check_weights(weights: Iterable[int | Fraction]) -> None:
+    if any(w < 0 for w in weights):
+        raise ValueError("task weights must be non-negative")
 
 
 # -- profiles ---------------------------------------------------------------

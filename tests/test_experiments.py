@@ -111,6 +111,14 @@ def test_robustness_refuses_an_empty_rule_list(toy):
         robustness_experiment(toy, [], cfg)
 
 
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf"), 0, -1, "x"])
+def test_robustness_refuses_a_bad_gamma_whether_or_not_a_rule_reads_it(toy, gamma):
+    cfg = ExperimentConfig(seed=3, trials=2, omit_count=1, top_k=4)
+    for rules in (["copeland"], ["minimax", "optimality_gap"]):
+        with pytest.raises(vb.InvalidParameter, match="gamma"):
+            robustness_experiment(toy, rules, cfg, gamma=gamma)
+
+
 def test_robustness_too_many_omissions(toy):
     cfg = ExperimentConfig(seed=3, trials=2, omit_count=21, top_k=4)
     with pytest.raises(TooManyOmissions):

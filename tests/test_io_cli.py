@@ -81,6 +81,25 @@ def test_sidecar_groups_and_weights(tmp_path, csv_path):
     assert lb.task_weight("t3") == 2
 
 
+def test_files_with_a_utf8_byte_order_mark_load(tmp_path, csv_path, capsys):
+    """A CSV saved as "CSV UTF-8", and a sidecar saved so, start with a BOM."""
+    bom = b"\xef\xbb\xbf"
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(bom + csv_path.read_bytes())
+    assert load_leaderboard(marked) == load_leaderboard(csv_path)
+    weights = tmp_path / "weights.json"
+    weights.write_bytes(bom + json.dumps({"t1": 3}).encode())
+    groups = tmp_path / "groups.json"
+    groups.write_bytes(bom + json.dumps({"t1": "lang", "t2": "lang", "t3": "speed"}).encode())
+    lb = load_leaderboard(marked, weights_path=weights, groups_path=groups)
+    assert lb.task_weight("t1") == 3 and lb.group_map == {"lang": ("t1", "t2"), "speed": ("t3",)}
+    outputs = []
+    for path in (csv_path, marked):
+        assert main(["rank", "-i", str(path), "--rule", "copeland", "--format", "json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_parse_errors(tmp_path):
     cases = [
         "",  # empty
@@ -399,6 +418,12 @@ FAILURES = [
      ["experiment", "robustness", "-i", "{full}", "--rules", "borda"], 2),
     ("robustness rule named twice",
      ["experiment", "robustness", "-i", "{full}", "--rules", "copeland", "copeland"], 2),
+    # refused up front, though copeland does not read gamma
+    ("robustness with gamma nan",
+     ["experiment", "robustness", "-i", "{full}", "--rules", "copeland", "--gamma", "nan",
+      "--format", "json"], 2),
+    ("robustness with gamma 0",
+     ["experiment", "robustness", "-i", "{full}", "--rules", "copeland", "--gamma", "0"], 2),
     ("sidecar weight with 5,001 digits",
      ["rank", "-i", "{full}", "--weights", "{long_int_weight}", "--rule", "borda"], 1),
     ("sidecar weights that are not UTF-8",

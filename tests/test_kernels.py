@@ -72,10 +72,10 @@ from voteboard.errors import MissingScore, RuleUnsupportedForMode, VoteboardErro
 from voteboard.experiments import _impute_medians as impute_medians
 from voteboard.io import outcome_to_dict, render_outcome_table, to_json
 from voteboard.model import LazyScores, build_profile, exact_cells
-from voteboard.modes import BASIC, TWO_STEP, WEIGHTED, base_weights
+from voteboard.modes import BASIC, TWO_STEP, WEIGHTED
 
 import reference
-from conftest import is_complete, tie_groups
+from conftest import is_complete, random_board, tie_groups
 
 PAIRWISE = tuple(rid for rid, rule in reference.RULES.items() if rule.handles_missing)
 # the rules that need complete profiles; custom also needs a vector
@@ -171,6 +171,46 @@ def test_custom_vectors_match_reference(n, t, seed, modes, holes):
         assert_same_outcomes(lb, ("custom",), modes, vector=vector)
 
 
+def assert_weighted_is_basic_on_the_scaled_board(lb):
+    """Every rule, the baselines and custom among them, ranks in weighted mode
+    as in basic mode on the board whose weights are divided by their group
+    sizes, or refuses alike: a mode only chooses the board."""
+    scaled = dataclasses.replace(lb, weights=tuple(reference.group_weights(lb).values()))
+    vector = [3, 1] + [0] * (len(lb.systems) - 2)
+    for rid in vb.rule_ids():
+        params = {"vector": vector} if rid == "custom" else {}
+        weighted = outcome_or_error(lambda: vb.aggregate(lb, rid, WEIGHTED, **params))
+        basic = outcome_or_error(lambda: vb.aggregate(scaled, rid, BASIC, **params))
+        if not isinstance(weighted, tuple):
+            assert weighted.mode == WEIGHTED
+            weighted = dataclasses.replace(weighted, mode=BASIC)
+        assert weighted == basic, rid
+
+
+@pytest.mark.parametrize("n,t,seed", [
+    pytest.param(n, t, seed, id=f"{n}x{t}-{seed}")
+    for n, t, seeds, modes, _ in LADDER if WEIGHTED in modes
+    for seed in seeds
+])
+def test_weighted_mode_is_basic_mode_on_the_group_scaled_board(n, t, seed):
+    for lb in (ladder_board(n, t, seed), ladder_board(n, t, seed, holes=True)):
+        assert_weighted_is_basic_on_the_scaled_board(lb)
+
+
+def test_weighted_mode_is_basic_mode_on_the_group_scaled_random_board():
+    rng = random.Random("weighted-is-basic")
+    for _ in range(40):
+        lb = random_board(rng, allow_weights=True, allow_min_direction=True)
+        tasks = list(lb.tasks)
+        rng.shuffle(tasks)
+        cuts = sorted(rng.sample(range(1, len(tasks)), min(len(tasks) - 1, rng.randint(0, 2))))
+        groups = {f"g{k}": tasks[a:b] for k, (a, b) in enumerate(zip([0] + cuts, cuts + [None]))}
+        lb = dataclasses.replace(lb, groups=groups)
+        if rng.random() < 0.3:
+            lb = lb.without_cells(rng.sample(lb.present_cells(), 1))
+        assert_weighted_is_basic_on_the_scaled_board(lb)
+
+
 @pytest.mark.parametrize("n,t,seed", [
     pytest.param(n, t, seed, id=f"{n}x{t}-{seed}")
     for n, t, seeds, _, _ in LADDER
@@ -199,8 +239,8 @@ def test_profile_views_match_reference(n, t, seed):
 ])
 def test_graph_and_position_counts_match_reference(n, t, seed):
     for lb in (ladder_board(n, t, seed), ladder_board(n, t, seed, holes=True)):
-        weights = vb.base_weights(lb)
-        profile = vb.build_profile(lb, missing_ok=True, weights=weights)
+        weights = reference.base_weights(lb)
+        profile = vb.build_profile(lb, missing_ok=True)
         ref_profile = reference.build_profile(lb, missing_ok=True)
         old = reference.majority_graph_from_profile(ref_profile, weights)
         new = vb.build_majority_graph(lb)
@@ -219,7 +259,7 @@ def test_graph_and_position_counts_match_reference(n, t, seed):
 
 
 def table_of(lb):
-    return build_profile(lb, missing_ok=True, weights=base_weights(lb))
+    return build_profile(lb, missing_ok=True)
 
 
 def loop_counts(table):
@@ -271,7 +311,7 @@ def test_packed_counts_and_mask_relation_match_reference_on_random_boards(block)
         assert table.pairwise() == loop_counts(table), seed
         new = vb.build_majority_graph(lb)
         old = reference.majority_graph_from_profile(
-            reference.build_profile(lb, missing_ok=True), base_weights(lb)
+            reference.build_profile(lb, missing_ok=True), reference.base_weights(lb)
         )
         assert new.edges() == old.edges(), seed
         for m in lb.systems:
@@ -347,13 +387,13 @@ def kernel_board(seed):
     return lb.without_cells(rng.sample(cells, rng.randint(0, len(cells) // 3)))
 
 
-def assert_same_table(lb, subset=None, weights=None):
-    """build_profile equals the groupby builder, or refuses alike, with and
-    without missing_ok; returns the missing-tolerant table."""
+def assert_same_table(lb, subset=None):
+    """build_profile equals the groupby builder given the board's weights, or
+    refuses alike, with and without missing_ok; returns the missing-tolerant
+    table."""
+    weights = reference.base_weights(lb)
     for missing_ok in (False, True):
-        new = outcome_or_error(
-            lambda: build_profile(lb, subset, missing_ok=missing_ok, weights=weights)
-        )
+        new = outcome_or_error(lambda: build_profile(lb, subset, missing_ok=missing_ok))
         old = outcome_or_error(
             lambda: reference.build_table(lb, subset, missing_ok=missing_ok, weights=weights)
         )
@@ -380,9 +420,9 @@ def assert_edge_columns(table, rng):
 def test_table_kernels_match_reference_on_the_ladder(n, t, seed):
     rng = random.Random(f"table:{n}:{t}:{seed}")
     for lb in (ladder_board(n, t, seed), ladder_board(n, t, seed, holes=True)):
-        assert_edge_columns(assert_same_table(lb, weights=base_weights(lb)), rng)
+        assert_edge_columns(assert_same_table(lb), rng)
         subset = rng.sample(lb.tasks, rng.randint(1, t))
-        assert_same_table(lb, subset, weights=base_weights(lb))
+        assert_same_table(lb, subset)
 
 
 @pytest.mark.parametrize("block", range(4))
@@ -395,10 +435,9 @@ def test_table_kernels_match_reference_on_random_boards(block):
         lb = kernel_board(seed)
         rng = random.Random(seed)
         for subset in (None, rng.sample(lb.tasks, rng.randint(1, len(lb.tasks)))):
-            table = assert_same_table(lb, subset, weights=base_weights(lb))
+            table = assert_same_table(lb, subset)
             assert table.pairwise() == loop_counts(table), (seed, subset)
             assert_edge_columns(table, rng)
-        assert_same_table(lb)
 
 
 # -- threshold's slot rows ----------------------------------------------------
@@ -811,11 +850,10 @@ def test_derived_boards_and_tables_match_fresh_builds(n, t, seed):
     rng = random.Random(f"derive:{n}:{t}:{seed}")
     for lb in (mapped(ladder_board(n, t, seed), CELLS["decimals"]),
                ladder_board(n, t, seed, holes=True)):
-        weights = base_weights(lb)
-        table = build_profile(lb, missing_ok=True, weights=weights)
+        table = build_profile(lb, missing_ok=True)
 
         def same_table(derived, board):
-            fresh = build_profile(board, missing_ok=True, weights=weights)
+            fresh = build_profile(board, missing_ok=True)
             assert derived == fresh
             assert derived.pairwise() == fresh.pairwise()
             assert derived.mass_unit == fresh.mass_unit

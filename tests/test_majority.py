@@ -152,6 +152,27 @@ def test_pairwise_rules_match_oracle():
         assert vb.aggregate(lb, "minimax").winners == oracle.minimax_winners(lb)
 
 
+def test_majority_graph_is_the_graph_of_the_boards_table():
+    """build_majority_graph ranks under the board's weights, as build_profile does."""
+    lb = vb.Leaderboard.from_scores({"a": {"t1": 1, "t2": 2}, "b": {"t1": 2, "t2": 1}},
+                                    weights={"t1": 2})
+    assert build_majority_graph(lb).edges() == (("b", "a"),)
+    rng = random.Random(94)
+    for _ in range(40):
+        lb = random_board(rng, allow_weights=True, allow_min_direction=True)
+        if rng.random() < 0.5:
+            lb = vb.Leaderboard.from_scores(
+                {m: dict(zip(lb.tasks, row)) for m, row in zip(lb.systems, lb.scores)},
+                weights={t: rng.choice([F(0), F(1, 3), F(5, 7)]) for t in lb.tasks[1:]},
+            )
+        cells = lb.present_cells()
+        lb = lb.without_cells(rng.sample(cells, rng.randint(0, len(cells) // 3)))
+        table = vb.build_profile(lb, missing_ok=True)
+        assert build_majority_graph(lb) == vb.MajorityGraph(
+            table.systems, table.pairwise(), table.scale
+        )
+
+
 def test_margin_antisymmetry_and_support_consistency():
     rng = random.Random(93)
     for _ in range(30):

@@ -54,13 +54,12 @@ def test_as_fraction_keeps_decimals_inside_the_exponent_limit():
     assert as_fraction("0.000123") == F(123, 10**6)
 
 
-def test_zero_denominator_weights_are_value_errors(toy):
+def test_zero_denominator_weights_are_value_errors():
     """A "1/0" weight is refused as a ValueError, not a bare ZeroDivisionError."""
     for run in (
         lambda: as_fraction("1/0"),
         lambda: as_fraction(" -3/0 "),
         lambda: Leaderboard.from_scores({"a": {"t": 1.0}}, weights={"t": "1/0"}),
-        lambda: build_profile(toy, weights={"t1": "1/0"}),
     ):
         with pytest.raises(ValueError, match="zero denominator") as caught:
             run()
@@ -231,8 +230,8 @@ def test_rank_table_constructor_refuses_inconsistent_orders(fields, message):
 
 
 def test_rank_table_constructor_accepts_what_build_profile_builds(toy):
-    lb = toy.without_cells([("B", "t1")])
-    built = build_profile(lb, missing_ok=True, weights={"t1": F(1, 2)})
+    lb = with_weights(toy, t1=F(1, 2)).without_cells([("B", "t1")])
+    built = build_profile(lb, missing_ok=True)
     table = RankTable(built.systems, built.tasks, built.orders, built.weights, built.scale)
     assert table == built and table.pairwise() == built.pairwise()
     assert RankTable(("a", "b"), ("t",), (((1,),),), (0,), 1).pairwise() == ((0, 0), (0, 0))
@@ -246,37 +245,45 @@ def test_public_names_resolve_once():
     assert "RankTable" in names and "RankProfile" not in names
 
 
+def with_weights(lb, **weights):
+    """The board with the named tasks' weights replaced, the others kept."""
+    return dataclasses.replace(lb, weights=tuple([
+        weights.get(t, w) for t, w in zip(lb.tasks, lb.weights)
+    ]))
+
+
 def test_build_profile_returns_the_exported_table(toy):
     table = build_profile(toy, missing_ok=True)
     assert type(table) is RankTable
     assert table.weights == (1,) * len(toy.tasks) and table.scale == 1
-    weighted = build_profile(toy, ["t2", "t1"], weights={"t1": F(1, 2), "t2": 3})
+    weighted = build_profile(with_weights(toy, t1=F(1, 2), t2=3), ["t2", "t1"])
     assert weighted.tasks == ("t2", "t1")
     assert weighted.weights == (6, 1) and weighted.scale == 2
     assert weighted.orders == build_profile(toy, ["t2", "t1"]).orders
     assert position_counts(weighted, "A") == (F(7, 2), F(0), F(0), F(0))
 
 
-def test_build_profile_refuses_negative_weights_and_repeated_tasks(toy):
-    with pytest.raises(ValueError, match="task weights must be non-negative"):
-        build_profile(toy, weights={"t1": -1})
-    with pytest.raises(ValueError, match="task weights must be non-negative"):
-        build_profile(toy, ["t2"], weights={"t2": F(-1, 3)})
+def test_build_profile_carries_the_boards_weights():
+    scores = {"a": {"t1": 1, "t2": 2}, "b": {"t1": 2, "t2": 1}}
+    table = build_profile(Leaderboard.from_scores(scores, weights={"t1": 2}))
+    assert table.weights == (2, 1) and table.scale == 1
+    assert table.pairwise() == ((0, 1), (2, 0))
+    table = build_profile(Leaderboard.from_scores(scores, weights={"t1": F(1, 2), "t2": "1/3"}))
+    assert table.weights == (3, 2) and table.scale == 6
+
+
+def test_build_profile_refuses_repeated_tasks_and_ranks_zero_weight_groups(toy):
     with pytest.raises(ValueError, match="duplicate task id: 't1'"):
         build_profile(toy, ["t1", "t1"])
     # a group whose tasks all weigh 0 still ranks, as two_step needs
-    zero = build_profile(toy, ["t1"], weights={"t1": 0})
+    zero = build_profile(with_weights(toy, t1=0), ["t1"])
     assert zero.weights == (0,) and zero.pairwise()[0] == (0, 0, 0, 0)
 
 
-def test_build_profile_refuses_weights_for_tasks_off_the_board(toy):
-    with pytest.raises(ValueError, match="unknown task: 'T1'"):
-        build_profile(toy, weights={"T1": 5})
-    with pytest.raises(ValueError, match="unknown task: 'x'"):
-        build_profile(toy, ["t2"], weights={"t2": 1, "x": 2})
-    # a task of the board outside the subset may carry a weight: two_step
-    # passes the whole board's map to each group
-    table = build_profile(toy, ["t1"], weights={"t1": F(2, 3), "t2": 5})
+def test_build_profile_reads_a_subsets_weights_from_the_board(toy):
+    # the tasks outside the subset weigh nothing in the table, whatever
+    # their weight on the board
+    table = build_profile(with_weights(toy, t1=F(2, 3), t2=5), ["t1"])
     assert table.weights == (2,) and table.scale == 3
 
 
@@ -443,6 +450,26 @@ def test_replace_builds_the_board_the_constructor_builds():
     assert edited.cells == lb.cells and edited.denominator == lb.denominator
     with pytest.raises(ValueError, match="task weights must be non-negative"):
         dataclasses.replace(lb, weights=(F(1), F(-1)))
+
+
+@pytest.mark.parametrize("groups,pairs", [
+    # each key is a group's name, however long, and never unpacked
+    ({"tu": ["x"]}, (("tu", ("x",)),)),
+    ({"g": ["x"]}, (("g", ("x",)),)),
+    ({"gg": ["x"], "h": ("y",)}, (("gg", ("x",)), ("h", ("y",)))),
+])
+def test_constructor_reads_groups_as_a_mapping(groups, pairs):
+    lb = two_systems(groups=groups)
+    assert lb.groups == pairs and lb == two_systems(groups=pairs)
+    assert Leaderboard.from_scores({"a": {"x": 1, "y": 2}}, groups=groups).groups == pairs
+
+
+def test_replace_round_trips_the_groups():
+    lb = two_systems(groups={"g": ["y"], "h": ["x"]})
+    assert dataclasses.replace(lb) == lb and dataclasses.replace(lb).groups == lb.groups
+    moved = dataclasses.replace(lb, groups={"all": ("x", "y")})
+    assert moved.groups == (("all", ("x", "y")),)
+    assert dataclasses.replace(moved, groups=lb.groups) == lb
 
 
 def test_board_reads_weights_exactly_and_keeps_its_fields_as_tuples():

@@ -217,7 +217,7 @@ def holed_boards(draw):
 @given(lb=holed_boards())
 def test_minimal_dominant_set_matches_the_closure_search(lb):
     profile = reference.build_profile(lb, missing_ok=True)
-    graph = reference.majority_graph_from_profile(profile, vb.base_weights(lb))
+    graph = reference.majority_graph_from_profile(profile, reference.base_weights(lb))
     assert minimal_dominant_set(vb.build_majority_graph(lb)) == reference.minimal_dominant_set(graph)
 
 

@@ -175,8 +175,8 @@ def test_score_with_vector_matches_reference():
     rng = random.Random(35)
     for _ in range(30):
         lb = random_board(rng, allow_weights=True, allow_min_direction=True)
-        weights = vb.base_weights(lb)
-        table = build_profile(lb, weights=weights)
+        weights = reference.base_weights(lb)
+        table = build_profile(lb)
         n = len(lb.systems)
         falling = ScoringVector.custom([F(7, 3)] + [F(n - 1 - p, 5 * n) for p in range(n - 1)])
         for vector in (ScoringVector.borda(n), ScoringVector.dowdall(n), falling):
