@@ -27,8 +27,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
 
 from .errors import ParseError
-from .model import (DECIMAL_EXPONENT_LIMIT, FLOAT_BOUND, MAXIMIZE, Leaderboard, RuleOutcome,
-                    as_fraction, over_one_denominator)
+from .model import (DECIMAL_EXPONENT_LIMIT, FLOAT_BOUND, MAXIMIZE, LazyScores, Leaderboard,
+                    RuleOutcome, as_fraction, over_one_denominator)
 
 if TYPE_CHECKING:
     from .experiments import ExperimentReport
@@ -164,28 +164,42 @@ def _load_json_mapping(path: str | Path) -> Mapping[str, Any]:
     return data
 
 
-def _as_float(value: Fraction | float) -> float:
-    # a score beyond the float range, as under a task weight of 1e400, rounds
-    # to an infinity, where float() would raise
+def _quotient(num: int, den: int) -> float:
+    # int true division is correctly rounded, so this is float(Fraction(num, den));
+    # a value beyond the float range, as under a task weight of 1e400, rounds to
+    # an infinity, where the division would raise
     try:
-        return float(value)
+        return num / den
     except OverflowError:
-        return math.inf if value > 0 else -math.inf
+        return math.inf if num > 0 else -math.inf
 
 
-# leaf types returned as they are, before the dataclass and Mapping checks,
-# whose abc instance checks cost most on the many name strings of an outcome
+def _as_float(value: Fraction | float) -> float:
+    if isinstance(value, float):
+        return value
+    return _quotient(value.numerator, value.denominator)
+
+
+# leaf types that jsonify returns, and _write writes, as they are, before the
+# dataclass and Mapping checks, whose abc instance checks cost most on the
+# many name strings of an outcome
 _LEAVES = frozenset([str, int, float, bool, type(None)])
 
 
 def jsonify(value: Any) -> Any:
-    """Recursively convert package values into JSON-serializable ones."""
+    """Recursively convert package values into JSON-serializable ones: a
+    Fraction or a LazyScores' score becomes its float, a set its sorted list,
+    a dataclass and a Mapping a dict with str keys, a tuple a list."""
     if type(value) in _LEAVES:
         return value
+    if type(value) is LazyScores:
+        # read from the integers, without the Fractions of the Mapping read
+        names, row, unit = value.over_unit()
+        return {m: _quotient(x, unit) for m, x in zip(names, row)}
     if isinstance(value, Fraction):
         return _as_float(value)
     if isinstance(value, (frozenset, set)):
-        return sorted(value)
+        return [jsonify(v) for v in sorted(value)]
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {f.name: jsonify(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, Mapping):
@@ -196,13 +210,12 @@ def jsonify(value: Any) -> Any:
 
 
 def outcome_to_dict(outcome: RuleOutcome) -> dict[str, Any]:
+    scores = None if outcome.scores is None else jsonify(outcome.scores)
     ranking = []
     place = 1
     for group in outcome.ranking:
         members = sorted(group)
-        score = None
-        if outcome.scores is not None:
-            score = jsonify(outcome.scores[members[0]])
+        score = None if scores is None else scores[members[0]]
         ranking.append({"rank": place, "systems": members, "score": score})
         place += len(group)
     diagnostics = jsonify(dict(outcome.diagnostics))
@@ -217,34 +230,83 @@ def outcome_to_dict(outcome: RuleOutcome) -> dict[str, Any]:
     }
 
 
-def outcome_from_dict(data: Mapping[str, Any]) -> RuleOutcome:
-    """Rebuild an outcome from its JSON form (scores become floats)."""
-    ranking = []
-    scores: dict[str, float] = {}
-    has_scores = True
-    for item in data["ranking"]:
-        group = frozenset(item["systems"])
-        ranking.append(group)
-        if item.get("score") is None:
-            has_scores = False
-        else:
-            for m in group:
-                scores[m] = item["score"]
-    diagnostics = dict(data.get("diagnostics", {}))
-    unranked = frozenset(diagnostics.pop("unranked", ()))
-    return RuleOutcome(
-        rule_id=data["rule"],
-        mode=data["mode"],
-        ranking=tuple(ranking),
-        scores=scores if has_scores and scores else None,
-        unranked=unranked,
-        diagnostics=diagnostics,
-    )
-
-
 def to_json(payload: Any) -> str:
-    """Canonical JSON: sorted keys, stable separators, trailing newline."""
-    return json.dumps(jsonify(payload), sort_keys=True, indent=2) + "\n"
+    """The text of json.dumps(jsonify(payload), sort_keys=True, indent=2) plus
+    a trailing newline: sorted keys, a 2-space indent, ASCII escapes, each
+    float as its shortest repr, and NaN, Infinity and -Infinity as json spells
+    them. It is written here in one walk, because json.dumps runs its
+    pure-Python encoder whenever indent is set."""
+    out: list[str] = []
+    _write(payload, "", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_FLOAT_SPELLINGS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _write(value: Any, indent: str, out: list[str]) -> None:
+    """Append the JSON text of jsonify(value), nested at indent, to out.
+
+    A list, a tuple, a dict whose keys are all str, and a leaf are written as
+    they stand; any other value is written as jsonify converts it. One that
+    jsonify leaves as it is, other than a subclass of str, int or float,
+    raises TypeError, as json.dumps does."""
+    t = type(value)
+    if t is dict and all([type(k) is str for k in value]):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key in sorted(value):
+            item = value[key]
+            if type(item) in _LEAVES:
+                out.append(f"{sep}{_encode_str(key)}: {_leaf(item)}")
+            else:
+                out.append(f"{sep}{_encode_str(key)}: ")
+                _write(item, inner, out)
+            sep = ",\n" + inner
+        out.append(f"\n{indent}}}")
+    elif t is list or t is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in value:
+            if type(item) in _LEAVES:
+                out.append(sep + _leaf(item))
+            else:
+                out.append(sep)
+                _write(item, inner, out)
+            sep = ",\n" + inner
+        out.append(f"\n{indent}]")
+    elif t in _LEAVES:
+        out.append(_leaf(value))
+    else:
+        converted = jsonify(value)
+        if converted is not value:
+            _write(converted, indent, out)
+        elif isinstance(value, (str, int, float)):
+            out.append(_leaf(value))
+        else:
+            raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _leaf(value: str | int | float | None) -> str:
+    """A leaf's JSON text, as json.dumps writes it, subclasses of str, int and float included."""
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _FLOAT_SPELLINGS.get(text, text)
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if type(value) is bool:
+        return "true" if value else "false"
+    return int.__repr__(value)
 
 
 def _fmt_score(value: Any) -> str:
@@ -269,12 +331,13 @@ def render_outcome_table(outcome: RuleOutcome, baseline: RuleOutcome | None = No
         base_ranks = baseline.competition_ranks()
     rows: list[list[str]] = []
     ranks = outcome.competition_ranks()
+    scores = None if outcome.scores is None else jsonify(outcome.scores)
     for group in outcome.ranking:
         for system in sorted(group):
             row = [
                 str(ranks[system]),
                 system,
-                _fmt_score(None if outcome.scores is None else outcome.scores[system]),
+                _fmt_score(None if scores is None else scores[system]),
             ]
             if baseline is not None:
                 if system in base_ranks:

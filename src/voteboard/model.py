@@ -151,6 +151,14 @@ def _check_unique(names: Sequence[str], kind: str) -> None:
         seen.add(name)
 
 
+def _group_tasks(name: str, members: Iterable[str]) -> tuple[str, ...]:
+    # tuple() would split a string into its characters
+    if isinstance(members, str):
+        raise ValueError(
+            f"group {name!r}: tasks must be a sequence of names, not the string {members!r}")
+    return tuple(members)
+
+
 @dataclass(frozen=True, init=False)
 class Leaderboard:
     """Immutable score matrix with task directions, weights, and groups.
@@ -166,7 +174,8 @@ class Leaderboard:
     directions, weights and groups as tuples. A minimize-direction task
     ranks low scores first. groups, when present, maps group names, in
     order, to their tasks, as a Mapping or as (name, tasks) pairs; a task
-    is in one group at most.
+    is in one group at most, and a group's tasks given as one str are a
+    ValueError.
     dataclasses.replace builds the edited board with the constructor, from
     the board's scores and the replaced fields, and checks it as it does.
     """
@@ -185,7 +194,7 @@ class Leaderboard:
         ratios = [[None if c is None else cell_ratio(c) for c in row] for row in scores]
         if groups is not None:
             pairs = groups.items() if isinstance(groups, Mapping) else groups
-            groups = tuple([(name, tuple(members)) for name, members in pairs])
+            groups = tuple([(name, _group_tasks(name, members)) for name, members in pairs])
         self._fill(tuple(systems), tuple(tasks), *over_one_denominator(ratios),
                    tuple(directions), tuple([as_fraction(w) for w in weights]), groups)
         self._check()
@@ -929,6 +938,10 @@ class LazyScores(Mapping[str, Fraction]):
             unit = self._unit
             self._dict = {m: Fraction(x, unit) for m, x in zip(self._names, self._row)}
         return self._dict
+
+    def over_unit(self) -> tuple[Sequence[str], Sequence[int], int]:
+        """The names, their integer scores and the unit, read without building a Fraction."""
+        return self._names, self._row, self._unit
 
     def __getitem__(self, name: str) -> Fraction:
         return self._filled()[name]

@@ -37,7 +37,11 @@ library's rules on boards rebuilt once per trial.
 
 Then comes the outcome's JSON text as the CLI printed it while every
 diagnostic mapping was a dict, whose dataclasses went through
-dataclasses.asdict.
+dataclasses.asdict. After it come outcome_to_dict and to_json as they stood
+while every score map was read through its Fraction dict and
+json.dumps(..., sort_keys=True, indent=2) wrote the text, and
+outcome_from_dict, which rebuilds an outcome from its JSON form for the
+round-trip tests.
 
 Last comes the two-phase simplex that pivoted a dense tableau of Fractions,
 as it stood before linprog moved to fraction-free integer pivots; the
@@ -78,7 +82,6 @@ from voteboard.experiments import (
     _report,
     trial_rng,
 )
-from voteboard.io import _as_float
 from voteboard.iterative import EliminationRound, EliminationTrace
 from voteboard.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, Constraint
 from voteboard.metrics import _check_pair, _signed_root, end_set
@@ -1456,6 +1459,15 @@ def robustness_experiment(
 # -- outcome JSON -------------------------------------------------------------
 
 
+def _as_float(value: Fraction | float) -> float:
+    """io._as_float as it stood while it read a value through float(): a
+    value beyond the float range rounds to an infinity of its sign."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def jsonify(value: Any) -> Any:
     """io.jsonify as it stood while every diagnostic mapping was a dict."""
     if isinstance(value, Fraction):
@@ -1486,6 +1498,72 @@ def outcome_json(outcome: RuleOutcome) -> str:
     payload = {"rule": outcome.rule_id, "mode": outcome.mode, "ranking": ranking,
                "diagnostics": diagnostics, "seed": None}
     return json.dumps(jsonify(payload), sort_keys=True, indent=2) + "\n"
+
+
+def mapping_jsonify(value: Any) -> Any:
+    """io.jsonify as it stood before it read a LazyScores from its integers:
+    every Mapping, a LazyScores included, is read through its items, so a
+    LazyScores builds its Fraction dict and each Fraction becomes a float."""
+    if isinstance(value, Fraction):
+        return _as_float(value)
+    if isinstance(value, (frozenset, set)):
+        return sorted(value)
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: mapping_jsonify(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, Mapping):
+        return {str(k): mapping_jsonify(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [mapping_jsonify(v) for v in value]
+    return value
+
+
+def outcome_to_dict(outcome: RuleOutcome) -> dict[str, Any]:
+    """io.outcome_to_dict as it stood while it read each group's score through
+    the scores' Fraction dict."""
+    ranking = []
+    place = 1
+    for group in outcome.ranking:
+        members = sorted(group)
+        score = None
+        if outcome.scores is not None:
+            score = mapping_jsonify(outcome.scores[members[0]])
+        ranking.append({"rank": place, "systems": members, "score": score})
+        place += len(group)
+    diagnostics = mapping_jsonify(dict(outcome.diagnostics))
+    if outcome.unranked:
+        diagnostics["unranked"] = sorted(outcome.unranked)
+    return {"rule": outcome.rule_id, "mode": outcome.mode, "ranking": ranking,
+            "diagnostics": diagnostics, "seed": None}
+
+
+def to_json(payload: Any) -> str:
+    """io.to_json as it stood while json.dumps' pure-Python encoder wrote the text."""
+    return json.dumps(mapping_jsonify(payload), sort_keys=True, indent=2) + "\n"
+
+
+def outcome_from_dict(data: Mapping[str, Any]) -> RuleOutcome:
+    """Rebuild an outcome from its JSON form (scores become floats)."""
+    ranking = []
+    scores: dict[str, float] = {}
+    has_scores = True
+    for item in data["ranking"]:
+        group = frozenset(item["systems"])
+        ranking.append(group)
+        if item.get("score") is None:
+            has_scores = False
+        else:
+            for m in group:
+                scores[m] = item["score"]
+    diagnostics = dict(data.get("diagnostics", {}))
+    unranked = frozenset(diagnostics.pop("unranked", ()))
+    return RuleOutcome(
+        rule_id=data["rule"],
+        mode=data["mode"],
+        ranking=tuple(ranking),
+        scores=scores if has_scores and scores else None,
+        unranked=unranked,
+        diagnostics=diagnostics,
+    )
 
 
 # -- exact simplex --------------------------------------------------------------

@@ -1,4 +1,5 @@
 import csv
+import enum
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import time
 
+from decimal import Decimal
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -17,14 +19,16 @@ from hypothesis import strategies as st
 
 import voteboard as vb
 from voteboard import ParseError
+from voteboard import io as vio
 from voteboard.cli import build_parser, main
 from voteboard.io import (
+    jsonify,
     load_leaderboard,
-    outcome_from_dict,
     outcome_to_dict,
     render_outcome_table,
     to_json,
 )
+from voteboard.model import LazyScores
 
 import reference
 
@@ -134,7 +138,7 @@ def test_outcome_round_trip(toy):
     for rule in ("borda", "plurality", "minimax", "condorcet", "minimal_dominant"):
         out = vb.aggregate(toy, rule)
         data = outcome_to_dict(out)
-        back = outcome_from_dict(data)
+        back = reference.outcome_from_dict(data)
         assert back.ranking == out.ranking
         assert back.unranked == out.unranked
         assert back.rule_id == out.rule_id
@@ -599,6 +603,137 @@ def test_scores_beyond_the_float_range_render_as_infinity(tmp_path, capsys):
     assert json.loads(out)["ranking"][0] == {"rank": 1, "systems": ["beta"], "score": math.inf}
 
 
+def test_infinite_scores_print_as_json_spells_them(tmp_path, capsys):
+    """Under a 1e400 weight, scores past the float range show as inf in the
+    table and as json's Infinity and -Infinity in the JSON text."""
+    path = tmp_path / "heavy.csv"
+    path.write_text("system,t1,t2\n#weight,1e400,1\nalpha,1,2\nbeta,2,1\ngamma,3,0\n")
+    for rule, table_scores, json_scores in (
+        ("borda", ["inf", "inf", "2"], ["Infinity,", "Infinity,", "2.0,"]),
+        ("minimax", ["0", "-inf", "-inf"], ["0.0,", "-Infinity,"]),
+    ):
+        code, out, _ = run_cli(["rank", "-i", str(path), "--rule", rule], capsys)
+        assert code == 0
+        assert [line.split()[2] for line in out.splitlines()[2:]] == table_scores, rule
+        code, out, _ = run_cli(["rank", "-i", str(path), "--rule", rule, "--format", "json"],
+                               capsys)
+        assert code == 0
+        assert [line.split()[1] for line in out.splitlines()
+                if line.lstrip().startswith('"score"')] == json_scores, rule
+
+
+# integers at and past the float range, 0 and negatives, over units up to 10**400
+SCORE_INTEGERS = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.integers(-2**1100, 2**1100),
+    st.sampled_from([0, -1, 2**1024 - 2**970, 2**1024, -2**1024, 10**400, -10**400]),
+)
+UNITS = st.one_of(st.integers(1, 10**6), st.integers(1, 10**400),
+                  st.sampled_from([1, 2**970, 10**308, 10**400]))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(row=st.lists(SCORE_INTEGERS, max_size=6), unit=UNITS)
+@example(row=[0, -7, 2**1024, -2**1024, 10**400, -10**400, 1], unit=1)
+@example(row=[0, -7, 2**1024, -2**1030, 10**800, -10**800, 1], unit=10**400)
+def test_lazy_scores_read_as_the_floats_of_their_fractions(row, unit):
+    """jsonify reads a LazyScores from its integers, as x / unit, and gets the
+    float, or the infinity, that the reference reads from each Fraction."""
+    names = [f"s{i}" for i in range(len(row))]
+    floats = jsonify(LazyScores(names, row, unit))
+    assert list(floats) == names
+    for name, x in zip(names, row):
+        expected = reference._as_float(F(x, unit))
+        assert floats[name] == expected and math.copysign(1, floats[name]) == (
+            math.copysign(1, expected)), (x, unit)
+
+
+JSON_TEXT = st.text(st.characters(blacklist_categories=()), max_size=8)
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2**200, 2**200),
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324]),
+    JSON_TEXT, st.fractions(),
+    st.builds(lambda row, unit: LazyScores([f"s{i}" for i in range(len(row))], row, unit),
+              st.lists(SCORE_INTEGERS, max_size=4), UNITS),
+)
+JSON_PAYLOADS = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.tuples(inner, inner),
+        st.dictionaries(JSON_TEXT | st.integers(-3, 3), inner, max_size=4),
+        st.frozensets(JSON_TEXT, max_size=3),
+    ),
+    max_leaves=24,
+)
+
+
+class Label(str):
+    pass
+
+
+class Level(enum.IntEnum):
+    HIGH = 2
+
+
+class Share(float):
+    pass
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(payload=JSON_PAYLOADS)
+@example(payload={"": [], "a": {}, "\u00e9\x00\n\ud800": [[], {}, -0.0, math.nan]})
+@example(payload=[Label("\u00e9"), Level.HIGH, Share(0.5), Share("inf"), {Label("k"): Level.HIGH}])
+def test_to_json_writes_the_json_dumps_text(payload):
+    """to_json's own emitter writes what json.dumps(..., sort_keys=True,
+    indent=2) wrote from the Fraction-dict read, byte for byte."""
+    assert to_json(payload) == reference.to_json(payload)
+
+
+@pytest.mark.parametrize("payload", [object(), {"a": [1, {"b": b"bytes"}]}, [{"c": 1j}],
+                                     {"d": (F(1, 2), Decimal(1))}])
+def test_to_json_refuses_what_json_dumps_refuses(payload):
+    with pytest.raises(TypeError) as caught:
+        reference.to_json(payload)
+    with pytest.raises(TypeError) as ours:
+        to_json(payload)
+    assert str(ours.value) == str(caught.value)
+
+
+def test_every_cli_payload_renders_as_json_dumps_did(tmp_path, capsys, monkeypatch):
+    """The payloads of rank (with a baseline), winner, compare, cw-weights,
+    iia and robustness print the bytes the json.dumps path printed."""
+    board = tmp_path / "board.csv"
+    board.write_text(glue_shaped_csv(0, 0.5))
+    groups = tmp_path / "groups.json"
+    groups.write_text(json.dumps(GLUE_GROUPS))
+    written = []
+
+    def record(payload):
+        written.append((payload, to_json(payload)))
+        return written[-1][1]
+
+    monkeypatch.setattr(vio, "to_json", record)
+    common = ["-i", str(board), "--groups", str(groups), "--format", "json"]
+    for argv in (
+        ["rank", "--rule", "threshold", "--baseline", "borda", "--mode", "two_step"],
+        ["rank", "--rule", "baldwin", "--baseline", "gmean"],
+        ["rank", "--rule", "uncovered", "--mode", "weighted"],
+        ["winner", "--rule", "condorcet"],
+        ["compare", "--rules", "borda", "optimality_gap", "--top-k", "3"],
+        ["cw-weights", "--system", "sys00"],
+        ["cw-weights", "--system", "sys00", "--lower", "0.05"],
+        ["experiment", "iia", "--rule", "copeland", "--trials", "3", "--seed", "1"],
+        ["experiment", "robustness", "--rules", "copeland", "mean", "--omit", "2",
+         "--trials", "3", "--seed", "1"],
+    ):
+        code, out, err = run_cli([*argv, *common], capsys)
+        assert code == 0, (argv, err)
+        payload, text = written[-1]
+        assert out == text == reference.to_json(payload), argv
+    assert len(written) == 9
+
+
 WEIGHT_STRINGS = st.one_of(
     st.builds(
         "{}{}{}".format,
@@ -672,6 +807,6 @@ def test_iterative_json_is_the_all_dict_outcome_json(tmp_path, capsys, seed, spr
             assert code == 0, err
             old = reference.run_rule(lb, reference.RULES[rule], mode)
             assert out == reference.outcome_json(old), (rule, mode)
-            back = outcome_from_dict(json.loads(out))
-            assert back == outcome_from_dict(json.loads(reference.outcome_json(old)))
+            back = reference.outcome_from_dict(json.loads(out))
+            assert back == reference.outcome_from_dict(json.loads(reference.outcome_json(old)))
             assert to_json(outcome_to_dict(back)) == out

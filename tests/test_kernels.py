@@ -49,7 +49,10 @@ On the same tables, RankTable.edge_masses must equal the first and last
 columns of reference.masses, the place-mass table RankTable built before,
 on random survivor sets. A scored outcome, whose scores build their
 Fractions when read, must equal, print, serialise and render as the
-outcome holding a plain dict.
+outcome holding a plain dict. Every rule's outcome on the ladder, in every
+mode the rung runs, full and holed, must serialise to the bytes of
+reference.to_json, which read each score map through its Fractions and
+wrote the text with json.dumps.
 
 threshold, which reads one place column per stage from slot rows it
 trims as systems win, must give the outcome, every stage's scores and
@@ -505,6 +508,27 @@ def test_scored_outcomes_read_as_their_plain_dict_versions():
                 to_json(outcome_to_dict(plain))
             ) == reference.outcome_json(plain), rid
             assert render_outcome_table(vb.aggregate(lb, rid)) == render_outcome_table(plain)
+
+
+@pytest.mark.parametrize("n,t,seed,modes,holes", ladder())
+def test_outcome_json_and_table_match_the_fraction_read(n, t, seed, modes, holes):
+    """Every rule's outcome, in every mode the rung runs, full and holed,
+    renders the JSON bytes of the json.dumps path that read each score map
+    through its Fractions, and the table of the outcome holding a plain dict."""
+    boards = [ladder_board(n, t, seed)] + ([ladder_board(n, t, seed, holes=True)] if holes else [])
+    for lb in boards:
+        vector = [3, 1] + [0] * (len(lb.systems) - 2)
+        for rid in vb.rule_ids():
+            params = {"vector": vector} if rid == "custom" else {}
+            for mode in modes:
+                out = outcome_or_error(lambda: vb.aggregate(lb, rid, mode, **params))
+                if isinstance(out, tuple):
+                    continue
+                assert to_json(outcome_to_dict(out)) == (
+                    reference.to_json(reference.outcome_to_dict(out))), (rid, mode)
+                if out.scores is not None:
+                    plain = dataclasses.replace(out, scores=dict(out.scores))
+                    assert render_outcome_table(out) == render_outcome_table(plain), (rid, mode)
 
 
 # values equal across types tie: 0, 0.0, -0.0 and F(0); 1, 1.0 and F(1); 0.1 and F(1, 10)

