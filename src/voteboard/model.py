@@ -41,7 +41,7 @@ from dataclasses import InitVar, dataclass, field
 from decimal import Decimal, InvalidOperation
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain, combinations, compress, groupby
+from itertools import chain, compress, groupby
 from operator import eq, itemgetter, lt
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
@@ -308,14 +308,6 @@ class Leaderboard:
     def task_weight(self, task: str) -> Fraction:
         return self.weights[self._task_index(task)]
 
-    @property
-    def total_weight(self) -> Fraction:
-        return sum(self.weights, Fraction(0))
-
-    @property
-    def group_map(self) -> dict[str, tuple[str, ...]]:
-        return dict(self.groups) if self.groups else {}
-
     def present_cells(self) -> tuple[tuple[str, str], ...]:
         """All (system, task) pairs that carry a score."""
         return tuple(
@@ -347,25 +339,6 @@ class Leaderboard:
             raise ValueError("cannot drop every system")
         return self._derived(tuple([self.systems[i] for i in kept]),
                              tuple([self.cells[i] for i in kept]), self.denominator)
-
-    def restrict_tasks(self, keep: Iterable[str]) -> "Leaderboard":
-        wanted = set(keep)
-        for t in wanted:
-            self._task_index(t)
-        idx = [j for j, t in enumerate(self.tasks) if t in wanted]
-        if not idx:
-            raise ValueError("cannot drop every task")
-        tasks = tuple(self.tasks[j] for j in idx)
-        rows = tuple(tuple(row[j] for j in idx) for row in self.cells)
-        dirs = tuple(self.directions[j] for j in idx)
-        wts = tuple(self.weights[j] for j in idx)
-        groups = tuple([(name, inside) for name, members in self.groups or ()
-                        if (inside := tuple([t for t in members if t in wanted]))]) or None
-        return self._of_cells(self.systems, tasks, rows, self.denominator, dirs, wts, groups)
-
-    def with_score(self, system: str, task: str, value: int | float | Fraction | None):
-        i, j = self._sys_index(system), self._task_index(task)
-        return self._with_cells({(i, j): None if value is None else cell_ratio(value)})
 
     def without_cells(self, cells: Iterable[tuple[str, str]]) -> "Leaderboard":
         gone = [(self._sys_index(m), self._task_index(t)) for m, t in cells]
@@ -444,6 +417,8 @@ def build_profile(
 
 
 Counts = tuple[tuple[int, ...], ...]
+# the struct code of a packed count field, by its width in bytes
+_FIELD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 @dataclass(frozen=True, init=False)
@@ -469,10 +444,13 @@ class RankTable:
     never builds the orders. Equality, repr and every kernel but the counts
     read the orders, and build them. A table built from orders packs each
     system's counts into one integer, one row per distinct task weight
-    multiplied out at the end, with a field per rival 32 * ceil(bits(total)
-    / 32) bits wide and never narrower than 32. It reads each row back from
-    its little-endian bytes: 32- and 64-bit fields with struct, wider ones
-    in slices.
+    multiplied out at the end, with a field per rival of 8, 16, 32 or 64
+    bits, the narrowest that holds total, or past 64 bits the next multiple
+    of 32. Each task is walked from its last group up, adding the fields
+    passed so far to each member's row; an untied system is one step, not
+    a loop over a group of one. Each row is read back from its
+    little-endian bytes: fields of up to 64 bits with struct's B, H, I or
+    Q, wider ones in slices.
 
     The constructor checks the orders it is given; build_profile, the
     two-step second step and the derived tables build through _unchecked.
@@ -603,7 +581,8 @@ class RankTable:
         if self._source is not None:
             return self._source.counts()
         # row a holds counts[a][b] at bit width * b; no count exceeds total, so none carries
-        width = 32 * max(1, (self.total.bit_length() + 31) // 32)
+        bits = self.total.bit_length()
+        width = 8 if bits <= 8 else 16 if bits <= 16 else 32 * -(-bits // 32)
         n = len(self.systems)
         field_of = [1 << (width * b) for b in range(n)]
         # the unweighted counts of each distinct positive weight's tasks, so
@@ -617,6 +596,11 @@ class RankTable:
                 rows = by_weight[w] = [0] * n
             below = 0
             for group in reversed(groups):
+                if len(group) == 1:
+                    a = group[0]
+                    rows[a] += below
+                    below += field_of[a]
+                    continue
                 for a in group:
                     rows[a] += below
                 for b in group:
@@ -627,7 +611,7 @@ class RankTable:
         step = width // 8
         data = [row.to_bytes(n * step, "little") for row in rows]
         if width <= 64:
-            unpack = struct.Struct(f"<{n}{'I' if width == 32 else 'Q'}").unpack
+            unpack = struct.Struct(f"<{n}{_FIELD_CODES[step]}").unpack
             return tuple([unpack(row) for row in data])
         slices = range(0, n * step, step)
         return tuple([tuple([int.from_bytes(row[i:i + step], "little") for i in slices])
@@ -879,21 +863,6 @@ class RuleOutcome:
 
     def fractional_ranks(self) -> dict[str, Fraction]:
         return fractional_ranks_of(self.ranking)
-
-    def pair_relations(
-        self, systems: Iterable[str] | None = None
-    ) -> dict[tuple[str, str], int]:
-        """-1, 0, +1 per ordered pair: sign of rank(a) - rank(b)."""
-        ranks = self.fractional_ranks()
-        pool = sorted(ranks) if systems is None else sorted(systems)
-        for m in pool:
-            if m not in ranks:
-                raise ValueError(f"system {m!r} is unranked in this outcome")
-        rel = {}
-        for a, b in combinations(pool, 2):
-            ra, rb = ranks[a], ranks[b]
-            rel[(a, b)] = (ra > rb) - (ra < rb)
-        return rel
 
 
 def ranked_by(

@@ -8,8 +8,10 @@ splitting the group's position mass evenly.
 Totals are summed in integers from a RankTable's tie orders: the vector
 entries are scaled by the LCM L of their denominators and the task weights
 by the table's mass unit, and each tie group adds the sum of the scaled
-entries over the places it spans. The totals and their unit, mass_unit * L,
-go to model.ranked_by, which makes each total a Fraction once.
+entries over the places it spans; an untied system adds its one place's
+entry times the weight, without the per-member split. The totals and their
+unit, mass_unit * L, go to model.ranked_by, which makes each total a
+Fraction once.
 """
 
 from __future__ import annotations
@@ -110,6 +112,10 @@ def _integer_totals(table: RankTable, vector: ScoringVector) -> tuple[dict[str, 
         w *= per_weight
         place = 0
         for group in groups:
+            if len(group) == 1:
+                totals[group[0]] += (prefix[place + 1] - prefix[place]) * w
+                place += 1
+                continue
             share = (prefix[place + len(group)] - prefix[place]) * (w // len(group))
             for a in group:
                 totals[a] += share

@@ -95,6 +95,7 @@ from voteboard.model import (
     RuleOutcome,
     _check_unique,
     as_fraction,
+    cell_ratio,
     missing_score,
 )
 from voteboard.modes import BASIC, MODES, TWO_STEP, Rule, _covering_groups
@@ -134,6 +135,62 @@ def integer_weights(
 def _check_weights(weights: Iterable[int | Fraction]) -> None:
     if any(w < 0 for w in weights):
         raise ValueError("task weights must be non-negative")
+
+
+# -- board and outcome readers only the tests use ---------------------------
+
+
+def total_weight(lb: Leaderboard) -> Fraction:
+    """Leaderboard.total_weight as it was: the sum of the task weights."""
+    return sum(lb.weights, Fraction(0))
+
+
+def group_map(lb: Leaderboard) -> dict[str, tuple[str, ...]]:
+    """Leaderboard.group_map as it was: group name -> its tasks, {} without groups."""
+    return dict(lb.groups) if lb.groups else {}
+
+
+def restrict_tasks(lb: Leaderboard, keep: Iterable[str]) -> Leaderboard:
+    """Leaderboard.restrict_tasks as it was: the board on the tasks kept, in
+    board order, with each group cut to them and emptied groups dropped."""
+    wanted = set(keep)
+    for t in wanted:
+        lb._task_index(t)
+    idx = [j for j, t in enumerate(lb.tasks) if t in wanted]
+    if not idx:
+        raise ValueError("cannot drop every task")
+    tasks = tuple(lb.tasks[j] for j in idx)
+    rows = tuple(tuple(row[j] for j in idx) for row in lb.cells)
+    dirs = tuple(lb.directions[j] for j in idx)
+    wts = tuple(lb.weights[j] for j in idx)
+    groups = tuple([(name, inside) for name, members in lb.groups or ()
+                    if (inside := tuple([t for t in members if t in wanted]))]) or None
+    return Leaderboard._of_cells(lb.systems, tasks, rows, lb.denominator, dirs, wts, groups)
+
+
+def with_score(lb: Leaderboard, system: str, task: str,
+               value: int | float | Fraction | None) -> Leaderboard:
+    """Leaderboard.with_score as it was: the board with one cell set, or
+    unranked with None."""
+    i, j = lb._sys_index(system), lb._task_index(task)
+    return lb._with_cells({(i, j): None if value is None else cell_ratio(value)})
+
+
+def pair_relations(
+    outcome: RuleOutcome, systems: Iterable[str] | None = None
+) -> dict[tuple[str, str], int]:
+    """RuleOutcome.pair_relations as it was: -1, 0, +1 per ordered pair of
+    the systems (default all), the sign of rank(a) - rank(b)."""
+    ranks = outcome.fractional_ranks()
+    pool = sorted(ranks) if systems is None else sorted(systems)
+    for m in pool:
+        if m not in ranks:
+            raise ValueError(f"system {m!r} is unranked in this outcome")
+    rel = {}
+    for a, b in combinations(pool, 2):
+        ra, rb = ranks[a], ranks[b]
+        rel[(a, b)] = (ra > rb) - (ra < rb)
+    return rel
 
 
 # -- profiles ---------------------------------------------------------------
@@ -1372,7 +1429,7 @@ def iia_experiment(
         for newcomer in order[2:]:
             now = present + [newcomer]
             out = run_library_rule(restrict_systems(lb, now), rule_obj, BASIC, **rule_params)
-            if out.pair_relations(present) != prev.pair_relations(present):
+            if pair_relations(out, present) != pair_relations(prev, present):
                 changed += 1
             present = now
             prev = out
@@ -1392,7 +1449,7 @@ def impute_medians(corrupted: Leaderboard, deleted: Sequence[tuple[str, str]]) -
         remaining = [float(row[j]) for row in corrupted.scores if row[j] is not None]
         value = statistics.median(remaining) if remaining else 0.0
         for system in systems:
-            board = board.with_score(system, task, value)
+            board = with_score(board, system, task, value)
     return board
 
 

@@ -25,6 +25,7 @@ from voteboard import (
 from voteboard.experiments import ExperimentConfig, iia_experiment, robustness_experiment
 
 import oracle
+import reference
 from conftest import TOY_ORDERS, board_from_orders, random_board
 
 CONDORCET_CONSISTENT = (
@@ -199,7 +200,7 @@ def single_step_improvements(lb, winner):
 
 def swap_scores(lb, task, a, b):
     sa, sb = lb.score(a, task), lb.score(b, task)
-    return lb.with_score(a, task, sb).with_score(b, task, sa)
+    return reference.with_score(reference.with_score(lb, a, task, sb), b, task, sa)
 
 
 def rule_calls(n):
@@ -269,7 +270,7 @@ def test_criterion_5_cw_weights_soundness():
             # plant a strictly dominated system
             loser, ref = lb.systems[0], lb.systems[1]
             for t in lb.tasks:
-                lb = lb.with_score(loser, t, lb.score(ref, t) - 1.0)
+                lb = reference.with_score(lb, loser, t, lb.score(ref, t) - 1.0)
             mat = build_dominance_matrix(lb, loser)
             res = find_cw_weights(mat)
             assert not res.prospective

@@ -34,10 +34,13 @@ repeat the first.
 
 The packed pairwise counts must equal the pair-by-pair loop's on every
 ladder board, on 200 seeded random boards of 2 to 30 systems with ties,
-holes and weights 1, 1/3 and 5/7, and on boards whose scaled total passes
-2**32 (64-bit fields) and 2**63 (the loop fallback). On the random boards
-the bitmask relation (edges, dominated and dominator sets, the Condorcet
-winner) and every set rule must equal the reference's frozenset versions.
+holes and weights 1, 1/3 and 5/7, on boards whose scaled total passes
+2**32 and 2**63, and on boards whose totals sit on each side of 2**8,
+2**16, 2**32 and 2**64, the edges of the 8-, 16-, 32- and 64-bit fields,
+and on the tables restrict and without derive from those. On the random
+boards the bitmask relation (edges, dominated and dominator sets, the
+Condorcet winner) and every set rule must equal the reference's frozenset
+versions.
 Boards whose weights several tasks share check that each weight class is
 multiplied out once.
 
@@ -358,6 +361,49 @@ def test_packed_counts_beyond_32_and_63_bits():
             assert vb.aggregate(lb, "uncovered") == reference.run_rule(
                 lb, reference.RULES["uncovered"]
             )
+
+
+def field_board(weights, seed, *, holes):
+    """Seeded 14-system board, one task per weight, with ties and untied
+    places. s00 tops every task and s01 is ranked on every task, so
+    counts[0][1] equals the scaled total; with holes, other cells go."""
+    rng = random.Random(f"field:{seed}")
+    systems = [f"s{i:02d}" for i in range(14)]
+    tasks = [f"t{j}" for j in range(len(weights))]
+    scores = {m: {tk: rng.randint(0, 9) for tk in tasks} for m in systems}
+    scores["s00"] = dict.fromkeys(tasks, 10)
+    lb = vb.Leaderboard.from_scores(scores, tasks=tasks, weights=dict(zip(tasks, weights)))
+    if holes:
+        cells = [c for c in lb.present_cells() if c[0] not in ("s00", "s01")]
+        lb = lb.without_cells(rng.sample(cells, len(cells) // 5))
+    return lb
+
+
+@pytest.mark.parametrize("total", [
+    2**8 - 1, 2**8, 2**16 - 1, 2**16, 2**32 - 1, 2**32, 2**64 - 1, 2**64,
+])
+def test_packed_counts_at_each_field_width_boundary(total):
+    """Totals on each side of 2**8, 2**16, 2**32 and 2**64 pack into the
+    narrowest field that holds them (8, 16, 32, 64 or 96 bits), and the
+    counts reach the total. They equal the loop's on the full table, on a
+    restriction and on an unranking of it, with and without holes and with
+    a zero-weight task; the second board shares a weight between tasks."""
+    for seed, weights in enumerate((
+        [F(total - 3), F(1), F(2), F(0)],
+        [F(total - 4), F(1), F(2), F(1), F(0)],
+    )):
+        for holes in (False, True):
+            table = table_of(field_board(weights, seed, holes=holes))
+            assert table.total == total
+            counts = table.pairwise()
+            assert counts == loop_counts(table)
+            assert counts[0][1] == max(map(max, counts)) == total
+            kept = [0, 1, 3, 4, 7, 8, 12]
+            cells = [(i, j) for j, groups in enumerate(table.orders) for group in groups
+                     for i in group if i > 1 and (i + j) % 3 == 0]
+            for derived in (table.restrict(kept), table.without(cells)):
+                assert derived.pairwise() == loop_counts(derived)
+                assert derived.pairwise()[0][1] == total
 
 
 # -- the table builder, the weight-grouped counts, the edge masses ------------

@@ -16,6 +16,7 @@ from voteboard import (
 )
 
 import oracle
+import reference
 from conftest import board_from_orders, random_board
 
 TOY_EDGES = {
@@ -47,7 +48,7 @@ def test_toy_edges_and_margins(toy):
 
 
 def test_missing_cell_recounts_margin(toy):
-    holed = toy.with_score("B", "t1", None)
+    holed = reference.with_score(toy, "B", "t1", None)
     g = build_majority_graph(holed)
     # A vs B decided on t2..t5 only: B still leads 3-1
     assert g.margin("B", "A") == F(2)

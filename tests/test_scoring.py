@@ -15,6 +15,7 @@ from voteboard import (
 )
 
 from voteboard.io import load_leaderboard
+from voteboard.scoring import _integer_totals
 
 import oracle
 import reference
@@ -163,7 +164,7 @@ def test_vector_length_mismatch(toy):
 
 
 def test_missing_score_rejected(toy):
-    holed = toy.with_score("C", "t2", None)
+    holed = reference.with_score(toy, "C", "t2", None)
     with pytest.raises(MissingScore):
         vb.aggregate(holed, "borda")
     table = build_profile(holed, missing_ok=True)
@@ -185,6 +186,40 @@ def test_score_with_vector_matches_reference():
             assert got == want and list(got) == list(lb.systems)
 
 
+def mixed_tie_board(n, seed):
+    """Seeded n x 6 board with untied, partly tied and fully tied tasks, min
+    directions, and weights 0, 1/3, 1, 5/7 and 2."""
+    rng = random.Random(f"mixed-ties:{n}:{seed}")
+    systems = [f"s{i:02d}" for i in range(n)]
+    levels = (rng.sample(range(n), n), [rng.randint(0, n // 3) for _ in systems], [4] * n,
+              rng.sample(range(n), n), [rng.randint(0, 2) for _ in systems],
+              [rng.randint(0, n) for _ in systems])
+    tasks = [f"t{j}" for j in range(len(levels))]
+    scores = {m: {tk: column[i] for tk, column in zip(tasks, levels)}
+              for i, m in enumerate(systems)}
+    weights = dict(zip(tasks, [F(1), F(1, 3), F(2), F(0), F(5, 7), F(1)]))
+    directions = {tk: rng.choice(["max", "min"]) for tk in tasks}
+    return vb.Leaderboard.from_scores(scores, tasks=tasks, weights=weights,
+                                      directions=directions)
+
+
+@pytest.mark.parametrize("n", [2, 5, 20, 50])
+def test_integer_totals_match_reference_on_mixed_ties(n):
+    """_integer_totals, read over its unit, equals reference.score_with_vector
+    for borda, dowdall and a custom vector, on boards whose tasks are
+    untied, partly tied and fully tied."""
+    for seed in range(3):
+        lb = mixed_tie_board(n, seed)
+        table = build_profile(lb)
+        assert {len(groups) for groups in table.orders} >= {1, n}
+        ref_profile = reference.build_profile(lb)
+        custom = ScoringVector.custom([F(9, 2)] + [F(n - p, 3 * n) for p in range(1, n)])
+        for vector in (ScoringVector.borda(n), ScoringVector.dowdall(n), custom):
+            totals, unit = _integer_totals(table, vector)
+            want = reference.score_with_vector(ref_profile, vector, reference.base_weights(lb))
+            assert {m: F(x, unit) for m, x in totals.items()} == want, (seed, vector)
+
+
 def test_score_mass_is_conserved():
     # every task hands out exactly sum(vector) x weight
     rng = random.Random(33)
@@ -192,7 +227,7 @@ def test_score_mass_is_conserved():
         lb = random_board(rng, allow_weights=True, allow_min_direction=True)
         n = len(lb.systems)
         out = vb.aggregate(lb, "borda")
-        expected = lb.total_weight * F(n * (n - 1), 2)
+        expected = reference.total_weight(lb) * F(n * (n - 1), 2)
         assert sum(out.scores.values(), F(0)) == expected
 
 

@@ -13,13 +13,17 @@ Every pass issues each op once on each side, one side right after the
 other, and the side that goes first alternates from op to op and from
 pass to pass. For each op key (one rule on every board of the workload),
 the script prints each side's best-of-passes total in milliseconds and the
-change/parent ratio. An op whose code is the same on both sides shows the
+change/parent ratio, and an `all ops` row ends the table with each side's
+sum of those totals. An op whose code is the same on both sides shows the
 method's own bias, so read a ratio against the untouched ops of the same
 run. Stdout's last line is the same table as one JSON object.
 
-Before timing, each CLI op runs once, untimed, on each side, and the two
-sides' stdout and exit code are compared. When the workload has CLI ops,
-the first line printed counts the ops that differ and names the first few.
+Before timing, each op runs once, untimed, on each side, and the two sides'
+output is compared: a CLI op's stdout and exit code, an aggregate outcome
+as outcome_to_dict renders it to JSON, an experiment report as its JSON,
+and a refusal as its type and message. The first lines printed count the
+CLI ops and the library ops that differ, one line for each kind the
+workload has, and name the first few.
 """
 
 from __future__ import annotations
@@ -87,6 +91,20 @@ def op_call(side, op, board, files):
     return request
 
 
+def rendered(side, op, call, refused):
+    """What op gives on one side: the CLI op's exit code and stdout, or the
+    library op's JSON text or refusal."""
+    try:
+        out = call()
+    except refused as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if op.kind == "cli":
+        return out
+    if op.kind == "aggregate":
+        out = side["io"].outcome_to_dict(out)
+    return side["io"].to_json(out)
+
+
 def timed(call, refused) -> int:
     """The call's time in ns; a refusal the op documents (refused, the
     side's VoteboardError) is timed as it ran, as the benchmark does."""
@@ -122,15 +140,15 @@ def main(argv=None) -> int:
         root = Path(tmp)
         files = {f.name: f for f in write_boards(list(workload.boards), args.seed, root / "boards")}
         sys.path.insert(0, str(root))
-        calls, refused = {}, {}
+        calls, refused, outputs = {}, {}, {}
         for name, src in zip(SIDES, (args.parent, args.change)):
             side = load_side(src, f"voteboard_{name}", root)
             refused[name] = side["errors"].VoteboardError
             boards = {b: side["io"].load_leaderboard(f.csv, groups_path=f.groups)
                       for b, f in files.items()}
             calls[name] = [op_call(side, op, boards[op.board], files[op.board]) for op in ops]
-        cli = [i for i, op in enumerate(ops) if op.kind == "cli"]
-        differ = [ops[i].op_id for i in cli if calls["parent"][i]() != calls["change"][i]()]
+            outputs[name] = [rendered(side, op, call, refused[name])
+                             for op, call in zip(ops, calls[name])]
         best: dict[str, dict[str, float]] = {name: {} for name in SIDES}
         for p in range(args.passes):
             totals: dict[str, dict[str, int]] = {name: {} for name in SIDES}
@@ -141,11 +159,18 @@ def main(argv=None) -> int:
             for name in SIDES:
                 for key, ns in totals[name].items():
                     best[name][key] = min(best[name].get(key, ns), ns)
+    for name in SIDES:
+        best[name]["all ops"] = sum(best[name].values())
     rows = {key: {"parent_ms": best["parent"][key] / 1e6, "change_ms": best["change"][key] / 1e6,
                   "ratio": best["change"][key] / best["parent"][key]}
             for key in best["parent"]}
-    if cli:
-        line = f"{len(differ)} of {len(cli)} CLI ops differ in stdout or exit code"
+    for cli, kind, what in ((True, "CLI", "stdout or exit code"),
+                            (False, "library", "rendered output")):
+        mine = [i for i, op in enumerate(ops) if (op.kind == "cli") == cli]
+        if not mine:
+            continue
+        differ = [ops[i].op_id for i in mine if outputs["parent"][i] != outputs["change"][i]]
+        line = f"{len(differ)} of {len(mine)} {kind} ops differ in {what}"
         if differ:
             line += ": " + ", ".join(differ[:5]) + (", ..." if len(differ) > 5 else "")
         print(line)
