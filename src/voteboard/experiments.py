@@ -253,6 +253,11 @@ def robustness_experiment(
     ref_sets: dict[str, tuple[str, ...]] = {}
     for rid in rules:
         out = run(rid, lb if rid in IMPUTABLE else table)
+        if not out.is_total():
+            raise RuleUnsupportedForMode(
+                f"rule {rid!r} leaves systems unranked on the intact board, "
+                "so it has no ranks to correlate"
+            )
         ref_ranks[rid] = out.fractional_ranks()
         ref_sets[rid] = tuple(sorted(end_set(out, cfg.top_k)))
 

@@ -15,11 +15,13 @@ hare and coombs take only the first- or last-place mass column, from
 RankTable.edge_masses, which walks each task from that end only as far as
 its first surviving group. baldwin, nanson and black take Borda scores
 from the pairwise counts, where dropping a system deletes its column.
-Both kernels sum integers in LCM-scaled weight units. Each threshold stage
-and elimination round keeps its integer scores and their unit in a
-model.LazyScores, which builds the Fractions when it is read; black
-packages its Borda scores with model.ranked_by, whose scores are a
-LazyScores too.
+Both kernels sum integers in LCM-scaled weight units. The diagnostics are
+a model.LazyDiagnostics: the loops keep only each threshold stage's
+integer scores and pool, and each elimination round's survivor indices
+and integer scores. _threshold_diagnostics and _elimination_diagnostics
+build the diagnostics dict from them, every score map a model.LazyScores,
+when the diagnostics are first read. black packages its Borda scores with
+model.ranked_by, whose scores are a LazyScores too.
 
 Tuples are built from lists, for the reason the model module gives.
 """
@@ -33,7 +35,7 @@ from operator import sub
 from typing import Any, Callable, Mapping, Sequence
 
 from .majority import condorcet_winner, majority_graph_from_table
-from .model import LazyScores, RankTable, RuleOutcome, ranked_by
+from .model import LazyDiagnostics, LazyScores, RankTable, RuleOutcome, ranked_by
 from .modes import Rule
 
 
@@ -60,22 +62,21 @@ def _threshold_winner(
     weights: list[int],
     scores: list[int],
     index: list[int],
-    names: tuple[str, ...],
-    unit: int,
-) -> tuple[Sequence[int], list[dict[str, Any]]]:
+) -> tuple[Sequence[int], list[list[int]], list[list[int]]]:
     """Tied set left after the top-k tie-break cascade among the candidates.
 
     rows are the tasks' slot rows, holding only the k candidates, and
-    weights the tasks' weights. scores are the candidates' total masses
-    and names their names, in candidate order; index[a] is system a's
-    position in that order. Every mass is in units of unit. Stage z scores
-    each candidate by its mass on the top k - z places: the previous
-    stage's score less its mass in slot k - z (counting from 0) of every
-    row that long. Returns the winners' positions.
+    weights the tasks' weights. scores are the candidates' total masses,
+    in candidate order; index[a] is system a's position in that order.
+    Stage z scores each candidate by its mass on the top k - z places: the
+    previous stage's score less its mass in slot k - z (counting from 0)
+    of every row that long. Returns the winners' positions, and each
+    stage's scores and pool, positions again.
     """
-    k = len(names)
+    k = len(scores)
     pool: Sequence[int] = range(k)
-    stages: list[dict[str, Any]] = []
+    scored: list[list[int]] = []
+    pools: list[list[int]] = []
     for zeros in range(1, k):
         p = k - zeros
         column = [0] * k
@@ -92,14 +93,36 @@ def _threshold_winner(
         scores = list(map(sub, scores, column))
         best = max([scores[i] for i in pool])
         pool = [i for i in pool if scores[i] == best]
-        stages.append({
-            "zeros": zeros,
-            "scores": LazyScores(names, scores, unit),
-            "tied": tuple(sorted([names[i] for i in pool])),
-        })
+        scored.append(scores)
+        pools.append(pool)
         if len(pool) == 1:
             break
-    return pool, stages
+    return pool, scored, pools
+
+
+def _threshold_diagnostics(
+    names: tuple[str, ...],
+    unit: int,
+    repetitions: list[tuple[list[int], list[list[int]], list[list[int]]]],
+) -> dict[str, Any]:
+    """threshold's diagnostics from each repetition's candidates (system
+    indices) and its stages' scores and pools (candidate positions)."""
+    out = []
+    for remaining, scored, pools in repetitions:
+        candidates = tuple([names[a] for a in remaining])
+        stages = []
+        for zeros, (scores, pool) in enumerate(zip(scored, pools), 1):
+            stages.append({
+                "zeros": zeros,
+                "scores": LazyScores(candidates, scores, unit),
+                "tied": tuple(sorted([candidates[i] for i in pool])),
+            })
+        out.append({"candidates": candidates, "stages": stages})
+    first = out[0]["stages"]
+    return {
+        "repetitions": out,
+        "first_round_scores": first[0]["scores"] if first else None,
+    }
 
 
 def _drop_from_slots(rows: list[list[tuple[int, ...]]], gone: list[int]) -> None:
@@ -130,26 +153,23 @@ def _threshold_run(table: RankTable) -> RuleOutcome:
     index = [0] * len(names)
     remaining = list(range(len(names)))
     groups: list[frozenset[str]] = []
-    repetitions: list[dict[str, Any]] = []
+    repetitions = []
     while remaining:
-        candidates = tuple([names[a] for a in remaining])
         for i, a in enumerate(remaining):
             index[a] = i
-        pool, stages = _threshold_winner(
-            rows, weights, [mass[a] for a in remaining], index, candidates, unit
+        pool, scored, pools = _threshold_winner(
+            rows, weights, [mass[a] for a in remaining], index
         )
         winners = [remaining[i] for i in pool]
         groups.append(frozenset(names[a] for a in winners))
-        repetitions.append({"candidates": candidates, "stages": stages})
+        repetitions.append((remaining, scored, pools))
         remaining = [a for a in remaining if a not in winners]
         if remaining:
             _drop_from_slots(rows, winners)
-    first = repetitions[0]["stages"]
-    diagnostics = {
-        "repetitions": repetitions,
-        "first_round_scores": first[0]["scores"] if first else None,
-    }
-    return RuleOutcome(ranking=tuple(groups), diagnostics=diagnostics)
+    return RuleOutcome(
+        ranking=tuple(groups),
+        diagnostics=LazyDiagnostics(_threshold_diagnostics, names, unit, repetitions),
+    )
 
 
 # -- elimination rules ------------------------------------------------------
@@ -164,19 +184,22 @@ def _elimination(scorer: Callable[[RankTable], tuple[Callable, int, Callable]],
 
     scorer(table) gives score(survivors, dropped), each survivor's integer
     score once the systems the last round dropped are gone, the scores'
-    unit, and vector(k), the round's scoring vector on k survivors. pick
-    marks the round's losers from the scores.
+    unit, and vectors, the module-level function from which
+    _elimination_diagnostics gets each round's scoring vector. pick marks
+    the round's losers from the scores.
     """
 
     def run(table: RankTable) -> RuleOutcome:
         names = table.systems
-        score, unit, vector = scorer(table)
+        score, unit, vectors = scorer(table)
         whole = table.total * (unit // table.scale)
         survivors = list(range(len(names)))
         dropped: list[int] = []
         tiers: list[frozenset[str]] = []
-        rounds: list[EliminationRound] = []
-        extra: dict[str, Any] = {}
+        # each round's survivors and scores; a new list each, never mutated
+        alive: list[list[int]] = []
+        scored: list[list[int]] = []
+        stop = None
         while len(survivors) > 1:
             if majority:
                 firsts = table.edge_masses(survivors)
@@ -185,7 +208,7 @@ def _elimination(scorer: Callable[[RankTable], tuple[Callable, int, Callable]],
                 if 2 * top > whole:
                     best = survivors[firsts.index(top)]
                     tiers.append(frozenset([names[a] for a in survivors if a != best]))
-                    extra = {"majority_winner": names[best], "majority_share": Fraction(top, whole)}
+                    stop = (best, top, whole)
                     survivors = [best]
                     break
             scores = score(survivors, dropped)
@@ -193,17 +216,43 @@ def _elimination(scorer: Callable[[RankTable], tuple[Callable, int, Callable]],
             dropped = list(compress(survivors, out))
             if not dropped or len(dropped) == len(survivors):
                 break
-            alive = tuple([names[a] for a in survivors])
             tiers.append(frozenset([names[a] for a in dropped]))
-            rounds.append(EliminationRound(
-                alive, vector(len(alive)), LazyScores(alive, scores, unit), tiers[-1]
-            ))
+            alive.append(survivors)
+            scored.append(scores)
             survivors = [a for a, gone in zip(survivors, out) if not gone]
         ranking = (frozenset([names[a] for a in survivors]), *reversed(tiers))
-        diagnostics = {"trace": EliminationTrace(tuple(rounds)), **extra}
-        return RuleOutcome(ranking=ranking, diagnostics=diagnostics)
+        return RuleOutcome(ranking=ranking, diagnostics=LazyDiagnostics(
+            _elimination_diagnostics, names, unit, vectors, alive, scored, tiers, stop
+        ))
 
     return run
+
+
+def _elimination_diagnostics(
+    names: tuple[str, ...],
+    unit: int,
+    vectors: Callable[[int], Callable[[int], tuple[Fraction, ...]]],
+    alive: list[list[int]],
+    scored: list[list[int]],
+    tiers: list[frozenset[str]],
+    stop: tuple[int, int, int] | None,
+) -> dict[str, Any]:
+    """The elimination rules' diagnostics: an EliminationRound per round from
+    its survivors, scores and losers, each round's vector from vectors(n),
+    and, where coombs stopped at a majority, its winner and share."""
+    vector = vectors(len(names))
+    rounds = []
+    for survivors, scores, gone in zip(alive, scored, tiers):
+        here = tuple([names[a] for a in survivors])
+        rounds.append(EliminationRound(
+            here, vector(len(here)), LazyScores(here, scores, unit), gone
+        ))
+    diagnostics: dict[str, Any] = {"trace": EliminationTrace(tuple(rounds))}
+    if stop is not None:
+        best, top, whole = stop
+        diagnostics["majority_winner"] = names[best]
+        diagnostics["majority_share"] = Fraction(top, whole)
+    return diagnostics
 
 
 def _net_wins(counts: tuple[tuple[int, ...], ...]) -> list[int]:
@@ -223,15 +272,29 @@ def _doubled_borda(net: list[int], survivors: Sequence[int], total: int) -> list
     return [base + net[a] for a in survivors]
 
 
+def _borda_vectors(n: int) -> Callable[[int], tuple[Fraction, ...]]:
+    """The Borda vector on k survivors: ScoringVector.borda(k).entries,
+    without its checks, sliced from the one on n."""
+    borda = tuple([Fraction(p) for p in range(n - 1, -1, -1)])
+    return lambda k: borda[n - k:]
+
+
+def _first_vectors(n: int) -> Callable[[int], tuple[Fraction, ...]]:
+    """The one-hot vector on the first of k places."""
+    return lambda k: (_ONE,) + (_ZERO,) * (k - 1)
+
+
+def _last_vectors(n: int) -> Callable[[int], tuple[Fraction, ...]]:
+    """The one-hot vector on the last of k places."""
+    return lambda k: (_ZERO,) * (k - 1) + (_ONE,)
+
+
 def _borda_scorer(table: RankTable):
     """Doubled Borda scores, in units of 2 * scale, from the net wins, which
-    lose the dropped systems' columns each round; the Borda vector."""
+    lose the dropped systems' columns each round; the Borda vectors."""
     counts = table.pairwise()
     net = _net_wins(counts)
     total = table.total
-    n = len(net)
-    # ScoringVector.borda(k).entries, without its checks, is the last k of these
-    borda = tuple([Fraction(p) for p in range(n - 1, -1, -1)])
 
     def score(survivors: list[int], dropped: list[int]) -> list[int]:
         if dropped:
@@ -239,18 +302,16 @@ def _borda_scorer(table: RankTable):
                 net[a] -= sum([counts[a][b] - counts[b][a] for b in dropped])
         return _doubled_borda(net, survivors, total)
 
-    return score, 2 * table.scale, lambda k: borda[n - k:]
+    return score, 2 * table.scale, _borda_vectors
 
 
 def _edge_scorer(last: bool):
     """First-place (hare) or last-place (coombs) masses, in mass_unit units,
-    and the one-hot vector on that place."""
-
-    def vector(k: int) -> tuple[Fraction, ...]:
-        return (_ZERO,) * (k - 1) + (_ONE,) if last else (_ONE,) + (_ZERO,) * (k - 1)
+    and the one-hot vectors on that place."""
+    vectors = _last_vectors if last else _first_vectors
 
     def scorer(table: RankTable):
-        return lambda survivors, _: table.edge_masses(survivors, last=last), table.mass_unit, vector
+        return lambda alive, _: table.edge_masses(alive, last=last), table.mass_unit, vectors
 
     return scorer
 

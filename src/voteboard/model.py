@@ -22,8 +22,12 @@ walked from either end. A rule that ranks by a score hands its integer
 scores and their unit to ranked_by, which groups on the integers; a
 set-valued rule hands its winners to chosen. Outcome scores, and the
 score maps kept as diagnostics, are LazyScores, which build their
-Fractions when first read, so a caller that reads only the ranking never
-builds them.
+Fractions when first read. The elimination, threshold and named
+positional rules, and two_step's electors, keep their diagnostics as a
+LazyDiagnostics: the integer state the rule core made anyway, and the
+function that builds the diagnostics dict from it on the first read. So a
+caller that reads only the ranking, as the experiment loops do, builds
+neither.
 
 Tuples built on every rule call come from lists, not from generators or
 map objects. tuple() of an iterator without a length resizes its result,
@@ -43,7 +47,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import chain, compress, groupby
 from operator import eq, itemgetter, lt
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import EmptySubset, MissingScore, UnknownSystem
 
@@ -748,25 +752,6 @@ class _Unranking(NamedTuple):
         return tuple([tuple(row) for row in rows])
 
 
-def position_counts(table: RankTable, system: str) -> tuple[Fraction, ...]:
-    """Weighted mass the system places at each integer rank 1..n.
-
-    A tie group of size g spanning places p..p+g-1 contributes w/g of the
-    task's weight w at each spanned place, so the total mass equals the
-    weight of the tasks that rank the system.
-    """
-    if system not in table.systems:
-        raise UnknownSystem(f"unknown system: {system!r}")
-    a = table.systems.index(system)
-    per_weight = table.mass_unit // table.scale
-    counts = [0] * len(table.systems)
-    for row, w in zip(table.place_slots()[0], table.weights):
-        for p, group in enumerate(row):
-            if a in group:
-                counts[p] += w * per_weight // len(group)
-    return tuple(Fraction(x, table.mass_unit) for x in counts)
-
-
 def group_by_score(
     scores: Mapping[str, Fraction | float | int],
     *,
@@ -804,8 +789,9 @@ class RuleOutcome:
     produce a winning set put it in ranking[0] and list everything else in
     unranked. scores, when present, maps each ranked system to the value the
     rule ordered by (exact rationals where the rule allows it); a rule
-    packaged by ranked_by holds them as a LazyScores. A rule's runner leaves
-    rule_id and mode empty; call_rule stamps them.
+    packaged by ranked_by holds them as a LazyScores. diagnostics is a dict,
+    or a LazyDiagnostics that builds it when first read. A rule's runner
+    leaves rule_id and mode empty; call_rule stamps them.
     """
 
     rule_id: str = ""
@@ -920,6 +906,40 @@ class LazyScores(Mapping[str, Fraction]):
 
     def __len__(self) -> int:
         return len(self._names)
+
+    def __repr__(self) -> str:
+        return repr(self._filled())
+
+
+class LazyDiagnostics(Mapping[str, Any]):
+    """Read-only diagnostics dict that build(*state) makes on the first read.
+
+    state is what the rule core made anyway: names, integer lists, units
+    and tie groups, never a table or a board. build is a module-level
+    function, so the mapping pickles and copies unread. Like LazyScores,
+    it equals, prints and serialises as the dict it stands for.
+    """
+
+    __slots__ = ("_build", "_state", "_dict")
+
+    def __init__(self, build: Callable[..., dict[str, Any]], *state: Any) -> None:
+        self._build = build
+        self._state = state
+        self._dict: dict[str, Any] | None = None
+
+    def _filled(self) -> dict[str, Any]:
+        if self._dict is None:
+            self._dict = self._build(*self._state)
+        return self._dict
+
+    def __getitem__(self, key: str) -> Any:
+        return self._filled()[key]
+
+    def __iter__(self):
+        return iter(self._filled())
+
+    def __len__(self) -> int:
+        return len(self._filled())
 
     def __repr__(self) -> str:
         return repr(self._filled())

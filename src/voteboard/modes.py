@@ -15,6 +15,9 @@ build_profile, from the mode's board; a score rule's data is that board.
 Both return a RuleOutcome with rule_id and mode left empty. call_rule
 makes that call and stamps them; run_rule and the experiment loops, which
 hand it tables and boards they derive themselves, all go through it.
+two_step keeps each group's ranking and adds the "electors" diagnostic
+through a model.LazyDiagnostics over the second step's diagnostics, so
+neither is built before the outcome's diagnostics are read.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from functools import cached_property
 from typing import Any, Callable, Mapping
 
 from .errors import InvalidParameter, MissingGroups, RuleUnsupportedForMode, UnknownRule
-from .model import Leaderboard, RankTable, RuleOutcome, build_profile
+from .model import LazyDiagnostics, Leaderboard, RankTable, RuleOutcome, build_profile
 
 BASIC = "basic"
 WEIGHTED = "weighted"
@@ -107,8 +110,10 @@ def run_rule(lb: Leaderboard, rule: Rule, mode: str = BASIC, **params: Any) -> R
         raise UnknownRule(f"unknown mode: {mode!r}")
     check_params(rule, params)
     if mode == TWO_STEP:
-        outcome, electors = _run_two_step(lb, rule, **params)
-        return replace(outcome, diagnostics={**outcome.diagnostics, "electors": electors})
+        outcome, ballots = _run_two_step(lb, rule, **params)
+        return replace(outcome, diagnostics=LazyDiagnostics(
+            _with_electors, outcome.diagnostics, ballots
+        ))
     if mode == WEIGHTED:
         lb = _weighted(lb)
     data: RankTable | Leaderboard = lb
@@ -117,10 +122,19 @@ def run_rule(lb: Leaderboard, rule: Rule, mode: str = BASIC, **params: Any) -> R
     return call_rule(rule, mode, data, **params)
 
 
+def _with_electors(
+    diagnostics: Mapping[str, Any], ballots: list[tuple[str, tuple[frozenset[str], ...]]]
+) -> dict[str, Any]:
+    """The second step's diagnostics plus "electors": each group's ranking,
+    its tie groups as sorted lists."""
+    electors = {name: [sorted(group) for group in ranking] for name, ranking in ballots}
+    return {**diagnostics, "electors": electors}
+
+
 def _run_two_step(
     lb: Leaderboard, rule: Rule, **params: Any
-) -> tuple[RuleOutcome, dict[str, list[list[str]]]]:
-    """The second-step outcome, and each group's ranking as its elector ballot."""
+) -> tuple[RuleOutcome, list[tuple[str, tuple[frozenset[str], ...]]]]:
+    """The second-step outcome, and each group's name and ranking, its elector ballot."""
     if rule.score_run is not None:
         raise RuleUnsupportedForMode(
             f"rule {rule.rule_id!r} aggregates raw scores and has no second-step ballot form"
@@ -131,7 +145,7 @@ def _run_two_step(
         )
     groups = _covering_groups(lb)
     index = {m: i for i, m in enumerate(lb.systems)}
-    electors: dict[str, list[list[str]]] = {}
+    ballots = []
     orders = []
     for name, members in groups:
         table = build_profile(lb, members, missing_ok=rule.handles_missing)
@@ -140,7 +154,7 @@ def _run_two_step(
             raise RuleUnsupportedForMode(
                 f"rule {rule.rule_id!r} left systems unranked inside group {name!r}"
             )
-        electors[name] = [sorted(group) for group in outcome.ranking]
+        ballots.append((name, outcome.ranking))
         orders.append(tuple([
             tuple(sorted([index[m] for m in group])) for group in outcome.ranking
         ]))
@@ -152,4 +166,4 @@ def _run_two_step(
         weights=(1,) * len(groups),
         scale=1,
     )
-    return call_rule(rule, TWO_STEP, table, **params), electors
+    return call_rule(rule, TWO_STEP, table, **params), ballots

@@ -12,6 +12,12 @@ entries over the places it spans; an untied system adds its one place's
 entry times the weight, without the per-member split. The totals and their
 unit, mass_unit * L, go to model.ranked_by, which makes each total a
 Fraction once.
+
+The named rules build their scaled entries as integers, with L computed
+once per call (the LCM of 1..n for dowdall, 1 for the others), and build
+no ScoringVector: their "vector" diagnostic, the Fractions e / L, is made
+when the outcome's diagnostics are first read. custom checks its vector
+as a ScoringVector and keeps its entries as its diagnostic.
 """
 
 from __future__ import annotations
@@ -19,10 +25,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from .errors import InvalidParameter, MissingScore, VectorLengthMismatch
-from .model import RankTable, RuleOutcome, as_fraction, ranked_by
+from .model import LazyDiagnostics, RankTable, RuleOutcome, as_fraction, ranked_by
 from .modes import Rule
 
 
@@ -90,22 +96,30 @@ class ScoringVector:
         return vec
 
 
-def _integer_totals(table: RankTable, vector: ScoringVector) -> tuple[dict[str, int], int]:
-    """Per-system totals as integers, and the denominator they share.
+def _scaled(vector: ScoringVector) -> tuple[list[int], int]:
+    """The vector's entries scaled by the LCM of their denominators, and that LCM."""
+    lcm = math.lcm(*{e.denominator for e in vector.entries})
+    return [e.numerator * (lcm // e.denominator) for e in vector.entries], lcm
+
+
+def _integer_totals(
+    table: RankTable, entries: Sequence[int], lcm: int
+) -> tuple[dict[str, int], int]:
+    """Per-system totals as integers, and the denominator they share, for
+    the vector whose entries scaled by lcm are entries.
 
     A tie group of size g adds w / g times the scaled entries it spans, a
     whole number since mass_unit / scale is divisible by every group size.
     """
     n = len(table.systems)
-    if len(vector) != n:
-        raise VectorLengthMismatch(f"vector has {len(vector)} entries for {n} systems")
+    if len(entries) != n:
+        raise VectorLengthMismatch(f"vector has {len(entries)} entries for {n} systems")
     for task, groups in zip(table.tasks, table.orders):
         if sum(map(len, groups)) != n:
             raise MissingScore(f"task {task!r} does not rank every system")
-    lcm = math.lcm(*{e.denominator for e in vector.entries})
     prefix = [0]
-    for e in vector.entries:
-        prefix.append(prefix[-1] + e.numerator * (lcm // e.denominator))
+    for e in entries:
+        prefix.append(prefix[-1] + e)
     per_weight = table.mass_unit // table.scale
     totals = [0] * n
     for groups, w in zip(table.orders, table.weights):
@@ -126,14 +140,39 @@ def _integer_totals(table: RankTable, vector: ScoringVector) -> tuple[dict[str, 
 def score_with_vector(table: RankTable, vector: ScoringVector) -> dict[str, Fraction]:
     """Exact per-system totals for one vector over a complete table, under
     the table's task weights."""
-    totals, unit = _integer_totals(table, vector)
+    totals, unit = _integer_totals(table, *_scaled(vector))
     return {m: Fraction(x, unit) for m, x in totals.items()}
 
 
-def _named(rule_id: str, factory) -> Rule:
+def _dowdall(n: int) -> tuple[list[int], int]:
+    lcm = math.lcm(*range(1, n + 1))
+    return [lcm // p for p in range(1, n + 1)], lcm
+
+
+# each named rule's entries on n places as integers, and the scale they share:
+# ScoringVector.<rule>(n).entries times the LCM of their denominators
+NAMED_ENTRIES: dict[str, Callable[[int], tuple[list[int], int]]] = {
+    "plurality": lambda n: ([1] + [0] * (n - 1), 1),
+    "two_approval": lambda n: ([1] * min(2, n) + [0] * (n - 2), 1),
+    # everything but last place scores a point
+    "antiplurality": lambda n: ([1] * (n - 1) + [0], 1),
+    "borda": lambda n: (list(range(n - 1, -1, -1)), 1),
+    "dowdall": _dowdall,
+}
+
+
+def _vector_diagnostics(entries: list[int], lcm: int) -> dict[str, Any]:
+    """A named rule's diagnostics: its vector, the scaled entries over lcm."""
+    return {"vector": tuple([Fraction(e, lcm) for e in entries])}
+
+
+def _named(rule_id: str) -> Rule:
+    scaled = NAMED_ENTRIES[rule_id]
+
     def run(table: RankTable) -> RuleOutcome:
-        vector = factory(len(table.systems))
-        return ranked_by(*_integer_totals(table, vector), diagnostics={"vector": vector.entries})
+        entries, lcm = scaled(len(table.systems))
+        return ranked_by(*_integer_totals(table, entries, lcm),
+                         diagnostics=LazyDiagnostics(_vector_diagnostics, entries, lcm))
 
     return Rule(rule_id, profile_run=run)
 
@@ -147,17 +186,14 @@ def _custom_run(
         raise InvalidParameter("custom scoring needs a vector")
     if not isinstance(vector, ScoringVector):
         vector = ScoringVector.custom(vector)
-    return ranked_by(*_integer_totals(table, vector), diagnostics={"vector": vector.entries})
+    return ranked_by(*_integer_totals(table, *_scaled(vector)),
+                     diagnostics={"vector": vector.entries})
 
 
 RULES: dict[str, Rule] = {
     rule.rule_id: rule
     for rule in (
-        _named("plurality", ScoringVector.plurality),
-        _named("two_approval", ScoringVector.two_approval),
-        _named("antiplurality", ScoringVector.antiplurality),
-        _named("borda", ScoringVector.borda),
-        _named("dowdall", ScoringVector.dowdall),
+        *[_named(rule_id) for rule_id in NAMED_ENTRIES],
         Rule("custom", profile_run=_custom_run),
     )
 }

@@ -1,8 +1,49 @@
+import contextlib
 import random
 
 import pytest
 
-from voteboard import Leaderboard
+from voteboard import Leaderboard, iterative, modes, scoring
+from voteboard.model import LazyScores
+
+# every function that turns a rule's kept state into its diagnostics, and
+# the Fraction build of a LazyScores
+DIAGNOSTIC_BUILDERS = (
+    (iterative, "_threshold_diagnostics"),
+    (iterative, "_elimination_diagnostics"),
+    (scoring, "_vector_diagnostics"),
+    (modes, "_with_electors"),
+    (LazyScores, "_filled"),
+)
+
+
+@contextlib.contextmanager
+def diagnostics_unbuilt():
+    """Inside the block, every diagnostic builder raises AssertionError.
+
+    An outcome made inside keeps the patched builder, which calls the
+    original once the block has exited, so its diagnostics and scores read
+    afterwards as they would have.
+    """
+    armed = [True]
+
+    def guarded(name, original):
+        def build(*args):
+            if armed[0]:
+                raise AssertionError(f"{name} ran before anything read the outcome")
+            return original(*args)
+
+        return build
+
+    saved = [(owner, name, getattr(owner, name)) for owner, name in DIAGNOSTIC_BUILDERS]
+    for owner, name, original in saved:
+        setattr(owner, name, guarded(name, original))
+    try:
+        yield
+    finally:
+        armed[0] = False
+        for owner, name, original in saved:
+            setattr(owner, name, original)
 
 # the worked example used throughout: five tasks, four systems, per-task
 # orders chosen so B is the majority champion but plurality picks A

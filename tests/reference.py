@@ -11,7 +11,8 @@ and without as they stood while they built a derived table's orders at
 once, with the counts they derived from the parent's, the positional
 scoring loop, the
 threshold cascade, the baldwin, nanson, hare, coombs and black rounds,
-position_counts, and the cw dominance matrix compared from raw scores, as
+position_counts (with table_position_counts, the RankTable version that
+left the library), and the cw dominance matrix compared from raw scores, as
 they stood before the rules moved to integer tie orders and RankTable. They
 re-rank and re-score the profile with Fractions at every step, so they are
 slow; tests compare the library against them on boards larger than the
@@ -911,6 +912,27 @@ def position_counts(
         for place in range(start, start + g):
             counts[place - 1] += share
     return tuple(counts)
+
+
+def table_position_counts(table: RankTable, system: str) -> tuple[Fraction, ...]:
+    """model.position_counts as it stood on a RankTable, read from its slot
+    rows, before it left the library for having no caller there.
+
+    Weighted mass the system places at each integer rank 1..n. A tie group
+    of size g spanning places p..p+g-1 contributes w/g of the task's weight
+    w at each spanned place, so the total mass equals the weight of the
+    tasks that rank the system.
+    """
+    if system not in table.systems:
+        raise UnknownSystem(f"unknown system: {system!r}")
+    a = table.systems.index(system)
+    per_weight = table.mass_unit // table.scale
+    counts = [0] * len(table.systems)
+    for row, w in zip(table.place_slots()[0], table.weights):
+        for p, group in enumerate(row):
+            if a in group:
+                counts[p] += w * per_weight // len(group)
+    return tuple(Fraction(x, table.mass_unit) for x in counts)
 
 
 def _total_weight(profile: RankProfile, weights: Mapping[str, Fraction]) -> Fraction:

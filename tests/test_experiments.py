@@ -105,6 +105,24 @@ def test_robustness_rejects_unsupported_rules(toy):
         robustness_experiment(toy, ["hare"], cfg)
 
 
+def test_robustness_refuses_a_rule_that_leaves_systems_unranked_on_the_intact_board():
+    """minimal_dominant's winners on this 4 x 3 board are a cycle, with d
+    unranked below it, so the intact board already has no ranks to
+    correlate: the refusal names the rule, as a trial's does, where end_set
+    raised MismatchedSystems."""
+    lb = vb.Leaderboard.from_scores({
+        "a": {"x": 3, "y": 1, "z": 2}, "b": {"x": 2, "y": 3, "z": 1},
+        "c": {"x": 1, "y": 2, "z": 3}, "d": {"x": 0, "y": 0, "z": 0},
+    })
+    assert vb.aggregate(lb, "minimal_dominant").unranked == {"d"}
+    cfg = ExperimentConfig(trials=2, omit_count=1, top_k=2)
+    with pytest.raises(RuleUnsupportedForMode,
+                       match="rule 'minimal_dominant' leaves systems unranked on the intact board"):
+        robustness_experiment(lb, ["minimal_dominant"], cfg)
+    with pytest.raises(RuleUnsupportedForMode, match="'minimal_dominant'"):
+        robustness_experiment(lb, ["copeland", "minimal_dominant"], cfg)
+
+
 def test_robustness_refuses_an_empty_rule_list(toy):
     cfg = ExperimentConfig(seed=3, trials=2, omit_count=1, top_k=4)
     with pytest.raises(vb.InvalidParameter, match="at least one rule"):

@@ -291,6 +291,22 @@ def test_cli_compare(full_csv, capsys):
     assert "kendall_tau" in out
 
 
+def test_cli_robustness_clamps_top_k_to_the_system_count(tmp_path, capsys):
+    """--top-k above the number of systems reads as that number, where the
+    library's robustness_experiment refuses it."""
+    board = tmp_path / "four.csv"
+    board.write_text("system,t1,t2,t3\na,4,1,3\nb,3,4,1\nc,2,3,4\nd,1,2,2\n")
+    outs = []
+    for k in ("9", "4"):
+        code, out, err = run_cli(["experiment", "robustness", "-i", str(board), "--rules",
+                                  "copeland", "mean", "--omit", "2", "--trials", "6",
+                                  "--seed", "3", "--top-k", k, "--format", "json"], capsys)
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["params"]["top_k"] == 4
+
+
 def test_cli_experiment_seed_env(full_csv, capsys, monkeypatch):
     args = ["experiment", "iia", "--input", str(full_csv), "--rule", "borda",
             "--trials", "4", "--format", "json"]
@@ -338,6 +354,8 @@ FAILURE_FILES = {
     "full": "system,t1,t2,t3\nalpha,91.2,88.0,70.0\nbeta,90.1,92.5,71.0\n"
             "gamma,89.9,91.0,69.5\n",
     "pair": "system,t1,t2\nalpha,1,2\nbeta,2,1\n",
+    # a, b and c form a majority cycle above d, which minimal_dominant leaves unranked
+    "cycle_above_last": "system,x,y,z\na,3,1,2\nb,2,3,1\nc,1,2,3\nd,0,0,0\n",
     "ragged": "system,t1,t2\nalpha,1\n",
     "zero": "system,t1\nalpha,0\nbeta,1\n",
     "groups": json.dumps({"t1": "g", "t2": "g", "t3": "h"}),
@@ -439,6 +457,9 @@ FAILURES = [
     ("robustness with a set rule that ranks everyone until cells go",
      ["experiment", "robustness", "-i", "{tied3}", "--rules", "uncovered", "--omit", "2",
       "--top-k", "3", "--trials", "2", "--seed", "0"], 2),
+    ("robustness with a set rule that leaves a system unranked on the intact board",
+     ["experiment", "robustness", "-i", "{cycle_above_last}", "--rules", "minimal_dominant",
+      "--omit", "1", "--top-k", "2", "--trials", "2"], 2),
     ("robustness with condorcet",
      ["experiment", "robustness", "-i", "{tied3}", "--rules", "condorcet", "--omit", "2",
       "--top-k", "3", "--trials", "2", "--seed", "0"], 2),

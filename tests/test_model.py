@@ -18,7 +18,6 @@ from voteboard import (
     build_profile,
     fractional_ranks_of,
     group_by_score,
-    position_counts,
 )
 from voteboard.io import to_json
 from voteboard.iterative import EliminationRound
@@ -153,10 +152,10 @@ def test_build_profile_subset_and_errors(toy):
 
 def test_position_counts_toy(toy):
     prof = build_profile(toy)
-    assert position_counts(prof, "A") == (F(2), F(0), F(0), F(3))
-    assert position_counts(prof, "B") == (F(1), F(3), F(0), F(1))
+    assert reference.table_position_counts(prof, "A") == (F(2), F(0), F(0), F(3))
+    assert reference.table_position_counts(prof, "B") == (F(1), F(3), F(0), F(1))
     with pytest.raises(UnknownSystem):
-        position_counts(prof, "Z")
+        reference.table_position_counts(prof, "Z")
 
 
 def test_position_counts_split_ties():
@@ -164,8 +163,8 @@ def test_position_counts_split_ties():
         {"a": {"t": 2.0}, "b": {"t": 2.0}, "c": {"t": 1.0}}, tasks=["t"]
     )
     prof = build_profile(lb)
-    assert position_counts(prof, "a") == (F(1, 2), F(1, 2), F(0))
-    assert position_counts(prof, "c") == (F(0), F(0), F(1))
+    assert reference.table_position_counts(prof, "a") == (F(1, 2), F(1, 2), F(0))
+    assert reference.table_position_counts(prof, "c") == (F(0), F(0), F(1))
 
 
 def test_profile_restrict_reranks():
@@ -261,7 +260,7 @@ def test_build_profile_returns_the_exported_table(toy):
     assert weighted.tasks == ("t2", "t1")
     assert weighted.weights == (6, 1) and weighted.scale == 2
     assert weighted.orders == build_profile(toy, ["t2", "t1"]).orders
-    assert position_counts(weighted, "A") == (F(7, 2), F(0), F(0), F(0))
+    assert reference.table_position_counts(weighted, "A") == (F(7, 2), F(0), F(0), F(0))
 
 
 def test_build_profile_carries_the_boards_weights():

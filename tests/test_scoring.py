@@ -15,7 +15,7 @@ from voteboard import (
 )
 
 from voteboard.io import load_leaderboard
-from voteboard.scoring import _integer_totals
+from voteboard.scoring import NAMED_ENTRIES, _integer_totals, _scaled
 
 import oracle
 import reference
@@ -28,6 +28,25 @@ def test_named_vectors():
     assert ScoringVector.antiplurality(4).entries == (F(1), F(1), F(1), F(0))
     assert ScoringVector.borda(4).entries == (F(3), F(2), F(1), F(0))
     assert ScoringVector.dowdall(4).entries == (F(1), F(1, 2), F(1, 3), F(1, 4))
+
+
+def test_named_integer_entries_are_the_scaled_vectors():
+    """Each named rule sums integer entries: ScoringVector.<rule>(n).entries
+    scaled by the LCM of their denominators, for n = 1 to 60, and its
+    "vector" diagnostic reads back as those entries."""
+    assert set(NAMED_ENTRIES) == {"plurality", "two_approval", "antiplurality", "borda", "dowdall"}
+    for rule, scaled in NAMED_ENTRIES.items():
+        for n in range(1, 61):
+            entries, lcm = scaled(n)
+            vector = getattr(ScoringVector, rule)(n).entries
+            assert lcm == math.lcm(*[e.denominator for e in vector]), (rule, n)
+            assert entries == [e.numerator * (lcm // e.denominator) for e in vector], (rule, n)
+            assert all(type(e) is int for e in entries)
+    assert NAMED_ENTRIES["dowdall"](60)[1] == math.lcm(*range(1, 61))
+    lb = vb.Leaderboard.from_scores({f"m{i}": {"t": i} for i in range(7)})
+    for rule in NAMED_ENTRIES:
+        diagnostics = vb.aggregate(lb, rule).diagnostics
+        assert diagnostics == {"vector": getattr(ScoringVector, rule)(7).entries}, rule
     assert ScoringVector.top_k(5, 3).entries == (F(1),) * 3 + (F(0),) * 2
     assert ScoringVector.top_k(5, 5).entries == (F(1),) * 5
     for k in (0, 6):
@@ -215,7 +234,7 @@ def test_integer_totals_match_reference_on_mixed_ties(n):
         ref_profile = reference.build_profile(lb)
         custom = ScoringVector.custom([F(9, 2)] + [F(n - p, 3 * n) for p in range(1, n)])
         for vector in (ScoringVector.borda(n), ScoringVector.dowdall(n), custom):
-            totals, unit = _integer_totals(table, vector)
+            totals, unit = _integer_totals(table, *_scaled(vector))
             want = reference.score_with_vector(ref_profile, vector, reference.base_weights(lb))
             assert {m: F(x, unit) for m, x in totals.items()} == want, (seed, vector)
 
