@@ -216,9 +216,11 @@ def robustness_experiment(
     a system unranked, on the intact board or after a trial's deletions, is
     refused, and so are an empty rule list, a rule named twice and a gamma
     that is not a finite positive number, whether a rule reads it or not
-    (InvalidParameter).
+    (InvalidParameter), and so is a top_k above the number of systems.
+    Without cfg, 100 trials delete no cells and top_k is 7, or the number
+    of systems if that is smaller.
     """
-    cfg = cfg or ExperimentConfig(trials=100)
+    cfg = cfg or ExperimentConfig(trials=100, top_k=min(7, len(lb.systems)))
     if not rules:
         raise InvalidParameter("robustness needs at least one rule")
     checked_gamma(gamma)

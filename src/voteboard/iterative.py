@@ -20,7 +20,10 @@ a model.LazyDiagnostics: the loops keep only each threshold stage's
 integer scores and pool, and each elimination round's survivor indices
 and integer scores. _threshold_diagnostics and _elimination_diagnostics
 build the diagnostics dict from them, every score map a model.LazyScores,
-when the diagnostics are first read. black packages its Borda scores with
+when the diagnostics are first read. A round's vector comes from the
+integer entries scoring.NAMED_ENTRIES gives (borda for baldwin and
+nanson, plurality for hare), or from _last_place for coombs; the loops
+keep only its name. black packages its Borda scores with
 model.ranked_by, whose scores are a LazyScores too.
 
 Tuples are built from lists, for the reason the model module gives.
@@ -37,6 +40,7 @@ from typing import Any, Callable, Mapping, Sequence
 from .majority import condorcet_winner, majority_graph_from_table
 from .model import LazyDiagnostics, LazyScores, RankTable, RuleOutcome, ranked_by
 from .modes import Rule
+from .scoring import NAMED_ENTRIES
 
 
 @dataclass(frozen=True)
@@ -174,24 +178,21 @@ def _threshold_run(table: RankTable) -> RuleOutcome:
 
 # -- elimination rules ------------------------------------------------------
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
-
-
-def _elimination(scorer: Callable[[RankTable], tuple[Callable, int, Callable]],
+def _elimination(scorer: Callable[[RankTable], tuple[Callable, int, str]],
                  pick: Callable[[list[int]], list[bool]], majority: bool = False):
     """A rule that runs the elimination loop, with coombs' majority stop if
     majority is set.
 
     scorer(table) gives score(survivors, dropped), each survivor's integer
     score once the systems the last round dropped are gone, the scores'
-    unit, and vectors, the module-level function from which
-    _elimination_diagnostics gets each round's scoring vector. pick marks
-    the round's losers from the scores.
+    unit, and the scoring vector the rounds report: a key of
+    scoring.NAMED_ENTRIES, or "last" for coombs' last-place vector. pick
+    marks the round's losers from the scores.
     """
 
     def run(table: RankTable) -> RuleOutcome:
         names = table.systems
-        score, unit, vectors = scorer(table)
+        score, unit, vector = scorer(table)
         whole = table.total * (unit // table.scale)
         survivors = list(range(len(names)))
         dropped: list[int] = []
@@ -222,7 +223,7 @@ def _elimination(scorer: Callable[[RankTable], tuple[Callable, int, Callable]],
             survivors = [a for a, gone in zip(survivors, out) if not gone]
         ranking = (frozenset([names[a] for a in survivors]), *reversed(tiers))
         return RuleOutcome(ranking=ranking, diagnostics=LazyDiagnostics(
-            _elimination_diagnostics, names, unit, vectors, alive, scored, tiers, stop
+            _elimination_diagnostics, names, unit, vector, alive, scored, tiers, stop
         ))
 
     return run
@@ -231,21 +232,25 @@ def _elimination(scorer: Callable[[RankTable], tuple[Callable, int, Callable]],
 def _elimination_diagnostics(
     names: tuple[str, ...],
     unit: int,
-    vectors: Callable[[int], Callable[[int], tuple[Fraction, ...]]],
+    vector: str,
     alive: list[list[int]],
     scored: list[list[int]],
     tiers: list[frozenset[str]],
     stop: tuple[int, int, int] | None,
 ) -> dict[str, Any]:
     """The elimination rules' diagnostics: an EliminationRound per round from
-    its survivors, scores and losers, each round's vector from vectors(n),
-    and, where coombs stopped at a majority, its winner and share."""
-    vector = vectors(len(names))
+    its survivors, scores and losers, each round's vector from its entries
+    on that many places, and, where coombs stopped at a majority, its
+    winner and share."""
+    entries_on = _last_place if vector == "last" else NAMED_ENTRIES[vector]
+    # every entry is an int in 0..n-1 over 1, so each round indexes these
+    places = [Fraction(p) for p in range(len(names))]
     rounds = []
     for survivors, scores, gone in zip(alive, scored, tiers):
         here = tuple([names[a] for a in survivors])
+        entries, _ = entries_on(len(here))
         rounds.append(EliminationRound(
-            here, vector(len(here)), LazyScores(here, scores, unit), gone
+            here, tuple([places[e] for e in entries]), LazyScores(here, scores, unit), gone
         ))
     diagnostics: dict[str, Any] = {"trace": EliminationTrace(tuple(rounds))}
     if stop is not None:
@@ -272,26 +277,14 @@ def _doubled_borda(net: list[int], survivors: Sequence[int], total: int) -> list
     return [base + net[a] for a in survivors]
 
 
-def _borda_vectors(n: int) -> Callable[[int], tuple[Fraction, ...]]:
-    """The Borda vector on k survivors: ScoringVector.borda(k).entries,
-    without its checks, sliced from the one on n."""
-    borda = tuple([Fraction(p) for p in range(n - 1, -1, -1)])
-    return lambda k: borda[n - k:]
-
-
-def _first_vectors(n: int) -> Callable[[int], tuple[Fraction, ...]]:
-    """The one-hot vector on the first of k places."""
-    return lambda k: (_ONE,) + (_ZERO,) * (k - 1)
-
-
-def _last_vectors(n: int) -> Callable[[int], tuple[Fraction, ...]]:
-    """The one-hot vector on the last of k places."""
-    return lambda k: (_ZERO,) * (k - 1) + (_ONE,)
+def _last_place(n: int) -> tuple[list[int], int]:
+    """coombs' entries on n places: one point for the last place."""
+    return [0] * (n - 1) + [1], 1
 
 
 def _borda_scorer(table: RankTable):
     """Doubled Borda scores, in units of 2 * scale, from the net wins, which
-    lose the dropped systems' columns each round; the Borda vectors."""
+    lose the dropped systems' columns each round; the Borda vector."""
     counts = table.pairwise()
     net = _net_wins(counts)
     total = table.total
@@ -302,16 +295,16 @@ def _borda_scorer(table: RankTable):
                 net[a] -= sum([counts[a][b] - counts[b][a] for b in dropped])
         return _doubled_borda(net, survivors, total)
 
-    return score, 2 * table.scale, _borda_vectors
+    return score, 2 * table.scale, "borda"
 
 
 def _edge_scorer(last: bool):
     """First-place (hare) or last-place (coombs) masses, in mass_unit units,
-    and the one-hot vectors on that place."""
-    vectors = _last_vectors if last else _first_vectors
+    and the one-hot vector on that place."""
+    vector = "last" if last else "plurality"
 
     def scorer(table: RankTable):
-        return lambda alive, _: table.edge_masses(alive, last=last), table.mass_unit, vectors
+        return lambda alive, _: table.edge_masses(alive, last=last), table.mass_unit, vector
 
     return scorer
 

@@ -9,7 +9,8 @@ per row, the integer place masses RankTable rebuilt for every threshold
 repetition with the threshold cascade that read them, RankTable's restrict
 and without as they stood while they built a derived table's orders at
 once, with the counts they derived from the parent's, the positional
-scoring loop, the
+scoring loop with the Fraction ScoringVector and its constructors, which
+left the library for integer entries over their LCM, the
 threshold cascade, the baldwin, nanson, hare, coombs and black rounds,
 position_counts (with table_position_counts, the RankTable version that
 left the library), and the cw dominance matrix compared from raw scores, as
@@ -102,7 +103,6 @@ from voteboard.model import (
 from voteboard.modes import BASIC, MODES, TWO_STEP, Rule, _covering_groups
 from voteboard.modes import run_rule as run_library_rule
 from voteboard.registry import get_rule
-from voteboard.scoring import ScoringVector
 
 COPELAND_VARIANTS = ("I", "II", "III")
 _WEAKLY_STABLE_LIMIT = 18
@@ -940,6 +940,70 @@ def _total_weight(profile: RankProfile, weights: Mapping[str, Fraction]) -> Frac
 
 
 # -- positional rules -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ScoringVector:
+    """Non-increasing score-per-place vector with at least one entry.
+
+    The constructors build entries from lists, for the reason the model
+    module gives.
+    """
+
+    entries: tuple[Fraction, ...]
+
+    def __post_init__(self) -> None:
+        if not self.entries:
+            raise InvalidParameter("a scoring vector cannot be empty")
+        for a, b in zip(self.entries, self.entries[1:]):
+            if b > a:
+                raise InvalidParameter("scoring vector entries must be non-increasing")
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    @classmethod
+    def plurality(cls, n: int) -> "ScoringVector":
+        return cls._top_k(n, 1)
+
+    @classmethod
+    def two_approval(cls, n: int) -> "ScoringVector":
+        return cls._top_k(n, 2)
+
+    @classmethod
+    def antiplurality(cls, n: int) -> "ScoringVector":
+        # everything but last place scores a point
+        return cls._top_k(n, n - 1) if n != 1 else cls((Fraction(0),))
+
+    @classmethod
+    def top_k(cls, n: int, k: int) -> "ScoringVector":
+        if not 1 <= k <= n:
+            raise InvalidParameter("k must be between 1 and n")
+        return cls._top_k(n, k)
+
+    @classmethod
+    def _top_k(cls, n: int, k: int) -> "ScoringVector":
+        k = min(k, n)
+        return cls(tuple([Fraction(1 if p < k else 0) for p in range(n)]))
+
+    @classmethod
+    def borda(cls, n: int) -> "ScoringVector":
+        return cls(tuple([Fraction(n - 1 - p) for p in range(n)]))
+
+    @classmethod
+    def dowdall(cls, n: int) -> "ScoringVector":
+        return cls(tuple([Fraction(1, p + 1) for p in range(n)]))
+
+    @classmethod
+    def custom(cls, values: Sequence[int | float | Fraction | str]) -> "ScoringVector":
+        try:
+            entries = tuple([as_fraction(v) for v in values])
+        except (TypeError, ValueError) as exc:
+            raise InvalidParameter(f"bad scoring vector: {exc}") from None
+        vec = cls(entries)
+        if len(set(vec.entries)) == 1:
+            raise InvalidParameter("a custom scoring vector must not be constant")
+        return vec
 
 
 def score_with_vector(

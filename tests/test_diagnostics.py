@@ -1,6 +1,6 @@
 """Diagnostics are built when first read, and read as the eager reference's.
 
-The elimination, threshold and named positional rules keep their
+The elimination, threshold, named positional and custom rules keep their
 diagnostics as a LazyDiagnostics, and two_step adds its electors to one.
 While every diagnostic builder, and LazyScores' Fraction build, raises
 (conftest.diagnostics_unbuilt), the iia experiment on borda, baldwin,
@@ -37,7 +37,16 @@ from test_kernels import ladder_board
 
 # the rules whose outcome keeps its diagnostics unbuilt
 LAZY = ("threshold", "baldwin", "nanson", "hare", "coombs",
-        "plurality", "two_approval", "antiplurality", "borda", "dowdall")
+        "plurality", "two_approval", "antiplurality", "borda", "dowdall", "custom")
+
+
+def params_for(rule, lb):
+    """custom's vector on lb's systems, with a fractional entry; no
+    parameter for the other rules."""
+    if rule != "custom":
+        return {}
+    n = len(lb.systems)
+    return {"vector": ["7/3"] + [F(n - 1 - p, 5 * n) for p in range(n - 1)]}
 
 
 def test_the_guard_raises_on_a_read_and_lets_a_later_read_through():
@@ -48,7 +57,12 @@ def test_the_guard_raises_on_a_read_and_lets_a_later_read_through():
             dict(out.diagnostics)
         with pytest.raises(AssertionError, match="before anything read"):
             vb.aggregate(lb, "borda").scores["s00"]
+        custom = vb.aggregate(lb, "custom", **params_for("custom", lb))
+        assert custom.winners
+        with pytest.raises(AssertionError, match="before anything read"):
+            custom.diagnostics["vector"]
     assert out == reference.run_rule(lb, reference.RULES["baldwin"], TWO_STEP)
+    assert custom == reference.run_rule(lb, reference.RULES["custom"], **params_for("custom", lb))
 
 
 def recording(monkeypatch):
@@ -146,7 +160,8 @@ def test_an_unread_outcome_copies_prints_and_compares_as_a_read_one(rule):
         for mode in (BASIC, WEIGHTED, TWO_STEP):
             if mode != BASIC and not lb.groups:
                 continue
-            unread = vb.aggregate(lb, rule, mode)
+            params = params_for(rule, lb)
+            unread = vb.aggregate(lb, rule, mode, **params)
             lazy = unread.diagnostics
             assert type(lazy) is LazyDiagnostics and lazy._dict is None, (name, mode)
             kinds = {type(v) for v in kept_state(lazy)}
@@ -157,9 +172,9 @@ def test_an_unread_outcome_copies_prints_and_compares_as_a_read_one(rule):
             assert lazy._dict is None  # pickling and copying read nothing
             assert pickled.diagnostics._dict is None and copied.diagnostics._dict is None
 
-            read = vb.aggregate(lb, rule, mode)
+            read = vb.aggregate(lb, rule, mode, **params)
             assert type(dict(read.diagnostics)) is dict
-            eager = reference.run_rule(lb, reference.RULES[rule], mode)
+            eager = reference.run_rule(lb, reference.RULES[rule], mode, **params)
             for a, b in ((unread, read), (pickled, pickle.loads(pickle.dumps(read))),
                          (copied, copy.deepcopy(read))):
                 # a frozenset prints in an order its construction decides,

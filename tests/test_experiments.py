@@ -149,6 +149,17 @@ def test_robustness_top_k_above_the_system_count(toy):
         robustness_experiment(toy, ["minimax"], cfg)
 
 
+def test_robustness_without_a_config_takes_top_k_at_most_the_system_count(toy):
+    """The default top_k is 7, or every system on a smaller board; an
+    explicit top_k above the system count is still refused (above)."""
+    report = robustness_experiment(toy, ["minimax"])
+    assert len(toy.systems) == 4
+    assert report.params["top_k"] == 4
+    assert report.trials == 100 and report.series["minimax"] == (1.0,) * 100
+    lb = unit_board(random.Random(7), n=9, t=3)
+    assert robustness_experiment(lb, ["minimax"]).params["top_k"] == 7
+
+
 def test_robustness_handles_heavy_deletion():
     rng = random.Random(6)
     lb = unit_board(rng, n=5, t=4)

@@ -251,6 +251,33 @@ def test_python_dash_m_runs_the_command_line(full_csv, capsys):
     assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
 
 
+# run with site-packages off, voteboard's src put on sys.path by hand
+NO_SITE_RUN = """
+import importlib.util, sys
+sys.path.insert(0, sys.argv[1])
+import voteboard
+from voteboard.cli import main
+assert importlib.util.find_spec("pytest") is None, "site-packages is on the path"
+code = main(["rank", "--input", sys.argv[2], "--rule", "borda", "--format", "json"])
+loaded = {name.partition(".")[0] for name in sys.modules}
+print(sorted(loaded - set(sys.stdlib_module_names) - {"__main__", "voteboard"}))
+sys.exit(code)
+"""
+
+
+def test_the_library_and_the_command_line_run_on_the_standard_library_alone(full_csv, capsys):
+    """No runtime dependencies: under python -I -S, which leaves site-packages
+    off the path, voteboard and its CLI import and rank, and every module
+    they load is voteboard's or the standard library's."""
+    request = ["rank", "--input", str(full_csv), "--rule", "borda", "--format", "json"]
+    _, expected, _ = run_cli(request, capsys)
+    src = str(Path(vb.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", NO_SITE_RUN, src, str(full_csv)],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == expected + "[]\n"
+
+
 def test_cli_exit_codes(csv_path, tmp_path, capsys):
     code, _, err = run_cli(
         ["rank", "--input", str(tmp_path / "nope.csv"), "--rule", "borda"], capsys

@@ -7,6 +7,8 @@ import voteboard as vb
 
 import oracle
 from conftest import board_from_orders, random_board
+from reference import ScoringVector
+from test_kernels import ladder_board
 
 
 def eliminated_order(outcome):
@@ -137,3 +139,30 @@ def test_ranking_is_reverse_elimination(toy):
     tiers = eliminated_order(out)
     # last eliminated sits right behind the survivors
     assert list(out.ranking[1:]) == [frozenset(t) for t in reversed(tiers)]
+
+
+# the scoring vector each elimination rule's rounds report, on k places
+ROUND_VECTORS = {
+    "baldwin": lambda k: ScoringVector.borda(k).entries,
+    "nanson": lambda k: ScoringVector.borda(k).entries,
+    "hare": lambda k: ScoringVector.plurality(k).entries,
+    # the last-place one-hot
+    "coombs": lambda k: tuple([F(1 if p == k - 1 else 0) for p in range(k)]),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(ROUND_VECTORS))
+def test_every_round_reports_the_reference_vector(rule):
+    """A round's vector is the reference ScoringVector on as many places as
+    the round has survivors, as Fractions, on ladder and random boards."""
+    rng = random.Random(f"round-vectors:{rule}")
+    boards = [ladder_board(n, t, 0) for n, t in ((5, 3), (8, 5), (20, 6))]
+    boards += [random_board(rng, max_systems=9, allow_weights=True) for _ in range(20)]
+    sizes = set()
+    for lb in boards:
+        for round_ in vb.aggregate(lb, rule).diagnostics["trace"].rounds:
+            k = len(round_.survivors)
+            sizes.add(k)
+            assert round_.vector == ROUND_VECTORS[rule](k), (rule, lb.systems, k)
+            assert all(type(e) is F for e in round_.vector)
+    assert len(sizes) > 3, sizes

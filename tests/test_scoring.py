@@ -8,18 +8,17 @@ import voteboard as vb
 from voteboard import (
     InvalidParameter,
     MissingScore,
-    ScoringVector,
     VectorLengthMismatch,
     build_profile,
-    score_with_vector,
 )
 
 from voteboard.io import load_leaderboard
-from voteboard.scoring import NAMED_ENTRIES, _integer_totals, _scaled
+from voteboard.scoring import NAMED_ENTRIES, _custom_entries, _integer_totals
 
 import oracle
 import reference
 from conftest import random_board
+from reference import ScoringVector
 
 
 def test_named_vectors():
@@ -55,12 +54,17 @@ def test_named_integer_entries_are_the_scaled_vectors():
 
 
 def test_vector_validation(toy):
-    with pytest.raises(InvalidParameter):
-        ScoringVector.custom([1, 2, 3])
-    with pytest.raises(InvalidParameter):
-        ScoringVector.custom([2, 2, 2])
+    with pytest.raises(InvalidParameter, match="non-increasing"):
+        _custom_entries([1, 2, 3])
+    with pytest.raises(InvalidParameter, match="must not be constant"):
+        _custom_entries([2, 2, 2])
     for vector in ([1, 1, 1, 1], [0, 1, 2, 3]):
         with pytest.raises(InvalidParameter):
+            vb.aggregate(toy, "custom", vector=vector)
+    # the checks run in order: a bad entry, empty, non-increasing, constant
+    for vector, message in (([], "cannot be empty"), ([3, "x", 4], "bad scoring vector"),
+                            ([1, 2, 2], "non-increasing"), ([5], "must not be constant")):
+        with pytest.raises(InvalidParameter, match=message):
             vb.aggregate(toy, "custom", vector=vector)
     for places in (0, -3):
         with pytest.raises(InvalidParameter):
@@ -68,8 +72,12 @@ def test_vector_validation(toy):
     # degenerate named vectors are fine, e.g. single-system boards
     assert ScoringVector.antiplurality(1).entries == (F(0),)
     assert ScoringVector.two_approval(2).entries == (F(1), F(1))
-    v = ScoringVector.custom(["12", 10, 8, 7, 6])
-    assert v.entries[0] == F(12)
+    assert NAMED_ENTRIES["antiplurality"](1) == ([0], 1)
+    assert NAMED_ENTRIES["two_approval"](2) == ([1, 1], 1)
+    assert _custom_entries(["12", 10, 8, 7, 6]) == ([12, 10, 8, 7, 6], 1)
+    assert _custom_entries(["1/2", 0.25, 0]) == ([2, 1, 0], 4)
+    out = vb.aggregate(toy, "custom", vector=["12", 10, 8, 7])
+    assert out.diagnostics["vector"][0] == F(12)
 
 
 BOARD_3 = vb.Leaderboard.from_scores(
@@ -84,6 +92,8 @@ BOARD_3 = vb.Leaderboard.from_scores(
     pytest.param("custom", {"vector": [True, 0, 0]}, id="custom, boolean"),
     pytest.param("custom", {"vector": ["1/0", 1, 0]}, id="custom, zero denominator"),
     pytest.param("custom", {"vector": 3}, id="custom, not a sequence"),
+    # holds its entries but is not iterable
+    pytest.param("custom", {"vector": ScoringVector.borda(3)}, id="custom, a ScoringVector"),
     pytest.param("custom", {"vector": [2, 1, 0], "gamma": 0.9}, id="custom with gamma"),
     pytest.param("borda", {"vector": [2, 1, 0]}, id="borda with a vector"),
     pytest.param("copeland", {"gamma": 0.9}, id="copeland with gamma"),
@@ -179,7 +189,9 @@ def test_tied_task_splits_vector_mass():
 def test_vector_length_mismatch(toy):
     prof = build_profile(toy)
     with pytest.raises(VectorLengthMismatch):
-        score_with_vector(prof, ScoringVector.borda(3))
+        _integer_totals(prof, *_custom_entries(ScoringVector.borda(3).entries))
+    with pytest.raises(VectorLengthMismatch, match="vector has 3 entries for 4 systems"):
+        vb.aggregate(toy, "custom", vector=[2, 1, 0])
 
 
 def test_missing_score_rejected(toy):
@@ -188,7 +200,7 @@ def test_missing_score_rejected(toy):
         vb.aggregate(holed, "borda")
     table = build_profile(holed, missing_ok=True)
     with pytest.raises(MissingScore, match="task 't2' does not rank every system"):
-        score_with_vector(table, ScoringVector.borda(len(holed.systems)))
+        _integer_totals(table, *_custom_entries(ScoringVector.borda(len(holed.systems)).entries))
 
 
 def test_score_with_vector_matches_reference():
@@ -200,9 +212,11 @@ def test_score_with_vector_matches_reference():
         n = len(lb.systems)
         falling = ScoringVector.custom([F(7, 3)] + [F(n - 1 - p, 5 * n) for p in range(n - 1)])
         for vector in (ScoringVector.borda(n), ScoringVector.dowdall(n), falling):
-            got = score_with_vector(table, vector)
+            totals, unit = _integer_totals(table, *_custom_entries(vector.entries))
+            got = {m: F(x, unit) for m, x in totals.items()}
             want = reference.score_with_vector(reference.build_profile(lb), vector, weights)
             assert got == want and list(got) == list(lb.systems)
+            assert vb.aggregate(lb, "custom", vector=vector.entries).scores == want
 
 
 def mixed_tie_board(n, seed):
@@ -234,7 +248,7 @@ def test_integer_totals_match_reference_on_mixed_ties(n):
         ref_profile = reference.build_profile(lb)
         custom = ScoringVector.custom([F(9, 2)] + [F(n - p, 3 * n) for p in range(1, n)])
         for vector in (ScoringVector.borda(n), ScoringVector.dowdall(n), custom):
-            totals, unit = _integer_totals(table, *_scaled(vector))
+            totals, unit = _integer_totals(table, *_custom_entries(vector.entries))
             want = reference.score_with_vector(ref_profile, vector, reference.base_weights(lb))
             assert {m: F(x, unit) for m, x in totals.items()} == want, (seed, vector)
 
