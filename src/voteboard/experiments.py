@@ -15,6 +15,8 @@ The score baselines read boards derived from the board without rechecks,
 whose integer cells are sliced or set: a robustness trial names its deleted
 cells by (system, task) index, and the board it imputes is derived from the
 full board once. Nothing outlives the op.
+The loops call each rule's core and read its index result unnamed: iia
+compares index tie groups, robustness doubled integer ranks.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from __future__ import annotations
 import math
 import random
 import statistics
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any, Callable, Mapping, Sequence
 
 from .errors import (
@@ -33,9 +35,11 @@ from .errors import (
     TooFewSystems,
     TooManyOmissions,
 )
-from .metrics import checked_gamma, end_set, rho_from_rank_vectors
-from .model import Leaderboard, RankTable, RuleOutcome, build_profile, cell_ratio, missing_score
-from .modes import BASIC, Rule, call_rule, check_params
+from .metrics import checked_gamma, rho_from_rank_vectors
+from .model import (
+    IndexOutcome, Leaderboard, RankTable, build_profile, cell_ratio, doubled_ranks, missing_score,
+)
+from .modes import Rule, check_params
 from .registry import get_rule
 
 # score aggregators repaired by per-task median imputation instead of
@@ -112,18 +116,25 @@ def iia_experiment(
     counts: list[float] = []
     for trial in range(cfg.trials):
         rng = trial_rng(cfg.seed, trial)
-        order = list(lb.systems)
+        order = list(range(len(lb.systems)))
         rng.shuffle(order)
-        present = order[:2]
+        # the present systems' indices, ascending, as the restricted table numbers them
+        present = sorted(order[:2])
         prev = run(present)
         changed = 0
         for newcomer in order[2:]:
-            now = present + [newcomer]
-            out = run(now)
-            kept = frozenset(present)
-            if _tie_order(out, kept) != _tie_order(prev, kept):
+            p = bisect_left(present, newcomer)
+            present.insert(p, newcomer)
+            out = run(present)
+            if prev.unranked or any([i != p for i in out.unranked]):
+                raise RuleUnsupportedForMode(
+                    f"rule {rule!r} leaves systems unranked, so it has no "
+                    "pairwise relations to probe"
+                )
+            # out's groups without the newcomer, numbered as prev's
+            kept = [tuple([i - (i > p) for i in group if i != p]) for group in out.groups]
+            if [group for group in kept if group] != prev.groups:
                 changed += 1
-            present = now
             prev = out
         counts.append(float(changed))
     return _report("iia", cfg, {rule: counts})
@@ -131,8 +142,9 @@ def iia_experiment(
 
 def _on_systems(
     lb: Leaderboard, rule: Rule, params: Mapping[str, Any]
-) -> Callable[[Sequence[str]], RuleOutcome]:
-    """The rule's outcome on the board restricted to some systems, as a function of them.
+) -> Callable[[Sequence[int]], IndexOutcome]:
+    """The rule's core result on the board restricted to some systems, as a
+    function of their ascending indices.
 
     A profile rule reads the full board's table restricted to them. One
     without missing-score support refuses a present system with a hole as
@@ -140,9 +152,11 @@ def _on_systems(
     system, in board order. A score rule reads the restricted board.
     """
     if rule.score_run is not None:
-        return lambda present: call_rule(rule, BASIC, lb.restrict_systems(present), **params)
+        # the board restrict_systems derives, without its checks of the names
+        return lambda kept: rule.run(lb._derived(tuple([lb.systems[i] for i in kept]),
+                                                 tuple([lb.cells[i] for i in kept]), lb.denominator),
+                                     **params)
     table = build_profile(lb, missing_ok=True)
-    index = {m: i for i, m in enumerate(lb.systems)}
     holes = []
     if not rule.handles_missing:
         for j, task in enumerate(lb.tasks):
@@ -150,26 +164,14 @@ def _on_systems(
             if gone:
                 holes.append((task, gone))
 
-    def run(present: Sequence[str]) -> RuleOutcome:
-        kept = sorted([index[m] for m in present])
+    def run(kept: Sequence[int]) -> IndexOutcome:
         for task, gone in holes:
             hit = [i for i in kept if i in gone]
             if hit:
                 raise missing_score(lb.systems[hit[0]], task)
-        return call_rule(rule, BASIC, table.restrict(kept), **params)
+        return rule.run(table.restrict(kept), **params)
 
     return run
-
-
-def _tie_order(outcome: RuleOutcome, systems: frozenset[str]) -> list[frozenset[str]]:
-    """The outcome's tie groups restricted to systems, empty groups dropped."""
-    groups = [kept for kept in (group & systems for group in outcome.ranking) if kept]
-    if sum(map(len, groups)) != len(systems):
-        raise RuleUnsupportedForMode(
-            f"rule {outcome.rule_id!r} leaves systems unranked, so it has no "
-            "pairwise relations to probe"
-        )
-    return groups
 
 
 def _impute_medians(lb: Leaderboard, deleted: Sequence[tuple[int, int]]) -> Leaderboard:
@@ -217,10 +219,11 @@ def robustness_experiment(
     refused, and so are an empty rule list, a rule named twice and a gamma
     that is not a finite positive number, whether a rule reads it or not
     (InvalidParameter), and so is a top_k above the number of systems.
-    Without cfg, 100 trials delete no cells and top_k is 7, or the number
-    of systems if that is smaller.
+    Without cfg, 100 trials delete one cell each, as the command line's
+    --omit does by default, and top_k is 7, or the number of systems if
+    that is smaller.
     """
-    cfg = cfg or ExperimentConfig(trials=100, top_k=min(7, len(lb.systems)))
+    cfg = cfg or ExperimentConfig(trials=100, omit_count=1, top_k=min(7, len(lb.systems)))
     if not rules:
         raise InvalidParameter("robustness needs at least one rule")
     checked_gamma(gamma)
@@ -247,21 +250,28 @@ def robustness_experiment(
         # the rules that tolerate missing scores are profile rules
         table = build_profile(lb, missing_ok=True)
 
-    def run(rid: str, data: RankTable | Leaderboard) -> RuleOutcome:
+    def run(rid: str, data: RankTable | Leaderboard) -> IndexOutcome:
         params = {"gamma": gamma} if "gamma" in rule_objs[rid].params else {}
-        return call_rule(rule_objs[rid], BASIC, data, **params)
+        return rule_objs[rid].run(data, **params)
 
-    ref_ranks: dict[str, dict[str, Fraction]] = {}
-    ref_sets: dict[str, tuple[str, ...]] = {}
+    # each rule's intact top-k, grown to whole tie groups, and their doubled ranks
+    top: dict[str, list[int]] = {}
+    ref_ranks: dict[str, list[int]] = {}
     for rid in rules:
         out = run(rid, lb if rid in IMPUTABLE else table)
-        if not out.is_total():
+        if out.unranked:
             raise RuleUnsupportedForMode(
                 f"rule {rid!r} leaves systems unranked on the intact board, "
                 "so it has no ranks to correlate"
             )
-        ref_ranks[rid] = out.fractional_ranks()
-        ref_sets[rid] = tuple(sorted(end_set(out, cfg.top_k)))
+        chosen: list[int] = []
+        for group in out.groups:
+            if len(chosen) >= cfg.top_k:
+                break
+            chosen += group
+        ranks = doubled_ranks(out.groups)
+        top[rid] = chosen
+        ref_ranks[rid] = [ranks[i] for i in chosen]
 
     series: dict[str, list[float]] = {rid: [] for rid in rules}
     for trial in range(cfg.trials):
@@ -276,19 +286,15 @@ def robustness_experiment(
                 out = run(rid, imputed)
             else:
                 out = run(rid, trimmed)
-            if not out.is_total():
+            if out.unranked:
                 # a set rule's winners on the intact board may be everyone
                 raise RuleUnsupportedForMode(
                     f"rule {rid!r} leaves systems unranked once cells are deleted, "
                     "so it has no ranks to correlate"
                 )
-            ranks = out.fractional_ranks()
-            chosen = ref_sets[rid]
-            rho = rho_from_rank_vectors(
-                [ref_ranks[rid][m] for m in chosen],
-                [ranks[m] for m in chosen],
-            )
-            series[rid].append(rho)
+            # both vectors doubled, so rho is what it is of the fractional ranks
+            ranks = doubled_ranks(out.groups)
+            series[rid].append(rho_from_rank_vectors(ref_ranks[rid], [ranks[i] for i in top[rid]]))
     return _report(
         "robustness", cfg, series, omit_count=cfg.omit_count, top_k=cfg.top_k, gamma=gamma
     )

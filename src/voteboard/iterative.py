@@ -23,22 +23,24 @@ build the diagnostics dict from them, every score map a model.LazyScores,
 when the diagnostics are first read. A round's vector comes from the
 integer entries scoring.NAMED_ENTRIES gives (borda for baldwin and
 nanson, plurality for hare), or from _last_place for coombs; the loops
-keep only its name. black packages its Borda scores with
-model.ranked_by, whose scores are a LazyScores too.
+keep only its name. Every rule here returns a model.IndexOutcome, its
+tie groups and eliminated tiers as system indices, named only when the
+diagnostics are built. black groups its Borda scores with model.ranked_by
+and trims its winner from those index groups.
 
 Tuples are built from lists, for the reason the model module gives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from operator import sub
 from typing import Any, Callable, Mapping, Sequence
 
 from .majority import condorcet_winner, majority_graph_from_table
-from .model import LazyDiagnostics, LazyScores, RankTable, RuleOutcome, ranked_by
+from .model import IndexOutcome, LazyDiagnostics, LazyScores, RankTable, ranked_by
 from .modes import Rule
 from .scoring import NAMED_ENTRIES
 
@@ -148,7 +150,7 @@ def _drop_from_slots(rows: list[list[tuple[int, ...]]], gone: list[int]) -> None
                         break
 
 
-def _threshold_run(table: RankTable) -> RuleOutcome:
+def _threshold_run(table: RankTable) -> IndexOutcome:
     names = table.systems
     unit = table.mass_unit
     per_weight = unit // table.scale
@@ -156,7 +158,7 @@ def _threshold_run(table: RankTable) -> RuleOutcome:
     rows, mass = table.place_slots()
     index = [0] * len(names)
     remaining = list(range(len(names)))
-    groups: list[frozenset[str]] = []
+    groups: list[tuple[int, ...]] = []
     repetitions = []
     while remaining:
         for i, a in enumerate(remaining):
@@ -165,14 +167,13 @@ def _threshold_run(table: RankTable) -> RuleOutcome:
             rows, weights, [mass[a] for a in remaining], index
         )
         winners = [remaining[i] for i in pool]
-        groups.append(frozenset(names[a] for a in winners))
+        groups.append(tuple(winners))
         repetitions.append((remaining, scored, pools))
         remaining = [a for a in remaining if a not in winners]
         if remaining:
             _drop_from_slots(rows, winners)
-    return RuleOutcome(
-        ranking=tuple(groups),
-        diagnostics=LazyDiagnostics(_threshold_diagnostics, names, unit, repetitions),
+    return IndexOutcome(
+        groups, diagnostics=LazyDiagnostics(_threshold_diagnostics, names, unit, repetitions)
     )
 
 
@@ -190,13 +191,13 @@ def _elimination(scorer: Callable[[RankTable], tuple[Callable, int, str]],
     marks the round's losers from the scores.
     """
 
-    def run(table: RankTable) -> RuleOutcome:
+    def run(table: RankTable) -> IndexOutcome:
         names = table.systems
         score, unit, vector = scorer(table)
         whole = table.total * (unit // table.scale)
         survivors = list(range(len(names)))
         dropped: list[int] = []
-        tiers: list[frozenset[str]] = []
+        tiers: list[tuple[int, ...]] = []
         # each round's survivors and scores; a new list each, never mutated
         alive: list[list[int]] = []
         scored: list[list[int]] = []
@@ -208,7 +209,7 @@ def _elimination(scorer: Callable[[RankTable], tuple[Callable, int, str]],
                 # at most one system can clear half the weight
                 if 2 * top > whole:
                     best = survivors[firsts.index(top)]
-                    tiers.append(frozenset([names[a] for a in survivors if a != best]))
+                    tiers.append(tuple([a for a in survivors if a != best]))
                     stop = (best, top, whole)
                     survivors = [best]
                     break
@@ -217,12 +218,11 @@ def _elimination(scorer: Callable[[RankTable], tuple[Callable, int, str]],
             dropped = list(compress(survivors, out))
             if not dropped or len(dropped) == len(survivors):
                 break
-            tiers.append(frozenset([names[a] for a in dropped]))
+            tiers.append(tuple(dropped))
             alive.append(survivors)
             scored.append(scores)
             survivors = [a for a, gone in zip(survivors, out) if not gone]
-        ranking = (frozenset([names[a] for a in survivors]), *reversed(tiers))
-        return RuleOutcome(ranking=ranking, diagnostics=LazyDiagnostics(
+        return IndexOutcome([tuple(survivors), *reversed(tiers)], diagnostics=LazyDiagnostics(
             _elimination_diagnostics, names, unit, vector, alive, scored, tiers, stop
         ))
 
@@ -235,11 +235,12 @@ def _elimination_diagnostics(
     vector: str,
     alive: list[list[int]],
     scored: list[list[int]],
-    tiers: list[frozenset[str]],
+    tiers: list[tuple[int, ...]],
     stop: tuple[int, int, int] | None,
 ) -> dict[str, Any]:
     """The elimination rules' diagnostics: an EliminationRound per round from
-    its survivors, scores and losers, each round's vector from its entries
+    its survivors, scores and losers (indices, named here), each round's
+    vector from its entries
     on that many places, and, where coombs stopped at a majority, its
     winner and share."""
     entries_on = _last_place if vector == "last" else NAMED_ENTRIES[vector]
@@ -250,7 +251,8 @@ def _elimination_diagnostics(
         here = tuple([names[a] for a in survivors])
         entries, _ = entries_on(len(here))
         rounds.append(EliminationRound(
-            here, tuple([places[e] for e in entries]), LazyScores(here, scores, unit), gone
+            here, tuple([places[e] for e in entries]), LazyScores(here, scores, unit),
+            frozenset([names[a] for a in gone]),
         ))
     diagnostics: dict[str, Any] = {"trace": EliminationTrace(tuple(rounds))}
     if stop is not None:
@@ -325,24 +327,18 @@ def _below_mean(scores: list[int]) -> list[bool]:
     return [len(scores) * x < total for x in scores]
 
 
-def _black_run(table: RankTable) -> RuleOutcome:
+def _black_run(table: RankTable) -> IndexOutcome:
     graph = majority_graph_from_table(table)
     winner = condorcet_winner(graph)
-    names = table.systems
-    doubled = _doubled_borda(_net_wins(graph.counts), range(len(names)), table.total)
-    borda = ranked_by(
-        dict(zip(names, doubled)),
-        2 * table.scale,
-        diagnostics={"path": "borda", "condorcet_winner": None},
-    )
+    doubled = _doubled_borda(_net_wins(graph.counts), range(len(table.systems)), table.total)
     if winner is None:
-        return borda
-    trimmed = [g for g in (group - {winner} for group in borda.ranking) if g]
-    return replace(
-        borda,
-        ranking=(frozenset({winner}), *trimmed),
-        diagnostics={"path": "condorcet", "condorcet_winner": winner},
-    )
+        return ranked_by(doubled, 2 * table.scale,
+                         diagnostics={"path": "borda", "condorcet_winner": None})
+    borda = ranked_by(doubled, 2 * table.scale)
+    w = table.systems.index(winner)
+    trimmed = [g for g in [tuple([a for a in group if a != w]) for group in borda.groups] if g]
+    return borda._replace(groups=[(w,), *trimmed],
+                          diagnostics={"path": "condorcet", "condorcet_winner": winner})
 
 
 RULES: dict[str, Rule] = {

@@ -11,8 +11,9 @@ Each graph builds two bitmasks per system once: the systems it beats and
 those beating it. condorcet counts their bits, and the set rules are subset
 tests on them; dominated, dominators and edges build frozensets from them
 when read. The copeland rules and minimax read integer scores straight from
-the rows, without a graph, and hand them to model.ranked_by; condorcet and
-the set rules hand their winners to model.chosen.
+the rows, without a graph, and hand them, in system index order, to
+model.ranked_by; condorcet and the set rules hand their winners to
+model.chosen. Both return a model.IndexOutcome on the system indices.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from operator import gt, or_
 from typing import Callable, Iterator, Sequence
 
 from .errors import SearchTooLarge
-from .model import Leaderboard, RankTable, RuleOutcome, build_profile, chosen, ranked_by
+from .model import IndexOutcome, Leaderboard, RankTable, build_profile, chosen, ranked_by
 from .modes import Rule
 
 # exhaustive weakly-stable search is exponential in the dominant component
@@ -208,7 +209,7 @@ def minimal_weakly_stable_set(graph: MajorityGraph) -> frozenset[str]:
 # -- registry wiring ------------------------------------------------------
 
 
-def _condorcet_run(table: RankTable) -> RuleOutcome:
+def _condorcet_run(table: RankTable) -> IndexOutcome:
     winner = condorcet_winner(majority_graph_from_table(table))
     winners = frozenset() if winner is None else frozenset({winner})
     return chosen(table.systems, winners, diagnostics={"condorcet_winner": winner})
@@ -217,32 +218,30 @@ def _condorcet_run(table: RankTable) -> RuleOutcome:
 def _copeland_run(score: Callable[[int, int], int], *, ascending: bool = False):
     """A rule ranking by score(wins, losses), each the count of rivals."""
 
-    def run(table: RankTable) -> RuleOutcome:
+    def run(table: RankTable) -> IndexOutcome:
         counts = table.pairwise()
-        scores = {}
-        for m, row, col in zip(table.systems, counts, zip(*counts)):
-            # m beats a rival when its count over it (row) beats the rival's (col)
-            scores[m] = score(sum(map(gt, row, col)), sum(map(gt, col, row)))
+        # a system beats a rival when its count over it (row) beats the rival's (col)
+        scores = [score(sum(map(gt, row, col)), sum(map(gt, col, row)))
+                  for row, col in zip(counts, zip(*counts))]
         order = "ascending" if ascending else "descending"
         return ranked_by(scores, 1, ascending=ascending, diagnostics={"score_order": order})
 
     return run
 
 
-def _minimax_run(table: RankTable) -> RuleOutcome:
+def _minimax_run(table: RankTable) -> IndexOutcome:
     """0 for undefeated systems, else minus the strongest defeat's support."""
     counts = table.pairwise()
-    scores = {}
-    for m, row, col in zip(table.systems, counts, zip(*counts)):
-        # a rival defeats m when its count over m (col) beats m's over it (row)
-        scores[m] = -max([x for x, lost in zip(col, row) if x > lost], default=0)
+    # a rival defeats a system when its count over it (col) beats the system's (row)
+    scores = [-max([x for x, lost in zip(col, row) if x > lost], default=0)
+              for row, col in zip(counts, zip(*counts))]
     return ranked_by(scores, table.scale)
 
 
 def _set_rule(rule_id: str, chooser: Callable[[MajorityGraph], frozenset[str]]) -> Rule:
     """A rule whose chosen systems tie first, the others left unranked."""
 
-    def run(table: RankTable) -> RuleOutcome:
+    def run(table: RankTable) -> IndexOutcome:
         return chosen(table.systems, chooser(majority_graph_from_table(table)))
 
     return Rule(rule_id, profile_run=run, handles_missing=True, elector=False)

@@ -6,9 +6,10 @@ the voting rules against. They read the board's stored cells, integers over
 one common denominator (model.exact_cells refuses a missing one), and the
 board's task weights scaled to integers by the LCM of theirs, sum integers (or
 multiply integer powers, for the geometric mean's order) and hand the
-integers to model.ranked_by, which groups on them and gives each system one
-Fraction. The geometric mean keeps its own packaging, because the scores it
-reports are floats, each read from cell / denominator.
+integers, in system index order, to model.ranked_by, which groups the
+indices on them; naming the result gives each system one Fraction. The
+geometric mean groups its products with model.tie_groups itself, because
+the scores it reports are floats, each read from cell / denominator.
 
 The comparison measures operate on pairs of finished outcomes, are
 tie-aware throughout and compute correlations exactly, so that identities
@@ -33,13 +34,14 @@ from .errors import (
     ScoreOutOfRange,
 )
 from .model import (
+    IndexOutcome,
     Leaderboard,
     RuleOutcome,
     as_fraction,
     exact_cells,
-    group_by_score,
     integer_weights,
     ranked_by,
+    tie_groups,
 )
 from .modes import Rule
 
@@ -50,14 +52,13 @@ LEAST = "least"
 GMEAN_PRODUCT_BITS = 1 << 18
 
 
-def _mean_run(lb: Leaderboard) -> RuleOutcome:
+def _mean_run(lb: Leaderboard) -> IndexOutcome:
     cells, den = exact_cells(lb)
     wts, _ = integer_weights(lb.weights)
-    sums = {system: sum(map(mul, wts, row)) for system, row in zip(lb.systems, cells)}
-    return ranked_by(sums, den * sum(wts))
+    return ranked_by([sum(map(mul, wts, row)) for row in cells], den * sum(wts))
 
 
-def _gmean_run(lb: Leaderboard) -> RuleOutcome:
+def _gmean_run(lb: Leaderboard) -> IndexOutcome:
     cells, den = exact_cells(lb)
     # integer exponents: ranking by prod(cell^n_j) equals ranking by the
     # geometric mean, and the common denominator^sum(n_j) divides out; so
@@ -66,8 +67,8 @@ def _gmean_run(lb: Leaderboard) -> RuleOutcome:
     common = math.gcd(*exps)
     exps = [n // common for n in exps]
     n_total = sum(exps)
-    products: dict[str, int] = {}
-    display: dict[str, float] = {}
+    products: list[int] = []
+    display: list[float] = []
     for system, row in zip(lb.systems, cells):
         # int true division rounds correctly: each cell's float, which is
         # 0.0 for a positive cell below the float range
@@ -84,10 +85,10 @@ def _gmean_run(lb: Leaderboard) -> RuleOutcome:
                 f"{GMEAN_PRODUCT_BITS} bits: the task weights, scaled to coprime "
                 "integers, are too large"
             )
-        products[system] = math.prod(map(pow, row, exps))
+        products.append(math.prod(map(pow, row, exps)))
         # fsum is correctly rounded, so the report does not depend on task order
-        display[system] = math.exp(math.fsum(map(mul, exps, map(math.log, floats))) / n_total)
-    return RuleOutcome(ranking=group_by_score(products), scores=display)
+        display.append(math.exp(math.fsum(map(mul, exps, map(math.log, floats))) / n_total))
+    return IndexOutcome(tie_groups(products), (), display)
 
 
 def checked_gamma(gamma: int | float | Fraction | str) -> Fraction:
@@ -102,13 +103,13 @@ def checked_gamma(gamma: int | float | Fraction | str) -> Fraction:
     return g
 
 
-def _og_run(lb: Leaderboard, *, gamma: int | float | Fraction | str = 0.95) -> RuleOutcome:
+def _og_run(lb: Leaderboard, *, gamma: int | float | Fraction | str = 0.95) -> IndexOutcome:
     cells, den = exact_cells(lb)
     g = checked_gamma(gamma)
     wts, _ = integer_weights(lb.weights)
     # over den * g.denominator, gamma is g.numerator * den and a cell c * g.denominator
     top = g.numerator * den
-    sums: dict[str, int] = {}
+    sums: list[int] = []
     for system, row in zip(lb.systems, cells):
         acc = 0
         for task, num, w in zip(lb.tasks, row, wts):
@@ -118,7 +119,7 @@ def _og_run(lb: Leaderboard, *, gamma: int | float | Fraction | str = 0.95) -> R
                     f"{system!r} on {task!r} is {num / den}"
                 )
             acc += w * max(0, top - num * g.denominator)
-        sums[system] = acc
+        sums.append(acc)
     return ranked_by(
         sums,
         den * g.denominator * sum(wts),

@@ -18,11 +18,11 @@ distinct task weight and multiplied by it once, in fields wide enough for
 the total weight and read back in little-endian order; the place slots,
 one per ranked system holding its tie group, from which threshold reads
 one place column at a time; and the first- and last-place mass columns,
-walked from either end. A rule that ranks by a score hands its integer
-scores and their unit to ranked_by, which groups on the integers; a
-set-valued rule hands its winners to chosen. Outcome scores, and the
-score maps kept as diagnostics, are LazyScores, which build their
-Fractions when first read. The elimination, threshold and named
+walked from either end. A rule core returns an IndexOutcome on system
+indices, from ranked_by (a stable sort of the indices on integer scores)
+or chosen (a set rule's winners); modes.call_rule alone names it. Outcome
+scores, and the score maps kept as diagnostics, are LazyScores, which
+build their Fractions when first read. The elimination, threshold and named
 positional rules, and two_step's electors, keep their diagnostics as a
 LazyDiagnostics: the integer state the rule core made anyway, and the
 function that builds the diagnostics dict from it on the first read. So a
@@ -45,8 +45,8 @@ from dataclasses import InitVar, dataclass, field
 from decimal import Decimal, InvalidOperation
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain, compress, groupby
-from operator import eq, itemgetter, lt
+from itertools import chain, compress
+from operator import eq, lt, ne
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import EmptySubset, MissingScore, UnknownSystem
@@ -752,33 +752,46 @@ class _Unranking(NamedTuple):
         return tuple([tuple(row) for row in rows])
 
 
+def tie_groups(scores: Sequence[Any], *, ascending: bool = False) -> list[tuple[int, ...]]:
+    """The indices of scores in tie groups, best (highest, or with ascending
+    lowest) first: runs of equal scores in a stable sort of the indices, so
+    each group is ascending."""
+    n = len(scores)
+    order = sorted(range(n), key=scores.__getitem__, reverse=not ascending)
+    values = [scores[i] for i in order]
+    cuts = [*compress(range(n), [True, *map(ne, values, values[1:])]), n]
+    return [tuple(order[a:b]) for a, b in zip(cuts, cuts[1:])]
+
+
 def group_by_score(
     scores: Mapping[str, Fraction | float | int],
     *,
     ascending: bool = False,
 ) -> tuple[frozenset[str], ...]:
     """Partition systems into tie groups ordered best-first by exact score."""
-    ordered = sorted(scores.items(), key=itemgetter(1), reverse=not ascending)
-    return tuple([
-        frozenset([m for m, _ in group]) for _, group in groupby(ordered, itemgetter(1))
-    ])
+    names = list(scores)
+    return tuple([frozenset([names[i] for i in group])
+                  for group in tie_groups(list(scores.values()), ascending=ascending)])
 
 
-def fractional_ranks_of(groups: Sequence[frozenset[str] | Sequence[str]]) -> dict[str, Fraction]:
-    """Fractional rank of each system given ordered tie groups.
-
-    A tie group shares the mean of the integer places it spans:
-    place + (g - 1) / 2.
-    """
-    ranks: dict[str, Fraction] = {}
-    place = 1
+def doubled_ranks(groups: Iterable[Sequence[Any]]) -> dict[Any, int]:
+    """Twice the fractional rank of each member of ordered tie groups, an
+    integer: a group of g after p ranked members spans places p + 1 to
+    p + g, whose mean doubled is 2p + g + 1."""
+    ranks = {}
+    place = 0
     for group in groups:
         g = len(group)
-        rank = Fraction(2 * place + g - 1, 2)
+        rank = 2 * place + g + 1
         for member in group:
             ranks[member] = rank
         place += g
     return ranks
+
+
+def fractional_ranks_of(groups: Sequence[frozenset[str] | Sequence[str]]) -> dict[str, Fraction]:
+    """Fractional rank of each system given ordered tie groups: doubled_ranks halved."""
+    return {member: Fraction(rank, 2) for member, rank in doubled_ranks(groups).items()}
 
 
 @dataclass(frozen=True)
@@ -790,8 +803,8 @@ class RuleOutcome:
     unranked. scores, when present, maps each ranked system to the value the
     rule ordered by (exact rationals where the rule allows it); a rule
     packaged by ranked_by holds them as a LazyScores. diagnostics is a dict,
-    or a LazyDiagnostics that builds it when first read. A rule's runner
-    leaves rule_id and mode empty; call_rule stamps them.
+    or a LazyDiagnostics that builds it when first read. call_rule builds
+    it from a rule core's IndexOutcome and stamps rule_id and mode.
     """
 
     rule_id: str = ""
@@ -827,13 +840,6 @@ class RuleOutcome:
     def all_systems(self) -> frozenset[str]:
         return self.ranked_systems | self.unranked
 
-    def stamped(self, rule_id: str, mode: str) -> "RuleOutcome":
-        """This outcome with rule_id and mode set. Its groups were checked
-        when it was built, so __post_init__ does not run again."""
-        out = object.__new__(RuleOutcome)
-        out.__dict__.update(self.__dict__, rule_id=rule_id, mode=mode)
-        return out
-
     def is_total(self) -> bool:
         return not self.unranked
 
@@ -851,24 +857,49 @@ class RuleOutcome:
         return fractional_ranks_of(self.ranking)
 
 
+class IndexOutcome(NamedTuple):
+    """A rule core's result on system indices: tie groups best first, each
+    an ascending tuple, the unranked indices, each system's score in index
+    order (integers over unit, or with unit None the floats shown), and a
+    diagnostics dict, LazyDiagnostics or None."""
+
+    groups: list[tuple[int, ...]]
+    unranked: Sequence[int] = ()
+    scores: Sequence[int] | Sequence[float] | None = None
+    unit: int | None = None
+    diagnostics: Mapping[str, Any] | None = None
+
+    def named(self, systems: Sequence[str], rule_id: str, mode: str) -> RuleOutcome:
+        """The RuleOutcome naming index i systems[i], stamped with rule_id and
+        mode. Index groups partition the systems by construction, so
+        RuleOutcome's checks do not run."""
+        scores = self.scores
+        if scores is not None:
+            scores = (dict(zip(systems, scores)) if self.unit is None
+                      else LazyScores(systems, scores, self.unit))
+        out = object.__new__(RuleOutcome)
+        out.__dict__.update(
+            rule_id=rule_id, mode=mode,
+            # an untied system, the common case, without a loop over its group
+            ranking=tuple([frozenset((systems[group[0]],)) if len(group) == 1
+                           else frozenset([systems[i] for i in group]) for group in self.groups]),
+            scores=scores,
+            unranked=frozenset([systems[i] for i in self.unranked]),
+            diagnostics={} if self.diagnostics is None else self.diagnostics,
+        )
+        return out
+
+
 def ranked_by(
-    scores: Mapping[str, int],
+    scores: Sequence[int],
     unit: int,
     *,
     ascending: bool = False,
     diagnostics: Mapping[str, Any] | None = None,
-) -> RuleOutcome:
-    """Outcome of a rule that orders systems by integer scores over one unit.
-
-    The tie groups come from the integers. The scores are a LazyScores, so
-    each system's Fraction(score, unit) is built when the scores are first
-    read. unit must be positive.
-    """
-    return RuleOutcome(
-        ranking=group_by_score(scores, ascending=ascending),
-        scores=LazyScores(list(scores), list(scores.values()), unit),
-        diagnostics={} if diagnostics is None else diagnostics,
-    )
+) -> IndexOutcome:
+    """Result of a rule that orders the systems by integer scores over one
+    positive unit, listed in index order; named() makes them a LazyScores."""
+    return IndexOutcome(tie_groups(scores, ascending=ascending), (), scores, unit, diagnostics)
 
 
 class LazyScores(Mapping[str, Fraction]):
@@ -915,9 +946,11 @@ class LazyDiagnostics(Mapping[str, Any]):
     """Read-only diagnostics dict that build(*state) makes on the first read.
 
     state is what the rule core made anyway: names, integer lists, units
-    and tie groups, never a table or a board. build is a module-level
-    function, so the mapping pickles and copies unread. Like LazyScores,
-    it equals, prints and serialises as the dict it stands for.
+    and index tie groups, never a table or a board. build is a module-level
+    function, and the mapping pickles and copies as build and state alone,
+    so a copy builds its dict, frozensets printing in the same order, as an
+    unread one does. Like LazyScores, it equals, prints and serialises as
+    the dict it stands for.
     """
 
     __slots__ = ("_build", "_state", "_dict")
@@ -931,6 +964,9 @@ class LazyDiagnostics(Mapping[str, Any]):
         if self._dict is None:
             self._dict = self._build(*self._state)
         return self._dict
+
+    def __reduce__(self):
+        return LazyDiagnostics, (self._build, *self._state)
 
     def __getitem__(self, key: str) -> Any:
         return self._filled()[key]
@@ -946,14 +982,13 @@ class LazyDiagnostics(Mapping[str, Any]):
 
 
 def chosen(
-    systems: Iterable[str],
+    systems: Sequence[str],
     winners: frozenset[str],
     *,
     diagnostics: Mapping[str, Any] | None = None,
-) -> RuleOutcome:
-    """Outcome of a set-valued rule: the winners tie, everyone else is unranked."""
-    return RuleOutcome(
-        ranking=(winners,) if winners else (),
-        unranked=frozenset([m for m in systems if m not in winners]),
-        diagnostics={} if diagnostics is None else diagnostics,
-    )
+) -> IndexOutcome:
+    """Result of a set-valued rule: the winners tie, everyone else is unranked."""
+    ranked = [i for i, m in enumerate(systems) if m in winners]
+    return IndexOutcome([tuple(ranked)] if ranked else [],
+                        [i for i, m in enumerate(systems) if m not in winners],
+                        diagnostics=diagnostics)

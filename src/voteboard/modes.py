@@ -9,15 +9,15 @@ treats each group as a single voter whose ballot is that ranking, a tie
 order over the systems, and applies the rule once more. Both grouped modes
 require a grouping that covers every task.
 
-The runner contract: every runner is called as run(data, **params). A
-profile rule's data is the RankTable that run_rule builds once, with
-build_profile, from the mode's board; a score rule's data is that board.
-Both return a RuleOutcome with rule_id and mode left empty. call_rule
-makes that call and stamps them; run_rule and the experiment loops, which
-hand it tables and boards they derive themselves, all go through it.
-two_step keeps each group's ranking and adds the "electors" diagnostic
-through a model.LazyDiagnostics over the second step's diagnostics, so
-neither is built before the outcome's diagnostics are read.
+The runner contract: every runner is its rule's core, called as
+run(data, **params). A profile rule's data is the RankTable that run_rule
+builds once, with build_profile, from the mode's board; a score rule's
+data is that board. Both return a model.IndexOutcome on the data's system
+indices, which call_rule alone names, as a RuleOutcome stamped with the
+rule and mode; the experiment loops call the core and name nothing.
+two_step's groups vote with their index tie groups, and it adds the
+"electors" diagnostic through a model.LazyDiagnostics over the second
+step's diagnostics, so neither is built before they are read.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from functools import cached_property
 from typing import Any, Callable, Mapping
 
 from .errors import InvalidParameter, MissingGroups, RuleUnsupportedForMode, UnknownRule
-from .model import LazyDiagnostics, Leaderboard, RankTable, RuleOutcome, build_profile
+from .model import IndexOutcome, LazyDiagnostics, Leaderboard, RankTable, RuleOutcome
+from .model import build_profile
 
 BASIC = "basic"
 WEIGHTED = "weighted"
@@ -40,7 +41,7 @@ MODES = (BASIC, WEIGHTED, TWO_STEP)
 class Rule:
     """A registered rule.
 
-    A rule has exactly one runner, run(data, **params) -> RuleOutcome:
+    A rule has exactly one runner, run(data, **params) -> IndexOutcome:
     profile_run reads a RankTable built from the mode's board, and
     score_run reads that board's cells and weights, for aggregators that
     need the raw scores.
@@ -50,8 +51,8 @@ class Rule:
     """
 
     rule_id: str
-    profile_run: Callable[..., RuleOutcome] | None = None
-    score_run: Callable[..., RuleOutcome] | None = None
+    profile_run: Callable[..., IndexOutcome] | None = None
+    score_run: Callable[..., IndexOutcome] | None = None
     handles_missing: bool = False
     elector: bool = True
 
@@ -60,7 +61,7 @@ class Rule:
             raise ValueError("a rule needs exactly one of profile_run/score_run")
 
     @property
-    def run(self) -> Callable[..., RuleOutcome]:
+    def run(self) -> Callable[..., IndexOutcome]:
         """The rule's runner, called as run(data, **params)."""
         return self.profile_run or self.score_run
 
@@ -100,8 +101,8 @@ def check_params(rule: Rule, params: Mapping[str, Any]) -> None:
 
 def call_rule(rule: Rule, mode: str, data: RankTable | Leaderboard, **params: Any) -> RuleOutcome:
     """The rule's outcome on a table (profile rules) or a board (score rules),
-    stamped with the rule and mode."""
-    return rule.run(data, **params).stamped(rule.rule_id, mode)
+    named and stamped with the rule and mode."""
+    return rule.run(data, **params).named(data.systems, rule.rule_id, mode)
 
 
 def run_rule(lb: Leaderboard, rule: Rule, mode: str = BASIC, **params: Any) -> RuleOutcome:
@@ -110,9 +111,10 @@ def run_rule(lb: Leaderboard, rule: Rule, mode: str = BASIC, **params: Any) -> R
         raise UnknownRule(f"unknown mode: {mode!r}")
     check_params(rule, params)
     if mode == TWO_STEP:
-        outcome, ballots = _run_two_step(lb, rule, **params)
+        table, ballots = _second_step(lb, rule, **params)
+        outcome = call_rule(rule, TWO_STEP, table, **params)
         return replace(outcome, diagnostics=LazyDiagnostics(
-            _with_electors, outcome.diagnostics, ballots
+            _with_electors, outcome.diagnostics, lb.systems, ballots
         ))
     if mode == WEIGHTED:
         lb = _weighted(lb)
@@ -122,19 +124,20 @@ def run_rule(lb: Leaderboard, rule: Rule, mode: str = BASIC, **params: Any) -> R
     return call_rule(rule, mode, data, **params)
 
 
-def _with_electors(
-    diagnostics: Mapping[str, Any], ballots: list[tuple[str, tuple[frozenset[str], ...]]]
-) -> dict[str, Any]:
+def _with_electors(diagnostics: Mapping[str, Any], systems: tuple[str, ...],
+                   ballots: list[tuple[str, list[tuple[int, ...]]]]) -> dict[str, Any]:
     """The second step's diagnostics plus "electors": each group's ranking,
-    its tie groups as sorted lists."""
-    electors = {name: [sorted(group) for group in ranking] for name, ranking in ballots}
+    its tie groups as sorted lists of names."""
+    electors = {name: [sorted([systems[i] for i in group]) for group in groups]
+                for name, groups in ballots}
     return {**diagnostics, "electors": electors}
 
 
-def _run_two_step(
+def _second_step(
     lb: Leaderboard, rule: Rule, **params: Any
-) -> tuple[RuleOutcome, list[tuple[str, tuple[frozenset[str], ...]]]]:
-    """The second-step outcome, and each group's name and ranking, its elector ballot."""
+) -> tuple[RankTable, list[tuple[str, list[tuple[int, ...]]]]]:
+    """The second step's table, whose tasks are the groups, and each group's
+    name and index tie groups, its elector ballot."""
     if rule.score_run is not None:
         raise RuleUnsupportedForMode(
             f"rule {rule.rule_id!r} aggregates raw scores and has no second-step ballot form"
@@ -144,26 +147,21 @@ def _run_two_step(
             f"rule {rule.rule_id!r} does not produce a total ranking usable as a ballot"
         )
     groups = _covering_groups(lb)
-    index = {m: i for i, m in enumerate(lb.systems)}
     ballots = []
-    orders = []
     for name, members in groups:
-        table = build_profile(lb, members, missing_ok=rule.handles_missing)
-        outcome = rule.profile_run(table, **params)
-        if outcome.unranked:
+        result = rule.profile_run(build_profile(lb, members, missing_ok=rule.handles_missing),
+                                  **params)
+        if result.unranked:
             raise RuleUnsupportedForMode(
                 f"rule {rule.rule_id!r} left systems unranked inside group {name!r}"
             )
-        ballots.append((name, outcome.ranking))
-        orders.append(tuple([
-            tuple(sorted([index[m] for m in group])) for group in outcome.ranking
-        ]))
+        ballots.append((name, result.groups))
     # every group votes with unit weight
     table = RankTable._unchecked(
         systems=lb.systems,
         tasks=tuple([name for name, _ in groups]),
-        orders=tuple(orders),
+        orders=tuple([tuple(ballot) for _, ballot in ballots]),
         weights=(1,) * len(groups),
         scale=1,
     )
-    return call_rule(rule, TWO_STEP, table, **params), ballots
+    return table, ballots

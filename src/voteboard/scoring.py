@@ -12,10 +12,11 @@ _custom_entries checks custom's vector= and scales it. Totals are summed
 in integers from a RankTable's tie orders, with the task weights scaled by
 the table's mass unit: each tie group adds the sum of the scaled entries
 over the places it spans, and an untied system adds its one place's entry
-times the weight, without the per-member split. The totals and their
-unit, mass_unit * L, go to model.ranked_by, which makes each total a
-Fraction once. The "vector" diagnostic, the Fractions e / L, is made when
-the outcome's diagnostics are first read.
+times the weight, without the per-member split. The totals, a list in
+system index order, and their unit, mass_unit * L, go to model.ranked_by,
+which groups the indices on them; naming the result makes each total a
+Fraction once, when read. The "vector" diagnostic, the Fractions e / L, is
+made when the outcome's diagnostics are first read.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 from typing import Any, Callable, Sequence
 
 from .errors import InvalidParameter, MissingScore, VectorLengthMismatch
-from .model import LazyDiagnostics, RankTable, RuleOutcome, as_fraction, ranked_by
+from .model import IndexOutcome, LazyDiagnostics, RankTable, as_fraction, ranked_by
 from .modes import Rule
 
 
@@ -50,9 +51,10 @@ def _custom_entries(values: Sequence[int | float | Fraction | str]) -> tuple[lis
 
 def _integer_totals(
     table: RankTable, entries: Sequence[int], lcm: int
-) -> tuple[dict[str, int], int]:
-    """Per-system totals as integers, and the denominator they share, for
-    the vector whose entries scaled by lcm are entries.
+) -> tuple[list[int], int]:
+    """Each system's total as an integer, in index order, and the
+    denominator they share, for the vector whose entries scaled by lcm are
+    entries.
 
     A tie group of size g adds w / g times the scaled entries it spans, a
     whole number since mass_unit / scale is divisible by every group size.
@@ -80,7 +82,7 @@ def _integer_totals(
             for a in group:
                 totals[a] += share
             place += len(group)
-    return dict(zip(table.systems, totals)), table.mass_unit * lcm
+    return totals, table.mass_unit * lcm
 
 
 def _dowdall(n: int) -> tuple[list[int], int]:
@@ -104,7 +106,7 @@ def _vector_diagnostics(entries: list[int], lcm: int) -> dict[str, Any]:
     return {"vector": tuple([Fraction(e, lcm) for e in entries])}
 
 
-def _scored(table: RankTable, entries: list[int], lcm: int) -> RuleOutcome:
+def _scored(table: RankTable, entries: list[int], lcm: int) -> IndexOutcome:
     """Every positional rule's outcome: the ranking by the vector's totals,
     with its "vector" diagnostic built on first read."""
     return ranked_by(*_integer_totals(table, entries, lcm),
@@ -120,7 +122,7 @@ def _custom_run(
     table: RankTable,
     *,
     vector: Sequence[int | float | Fraction | str] | None = None,
-) -> RuleOutcome:
+) -> IndexOutcome:
     if vector is None:
         raise InvalidParameter("custom scoring needs a vector")
     return _scored(table, *_custom_entries(vector))

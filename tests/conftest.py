@@ -4,7 +4,7 @@ import random
 import pytest
 
 from voteboard import Leaderboard, iterative, modes, scoring
-from voteboard.model import LazyScores
+from voteboard.model import IndexOutcome, LazyScores
 
 # every function that turns a rule's kept state into its diagnostics, and
 # the Fraction build of a LazyScores
@@ -44,6 +44,22 @@ def diagnostics_unbuilt():
         armed[0] = False
         for owner, name, original in saved:
             setattr(owner, name, original)
+
+
+@contextlib.contextmanager
+def outcomes_unnamed():
+    """Inside the block, naming a rule core's result, which call_rule does
+    with IndexOutcome.named, raises AssertionError."""
+    original = IndexOutcome.named
+
+    def named(*args):
+        raise AssertionError("a rule's result was named inside the block")
+
+    IndexOutcome.named = named
+    try:
+        yield
+    finally:
+        IndexOutcome.named = original
 
 # the worked example used throughout: five tasks, four systems, per-task
 # orders chosen so B is the majority champion but plurality picks A

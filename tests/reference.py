@@ -37,6 +37,13 @@ it come the robustness experiment's median imputation, which rebuilt the
 board once per deleted cell, and the robustness loop, which ran the
 library's rules on boards rebuilt once per trial.
 
+Next comes the outcome packaging on names, as it stood before rule cores
+returned system indices that only call_rule names: ranked_by over a
+name -> integer dict and chosen, each returning a checked RuleOutcome, and
+the iia and robustness loops that named every outcome they made, compared
+iia's steps by name tie groups (_tie_order) and read robustness's ranks as
+Fractions by name.
+
 Then comes the outcome's JSON text as the CLI printed it while every
 diagnostic mapping was a dict, whose dataclasses went through
 dataclasses.asdict. After it come outcome_to_dict and to_json as they stood
@@ -81,12 +88,13 @@ from voteboard.experiments import (
     IMPUTABLE,
     ExperimentConfig,
     ExperimentReport,
+    _impute_medians,
     _report,
     trial_rng,
 )
 from voteboard.iterative import EliminationRound, EliminationTrace
 from voteboard.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, Constraint
-from voteboard.metrics import _check_pair, _signed_root, end_set
+from voteboard.metrics import _check_pair, _signed_root, checked_gamma, end_set
 from voteboard.metrics import rho_from_rank_vectors as library_rho
 from voteboard.model import (
     MINIMIZE,
@@ -100,7 +108,8 @@ from voteboard.model import (
     cell_ratio,
     missing_score,
 )
-from voteboard.modes import BASIC, MODES, TWO_STEP, Rule, _covering_groups
+from voteboard.model import build_profile as library_build_profile
+from voteboard.modes import BASIC, MODES, TWO_STEP, Rule, _covering_groups, call_rule, check_params
 from voteboard.modes import run_rule as run_library_rule
 from voteboard.registry import get_rule
 
@@ -1593,6 +1602,191 @@ def robustness_experiment(
             series[rid].append(library_rho(
                 [ref_ranks[rid][m] for m in chosen],
                 [ranks[m] for m in chosen],
+            ))
+    return _report(
+        "robustness", cfg, series, omit_count=cfg.omit_count, top_k=cfg.top_k, gamma=gamma
+    )
+
+
+# -- outcome packaging on names ---------------------------------------------
+
+
+def ranked_by(
+    scores: Mapping[str, int],
+    unit: int,
+    *,
+    ascending: bool = False,
+    diagnostics: Mapping[str, Any] | None = None,
+) -> RuleOutcome:
+    """model.ranked_by as it stood while it took a name -> integer dict and
+    returned a checked RuleOutcome."""
+    return RuleOutcome(
+        ranking=group_by_score(scores, ascending=ascending),
+        scores=LazyScores(list(scores), list(scores.values()), unit),
+        diagnostics={} if diagnostics is None else diagnostics,
+    )
+
+
+def chosen(
+    systems: Iterable[str],
+    winners: frozenset[str],
+    *,
+    diagnostics: Mapping[str, Any] | None = None,
+) -> RuleOutcome:
+    """model.chosen as it stood while it returned a checked RuleOutcome."""
+    return RuleOutcome(
+        ranking=(winners,) if winners else (),
+        unranked=frozenset([m for m in systems if m not in winners]),
+        diagnostics={} if diagnostics is None else diagnostics,
+    )
+
+
+def _tie_order(outcome: RuleOutcome, systems: frozenset[str]) -> list[frozenset[str]]:
+    """The outcome's tie groups restricted to systems, empty groups dropped."""
+    groups = [kept for kept in (group & systems for group in outcome.ranking) if kept]
+    if sum(map(len, groups)) != len(systems):
+        raise RuleUnsupportedForMode(
+            f"rule {outcome.rule_id!r} leaves systems unranked, so it has no "
+            "pairwise relations to probe"
+        )
+    return groups
+
+
+def _named_on_systems(
+    lb: Leaderboard, rule: Rule, params: Mapping[str, Any]
+) -> Callable[[Sequence[str]], RuleOutcome]:
+    """experiments._on_systems as it stood while it named every outcome."""
+    if rule.score_run is not None:
+        return lambda present: call_rule(rule, BASIC, lb.restrict_systems(present), **params)
+    table = library_build_profile(lb, missing_ok=True)
+    index = {m: i for i, m in enumerate(lb.systems)}
+    holes = []
+    if not rule.handles_missing:
+        for j, task in enumerate(lb.tasks):
+            gone = frozenset([i for i, row in enumerate(lb.cells) if row[j] is None])
+            if gone:
+                holes.append((task, gone))
+
+    def run(present: Sequence[str]) -> RuleOutcome:
+        kept = sorted([index[m] for m in present])
+        for task, gone in holes:
+            hit = [i for i in kept if i in gone]
+            if hit:
+                raise missing_score(lb.systems[hit[0]], task)
+        return call_rule(rule, BASIC, table.restrict(kept), **params)
+
+    return run
+
+
+def named_iia_experiment(
+    lb: Leaderboard,
+    rule: str,
+    cfg: ExperimentConfig | None = None,
+    **rule_params: Any,
+) -> ExperimentReport:
+    """iia_experiment as it stood while it named every step's outcome and
+    compared the name tie groups of the present systems (_tie_order)."""
+    cfg = cfg or ExperimentConfig()
+    if len(lb.systems) < 3:
+        raise TooFewSystems("spoiler probing needs at least three systems")
+    rule_obj = get_rule(rule)
+    check_params(rule_obj, rule_params)
+    run = _named_on_systems(lb, rule_obj, rule_params)
+    counts: list[float] = []
+    for trial in range(cfg.trials):
+        rng = trial_rng(cfg.seed, trial)
+        order = list(lb.systems)
+        rng.shuffle(order)
+        present = order[:2]
+        prev = run(present)
+        changed = 0
+        for newcomer in order[2:]:
+            now = present + [newcomer]
+            out = run(now)
+            kept = frozenset(present)
+            if _tie_order(out, kept) != _tie_order(prev, kept):
+                changed += 1
+            present = now
+            prev = out
+        counts.append(float(changed))
+    return _report("iia", cfg, {rule: counts})
+
+
+def named_robustness_experiment(
+    lb: Leaderboard,
+    rules: Sequence[str],
+    cfg: ExperimentConfig | None = None,
+    *,
+    gamma: float = 0.95,
+) -> ExperimentReport:
+    """robustness_experiment as it stood while it named every outcome and
+    read each system's Fraction rank by name (its default config deleted no
+    cells; the tests pass a config)."""
+    cfg = cfg or ExperimentConfig(trials=100, top_k=min(7, len(lb.systems)))
+    if not rules:
+        raise InvalidParameter("robustness needs at least one rule")
+    checked_gamma(gamma)
+    if cfg.top_k > len(lb.systems):
+        raise InvalidParameter("top_k cannot exceed the number of systems")
+    rule_objs = {}
+    for rid in rules:
+        if rid in rule_objs:
+            raise InvalidParameter(f"rule {rid!r} is named twice")
+        rule_obj = get_rule(rid)
+        if not rule_obj.handles_missing and rid not in IMPUTABLE:
+            raise RuleUnsupportedForMode(
+                f"rule {rid!r} can neither tolerate missing scores nor be imputed"
+            )
+        rule_objs[rid] = rule_obj
+    present = [(i, j) for i, row in enumerate(lb.cells)
+               for j, cell in enumerate(row) if cell is not None]
+    if cfg.omit_count > len(present):
+        raise TooManyOmissions(
+            f"cannot delete {cfg.omit_count} of {len(present)} present cells"
+        )
+    table = None
+    if any(rid not in IMPUTABLE for rid in rules):
+        table = library_build_profile(lb, missing_ok=True)
+
+    def run(rid: str, data: RankTable | Leaderboard) -> RuleOutcome:
+        params = {"gamma": gamma} if "gamma" in rule_objs[rid].params else {}
+        return call_rule(rule_objs[rid], BASIC, data, **params)
+
+    ref_ranks: dict[str, dict[str, Fraction]] = {}
+    ref_sets: dict[str, tuple[str, ...]] = {}
+    for rid in rules:
+        out = run(rid, lb if rid in IMPUTABLE else table)
+        if not out.is_total():
+            raise RuleUnsupportedForMode(
+                f"rule {rid!r} leaves systems unranked on the intact board, "
+                "so it has no ranks to correlate"
+            )
+        ref_ranks[rid] = out.fractional_ranks()
+        ref_sets[rid] = tuple(sorted(end_set(out, cfg.top_k)))
+
+    series: dict[str, list[float]] = {rid: [] for rid in rules}
+    for trial in range(cfg.trials):
+        rng = trial_rng(cfg.seed, trial)
+        deleted = rng.sample(present, cfg.omit_count)
+        trimmed = None if table is None else table.without(deleted)
+        imputed: Leaderboard | None = None
+        for rid in rules:
+            if rid in IMPUTABLE:
+                if imputed is None:
+                    imputed = _impute_medians(lb, deleted)
+                out = run(rid, imputed)
+            else:
+                out = run(rid, trimmed)
+            if not out.is_total():
+                raise RuleUnsupportedForMode(
+                    f"rule {rid!r} leaves systems unranked once cells are deleted, "
+                    "so it has no ranks to correlate"
+                )
+            ranks = out.fractional_ranks()
+            chosen_ = ref_sets[rid]
+            series[rid].append(library_rho(
+                [ref_ranks[rid][m] for m in chosen_],
+                [ranks[m] for m in chosen_],
             ))
     return _report(
         "robustness", cfg, series, omit_count=cfg.omit_count, top_k=cfg.top_k, gamma=gamma

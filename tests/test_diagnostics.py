@@ -17,7 +17,9 @@ no RankTable or Leaderboard. threshold's stages, on tables with holes,
 must read as the reference's.
 """
 
+import contextlib
 import copy
+import functools
 import pickle
 from fractions import Fraction as F
 from types import FunctionType
@@ -25,7 +27,7 @@ from types import FunctionType
 import pytest
 
 import voteboard as vb
-from voteboard import experiments
+from voteboard import modes
 from voteboard.cli import main
 from voteboard.io import outcome_to_dict, render_outcome_table, to_json
 from voteboard.model import LazyDiagnostics, LazyScores
@@ -65,45 +67,53 @@ def test_the_guard_raises_on_a_read_and_lets_a_later_read_through():
     assert custom == reference.run_rule(lb, reference.RULES["custom"], **params_for("custom", lb))
 
 
-def recording(monkeypatch):
-    """Every outcome the experiments make through call_rule, as it is made."""
+@contextlib.contextmanager
+def recording():
+    """Inside the block, every result a rule core makes, as it is made, with
+    the rule and the systems of the data it ranked, to be named later."""
     made = []
+    real = modes.Rule.run
 
-    def call_rule(rule, mode, data, **params):
-        out = real(rule, mode, data, **params)
-        made.append(out)
-        return out
+    def run(rule):
+        core = real.fget(rule)
 
-    real = experiments.call_rule
-    monkeypatch.setattr(experiments, "call_rule", call_rule)
-    return made
+        @functools.wraps(core)
+        def recorded(data, **params):
+            result = core(data, **params)
+            made.append((rule.rule_id, data.systems, result))
+            return result
+
+        return recorded
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modes.Rule, "run", property(run))
+        yield made
 
 
 @pytest.mark.parametrize("rule", ["borda", "baldwin", "threshold", "hare"])
 @pytest.mark.parametrize("n,t,seed", [(8, 5, 0), (14, 6, 1)])
-def test_iia_builds_no_diagnostics_and_its_outcomes_read_as_the_reference(
-    monkeypatch, rule, n, t, seed
-):
+def test_iia_builds_no_diagnostics_and_its_outcomes_read_as_the_reference(rule, n, t, seed):
     lb = ladder_board(n, t, seed)
     cfg = vb.ExperimentConfig(seed=seed, trials=2)
-    made = recording(monkeypatch)
-    with diagnostics_unbuilt():
+    with recording() as made, diagnostics_unbuilt():
         report = vb.iia_experiment(lb, rule, cfg)
     assert report == reference.iia_experiment(lb, rule, cfg)
     assert len(made) == 2 * (n - 1)
-    for out in made:
+    for rid, systems, result in made:
+        out = result.named(systems, rid, BASIC)
         present = lb.restrict_systems(sorted(out.all_systems, key=lb.systems.index))
         assert out == reference.run_rule(present, reference.RULES[rule]), sorted(out.all_systems)
 
 
-def test_robustness_builds_no_diagnostics(monkeypatch):
-    made = recording(monkeypatch)
+def test_robustness_builds_no_diagnostics():
+    made = []
     # mean, which the bench runs too, needs a board without holes
     for holes, rules in ((False, ["copeland", "minimax", "mean"]), (True, ["copeland", "minimax"])):
         lb = ladder_board(14, 6, 0, holes=holes)
         cfg = vb.ExperimentConfig(seed=2, trials=3, omit_count=5, top_k=7)
-        with diagnostics_unbuilt():
+        with recording() as calls, diagnostics_unbuilt():
             report = vb.robustness_experiment(lb, rules, cfg)
+        made += calls
         assert report == reference.robustness_experiment(lb, rules, cfg)
     assert len(made) == 4 * 3 + 4 * 2
 
@@ -216,7 +226,7 @@ def test_holed_and_tied_threshold_stages_read_as_the_reference():
     for n, t, seed in ((8, 5, 1), (14, 6, 0), (20, 6, 0)):
         lb = ladder_board(n, t, seed, holes=True)
         table = vb.build_profile(lb, missing_ok=True)
-        out = vb.get_rule("threshold").profile_run(table)
+        out = vb.get_rule("threshold").profile_run(table).named(table.systems, "", "")
         assert out.diagnostics._dict is None
         first = out.diagnostics["repetitions"][0]["stages"]
         assert all(type(stage["scores"]) is LazyScores for stage in first)

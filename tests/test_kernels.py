@@ -509,7 +509,9 @@ def test_table_kernels_match_reference_on_random_boards(block):
 def assert_slot_kernels(table):
     """threshold and table_position_counts equal the masses-based code they
     replaced, and a second threshold call repeats the first."""
-    threshold = vb.get_rule("threshold").profile_run
+    def threshold(table):
+        return vb.get_rule("threshold").profile_run(table).named(table.systems, "", "")
+
     new = threshold(table)
     old = reference.mass_threshold_run(table)
     assert new == old

@@ -213,7 +213,7 @@ def test_score_with_vector_matches_reference():
         falling = ScoringVector.custom([F(7, 3)] + [F(n - 1 - p, 5 * n) for p in range(n - 1)])
         for vector in (ScoringVector.borda(n), ScoringVector.dowdall(n), falling):
             totals, unit = _integer_totals(table, *_custom_entries(vector.entries))
-            got = {m: F(x, unit) for m, x in totals.items()}
+            got = {m: F(x, unit) for m, x in zip(table.systems, totals)}
             want = reference.score_with_vector(reference.build_profile(lb), vector, weights)
             assert got == want and list(got) == list(lb.systems)
             assert vb.aggregate(lb, "custom", vector=vector.entries).scores == want
@@ -250,7 +250,7 @@ def test_integer_totals_match_reference_on_mixed_ties(n):
         for vector in (ScoringVector.borda(n), ScoringVector.dowdall(n), custom):
             totals, unit = _integer_totals(table, *_custom_entries(vector.entries))
             want = reference.score_with_vector(ref_profile, vector, reference.base_weights(lb))
-            assert {m: F(x, unit) for m, x in totals.items()} == want, (seed, vector)
+            assert {m: F(x, unit) for m, x in zip(table.systems, totals)} == want, (seed, vector)
 
 
 def test_score_mass_is_conserved():

@@ -79,7 +79,7 @@ def test_library_ops_whose_output_differs_are_counted_and_named(tmp_path):
     change = copy_of_src(tmp_path, {"scoring.py": (
         "\n_totals = _integer_totals\n\n\ndef _integer_totals(table, entries, lcm):\n"
         "    totals, unit = _totals(table, entries, lcm)\n"
-        "    return {m: 2 * x for m, x in totals.items()}, unit\n")})
+        "    return [2 * x for x in totals], unit\n")})
     done = run_tool("--passes", "1", "--rules", "borda", "weakly_stable", change=change)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[0] == (
