@@ -54,9 +54,11 @@ def trial_rng(seed: int, trial: int) -> random.Random:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """An experiment's seed and trials; robustness alone reads omit_count and top_k."""
+
     seed: int = 0
     trials: int = 50
-    omit_count: int = 0
+    omit_count: int = 1
     top_k: int = 7
 
     def __post_init__(self) -> None:
@@ -105,13 +107,16 @@ def iia_experiment(
     additions that change any pairwise relation among them. Two weak orders
     agree on every pair exactly when their restricted tie groups form the
     same sequence, so that is what is compared. A rule that leaves a present
-    system unranked raises RuleUnsupportedForMode.
+    system unranked raises RuleUnsupportedForMode, and so does custom, whose
+    vector fits one number of systems, before the first trial.
     """
     cfg = cfg or ExperimentConfig()
     if len(lb.systems) < 3:
         raise TooFewSystems("spoiler probing needs at least three systems")
     rule_obj = get_rule(rule)
     check_params(rule_obj, rule_params)
+    if "vector" in rule_obj.params:
+        raise RuleUnsupportedForMode(f"rule {rule!r} has a vector for one number of systems")
     run = _on_systems(lb, rule_obj, rule_params)
     counts: list[float] = []
     for trial in range(cfg.trials):
@@ -146,12 +151,12 @@ def _on_systems(
     """The rule's core result on the board restricted to some systems, as a
     function of their ascending indices.
 
-    A profile rule reads the full board's table restricted to them. One
-    without missing-score support refuses a present system with a hole as
-    build_profile does on the restricted board: the first such task, then
-    system, in board order. A score rule reads the restricted board.
+    A rule reads the full board's table restricted to them, and an on_board
+    rule the restricted board. One without missing-score support refuses a
+    present system with a hole as build_profile does on the restricted
+    board: the first such task, then system, in board order.
     """
-    if rule.score_run is not None:
+    if rule.on_board:
         # the board restrict_systems derives, without its checks of the names
         return lambda kept: rule.run(lb._derived(tuple([lb.systems[i] for i in kept]),
                                                  tuple([lb.cells[i] for i in kept]), lb.denominator),
@@ -223,7 +228,7 @@ def robustness_experiment(
     --omit does by default, and top_k is 7, or the number of systems if
     that is smaller.
     """
-    cfg = cfg or ExperimentConfig(trials=100, omit_count=1, top_k=min(7, len(lb.systems)))
+    cfg = cfg or ExperimentConfig(trials=100, top_k=min(7, len(lb.systems)))
     if not rules:
         raise InvalidParameter("robustness needs at least one rule")
     checked_gamma(gamma)

@@ -26,7 +26,7 @@ nanson, plurality for hare), or from _last_place for coombs; the loops
 keep only its name. Every rule here returns a model.IndexOutcome, its
 tie groups and eliminated tiers as system indices, named only when the
 diagnostics are built. black groups its Borda scores with model.ranked_by
-and trims its winner from those index groups.
+and trims its Condorcet winner's index from those index groups.
 
 Tuples are built from lists, for the reason the model module gives.
 """
@@ -39,7 +39,7 @@ from itertools import compress
 from operator import sub
 from typing import Any, Callable, Mapping, Sequence
 
-from .majority import condorcet_winner, majority_graph_from_table
+from .majority import condorcet_winner, index_graph
 from .model import IndexOutcome, LazyDiagnostics, LazyScores, RankTable, ranked_by
 from .modes import Rule
 from .scoring import NAMED_ENTRIES
@@ -328,27 +328,26 @@ def _below_mean(scores: list[int]) -> list[bool]:
 
 
 def _black_run(table: RankTable) -> IndexOutcome:
-    graph = majority_graph_from_table(table)
-    winner = condorcet_winner(graph)
+    graph = index_graph(table)
+    w = condorcet_winner(graph)
     doubled = _doubled_borda(_net_wins(graph.counts), range(len(table.systems)), table.total)
-    if winner is None:
+    if w is None:
         return ranked_by(doubled, 2 * table.scale,
                          diagnostics={"path": "borda", "condorcet_winner": None})
     borda = ranked_by(doubled, 2 * table.scale)
-    w = table.systems.index(winner)
     trimmed = [g for g in [tuple([a for a in group if a != w]) for group in borda.groups] if g]
-    return borda._replace(groups=[(w,), *trimmed],
-                          diagnostics={"path": "condorcet", "condorcet_winner": winner})
+    return borda._replace(groups=[(w,), *trimmed], diagnostics={
+        "path": "condorcet", "condorcet_winner": table.systems[w]})
 
 
 RULES: dict[str, Rule] = {
     rule.rule_id: rule
     for rule in (
-        Rule("threshold", profile_run=_threshold_run),
-        Rule("baldwin", profile_run=_elimination(_borda_scorer, _least)),
-        Rule("hare", profile_run=_elimination(_edge_scorer(last=False), _least)),
-        Rule("coombs", profile_run=_elimination(_edge_scorer(last=True), _most, majority=True)),
-        Rule("nanson", profile_run=_elimination(_borda_scorer, _below_mean)),
-        Rule("black", profile_run=_black_run),
+        Rule("threshold", _threshold_run),
+        Rule("baldwin", _elimination(_borda_scorer, _least)),
+        Rule("hare", _elimination(_edge_scorer(last=False), _least)),
+        Rule("coombs", _elimination(_edge_scorer(last=True), _most, majority=True)),
+        Rule("nanson", _elimination(_borda_scorer, _below_mean)),
+        Rule("black", _black_run),
     )
 }

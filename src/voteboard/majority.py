@@ -12,8 +12,9 @@ those beating it. condorcet counts their bits, and the set rules are subset
 tests on them; dominated, dominators and edges build frozensets from them
 when read. The copeland rules and minimax read integer scores straight from
 the rows, without a graph, and hand them, in system index order, to
-model.ranked_by; condorcet and the set rules hand their winners to
-model.chosen. Both return a model.IndexOutcome on the system indices.
+model.ranked_by; condorcet and the set rules run the choosers on
+index_graph, so they hand winning indices to model.chosen. Both return a
+model.IndexOutcome on the system indices.
 """
 
 from __future__ import annotations
@@ -95,13 +96,15 @@ class MajorityGraph:
                       for b in _picked(names, mask)])
 
 
-def majority_graph_from_table(table: RankTable) -> MajorityGraph:
-    return MajorityGraph(table.systems, table.pairwise(), table.scale)
+def index_graph(table: RankTable) -> MajorityGraph:
+    """The table's majority graph with system i labelled i."""
+    return MajorityGraph(tuple(range(len(table.systems))), table.pairwise(), table.scale)
 
 
 def build_majority_graph(lb: Leaderboard) -> MajorityGraph:
     """Majority graph of a leaderboard, tolerating missing cells."""
-    return majority_graph_from_table(build_profile(lb, missing_ok=True))
+    table = build_profile(lb, missing_ok=True)
+    return MajorityGraph(table.systems, table.pairwise(), table.scale)
 
 
 def condorcet_winner(graph: MajorityGraph) -> str | None:
@@ -210,9 +213,9 @@ def minimal_weakly_stable_set(graph: MajorityGraph) -> frozenset[str]:
 
 
 def _condorcet_run(table: RankTable) -> IndexOutcome:
-    winner = condorcet_winner(majority_graph_from_table(table))
-    winners = frozenset() if winner is None else frozenset({winner})
-    return chosen(table.systems, winners, diagnostics={"condorcet_winner": winner})
+    w = condorcet_winner(index_graph(table))
+    named = None if w is None else table.systems[w]
+    return chosen(() if w is None else (w,), len(table.systems), {"condorcet_winner": named})
 
 
 def _copeland_run(score: Callable[[int, int], int], *, ascending: bool = False):
@@ -238,27 +241,27 @@ def _minimax_run(table: RankTable) -> IndexOutcome:
     return ranked_by(scores, table.scale)
 
 
-def _set_rule(rule_id: str, chooser: Callable[[MajorityGraph], frozenset[str]]) -> Rule:
+def _set_rule(rule_id: str, chooser: Callable[[MajorityGraph], frozenset[int]]) -> Rule:
     """A rule whose chosen systems tie first, the others left unranked."""
 
     def run(table: RankTable) -> IndexOutcome:
-        return chosen(table.systems, chooser(majority_graph_from_table(table)))
+        return chosen(sorted(chooser(index_graph(table))), len(table.systems))
 
-    return Rule(rule_id, profile_run=run, handles_missing=True, elector=False)
+    return Rule(rule_id, run, handles_missing=True, elector=False)
 
 
 RULES: dict[str, Rule] = {
     rule.rule_id: rule
     for rule in (
-        Rule("condorcet", profile_run=_condorcet_run, handles_missing=True, elector=False),
-        Rule("copeland", profile_run=_copeland_run(lambda wins, losses: wins - losses),
+        Rule("condorcet", _condorcet_run, handles_missing=True, elector=False),
+        Rule("copeland", _copeland_run(lambda wins, losses: wins - losses),
              handles_missing=True),
-        Rule("copeland2", profile_run=_copeland_run(lambda wins, losses: wins),
+        Rule("copeland2", _copeland_run(lambda wins, losses: wins),
              handles_missing=True),
         # copeland3 counts losses, so fewer is better
-        Rule("copeland3", profile_run=_copeland_run(lambda wins, losses: losses, ascending=True),
+        Rule("copeland3", _copeland_run(lambda wins, losses: losses, ascending=True),
              handles_missing=True),
-        Rule("minimax", profile_run=_minimax_run, handles_missing=True),
+        Rule("minimax", _minimax_run, handles_missing=True),
         _set_rule("minimal_dominant", minimal_dominant_set),
         _set_rule("minimal_undominated", minimal_undominated_set),
         _set_rule("uncovered", lambda g: uncovered_set(g, "I")),

@@ -129,9 +129,9 @@ def _og_run(lb: Leaderboard, *, gamma: int | float | Fraction | str = 0.95) -> I
 
 
 RULES: dict[str, Rule] = {
-    "mean": Rule("mean", score_run=_mean_run, elector=False),
-    "gmean": Rule("gmean", score_run=_gmean_run, elector=False),
-    "optimality_gap": Rule("optimality_gap", score_run=_og_run, elector=False),
+    "mean": Rule("mean", _mean_run, on_board=True),
+    "gmean": Rule("gmean", _gmean_run, on_board=True),
+    "optimality_gap": Rule("optimality_gap", _og_run, on_board=True),
 }
 
 

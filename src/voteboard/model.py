@@ -20,14 +20,14 @@ one per ranked system holding its tie group, from which threshold reads
 one place column at a time; and the first- and last-place mass columns,
 walked from either end. A rule core returns an IndexOutcome on system
 indices, from ranked_by (a stable sort of the indices on integer scores)
-or chosen (a set rule's winners); modes.call_rule alone names it. Outcome
-scores, and the score maps kept as diagnostics, are LazyScores, which
-build their Fractions when first read. The elimination, threshold and named
-positional rules, and two_step's electors, keep their diagnostics as a
-LazyDiagnostics: the integer state the rule core made anyway, and the
-function that builds the diagnostics dict from it on the first read. So a
-caller that reads only the ranking, as the experiment loops do, builds
-neither.
+or chosen (a set rule's winners, ascending indices); modes.call_rule alone
+names it. The elimination, threshold and named positional rules, and
+two_step's electors, keep their diagnostics as a LazyDiagnostics: the
+integer state the rule core made anyway, and the function that builds the
+diagnostics dict from it on the first read. Outcome scores, and the score
+maps kept as diagnostics, are its subclass LazyScores, which builds its
+Fractions when first read. So a caller that reads only the ranking, as
+the experiment loops do, builds neither.
 
 Tuples built on every rule call come from lists, not from generators or
 map objects. tuple() of an iterator without a length resizes its result,
@@ -902,46 +902,6 @@ def ranked_by(
     return IndexOutcome(tie_groups(scores, ascending=ascending), (), scores, unit, diagnostics)
 
 
-class LazyScores(Mapping[str, Fraction]):
-    """Read-only {name: Fraction(score, unit)} that keeps the integers until read.
-
-    The dict is built on the first read. A Mapping equals the dict it
-    stands for, and the repr is that dict's, so outcome scores or a
-    diagnostic held this way compare and print like the dict. unit must be
-    positive.
-    """
-
-    __slots__ = ("_names", "_row", "_unit", "_dict")
-
-    def __init__(self, names: Sequence[str], row: Sequence[int], unit: int) -> None:
-        self._names = names
-        self._row = row
-        self._unit = unit
-        self._dict: dict[str, Fraction] | None = None
-
-    def _filled(self) -> dict[str, Fraction]:
-        if self._dict is None:
-            unit = self._unit
-            self._dict = {m: Fraction(x, unit) for m, x in zip(self._names, self._row)}
-        return self._dict
-
-    def over_unit(self) -> tuple[Sequence[str], Sequence[int], int]:
-        """The names, their integer scores and the unit, read without building a Fraction."""
-        return self._names, self._row, self._unit
-
-    def __getitem__(self, name: str) -> Fraction:
-        return self._filled()[name]
-
-    def __iter__(self):
-        return iter(self._names)
-
-    def __len__(self) -> int:
-        return len(self._names)
-
-    def __repr__(self) -> str:
-        return repr(self._filled())
-
-
 class LazyDiagnostics(Mapping[str, Any]):
     """Read-only diagnostics dict that build(*state) makes on the first read.
 
@@ -949,8 +909,8 @@ class LazyDiagnostics(Mapping[str, Any]):
     and index tie groups, never a table or a board. build is a module-level
     function, and the mapping pickles and copies as build and state alone,
     so a copy builds its dict, frozensets printing in the same order, as an
-    unread one does. Like LazyScores, it equals, prints and serialises as
-    the dict it stands for.
+    unread one does. It equals, prints and serialises as the dict it
+    stands for.
     """
 
     __slots__ = ("_build", "_state", "_dict")
@@ -981,14 +941,38 @@ class LazyDiagnostics(Mapping[str, Any]):
         return repr(self._filled())
 
 
-def chosen(
-    systems: Sequence[str],
-    winners: frozenset[str],
-    *,
-    diagnostics: Mapping[str, Any] | None = None,
-) -> IndexOutcome:
-    """Result of a set-valued rule: the winners tie, everyone else is unranked."""
-    ranked = [i for i, m in enumerate(systems) if m in winners]
-    return IndexOutcome([tuple(ranked)] if ranked else [],
-                        [i for i, m in enumerate(systems) if m not in winners],
-                        diagnostics=diagnostics)
+def _over_unit(names: Sequence[str], row: Sequence[int], unit: int) -> dict[str, Fraction]:
+    return {m: Fraction(x, unit) for m, x in zip(names, row)}
+
+
+class LazyScores(LazyDiagnostics):
+    """Read-only {name: Fraction(score, unit)}, unit positive, that keeps the
+    integers until read. Iterating it and its length read the names alone,
+    and a copy stays a LazyScores, which io.jsonify reads from the integers."""
+
+    __slots__ = ()
+
+    def __init__(self, names: Sequence[str], row: Sequence[int], unit: int) -> None:
+        super().__init__(_over_unit, names, row, unit)
+
+    def over_unit(self) -> tuple[Sequence[str], Sequence[int], int]:
+        """The names, their integer scores and the unit, read without building a Fraction."""
+        return self._state
+
+    def __reduce__(self):
+        return LazyScores, self._state
+
+    def __iter__(self):
+        return iter(self._state[0])
+
+    def __len__(self) -> int:
+        return len(self._state[0])
+
+
+def chosen(winners: Sequence[int], n: int,
+           diagnostics: Mapping[str, Any] | None = None) -> IndexOutcome:
+    """Result of a set-valued rule on n systems: the winners, ascending
+    indices, tie, and everyone else is unranked."""
+    won = set(winners)
+    return IndexOutcome([tuple(winners)] if winners else [],
+                        [i for i in range(n) if i not in won], diagnostics=diagnostics)

@@ -9,12 +9,12 @@ treats each group as a single voter whose ballot is that ranking, a tie
 order over the systems, and applies the rule once more. Both grouped modes
 require a grouping that covers every task.
 
-The runner contract: every runner is its rule's core, called as
-run(data, **params). A profile rule's data is the RankTable that run_rule
-builds once, with build_profile, from the mode's board; a score rule's
-data is that board. Both return a model.IndexOutcome on the data's system
-indices, which call_rule alone names, as a RuleOutcome stamped with the
-rule and mode; the experiment loops call the core and name nothing.
+The runner contract: every rule has one runner, its core, called as
+run(data, **params). data is the RankTable that run_rule builds once,
+with build_profile, from the mode's board, or for an on_board rule that
+board. It returns a model.IndexOutcome on the data's system indices,
+which call_rule alone names, as a RuleOutcome stamped with the rule and
+mode; the experiment loops call the core and name nothing.
 two_step's groups vote with their index tie groups, and it adds the
 "electors" diagnostic through a model.LazyDiagnostics over the second
 step's diagnostics, so neither is built before they are read.
@@ -23,7 +23,7 @@ step's diagnostics, so neither is built before they are read.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, replace
+from dataclasses import KW_ONLY, dataclass, replace
 from functools import cached_property
 from typing import Any, Callable, Mapping
 
@@ -41,29 +41,19 @@ MODES = (BASIC, WEIGHTED, TWO_STEP)
 class Rule:
     """A registered rule.
 
-    A rule has exactly one runner, run(data, **params) -> IndexOutcome:
-    profile_run reads a RankTable built from the mode's board, and
-    score_run reads that board's cells and weights, for aggregators that
-    need the raw scores.
-    elector marks rules whose full output is a total preorder, the only kind
-    that can vote in the second step of two_step. The keyword-only
-    parameters of the runner are the only params the rule accepts.
+    run(data, **params) -> IndexOutcome is its core. data is a RankTable
+    built from the mode's board, or with on_board set that board, for the
+    score baselines. elector marks rules whose full output is a total
+    preorder, the only kind that can vote in the second step of two_step.
+    The keyword-only parameters of run are the only params the rule accepts.
     """
 
     rule_id: str
-    profile_run: Callable[..., IndexOutcome] | None = None
-    score_run: Callable[..., IndexOutcome] | None = None
+    run: Callable[..., IndexOutcome]
+    _: KW_ONLY
+    on_board: bool = False
     handles_missing: bool = False
     elector: bool = True
-
-    def __post_init__(self) -> None:
-        if (self.profile_run is None) == (self.score_run is None):
-            raise ValueError("a rule needs exactly one of profile_run/score_run")
-
-    @property
-    def run(self) -> Callable[..., IndexOutcome]:
-        """The rule's runner, called as run(data, **params)."""
-        return self.profile_run or self.score_run
 
     @cached_property
     def params(self) -> frozenset[str]:
@@ -119,7 +109,7 @@ def run_rule(lb: Leaderboard, rule: Rule, mode: str = BASIC, **params: Any) -> R
     if mode == WEIGHTED:
         lb = _weighted(lb)
     data: RankTable | Leaderboard = lb
-    if rule.score_run is None:
+    if not rule.on_board:
         data = build_profile(lb, missing_ok=rule.handles_missing)
     return call_rule(rule, mode, data, **params)
 
@@ -138,7 +128,7 @@ def _second_step(
 ) -> tuple[RankTable, list[tuple[str, list[tuple[int, ...]]]]]:
     """The second step's table, whose tasks are the groups, and each group's
     name and index tie groups, its elector ballot."""
-    if rule.score_run is not None:
+    if rule.on_board:
         raise RuleUnsupportedForMode(
             f"rule {rule.rule_id!r} aggregates raw scores and has no second-step ballot form"
         )
@@ -149,8 +139,7 @@ def _second_step(
     groups = _covering_groups(lb)
     ballots = []
     for name, members in groups:
-        result = rule.profile_run(build_profile(lb, members, missing_ok=rule.handles_missing),
-                                  **params)
+        result = rule.run(build_profile(lb, members, missing_ok=rule.handles_missing), **params)
         if result.unranked:
             raise RuleUnsupportedForMode(
                 f"rule {rule.rule_id!r} left systems unranked inside group {name!r}"

@@ -115,7 +115,7 @@ def _scored(table: RankTable, entries: list[int], lcm: int) -> IndexOutcome:
 
 def _named(rule_id: str) -> Rule:
     entries_on = NAMED_ENTRIES[rule_id]
-    return Rule(rule_id, profile_run=lambda table: _scored(table, *entries_on(len(table.systems))))
+    return Rule(rule_id, lambda table: _scored(table, *entries_on(len(table.systems))))
 
 
 def _custom_run(
@@ -132,6 +132,6 @@ RULES: dict[str, Rule] = {
     rule.rule_id: rule
     for rule in (
         *[_named(rule_id) for rule_id in NAMED_ENTRIES],
-        Rule("custom", profile_run=_custom_run),
+        Rule("custom", _custom_run),
     )
 }

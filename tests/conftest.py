@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from voteboard import Leaderboard, iterative, modes, scoring
-from voteboard.model import IndexOutcome, LazyScores
+from voteboard import Leaderboard, iterative, model, modes, scoring
+from voteboard.model import IndexOutcome
 
 # every function that turns a rule's kept state into its diagnostics, and
 # the Fraction build of a LazyScores
@@ -13,7 +13,7 @@ DIAGNOSTIC_BUILDERS = (
     (iterative, "_elimination_diagnostics"),
     (scoring, "_vector_diagnostics"),
     (modes, "_with_electors"),
-    (LazyScores, "_filled"),
+    (model, "_over_unit"),
 )
 
 

@@ -109,7 +109,8 @@ from voteboard.model import (
     missing_score,
 )
 from voteboard.model import build_profile as library_build_profile
-from voteboard.modes import BASIC, MODES, TWO_STEP, Rule, _covering_groups, call_rule, check_params
+from voteboard.modes import BASIC, MODES, TWO_STEP, _covering_groups, call_rule, check_params
+from voteboard.modes import Rule as LibraryRule
 from voteboard.modes import run_rule as run_library_rule
 from voteboard.registry import get_rule
 
@@ -317,6 +318,22 @@ def group_by_score(
 
 
 # -- modes ------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Rule:
+    """modes.Rule as it stood with two runner fields, for the rules here:
+    profile_run reads a RankProfile, score_run the board."""
+
+    rule_id: str
+    profile_run: Callable[..., RuleParts] | None = None
+    score_run: Callable[..., RuleParts] | None = None
+    handles_missing: bool = False
+    elector: bool = True
+
+    def __post_init__(self) -> None:
+        if (self.profile_run is None) == (self.score_run is None):
+            raise ValueError("a rule needs exactly one of profile_run/score_run")
 
 
 @dataclass(frozen=True)
@@ -1653,10 +1670,10 @@ def _tie_order(outcome: RuleOutcome, systems: frozenset[str]) -> list[frozenset[
 
 
 def _named_on_systems(
-    lb: Leaderboard, rule: Rule, params: Mapping[str, Any]
+    lb: Leaderboard, rule: LibraryRule, params: Mapping[str, Any]
 ) -> Callable[[Sequence[str]], RuleOutcome]:
     """experiments._on_systems as it stood while it named every outcome."""
-    if rule.score_run is not None:
+    if rule.on_board:
         return lambda present: call_rule(rule, BASIC, lb.restrict_systems(present), **params)
     table = library_build_profile(lb, missing_ok=True)
     index = {m: i for i, m in enumerate(lb.systems)}

@@ -178,3 +178,28 @@ def test_report_shape(toy):
     assert rep.trials == 3
     assert rep.params["top_k"] == 3
     assert set(rep.series) == {"copeland2"}
+
+
+def test_a_partial_config_deletes_one_cell_per_trial():
+    """ExperimentConfig deletes one cell per trial unless told otherwise, as
+    the command line's --omit does."""
+    lb = unit_board(random.Random(3), n=9, t=4)
+    report = robustness_experiment(lb, ["copeland", "mean"], ExperimentConfig(seed=3))
+    assert report.params["omit_count"] == 1
+    assert report == robustness_experiment(
+        lb, ["copeland", "mean"], ExperimentConfig(seed=3, omit_count=1))
+    assert any([rho != 1.0 for series in report.series.values() for rho in series])
+
+
+def test_iia_refuses_custom_before_the_first_trial():
+    """custom's vector fits one number of systems, and iia ranks 2, 3, ...
+    of them, so it is refused before any step runs."""
+    lb = unit_board(random.Random(4), n=8, t=3)
+
+    def run(table, *, vector=None):
+        raise AssertionError("custom ran a step")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(vb.get_rule("custom").__dict__, "run", run)
+        with pytest.raises(RuleUnsupportedForMode, match="vector for one number of systems"):
+            iia_experiment(lb, "custom", vector=list(range(8, 0, -1)))

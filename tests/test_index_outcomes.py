@@ -30,7 +30,9 @@ from fractions import Fraction as F
 import pytest
 
 import voteboard as vb
-from voteboard.errors import VoteboardError
+from voteboard.errors import (
+    MissingScore, RuleUnsupportedForMode, VectorLengthMismatch, VoteboardError,
+)
 from voteboard.experiments import IMPUTABLE
 from voteboard.model import LazyScores, chosen, group_by_score, ranked_by, tie_groups
 from voteboard.modes import BASIC, MODES
@@ -88,10 +90,11 @@ def test_index_packaging_names_as_the_name_packaging(n):
             groups = tie_groups(scores, ascending=ascending)
             assert all(list(g) == sorted(g) for g in groups)
             assert sorted(i for g in groups for i in g) == list(range(n))
-        winners = frozenset(rng.sample(systems, rng.randint(0, n)))
+        winners = sorted(rng.sample(range(n), rng.randint(0, n)))
         diagnostics = {"condorcet_winner": None}
-        new = chosen(systems, winners, diagnostics=diagnostics).named(systems, "r", BASIC)
-        assert new == stamped(reference.chosen(systems, winners, diagnostics=diagnostics))
+        new = chosen(winners, n, diagnostics).named(systems, "r", BASIC)
+        named = frozenset([systems[i] for i in winners])
+        assert new == stamped(reference.chosen(systems, named, diagnostics=diagnostics))
         assert new.diagnostics is diagnostics
 
 
@@ -170,6 +173,12 @@ def test_experiments_report_as_the_named_loops(n, t, seed):
             new = outcome_or_error(lambda: vb.iia_experiment(lb, rid, cfg, **params))
             old = outcome_or_error(
                 lambda: reference.named_iia_experiment(lb, rid, cfg, **params))
+            if rid == "custom":
+                # the named loop met a hole or the vector's length at a step;
+                # iia refuses custom up front
+                assert new[0] is RuleUnsupportedForMode
+                assert old[0] in (MissingScore, VectorLengthMismatch)
+                continue
             assert new == old, (holes, rid)
         unit = unit_board(lb)
         for omit in (0, 1, 3, 10):

@@ -510,7 +510,7 @@ def assert_slot_kernels(table):
     """threshold and table_position_counts equal the masses-based code they
     replaced, and a second threshold call repeats the first."""
     def threshold(table):
-        return vb.get_rule("threshold").profile_run(table).named(table.systems, "", "")
+        return vb.get_rule("threshold").run(table).named(table.systems, "", "")
 
     new = threshold(table)
     old = reference.mass_threshold_run(table)
@@ -968,7 +968,7 @@ def test_derived_boards_and_tables_match_fresh_builds(n, t, seed):
 # reads the counts as the other set rules do, with an exhaustive search
 PROFILE_RULES = tuple(sorted(
     rid for rid, rule in vb.registry.RULES.items()
-    if rule.profile_run and rid not in ("custom", "weakly_stable")
+    if not rule.on_board and rid not in ("custom", "weakly_stable")
 ))
 
 
@@ -991,7 +991,7 @@ def assert_lazy_derivation(derive, eager):
     assert ordered.mass_unit == table.mass_unit
     complete = is_complete(table)
     for rid in PROFILE_RULES:
-        run = vb.get_rule(rid).profile_run
+        run = vb.get_rule(rid).run
         if complete or vb.get_rule(rid).handles_missing:
             assert outcome_or_refusal(lambda: run(derive())) == (
                 outcome_or_refusal(lambda: run(table))), rid

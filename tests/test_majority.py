@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -18,6 +20,7 @@ from voteboard import (
 import oracle
 import reference
 from conftest import board_from_orders, random_board
+from test_kernels import LADDER_BOARDS, ladder_board
 
 TOY_EDGES = {
     ("B", "A"), ("C", "A"), ("D", "A"),
@@ -189,3 +192,68 @@ def test_margin_antisymmetry_and_support_consistency():
                     assert g.support(b, a) == 0
                 elif not g.beats(b, a):
                     assert g.support(a, b) == 0
+
+
+# the set rules' public choosers, which the rules run on index labels
+CHOOSERS = {
+    "minimal_dominant": minimal_dominant_set,
+    "minimal_undominated": minimal_undominated_set,
+    "uncovered": lambda g: uncovered_set(g, "I"),
+    "uncovered2": lambda g: uncovered_set(g, "II"),
+    "richelson": richelson_set,
+    "fishburn": fishburn_set,
+    "weakly_stable": minimal_weakly_stable_set,
+}
+
+
+def cyclic_board(n):
+    """n systems on n tasks, task j scoring system i (i + j) mod n: a system
+    beats the rivals more than n/2 places after it, cyclically, so every
+    system is in the minimal dominant set."""
+    systems = [f"s{i:02d}" for i in range(n)]
+    tasks = [f"t{j}" for j in range(n)]
+    return vb.Leaderboard.from_scores(
+        {m: {tk: (i + j) % n for j, tk in enumerate(tasks)} for i, m in enumerate(systems)},
+        tasks=tasks,
+    )
+
+
+def against_index_order(lb):
+    """lb with its systems renamed so their names sort in reverse index order."""
+    n = len(lb.systems)
+    return dataclasses.replace(lb, systems=tuple([f"z{n - 1 - i:02d}" for i in range(n)]))
+
+
+@pytest.mark.parametrize("n,t,seed", LADDER_BOARDS)
+def test_rules_on_index_labels_choose_as_the_choosers_on_names(n, t, seed):
+    """condorcet, black's Condorcet winner and the set rules, which run the
+    choosers on index labels, agree with the choosers on build_majority_graph,
+    whose labels are the names; weakly_stable refuses alike on both."""
+    refused = []
+    boards = ((ladder_board(n, t, seed), False), (ladder_board(n, t, seed, holes=True), True),
+              (cyclic_board(n), False))
+    for lb, holes in boards:
+        lb = against_index_order(lb)
+        graph = build_majority_graph(lb)
+        winner = condorcet_winner(graph)
+        out = vb.aggregate(lb, "condorcet")
+        assert out.winners == (frozenset() if winner is None else {winner})
+        assert out.diagnostics["condorcet_winner"] == winner
+        if not holes:
+            black = vb.aggregate(lb, "black")
+            assert black.diagnostics["condorcet_winner"] == winner
+            assert winner is None or black.winners == {winner}
+        for rid, chooser in CHOOSERS.items():
+            try:
+                expected = chooser(graph)
+            except vb.SearchTooLarge as exc:
+                with pytest.raises(vb.SearchTooLarge, match=f"^{re.escape(str(exc))}$"):
+                    vb.aggregate(lb, rid)
+                refused.append(rid)
+                continue
+            out = vb.aggregate(lb, rid)
+            assert out.winners == expected, rid
+            assert out.unranked == frozenset(lb.systems) - expected, rid
+    # the cyclic board's dominant set is all of it
+    assert refused.count("weakly_stable") >= (n > 18)
+    assert set(refused) <= {"weakly_stable"}

@@ -4,7 +4,6 @@ import pytest
 
 import voteboard as vb
 from voteboard import MissingGroups, RuleUnsupportedForMode, aggregate
-from voteboard.modes import Rule
 
 from conftest import TOY_ORDERS, board_from_orders
 
@@ -94,14 +93,14 @@ def test_two_step_elimination_rule(grouped):
     assert set().union(*out.ranking) == set(grouped.systems)
 
 
-def test_rule_needs_exactly_one_runner():
-    def run(table):
-        return vb.RuleOutcome()
-
-    for runners in ({}, {"profile_run": run, "score_run": run}):
-        with pytest.raises(ValueError, match="exactly one of profile_run/score_run"):
-            Rule("r", **runners)
-    assert Rule("r", profile_run=run).score_run is None
+def test_the_score_baselines_alone_run_on_the_board():
+    """mean, gmean and optimality_gap alone read the board, and the rules
+    take the parameters they took when a rule had two runner fields."""
+    rules = vb.registry.RULES
+    assert {rid for rid, rule in rules.items() if rule.on_board} == {
+        "mean", "gmean", "optimality_gap"}
+    assert {rid: rule.params for rid, rule in rules.items() if rule.params} == {
+        "custom": {"vector"}, "optimality_gap": {"gamma"}}
 
 
 def test_unknown_mode(toy):
