@@ -113,8 +113,8 @@ def find_cw_weights(
     (eps,) = _per_task([margin], 1, "margin")
     if eps < 0:
         raise InvalidParameter("margin must be non-negative")
-    lower = tuple(v if v is not None else Fraction(0)
-                  for v in _bound_tuple(lower_bounds, t, Fraction(0)))
+    lower = tuple([v if v is not None else Fraction(0)
+                   for v in _bound_tuple(lower_bounds, t, Fraction(0))])
     upper = _bound_tuple(upper_bounds, t, None)
     for lo, up in zip(lower, upper):
         if lo < 0:
@@ -151,7 +151,7 @@ def find_cw_weights(
     if status != OPTIMAL or v is None:
         raise RuntimeError(f"unexpected solver status: {status}")
 
-    witness = tuple(value + lo for value, lo in zip(v, lower))
+    witness = tuple([value + lo for value, lo in zip(v, lower)])
     active = _verify(matrix, witness, lower, upper, eps)
     return FeasibilityResult(PROSPECTIVE, witness, active)
 

@@ -5,16 +5,18 @@ master seed, so results do not depend on trial order and re-runs are
 bit-identical. Substreams come from string-seeded stdlib generators, which
 are stable across platforms and hash seeds.
 
-Each op builds one RankTable from the full board, and every rule call reads
-a table derived from it: iia restricts it to the present systems and
-robustness unranks the deleted cells. A derived table builds its tie orders
-and its pairwise counts from the full table's when each is first read, so
-the full counts are built once per op, and a rule that reads only the
+iia permutes the board into each trial's arrival order and builds its
+RankTable once per trial; step k runs the rule on the first k systems
+(RankTable.prefix), so the newcomer is system k - 1. robustness builds one
+RankTable per op and runs each trial on it with the deleted cells
+unranked. A derived table builds its tie orders and pairwise counts from
+its parent's when each is first read, so a rule that reads only the
 counts (copeland, minimax, baldwin, nanson) never builds the orders.
 The score baselines read boards derived from the board without rechecks,
 whose integer cells are sliced or set: a robustness trial names its deleted
 cells by (system, task) index, and the board it imputes is derived from the
-full board once. Nothing outlives the op.
+full board once, each deleted cell set to its task's median's exact
+ratio. Nothing outlives the op.
 The loops call each rule's core and read its index result unnamed: iia
 compares index tie groups, robustness doubled integer ranks.
 """
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 import random
 import statistics
-from bisect import bisect_left
+from decimal import Decimal
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
@@ -34,10 +36,11 @@ from .errors import (
     ScoreOutOfRange,
     TooFewSystems,
     TooManyOmissions,
+    VoteboardError,
 )
 from .metrics import checked_gamma, rho_from_rank_vectors
 from .model import (
-    IndexOutcome, Leaderboard, RankTable, build_profile, cell_ratio, doubled_ranks, missing_score,
+    IndexOutcome, Leaderboard, RankTable, build_profile, doubled_ranks, missing_score,
 )
 from .modes import Rule, check_params
 from .registry import get_rule
@@ -87,7 +90,7 @@ def _report(
     series: Mapping[str, Sequence[float]],
     **params: Any,
 ) -> ExperimentReport:
-    fixed = {k: tuple(float(v) for v in vals) for k, vals in series.items()}
+    fixed = {k: tuple([float(v) for v in vals]) for k, vals in series.items()}
     mean = {k: statistics.fmean(v) for k, v in fixed.items()}
     sd = {k: statistics.stdev(v) if len(v) > 1 else 0.0 for k, v in fixed.items()}
     return ExperimentReport(kind, cfg.seed, cfg.trials, fixed, mean, sd, dict(params))
@@ -101,8 +104,9 @@ def iia_experiment(
 ) -> ExperimentReport:
     """How often adding one more system reshuffles the systems already there.
 
-    Each trial shuffles the systems, starts from the first two, and adds the
-    rest one at a time. After every addition the rule is re-run and its
+    Each trial shuffles the systems into their arrival order, starts from
+    the first two, and adds the rest one at a time, numbering each system by
+    its arrival. After every addition the rule is re-run and its
     ranking restricted to the previously present systems; the trial counts
     additions that change any pairwise relation among them. Two weak orders
     agree on every pair exactly when their restricted tie groups form the
@@ -117,27 +121,24 @@ def iia_experiment(
     check_params(rule_obj, rule_params)
     if "vector" in rule_obj.params:
         raise RuleUnsupportedForMode(f"rule {rule!r} has a vector for one number of systems")
-    run = _on_systems(lb, rule_obj, rule_params)
+    arrive = _in_arrival_order(lb, rule_obj, rule_params)
     counts: list[float] = []
     for trial in range(cfg.trials):
         rng = trial_rng(cfg.seed, trial)
         order = list(range(len(lb.systems)))
         rng.shuffle(order)
-        # the present systems' indices, ascending, as the restricted table numbers them
-        present = sorted(order[:2])
-        prev = run(present)
+        run = arrive(order)
+        prev = run(2)
         changed = 0
-        for newcomer in order[2:]:
-            p = bisect_left(present, newcomer)
-            present.insert(p, newcomer)
-            out = run(present)
-            if prev.unranked or any([i != p for i in out.unranked]):
+        for k in range(3, len(order) + 1):
+            out = run(k)
+            if prev.unranked or any([i != k - 1 for i in out.unranked]):
                 raise RuleUnsupportedForMode(
                     f"rule {rule!r} leaves systems unranked, so it has no "
                     "pairwise relations to probe"
                 )
-            # out's groups without the newcomer, numbered as prev's
-            kept = [tuple([i - (i > p) for i in group if i != p]) for group in out.groups]
+            # out's groups without the newcomer, k - 1, the last member of its group
+            kept = [group[:-1] if group[-1] == k - 1 else group for group in out.groups]
             if [group for group in kept if group] != prev.groups:
                 changed += 1
             prev = out
@@ -145,38 +146,54 @@ def iia_experiment(
     return _report("iia", cfg, {rule: counts})
 
 
-def _on_systems(
+def _in_arrival_order(
     lb: Leaderboard, rule: Rule, params: Mapping[str, Any]
-) -> Callable[[Sequence[int]], IndexOutcome]:
-    """The rule's core result on the board restricted to some systems, as a
-    function of their ascending indices.
+) -> Callable[[list[int]], Callable[[int], IndexOutcome]]:
+    """For a trial's arrival order of board indices, the rule's core result
+    on the first k arrivals, numbered by arrival, as a function of k.
 
-    A rule reads the full board's table restricted to them, and an on_board
-    rule the restricted board. One without missing-score support refuses a
-    present system with a hole as build_profile does on the restricted
-    board: the first such task, then system, in board order.
+    The board is permuted into the order once per trial, and a rule reads
+    the first k systems of its table (RankTable.prefix), an on_board rule
+    its first k rows. A refusal is the one on the present systems in board
+    order: a rule without missing-score support refuses a present system
+    with a hole as build_profile does there, the first such task, then
+    system, and an on_board rule that refuses is rerun there.
     """
-    if rule.on_board:
-        # the board restrict_systems derives, without its checks of the names
-        return lambda kept: rule.run(lb._derived(tuple([lb.systems[i] for i in kept]),
-                                                 tuple([lb.cells[i] for i in kept]), lb.denominator),
-                                     **params)
-    table = build_profile(lb, missing_ok=True)
     holes = []
-    if not rule.handles_missing:
+    if not (rule.on_board or rule.handles_missing):
         for j, task in enumerate(lb.tasks):
             gone = frozenset([i for i, row in enumerate(lb.cells) if row[j] is None])
             if gone:
                 holes.append((task, gone))
 
-    def run(kept: Sequence[int]) -> IndexOutcome:
-        for task, gone in holes:
-            hit = [i for i in kept if i in gone]
-            if hit:
-                raise missing_score(lb.systems[hit[0]], task)
-        return rule.run(table.restrict(kept), **params)
+    def rows(kept: Sequence[int]) -> Leaderboard:
+        """The board of those systems, in that order, built without checks."""
+        return lb._derived(tuple([lb.systems[i] for i in kept]),
+                           tuple([lb.cells[i] for i in kept]), lb.denominator)
 
-    return run
+    def arrive(order: list[int]) -> Callable[[int], IndexOutcome]:
+        if rule.on_board:
+            def run_board(k: int) -> IndexOutcome:
+                try:
+                    return rule.run(rows(order[:k]), **params)
+                except VoteboardError as exc:
+                    refused = exc
+                rule.run(rows(sorted(order[:k])), **params)
+                raise refused
+
+            return run_board
+        table = build_profile(rows(order), missing_ok=True)
+
+        def run(k: int) -> IndexOutcome:
+            for task, gone in holes:
+                hit = gone.intersection(order[:k])
+                if hit:
+                    raise missing_score(lb.systems[min(hit)], task)
+            return rule.run(table.prefix(k), **params)
+
+        return run
+
+    return arrive
 
 
 def _impute_medians(lb: Leaderboard, deleted: Sequence[tuple[int, int]]) -> Leaderboard:
@@ -200,7 +217,8 @@ def _impute_medians(lb: Leaderboard, deleted: Sequence[tuple[int, int]]) -> Lead
         if not math.isfinite(median):
             # the mean of two cells near the float limit overflows
             raise ScoreOutOfRange("scores must be finite or None")
-        cells.update(dict.fromkeys([(i, j) for i in rows], cell_ratio(median)))
+        # the median's exact ratio, as cell_ratio gives it, without a Fraction
+        cells.update(dict.fromkeys([(i, j) for i in rows], Decimal(repr(median)).as_integer_ratio()))
     return lb._with_cells(cells)
 
 

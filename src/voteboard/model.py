@@ -9,9 +9,9 @@ with the task weights scaled to integers by the LCM of their denominators.
 Rank rules read only the table; the score baselines (mean, gmean,
 optimality_gap) read the board's cells. Fractional positions (tied systems
 share the mean of the integer places they span) are a view derived from
-the orders. A table derived from another (restrict keeps some systems,
-without unranks some cells) holds its parent and the change, and builds
-its orders and its counts from the parent's when each is first read.
+the orders. A table derived from another (prefix keeps its first k
+systems, without unranks some cells) holds its parent and the change, and
+builds its orders and its counts from the parent's when each is first read.
 
 The table's kernels sum integers: the packed pairwise counts, summed per
 distinct task weight and multiplied by it once, in fields wide enough for
@@ -46,7 +46,7 @@ from decimal import Decimal, InvalidOperation
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain, compress
-from operator import eq, lt, ne
+from operator import eq, ne
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import EmptySubset, MissingScore, UnknownSystem
@@ -314,12 +314,8 @@ class Leaderboard:
 
     def present_cells(self) -> tuple[tuple[str, str], ...]:
         """All (system, task) pairs that carry a score."""
-        return tuple(
-            (m, t)
-            for m, row in zip(self.systems, self.cells)
-            for t, cell in zip(self.tasks, row)
-            if cell is not None
-        )
+        return tuple([(m, t) for m, row in zip(self.systems, self.cells)
+                      for t, cell in zip(self.tasks, row) if cell is not None])
 
     # -- derived leaderboards -------------------------------------------
 
@@ -440,9 +436,11 @@ class RankTable:
     outlives it.
 
     build_profile builds a table from a board, and run_rule builds one per
-    rule call. The experiments build one per op from the full board and
-    derive a table per step: restrict keeps some systems, without unranks
-    some cells. A derived table holds its parent and the change (its
+    rule call. iia builds one per trial from the board in the trial's
+    arrival order and runs step k on its prefix(k), the first k systems,
+    numbered as on the trial's table; robustness builds one per op and runs
+    each trial on it with the deleted cells unranked (without). A derived
+    table holds its parent and the change (its
     source), and builds its orders and its pairwise counts from the
     parent's when each is first read, so a rule that reads only the counts
     never builds the orders. Equality, repr and every kernel but the counts
@@ -466,7 +464,7 @@ class RankTable:
     orders: tuple[tuple[tuple[int, ...], ...], ...]
     weights: tuple[int, ...]
     scale: int
-    # a derived table's _Restriction or _Unranking; not a field
+    # a derived table's _Prefix or _Unranking; not a field
     _source = None
 
     def __init__(self, systems, tasks, orders, weights, scale) -> None:
@@ -505,7 +503,7 @@ class RankTable:
         table built from orders holds them from the start."""
         return self._source.orders()
 
-    def _derived(self, systems: tuple[str, ...], source: _Restriction | _Unranking) -> "RankTable":
+    def _derived(self, systems: tuple[str, ...], source: _Prefix | _Unranking) -> "RankTable":
         return self._unchecked(systems=systems, tasks=self.tasks, weights=self.weights,
                                scale=self.scale, _source=source)
 
@@ -542,18 +540,16 @@ class RankTable:
         largest = max(map(len, chain.from_iterable(self.orders)), default=1)
         return self.scale * math.lcm(*range(1, largest + 1))
 
-    def restrict(self, kept: Sequence[int]) -> "RankTable":
-        """The table of the systems at indices kept, renumbered.
+    def prefix(self, k: int) -> "RankTable":
+        """The table of the first k systems, numbered as on this table.
 
-        kept must be non-empty, strictly ascending and within range, else
-        ValueError. The table builds its orders and counts from this one's
-        when each is first read (_Restriction).
+        k must be an int from 1 to the number of systems, else ValueError.
+        The table builds its orders and counts from this one's when each is
+        first read (_Prefix).
         """
-        kept, n = list(kept), len(self.systems)
-        if not (kept and 0 <= kept[0] and kept[-1] < n and all(map(lt, kept, kept[1:]))):
-            raise ValueError(f"system indices must be non-empty, strictly ascending and in "
-                             f"0..{n - 1}: {kept!r}")
-        return self._derived(tuple([self.systems[i] for i in kept]), _Restriction(self, kept))
+        if type(k) is not int or not 0 < k <= len(self.systems):
+            raise ValueError(f"a prefix holds 1 to {len(self.systems)} systems: {k!r}")
+        return self._derived(self.systems[:k], _Prefix(self, k))
 
     def without(self, cells: Iterable[tuple[int, int]]) -> "RankTable":
         """The table with each cell (system index, task index) unranked.
@@ -683,37 +679,36 @@ class RankTable:
         return rows, [x * per_weight for x in totals]
 
 
-class _Restriction(NamedTuple):
-    """What RankTable.restrict derives from: the parent, and the ascending
-    indices of the systems kept."""
+class _Prefix(NamedTuple):
+    """What RankTable.prefix derives from: the parent, and the number of its
+    first systems kept."""
 
     parent: RankTable
-    kept: list[int]
+    k: int
 
     def orders(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """The parent's orders of the kept systems, system kept[k] renumbered
-        k. Groups keep their order and ties; emptied groups go."""
-        index = {i: k for k, i in enumerate(self.kept)}
+        """The parent's orders of the systems below k, numbered as there.
+        Groups keep their order and ties; emptied groups go."""
+        k = self.k
         out = []
         for groups in self.parent.orders:
             left = []
             for group in groups:
                 if len(group) == 1:
                     # untied, the common case
-                    if group[0] in index:
-                        left.append((index[group[0]],))
+                    if group[0] < k:
+                        left.append(group)
                     continue
-                group = tuple([index[i] for i in group if i in index])
+                group = tuple([i for i in group if i < k])
                 if group:
                     left.append(group)
             out.append(tuple(left))
         return tuple(out)
 
     def counts(self) -> Counts:
-        """A count depends only on its own two systems, so the restricted
-        counts are the submatrix of the parent's."""
-        rows, kept = self.parent.pairwise(), self.kept
-        return tuple([tuple([row[b] for b in kept]) for row in [rows[a] for a in kept]])
+        """A count depends only on its own two systems, so the prefix's counts
+        are the first k entries of the parent's first k rows."""
+        return tuple([row[:self.k] for row in self.parent.pairwise()[:self.k]])
 
 
 class _Unranking(NamedTuple):

@@ -648,9 +648,9 @@ def renumbered(
 
 def restrict(table: RankTable, kept: Sequence[int]) -> tuple[RankTable, Counts]:
     """RankTable.restrict as it stood before derived tables built their
-    orders on first read: the table of the systems at ascending indices
-    kept, its orders renumbered at once, and its counts, the submatrix of
-    the table's."""
+    orders on first read, and before RankTable.prefix replaced it: the table
+    of the systems at ascending indices kept, its orders renumbered at once,
+    and its counts, the submatrix of the table's."""
     rows = table.pairwise()
     counts = tuple([tuple([row[b] for b in kept]) for row in [rows[a] for a in kept]])
     return RankTable(tuple([table.systems[i] for i in kept]), table.tasks,
@@ -1690,7 +1690,7 @@ def _named_on_systems(
             hit = [i for i in kept if i in gone]
             if hit:
                 raise missing_score(lb.systems[hit[0]], task)
-        return call_rule(rule, BASIC, table.restrict(kept), **params)
+        return call_rule(rule, BASIC, restrict(table, kept)[0], **params)
 
     return run
 

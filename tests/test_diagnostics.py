@@ -102,7 +102,10 @@ def test_iia_builds_no_diagnostics_and_its_outcomes_read_as_the_reference(rule, 
     assert len(made) == 2 * (n - 1)
     for rid, systems, result in made:
         out = result.named(systems, rid, BASIC)
-        present = lb.restrict_systems(sorted(out.all_systems, key=lb.systems.index))
+        # the present systems in the step's own order, the trial's arrival order
+        assert out.all_systems == frozenset(systems)
+        present = vb.Leaderboard(systems, lb.tasks, [lb.scores[lb.systems.index(m)] for m in systems],
+                                 lb.directions, lb.weights, lb.groups)
         assert out == reference.run_rule(present, reference.RULES[rule]), sorted(out.all_systems)
 
 

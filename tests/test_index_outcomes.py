@@ -16,6 +16,11 @@ scores; on the scaled and zero-weight rungs up to 20 systems it must
 equal the Fraction reference's outcome. Both experiments must give the
 named loops' report, or their refusal, at several seeds and omit counts.
 
+iia, which numbers each trial's systems in arrival order, must refuse as
+the named loop, on the present systems in board order, on boards where a
+system with a larger index arrives first and both hold a hole or a cell
+outside the baselines' domain.
+
 Every rule is anonymous: permuting the board's systems leaves its ranking
 by name, its scores and the kind of its refusal as they were, in every
 mode. And the experiment loops name no outcome: with IndexOutcome.named
@@ -33,7 +38,7 @@ import voteboard as vb
 from voteboard.errors import (
     MissingScore, RuleUnsupportedForMode, VectorLengthMismatch, VoteboardError,
 )
-from voteboard.experiments import IMPUTABLE
+from voteboard.experiments import IMPUTABLE, trial_rng
 from voteboard.model import LazyScores, chosen, group_by_score, ranked_by, tie_groups
 from voteboard.modes import BASIC, MODES
 
@@ -189,6 +194,41 @@ def test_experiments_report_as_the_named_loops(n, t, seed):
                 old = outcome_or_error(
                     lambda: reference.named_robustness_experiment(unit, rules, cfg))
                 assert new == old, (holes, omit, rules)
+
+
+def test_iia_refuses_as_on_the_present_systems_in_board_order():
+    """iia numbers a trial's systems in their arrival order, yet every rule it
+    accepts refuses, or reports, as the named loop on the present systems in
+    board order. In trial 0 at seed 2, m2 arrives before m1, and every
+    system but m0 holds a hole on t1 on one board, and a cell above 1 on t1
+    and a 0 on t2 on the other, so the first step's refusal must name m1."""
+    cfg = vb.ExperimentConfig(seed=2, trials=3)
+    order = list(range(6))
+    trial_rng(cfg.seed, 0).shuffle(order)
+    assert order[:2] == [2, 1]
+    rng = random.Random("board-order refusals")
+    systems, tasks = [f"m{i}" for i in range(6)], ["t0", "t1", "t2"]
+    rows = [[F(rng.randint(1, 9), 10) for _ in tasks] for _ in systems]
+    holed = [[None if i and j == 1 else c for j, c in enumerate(row)]
+             for i, row in enumerate(rows)]
+    outside = [[F(2) if i and j == 1 else F(0) if i and j == 2 else c for j, c in enumerate(row)]
+               for i, row in enumerate(rows)]
+    refused = set()
+    for cells in (holed, outside):
+        lb = vb.Leaderboard(systems, tasks, cells, ["max"] * 3, [F(1)] * 3)
+        for rid in vb.rule_ids():
+            if rid == "custom":
+                continue
+            new = outcome_or_error(lambda: vb.iia_experiment(lb, rid, cfg))
+            old = outcome_or_error(lambda: reference.named_iia_experiment(lb, rid, cfg))
+            assert new == old, rid
+            if isinstance(new, tuple) and new[0] is not RuleUnsupportedForMode:
+                assert "'m1'" in new[1], (rid, new)
+                refused.add((rid, new[0].__name__))
+    # every rule without missing-score support refuses the holed board
+    assert {rid for rid, _ in refused} == {
+        rid for rid in vb.rule_ids() if rid != "custom" and not vb.get_rule(rid).handles_missing}
+    assert {("optimality_gap", "ScoreOutOfRange"), ("gmean", "NonPositiveScore")} <= refused
 
 
 def anonymity_board(seed):

@@ -268,14 +268,18 @@ sys.exit(code)
 def test_the_library_and_the_command_line_run_on_the_standard_library_alone(full_csv, capsys):
     """No runtime dependencies: under python -I -S, which leaves site-packages
     off the path, voteboard and its CLI import and rank, and every module
-    they load is voteboard's or the standard library's."""
+    they load is voteboard's or the standard library's. -I ignores
+    PYTHONDONTWRITEBYTECODE, so -B keeps the run from writing bytecode
+    caches into the source tree."""
     request = ["rank", "--input", str(full_csv), "--rule", "borda", "--format", "json"]
     _, expected, _ = run_cli(request, capsys)
-    src = str(Path(vb.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-I", "-S", "-c", NO_SITE_RUN, src, str(full_csv)],
-                          capture_output=True, text=True, timeout=60)
+    src = Path(vb.__file__).resolve().parents[1]
+    caches = set(src.rglob("__pycache__"))
+    done = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", NO_SITE_RUN, str(src),
+                           str(full_csv)], capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == expected + "[]\n"
+    assert set(src.rglob("__pycache__")) == caches
 
 
 def test_cli_exit_codes(csv_path, tmp_path, capsys):

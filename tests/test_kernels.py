@@ -39,7 +39,7 @@ ladder board, on 200 seeded random boards of 2 to 30 systems with ties,
 holes and weights 1, 1/3 and 5/7, on boards whose scaled total passes
 2**32 and 2**63, and on boards whose totals sit on each side of 2**8,
 2**16, 2**32 and 2**64, the edges of the 8-, 16-, 32- and 64-bit fields,
-and on the tables restrict and without derive from those. On the random
+and on the tables prefix and without derive from those. On the random
 boards the bitmask relation (edges, dominated and dominator sets, the
 Condorcet winner) and every set rule must equal the reference's frozenset
 versions.
@@ -65,7 +65,7 @@ tied set and the repr of reference.mass_threshold_run, which rebuilt the
 masses for every repetition; reference.table_position_counts must equal
 the masses' rows.
 Both hold on the holed ladder boards, built missing-tolerant and derived
-with without and restrict, and on 200 seeded random boards with ties, min
+with without and prefix, and on 200 seeded random boards with ties, min
 tasks, holes and weights 0, 1/3, 5/7 and 2.
 """
 
@@ -241,9 +241,8 @@ def test_profile_views_match_reference(n, t, seed):
     for lb in (ladder_board(n, t, seed), ladder_board(n, t, seed, holes=True)):
         new = vb.build_profile(lb, missing_ok=True)
         old = reference.build_profile(lb, missing_ok=True)
-        keep = rng.sample(lb.systems, rng.randint(1, n))
-        kept = sorted([lb.systems.index(m) for m in keep])
-        for new_view, old_view in ((new, old), (new.restrict(kept), old.restrict(keep))):
+        k = rng.randint(1, n)
+        for new_view, old_view in ((new, old), (new.prefix(k), old.restrict(lb.systems[:k]))):
             assert new_view.systems == old_view.systems
             assert new_view.tasks == old_view.tasks
             assert new_view.positions == old_view.positions
@@ -400,7 +399,7 @@ def test_packed_counts_at_each_field_width_boundary(total):
     """Totals on each side of 2**8, 2**16, 2**32 and 2**64 pack into the
     narrowest field that holds them (8, 16, 32, 64 or 96 bits), and the
     counts reach the total. They equal the loop's on the full table, on a
-    restriction and on an unranking of it, with and without holes and with
+    prefix and on an unranking of it, with and without holes and with
     a zero-weight task; the second board shares a weight between tasks."""
     for seed, weights in enumerate((
         [F(total - 3), F(1), F(2), F(0)],
@@ -412,10 +411,9 @@ def test_packed_counts_at_each_field_width_boundary(total):
             counts = table.pairwise()
             assert counts == loop_counts(table)
             assert counts[0][1] == max(map(max, counts)) == total
-            kept = [0, 1, 3, 4, 7, 8, 12]
             cells = [(i, j) for j, groups in enumerate(table.orders) for group in groups
                      for i in group if i > 1 and (i + j) % 3 == 0]
-            for derived in (table.restrict(kept), table.without(cells)):
+            for derived in (table.prefix(7), table.without(cells)):
                 assert derived.pairwise() == loop_counts(derived)
                 assert derived.pairwise()[0][1] == total
 
@@ -525,13 +523,13 @@ def assert_slot_kernels(table):
 
 def derived_tables(table, rng):
     """The table, a copy with a quarter of its ranked cells unranked, a
-    random subset of its systems, and that subset with cells unranked."""
+    random prefix of its systems, and that prefix with cells unranked."""
     def holed(t):
         cells = [(i, j) for j, groups in enumerate(t.orders) for group in groups for i in group]
         return t.without(rng.sample(cells, len(cells) // 4))
 
     n = len(table.systems)
-    kept = table.restrict(sorted(rng.sample(range(n), rng.randint(1, n))))
+    kept = table.prefix(rng.randint(1, n))
     return [table, holed(table), kept, holed(kept)]
 
 
@@ -931,7 +929,7 @@ def test_derived_boards_and_tables_match_fresh_builds(n, t, seed):
     """What the experiments derive equals what the validating paths build.
 
     Boards from _derived equal, and repr like, the ones the validating
-    constructor builds. A restricted or trimmed table equals the table
+    constructor builds. A prefix or trimmed table equals the table
     built from the derived board, pairwise counts and mass unit included.
     """
     rng = random.Random(f"derive:{n}:{t}:{seed}")
@@ -953,7 +951,8 @@ def test_derived_boards_and_tables_match_fresh_builds(n, t, seed):
             names = [lb.systems[i] for i in kept]
             fresh = reference.restrict_systems(lb, names)
             same_board(lb.restrict_systems(names), fresh)
-            same_table(table.restrict(kept), fresh)
+            k = len(kept)
+            same_table(table.prefix(k), reference.restrict_systems(lb, lb.systems[:k]))
 
             present = lb.present_cells()
             deleted = rng.sample(present, rng.randint(1, min(3 * t, len(present))))
@@ -998,22 +997,23 @@ def assert_lazy_derivation(derive, eager):
 
 
 def assert_lazy_derivations(table, rng, draws):
-    """restrict, without, and both chained, on random systems and cells,
+    """prefix, without, and both chained, on random prefixes and cells,
     against reference.restrict and reference.without."""
     n = len(table.systems)
     for _ in range(draws):
-        kept = sorted(rng.sample(range(n), rng.randint(1, n)))
-        assert_lazy_derivation(lambda: table.restrict(kept), reference.restrict(table, kept))
+        k = rng.randint(1, n)
+        kept = list(range(k))
+        assert_lazy_derivation(lambda: table.prefix(k), reference.restrict(table, kept))
         cells = ranked_cells(table)
         gone = rng.sample(cells, rng.randint(0, len(cells) // 3))
         assert_lazy_derivation(lambda: table.without(gone), reference.without(table, gone))
         sub, _ = reference.restrict(table, kept)
         cells = ranked_cells(sub)
         sub_gone = rng.sample(cells, rng.randint(0, len(cells) // 3))
-        assert_lazy_derivation(lambda: table.restrict(kept).without(sub_gone),
+        assert_lazy_derivation(lambda: table.prefix(k).without(sub_gone),
                                reference.without(sub, sub_gone))
         trimmed, _ = reference.without(table, gone)
-        assert_lazy_derivation(lambda: table.without(gone).restrict(kept),
+        assert_lazy_derivation(lambda: table.without(gone).prefix(k),
                                reference.restrict(trimmed, kept))
 
 
@@ -1037,7 +1037,7 @@ def test_pairwise_rules_never_build_derived_orders(monkeypatch):
     iia steps and the robustness trials of copeland and minimax build no
     derived table's orders; borda's iia steps do."""
     built = []
-    for source in (vb.model._Restriction, vb.model._Unranking):
+    for source in (vb.model._Prefix, vb.model._Unranking):
         def counted(self, real=source.orders):
             built.append(type(self).__name__)
             return real(self)
@@ -1055,7 +1055,7 @@ def test_pairwise_rules_never_build_derived_orders(monkeypatch):
     vb.iia_experiment(complete, "borda", cfg)
     table = table_of(holed)
     assert table.without(ranked_cells(table)[:3]).positions
-    assert set(built) == {"_Restriction", "_Unranking"}
+    assert set(built) == {"_Prefix", "_Unranking"}
 
 
 def test_reading_derived_tables_leaves_the_parent_unchanged():
@@ -1066,10 +1066,9 @@ def test_reading_derived_tables_leaves_the_parent_unchanged():
     assert parent.pairwise()
     before = dict(parent.__dict__)
     rng = random.Random(7)
-    kept = sorted(rng.sample(range(14), 9))
     cells = rng.sample(ranked_cells(parent), 8)
     for _ in range(2):
-        restricted = parent.restrict(kept)
+        restricted = parent.prefix(9)
         for table in (restricted, parent.without(cells),
                       restricted.without(ranked_cells(restricted)[:5])):
             table.pairwise(), table.orders, table.positions, table.mass_unit
@@ -1079,7 +1078,7 @@ def test_reading_derived_tables_leaves_the_parent_unchanged():
     # unread, the parent builds its own counts once, for every derived table
     fresh = table_of(lb)
     held = set(fresh.__dict__)
-    fresh.restrict(kept).pairwise()
+    fresh.prefix(9).pairwise()
     fresh.without(cells).orders
     assert set(fresh.__dict__) - held == {"_counts"}
 

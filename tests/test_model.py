@@ -168,9 +168,12 @@ def test_position_counts_split_ties():
 
 
 def test_profile_restrict_reranks():
-    prof = build_profile(board_from_orders(TOY_ORDERS))
-    # systems A, B, C, D; keep B, C and D
-    sub = prof.restrict([1, 2, 3])
+    lb = board_from_orders(TOY_ORDERS)
+    # systems B, C, D, A; keep the first three, B, C and D
+    order = ["B", "C", "D", "A"]
+    prof = build_profile(Leaderboard(order, lb.tasks, [lb.scores[lb.systems.index(m)] for m in order],
+                                     lb.directions, lb.weights))
+    sub = prof.prefix(3)
     assert sub.position("t1", "B") == 1
     assert sub.position("t1", "D") == 3
     assert set(sub.systems) == {"B", "C", "D"}
@@ -178,13 +181,13 @@ def test_profile_restrict_reranks():
 
 # (id, derivation on a 4-system, 5-task table whose system 1 is unranked on
 # task 0, the ValueError's message): refused when called, not when read
-RESTRICT_REFUSAL = r"non-empty, strictly ascending and in 0\.\.3: "
+PREFIX_REFUSAL = r"a prefix holds 1 to 4 systems: "
 BAD_DERIVATIONS = [
-    ("restrict a system twice", lambda t: t.restrict([0, 0]), RESTRICT_REFUSAL),
-    ("restrict nobody", lambda t: t.restrict([]), RESTRICT_REFUSAL),
-    ("restrict beyond the last system", lambda t: t.restrict([0, 7]), RESTRICT_REFUSAL),
-    ("restrict a negative index", lambda t: t.restrict([-1, 2]), RESTRICT_REFUSAL),
-    ("restrict out of order", lambda t: t.restrict([2, 1]), RESTRICT_REFUSAL),
+    ("restrict nobody", lambda t: t.prefix(0), PREFIX_REFUSAL + "0$"),
+    ("restrict beyond the last system", lambda t: t.prefix(5), PREFIX_REFUSAL + "5$"),
+    ("prefix of a negative length", lambda t: t.prefix(-1), PREFIX_REFUSAL + "-1$"),
+    ("prefix of a float length", lambda t: t.prefix(2.0), PREFIX_REFUSAL + r"2\.0$"),
+    ("prefix of a boolean length", lambda t: t.prefix(True), PREFIX_REFUSAL + "True$"),
     ("unrank an unranked cell", lambda t: t.without([(1, 0)]), r"cell \(1, 0\) is not ranked"),
     ("unrank a cell of no system", lambda t: t.without([(0, 1), (4, 1)]), r"cell \(4, 1\)"),
     ("unrank a cell of no task", lambda t: t.without([(0, 5)]), r"cell \(0, 5\)"),

@@ -11,6 +11,10 @@ more is added, so their spoiler count is exactly zero on any complete
 board, and Spearman rho ignores a common positive rescaling of both rank
 vectors.
 
+The robustness imputation stores each median as its float's exact ratio,
+equal to cell_ratio's for every finite float, -0.0, subnormals and the
+float limit included, and refuses a median past the float range.
+
 The minimal dominant set, found from the order of wins, equals the
 smallest closure under "fails to beat" on boards with ties, holes and
 zero weights.
@@ -29,6 +33,8 @@ import contextlib
 import io
 import json
 import math
+import statistics
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -37,8 +43,10 @@ from hypothesis import strategies as st
 
 import voteboard as vb
 from voteboard.cli import main
+from voteboard.experiments import _impute_medians
 from voteboard.io import outcome_to_dict, to_json
 from voteboard.majority import minimal_dominant_set
+from voteboard.model import cell_ratio
 
 import reference
 
@@ -176,6 +184,36 @@ def test_iia_of_score_baselines_is_zero(lb, seed):
     cfg = vb.ExperimentConfig(seed=seed, trials=3)
     for rule in ("mean", "gmean", "optimality_gap"):
         assert vb.iia_experiment(lb, rule, cfg).series[rule] == (0.0,) * 3, rule
+
+
+# finite floats, with -0.0, the smallest subnormal, the largest subnormal and
+# the float limit's neighbourhood drawn as well as generated
+MEDIAN_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.79e308, -1.79e308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
+
+@SETTINGS
+@given(x=MEDIAN_FLOATS, y=MEDIAN_FLOATS)
+def test_an_imputed_median_is_the_cell_ratio_of_its_float(x, y):
+    """The imputation stores each median as its float's exact ratio, which
+    must equal cell_ratio's, in lowest terms; a median beyond the float range
+    is refused."""
+    for value in (x, y):
+        assert Decimal(repr(value)).as_integer_ratio() == cell_ratio(value)
+    lb = vb.Leaderboard.from_scores({"a": {"t": x}, "b": {"t": y}, "c": {"t": 1.0}})
+    for present, deleted in ((1, [(1, 0), (2, 0)]), (2, [(2, 0)])):
+        median = statistics.median([lb.cells[i][0] / lb.denominator for i in range(present)])
+        if not math.isfinite(median):
+            with pytest.raises(vb.ScoreOutOfRange):
+                _impute_medians(lb, deleted)
+            continue
+        assert Decimal(repr(median)).as_integer_ratio() == cell_ratio(median)
+        # equal boards hold equal integer cells over one denominator
+        assert _impute_medians(lb, deleted) == lb._with_cells(
+            dict.fromkeys(deleted, cell_ratio(median)))
 
 
 @SETTINGS
