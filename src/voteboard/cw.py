@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .errors import InfeasibleBounds, InvalidParameter
 from .linprog import INFEASIBLE, OPTIMAL, solve_lp
-from .model import MINIMIZE, Leaderboard, as_fraction
+from .model import MINIMIZE, Leaderboard, as_fraction, integer_weights
 
 PROSPECTIVE = "prospective"
 NON_PROSPECTIVE = "non_prospective"
@@ -129,8 +128,7 @@ def find_cw_weights(
 
     # substitute v = w - lower, v >= 0; a row's shift is an integer over lower's denominator
     constraints = [((1,) * t, "==", 1 - low_sum)]
-    low_den = lcm(*[lo.denominator for lo in lower])
-    low_nums = [lo.numerator * (low_den // lo.denominator) for lo in lower]
+    low_nums, low_den = integer_weights(lower)
     for row in matrix.rows:
         shift = Fraction(sum([c * n for c, n in zip(row, low_nums)]), low_den)
         constraints.append((row, ">=", eps - shift))
@@ -168,8 +166,7 @@ def _verify(
     The rows hold only -1, 0 and +1, so with the witness written as integers
     over its common denominator each row sum is an integer sum.
     """
-    den = lcm(*[w.denominator for w in witness])
-    nums = [w.numerator * (den // w.denominator) for w in witness]
+    nums, den = integer_weights(witness)
     if sum(nums) != den:
         raise RuntimeError("witness does not sum to 1")
     for w, lo, up in zip(witness, lower, upper):

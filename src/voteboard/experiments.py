@@ -28,10 +28,11 @@ import random
 import statistics
 from decimal import Decimal
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from .errors import (
     InvalidParameter,
+    MissingScore,
     RuleUnsupportedForMode,
     ScoreOutOfRange,
     TooFewSystems,
@@ -39,10 +40,8 @@ from .errors import (
     VoteboardError,
 )
 from .metrics import checked_gamma, rho_from_rank_vectors
-from .model import (
-    IndexOutcome, Leaderboard, RankTable, build_profile, doubled_ranks, missing_score,
-)
-from .modes import Rule, check_params
+from .model import IndexOutcome, Leaderboard, RankTable, build_profile, doubled_ranks
+from .modes import check_params
 from .registry import get_rule
 
 # score aggregators repaired by per-task median imputation instead of
@@ -65,6 +64,10 @@ class ExperimentConfig:
     top_k: int = 7
 
     def __post_init__(self) -> None:
+        for name in ("trials", "omit_count", "top_k"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InvalidParameter(f"{name} must be an int, not {value!r}")
         if self.trials < 1:
             raise InvalidParameter("trials must be at least 1")
         if self.omit_count < 0:
@@ -113,87 +116,58 @@ def iia_experiment(
     same sequence, so that is what is compared. A rule that leaves a present
     system unranked raises RuleUnsupportedForMode, and so does custom, whose
     vector fits one number of systems, before the first trial.
+
+    A step's refusal is the one the rule gives, as aggregate would, on the
+    present systems in board order: a step that refuses, because the rule
+    raises or, for a rule without missing-score support, a system with a
+    hole is present, is rerun there on Rule.data.
     """
     cfg = cfg or ExperimentConfig()
-    if len(lb.systems) < 3:
+    n = len(lb.systems)
+    if n < 3:
         raise TooFewSystems("spoiler probing needs at least three systems")
     rule_obj = get_rule(rule)
     check_params(rule_obj, rule_params)
     if "vector" in rule_obj.params:
         raise RuleUnsupportedForMode(f"rule {rule!r} has a vector for one number of systems")
-    arrive = _in_arrival_order(lb, rule_obj, rule_params)
+    holed = set() if rule_obj.on_board or rule_obj.handles_missing else {
+        i for i, row in enumerate(lb.cells) if None in row}
     counts: list[float] = []
     for trial in range(cfg.trials):
-        rng = trial_rng(cfg.seed, trial)
-        order = list(range(len(lb.systems)))
-        rng.shuffle(order)
-        run = arrive(order)
-        prev = run(2)
+        order = list(range(n))
+        trial_rng(cfg.seed, trial).shuffle(order)
+        hole_at = next((p for p, i in enumerate(order) if i in holed), n)
+        table = None if rule_obj.on_board else build_profile(_rows(lb, order), missing_ok=True)
         changed = 0
-        for k in range(3, len(order) + 1):
-            out = run(k)
-            if prev.unranked or any([i != k - 1 for i in out.unranked]):
-                raise RuleUnsupportedForMode(
-                    f"rule {rule!r} leaves systems unranked, so it has no "
-                    "pairwise relations to probe"
-                )
-            # out's groups without the newcomer, k - 1, the last member of its group
-            kept = [group[:-1] if group[-1] == k - 1 else group for group in out.groups]
-            if [group for group in kept if group] != prev.groups:
-                changed += 1
+        for k in range(2, n + 1):
+            try:
+                if k > hole_at:
+                    # the rerun below names the present system with a hole
+                    raise MissingScore
+                out = rule_obj.run(_rows(lb, order[:k]) if table is None else table.prefix(k),
+                                   **rule_params)
+            except VoteboardError:
+                rule_obj.run(rule_obj.data(_rows(lb, sorted(order[:k]))), **rule_params)
+                raise
+            if k > 2:
+                if prev.unranked or any([i != k - 1 for i in out.unranked]):
+                    raise RuleUnsupportedForMode(
+                        f"rule {rule!r} leaves systems unranked, so it has no "
+                        "pairwise relations to probe"
+                    )
+                # out's groups without the newcomer, k - 1, the last member of its group
+                kept = [group[:-1] if group[-1] == k - 1 else group for group in out.groups]
+                if [group for group in kept if group] != prev.groups:
+                    changed += 1
             prev = out
         counts.append(float(changed))
     return _report("iia", cfg, {rule: counts})
 
 
-def _in_arrival_order(
-    lb: Leaderboard, rule: Rule, params: Mapping[str, Any]
-) -> Callable[[list[int]], Callable[[int], IndexOutcome]]:
-    """For a trial's arrival order of board indices, the rule's core result
-    on the first k arrivals, numbered by arrival, as a function of k.
-
-    The board is permuted into the order once per trial, and a rule reads
-    the first k systems of its table (RankTable.prefix), an on_board rule
-    its first k rows. A refusal is the one on the present systems in board
-    order: a rule without missing-score support refuses a present system
-    with a hole as build_profile does there, the first such task, then
-    system, and an on_board rule that refuses is rerun there.
-    """
-    holes = []
-    if not (rule.on_board or rule.handles_missing):
-        for j, task in enumerate(lb.tasks):
-            gone = frozenset([i for i, row in enumerate(lb.cells) if row[j] is None])
-            if gone:
-                holes.append((task, gone))
-
-    def rows(kept: Sequence[int]) -> Leaderboard:
-        """The board of those systems, in that order, built without checks."""
-        return lb._derived(tuple([lb.systems[i] for i in kept]),
-                           tuple([lb.cells[i] for i in kept]), lb.denominator)
-
-    def arrive(order: list[int]) -> Callable[[int], IndexOutcome]:
-        if rule.on_board:
-            def run_board(k: int) -> IndexOutcome:
-                try:
-                    return rule.run(rows(order[:k]), **params)
-                except VoteboardError as exc:
-                    refused = exc
-                rule.run(rows(sorted(order[:k])), **params)
-                raise refused
-
-            return run_board
-        table = build_profile(rows(order), missing_ok=True)
-
-        def run(k: int) -> IndexOutcome:
-            for task, gone in holes:
-                hit = gone.intersection(order[:k])
-                if hit:
-                    raise missing_score(lb.systems[min(hit)], task)
-            return rule.run(table.prefix(k), **params)
-
-        return run
-
-    return arrive
+def _rows(lb: Leaderboard, kept: Sequence[int]) -> Leaderboard:
+    """The board of those systems, in that order, built without checks."""
+    return lb._derived(tuple([lb.systems[i] for i in kept]),
+                       tuple([lb.cells[i] for i in kept]), lb.denominator)
 
 
 def _impute_medians(lb: Leaderboard, deleted: Sequence[tuple[int, int]]) -> Leaderboard:
@@ -247,6 +221,8 @@ def robustness_experiment(
     that is smaller.
     """
     cfg = cfg or ExperimentConfig(trials=100, top_k=min(7, len(lb.systems)))
+    if isinstance(rules, str):
+        raise InvalidParameter(f"rules must be a sequence of rule ids, not the string {rules!r}")
     if not rules:
         raise InvalidParameter("robustness needs at least one rule")
     checked_gamma(gamma)
@@ -273,20 +249,24 @@ def robustness_experiment(
         # the rules that tolerate missing scores are profile rules
         table = build_profile(lb, missing_ok=True)
 
-    def run(rid: str, data: RankTable | Leaderboard) -> IndexOutcome:
-        params = {"gamma": gamma} if "gamma" in rule_objs[rid].params else {}
-        return rule_objs[rid].run(data, **params)
+    params = {rid: {"gamma": gamma} if "gamma" in rule.params else {}
+              for rid, rule in rule_objs.items()}
+
+    def ranked(rid: str, data: RankTable | Leaderboard, when: str) -> IndexOutcome:
+        """The rule's result on data, refused on every call if it leaves a
+        system unranked: a set rule's intact winners may be everyone."""
+        out = rule_objs[rid].run(data, **params[rid])
+        if out.unranked:
+            raise RuleUnsupportedForMode(
+                f"rule {rid!r} leaves systems unranked {when}, so it has no ranks to correlate"
+            )
+        return out
 
     # each rule's intact top-k, grown to whole tie groups, and their doubled ranks
     top: dict[str, list[int]] = {}
     ref_ranks: dict[str, list[int]] = {}
     for rid in rules:
-        out = run(rid, lb if rid in IMPUTABLE else table)
-        if out.unranked:
-            raise RuleUnsupportedForMode(
-                f"rule {rid!r} leaves systems unranked on the intact board, "
-                "so it has no ranks to correlate"
-            )
+        out = ranked(rid, lb if rid in IMPUTABLE else table, "on the intact board")
         chosen: list[int] = []
         for group in out.groups:
             if len(chosen) >= cfg.top_k:
@@ -303,18 +283,9 @@ def robustness_experiment(
         trimmed = None if table is None else table.without(deleted)
         imputed: Leaderboard | None = None
         for rid in rules:
-            if rid in IMPUTABLE:
-                if imputed is None:
-                    imputed = _impute_medians(lb, deleted)
-                out = run(rid, imputed)
-            else:
-                out = run(rid, trimmed)
-            if out.unranked:
-                # a set rule's winners on the intact board may be everyone
-                raise RuleUnsupportedForMode(
-                    f"rule {rid!r} leaves systems unranked once cells are deleted, "
-                    "so it has no ranks to correlate"
-                )
+            if rid in IMPUTABLE and imputed is None:
+                imputed = _impute_medians(lb, deleted)
+            out = ranked(rid, imputed if rid in IMPUTABLE else trimmed, "once cells are deleted")
             # both vectors doubled, so rho is what it is of the fractional ranks
             ranks = doubled_ranks(out.groups)
             series[rid].append(rho_from_rank_vectors(ref_ranks[rid], [ranks[i] for i in top[rid]]))

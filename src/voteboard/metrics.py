@@ -224,10 +224,9 @@ def rho_from_rank_vectors(x: Sequence[Fraction], y: Sequence[Fraction]) -> float
     if list(x) == list(y):
         return 1.0
     # scaling both vectors by one factor scales num^2 and den_x * den_y alike
-    scale = math.lcm(*{v.denominator for v in x}, *{v.denominator for v in y})
-    xs = [v.numerator * (scale // v.denominator) for v in x]
-    ys = [v.numerator * (scale // v.denominator) for v in y]
-    n = len(xs)
+    n = len(x)
+    scaled, _ = integer_weights([*x, *y])
+    xs, ys = scaled[:n], scaled[n:]
     sx, sy = sum(xs), sum(ys)
     num = n * sum(map(mul, xs, ys)) - sx * sy
     den_x = n * sum(map(mul, xs, xs)) - sx * sx

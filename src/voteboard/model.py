@@ -20,7 +20,7 @@ one per ranked system holding its tie group, from which threshold reads
 one place column at a time; and the first- and last-place mass columns,
 walked from either end. A rule core returns an IndexOutcome on system
 indices, from ranked_by (a stable sort of the indices on integer scores)
-or chosen (a set rule's winners, ascending indices); modes.call_rule alone
+or chosen (a set rule's winners, ascending indices); modes.run_rule alone
 names it. The elimination, threshold and named positional rules, and
 two_step's electors, keep their diagnostics as a LazyDiagnostics: the
 integer state the rule core made anyway, and the function that builds the
@@ -134,8 +134,9 @@ def exact_cells(lb: Leaderboard) -> tuple[Cells, int]:
     return lb.cells, lb.denominator
 
 
-def integer_weights(weights: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
-    """Task weights times the LCM of their denominators, and that LCM."""
+def integer_weights(weights: Sequence[Fraction | int]) -> tuple[tuple[int, ...], int]:
+    """Task weights, or any exact values, times the LCM of their
+    denominators, and that LCM."""
     scale = math.lcm(*{w.denominator for w in weights})
     return tuple([w.numerator * (scale // w.denominator) for w in weights]), scale
 
@@ -155,12 +156,11 @@ def _check_unique(names: Sequence[str], kind: str) -> None:
         seen.add(name)
 
 
-def _group_tasks(name: str, members: Iterable[str]) -> tuple[str, ...]:
+def _task_names(owner: str, tasks: Iterable[str]) -> tuple[str, ...]:
     # tuple() would split a string into its characters
-    if isinstance(members, str):
-        raise ValueError(
-            f"group {name!r}: tasks must be a sequence of names, not the string {members!r}")
-    return tuple(members)
+    if isinstance(tasks, str):
+        raise ValueError(f"{owner}: tasks must be a sequence of names, not the string {tasks!r}")
+    return tuple(tasks)
 
 
 @dataclass(frozen=True, init=False)
@@ -198,7 +198,8 @@ class Leaderboard:
         ratios = [[None if c is None else cell_ratio(c) for c in row] for row in scores]
         if groups is not None:
             pairs = groups.items() if isinstance(groups, Mapping) else groups
-            groups = tuple([(name, _group_tasks(name, members)) for name, members in pairs])
+            groups = tuple([(name, _task_names(f"group {name!r}", members))
+                            for name, members in pairs])
         self._fill(tuple(systems), tuple(tasks), *over_one_denominator(ratios),
                    tuple(directions), tuple([as_fraction(w) for w in weights]), groups)
         self._check()
@@ -367,8 +368,8 @@ def build_profile(
     Each task ranks the systems by score: minimize-direction tasks rank low
     scores first, and equal scores form one tie group. A missing cell
     raises MissingScore unless missing_ok is set, in which case the system
-    is simply unranked on that task. A subset that names a task twice
-    raises ValueError.
+    is simply unranked on that task. A subset that names a task twice, or
+    is one str, raises ValueError.
 
     Each task's system indices are sorted by their cells, and runs of equal
     neighbours become tie groups. An untied system's group is taken from
@@ -378,7 +379,7 @@ def build_profile(
         tasks = lb.tasks
         index: Sequence[int] = range(len(tasks))
     else:
-        tasks = tuple(task_subset)
+        tasks = _task_names("task subset", task_subset)
         if not tasks:
             raise EmptySubset("task subset is empty")
         _check_unique(tasks, "task")
@@ -798,8 +799,8 @@ class RuleOutcome:
     unranked. scores, when present, maps each ranked system to the value the
     rule ordered by (exact rationals where the rule allows it); a rule
     packaged by ranked_by holds them as a LazyScores. diagnostics is a dict,
-    or a LazyDiagnostics that builds it when first read. call_rule builds
-    it from a rule core's IndexOutcome and stamps rule_id and mode.
+    or a LazyDiagnostics that builds it when first read. modes.run_rule
+    builds it from a rule core's IndexOutcome and stamps rule_id and mode.
     """
 
     rule_id: str = ""

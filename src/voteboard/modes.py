@@ -10,22 +10,23 @@ order over the systems, and applies the rule once more. Both grouped modes
 require a grouping that covers every task.
 
 The runner contract: every rule has one runner, its core, called as
-run(data, **params). data is the RankTable that run_rule builds once,
-with build_profile, from the mode's board, or for an on_board rule that
-board. It returns a model.IndexOutcome on the data's system indices,
-which call_rule alone names, as a RuleOutcome stamped with the rule and
-mode; the experiment loops call the core and name nothing.
-two_step's groups vote with their index tie groups, and it adds the
-"electors" diagnostic through a model.LazyDiagnostics over the second
-step's diagnostics, so neither is built before they are read.
+run(data, **params). data is what Rule.data gives for the mode's board:
+that board for an on_board rule, else its RankTable, built once with
+build_profile. The core returns a model.IndexOutcome on the data's
+system indices, which run_rule names at its one return, as a RuleOutcome
+stamped with the rule and mode; the experiment loops call the core and
+name nothing. two_step's groups vote with their index tie groups, and it
+adds the "electors" diagnostic to the second step's IndexOutcome through
+a model.LazyDiagnostics over that step's diagnostics, so neither is
+built before they are read.
 """
 
 from __future__ import annotations
 
 import inspect
-from dataclasses import KW_ONLY, dataclass, replace
+from dataclasses import KW_ONLY, dataclass
 from functools import cached_property
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 from .errors import InvalidParameter, MissingGroups, RuleUnsupportedForMode, UnknownRule
 from .model import IndexOutcome, LazyDiagnostics, Leaderboard, RankTable, RuleOutcome
@@ -41,9 +42,9 @@ MODES = (BASIC, WEIGHTED, TWO_STEP)
 class Rule:
     """A registered rule.
 
-    run(data, **params) -> IndexOutcome is its core. data is a RankTable
-    built from the mode's board, or with on_board set that board, for the
-    score baselines. elector marks rules whose full output is a total
+    run(data, **params) -> IndexOutcome is its core, and data(lb) what it
+    reads: a RankTable built from the mode's board, or with on_board set
+    that board, for the score baselines. elector marks rules whose full output is a total
     preorder, the only kind that can vote in the second step of two_step.
     The keyword-only parameters of run are the only params the rule accepts.
     """
@@ -62,6 +63,15 @@ class Rule:
             name for name, p in inspect.signature(self.run).parameters.items()
             if p.kind is p.KEYWORD_ONLY
         ])
+
+    def data(self, lb: Leaderboard, tasks: Sequence[str] | None = None) -> RankTable | Leaderboard:
+        """What the core reads of the board: the board itself for an on_board
+        rule, else its table on the tasks (default: all), built with
+        build_profile, which refuses a hole unless the rule handles missing
+        scores."""
+        if self.on_board:
+            return lb
+        return build_profile(lb, tasks, missing_ok=self.handles_missing)
 
 
 def _covering_groups(lb: Leaderboard) -> tuple[tuple[str, tuple[str, ...]], ...]:
@@ -89,38 +99,30 @@ def check_params(rule: Rule, params: Mapping[str, Any]) -> None:
         )
 
 
-def call_rule(rule: Rule, mode: str, data: RankTable | Leaderboard, **params: Any) -> RuleOutcome:
-    """The rule's outcome on a table (profile rules) or a board (score rules),
-    named and stamped with the rule and mode."""
-    return rule.run(data, **params).named(data.systems, rule.rule_id, mode)
-
-
 def run_rule(lb: Leaderboard, rule: Rule, mode: str = BASIC, **params: Any) -> RuleOutcome:
     """Apply a rule under a mode and stamp the outcome with the rule and mode."""
     if mode not in MODES:
         raise UnknownRule(f"unknown mode: {mode!r}")
     check_params(rule, params)
     if mode == TWO_STEP:
-        table, ballots = _second_step(lb, rule, **params)
-        outcome = call_rule(rule, TWO_STEP, table, **params)
-        return replace(outcome, diagnostics=LazyDiagnostics(
-            _with_electors, outcome.diagnostics, lb.systems, ballots
+        data, ballots = _second_step(lb, rule, **params)
+        out = rule.run(data, **params)
+        out = out._replace(diagnostics=LazyDiagnostics(
+            _with_electors, out.diagnostics, lb.systems, ballots
         ))
-    if mode == WEIGHTED:
-        lb = _weighted(lb)
-    data: RankTable | Leaderboard = lb
-    if not rule.on_board:
-        data = build_profile(lb, missing_ok=rule.handles_missing)
-    return call_rule(rule, mode, data, **params)
+    else:
+        data = rule.data(_weighted(lb) if mode == WEIGHTED else lb)
+        out = rule.run(data, **params)
+    return out.named(data.systems, rule.rule_id, mode)
 
 
-def _with_electors(diagnostics: Mapping[str, Any], systems: tuple[str, ...],
+def _with_electors(diagnostics: Mapping[str, Any] | None, systems: tuple[str, ...],
                    ballots: list[tuple[str, list[tuple[int, ...]]]]) -> dict[str, Any]:
-    """The second step's diagnostics plus "electors": each group's ranking,
-    its tie groups as sorted lists of names."""
+    """The second step's diagnostics, if any, plus "electors": each group's
+    ranking, its tie groups as sorted lists of names."""
     electors = {name: [sorted([systems[i] for i in group]) for group in groups]
                 for name, groups in ballots}
-    return {**diagnostics, "electors": electors}
+    return {**(diagnostics or {}), "electors": electors}
 
 
 def _second_step(
@@ -139,7 +141,7 @@ def _second_step(
     groups = _covering_groups(lb)
     ballots = []
     for name, members in groups:
-        result = rule.run(build_profile(lb, members, missing_ok=rule.handles_missing), **params)
+        result = rule.run(rule.data(lb, members), **params)
         if result.unranked:
             raise RuleUnsupportedForMode(
                 f"rule {rule.rule_id!r} left systems unranked inside group {name!r}"

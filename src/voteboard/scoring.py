@@ -26,14 +26,17 @@ from fractions import Fraction
 from typing import Any, Callable, Sequence
 
 from .errors import InvalidParameter, MissingScore, VectorLengthMismatch
-from .model import IndexOutcome, LazyDiagnostics, RankTable, as_fraction, ranked_by
+from .model import IndexOutcome, LazyDiagnostics, RankTable, as_fraction, integer_weights, ranked_by
 from .modes import Rule
 
 
 def _custom_entries(values: Sequence[int | float | Fraction | str]) -> tuple[list[int], int]:
     """custom's vector as integer entries over their LCM, once every entry
     is a finite number and the vector is non-empty, non-increasing and not
-    constant."""
+    constant. A str is refused, not read as its characters."""
+    if isinstance(values, str):
+        raise InvalidParameter(
+            f"a scoring vector must be a sequence of entries, not the string {values!r}")
     try:
         exact = [as_fraction(v) for v in values]
     except (TypeError, ValueError) as exc:
@@ -45,8 +48,8 @@ def _custom_entries(values: Sequence[int | float | Fraction | str]) -> tuple[lis
     # non-increasing, so constant when its ends are equal
     if exact[0] == exact[-1]:
         raise InvalidParameter("a custom scoring vector must not be constant")
-    lcm = math.lcm(*{e.denominator for e in exact})
-    return [e.numerator * (lcm // e.denominator) for e in exact], lcm
+    entries, lcm = integer_weights(exact)
+    return list(entries), lcm
 
 
 def _integer_totals(

@@ -48,8 +48,8 @@ def diagnostics_unbuilt():
 
 @contextlib.contextmanager
 def outcomes_unnamed():
-    """Inside the block, naming a rule core's result, which call_rule does
-    with IndexOutcome.named, raises AssertionError."""
+    """Inside the block, naming a rule core's result, which modes.run_rule
+    does with IndexOutcome.named, raises AssertionError."""
     original = IndexOutcome.named
 
     def named(*args):

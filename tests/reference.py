@@ -38,7 +38,7 @@ board once per deleted cell, and the robustness loop, which ran the
 library's rules on boards rebuilt once per trial.
 
 Next comes the outcome packaging on names, as it stood before rule cores
-returned system indices that only call_rule names: ranked_by over a
+returned system indices that only call_rule named: ranked_by over a
 name -> integer dict and chosen, each returning a checked RuleOutcome, and
 the iia and robustness loops that named every outcome they made, compared
 iia's steps by name tie groups (_tie_order) and read robustness's ranks as
@@ -109,7 +109,7 @@ from voteboard.model import (
     missing_score,
 )
 from voteboard.model import build_profile as library_build_profile
-from voteboard.modes import BASIC, MODES, TWO_STEP, _covering_groups, call_rule, check_params
+from voteboard.modes import BASIC, MODES, TWO_STEP, _covering_groups, check_params
 from voteboard.modes import Rule as LibraryRule
 from voteboard.modes import run_rule as run_library_rule
 from voteboard.registry import get_rule
@@ -1656,6 +1656,14 @@ def chosen(
         unranked=frozenset([m for m in systems if m not in winners]),
         diagnostics={} if diagnostics is None else diagnostics,
     )
+
+
+def call_rule(rule: LibraryRule, mode: str, data: RankTable | Leaderboard,
+              **params: Any) -> RuleOutcome:
+    """modes.call_rule as it stood before run_rule named the core's result at
+    its one return: the rule's outcome on a table or a board, named and
+    stamped with the rule and mode."""
+    return rule.run(data, **params).named(data.systems, rule.rule_id, mode)
 
 
 def _tie_order(outcome: RuleOutcome, systems: frozenset[str]) -> list[frozenset[str]]:

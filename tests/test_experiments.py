@@ -41,6 +41,16 @@ def test_config_validation():
         ExperimentConfig(top_k=0)
 
 
+@pytest.mark.parametrize("name,value", [
+    ("trials", 2.5), ("trials", "3"), ("trials", True), ("omit_count", 1.5),
+    ("omit_count", False), ("top_k", "3"), ("top_k", 2.5), ("top_k", None),
+])
+def test_config_refuses_a_count_that_is_not_an_int(name, value):
+    with pytest.raises(vb.InvalidParameter) as caught:
+        ExperimentConfig(**{name: value})
+    assert str(caught.value) == f"{name} must be an int, not {value!r}"
+
+
 def test_iia_needs_three_systems():
     lb = board_from_orders({"t": ["a", "b"]})
     with pytest.raises(TooFewSystems):
@@ -127,6 +137,10 @@ def test_robustness_refuses_an_empty_rule_list(toy):
     cfg = ExperimentConfig(seed=3, trials=2, omit_count=1, top_k=4)
     with pytest.raises(vb.InvalidParameter, match="at least one rule"):
         robustness_experiment(toy, [], cfg)
+    # a str is not split into one-letter rule ids
+    with pytest.raises(vb.InvalidParameter) as caught:
+        robustness_experiment(toy, "copeland", cfg)
+    assert str(caught.value) == "rules must be a sequence of rule ids, not the string 'copeland'"
 
 
 @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), 0, -1, "x"])

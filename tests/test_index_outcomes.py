@@ -1,10 +1,11 @@
 """Rule cores on system indices, named once at the edge.
 
-Every rule's core returns a model.IndexOutcome, and only call_rule names
-it. tests/reference.py keeps the packaging on names that it replaced:
-ranked_by over a name -> integer dict and chosen, each a checked
-RuleOutcome, and the iia and robustness loops that named every outcome,
-compared iia's steps by name tie groups and read Fraction ranks by name.
+Every rule's core returns a model.IndexOutcome, and only modes.run_rule
+names it, at its one return. tests/reference.py keeps the packaging on
+names that it replaced: ranked_by over a name -> integer dict and chosen,
+each a checked RuleOutcome, and the iia and robustness loops that named
+every outcome, compared iia's steps by name tie groups and read Fraction
+ranks by name.
 
 ranked_by, chosen and tie_groups must give, once named, the reference
 packaging's outcome on seeded score lists of 1 to 60 systems with ties.
@@ -19,7 +20,9 @@ named loops' report, or their refusal, at several seeds and omit counts.
 iia, which numbers each trial's systems in arrival order, must refuse as
 the named loop, on the present systems in board order, on boards where a
 system with a larger index arrives first and both hold a hole or a cell
-outside the baselines' domain.
+outside the baselines' domain, and at three more seeds where the first
+two arrivals hold holes on different tasks, where the one hole arrives
+last, and where holes on different tasks arrive third and fifth.
 
 Every rule is anonymous: permuting the board's systems leaves its ranking
 by name, its scores and the kind of its refusal as they were, in every
@@ -229,6 +232,32 @@ def test_iia_refuses_as_on_the_present_systems_in_board_order():
     assert {rid for rid, _ in refused} == {
         rid for rid in vb.rule_ids() if rid != "custom" and not vb.get_rule(rid).handles_missing}
     assert {("optimality_gap", "ScoreOutOfRange"), ("gmean", "NonPositiveScore")} <= refused
+    # more seeds and boards, holes (arrival position, task index) on seven
+    # systems: the first two arrivals holed on t1 and t0, so the second is
+    # named, a hole arriving last, and holes on t2 and t0 arriving third
+    # and fifth, so the third is named
+    for seed in (0, 1, 5):
+        cfg = vb.ExperimentConfig(seed=seed, trials=2)
+        order = list(range(7))
+        trial_rng(cfg.seed, 0).shuffle(order)
+        rows = [[F(rng.randint(1, 9), 10) for _ in tasks] for _ in range(7)]
+        for holes, named in ((((0, 1), (1, 0)), (1, 0)), (((6, 2),), (6, 2)),
+                             (((2, 2), (4, 0)), (2, 2))):
+            gone = {(order[p], j) for p, j in holes}
+            cells = [[None if (i, j) in gone else c for j, c in enumerate(row)]
+                     for i, row in enumerate(rows)]
+            lb = vb.Leaderboard([f"m{i}" for i in range(7)], tasks, cells, ["max"] * 3,
+                                [F(1)] * 3)
+            message = f"system 'm{order[named[0]]}' has no score on task 't{named[1]}'"
+            for rid in vb.rule_ids():
+                if rid == "custom":
+                    continue
+                new = outcome_or_error(lambda: vb.iia_experiment(lb, rid, cfg))
+                old = outcome_or_error(lambda: reference.named_iia_experiment(lb, rid, cfg))
+                assert new == old, (seed, holes, rid)
+                rule = vb.get_rule(rid)
+                if not (rule.on_board or rule.handles_missing):
+                    assert new == (MissingScore, message), (seed, holes, rid)
 
 
 def anonymity_board(seed):

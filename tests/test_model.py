@@ -519,6 +519,9 @@ BOARD_REFUSALS = [
     ("a group's one task as a string", lambda: Leaderboard.from_scores(
         {"a": {"t1": 1}, "b": {"t1": 2}}, groups={"g": "t1"}),
      "group 'g': tasks must be a sequence of names, not the string 't1'"),
+    ("a task subset as one string",
+     lambda: build_profile(two_systems(scores=((1, 2), (3, 4))), "xy"),
+     "task subset: tasks must be a sequence of names, not the string 'xy'"),
     ("score on an unknown task", lambda: two_systems().score("a", "nope"),
      "unknown task: 'nope'"),
     ("restrict to no systems", lambda: two_systems().restrict_systems([]),

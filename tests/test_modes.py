@@ -3,9 +3,10 @@ from fractions import Fraction as F
 import pytest
 
 import voteboard as vb
-from voteboard import MissingGroups, RuleUnsupportedForMode, aggregate
+from voteboard import MissingGroups, MissingScore, RuleUnsupportedForMode, aggregate, build_profile
 
 from conftest import TOY_ORDERS, board_from_orders
+from test_kernels import LADDER_BOARDS, ladder_board
 
 
 @pytest.fixture
@@ -101,6 +102,29 @@ def test_the_score_baselines_alone_run_on_the_board():
         "mean", "gmean", "optimality_gap"}
     assert {rid: rule.params for rid, rule in rules.items() if rule.params} == {
         "custom": {"vector"}, "optimality_gap": {"gamma"}}
+
+
+@pytest.mark.parametrize("n,t,seed", LADDER_BOARDS)
+def test_rule_data_is_the_board_or_its_profile(n, t, seed):
+    """Rule.data is the board itself for the score baselines, and for every
+    other rule build_profile's table on the tasks, or its MissingScore, with
+    holes allowed exactly when the rule handles them: on plain and holed
+    boards, on every task and on task subsets."""
+    for lb in (ladder_board(n, t, seed), ladder_board(n, t, seed, holes=True)):
+        for tasks in (None, lb.tasks[::2], lb.tasks[-1:]):
+            for rid, rule in vb.registry.RULES.items():
+                if rule.on_board:
+                    assert rule.data(lb, tasks) is lb, rid
+                    continue
+                try:
+                    table = build_profile(lb, tasks, missing_ok=rule.handles_missing)
+                except MissingScore as exc:
+                    assert not rule.handles_missing
+                    with pytest.raises(MissingScore) as caught:
+                        rule.data(lb, tasks)
+                    assert str(caught.value) == str(exc), rid
+                else:
+                    assert rule.data(lb, tasks) == table, rid
 
 
 def test_unknown_mode(toy):

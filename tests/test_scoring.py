@@ -61,8 +61,9 @@ def test_vector_validation(toy):
     for vector in ([1, 1, 1, 1], [0, 1, 2, 3]):
         with pytest.raises(InvalidParameter):
             vb.aggregate(toy, "custom", vector=vector)
-    # the checks run in order: a bad entry, empty, non-increasing, constant
-    for vector, message in (([], "cannot be empty"), ([3, "x", 4], "bad scoring vector"),
+    # the checks run in order: a str, a bad entry, empty, non-increasing, constant
+    for vector, message in (("543210", "a sequence of entries, not the string '543210'"),
+                            ([], "cannot be empty"), ([3, "x", 4], "bad scoring vector"),
                             ([1, 2, 2], "non-increasing"), ([5], "must not be constant")):
         with pytest.raises(InvalidParameter, match=message):
             vb.aggregate(toy, "custom", vector=vector)
