@@ -7,7 +7,11 @@ are stable across platforms and hash seeds.
 
 iia permutes the board into each trial's arrival order and builds its
 RankTable once per trial; step k runs the rule on the first k systems
-(RankTable.prefix), so the newcomer is system k - 1. robustness builds one
+(RankTable.prefix), so the newcomer is system k - 1. The copeland rules,
+minimax and borda run no core there: step k folds the newcomer into
+running scores over the trial table's counts (majority.PairScore.running),
+borda's as the net wins, which order a complete prefix as Borda does.
+robustness builds one
 RankTable per op and runs each trial on it with the deleted cells
 unranked. A derived table builds its tie orders and pairwise counts from
 its parent's when each is first read, so a rule that reads only the
@@ -39,6 +43,7 @@ from .errors import (
     TooManyOmissions,
     VoteboardError,
 )
+from .majority import NET, PAIR_SCORES
 from .metrics import checked_gamma, rho_from_rank_vectors
 from .model import IndexOutcome, Leaderboard, RankTable, build_profile, doubled_ranks
 from .modes import check_params
@@ -56,7 +61,8 @@ def trial_rng(seed: int, trial: int) -> random.Random:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """An experiment's seed and trials; robustness alone reads omit_count and top_k."""
+    """An experiment's seed and trials; robustness alone reads omit_count and
+    top_k. Each is an int, and not a bool."""
 
     seed: int = 0
     trials: int = 50
@@ -64,7 +70,7 @@ class ExperimentConfig:
     top_k: int = 7
 
     def __post_init__(self) -> None:
-        for name in ("trials", "omit_count", "top_k"):
+        for name in ("seed", "trials", "omit_count", "top_k"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise InvalidParameter(f"{name} must be an int, not {value!r}")
@@ -87,6 +93,22 @@ class ExperimentReport:
     params: Mapping[str, Any] = field(default_factory=dict)
 
 
+def _stdev(values: Sequence[float]) -> float:
+    """The sample standard deviation, correctly rounded: the variance exact
+    over the floats' largest denominator, a power of two common to all, and
+    its root to 109 bits, rounded to odd, so that one rounding is left."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max([d for _, d in ratios])
+    nums = [n * (den // d) for n, d in ratios]
+    m = len(nums)
+    top, bottom = m * sum([x * x for x in nums]) - sum(nums) ** 2, m * (m - 1) * den * den
+    q = (top.bit_length() - bottom.bit_length() - 109) // 2
+    top, bottom = (top, bottom << 2 * q) if q >= 0 else (top << -2 * q, bottom)
+    root = math.isqrt(top // bottom)
+    root |= root * root * bottom != top
+    return float(root << q) if q >= 0 else root / (1 << -q)
+
+
 def _report(
     kind: str,
     cfg: ExperimentConfig,
@@ -95,7 +117,7 @@ def _report(
 ) -> ExperimentReport:
     fixed = {k: tuple([float(v) for v in vals]) for k, vals in series.items()}
     mean = {k: statistics.fmean(v) for k, v in fixed.items()}
-    sd = {k: statistics.stdev(v) if len(v) > 1 else 0.0 for k, v in fixed.items()}
+    sd = {k: _stdev(v) if len(v) > 1 else 0.0 for k, v in fixed.items()}
     return ExperimentReport(kind, cfg.seed, cfg.trials, fixed, mean, sd, dict(params))
 
 
@@ -130,6 +152,9 @@ def iia_experiment(
     check_params(rule_obj, rule_params)
     if "vector" in rule_obj.params:
         raise RuleUnsupportedForMode(f"rule {rule!r} has a vector for one number of systems")
+    # the rules whose scores iia folds step by step; borda orders as the net
+    # term on a complete prefix, the only kind it ranks
+    running = NET if rule == "borda" else PAIR_SCORES.get(rule)
     holed = set() if rule_obj.on_board or rule_obj.handles_missing else {
         i for i, row in enumerate(lb.cells) if None in row}
     counts: list[float] = []
@@ -138,14 +163,15 @@ def iia_experiment(
         trial_rng(cfg.seed, trial).shuffle(order)
         hole_at = next((p for p, i in enumerate(order) if i in holed), n)
         table = None if rule_obj.on_board else build_profile(_rows(lb, order), missing_ok=True)
+        steps = running and running.running(table.pairwise())
         changed = 0
         for k in range(2, n + 1):
             try:
                 if k > hole_at:
                     # the rerun below names the present system with a hole
                     raise MissingScore
-                out = rule_obj.run(_rows(lb, order[:k]) if table is None else table.prefix(k),
-                                   **rule_params)
+                out = IndexOutcome(next(steps)) if steps else rule_obj.run(
+                    _rows(lb, order[:k]) if table is None else table.prefix(k), **rule_params)
             except VoteboardError:
                 rule_obj.run(rule_obj.data(_rows(lb, sorted(order[:k]))), **rule_params)
                 raise

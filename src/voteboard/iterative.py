@@ -39,7 +39,7 @@ from itertools import compress
 from operator import sub
 from typing import Any, Callable, Mapping, Sequence
 
-from .majority import condorcet_winner, index_graph
+from .majority import NET, condorcet_winner, index_graph
 from .model import IndexOutcome, LazyDiagnostics, LazyScores, RankTable, ranked_by
 from .modes import Rule
 from .scoring import NAMED_ENTRIES
@@ -262,11 +262,6 @@ def _elimination_diagnostics(
     return diagnostics
 
 
-def _net_wins(counts: tuple[tuple[int, ...], ...]) -> list[int]:
-    """Each system's pairwise wins minus losses, in scaled weight: row minus column sum."""
-    return [sum(row) - sum(col) for row, col in zip(counts, zip(*counts))]
-
-
 def _doubled_borda(net: list[int], survivors: Sequence[int], total: int) -> list[int]:
     """2 * scale * Borda score of each survivor of a complete table, where
     net[a] is a's wins minus losses against the other survivors.
@@ -288,7 +283,7 @@ def _borda_scorer(table: RankTable):
     """Doubled Borda scores, in units of 2 * scale, from the net wins, which
     lose the dropped systems' columns each round; the Borda vector."""
     counts = table.pairwise()
-    net = _net_wins(counts)
+    net = NET.scores(counts)
     total = table.total
 
     def score(survivors: list[int], dropped: list[int]) -> list[int]:
@@ -330,7 +325,7 @@ def _below_mean(scores: list[int]) -> list[bool]:
 def _black_run(table: RankTable) -> IndexOutcome:
     graph = index_graph(table)
     w = condorcet_winner(graph)
-    doubled = _doubled_borda(_net_wins(graph.counts), range(len(table.systems)), table.total)
+    doubled = _doubled_borda(NET.scores(graph.counts), range(len(table.systems)), table.total)
     if w is None:
         return ranked_by(doubled, 2 * table.scale,
                          diagnostics={"path": "borda", "condorcet_winner": None})

@@ -10,24 +10,27 @@ The counts are one integer matrix in LCM-scaled weight units
 Each graph builds two bitmasks per system once: the systems it beats and
 those beating it. condorcet counts their bits, and the set rules are subset
 tests on them; dominated, dominators and edges build frozensets from them
-when read. The copeland rules and minimax read integer scores straight from
-the rows, without a graph, and hand them, in system index order, to
-model.ranked_by; condorcet and the set rules run the choosers on
-index_graph, so they hand winning indices to model.chosen. Both return a
-model.IndexOutcome on the system indices.
+when read. The copeland rules and minimax are each one PairScore, a term
+per rival folded over its row and column of counts, without a graph: its
+whole-table scores go, in system index order, to model.ranked_by, and iia
+folds each newcomer into its running scores; NET, the net wins, is Borda's
+order for baldwin, black and iia. condorcet and the set rules run the
+choosers on index_graph, so they hand winning indices to model.chosen. Both
+return a model.IndexOutcome on the system indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
-from itertools import combinations, compress
-from operator import gt, or_
-from typing import Callable, Iterator, Sequence
+from functools import cached_property, partial, reduce
+from itertools import combinations, compress, repeat
+from operator import add, gt, lt, mul, or_, sub
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import SearchTooLarge
 from .model import IndexOutcome, Leaderboard, RankTable, build_profile, chosen, ranked_by
+from .model import tie_groups
 from .modes import Rule
 
 # exhaustive weakly-stable search is exponential in the dominant component
@@ -218,27 +221,71 @@ def _condorcet_run(table: RankTable) -> IndexOutcome:
     return chosen(() if w is None else (w,), len(table.systems), {"condorcet_winner": named})
 
 
-def _copeland_run(score: Callable[[int, int], int], *, ascending: bool = False):
-    """A rule ranking by score(wins, losses), each the count of rivals."""
-
-    def run(table: RankTable) -> IndexOutcome:
-        counts = table.pairwise()
-        # a system beats a rival when its count over it (row) beats the rival's (col)
-        scores = [score(sum(map(gt, row, col)), sum(map(gt, col, row)))
-                  for row, col in zip(counts, zip(*counts))]
-        order = "ascending" if ascending else "descending"
-        return ranked_by(scores, 1, ascending=ascending, diagnostics={"score_order": order})
-
-    return run
+# per row (system), whether it beats, or loses to, each rival
+_wins, _losses = partial(map, map, repeat(gt)), partial(map, map, repeat(lt))
 
 
-def _minimax_run(table: RankTable) -> IndexOutcome:
-    """0 for undefeated systems, else minus the strongest defeat's support."""
-    counts = table.pairwise()
-    # a rival defeats a system when its count over it (col) beats the system's (row)
-    scores = [-max([x for x, lost in zip(col, row) if x > lost], default=0)
-              for row, col in zip(counts, zip(*counts))]
-    return ranked_by(scores, table.scale)
+class PairScore(NamedTuple):
+    """A score folding one term per rival: plus and minus, or None for no
+    terms, map rows and columns of counts (a system's over each rival, mine,
+    and each rival's over it, theirs) to each row's terms, which count where
+    when, if given, is true. fold, sum or the largest, folds each side from 0:
+    the score is plus's fold less minus's, the lowest first if ascending."""
+
+    plus: Callable | None
+    minus: Callable | None = None
+    fold: Callable[[Iterable[int]], int] = sum
+    when: Callable | None = None
+    ascending: bool = False
+
+    def scores(self, counts: Sequence[Sequence[int]]) -> list[int]:
+        """Each system's score on a whole table's counts, in index order."""
+        cols = list(zip(*counts))
+        folds = [repeat(0) if side is None else map(self.fold, side(counts, cols) if not self.when
+                 else map(compress, side(counts, cols), self.when(counts, cols)))
+                 for side in (self.plus, self.minus)]
+        return list(map(sub, *folds))
+
+    def running(self, counts: Sequence[Sequence[int]]) -> Iterator[list[tuple[int, ...]]]:
+        """The tie groups of each prefix of two systems or more, the newcomer
+        folding one term into each earlier system's sides and its own."""
+        join = add if self.fold is sum else max
+        kept: list[list[int]] = [[], []]
+        for c, (row, col) in enumerate(zip(counts, zip(*counts))):
+            # the earlier systems' counts over the newcomer are its column
+            rows, cols = (col[:c], row[:c]), (row[:c], col[:c])
+            for i, side in enumerate((self.plus, self.minus)):
+                if side is None:
+                    kept[i].append(0)
+                    continue
+                # the earlier systems' terms against the newcomer, and the newcomer's
+                earlier, own = side(rows, cols)
+                if self.when:
+                    earlier_counted, own_counted = self.when(rows, cols)
+                    earlier, own = map(mul, earlier, earlier_counted), compress(own, own_counted)
+                kept[i] = [*map(join, kept[i], earlier), self.fold(own)]
+            if c:
+                yield tie_groups(list(map(sub, *kept)), ascending=self.ascending)
+
+    def run(self, table: RankTable) -> IndexOutcome:
+        """The core: minimax in scaled weight, copeland rules in rivals and their order."""
+        scores = self.scores(table.pairwise())
+        if self.fold is not sum:
+            return ranked_by(scores, table.scale)
+        order = "ascending" if self.ascending else "descending"
+        return ranked_by(scores, 1, ascending=self.ascending, diagnostics={"score_order": order})
+
+
+# wins less losses in scaled weight, which orders a complete table as Borda
+NET = PairScore(lambda rows, cols: rows, lambda rows, cols: cols)
+PAIR_SCORES = {
+    "copeland": PairScore(_wins, _losses),
+    "copeland2": PairScore(_wins),
+    # copeland3 counts losses, so fewer is better
+    "copeland3": PairScore(_losses, ascending=True),
+    # 0 for undefeated systems, else minus the strongest defeat's support
+    "minimax": PairScore(None, lambda rows, cols: cols, partial(max, default=0), _losses),
+}
 
 
 def _set_rule(rule_id: str, chooser: Callable[[MajorityGraph], frozenset[int]]) -> Rule:
@@ -254,14 +301,7 @@ RULES: dict[str, Rule] = {
     rule.rule_id: rule
     for rule in (
         Rule("condorcet", _condorcet_run, handles_missing=True, elector=False),
-        Rule("copeland", _copeland_run(lambda wins, losses: wins - losses),
-             handles_missing=True),
-        Rule("copeland2", _copeland_run(lambda wins, losses: wins),
-             handles_missing=True),
-        # copeland3 counts losses, so fewer is better
-        Rule("copeland3", _copeland_run(lambda wins, losses: losses, ascending=True),
-             handles_missing=True),
-        Rule("minimax", _minimax_run, handles_missing=True),
+        *[Rule(rid, pair.run, handles_missing=True) for rid, pair in PAIR_SCORES.items()],
         _set_rule("minimal_dominant", minimal_dominant_set),
         _set_rule("minimal_undominated", minimal_undominated_set),
         _set_rule("uncovered", lambda g: uncovered_set(g, "I")),

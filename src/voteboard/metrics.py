@@ -218,15 +218,23 @@ def spearman_rho(r1: RuleOutcome, r2: RuleOutcome) -> float:
     return rho_from_rank_vectors([f1[m] for m in order], [f2[m] for m in order])
 
 
-def rho_from_rank_vectors(x: Sequence[Fraction], y: Sequence[Fraction]) -> float:
+def rho_from_rank_vectors(x: Sequence[int | Fraction | float],
+                          y: Sequence[int | Fraction | float]) -> float:
     if len(x) != len(y):
         raise ValueError("rank vectors differ in length")
-    if list(x) == list(y):
-        return 1.0
     # scaling both vectors by one factor scales num^2 and den_x * den_y alike
     n = len(x)
-    scaled, _ = integer_weights([*x, *y])
+    try:
+        scaled, _ = integer_weights([*x, *y])
+    except AttributeError:
+        # a float has no denominator: each finite one is read as its exact ratio
+        if not all([isinstance(v, (int, Fraction)) or isinstance(v, float) and math.isfinite(v)
+                    for v in (*x, *y)]):
+            raise InvalidParameter("ranks must be ints, Fractions or finite floats") from None
+        scaled, _ = integer_weights([Fraction(v) for v in (*x, *y)])
     xs, ys = scaled[:n], scaled[n:]
+    if xs == ys:
+        return 1.0
     sx, sy = sum(xs), sum(ys)
     num = n * sum(map(mul, xs, ys)) - sx * sy
     den_x = n * sum(map(mul, xs, xs)) - sx * sx

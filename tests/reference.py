@@ -52,6 +52,11 @@ json.dumps(..., sort_keys=True, indent=2) wrote the text, and
 outcome_from_dict, which rebuilds an outcome from its JSON form for the
 round-trip tests.
 
+Then come the whole-table cores of copeland, copeland2, copeland3 and
+minimax, and the net wins baldwin and black read as Borda, as they stood
+before each became a majority.PairScore: one scan of each system's row
+and column per table, which iia reran on every step's prefix.
+
 Last comes the two-phase simplex that pivoted a dense tableau of Fractions,
 as it stood before linprog moved to fraction-free integer pivots; the
 status strings come from the library.
@@ -67,7 +72,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, groupby
-from operator import itemgetter, sub
+from operator import gt, itemgetter, sub
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from voteboard.cw import DominanceMatrix
@@ -99,6 +104,7 @@ from voteboard.metrics import rho_from_rank_vectors as library_rho
 from voteboard.model import (
     MINIMIZE,
     Counts,
+    IndexOutcome,
     LazyScores,
     Leaderboard,
     RankTable,
@@ -109,6 +115,7 @@ from voteboard.model import (
     missing_score,
 )
 from voteboard.model import build_profile as library_build_profile
+from voteboard.model import ranked_by as index_ranked_by
 from voteboard.modes import BASIC, MODES, TWO_STEP, _covering_groups, check_params
 from voteboard.modes import Rule as LibraryRule
 from voteboard.modes import run_rule as run_library_rule
@@ -1926,6 +1933,48 @@ def outcome_from_dict(data: Mapping[str, Any]) -> RuleOutcome:
         unranked=unranked,
         diagnostics=diagnostics,
     )
+
+
+# -- the whole-table pairwise-score cores ------------------------------------
+
+
+def index_copeland_run(score: Callable[[int, int], int], *, ascending: bool = False):
+    """majority._copeland_run: a rule ranking by score(wins, losses), each the count of rivals."""
+
+    def run(table: RankTable) -> IndexOutcome:
+        counts = table.pairwise()
+        # a system beats a rival when its count over it (row) beats the rival's (col)
+        scores = [score(sum(map(gt, row, col)), sum(map(gt, col, row)))
+                  for row, col in zip(counts, zip(*counts))]
+        order = "ascending" if ascending else "descending"
+        return index_ranked_by(scores, 1, ascending=ascending, diagnostics={"score_order": order})
+
+    return run
+
+
+INDEX_CORES = {
+    "copeland": index_copeland_run(lambda wins, losses: wins - losses),
+    "copeland2": index_copeland_run(lambda wins, losses: wins),
+    "copeland3": index_copeland_run(lambda wins, losses: losses, ascending=True),
+}
+
+
+def index_minimax_run(table: RankTable) -> IndexOutcome:
+    """majority._minimax_run: 0 for undefeated systems, else minus the strongest defeat's support."""
+    counts = table.pairwise()
+    # a rival defeats a system when its count over it (col) beats the system's (row)
+    scores = [-max([x for x, lost in zip(col, row) if x > lost], default=0)
+              for row, col in zip(counts, zip(*counts))]
+    return index_ranked_by(scores, table.scale)
+
+
+INDEX_CORES["minimax"] = index_minimax_run
+
+
+def net_wins(counts: Counts) -> list[int]:
+    """iterative._net_wins: each system's pairwise wins minus losses, in scaled
+    weight, its row sum minus its column sum."""
+    return [sum(row) - sum(col) for row, col in zip(counts, zip(*counts))]
 
 
 # -- exact simplex --------------------------------------------------------------

@@ -9,8 +9,6 @@ import random
 import time
 from fractions import Fraction as F
 
-import pytest
-
 import voteboard as vb
 from voteboard import (
     agreement_rate,
@@ -26,7 +24,7 @@ from voteboard.experiments import ExperimentConfig, iia_experiment, robustness_e
 
 import oracle
 import reference
-from conftest import TOY_ORDERS, board_from_orders, random_board
+from conftest import random_board
 
 CONDORCET_CONSISTENT = (
     "baldwin", "nanson", "black", "copeland", "copeland2", "copeland3",

@@ -1,4 +1,8 @@
+import math
 import random
+import statistics
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +17,9 @@ from voteboard import (
     trial_rng,
 )
 
-from conftest import board_from_orders, random_board
+from voteboard.experiments import _stdev
+
+from conftest import board_from_orders
 
 
 def unit_board(rng, n=6, t=5):
@@ -44,6 +50,7 @@ def test_config_validation():
 @pytest.mark.parametrize("name,value", [
     ("trials", 2.5), ("trials", "3"), ("trials", True), ("omit_count", 1.5),
     ("omit_count", False), ("top_k", "3"), ("top_k", 2.5), ("top_k", None),
+    ("seed", [1]), ("seed", True), ("seed", 1.0), ("seed", "1"),
 ])
 def test_config_refuses_a_count_that_is_not_an_int(name, value):
     with pytest.raises(vb.InvalidParameter) as caught:
@@ -217,3 +224,35 @@ def test_iia_refuses_custom_before_the_first_trial():
         patch.setitem(vb.get_rule("custom").__dict__, "run", run)
         with pytest.raises(RuleUnsupportedForMode, match="vector for one number of systems"):
             iia_experiment(lb, "custom", vector=list(range(8, 0, -1)))
+
+
+def stdev_series(count):
+    """Seeded series of 2 to 100 floats of both signs, exponents up to ±30,
+    a fifth of them drawn from two values, so that many repeat."""
+    rng = random.Random("stdev")
+    for _ in range(count):
+        values = [math.ldexp(rng.uniform(-1, 1), rng.randint(-30, 30))
+                  for _ in range(rng.randint(2, 100))]
+        if rng.random() < 0.2:
+            values = [rng.choice(values[:2]) for _ in values]
+        yield values
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="statistics.stdev rounds twice before 3.11")
+def test_report_sd_is_statistics_stdev():
+    for values in stdev_series(2000):
+        assert _stdev(values) == statistics.stdev(values), values
+    assert _stdev([0.25, 0.25]) == 0.0
+
+
+def test_report_sd_is_the_exact_root_correctly_rounded():
+    """The exact root lies within half an ulp of the result: between the
+    midpoints to its neighbouring floats, compared as exact squares."""
+    for values in [*stdev_series(500), [1.0, 2.0], [0.1, 0.2, 0.3], [1e-300, 3e-300, 2e-300]]:
+        exact = [Fraction(v) for v in values]
+        mean = sum(exact) / len(exact)
+        variance = sum([(v - mean) ** 2 for v in exact]) / (len(exact) - 1)
+        sd = _stdev(values)
+        low = (Fraction(sd) + Fraction(math.nextafter(sd, -math.inf))) / 2 if sd else Fraction(0)
+        high = (Fraction(sd) + Fraction(math.nextafter(sd, math.inf))) / 2
+        assert low * low <= variance <= high * high, values

@@ -907,6 +907,70 @@ def test_iia_matches_reference_loop(n, t, seed):
             assert vb.iia_experiment(lb, rule, cfg) == old, rule
 
 
+RUNNING = tuple(vb.majority.PAIR_SCORES)
+
+
+@pytest.mark.parametrize("n,t,seed", LADDER_BOARDS)
+def test_pair_scores_match_the_replaced_cores(n, t, seed):
+    """Each PairScore's core equals the row scan it replaced, and NET the net
+    wins, on the ladder boards, plain and holed, and on their prefixes."""
+    for lb in (ladder_board(n, t, seed), ladder_board(n, t, seed, holes=True)):
+        table = table_of(lb)
+        for k in sorted({1, 2, n // 2, n}):
+            prefix = table.prefix(k)
+            for rid in RUNNING:
+                assert vb.majority.PAIR_SCORES[rid].run(prefix) == reference.INDEX_CORES[rid](prefix)
+            assert vb.majority.NET.scores(prefix.pairwise()) == reference.net_wins(prefix.pairwise())
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_running_scores_order_each_prefix_as_its_whole_table_scores(block):
+    """50 seeded kernel boards per block: ties, min tasks, zero weights,
+    holes. The running form gives each prefix's tie groups as the whole-table
+    scores of its counts order them, for the copeland rules, minimax and NET."""
+    for seed in range(50 * block, 50 * block + 50):
+        table = table_of(kernel_board(seed))
+        counts = table.pairwise()
+        for pair in (*vb.majority.PAIR_SCORES.values(), vb.majority.NET):
+            wanted = [vb.model.tie_groups(pair.scores([row[:k] for row in counts[:k]]),
+                                          ascending=pair.ascending)
+                      for k in range(2, len(counts) + 1)]
+            assert list(pair.running(counts)) == wanted, (seed, pair)
+
+
+def tie_heavy_board(n, t, seed, *, holes=False):
+    """Seeded n x t board of two score levels, min tasks and zero weights."""
+    rng = random.Random(f"tie-heavy:{n}:{t}:{seed}")
+    systems = [f"s{i:02d}" for i in range(n)]
+    tasks = [f"t{j}" for j in range(t)]
+    scores = {m: {tk: rng.randint(0, 1) for tk in tasks} for m in systems}
+    directions = {tk: rng.choice(["max", "min"]) for tk in tasks}
+    weights = {tk: rng.choice([F(0), F(1), F(2, 3)]) for tk in tasks}
+    weights[tasks[0]] = F(1)
+    lb = vb.Leaderboard.from_scores(scores, tasks=tasks, directions=directions, weights=weights)
+    return lb.without_cells(rng.sample(lb.present_cells(), n * t // 4)) if holes else lb
+
+
+@pytest.mark.parametrize("n,t,seed", LADDER_BOARDS)
+def test_running_iia_matches_the_reference_loop(n, t, seed):
+    """The iia reports of the rules folded step by step, or their refusals,
+    equal the loop that rebuilt a board per step: on the ladder boards, plain
+    and holed, and on tie-heavy boards with min tasks and zero weights."""
+    cfg = vb.ExperimentConfig(seed=seed, trials=3 if n <= 20 else 1)
+    boards = [ladder_board(n, t, seed), ladder_board(n, t, seed, holes=True),
+              tie_heavy_board(n, t, seed), tie_heavy_board(n, t, seed, holes=True)]
+    for lb in boards:
+        for rule in (*RUNNING, "borda"):
+            try:
+                old = reference.iia_experiment(lb, rule, cfg)
+            except VoteboardError as exc:
+                with pytest.raises(type(exc)) as caught:
+                    vb.iia_experiment(lb, rule, cfg)
+                assert str(caught.value) == str(exc)
+                continue
+            assert vb.iia_experiment(lb, rule, cfg) == old, rule
+
+
 def test_iia_refuses_a_hole_only_once_it_is_present():
     """With two holes, a rule needing complete profiles refuses at the first
     step whose systems hold one, naming the first task with a hole there."""
@@ -1033,9 +1097,10 @@ def test_lazy_derived_tables_match_eager_reference_on_random_boards(block):
 
 
 def test_pairwise_rules_never_build_derived_orders(monkeypatch):
-    """copeland, minimax, baldwin and nanson read only the counts, so their
-    iia steps and the robustness trials of copeland and minimax build no
-    derived table's orders; borda's iia steps do."""
+    """copeland, minimax, baldwin and nanson read only the counts, and iia
+    folds borda's net wins from the trial table's counts, so their iia steps
+    and the robustness trials of copeland and minimax build no derived
+    table's orders; hare's iia steps do."""
     built = []
     for source in (vb.model._Prefix, vb.model._Unranking):
         def counted(self, real=source.orders):
@@ -1045,14 +1110,14 @@ def test_pairwise_rules_never_build_derived_orders(monkeypatch):
         monkeypatch.setattr(source, "orders", counted)
     cfg = vb.ExperimentConfig(seed=3, trials=3, omit_count=6, top_k=5)
     complete, holed = ladder_board(14, 6, 0), ladder_board(14, 6, 0, holes=True)
-    for rid in ("copeland", "minimax", "baldwin", "nanson"):
+    for rid in ("copeland", "minimax", "baldwin", "nanson", "borda"):
         vb.iia_experiment(complete, rid, cfg)
     for rid in ("copeland", "minimax"):
         vb.iia_experiment(holed, rid, cfg)
     for lb in (complete, holed):
         vb.robustness_experiment(lb, ["copeland", "minimax"], cfg)
     assert built == []
-    vb.iia_experiment(complete, "borda", cfg)
+    vb.iia_experiment(complete, "hare", cfg)
     table = table_of(holed)
     assert table.without(ranked_cells(table)[:3]).positions
     assert set(built) == {"_Prefix", "_Unranking"}

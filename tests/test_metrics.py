@@ -155,6 +155,9 @@ def test_rho_identities():
     assert spearman_rho(r, rev) == -1.0
     with pytest.raises(ValueError, match="rank vectors differ in length"):
         vb.rho_from_rank_vectors([F(1), F(2)], [F(1), F(2), F(3)])
+    # a float rank is read as its exact ratio
+    assert vb.rho_from_rank_vectors([0.5, 1.0, 2.0], [1.0, 0.5, 2.0]) == vb.rho_from_rank_vectors(
+        [F(1, 2), F(1), F(2)], [F(1), F(1, 2), F(2)])
 
 
 def test_tau_rho_constant_ranking_is_zero():

@@ -18,6 +18,7 @@ from voteboard import (
     build_profile,
     fractional_ranks_of,
     group_by_score,
+    rho_from_rank_vectors,
 )
 from voteboard.io import to_json
 from voteboard.iterative import EliminationRound
@@ -494,7 +495,8 @@ def test_board_reads_weights_exactly_and_keeps_its_fields_as_tuples():
         listed.systems.append("c")
 
 
-# (id, a call on or building a two-system board, the ValueError's message)
+# (id, a call on or building a two-system board, or on two systems' ranks,
+# the ValueError's message)
 BOARD_REFUSALS = [
     ("one row per system", lambda: two_systems(scores=((1, 2),)),
      "score matrix must have one row per system"),
@@ -528,6 +530,10 @@ BOARD_REFUSALS = [
      "cannot drop every system"),
     ("restrict to no tasks", lambda: reference.restrict_tasks(two_systems(), []),
      "cannot drop every task"),
+    ("two systems' ranks holding a NaN", lambda: rho_from_rank_vectors([1.0, float("nan")], [1, 2]),
+     "ranks must be ints, Fractions or finite floats"),
+    ("two systems' ranks as strings", lambda: rho_from_rank_vectors(["1", "2"], [1, 2]),
+     "ranks must be ints, Fractions or finite floats"),
 ]
 
 
