@@ -18,12 +18,11 @@ from . import io as vio
 from .cw import build_dominance_matrix, find_cw_weights
 from .errors import InvalidParameter, ParseError, UnknownRule, VoteboardError
 from .experiments import ExperimentConfig, iia_experiment, robustness_experiment
-from .metrics import agreement_rate, kendall_tau, spearman_rho
+from .metrics import DEFAULT_GAMMA, agreement_rate, kendall_tau, spearman_rho
 from .model import Leaderboard, RuleOutcome
 from .modes import BASIC, MODES
 from .registry import aggregate, get_rule, rule_ids
 
-DEFAULT_GAMMA = 0.95
 SEED_ENV = "VNR_SEED"
 
 
@@ -34,19 +33,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_input_flags(parser: argparse.ArgumentParser) -> None:
+def _command(sub: argparse._SubParsersAction, name: str, help: str) -> argparse.ArgumentParser:
+    """The subcommand's parser, with the input flags and --format."""
+    parser = sub.add_parser(name, help=help)
     parser.add_argument("--input", "-i", required=True, help="leaderboard CSV path")
     parser.add_argument("--groups", help="JSON file mapping task -> group name")
     parser.add_argument("--weights", help="JSON file mapping task -> weight")
     parser.add_argument(
         "--normalize", action="store_true", help="divide every score by 100, exactly, on load"
     )
-
-
-def _add_format_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format", choices=("table", "json"), default="table", help="output format"
     )
+    return parser
 
 
 @functools.cache
@@ -55,56 +54,44 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="voteboard", description="Rank systems on a leaderboard.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    rank = sub.add_parser("rank", parents=[], help="rank all systems under one rule")
-    _add_input_flags(rank)
+    rank = _command(sub, "rank", "rank all systems under one rule")
     offered = [r for r in rule_ids() if r != "custom"]
     rank.add_argument("--rule", required=True, help=f"one of: {', '.join(offered)}")
     rank.add_argument("--mode", choices=sorted(MODES), default=BASIC)
     rank.add_argument("--gamma", type=float, default=DEFAULT_GAMMA,
                       help="optimality gap discount (optimality_gap rule only)")
     rank.add_argument("--baseline", help="second rule to show rank movement against")
-    _add_format_flag(rank)
 
-    winner = sub.add_parser("winner", help="print the winning system(s)")
-    _add_input_flags(winner)
+    winner = _command(sub, "winner", "print the winning system(s)")
     winner.add_argument("--rule", required=True)
     winner.add_argument("--mode", choices=sorted(MODES), default=BASIC)
     winner.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
-    _add_format_flag(winner)
 
-    cw = sub.add_parser("cw-weights",
-                        help="find task weights under which no rival beats a system")
-    _add_input_flags(cw)
+    cw = _command(sub, "cw-weights", "find task weights under which no rival beats a system")
     cw.add_argument("--system", required=True, help="candidate system name")
     cw.add_argument("--margin", type=float, default=0.0,
                     help="required weighted advantage in every duel; the default 0 "
                          "allows ties, a positive margin asks for a strict win")
     cw.add_argument("--lower", type=float, default=0.0, help="lower bound for every weight")
     cw.add_argument("--upper", type=float, default=None, help="upper bound for every weight")
-    _add_format_flag(cw)
 
-    compare = sub.add_parser("compare", help="compare the rankings of two rules")
-    _add_input_flags(compare)
+    compare = _command(sub, "compare", "compare the rankings of two rules")
     compare.add_argument("--rules", nargs=2, required=True, metavar=("RULE_A", "RULE_B"))
     compare.add_argument("--mode", choices=sorted(MODES), default=BASIC)
     compare.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
     compare.add_argument("--top-k", type=int, default=3, help="agreement window size")
-    _add_format_flag(compare)
 
     exp = sub.add_parser("experiment", help="run a perturbation experiment")
     exp_sub = exp.add_subparsers(dest="experiment", required=True)
 
-    iia = exp_sub.add_parser("iia", help="count rank flips as systems are reintroduced")
-    _add_input_flags(iia)
+    iia = _command(exp_sub, "iia", "count rank flips as systems are reintroduced")
     iia.add_argument("--rule", required=True)
     iia.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
     iia.add_argument("--trials", type=int, default=50)
     iia.add_argument("--seed", type=int, default=None,
                      help=f"RNG seed (default: ${SEED_ENV} or 0)")
-    _add_format_flag(iia)
 
-    rob = exp_sub.add_parser("robustness", help="rank stability under score deletion")
-    _add_input_flags(rob)
+    rob = _command(exp_sub, "robustness", "rank stability under score deletion")
     rob.add_argument("--rules", nargs="+", required=True)
     rob.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
     rob.add_argument("--omit", type=int, default=1, help="scores deleted per trial")
@@ -112,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     rob.add_argument("--trials", type=int, default=100)
     rob.add_argument("--seed", type=int, default=None,
                      help=f"RNG seed (default: ${SEED_ENV} or 0)")
-    _add_format_flag(rob)
 
     return parser
 

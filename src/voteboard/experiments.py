@@ -44,8 +44,9 @@ from .errors import (
     VoteboardError,
 )
 from .majority import NET, PAIR_SCORES
-from .metrics import checked_gamma, rho_from_rank_vectors
-from .model import IndexOutcome, Leaderboard, RankTable, build_profile, doubled_ranks
+from .metrics import DEFAULT_GAMMA, checked_gamma, rho_from_rank_vectors
+from .model import (IndexOutcome, Leaderboard, RankTable, build_profile, doubled_ranks,
+                    first_groups)
 from .modes import check_params
 from .registry import get_rule
 
@@ -162,7 +163,7 @@ def iia_experiment(
         order = list(range(n))
         trial_rng(cfg.seed, trial).shuffle(order)
         hole_at = next((p for p, i in enumerate(order) if i in holed), n)
-        table = None if rule_obj.on_board else build_profile(_rows(lb, order), missing_ok=True)
+        table = None if rule_obj.on_board else build_profile(lb._rows(order), missing_ok=True)
         steps = running and running.running(table.pairwise())
         changed = 0
         for k in range(2, n + 1):
@@ -171,9 +172,9 @@ def iia_experiment(
                     # the rerun below names the present system with a hole
                     raise MissingScore
                 out = IndexOutcome(next(steps)) if steps else rule_obj.run(
-                    _rows(lb, order[:k]) if table is None else table.prefix(k), **rule_params)
+                    lb._rows(order[:k]) if table is None else table.prefix(k), **rule_params)
             except VoteboardError:
-                rule_obj.run(rule_obj.data(_rows(lb, sorted(order[:k]))), **rule_params)
+                rule_obj.run(rule_obj.data(lb._rows(sorted(order[:k]))), **rule_params)
                 raise
             if k > 2:
                 if prev.unranked or any([i != k - 1 for i in out.unranked]):
@@ -188,12 +189,6 @@ def iia_experiment(
             prev = out
         counts.append(float(changed))
     return _report("iia", cfg, {rule: counts})
-
-
-def _rows(lb: Leaderboard, kept: Sequence[int]) -> Leaderboard:
-    """The board of those systems, in that order, built without checks."""
-    return lb._derived(tuple([lb.systems[i] for i in kept]),
-                       tuple([lb.cells[i] for i in kept]), lb.denominator)
 
 
 def _impute_medians(lb: Leaderboard, deleted: Sequence[tuple[int, int]]) -> Leaderboard:
@@ -227,7 +222,7 @@ def robustness_experiment(
     rules: Sequence[str],
     cfg: ExperimentConfig | None = None,
     *,
-    gamma: float = 0.95,
+    gamma: float = DEFAULT_GAMMA,
 ) -> ExperimentReport:
     """Rank stability of the intact top-k under random score deletion.
 
@@ -256,9 +251,10 @@ def robustness_experiment(
         raise InvalidParameter("top_k cannot exceed the number of systems")
     rule_objs = {}
     for rid in rules:
+        # looked up first: an unhashable id is an unknown rule, not a duplicate
+        rule_obj = get_rule(rid)
         if rid in rule_objs:
             raise InvalidParameter(f"rule {rid!r} is named twice")
-        rule_obj = get_rule(rid)
         if not rule_obj.handles_missing and rid not in IMPUTABLE:
             raise RuleUnsupportedForMode(
                 f"rule {rid!r} can neither tolerate missing scores nor be imputed"
@@ -293,14 +289,9 @@ def robustness_experiment(
     ref_ranks: dict[str, list[int]] = {}
     for rid in rules:
         out = ranked(rid, lb if rid in IMPUTABLE else table, "on the intact board")
-        chosen: list[int] = []
-        for group in out.groups:
-            if len(chosen) >= cfg.top_k:
-                break
-            chosen += group
+        top[rid] = first_groups(out.groups, cfg.top_k)
         ranks = doubled_ranks(out.groups)
-        top[rid] = chosen
-        ref_ranks[rid] = [ranks[i] for i in chosen]
+        ref_ranks[rid] = [ranks[i] for i in top[rid]]
 
     series: dict[str, list[float]] = {rid: [] for rid in rules}
     for trial in range(cfg.trials):

@@ -118,20 +118,14 @@ def load_leaderboard(
 
     groups: dict[str, list[str]] | None = None
     if groups_path is not None:
-        mapping = _load_json_mapping(groups_path)
+        mapping = _load_json_mapping(groups_path, tasks)
         groups = {}
         for task in tasks:
             if task in mapping:
                 name = str(mapping[task])
                 groups.setdefault(name, []).append(task)
-        unknown = set(mapping) - set(tasks)
-        if unknown:
-            raise ParseError(f"{groups_path}: unknown tasks {sorted(unknown)}")
     if weights_path is not None:
-        mapping = _load_json_mapping(weights_path)
-        unknown = set(mapping) - set(tasks)
-        if unknown:
-            raise ParseError(f"{weights_path}: unknown tasks {sorted(unknown)}")
+        mapping = _load_json_mapping(weights_path, tasks)
         for task, value in mapping.items():
             try:
                 weights[task] = as_fraction(value)
@@ -149,7 +143,8 @@ def load_leaderboard(
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _load_json_mapping(path: str | Path) -> Mapping[str, Any]:
+def _load_json_mapping(path: str | Path, tasks: list[str]) -> Mapping[str, Any]:
+    """A sidecar's JSON object, each of whose keys names one of the tasks."""
     try:
         with Path(path).open(encoding="utf-8-sig") as handle:
             data = json.load(handle)
@@ -161,6 +156,9 @@ def _load_json_mapping(path: str | Path) -> Mapping[str, Any]:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{path}: expected a JSON object")
+    unknown = set(data) - set(tasks)
+    if unknown:
+        raise ParseError(f"{path}: unknown tasks {sorted(unknown)}")
     return data
 
 
@@ -172,12 +170,6 @@ def _quotient(num: int, den: int) -> float:
         return num / den
     except OverflowError:
         return math.inf if num > 0 else -math.inf
-
-
-def _as_float(value: Fraction | float) -> float:
-    if isinstance(value, float):
-        return value
-    return _quotient(value.numerator, value.denominator)
 
 
 # leaf types that jsonify returns, and _write writes, as they are, before the
@@ -197,7 +189,7 @@ def jsonify(value: Any) -> Any:
         names, row, unit = value.over_unit()
         return {m: _quotient(x, unit) for m, x in zip(names, row)}
     if isinstance(value, Fraction):
-        return _as_float(value)
+        return _quotient(value.numerator, value.denominator)
     if isinstance(value, (frozenset, set)):
         return [jsonify(v) for v in sorted(value)]
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
@@ -211,13 +203,12 @@ def jsonify(value: Any) -> Any:
 
 def outcome_to_dict(outcome: RuleOutcome) -> dict[str, Any]:
     scores = None if outcome.scores is None else jsonify(outcome.scores)
+    ranks = outcome.competition_ranks()
     ranking = []
-    place = 1
     for group in outcome.ranking:
         members = sorted(group)
         score = None if scores is None else scores[members[0]]
-        ranking.append({"rank": place, "systems": members, "score": score})
-        place += len(group)
+        ranking.append({"rank": ranks[members[0]], "systems": members, "score": score})
     diagnostics = jsonify(dict(outcome.diagnostics))
     if outcome.unranked:
         diagnostics["unranked"] = sorted(outcome.unranked)
@@ -309,10 +300,10 @@ def _leaf(value: str | int | float | None) -> str:
     return int.__repr__(value)
 
 
-def _fmt_score(value: Any) -> str:
+def _fmt_score(value: float | None) -> str:
     if value is None:
         return ""
-    return f"{_as_float(value):.6g}"
+    return f"{value:.6g}"
 
 
 def _arrow(delta: int) -> str:

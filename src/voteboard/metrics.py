@@ -39,6 +39,7 @@ from .model import (
     RuleOutcome,
     as_fraction,
     exact_cells,
+    first_groups,
     integer_weights,
     ranked_by,
     tie_groups,
@@ -47,6 +48,7 @@ from .modes import Rule
 
 TOP = "top"
 LEAST = "least"
+DEFAULT_GAMMA = 0.95
 # gmean refuses a product estimated, as sum(n_j * bit_length(cell_j)), above
 # this many bits; one such product takes about 4 ms on a 2-vCPU x86 VM
 GMEAN_PRODUCT_BITS = 1 << 18
@@ -103,7 +105,7 @@ def checked_gamma(gamma: int | float | Fraction | str) -> Fraction:
     return g
 
 
-def _og_run(lb: Leaderboard, *, gamma: int | float | Fraction | str = 0.95) -> IndexOutcome:
+def _og_run(lb: Leaderboard, *, gamma: int | float | Fraction | str = DEFAULT_GAMMA) -> IndexOutcome:
     cells, den = exact_cells(lb)
     g = checked_gamma(gamma)
     wts, _ = integer_weights(lb.weights)
@@ -148,21 +150,18 @@ def _check_pair(r1: RuleOutcome, r2: RuleOutcome) -> list[str]:
 
 
 def end_set(outcome: RuleOutcome, k: int, end: str = TOP) -> frozenset[str]:
-    """The k best (or worst) systems, grown to whole tie groups."""
+    """The k best (or worst) systems, grown to whole tie groups; k an int, not a bool."""
     if end not in (TOP, LEAST):
         raise InvalidParameter("end must be 'top' or 'least'")
     if not outcome.is_total():
         raise MismatchedSystems("outcome must rank every system")
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise InvalidParameter(f"k must be an int, not {k!r}")
     n = len(outcome.ranked_systems)
     if not 1 <= k <= n:
         raise InvalidParameter(f"k must be between 1 and {n}")
-    groups = outcome.ranking if end == TOP else tuple(reversed(outcome.ranking))
-    chosen: set[str] = set()
-    for group in groups:
-        if len(chosen) >= k:
-            break
-        chosen |= group
-    return frozenset(chosen)
+    groups = outcome.ranking if end == TOP else reversed(outcome.ranking)
+    return frozenset(first_groups(groups, k))
 
 
 def agreement_rate(r1: RuleOutcome, r2: RuleOutcome, k: int, end: str = TOP) -> float:

@@ -156,11 +156,11 @@ def _check_unique(names: Sequence[str], kind: str) -> None:
         seen.add(name)
 
 
-def _task_names(owner: str, tasks: Iterable[str]) -> tuple[str, ...]:
+def _task_names(owner: str, names: Iterable[str], kind: str = "tasks") -> tuple[str, ...]:
     # tuple() would split a string into its characters
-    if isinstance(tasks, str):
-        raise ValueError(f"{owner}: tasks must be a sequence of names, not the string {tasks!r}")
-    return tuple(tasks)
+    if isinstance(names, str):
+        raise ValueError(f"{owner}: {kind} must be a sequence of names, not the string {names!r}")
+    return tuple(names)
 
 
 @dataclass(frozen=True, init=False)
@@ -178,8 +178,8 @@ class Leaderboard:
     directions, weights and groups as tuples. A minimize-direction task
     ranks low scores first. groups, when present, maps group names, in
     order, to their tasks, as a Mapping or as (name, tasks) pairs; a task
-    is in one group at most, and a group's tasks given as one str are a
-    ValueError.
+    is in one group at most, and the systems, the tasks or a group's tasks
+    given as one str are a ValueError.
     dataclasses.replace builds the edited board with the constructor, from
     the board's scores and the replaced fields, and checks it as it does.
     """
@@ -200,7 +200,8 @@ class Leaderboard:
             pairs = groups.items() if isinstance(groups, Mapping) else groups
             groups = tuple([(name, _task_names(f"group {name!r}", members))
                             for name, members in pairs])
-        self._fill(tuple(systems), tuple(tasks), *over_one_denominator(ratios),
+        self._fill(_task_names("leaderboard", systems, "systems"),
+                   _task_names("leaderboard", tasks), *over_one_denominator(ratios),
                    tuple(directions), tuple([as_fraction(w) for w in weights]), groups)
         self._check()
 
@@ -276,7 +277,7 @@ class Leaderboard:
         systems = tuple(scores)
         if tasks is None:
             tasks = dict.fromkeys([t for row in scores.values() for t in row])
-        task_tuple = tuple(tasks)
+        task_tuple = _task_names("from_scores", tasks)
         _check_known(weights, task_tuple, "weights")
         _check_known(directions, task_tuple, "directions")
         matrix = [[scores[m].get(t) for t in task_tuple] for m in systems]
@@ -331,15 +332,19 @@ class Leaderboard:
             systems, self.tasks, cells, den, self.directions,
             self.weights if weights is None else weights, self.groups)
 
+    def _rows(self, kept: Sequence[int]) -> "Leaderboard":
+        """The board of those systems, in that order, built without checks."""
+        return self._derived(tuple([self.systems[i] for i in kept]),
+                             tuple([self.cells[i] for i in kept]), self.denominator)
+
     def restrict_systems(self, keep: Iterable[str]) -> "Leaderboard":
-        wanted = set(keep)
+        wanted = set(_task_names("restrict_systems", keep, "systems"))
         for m in wanted:
             self._sys_index(m)
         kept = [i for i, m in enumerate(self.systems) if m in wanted]
         if not kept:
             raise ValueError("cannot drop every system")
-        return self._derived(tuple([self.systems[i] for i in kept]),
-                             tuple([self.cells[i] for i in kept]), self.denominator)
+        return self._rows(kept)
 
     def without_cells(self, cells: Iterable[tuple[str, str]]) -> "Leaderboard":
         gone = [(self._sys_index(m), self._task_index(t)) for m, t in cells]
@@ -469,15 +474,18 @@ class RankTable:
     _source = None
 
     def __init__(self, systems, tasks, orders, weights, scale) -> None:
-        """A table from its fields, checked: one order and one weight per task,
-        each weight a non-negative int, an int scale of at least 1, and in each
-        task non-empty groups of distinct indices into systems; else ValueError."""
+        """A table from its fields, checked: systems and tasks that are not one
+        str, one order and one weight per task, each weight a non-negative int,
+        an int scale of at least 1, and in each task non-empty groups of
+        distinct indices into systems; else ValueError."""
         if not len(tasks) == len(orders) == len(weights):
             raise ValueError("tasks, orders and weights must be of one length")
         if not all(type(w) is int and w >= 0 for w in weights):
             raise ValueError(f"weights must be non-negative ints: {weights!r}")
         if type(scale) is not int or scale < 1:
             raise ValueError(f"scale must be an int of at least 1: {scale!r}")
+        systems = _task_names("rank table", systems, "systems")
+        tasks = _task_names("rank table", tasks)
         n = len(systems)
         for task, groups in zip(tasks, orders):
             ranked = list(chain.from_iterable(groups))
@@ -523,6 +531,8 @@ class RankTable:
         }
 
     def position(self, task: str, system: str) -> Fraction | None:
+        if task not in self.positions:
+            raise ValueError(f"unknown task: {task!r}")
         return self.positions[task].get(system)
 
     @property
@@ -759,15 +769,14 @@ def tie_groups(scores: Sequence[Any], *, ascending: bool = False) -> list[tuple[
     return [tuple(order[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
-def group_by_score(
-    scores: Mapping[str, Fraction | float | int],
-    *,
-    ascending: bool = False,
-) -> tuple[frozenset[str], ...]:
-    """Partition systems into tie groups ordered best-first by exact score."""
-    names = list(scores)
-    return tuple([frozenset([names[i] for i in group])
-                  for group in tie_groups(list(scores.values()), ascending=ascending)])
+def first_groups(groups: Iterable[Iterable[Any]], k: int) -> list[Any]:
+    """The members of the first tie groups, until k or more are in."""
+    chosen: list[Any] = []
+    for group in groups:
+        if len(chosen) >= k:
+            break
+        chosen += group
+    return chosen
 
 
 def doubled_ranks(groups: Iterable[Sequence[Any]]) -> dict[Any, int]:

@@ -24,7 +24,7 @@ def rule_ids() -> tuple[str, ...]:
 def get_rule(rule_id: str) -> Rule:
     try:
         return RULES[rule_id]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable id, such as a list
         raise UnknownRule(f"unknown rule: {rule_id!r}") from None
 
 

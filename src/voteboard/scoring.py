@@ -65,9 +65,9 @@ def _integer_totals(
     n = len(table.systems)
     if len(entries) != n:
         raise VectorLengthMismatch(f"vector has {len(entries)} entries for {n} systems")
-    for task, groups in zip(table.tasks, table.orders):
-        if sum(map(len, groups)) != n:
-            raise MissingScore(f"task {task!r} does not rank every system")
+    if not all(table._complete):
+        task = table.tasks[table._complete.index(False)]
+        raise MissingScore(f"task {task!r} does not rank every system")
     prefix = [0]
     for e in entries:
         prefix.append(prefix[-1] + e)

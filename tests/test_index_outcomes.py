@@ -42,7 +42,7 @@ from voteboard.errors import (
     MissingScore, RuleUnsupportedForMode, VectorLengthMismatch, VoteboardError,
 )
 from voteboard.experiments import IMPUTABLE, trial_rng
-from voteboard.model import LazyScores, chosen, group_by_score, ranked_by, tie_groups
+from voteboard.model import LazyScores, chosen, ranked_by, tie_groups
 from voteboard.modes import BASIC, MODES
 
 import reference
@@ -92,9 +92,6 @@ def test_index_packaging_names_as_the_name_packaging(n):
             old = reference.ranked_by(dict(zip(systems, scores)), unit, ascending=ascending)
             assert new == stamped(old)
             assert type(new.scores) is LazyScores and list(new.scores) == list(systems)
-            by_name = dict(zip(systems, scores))
-            assert group_by_score(by_name, ascending=ascending) == (
-                reference.group_by_score(by_name, ascending=ascending))
             groups = tie_groups(scores, ascending=ascending)
             assert all(list(g) == sorted(g) for g in groups)
             assert sorted(i for g in groups for i in g) == list(range(n))

@@ -131,8 +131,12 @@ def test_parse_errors(tmp_path):
 def test_sidecar_unknown_task(tmp_path, csv_path):
     sidecar = tmp_path / "groups.json"
     sidecar.write_text(json.dumps({"t9": "g"}))
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as caught:
         load_leaderboard(csv_path, groups_path=sidecar)
+    assert str(caught.value) == f"{sidecar}: unknown tasks ['t9']"
+    with pytest.raises(ParseError) as caught:
+        load_leaderboard(csv_path, weights_path=sidecar)
+    assert str(caught.value) == f"{sidecar}: unknown tasks ['t9']"
 
 
 def test_outcome_round_trip(toy):

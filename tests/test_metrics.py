@@ -19,6 +19,7 @@ from voteboard import (
 )
 
 import oracle
+import reference
 from conftest import random_board
 
 
@@ -120,6 +121,11 @@ def test_end_set_k_out_of_range_is_invalid():
     for k in (0, 4):
         with pytest.raises(InvalidParameter, match="k must be between 1 and 3"):
             end_set(r, k)
+    for k in ("1", True, 1.5, None):
+        with pytest.raises(InvalidParameter, match=f"k must be an int, not {k!r}"):
+            end_set(r, k)
+    with pytest.raises(InvalidParameter, match="k must be an int, not None"):
+        agreement_rate(r, r, None)
 
 
 def test_end_set_unknown_end_is_invalid():
@@ -176,10 +182,10 @@ def test_tau_rho_match_scipy_with_ties():
         x = {m: rng.randint(1, 4) for m in systems}
         y = {m: rng.randint(1, 4) for m in systems}
         r1 = vb.RuleOutcome(
-            rule_id="x", mode="basic", ranking=vb.group_by_score(x)
+            rule_id="x", mode="basic", ranking=reference.group_by_score(x)
         )
         r2 = vb.RuleOutcome(
-            rule_id="y", mode="basic", ranking=vb.group_by_score(y)
+            rule_id="y", mode="basic", ranking=reference.group_by_score(y)
         )
         xr = [float(r1.fractional_ranks()[m]) for m in systems]
         yr = [float(r2.fractional_ranks()[m]) for m in systems]
@@ -208,8 +214,8 @@ def test_tau_rho_invariant_under_relabeling():
         x = {m: rng.randint(1, 4) for m in systems}
         y = {m: rng.randint(1, 4) for m in systems}
         relabel = {m: f"z{i}" for i, m in enumerate(rng.sample(systems, n))}
-        r1 = vb.RuleOutcome(rule_id="x", mode="basic", ranking=vb.group_by_score(x))
-        r2 = vb.RuleOutcome(rule_id="y", mode="basic", ranking=vb.group_by_score(y))
+        r1 = vb.RuleOutcome(rule_id="x", mode="basic", ranking=reference.group_by_score(x))
+        r2 = vb.RuleOutcome(rule_id="y", mode="basic", ranking=reference.group_by_score(y))
         m1 = vb.RuleOutcome(
             rule_id="x", mode="basic",
             ranking=tuple(frozenset(relabel[m] for m in g) for g in r1.ranking),
@@ -229,8 +235,8 @@ def test_metric_ranges():
         systems = [f"s{i}" for i in range(n)]
         x = {m: rng.randint(1, 3) for m in systems}
         y = {m: rng.randint(1, 3) for m in systems}
-        r1 = vb.RuleOutcome(rule_id="x", mode="basic", ranking=vb.group_by_score(x))
-        r2 = vb.RuleOutcome(rule_id="y", mode="basic", ranking=vb.group_by_score(y))
+        r1 = vb.RuleOutcome(rule_id="x", mode="basic", ranking=reference.group_by_score(x))
+        r2 = vb.RuleOutcome(rule_id="y", mode="basic", ranking=reference.group_by_score(y))
         assert -1.0 <= kendall_tau(r1, r2) <= 1.0
         assert -1.0 <= spearman_rho(r1, r2) <= 1.0
         for k in range(1, n + 1):

@@ -17,7 +17,6 @@ from voteboard import (
     as_fraction,
     build_profile,
     fractional_ranks_of,
-    group_by_score,
     rho_from_rank_vectors,
 )
 from voteboard.io import to_json
@@ -319,9 +318,9 @@ def test_board_edits(toy):
 
 
 def test_group_by_score_and_fractional_ranks():
-    groups = group_by_score({"a": F(3), "b": F(1), "c": F(3)})
+    groups = reference.group_by_score({"a": F(3), "b": F(1), "c": F(3)})
     assert groups == (frozenset({"a", "c"}), frozenset({"b"}))
-    groups = group_by_score({"a": F(3), "b": F(1), "c": F(3)}, ascending=True)
+    groups = reference.group_by_score({"a": F(3), "b": F(1), "c": F(3)}, ascending=True)
     assert groups == (frozenset({"b"}), frozenset({"a", "c"}))
     ranks = fractional_ranks_of([frozenset({"a", "c"}), frozenset({"b"})])
     assert ranks == {"a": F(3, 2), "c": F(3, 2), "b": F(3)}
@@ -534,6 +533,34 @@ BOARD_REFUSALS = [
      "ranks must be ints, Fractions or finite floats"),
     ("two systems' ranks as strings", lambda: rho_from_rank_vectors(["1", "2"], [1, 2]),
      "ranks must be ints, Fractions or finite floats"),
+    ("a board's systems as one string", lambda: two_systems(systems="ab"),
+     "leaderboard: systems must be a sequence of names, not the string 'ab'"),
+    ("a board's tasks as one string", lambda: two_systems(tasks="xy"),
+     "leaderboard: tasks must be a sequence of names, not the string 'xy'"),
+    ("from_scores' tasks as one string", lambda: Leaderboard.from_scores(
+        {"a": {"x": 1, "y": 2}, "b": {"x": 2, "y": 1}}, tasks="xy"),
+     "from_scores: tasks must be a sequence of names, not the string 'xy'"),
+    ("restrict to systems as one string", lambda: two_systems().restrict_systems("ab"),
+     "restrict_systems: systems must be a sequence of names, not the string 'ab'"),
+    ("a rank table's systems as one string",
+     lambda: RankTable("ab", ("t",), (((0,), (1,)),), (1,), 1),
+     "rank table: systems must be a sequence of names, not the string 'ab'"),
+    ("a rank table's tasks as one string",
+     lambda: RankTable(("a", "b"), "t", (((0,), (1,)),), (1,), 1),
+     "rank table: tasks must be a sequence of names, not the string 't'"),
+    ("a position on an unknown task",
+     lambda: build_profile(two_systems(scores=((1, 2), (3, 4)))).position("zz", "a"),
+     "unknown task: 'zz'"),
+    ("aggregate with a list for a rule",
+     lambda: voteboard.aggregate(two_systems(scores=((1, 2), (3, 4))), ["borda"]),
+     "unknown rule: ['borda']"),
+    ("get_rule with a list", lambda: voteboard.get_rule(["borda"]), "unknown rule: ['borda']"),
+    ("iia with a list for a rule", lambda: voteboard.iia_experiment(
+        Leaderboard.from_scores({"a": {"x": 1}, "b": {"x": 2}, "c": {"x": 3}}), ["borda"]),
+     "unknown rule: ['borda']"),
+    ("robustness with a list for a rule",
+     lambda: voteboard.robustness_experiment(two_systems(), [["copeland"]]),
+     "unknown rule: ['copeland']"),
 ]
 
 

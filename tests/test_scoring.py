@@ -202,6 +202,15 @@ def test_missing_score_rejected(toy):
     table = build_profile(holed, missing_ok=True)
     with pytest.raises(MissingScore, match="task 't2' does not rank every system"):
         _integer_totals(table, *_custom_entries(ScoringVector.borda(len(holed.systems)).entries))
+    # each positional core, custom included, names the first task that
+    # misses a system, on a table built with holes or unranked from a whole one
+    holed = reference.with_score(reference.with_score(toy, "A", "t4", None), "C", "t3", None)
+    tables = [build_profile(holed, missing_ok=True), build_profile(toy).without([(3, 3), (0, 2)])]
+    for table in tables:
+        for rule_id, rule in vb.scoring.RULES.items():
+            params = {"vector": [3, 2, 1, 0]} if rule_id == "custom" else {}
+            with pytest.raises(MissingScore, match="task 't3' does not rank every system"):
+                rule.run(table, **params)
 
 
 def test_score_with_vector_matches_reference():
