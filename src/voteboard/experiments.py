@@ -11,11 +11,12 @@ RankTable once per trial; step k runs the rule on the first k systems
 minimax and borda run no core there: step k folds the newcomer into
 running scores over the trial table's counts (majority.PairScore.running),
 borda's as the net wins, which order a complete prefix as Borda does.
-robustness builds one
-RankTable per op and runs each trial on it with the deleted cells
-unranked. A derived table builds its tie orders and pairwise counts from
-its parent's when each is first read, so a rule that reads only the
-counts (copeland, minimax, baldwin, nanson) never builds the orders.
+robustness builds one RankTable per op and runs each trial on it with the
+deleted cells unranked (RankTable.without). A prefix and a without table
+are derived from one source, (parent, k, dropped), and build their tie
+orders and pairwise counts from the parent's when each is first read, so
+a rule that reads only the counts (copeland, minimax, baldwin, nanson)
+never builds the orders.
 The score baselines read boards derived from the board without rechecks,
 whose integer cells are sliced or set: a robustness trial names its deleted
 cells by (system, task) index, and the board it imputes is derived from the
@@ -83,6 +84,15 @@ class ExperimentConfig:
             raise InvalidParameter("top_k must be at least 1")
 
 
+def _config(cfg: ExperimentConfig | None, **default: int) -> ExperimentConfig:
+    """cfg, or without one ExperimentConfig(**default); anything else is refused."""
+    if cfg is None:
+        return ExperimentConfig(**default)
+    if not isinstance(cfg, ExperimentConfig):
+        raise InvalidParameter(f"cfg must be an ExperimentConfig, not {cfg!r}")
+    return cfg
+
+
 @dataclass(frozen=True)
 class ExperimentReport:
     kind: str
@@ -145,7 +155,7 @@ def iia_experiment(
     raises or, for a rule without missing-score support, a system with a
     hole is present, is rerun there on Rule.data.
     """
-    cfg = cfg or ExperimentConfig()
+    cfg = _config(cfg)
     n = len(lb.systems)
     if n < 3:
         raise TooFewSystems("spoiler probing needs at least three systems")
@@ -241,7 +251,7 @@ def robustness_experiment(
     --omit does by default, and top_k is 7, or the number of systems if
     that is smaller.
     """
-    cfg = cfg or ExperimentConfig(trials=100, top_k=min(7, len(lb.systems)))
+    cfg = _config(cfg, trials=100, top_k=min(7, len(lb.systems)))
     if isinstance(rules, str):
         raise InvalidParameter(f"rules must be a sequence of rule ids, not the string {rules!r}")
     if not rules:

@@ -9,9 +9,10 @@ with the task weights scaled to integers by the LCM of their denominators.
 Rank rules read only the table; the score baselines (mean, gmean,
 optimality_gap) read the board's cells. Fractional positions (tied systems
 share the mean of the integer places they span) are a view derived from
-the orders. A table derived from another (prefix keeps its first k
-systems, without unranks some cells) holds its parent and the change, and
-builds its orders and its counts from the parent's when each is first read.
+the orders. A table derived from another holds one source, (parent, k,
+dropped): prefix keeps the first k systems, and without keeps all n and
+unranks the dropped cells. It builds its orders and its counts from the
+parent's when each is first read.
 
 The table's kernels sum integers: the packed pairwise counts, summed per
 distinct task weight and multiplied by it once, in fields wide enough for
@@ -338,9 +339,10 @@ class Leaderboard:
                              tuple([self.cells[i] for i in kept]), self.denominator)
 
     def restrict_systems(self, keep: Iterable[str]) -> "Leaderboard":
-        wanted = set(_task_names("restrict_systems", keep, "systems"))
-        for m in wanted:
+        keep = _task_names("restrict_systems", keep, "systems")
+        for m in keep:
             self._sys_index(m)
+        wanted = set(keep)
         kept = [i for i, m in enumerate(self.systems) if m in wanted]
         if not kept:
             raise ValueError("cannot drop every system")
@@ -373,8 +375,8 @@ def build_profile(
     Each task ranks the systems by score: minimize-direction tasks rank low
     scores first, and equal scores form one tie group. A missing cell
     raises MissingScore unless missing_ok is set, in which case the system
-    is simply unranked on that task. A subset that names a task twice, or
-    is one str, raises ValueError.
+    is simply unranked on that task. A subset that names a task the board
+    lacks or names one twice, or is one str, raises ValueError.
 
     Each task's system indices are sorted by their cells, and runs of equal
     neighbours become tie groups. An untied system's group is taken from
@@ -387,8 +389,9 @@ def build_profile(
         tasks = _task_names("task subset", task_subset)
         if not tasks:
             raise EmptySubset("task subset is empty")
-        _check_unique(tasks, "task")
+        # looked up first: an unhashable name is an unknown task, not a duplicate
         index = [lb._task_index(t) for t in tasks]
+        _check_unique(tasks, "task")
     scaled, scale = integer_weights([lb.weights[j] for j in index])
     columns = list(zip(*lb.cells))
     everyone = range(len(lb.systems))
@@ -445,20 +448,20 @@ class RankTable:
     rule call. iia builds one per trial from the board in the trial's
     arrival order and runs step k on its prefix(k), the first k systems,
     numbered as on the trial's table; robustness builds one per op and runs
-    each trial on it with the deleted cells unranked (without). A derived
-    table holds its parent and the change (its
-    source), and builds its orders and its pairwise counts from the
-    parent's when each is first read, so a rule that reads only the counts
-    never builds the orders. Equality, repr and every kernel but the counts
-    read the orders, and build them. A table built from orders packs each
-    system's counts into one integer, one row per distinct task weight
-    multiplied out at the end, with a field per rival of 8, 16, 32 or 64
-    bits, the narrowest that holds total, or past 64 bits the next multiple
-    of 32. Each task is walked from its last group up, adding the fields
-    passed so far to each member's row; an untied system is one step, not
-    a loop over a group of one. Each row is read back from its
-    little-endian bytes: fields of up to 64 bits with struct's B, H, I or
-    Q, wider ones in slices.
+    each trial on it with the deleted cells unranked (without). Each is a
+    derived table, whose source is (parent, k, dropped): the parent's first
+    k systems, less the system indices dropped maps each task index to. It
+    builds its orders and its pairwise counts from the parent's when each is
+    first read, so a rule that reads only the counts never builds the
+    orders. Equality, repr and every kernel but the counts read the orders,
+    and build them. A table built from orders packs each system's counts
+    into one integer, one row per distinct task weight multiplied out at the
+    end, with a field per rival of 8, 16, 32 or 64 bits, the narrowest that
+    holds total, or past 64 bits the next multiple of 32. Each task is
+    walked from its last group up, adding the fields passed so far to each
+    member's row; an untied system is one step, not a loop over a group of
+    one. Each row is read back from its little-endian bytes: fields of up to
+    64 bits with struct's B, H, I or Q, wider ones in slices.
 
     The constructor checks the orders it is given; build_profile, the
     two-step second step and the derived tables build through _unchecked.
@@ -470,7 +473,7 @@ class RankTable:
     orders: tuple[tuple[tuple[int, ...], ...], ...]
     weights: tuple[int, ...]
     scale: int
-    # a derived table's _Prefix or _Unranking; not a field
+    # a derived table's (parent, k, dropped), set by _derived; not a field
     _source = None
 
     def __init__(self, systems, tasks, orders, weights, scale) -> None:
@@ -508,13 +511,36 @@ class RankTable:
 
     @cached_property
     def orders(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """A derived table's orders, built from its source on first read; a
-        table built from orders holds them from the start."""
-        return self._source.orders()
+        """A derived table's orders, built on first read: each task keeps the
+        parent's groups of its members below k that it does not unrank, emptied
+        groups gone, reusing the parent's tuple where it loses nothing and an
+        untied group as it stands. A table built from orders holds them."""
+        parent, k, dropped = self._source
+        whole = k == len(parent.systems)
+        out = []
+        for j, groups in enumerate(parent.orders):
+            gone = dropped.get(j)
+            if whole and not gone:
+                out.append(groups)
+                continue
+            left = []
+            for group in groups:
+                if len(group) == 1:
+                    # untied, the common case; gone is None where nothing is unranked
+                    if group[0] < k and not (gone and group[0] in gone):
+                        left.append(group)
+                    continue
+                group = tuple([i for i in group if i < k and not (gone and i in gone)])
+                if group:
+                    left.append(group)
+            out.append(tuple(left))
+        return tuple(out)
 
-    def _derived(self, systems: tuple[str, ...], source: _Prefix | _Unranking) -> "RankTable":
-        return self._unchecked(systems=systems, tasks=self.tasks, weights=self.weights,
-                               scale=self.scale, _source=source)
+    def _derived(self, k: int, dropped: dict[int, set[int]]) -> "RankTable":
+        """The first k systems, each task index's dropped ones (ranked) unranked;
+        dropped is empty unless k is this table's system count."""
+        return self._unchecked(systems=self.systems[:k], tasks=self.tasks, weights=self.weights,
+                               scale=self.scale, _source=(self, k, dropped))
 
     @cached_property
     def positions(self) -> dict[str, dict[str, Fraction]]:
@@ -555,20 +581,19 @@ class RankTable:
         """The table of the first k systems, numbered as on this table.
 
         k must be an int from 1 to the number of systems, else ValueError.
-        The table builds its orders and counts from this one's when each is
-        first read (_Prefix).
+        Its source is (this table, k, {}): it builds its orders and counts
+        from this table's when each is first read.
         """
         if type(k) is not int or not 0 < k <= len(self.systems):
             raise ValueError(f"a prefix holds 1 to {len(self.systems)} systems: {k!r}")
-        return self._derived(self.systems[:k], _Prefix(self, k))
+        return self._derived(k, {})
 
     def without(self, cells: Iterable[tuple[int, int]]) -> "RankTable":
         """The table with each cell (system index, task index) unranked.
 
         Each cell must be ranked on this table, else ValueError; the check
-        reads this table's orders, O(n) per task the cells touch. The table
-        builds its orders and counts from this one's when each is first read
-        (_Unranking).
+        reads this table's orders, O(n) per task the cells touch. Its source
+        is (this table, n, the unranked system indices by task index).
         """
         dropped: dict[int, set[int]] = {}
         for i, j in cells:
@@ -578,7 +603,7 @@ class RankTable:
                 self.orders[j] if 0 <= j < len(self.tasks) else ()))
             if stray:
                 raise ValueError(f"cell ({min(stray)!r}, {j!r}) is not ranked on this table")
-        return self._derived(self.systems, _Unranking(self, dropped))
+        return self._derived(len(self.systems), dropped)
 
     def pairwise(self) -> Counts:
         """counts[a][b]: scaled weight of the tasks ranking a strictly above b.
@@ -590,7 +615,25 @@ class RankTable:
     @cached_property
     def _counts(self) -> Counts:
         if self._source is not None:
-            return self._source.counts()
+            # a count reads only its two systems: the parent's first k entries of
+            # its first k rows, less each dropped cell's pairs, O(n) per cell; a
+            # cell leaves its task's levels first, so no pair is subtracted twice
+            parent, k, dropped = self._source
+            if not dropped:
+                return tuple([row[:k] for row in parent.pairwise()[:k]])
+            # k is the parent's system count here, so no row is cut
+            rows = [list(row) for row in parent.pairwise()]
+            for j, gone in dropped.items():
+                w = parent.weights[j]
+                level = {i: p for p, group in enumerate(parent.orders[j]) for i in group}
+                for a in gone:
+                    here = level.pop(a)
+                    for b, there in level.items():
+                        if here < there:
+                            rows[a][b] -= w
+                        elif there < here:
+                            rows[b][a] -= w
+            return tuple([tuple(row) for row in rows])
         # row a holds counts[a][b] at bit width * b; no count exceeds total, so none carries
         bits = self.total.bit_length()
         width = 8 if bits <= 8 else 16 if bits <= 16 else 32 * -(-bits // 32)
@@ -688,74 +731,6 @@ class RankTable:
             for a in ranked:
                 totals[a] += w
         return rows, [x * per_weight for x in totals]
-
-
-class _Prefix(NamedTuple):
-    """What RankTable.prefix derives from: the parent, and the number of its
-    first systems kept."""
-
-    parent: RankTable
-    k: int
-
-    def orders(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """The parent's orders of the systems below k, numbered as there.
-        Groups keep their order and ties; emptied groups go."""
-        k = self.k
-        out = []
-        for groups in self.parent.orders:
-            left = []
-            for group in groups:
-                if len(group) == 1:
-                    # untied, the common case
-                    if group[0] < k:
-                        left.append(group)
-                    continue
-                group = tuple([i for i in group if i < k])
-                if group:
-                    left.append(group)
-            out.append(tuple(left))
-        return tuple(out)
-
-    def counts(self) -> Counts:
-        """A count depends only on its own two systems, so the prefix's counts
-        are the first k entries of the parent's first k rows."""
-        return tuple([row[:self.k] for row in self.parent.pairwise()[:self.k]])
-
-
-class _Unranking(NamedTuple):
-    """What RankTable.without derives from: the parent, and the system
-    indices unranked on each task index touched."""
-
-    parent: RankTable
-    dropped: dict[int, set[int]]
-
-    def orders(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        orders = list(self.parent.orders)
-        for j, gone in self.dropped.items():
-            groups = [tuple([i for i in group if i not in gone]) for group in orders[j]]
-            orders[j] = tuple([group for group in groups if group])
-        return tuple(orders)
-
-    def counts(self) -> Counts:
-        """The parent's counts less each dropped cell's pairs, O(n) per cell.
-
-        A dropped cell leaves its task's levels before its pairs are
-        subtracted, so a pair of cells dropped from one task is subtracted
-        once.
-        """
-        parent = self.parent
-        rows = [list(row) for row in parent.pairwise()]
-        for j, gone in self.dropped.items():
-            w = parent.weights[j]
-            level = {i: p for p, group in enumerate(parent.orders[j]) for i in group}
-            for a in gone:
-                here = level.pop(a)
-                for b, there in level.items():
-                    if here < there:
-                        rows[a][b] -= w
-                    elif there < here:
-                        rows[b][a] -= w
-        return tuple([tuple(row) for row in rows])
 
 
 def tie_groups(scores: Sequence[Any], *, ascending: bool = False) -> list[tuple[int, ...]]:

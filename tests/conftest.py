@@ -1,10 +1,25 @@
 import contextlib
+import importlib
 import random
+import warnings
 
 import pytest
 
 from voteboard import Leaderboard, iterative, model, modes, scoring
 from voteboard.model import IndexOutcome
+
+# hypothesis's pytest plugin imports hypothesis.extra._patching to suggest a
+# patch once a property test fails. Where libcst is installed, that import
+# trips a DeprecationWarning of mypy_extensions, which -W error turns into an
+# INTERNALERROR that ends the whole run. Imported once here with that one
+# warning ignored, the module is cached for the plugin; every other warning,
+# and every test, stays under -W error. Without libcst the import fails here
+# as it does in the plugin, which then suggests no patch.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", r"mypy_extensions\.TypedDict is deprecated",
+                            DeprecationWarning)
+    with contextlib.suppress(ImportError):
+        importlib.import_module("hypothesis.extra._patching")
 
 # every function that turns a rule's kept state into its diagnostics, and
 # the Fraction build of a LazyScores

@@ -69,8 +69,11 @@ with without and prefix, and on 200 seeded random boards with ties, min
 tasks, holes and weights 0, 1/3, 5/7 and 2.
 """
 
+import copy
 import dataclasses
+import functools
 import itertools
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -1100,14 +1103,20 @@ def test_pairwise_rules_never_build_derived_orders(monkeypatch):
     """copeland, minimax, baldwin and nanson read only the counts, and iia
     folds borda's net wins from the trial table's counts, so their iia steps
     and the robustness trials of copeland and minimax build no derived
-    table's orders; hare's iia steps do."""
+    table's orders; hare's iia steps (on prefixes) do, and so does a
+    without table's positions. Only a derived table reads the orders
+    property: a table built from orders holds them in its __dict__."""
     built = []
-    for source in (vb.model._Prefix, vb.model._Unranking):
-        def counted(self, real=source.orders):
-            built.append(type(self).__name__)
-            return real(self)
+    real = vb.RankTable.__dict__["orders"].func
 
-        monkeypatch.setattr(source, "orders", counted)
+    def counted(self):
+        parent, k, dropped = self._source
+        built.append("without" if dropped else "prefix")
+        return real(self)
+
+    patched = functools.cached_property(counted)
+    patched.__set_name__(vb.RankTable, "orders")
+    monkeypatch.setattr(vb.RankTable, "orders", patched)
     cfg = vb.ExperimentConfig(seed=3, trials=3, omit_count=6, top_k=5)
     complete, holed = ladder_board(14, 6, 0), ladder_board(14, 6, 0, holes=True)
     for rid in ("copeland", "minimax", "baldwin", "nanson", "borda"):
@@ -1118,9 +1127,44 @@ def test_pairwise_rules_never_build_derived_orders(monkeypatch):
         vb.robustness_experiment(lb, ["copeland", "minimax"], cfg)
     assert built == []
     vb.iia_experiment(complete, "hare", cfg)
+    assert set(built) == {"prefix"}
     table = table_of(holed)
     assert table.without(ranked_cells(table)[:3]).positions
-    assert set(built) == {"_Prefix", "_Unranking"}
+    assert set(built) == {"prefix", "without"}
+
+
+@pytest.mark.parametrize("n,t,seed", LADDER_BOARDS)
+def test_derived_tables_pickle_and_copy_read_or_unread(n, t, seed):
+    """A prefix, a without table and both chained survive pickle and deep
+    copy, unread (the copy builds from its copied source) or read (the copy
+    holds what was built), and equal reference.restrict and
+    reference.without, counts included."""
+    rng = random.Random(f"copy:{n}:{t}:{seed}")
+    for lb in (ladder_board(n, t, seed), ladder_board(n, t, seed, holes=True)):
+        table = table_of(lb)
+        k = rng.randint(1, n)
+        kept = list(range(k))
+        gone = rng.sample(ranked_cells(table), rng.randint(1, len(ranked_cells(table)) // 3))
+        sub, _ = reference.restrict(table, kept)
+        sub_gone = rng.sample(ranked_cells(sub), rng.randint(1, len(ranked_cells(sub)) // 3 + 1))
+        trimmed, _ = reference.without(table, gone)
+        cases = (
+            (lambda: table.prefix(k), reference.restrict(table, kept)),
+            (lambda: table.without(gone), reference.without(table, gone)),
+            (lambda: table.prefix(k).without(sub_gone), reference.without(sub, sub_gone)),
+            (lambda: table.without(gone).prefix(k), reference.restrict(trimmed, kept)),
+        )
+        for derive, (expected, counts) in cases:
+            for read in (False, True):
+                derived = derive()
+                if read:
+                    derived.pairwise(), derived.orders
+                for twin in (pickle.loads(pickle.dumps(derived)), copy.deepcopy(derived)):
+                    assert ("orders" in twin.__dict__) is read
+                    assert ("_counts" in twin.__dict__) is read
+                    assert twin.pairwise() == counts
+                    assert twin == expected and repr(twin) == repr(expected)
+                    assert twin.positions == expected.positions
 
 
 def test_reading_derived_tables_leaves_the_parent_unchanged():
@@ -1146,6 +1190,23 @@ def test_reading_derived_tables_leaves_the_parent_unchanged():
     fresh.prefix(9).pairwise()
     fresh.without(cells).orders
     assert set(fresh.__dict__) - held == {"_counts"}
+
+
+def test_derived_orders_reuse_what_they_keep():
+    """A task that loses nothing keeps the parent's tuple, and a kept
+    untied group is the parent's group, not a copy."""
+    parent = table_of(ladder_board(14, 6, 1, holes=True))
+    cells = random.Random(3).sample(ranked_cells(parent), 8)
+    touched = {j for _, j in cells}
+    trimmed = parent.without(cells)
+    for table, kept in ((parent.prefix(14), range(6)), (trimmed, set(range(6)) - touched)):
+        assert all(table.orders[j] is parent.orders[j] for j in kept)
+    for table in (trimmed, parent.prefix(9)):
+        for mine, theirs in zip(table.orders, parent.orders):
+            reused = {id(group) for group in mine}
+            members = set(itertools.chain.from_iterable(mine))
+            assert all(id(group) in reused for group in theirs
+                       if len(group) == 1 and group[0] in members)
 
 
 def test_robustness_refuses_a_rule_named_twice():

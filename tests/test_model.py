@@ -561,13 +561,28 @@ BOARD_REFUSALS = [
     ("robustness with a list for a rule",
      lambda: voteboard.robustness_experiment(two_systems(), [["copeland"]]),
      "unknown rule: ['copeland']"),
+    # a name that is not hashable is an unknown one, not a bare TypeError
+    ("restrict to a list for a system", lambda: two_systems().restrict_systems([["a"]]),
+     "unknown system: ['a']", UnknownSystem),
+    ("a task subset holding a list", lambda: build_profile(two_systems(scores=((1, 2), (3, 4))),
+                                                           [["x"]]),
+     "unknown task: ['x']"),
+    # a falsy config is not the default one
+    ("iia with an int for a config", lambda: voteboard.iia_experiment(
+        Leaderboard.from_scores({"a": {"x": 1}, "b": {"x": 2}, "c": {"x": 3}}), "borda", cfg=5),
+     "cfg must be an ExperimentConfig, not 5", voteboard.InvalidParameter),
+    ("robustness with a zero for a config",
+     lambda: voteboard.robustness_experiment(two_systems(), ["copeland"], cfg=0),
+     "cfg must be an ExperimentConfig, not 0", voteboard.InvalidParameter),
 ]
 
 
-@pytest.mark.parametrize("call,message", [
-    pytest.param(call, message, id=name) for name, call, message in BOARD_REFUSALS
+@pytest.mark.parametrize("call,message,error", [
+    # a row's error is ValueError unless it names another after the message
+    pytest.param(call, message, *error or [ValueError], id=name)
+    for name, call, message, *error in BOARD_REFUSALS
 ])
-def test_board_refusals(call, message):
-    with pytest.raises(ValueError) as caught:
+def test_board_refusals(call, message, error):
+    with pytest.raises(error) as caught:
         call()
     assert str(caught.value) == message
