@@ -70,27 +70,20 @@ def build_dominance_matrix(lb: Leaderboard, system: str) -> DominanceMatrix:
     return DominanceMatrix(system, rivals, lb.tasks, rows)
 
 
-def _per_task(values: Sequence, size: int, what: str, *, blanks: bool = False) -> tuple:
+def _per_task(values: Sequence | float | Fraction | str | None, size: int, what: str, *,
+              blanks: bool = False, blank: Fraction | None = None) -> tuple:
+    """values read by as_fraction, one per task. Where blanks are allowed,
+    None or a single value stands for every task, and None reads as blank."""
+    if blanks and (values is None or isinstance(values, (int, float, Fraction, str))):
+        values = [values] * size
     # an entry as_fraction rejects, a non-iterable or a wrong length is a bad parameter
     try:
-        out = tuple([None if blanks and v is None else as_fraction(v) for v in values])
+        out = tuple([blank if blanks and v is None else as_fraction(v) for v in values])
     except (TypeError, ValueError) as exc:
         raise InvalidParameter(f"bad {what}: {exc}") from None
     if len(out) != size:
         raise InvalidParameter(f"{what} length must match the task count")
     return out
-
-
-def _bound_tuple(
-    values: Sequence[int | float | Fraction | str] | int | float | Fraction | str | None,
-    size: int,
-    default: Fraction | None,
-) -> tuple[Fraction | None, ...]:
-    if values is None:
-        return (default,) * size
-    if isinstance(values, (int, float, Fraction, str)):
-        values = [values] * size
-    return _per_task(values, size, "bound", blanks=True)
 
 
 def find_cw_weights(
@@ -112,9 +105,8 @@ def find_cw_weights(
     (eps,) = _per_task([margin], 1, "margin")
     if eps < 0:
         raise InvalidParameter("margin must be non-negative")
-    lower = tuple([v if v is not None else Fraction(0)
-                   for v in _bound_tuple(lower_bounds, t, Fraction(0))])
-    upper = _bound_tuple(upper_bounds, t, None)
+    lower = _per_task(lower_bounds, t, "bound", blanks=True, blank=Fraction(0))
+    upper = _per_task(upper_bounds, t, "bound", blanks=True)
     for lo, up in zip(lower, upper):
         if lo < 0:
             raise InvalidParameter("lower bounds must be non-negative")

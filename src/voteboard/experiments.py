@@ -11,17 +11,18 @@ RankTable once per trial; step k runs the rule on the first k systems
 minimax and borda run no core there: step k folds the newcomer into
 running scores over the trial table's counts (majority.PairScore.running),
 borda's as the net wins, which order a complete prefix as Borda does.
-robustness builds one RankTable per op and runs each trial on it with the
-deleted cells unranked (RankTable.without). A prefix and a without table
-are derived from one source, (parent, k, dropped), and build their tie
-orders and pairwise counts from the parent's when each is first read, so
-a rule that reads only the counts (copeland, minimax, baldwin, nanson)
-never builds the orders.
+robustness builds one RankTable per op and groups each trial's deleted
+cells, (system, task) indices, by task once. That one map gives both of the
+trial's data: the table with those cells unranked, derived from the op's
+table with no recheck, since the cells are sampled from the present ones,
+and, when a rule is imputed, the board imputed once from the full board,
+each deleted cell set to its task's median's exact ratio. A prefix and a
+trial's table are derived from one source, (parent, k, dropped), and build
+their tie orders and pairwise counts from the parent's when each is first
+read, so a rule that reads only the counts (copeland, minimax, baldwin,
+nanson) never builds the orders.
 The score baselines read boards derived from the board without rechecks,
-whose integer cells are sliced or set: a robustness trial names its deleted
-cells by (system, task) index, and the board it imputes is derived from the
-full board once, each deleted cell set to its task's median's exact
-ratio. Nothing outlives the op.
+whose integer cells are sliced or set. Nothing outlives the op.
 The loops call each rule's core and read its index result unnamed: iia
 compares index tie groups, robustness doubled integer ranks.
 """
@@ -47,7 +48,7 @@ from .errors import (
 from .majority import NET, PAIR_SCORES
 from .metrics import DEFAULT_GAMMA, checked_gamma, rho_from_rank_vectors
 from .model import (IndexOutcome, Leaderboard, RankTable, build_profile, doubled_ranks,
-                    first_groups)
+                    first_groups, integer_weights)
 from .modes import check_params
 from .registry import get_rule
 
@@ -106,11 +107,9 @@ class ExperimentReport:
 
 def _stdev(values: Sequence[float]) -> float:
     """The sample standard deviation, correctly rounded: the variance exact
-    over the floats' largest denominator, a power of two common to all, and
-    its root to 109 bits, rounded to odd, so that one rounding is left."""
-    ratios = [v.as_integer_ratio() for v in values]
-    den = max([d for _, d in ratios])
-    nums = [n * (den // d) for n, d in ratios]
+    over the floats' common denominator, a power of two, and its root to 109
+    bits, rounded to odd, so that one rounding is left."""
+    nums, den = integer_weights(values)
     m = len(nums)
     top, bottom = m * sum([x * x for x in nums]) - sum(nums) ** 2, m * (m - 1) * den * den
     q = (top.bit_length() - bottom.bit_length() - 109) // 2
@@ -201,16 +200,13 @@ def iia_experiment(
     return _report("iia", cfg, {rule: counts})
 
 
-def _impute_medians(lb: Leaderboard, deleted: Sequence[tuple[int, int]]) -> Leaderboard:
-    """The board with each deleted cell (system index, task index) set to its
-    task's median.
+def _impute_medians(lb: Leaderboard, gone: Mapping[int, set[int]]) -> Leaderboard:
+    """The board with each deleted cell set to its task's median: gone maps
+    each task index to its deleted system indices.
 
     Each median, of the floats of the task's cells that are neither missing
     nor deleted, is taken once from the intact board, and the imputed board
     is derived from it once."""
-    gone: dict[int, set[int]] = {}
-    for i, j in deleted:
-        gone.setdefault(j, set()).add(i)
     den = lb.denominator
     cells: dict[tuple[int, int], tuple[int, int]] = {}
     for j, rows in gone.items():
@@ -276,10 +272,8 @@ def robustness_experiment(
         raise TooManyOmissions(
             f"cannot delete {cfg.omit_count} of {len(present)} present cells"
         )
-    table = None
-    if any(rid not in IMPUTABLE for rid in rules):
-        # the rules that tolerate missing scores are profile rules
-        table = build_profile(lb, missing_ok=True)
+    # the rules that tolerate missing scores are profile rules
+    table = build_profile(lb, missing_ok=True)
 
     params = {rid: {"gamma": gamma} if "gamma" in rule.params else {}
               for rid, rule in rule_objs.items()}
@@ -305,13 +299,15 @@ def robustness_experiment(
 
     series: dict[str, list[float]] = {rid: [] for rid in rules}
     for trial in range(cfg.trials):
-        rng = trial_rng(cfg.seed, trial)
-        deleted = rng.sample(present, cfg.omit_count)
-        trimmed = None if table is None else table.without(deleted)
-        imputed: Leaderboard | None = None
+        # the deleted system indices by task index, sampled from the present
+        # cells, so each is ranked on the table
+        gone: dict[int, set[int]] = {}
+        for i, j in trial_rng(cfg.seed, trial).sample(present, cfg.omit_count):
+            gone.setdefault(j, set()).add(i)
+        trimmed, imputed = table._derived(len(lb.systems), gone), None
         for rid in rules:
             if rid in IMPUTABLE and imputed is None:
-                imputed = _impute_medians(lb, deleted)
+                imputed = _impute_medians(lb, gone)
             out = ranked(rid, imputed if rid in IMPUTABLE else trimmed, "once cells are deleted")
             # both vectors doubled, so rho is what it is of the fractional ranks
             ranks = doubled_ranks(out.groups)

@@ -29,8 +29,8 @@ from operator import add, gt, lt, mul, or_, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import SearchTooLarge
-from .model import IndexOutcome, Leaderboard, RankTable, build_profile, chosen, ranked_by
-from .model import tie_groups
+from .model import IndexOutcome, Leaderboard, RankTable, build_profile, chosen, index_of
+from .model import ranked_by, tie_groups
 from .modes import Rule
 
 # exhaustive weakly-stable search is exponential in the dominant component
@@ -50,16 +50,13 @@ class MajorityGraph:
     systems[j], in units of 1/scale. margin(a, b) is the weighted signed
     comparison count; an edge a -> b exists when it is positive.
     support(a, b) is the weight of tasks ranking a strictly above b if that
-    edge exists, else 0. Both are returned as exact Fractions.
+    edge exists, else 0. Both are returned as exact Fractions. A name
+    systems lacks is UnknownSystem, as model.index_of finds names.
     """
 
     systems: tuple[str, ...]
     counts: tuple[tuple[int, ...], ...]
     scale: int
-
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {m: i for i, m in enumerate(self.systems)}
 
     @cached_property
     def _masks(self) -> tuple[list[int], list[int]]:
@@ -73,25 +70,25 @@ class MajorityGraph:
         return beats, beaten
 
     def margin(self, a: str, b: str) -> Fraction:
-        i, j = self._index[a], self._index[b]
+        i, j = index_of(self.systems, a), index_of(self.systems, b)
         return Fraction(self.counts[i][j] - self.counts[j][i], self.scale)
 
     def support(self, a: str, b: str) -> Fraction:
-        i, j = self._index[a], self._index[b]
+        i, j = index_of(self.systems, a), index_of(self.systems, b)
         above, below = self.counts[i][j], self.counts[j][i]
         return Fraction(above if above > below else 0, self.scale)
 
     def beats(self, a: str, b: str) -> bool:
-        i, j = self._index[a], self._index[b]
+        i, j = index_of(self.systems, a), index_of(self.systems, b)
         return self.counts[i][j] > self.counts[j][i]
 
     def dominated(self, m: str) -> frozenset[str]:
         """L(m): systems that m beats."""
-        return frozenset(_picked(self.systems, self._masks[0][self._index[m]]))
+        return frozenset(_picked(self.systems, self._masks[0][index_of(self.systems, m)]))
 
     def dominators(self, m: str) -> frozenset[str]:
         """U(m): systems that beat m."""
-        return frozenset(_picked(self.systems, self._masks[1][self._index[m]]))
+        return frozenset(_picked(self.systems, self._masks[1][index_of(self.systems, m)]))
 
     def edges(self) -> tuple[tuple[str, str], ...]:
         names = self.systems
@@ -199,10 +196,10 @@ def minimal_weakly_stable_set(graph: MajorityGraph) -> frozenset[str]:
         raise SearchTooLarge(
             f"dominant component of size {len(pool)} is too large for exhaustive search"
         )
-    index, beaten = graph._index, graph._masks[1]
+    beaten, members = graph._masks[1], [index_of(graph.systems, m) for m in pool]
     found: list[int] = []
     for size in range(1, len(pool) + 1):
-        for combo in combinations([index[m] for m in pool], size):
+        for combo in combinations(members, size):
             candidate = sum([1 << i for i in combo])
             if any(smaller & candidate == smaller for smaller in found):
                 continue

@@ -223,14 +223,10 @@ def rho_from_rank_vectors(x: Sequence[int | Fraction | float],
         raise ValueError("rank vectors differ in length")
     # scaling both vectors by one factor scales num^2 and den_x * den_y alike
     n = len(x)
-    try:
-        scaled, _ = integer_weights([*x, *y])
-    except AttributeError:
-        # a float has no denominator: each finite one is read as its exact ratio
-        if not all([isinstance(v, (int, Fraction)) or isinstance(v, float) and math.isfinite(v)
-                    for v in (*x, *y)]):
-            raise InvalidParameter("ranks must be ints, Fractions or finite floats") from None
-        scaled, _ = integer_weights([Fraction(v) for v in (*x, *y)])
+    if not all([isinstance(v, (int, Fraction)) or isinstance(v, float) and math.isfinite(v)
+                for v in (*x, *y)]):
+        raise InvalidParameter("ranks must be ints, Fractions or finite floats")
+    scaled, _ = integer_weights([*x, *y])
     xs, ys = scaled[:n], scaled[n:]
     if xs == ys:
         return 1.0

@@ -135,11 +135,12 @@ def exact_cells(lb: Leaderboard) -> tuple[Cells, int]:
     return lb.cells, lb.denominator
 
 
-def integer_weights(weights: Sequence[Fraction | int]) -> tuple[tuple[int, ...], int]:
-    """Task weights, or any exact values, times the LCM of their
-    denominators, and that LCM."""
-    scale = math.lcm(*{w.denominator for w in weights})
-    return tuple([w.numerator * (scale // w.denominator) for w in weights]), scale
+def integer_weights(weights: Sequence[Fraction | int | float]) -> tuple[tuple[int, ...], int]:
+    """Task weights, or any values read by as_integer_ratio (ints, Fractions,
+    finite floats), times the LCM of their denominators, and that LCM."""
+    ratios = [w.as_integer_ratio() for w in weights]
+    scale = math.lcm(*{d for _, d in ratios})
+    return tuple([n * (scale // d) for n, d in ratios]), scale
 
 
 def _check_known(given: Mapping[str, Any] | None, tasks: Sequence[str], kind: str) -> None:
@@ -157,11 +158,34 @@ def _check_unique(names: Sequence[str], kind: str) -> None:
         seen.add(name)
 
 
-def _task_names(owner: str, names: Iterable[str], kind: str = "tasks") -> tuple[str, ...]:
+def _names(owner: str, names: Iterable[str], kind: str = "tasks") -> tuple[str, ...]:
     # tuple() would split a string into its characters
     if isinstance(names, str):
         raise ValueError(f"{owner}: {kind} must be a sequence of names, not the string {names!r}")
     return tuple(names)
+
+
+def _task_names(owner: str, names: Iterable[str], kind: str = "tasks") -> tuple[str, ...]:
+    """The names a board or table is built on, which its checks hash; a name
+    that is only looked up is read by _names, and an unhashable one is unknown."""
+    names = _names(owner, names, kind)
+    for name in names:
+        try:
+            hash(name)
+        except TypeError:
+            raise ValueError(f"{owner}: {kind} must be hashable names, not {name!r}") from None
+    return names
+
+
+def index_of(names: Sequence[str], name: str, kind: str = "system") -> int:
+    """name's position in names, found by equality, so a name that cannot be
+    hashed is unknown too; an unknown system is UnknownSystem, any other
+    unknown name a ValueError."""
+    try:
+        return names.index(name)
+    except ValueError:
+        raise (UnknownSystem if kind == "system" else ValueError)(
+            f"unknown {kind}: {name!r}") from None
 
 
 @dataclass(frozen=True, init=False)
@@ -201,6 +225,7 @@ class Leaderboard:
             pairs = groups.items() if isinstance(groups, Mapping) else groups
             groups = tuple([(name, _task_names(f"group {name!r}", members))
                             for name, members in pairs])
+            _task_names("leaderboard", [name for name, _ in groups], "groups")
         self._fill(_task_names("leaderboard", systems, "systems"),
                    _task_names("leaderboard", tasks), *over_one_denominator(ratios),
                    tuple(directions), tuple([as_fraction(w) for w in weights]), groups)
@@ -289,16 +314,10 @@ class Leaderboard:
     # -- lookups ---------------------------------------------------------
 
     def _sys_index(self, system: str) -> int:
-        try:
-            return self.systems.index(system)
-        except ValueError:
-            raise UnknownSystem(f"unknown system: {system!r}") from None
+        return index_of(self.systems, system)
 
     def _task_index(self, task: str) -> int:
-        try:
-            return self.tasks.index(task)
-        except ValueError:
-            raise ValueError(f"unknown task: {task!r}") from None
+        return index_of(self.tasks, task, "task")
 
     @cached_property
     def scores(self) -> tuple[tuple[Fraction | None, ...], ...]:
@@ -339,7 +358,7 @@ class Leaderboard:
                              tuple([self.cells[i] for i in kept]), self.denominator)
 
     def restrict_systems(self, keep: Iterable[str]) -> "Leaderboard":
-        keep = _task_names("restrict_systems", keep, "systems")
+        keep = _names("restrict_systems", keep, "systems")
         for m in keep:
             self._sys_index(m)
         wanted = set(keep)
@@ -386,7 +405,7 @@ def build_profile(
         tasks = lb.tasks
         index: Sequence[int] = range(len(tasks))
     else:
-        tasks = _task_names("task subset", task_subset)
+        tasks = _names("task subset", task_subset)
         if not tasks:
             raise EmptySubset("task subset is empty")
         # looked up first: an unhashable name is an unknown task, not a duplicate
@@ -448,12 +467,12 @@ class RankTable:
     rule call. iia builds one per trial from the board in the trial's
     arrival order and runs step k on its prefix(k), the first k systems,
     numbered as on the trial's table; robustness builds one per op and runs
-    each trial on it with the deleted cells unranked (without). Each is a
-    derived table, whose source is (parent, k, dropped): the parent's first
-    k systems, less the system indices dropped maps each task index to. It
-    builds its orders and its pairwise counts from the parent's when each is
-    first read, so a rule that reads only the counts never builds the
-    orders. Equality, repr and every kernel but the counts read the orders,
+    each trial on it with the deleted cells unranked, as without does. Each
+    is a derived table, whose source is (parent, k, dropped): the parent's
+    first k systems, less the system indices dropped maps each task index
+    to. It builds its orders and its pairwise counts from the parent's when
+    each is first read, so a rule that reads only the counts never builds
+    the orders. Equality, repr and every kernel but the counts read the orders,
     and build them. A table built from orders packs each system's counts
     into one integer, one row per distinct task weight multiplied out at the
     end, with a field per rival of 8, 16, 32 or 64 bits, the narrowest that
@@ -463,8 +482,9 @@ class RankTable:
     one. Each row is read back from its little-endian bytes: fields of up to
     64 bits with struct's B, H, I or Q, wider ones in slices.
 
-    The constructor checks the orders it is given; build_profile, the
-    two-step second step and the derived tables build through _unchecked.
+    The constructor checks the names and orders it is given; build_profile,
+    the two-step second step and the derived tables build through
+    _unchecked.
     """
 
     systems: tuple[str, ...]
@@ -489,6 +509,8 @@ class RankTable:
             raise ValueError(f"scale must be an int of at least 1: {scale!r}")
         systems = _task_names("rank table", systems, "systems")
         tasks = _task_names("rank table", tasks)
+        _check_unique(systems, "system")
+        _check_unique(tasks, "task")
         n = len(systems)
         for task, groups in zip(tasks, orders):
             ranked = list(chain.from_iterable(groups))
@@ -557,9 +579,9 @@ class RankTable:
         }
 
     def position(self, task: str, system: str) -> Fraction | None:
-        if task not in self.positions:
-            raise ValueError(f"unknown task: {task!r}")
-        return self.positions[task].get(system)
+        """The system's place on the task, or None where the task leaves it unranked."""
+        j, i = index_of(self.tasks, task, "task"), index_of(self.systems, system)
+        return self.positions[self.tasks[j]].get(self.systems[i])
 
     @property
     def total(self) -> int:
@@ -591,12 +613,16 @@ class RankTable:
     def without(self, cells: Iterable[tuple[int, int]]) -> "RankTable":
         """The table with each cell (system index, task index) unranked.
 
-        Each cell must be ranked on this table, else ValueError; the check
-        reads this table's orders, O(n) per task the cells touch. Its source
-        is (this table, n, the unranked system indices by task index).
+        Each cell must be a pair of ints ranked on this table, else
+        ValueError; the check reads this table's orders, O(n) per task the
+        cells touch. Its source is (this table, n, the unranked system
+        indices by task index).
         """
         dropped: dict[int, set[int]] = {}
         for i, j in cells:
+            # a bool or a float would hash, and unrank, as the int it equals
+            if type(i) is not int or type(j) is not int:
+                raise ValueError(f"cell ({i!r}, {j!r}) is not ranked on this table")
             dropped.setdefault(j, set()).add(i)
         for j, gone in dropped.items():
             stray = gone.difference(chain.from_iterable(

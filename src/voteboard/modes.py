@@ -139,14 +139,9 @@ def _second_step(
             f"rule {rule.rule_id!r} does not produce a total ranking usable as a ballot"
         )
     groups = _covering_groups(lb)
-    ballots = []
-    for name, members in groups:
-        result = rule.run(rule.data(lb, members), **params)
-        if result.unranked:
-            raise RuleUnsupportedForMode(
-                f"rule {rule.rule_id!r} left systems unranked inside group {name!r}"
-            )
-        ballots.append((name, result.groups))
+    # an elector's core ranks every system, so each ballot is a total preorder
+    ballots = [(name, rule.run(rule.data(lb, members), **params).groups)
+               for name, members in groups]
     # every group votes with unit weight
     table = RankTable._unchecked(
         systems=lb.systems,

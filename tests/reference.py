@@ -1556,6 +1556,15 @@ def iia_experiment(
     return _report("iia", cfg, {rule: counts})
 
 
+def by_task(cells: Iterable[tuple[int, int]]) -> dict[int, set[int]]:
+    """(system index, task index) cells as robustness groups a trial's deleted
+    ones: each task index mapped to its system indices."""
+    gone: dict[int, set[int]] = {}
+    for i, j in cells:
+        gone.setdefault(j, set()).add(i)
+    return gone
+
+
 def impute_medians(corrupted: Leaderboard, deleted: Sequence[tuple[str, str]]) -> Leaderboard:
     """robustness_experiment's imputation, rebuilding the board once per deleted cell."""
     by_task: dict[str, list[str]] = {}
@@ -1805,7 +1814,7 @@ def named_robustness_experiment(
         for rid in rules:
             if rid in IMPUTABLE:
                 if imputed is None:
-                    imputed = _impute_medians(lb, deleted)
+                    imputed = _impute_medians(lb, by_task(deleted))
                 out = run(rid, imputed)
             else:
                 out = run(rid, trimmed)

@@ -168,6 +168,8 @@ def test_objective_of_the_wrong_length_is_invalid(small_matrix):
     {"lower_bounds": [0, float("nan"), 0]},
     {"upper_bounds": float("inf")},
     {"objective": [1, None, 0]},
+    # bounds broadcast a single value over the tasks; an objective does not
+    {"objective": 1},
     {"margin": "1/0"},
     {"margin": "inf"},
 ])

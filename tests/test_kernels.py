@@ -185,6 +185,26 @@ def test_rules_match_reference(n, t, seed, modes, holes):
         assert_same_outcomes(ladder_board(n, t, seed, holes=True), PAIRWISE, modes)
 
 
+@pytest.mark.parametrize("n,t,seed", LADDER_BOARDS)
+def test_elector_cores_rank_every_system_on_group_tables(n, t, seed):
+    """two_step takes each group's result as a total ballot unchecked: every
+    elector rule's core ranks each system once on each group's table, on the
+    plain board and, where the rule handles missing scores, on the holed one."""
+    electors = {rid: rule for rid, rule in vb.registry.RULES.items()
+                if rule.elector and not rule.on_board}
+    assert {"borda", "copeland", "minimax", "threshold", "baldwin", "custom"} <= set(electors)
+    for holed in (False, True):
+        lb = ladder_board(n, t, seed, holes=holed)
+        for rid, rule in electors.items():
+            if holed and not rule.handles_missing:
+                continue
+            params = {"vector": list(range(n, 0, -1))} if rid == "custom" else {}
+            for _, members in lb.groups:
+                out = rule.run(rule.data(lb, members), **params)
+                assert not out.unranked, (rid, holed)
+                assert sorted(itertools.chain.from_iterable(out.groups)) == list(range(n))
+
+
 @pytest.mark.parametrize("n,t,seed,modes,holes", ladder())
 def test_custom_vectors_match_reference(n, t, seed, modes, holes):
     lb = ladder_board(n, t, seed)
@@ -1027,7 +1047,8 @@ def test_derived_boards_and_tables_match_fresh_builds(n, t, seed):
             same_board(lb.without_cells(deleted), fresh)
             cells = cell_indices(lb, deleted)
             same_table(table.without(cells), fresh)
-            same_board(impute_medians(lb, cells), reference.impute_medians(fresh, deleted))
+            same_board(impute_medians(lb, reference.by_task(cells)),
+                       reference.impute_medians(fresh, deleted))
 
 
 # the rules that read a table; custom also needs a vector, and weakly_stable
@@ -1295,11 +1316,11 @@ def test_median_imputation_matches_reference_loop(n, t, seed):
     for lb in (holed, ints.without_cells(set(ints.present_cells()) - set(holed.present_cells()))):
         for omit in range(1, 6):
             deleted = rng.sample(lb.present_cells(), omit)
-            new = repr(impute_medians(lb, cell_indices(lb, deleted)))
+            new = repr(impute_medians(lb, reference.by_task(cell_indices(lb, deleted))))
             old = repr(reference.impute_medians(lb.without_cells(deleted), deleted))
             assert new == old, omit
     # a task that loses every cell is filled with 0.0
     column = [(m, "t0") for m in holed.systems if holed.score(m, "t0") is not None]
-    assert impute_medians(holed, cell_indices(holed, column)) == (
+    assert impute_medians(holed, reference.by_task(cell_indices(holed, column))) == (
         reference.impute_medians(holed.without_cells(column), column)
     )

@@ -132,6 +132,10 @@ def test_end_set_unknown_end_is_invalid():
     r = outcome_from_order(["a", "b", "c"])
     with pytest.raises(InvalidParameter, match="end must be"):
         end_set(r, 1, end="middle")
+    # a set rule's outcome leaves the losers unranked, so it has no ends
+    chosen = vb.RuleOutcome(ranking=(frozenset("a"),), unranked=frozenset("bc"))
+    with pytest.raises(MismatchedSystems, match="^outcome must rank every system$"):
+        end_set(chosen, 1)
 
 
 def test_agreement_rate_symmetry_and_mismatch():

@@ -21,6 +21,7 @@ from voteboard import (
 )
 from voteboard.io import to_json
 from voteboard.iterative import EliminationRound
+from voteboard.majority import build_majority_graph
 from voteboard.model import LazyScores
 
 import reference
@@ -194,6 +195,15 @@ BAD_DERIVATIONS = [
     ("unrank a cell of a negative task", lambda t: t.without([(0, -1)]), r"cell \(0, -1\)"),
     ("unrank a cell once unranked", lambda t: t.without([(2, 2)]).without([(2, 2)]),
      r"cell \(2, 2\) is not ranked"),
+    # an index is an int: a bool or a float equal to one is not taken as it
+    ("unrank a cell of a str task", lambda t: t.without([(0, "0")]),
+     r"^cell \(0, '0'\) is not ranked on this table$"),
+    ("unrank a cell of a float system", lambda t: t.without([(0.0, 0)]),
+     r"^cell \(0\.0, 0\) is not ranked on this table$"),
+    ("unrank a cell of a bool system", lambda t: t.without([(True, 1)]),
+     r"^cell \(True, 1\) is not ranked on this table$"),
+    ("unrank a cell of a bool task", lambda t: t.without([(0, 1), (2, True)]),
+     r"^cell \(2, True\) is not ranked on this table$"),
 ]
 
 
@@ -221,6 +231,8 @@ BAD_TABLES = [
     ("a system twice in a group", (("t",), (((1, 1),),), (1,), 1), "ranks a system twice"),
     ("an index past the last", (("t",), (((0,), (5,)),), (1,), 1), r"outside 0\.\.1"),
     ("a negative index", (("t",), (((-1,), (0,)),), (1,), 1), r"outside 0\.\.1"),
+    ("a task named twice", (("t", "t"), (((0, 1),), ((0, 1),)), (1, 1), 1),
+     "^duplicate task id: 't'$"),
 ]
 
 
@@ -494,8 +506,8 @@ def test_board_reads_weights_exactly_and_keeps_its_fields_as_tuples():
         listed.systems.append("c")
 
 
-# (id, a call on or building a two-system board, or on two systems' ranks,
-# the ValueError's message)
+# (id, a call on or building a two-system board, its table or majority graph,
+# or on two systems' ranks, the ValueError's message)
 BOARD_REFUSALS = [
     ("one row per system", lambda: two_systems(scores=((1, 2),)),
      "score matrix must have one row per system"),
@@ -567,6 +579,52 @@ BOARD_REFUSALS = [
     ("a task subset holding a list", lambda: build_profile(two_systems(scores=((1, 2), (3, 4))),
                                                            [["x"]]),
      "unknown task: ['x']"),
+    # a name a board or table is built on must hash, as its checks hash it
+    ("a list among a board's systems",
+     lambda: Leaderboard([["a"], "b"], ["x"], [[1], [2]], ["max"], [1]),
+     "leaderboard: systems must be hashable names, not ['a']"),
+    ("a list among a board's tasks",
+     lambda: Leaderboard(["a", "b"], ["x", ["y"]], [[1, 2], [2, 1]], ["max"] * 2, [1, 1]),
+     "leaderboard: tasks must be hashable names, not ['y']"),
+    ("a list among from_scores' tasks", lambda: Leaderboard.from_scores(
+        {"a": {"x": 1}, "b": {"x": 2}}, tasks=[["x"]]),
+     "from_scores: tasks must be hashable names, not ['x']"),
+    ("a list among a group's tasks", lambda: Leaderboard.from_scores(
+        {"a": {"x": 1}, "b": {"x": 2}}, groups={"g": [["x"]]}),
+     "group 'g': tasks must be hashable names, not ['x']"),
+    ("a group named by a list", lambda: two_systems(groups=((["g"], ("x", "y")),)),
+     "leaderboard: groups must be hashable names, not ['g']"),
+    ("a list among a rank table's systems",
+     lambda: RankTable([["a"], "b"], ("t",), (((0,), (1,)),), (1,), 1),
+     "rank table: systems must be hashable names, not ['a']"),
+    ("a rank table's system named twice",
+     lambda: RankTable(("a", "a"), ("t",), (((0,), (1,)),), (1,), 1),
+     "duplicate system id: 'a'"),
+    # a name a table or graph lacks is unknown, whatever its type
+    ("a position on a list for a task",
+     lambda: build_profile(two_systems(scores=((1, 2), (3, 4)))).position(["x"], "a"),
+     "unknown task: ['x']"),
+    ("a position of an unknown system",
+     lambda: build_profile(two_systems(scores=((1, 2), (3, 4)))).position("x", "zz"),
+     "unknown system: 'zz'", UnknownSystem),
+    ("a margin from an unknown system",
+     lambda: build_majority_graph(two_systems()).margin("zz", "a"),
+     "unknown system: 'zz'", UnknownSystem),
+    ("a margin over an unknown system",
+     lambda: build_majority_graph(two_systems()).margin("a", "zz"),
+     "unknown system: 'zz'", UnknownSystem),
+    ("a support from a list for a system",
+     lambda: build_majority_graph(two_systems()).support(["a"], "b"),
+     "unknown system: ['a']", UnknownSystem),
+    ("whether an unknown system beats",
+     lambda: build_majority_graph(two_systems()).beats("zz", "a"),
+     "unknown system: 'zz'", UnknownSystem),
+    ("the systems an unknown system dominates",
+     lambda: build_majority_graph(two_systems()).dominated("zz"),
+     "unknown system: 'zz'", UnknownSystem),
+    ("the dominators of a list for a system",
+     lambda: build_majority_graph(two_systems()).dominators(["a"]),
+     "unknown system: ['a']", UnknownSystem),
     # a falsy config is not the default one
     ("iia with an int for a config", lambda: voteboard.iia_experiment(
         Leaderboard.from_scores({"a": {"x": 1}, "b": {"x": 2}, "c": {"x": 3}}), "borda", cfg=5),

@@ -208,11 +208,11 @@ def test_an_imputed_median_is_the_cell_ratio_of_its_float(x, y):
         median = statistics.median([lb.cells[i][0] / lb.denominator for i in range(present)])
         if not math.isfinite(median):
             with pytest.raises(vb.ScoreOutOfRange):
-                _impute_medians(lb, deleted)
+                _impute_medians(lb, reference.by_task(deleted))
             continue
         assert Decimal(repr(median)).as_integer_ratio() == cell_ratio(median)
         # equal boards hold equal integer cells over one denominator
-        assert _impute_medians(lb, deleted) == lb._with_cells(
+        assert _impute_medians(lb, reference.by_task(deleted)) == lb._with_cells(
             dict.fromkeys(deleted, cell_ratio(median)))
 
 

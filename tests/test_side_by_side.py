@@ -55,10 +55,11 @@ def test_a_rule_no_op_names_is_refused():
 
 def test_cli_ops_whose_output_differs_are_counted_and_named(tmp_path):
     """A change tree whose to_json appends a space differs on every JSON CLI
-    op; the repository's own src against itself differs on none."""
+    op, and the tool exits 1; the repository's own src against itself
+    differs on none, and it exits 0."""
     args = ("--workload", "glue-cli", "--passes", "1", "--rules", "borda")
     changed = run_tool(*args, change=copy_of_src(tmp_path, SPACED_JSON))
-    assert changed.returncode == 0, changed.stderr
+    assert changed.returncode == 1, changed.stderr
     lines = changed.stdout.splitlines()
     assert lines[0].startswith("24 of 24 CLI ops differ in stdout or exit code: glue0:rank:borda, ")
     assert lines[0].endswith(", ...")
@@ -81,7 +82,7 @@ def test_library_ops_whose_output_differs_are_counted_and_named(tmp_path):
         "    totals, unit = _totals(table, entries, lcm)\n"
         "    return [2 * x for x in totals], unit\n")})
     done = run_tool("--passes", "1", "--rules", "borda", "weakly_stable", change=change)
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == 1, done.stderr
     assert done.stdout.splitlines()[0] == (
         "4 of 8 library ops differ in rendered output: "
         "wide0:borda, wide1:borda, wide2:borda, wide3:borda")
@@ -92,7 +93,7 @@ def test_experiment_reports_whose_json_differs_are_counted(tmp_path):
     iia op of the rule."""
     done = run_tool("--workload", "perturb", "--passes", "1", "--rules", "borda",
                     change=copy_of_src(tmp_path, SPACED_JSON))
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == 1, done.stderr
     first = done.stdout.splitlines()[0]
     assert first.startswith("12 of 12 library ops differ in rendered output: perturb0:iia:borda, ")
     assert first.endswith(", ...")

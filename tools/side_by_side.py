@@ -23,7 +23,8 @@ output is compared: a CLI op's stdout and exit code, an aggregate outcome
 as outcome_to_dict renders it to JSON, an experiment report as its JSON,
 and a refusal as its type and message. The first lines printed count the
 CLI ops and the library ops that differ, one line for each kind the
-workload has, and name the first few.
+workload has, and name the first few. The exit status is 1 when any op
+differs, else 0, so a script can gate on the outputs alone.
 """
 
 from __future__ import annotations
@@ -164,12 +165,14 @@ def main(argv=None) -> int:
     rows = {key: {"parent_ms": best["parent"][key] / 1e6, "change_ms": best["change"][key] / 1e6,
                   "ratio": best["change"][key] / best["parent"][key]}
             for key in best["parent"]}
+    differing = 0
     for cli, kind, what in ((True, "CLI", "stdout or exit code"),
                             (False, "library", "rendered output")):
         mine = [i for i, op in enumerate(ops) if (op.kind == "cli") == cli]
         if not mine:
             continue
         differ = [ops[i].op_id for i in mine if outputs["parent"][i] != outputs["change"][i]]
+        differing += len(differ)
         line = f"{len(differ)} of {len(mine)} {kind} ops differ in {what}"
         if differ:
             line += ": " + ", ".join(differ[:5]) + (", ..." if len(differ) > 5 else "")
@@ -179,7 +182,7 @@ def main(argv=None) -> int:
     for key, row in rows.items():
         print(f"{key:36} {row['parent_ms']:10.2f} {row['change_ms']:10.2f} {row['ratio']:7.3f}")
     print(json.dumps(rows, sort_keys=True))
-    return 0
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
