@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .errors import InfeasibleBounds, InvalidParameter
 from .linprog import INFEASIBLE, OPTIMAL, solve_lp
-from .model import MINIMIZE, Leaderboard, as_fraction, integer_weights
+from .model import MINIMIZE, Leaderboard, _number, _sequence, integer_weights
 
 PROSPECTIVE = "prospective"
 NON_PROSPECTIVE = "non_prospective"
@@ -76,11 +76,8 @@ def _per_task(values: Sequence | float | Fraction | str | None, size: int, what:
     None or a single value stands for every task, and None reads as blank."""
     if blanks and (values is None or isinstance(values, (int, float, Fraction, str))):
         values = [values] * size
-    # an entry as_fraction rejects, a non-iterable or a wrong length is a bad parameter
-    try:
-        out = tuple([blank if blanks and v is None else as_fraction(v) for v in values])
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameter(f"bad {what}: {exc}") from None
+    out = tuple([blank if blanks and v is None else _number(v, what)
+                 for v in _sequence(values, what, "numbers", InvalidParameter)])
     if len(out) != size:
         raise InvalidParameter(f"{what} length must match the task count")
     return out

@@ -47,8 +47,8 @@ from .errors import (
 )
 from .majority import NET, PAIR_SCORES
 from .metrics import DEFAULT_GAMMA, checked_gamma, rho_from_rank_vectors
-from .model import (IndexOutcome, Leaderboard, RankTable, build_profile, doubled_ranks,
-                    first_groups, integer_weights)
+from .model import (IndexOutcome, Leaderboard, RankTable, _int, _sequence, build_profile,
+                    doubled_ranks, first_groups, integer_weights)
 from .modes import check_params
 from .registry import get_rule
 
@@ -75,7 +75,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for name in ("seed", "trials", "omit_count", "top_k"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not _int(value):
                 raise InvalidParameter(f"{name} must be an int, not {value!r}")
         if self.trials < 1:
             raise InvalidParameter("trials must be at least 1")
@@ -181,7 +181,7 @@ def iia_experiment(
                     # the rerun below names the present system with a hole
                     raise MissingScore
                 out = IndexOutcome(next(steps)) if steps else rule_obj.run(
-                    lb._rows(order[:k]) if table is None else table.prefix(k), **rule_params)
+                    lb._rows(order[:k]) if table is None else table._derived(k, {}), **rule_params)
             except VoteboardError:
                 rule_obj.run(rule_obj.data(lb._rows(sorted(order[:k]))), **rule_params)
                 raise
@@ -248,8 +248,7 @@ def robustness_experiment(
     that is smaller.
     """
     cfg = _config(cfg, trials=100, top_k=min(7, len(lb.systems)))
-    if isinstance(rules, str):
-        raise InvalidParameter(f"rules must be a sequence of rule ids, not the string {rules!r}")
+    rules = _sequence(rules, "rules", "rule ids", InvalidParameter)
     if not rules:
         raise InvalidParameter("robustness needs at least one rule")
     checked_gamma(gamma)

@@ -37,7 +37,8 @@ from .model import (
     IndexOutcome,
     Leaderboard,
     RuleOutcome,
-    as_fraction,
+    _int,
+    _number,
     exact_cells,
     first_groups,
     integer_weights,
@@ -96,10 +97,7 @@ def _gmean_run(lb: Leaderboard) -> IndexOutcome:
 def checked_gamma(gamma: int | float | Fraction | str) -> Fraction:
     """optimality_gap's gamma as an exact Fraction; a value that is not a
     finite positive number raises InvalidParameter."""
-    try:
-        g = as_fraction(gamma)
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameter(f"bad gamma: {exc}") from None
+    g = _number(gamma, "gamma")
     if g <= 0:
         raise InvalidParameter(f"gamma must be positive, got {gamma!r}")
     return g
@@ -155,7 +153,7 @@ def end_set(outcome: RuleOutcome, k: int, end: str = TOP) -> frozenset[str]:
         raise InvalidParameter("end must be 'top' or 'least'")
     if not outcome.is_total():
         raise MismatchedSystems("outcome must rank every system")
-    if not isinstance(k, int) or isinstance(k, bool):
+    if not _int(k):
         raise InvalidParameter(f"k must be an int, not {k!r}")
     n = len(outcome.ranked_systems)
     if not 1 <= k <= n:

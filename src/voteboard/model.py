@@ -36,6 +36,9 @@ and the resized tuple is later freed onto the interpreter's free list for
 its final size, so those lists grow call after call until a full garbage
 collection empties them. Code that allocates little triggers few full
 collections: on 20-system boards the growth raised peak memory by a tenth.
+
+An argument's kind is decided in one place, the checkers _int, _number,
+_sequence, _mapping and _cell, which every public entry calls on what it is given.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from itertools import chain, compress
 from operator import eq, ne
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import EmptySubset, MissingScore, UnknownSystem
+from .errors import EmptySubset, InvalidParameter, MissingScore, UnknownSystem
 
 MAXIMIZE = "max"
 MINIMIZE = "min"
@@ -143,37 +146,58 @@ def integer_weights(weights: Sequence[Fraction | int | float]) -> tuple[tuple[in
     return tuple([n * (scale // d) for n, d in ratios]), scale
 
 
-def _check_known(given: Mapping[str, Any] | None, tasks: Sequence[str], kind: str) -> None:
-    """Refuse a key of given that names none of the tasks."""
-    if given is not None and not given.keys() <= set(tasks):
-        stray = next(t for t in given if t not in tasks)
-        raise ValueError(f"{kind} name an unknown task: {stray!r}")
+def _int(value: Any) -> bool:
+    """Whether value is an int and not a bool; int subclasses such as IntEnum are ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_unique(names: Sequence[str], kind: str) -> None:
-    seen = set()
-    for name in names:
-        if name in seen:
-            raise ValueError(f"duplicate {kind} id: {name!r}")
-        seen.add(name)
+def _number(value: Any, what: str) -> Fraction:
+    """value read by as_fraction; one it refuses is InvalidParameter("bad <what>: …")."""
+    try:
+        return as_fraction(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameter(f"bad {what}: {exc}") from None
 
 
-def _names(owner: str, names: Iterable[str], kind: str = "tasks") -> tuple[str, ...]:
-    # tuple() would split a string into its characters
-    if isinstance(names, str):
-        raise ValueError(f"{owner}: {kind} must be a sequence of names, not the string {names!r}")
-    return tuple(names)
+def _sequence(value: Any, what: str, of: str = "names", error=ValueError) -> tuple:
+    """value's items as a tuple; a str, which tuple() splits, or a non-iterable raises error."""
+    if isinstance(value, str):
+        raise error(f"{what} must be a sequence of {of}, not the string {value!r}")
+    try:
+        return tuple(value)
+    except TypeError:
+        raise error(f"{what} must be a sequence of {of}, not {value!r}") from None
 
 
-def _task_names(owner: str, names: Iterable[str], kind: str = "tasks") -> tuple[str, ...]:
-    """The names a board or table is built on, which its checks hash; a name
-    that is only looked up is read by _names, and an unhashable one is unknown."""
-    names = _names(owner, names, kind)
+def _mapping(value: Any, what: str, tasks: Sequence[str] | None = None) -> Mapping:
+    """value as a Mapping whose keys, when tasks are given, each name one; else ValueError."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{what} must be a mapping, not {value!r}")
+    stray = [key for key in value if tasks is not None and key not in tasks]
+    if stray:
+        raise ValueError(f"{what} name an unknown task: {stray[0]!r}")
+    return value
+
+
+def _cell(value: Any, what: str = "a cell") -> Sequence:
+    """value, a pair and not one str, which would unpack as its characters; else ValueError."""
+    if isinstance(value, str) or not isinstance(value, Sequence) or len(value) != 2:
+        raise ValueError(f"{what} must be a pair, not {value!r}")
+    return value
+
+
+def _task_names(owner: str, names: Any, kind: str = "tasks") -> tuple[str, ...]:
+    """The names a board or table is built on: a sequence of distinct names,
+    each hashed once; else ValueError naming the owner and kind, the field."""
+    names = _sequence(names, f"{owner}: {kind}")
+    seen: set[str] = set()
     for name in names:
         try:
-            hash(name)
+            if name in seen:
+                raise ValueError(f"duplicate {kind[:-1]} id: {name!r}")
         except TypeError:
             raise ValueError(f"{owner}: {kind} must be hashable names, not {name!r}") from None
+        seen.add(name)
     return names
 
 
@@ -203,8 +227,8 @@ class Leaderboard:
     directions, weights and groups as tuples. A minimize-direction task
     ranks low scores first. groups, when present, maps group names, in
     order, to their tasks, as a Mapping or as (name, tasks) pairs; a task
-    is in one group at most, and the systems, the tasks or a group's tasks
-    given as one str are a ValueError.
+    is in one group at most, and a field of the wrong kind, such as the
+    systems given as one str or a row that is not a sequence, is a ValueError.
     dataclasses.replace builds the edited board with the constructor, from
     the board's scores and the replaced fields, and checks it as it does.
     """
@@ -220,21 +244,26 @@ class Leaderboard:
     groups: tuple[tuple[str, tuple[str, ...]], ...] | None = None
 
     def __init__(self, systems, tasks, scores, directions, weights, groups=None) -> None:
-        ratios = [[None if c is None else cell_ratio(c) for c in row] for row in scores]
+        ratios = [[None if c is None else cell_ratio(c)
+                   for c in _sequence(row, "leaderboard: a score row", "cells")]
+                  for row in _sequence(scores, "leaderboard: scores", "rows")]
         if groups is not None:
-            pairs = groups.items() if isinstance(groups, Mapping) else groups
+            pairs = _sequence(groups.items() if isinstance(groups, Mapping) else groups,
+                              "leaderboard: groups", "(name, tasks) pairs")
             groups = tuple([(name, _task_names(f"group {name!r}", members))
-                            for name, members in pairs])
+                            for name, members in [_cell(p, "a group") for p in pairs]])
             _task_names("leaderboard", [name for name, _ in groups], "groups")
+        weights = [as_fraction(w) for w in _sequence(weights, "leaderboard: weights", "numbers")]
         self._fill(_task_names("leaderboard", systems, "systems"),
                    _task_names("leaderboard", tasks), *over_one_denominator(ratios),
-                   tuple(directions), tuple([as_fraction(w) for w in weights]), groups)
+                   _sequence(directions, "leaderboard: directions", "'max' or 'min'"),
+                   tuple(weights), groups)
         self._check()
 
     @classmethod
     def _of_cells(cls, *fields: Any) -> "Leaderboard":
         """A board from its fields, checked as the constructor checks them,
-        whose cells' floats are finite."""
+        whose names are distinct and whose cells' floats are finite."""
         return object.__new__(cls)._fill(*fields)._check()
 
     def _fill(self, systems, tasks, cells, den, directions, weights, groups) -> "Leaderboard":
@@ -254,8 +283,6 @@ class Leaderboard:
             raise ValueError("leaderboard needs at least one system")
         if not self.tasks:
             raise ValueError("leaderboard needs at least one task")
-        _check_unique(self.systems, "system")
-        _check_unique(self.tasks, "task")
         if len(self.cells) != len(self.systems):
             raise ValueError("score matrix must have one row per system")
         if any(len(row) != len(self.tasks) for row in self.cells):
@@ -272,7 +299,6 @@ class Leaderboard:
         if not any(w > 0 for w in self.weights):
             raise ValueError("at least one task weight must be positive")
         if self.groups is not None:
-            _check_unique([name for name, _ in self.groups], "group")
             known = set(self.tasks)
             claimed: set[str] = set()
             for name, members in self.groups:
@@ -298,18 +324,19 @@ class Leaderboard:
     ) -> "Leaderboard":
         """Build from nested dicts; iteration order fixes system/task order.
 
-        A weights or directions key that names no task raises ValueError.
+        scores, a row, weights or directions that is not a mapping, and a
+        weights or directions key that names no task, raise ValueError.
         """
-        systems = tuple(scores)
+        systems = tuple(_mapping(scores, "scores"))
+        rows = [_mapping(scores[m], f"scores of {m!r}") for m in systems]
         if tasks is None:
-            tasks = dict.fromkeys([t for row in scores.values() for t in row])
+            tasks = dict.fromkeys([t for row in rows for t in row])
         task_tuple = _task_names("from_scores", tasks)
-        _check_known(weights, task_tuple, "weights")
-        _check_known(directions, task_tuple, "directions")
-        matrix = [[scores[m].get(t) for t in task_tuple] for m in systems]
-        dirs = [(directions or {}).get(t, MAXIMIZE) for t in task_tuple]
-        wts = [(weights or {}).get(t, 1) for t in task_tuple]
-        return cls(systems, task_tuple, matrix, dirs, wts, groups)
+        wts = _mapping({} if weights is None else weights, "weights", task_tuple)
+        dirs = _mapping({} if directions is None else directions, "directions", task_tuple)
+        matrix = [[row.get(t) for t in task_tuple] for row in rows]
+        return cls(systems, task_tuple, matrix, [dirs.get(t, MAXIMIZE) for t in task_tuple],
+                   [wts.get(t, 1) for t in task_tuple], groups)
 
     # -- lookups ---------------------------------------------------------
 
@@ -358,17 +385,14 @@ class Leaderboard:
                              tuple([self.cells[i] for i in kept]), self.denominator)
 
     def restrict_systems(self, keep: Iterable[str]) -> "Leaderboard":
-        keep = _names("restrict_systems", keep, "systems")
-        for m in keep:
-            self._sys_index(m)
-        wanted = set(keep)
-        kept = [i for i, m in enumerate(self.systems) if m in wanted]
+        kept = sorted({self._sys_index(m) for m in _sequence(keep, "restrict_systems: systems")})
         if not kept:
             raise ValueError("cannot drop every system")
         return self._rows(kept)
 
     def without_cells(self, cells: Iterable[tuple[str, str]]) -> "Leaderboard":
-        gone = [(self._sys_index(m), self._task_index(t)) for m, t in cells]
+        gone = [(self._sys_index(m), self._task_index(t))
+                for m, t in map(_cell, _sequence(cells, "without_cells: cells", "pairs"))]
         return self._with_cells(dict.fromkeys(gone))
 
     def _with_cells(self, cells: Mapping[tuple[int, int], tuple[int, int] | None]):
@@ -405,12 +429,12 @@ def build_profile(
         tasks = lb.tasks
         index: Sequence[int] = range(len(tasks))
     else:
-        tasks = _names("task subset", task_subset)
+        tasks = _sequence(task_subset, "task subset: tasks")
         if not tasks:
             raise EmptySubset("task subset is empty")
         # looked up first: an unhashable name is an unknown task, not a duplicate
         index = [lb._task_index(t) for t in tasks]
-        _check_unique(tasks, "task")
+        _task_names("task subset", tasks)
     scaled, scale = integer_weights([lb.weights[j] for j in index])
     columns = list(zip(*lb.cells))
     everyone = range(len(lb.systems))
@@ -497,29 +521,32 @@ class RankTable:
     _source = None
 
     def __init__(self, systems, tasks, orders, weights, scale) -> None:
-        """A table from its fields, checked: systems and tasks that are not one
-        str, one order and one weight per task, each weight a non-negative int,
-        an int scale of at least 1, and in each task non-empty groups of
-        distinct indices into systems; else ValueError."""
-        if not len(tasks) == len(orders) == len(weights):
-            raise ValueError("tasks, orders and weights must be of one length")
-        if not all(type(w) is int and w >= 0 for w in weights):
-            raise ValueError(f"weights must be non-negative ints: {weights!r}")
-        if type(scale) is not int or scale < 1:
-            raise ValueError(f"scale must be an int of at least 1: {scale!r}")
+        """A table from its fields, checked: sequences of distinct hashable
+        names, one order and one weight per task, each weight a non-negative
+        int, an int scale of at least 1, and each order a sequence of non-empty
+        groups of distinct indices into systems, kept as tuples; else ValueError."""
         systems = _task_names("rank table", systems, "systems")
         tasks = _task_names("rank table", tasks)
-        _check_unique(systems, "system")
-        _check_unique(tasks, "task")
+        orders = _sequence(orders, "rank table: orders", "tie orders")
+        weights = _sequence(weights, "rank table: weights", "ints")
+        if not len(tasks) == len(orders) == len(weights):
+            raise ValueError("tasks, orders and weights must be of one length")
+        if not all(_int(w) and w >= 0 for w in weights):
+            raise ValueError(f"weights must be non-negative ints: {weights!r}")
+        if not _int(scale) or scale < 1:
+            raise ValueError(f"scale must be an int of at least 1: {scale!r}")
         n = len(systems)
+        orders = tuple([tuple([_sequence(g, f"task {t!r}: a tie group", "indices")
+                               for g in _sequence(groups, f"task {t!r}: an order", "tie groups")])
+                        for t, groups in zip(tasks, orders)])
         for task, groups in zip(tasks, orders):
             ranked = list(chain.from_iterable(groups))
             if not all(groups):
                 raise ValueError(f"task {task!r} has an empty tie group")
-            if len(set(ranked)) < len(ranked):
-                raise ValueError(f"task {task!r} ranks a system twice")
-            if not all(type(a) is int and 0 <= a < n for a in ranked):
+            if not all(_int(a) and 0 <= a < n for a in ranked):
                 raise ValueError(f"task {task!r} ranks an index outside 0..{n - 1}")
+            if len(set(ranked)) < len(ranked):  # ints by now, so they hash
+                raise ValueError(f"task {task!r} ranks a system twice")
         self.__dict__.update(systems=systems, tasks=tasks, orders=orders, weights=weights,
                              scale=scale)
 
@@ -606,7 +633,7 @@ class RankTable:
         Its source is (this table, k, {}): it builds its orders and counts
         from this table's when each is first read.
         """
-        if type(k) is not int or not 0 < k <= len(self.systems):
+        if not _int(k) or not 0 < k <= len(self.systems):
             raise ValueError(f"a prefix holds 1 to {len(self.systems)} systems: {k!r}")
         return self._derived(k, {})
 
@@ -619,9 +646,9 @@ class RankTable:
         indices by task index).
         """
         dropped: dict[int, set[int]] = {}
-        for i, j in cells:
+        for i, j in map(_cell, _sequence(cells, "without: cells", "pairs")):
             # a bool or a float would hash, and unrank, as the int it equals
-            if type(i) is not int or type(j) is not int:
+            if not (_int(i) and _int(j)):
                 raise ValueError(f"cell ({i!r}, {j!r}) is not ranked on this table")
             dropped.setdefault(j, set()).add(i)
         for j, gone in dropped.items():

@@ -26,7 +26,8 @@ from fractions import Fraction
 from typing import Any, Callable, Sequence
 
 from .errors import InvalidParameter, MissingScore, VectorLengthMismatch
-from .model import IndexOutcome, LazyDiagnostics, RankTable, as_fraction, integer_weights, ranked_by
+from .model import (IndexOutcome, LazyDiagnostics, RankTable, _number, _sequence, integer_weights,
+                    ranked_by)
 from .modes import Rule
 
 
@@ -34,13 +35,8 @@ def _custom_entries(values: Sequence[int | float | Fraction | str]) -> tuple[lis
     """custom's vector as integer entries over their LCM, once every entry
     is a finite number and the vector is non-empty, non-increasing and not
     constant. A str is refused, not read as its characters."""
-    if isinstance(values, str):
-        raise InvalidParameter(
-            f"a scoring vector must be a sequence of entries, not the string {values!r}")
-    try:
-        exact = [as_fraction(v) for v in values]
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameter(f"bad scoring vector: {exc}") from None
+    exact = [_number(v, "scoring vector")
+             for v in _sequence(values, "a scoring vector", "entries", InvalidParameter)]
     if not exact:
         raise InvalidParameter("a scoring vector cannot be empty")
     if any(b > a for a, b in zip(exact, exact[1:])):

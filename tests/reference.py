@@ -109,7 +109,6 @@ from voteboard.model import (
     Leaderboard,
     RankTable,
     RuleOutcome,
-    _check_unique,
     as_fraction,
     cell_ratio,
     missing_score,
@@ -123,6 +122,15 @@ from voteboard.registry import get_rule
 
 COPELAND_VARIANTS = ("I", "II", "III")
 _WEAKLY_STABLE_LIMIT = 18
+
+
+def _check_unique(names: Sequence[str], kind: str) -> None:
+    """model._check_unique as it was, before model._task_names absorbed it."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise ValueError(f"duplicate {kind} id: {name!r}")
+        seen.add(name)
 
 
 # -- task weights as name-keyed maps ------------------------------------------

@@ -204,6 +204,12 @@ BAD_DERIVATIONS = [
      r"^cell \(True, 1\) is not ranked on this table$"),
     ("unrank a cell of a bool task", lambda t: t.without([(0, 1), (2, True)]),
      r"^cell \(2, True\) is not ranked on this table$"),
+    # a cell is a pair, named in the refusal
+    ("unrank an int for a cell", lambda t: t.without([5]), r"^a cell must be a pair, not 5$"),
+    ("unrank a triple for a cell", lambda t: t.without([(0, 0, 0)]),
+     r"^a cell must be a pair, not \(0, 0, 0\)$"),
+    ("unrank an int for the cells", lambda t: t.without(5),
+     r"^without: cells must be a sequence of pairs, not 5$"),
 ]
 
 
@@ -233,6 +239,12 @@ BAD_TABLES = [
     ("a negative index", (("t",), (((-1,), (0,)),), (1,), 1), r"outside 0\.\.1"),
     ("a task named twice", (("t", "t"), (((0, 1),), ((0, 1),)), (1, 1), 1),
      "^duplicate task id: 't'$"),
+    ("a flat order", (("t",), ((0, 1),), (1,), 1),
+     r"^task 't': a tie group must be a sequence of indices, not 0$"),
+    ("no orders", (("t",), None, (1,), 1),
+     "^rank table: orders must be a sequence of tie orders, not None$"),
+    ("no weights", (("t",), (((0, 1),),), None, 1),
+     "^rank table: weights must be a sequence of ints, not None$"),
 ]
 
 
@@ -632,6 +644,38 @@ BOARD_REFUSALS = [
     ("robustness with a zero for a config",
      lambda: voteboard.robustness_experiment(two_systems(), ["copeland"], cfg=0),
      "cfg must be an ExperimentConfig, not 0", voteboard.InvalidParameter),
+    # from_scores reads its scores, each row, weights and directions as mappings
+    ("from_scores with an int for a row",
+     lambda: Leaderboard.from_scores({"a": 5, "b": {"x": 1}}),
+     "scores of 'a' must be a mapping, not 5"),
+    ("from_scores with a list for the scores", lambda: Leaderboard.from_scores([1, 2]),
+     "scores must be a mapping, not [1, 2]"),
+    ("from_scores with a list for the weights",
+     lambda: Leaderboard.from_scores({"a": {"x": 1}, "b": {"x": 2}}, weights=[1]),
+     "weights must be a mapping, not [1]"),
+    ("from_scores with a list for the directions",
+     lambda: Leaderboard.from_scores({"a": {"x": 1}, "b": {"x": 2}}, directions=["max"]),
+     "directions must be a mapping, not ['max']"),
+    ("from_scores with an int for the groups",
+     lambda: Leaderboard.from_scores({"a": {"x": 1}, "b": {"x": 2}}, groups=5),
+     "leaderboard: groups must be a sequence of (name, tasks) pairs, not 5"),
+    # a cell, and a group given as a pair, is a pair and not one str
+    ("unrank a one-name cell", lambda: two_systems().without_cells([("a",)]),
+     "a cell must be a pair, not ('a',)"),
+    ("unrank a str for a cell", lambda: two_systems().without_cells(["ax"]),
+     "a cell must be a pair, not 'ax'"),
+    ("a str for a group", lambda: two_systems(groups=["gx"]), "a group must be a pair, not 'gx'"),
+    # a field that is not a sequence, or is one str, names the field
+    ("restrict to an int", lambda: two_systems().restrict_systems(5),
+     "restrict_systems: systems must be a sequence of names, not 5"),
+    ("a task subset as an int", lambda: build_profile(two_systems(scores=((1, 2), (3, 4))), 5),
+     "task subset: tasks must be a sequence of names, not 5"),
+    ("a board with no weights", lambda: two_systems(weights=None),
+     "leaderboard: weights must be a sequence of numbers, not None"),
+    ("a board with ints for rows", lambda: two_systems(scores=[1, 2]),
+     "leaderboard: a score row must be a sequence of cells, not 1"),
+    ("a board's directions as one string", lambda: two_systems(directions="max"),
+     "leaderboard: directions must be a sequence of 'max' or 'min', not the string 'max'"),
 ]
 
 
